@@ -58,10 +58,10 @@ resume-check: build
 	diff _build/resume-check/sh-straight.out _build/resume-check/sh-resumed.out
 	@echo "resume-check: straight, checkpointed and resumed runs identical"
 
-# Engine-determinism smoke: the staged-compilation engine (with and
-# without superblock fusion), the native generated-unit engine and
-# selective tracing must be trajectory-invisible — fuzz stdout is
-# byte-identical across --engine interp/compiled/fused/native x
+# Engine-determinism smoke: the fused closure engine, the native
+# generated-unit engine and selective tracing (including the
+# interpreter's private signal context) must be trajectory-invisible —
+# fuzz stdout is byte-identical across --engine interp/fused/native x
 # --selective on/off, sequentially and at any shard count (path mode
 # exercises the Ball-Larus probes, the fused bulk-burn/folded-increment
 # paths and the cmplog taps). The native tiers run against a private
@@ -74,27 +74,28 @@ engine-check: build
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  > _build/engine-check/interp.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --engine compiled > _build/engine-check/compiled.out
-	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --engine compiled --selective > _build/engine-check/selective.out
+	  --engine interp --selective > _build/engine-check/selective.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --engine fused > _build/engine-check/fused.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --engine fused --selective > _build/engine-check/fused-selective.out
-	diff _build/engine-check/interp.out _build/engine-check/compiled.out
 	diff _build/engine-check/interp.out _build/engine-check/selective.out
 	diff _build/engine-check/interp.out _build/engine-check/fused.out
 	diff _build/engine-check/interp.out _build/engine-check/fused-selective.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --shards 2 --sync-interval 512 > _build/engine-check/sh-interp.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --shards 2 --sync-interval 512 --engine compiled --selective \
+	  --shards 2 --sync-interval 512 --engine interp --selective \
 	  > _build/engine-check/sh-selective.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --shards 2 --sync-interval 512 --engine fused --selective \
+	  --shards 2 --sync-interval 512 --engine fused \
 	  > _build/engine-check/sh-fused.out
+	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
+	  --shards 2 --sync-interval 512 --engine fused --selective \
+	  > _build/engine-check/sh-fused-selective.out
 	diff _build/engine-check/sh-interp.out _build/engine-check/sh-selective.out
 	diff _build/engine-check/sh-interp.out _build/engine-check/sh-fused.out
+	diff _build/engine-check/sh-interp.out _build/engine-check/sh-fused-selective.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --engine native --emit-cache _build/engine-check/emit-cache \
 	  --metrics _build/engine-check/native-cold.metrics.json \
@@ -106,10 +107,20 @@ engine-check: build
 	diff _build/engine-check/interp.out _build/engine-check/native-cold.out
 	diff _build/engine-check/interp.out _build/engine-check/native-warm.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --shards 2 --sync-interval 512 --engine native --selective \
+	  --engine native --selective \
+	  --emit-cache _build/engine-check/emit-cache \
+	  > _build/engine-check/native-selective.out
+	diff _build/engine-check/interp.out _build/engine-check/native-selective.out
+	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
+	  --shards 2 --sync-interval 512 --engine native \
 	  --emit-cache _build/engine-check/emit-cache \
 	  > _build/engine-check/sh-native.out
+	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
+	  --shards 2 --sync-interval 512 --engine native --selective \
+	  --emit-cache _build/engine-check/emit-cache \
+	  > _build/engine-check/sh-native-selective.out
 	diff _build/engine-check/sh-interp.out _build/engine-check/sh-native.out
+	diff _build/engine-check/sh-interp.out _build/engine-check/sh-native-selective.out
 	PATHFUZZ_EMIT_FAIL=1 ./_build/default/bin/pathfuzz.exe fuzz -s cflow \
 	  -f path -b 6000 --engine native \
 	  --metrics _build/engine-check/native-fail.metrics.json \

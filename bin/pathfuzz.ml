@@ -162,11 +162,11 @@ let engine_arg =
         ~doc:
           (Printf.sprintf
              "Execution engine (%s): $(b,interp) (the reference CFG \
-              interpreter), $(b,compiled) (staged compilation of the \
-              subject into OCaml closures with the feedback probes baked \
-              in), $(b,fused) (compiled plus superblock fusion: single-\
-              predecessor chains collapsed into one closure with coalesced \
-              fuel burns and folded path increments) or $(b,native) (the \
+              interpreter), $(b,fused) (staged compilation of the subject \
+              into OCaml closures with the feedback probes baked in and \
+              superblock fusion: single-predecessor chains collapsed into \
+              one closure with coalesced fuel burns and folded path \
+              increments) or $(b,native) (the \
               fused plan emitted as per-subject OCaml source, compiled \
               out-of-process with ocamlopt, loaded via Dynlink and cached \
               on disk; silently degrades to fused when no toolchain is \
@@ -935,14 +935,6 @@ let bench_throughput_cmd =
          with
         | Some (g, l) ->
             Fmt.epr "%s@." (Experiments.Throughput.speedup_report g l)
-        | None -> ());
-        (match
-           Experiments.Throughput.speedup_for ~mode:"path" ~engine:"fused"
-             ~baseline_raw:raw samples
-         with
-        | Some (g, l) ->
-            Fmt.epr "%s@."
-              (Experiments.Throughput.speedup_report ~engine:"fused" g l)
         | None -> ());
         (match Experiments.Throughput.speedups_by_mode ~baseline_raw:raw samples with
         | [] -> ()

@@ -23,8 +23,9 @@ type cell = {
           (also the schema-tolerant default for pre-sharding history
           lines, so legacy cells and [--shards 1] cells never collide) *)
   engine : string;
-      (** execution engine of the measurement ("interp", "compiled",
-          "selective"); the schema-tolerant default for pre-engine
+      (** execution engine of the measurement ("interp", "fused",
+          "selective", "native"; older lines may name the retired
+          "compiled"); the schema-tolerant default for pre-engine
           history lines is "interp", which is what those lines measured *)
   execs_per_sec : float;
 }

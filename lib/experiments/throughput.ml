@@ -10,13 +10,13 @@
 
     One measured "execution" is exactly one iteration of the campaign hot
     loop: feedback reset, trace clear, run, trace classify — i.e. what
-    [Fuzz.Campaign.execute] does minus queue bookkeeping. Five engines
+    [Fuzz.Campaign.execute] does minus queue bookkeeping. Four engines
     are measured: [interp] (the pooled interpreter driving the runtime
-    listeners), [compiled] (the [Vm.Compile] staged artifact with probes
-    baked in), [fused] (the staged artifact with superblock fusion —
-    single-predecessor chains collapsed into one closure with coalesced
-    fuel burns and folded path increments), [selective] (the
-    selective-tracing pipeline: the near-null signal specialisation per
+    listeners), [fused] (the [Vm.Compile] staged artifact with probes
+    baked in and superblock fusion — single-predecessor chains collapsed
+    into one closure with coalesced fuel burns and folded path
+    increments), [selective] (the selective-tracing pipeline campaigns
+    run on the fused engine: the near-null signal specialisation per
     execution plus a full-instrumentation replay on each first-seen
     signal; the mode-less row is the pure signal floor with no replay),
     and [native] (the [Vm.Emit] per-subject generated OCaml unit,
@@ -33,7 +33,7 @@ type sample = {
   subject : string;
   mode : string;  (** feedback mode name, or ["none"] (uninstrumented) *)
   engine : string;
-      (** "interp", "compiled", "fused", "selective" or "native" *)
+      (** "interp", "fused", "selective" or "native" *)
   execs : int;  (** measured executions (after warmup) *)
   wall_s : float;
   execs_per_sec : float;
@@ -57,12 +57,11 @@ let modes : (string * Pathcov.Feedback.mode option) list =
 
 (** The measured engines, in presentation order — the grid default and
     the universe the [--engines] bench filter validates against. *)
-let engines : string list =
-  [ "interp"; "compiled"; "fused"; "selective"; "native" ]
+let engines : string list = [ "interp"; "fused"; "selective"; "native" ]
 
 (* One throughput cell: replay the subject's seeds round-robin through a
    reused execution context. Warmup executions let frame pools, the
-   touched-index journals and (for the compiled engines) the per-domain
+   touched-index journals and (for the closure engines) the per-domain
    artifact cache reach steady state before the clock starts.
    Preparation is shared across cells: [Subject.program] memoises the
    front-end and [Interp.prepare_cached] the slot resolution, so a grid
@@ -103,7 +102,7 @@ let measure ?(warmup = 64) ~execs ~(engine : string)
           (match fb with
           | Some fb -> Pathcov.Coverage_map.classify fb.trace
           | None -> ())
-    | "compiled" | "fused" ->
+    | "fused" ->
         let spec =
           match mode with
           | None -> Vm.Compile.Snone
@@ -111,10 +110,7 @@ let measure ?(warmup = 64) ~execs ~(engine : string)
         in
         (* cmplog is off in this loop (the h_cmp binding below is a
            no-op), so the cmp-free artifact variant is the honest cost *)
-        let art =
-          Vm.Compile.cached ~cmplog:false ~fused:(engine = "fused") prepared
-            spec
-        in
+        let art = Vm.Compile.cached ~cmplog:false prepared spec in
         let ctx = Vm.Interp.create_ctx prepared in
         let trace = Pathcov.Coverage_map.create () in
         Vm.Compile.bind art ~trace ~h_cmp:(fun _ _ -> ());
@@ -226,7 +222,7 @@ let grid ?warmup ?(engines = engines) ~execs
     (fun e ->
       if
         not
-          (List.mem e [ "interp"; "compiled"; "fused"; "selective"; "native" ])
+          (List.mem e engines)
       then invalid_arg (Printf.sprintf "Throughput.grid: engine %S" e))
     engines;
   let engines =
@@ -321,7 +317,7 @@ let extract_cells ~(key : string) (path : string) : string option =
 type speedup = {
   sp_subject : string;
   sp_baseline : float;  (** baseline path-mode execs/sec *)
-  sp_current : float;  (** compiled-engine path-mode execs/sec *)
+  sp_current : float;  (** measured engine's path-mode execs/sec *)
   sp_ratio : float;
 }
 
@@ -429,17 +425,17 @@ let speedup_for ~(mode : string) ~(engine : string) ~(baseline_raw : string)
       let g = Option.get (geomean (List.map (fun sp -> sp.sp_ratio) l)) in
       Some (g, l)
 
-(** Per-subject path-mode speedup of this run's compiled engine over the
-    recorded baseline cells, plus the geometric mean — the ISSUE 7 / PR 2
-    acceptance number. [None] when either side has no usable path cell. *)
+(** Per-subject path-mode speedup of this run's fused engine over the
+    recorded baseline cells, plus the geometric mean. [None] when either
+    side has no usable path cell. *)
 let speedup_vs_baseline ~(baseline_raw : string) (samples : sample list) :
     (float * speedup list) option =
-  speedup_for ~mode:"path" ~engine:"compiled" ~baseline_raw samples
+  speedup_for ~mode:"path" ~engine:"fused" ~baseline_raw samples
 
 (** Geomean speedup vs the baseline's interp cells for every
     (mode x engine) pair present in [samples] — the honest per-mode view
     behind the single path scalar. Modes keep the ladder order; engines
-    are ordered compiled, fused, selective, native. *)
+    are ordered fused, selective, native. *)
 let speedups_by_mode ~(baseline_raw : string) (samples : sample list) :
     (string * string * float) list =
   let mode_names = List.map fst modes in
@@ -450,7 +446,7 @@ let speedups_by_mode ~(baseline_raw : string) (samples : sample list) :
           match speedup_for ~mode ~engine ~baseline_raw samples with
           | Some (g, _) -> Some (mode, engine, g)
           | None -> None)
-        [ "compiled"; "fused"; "selective"; "native" ])
+        [ "fused"; "selective"; "native" ])
     mode_names
 
 (** Render the [BENCH_throughput.json] document. [baseline] optionally
@@ -458,8 +454,8 @@ let speedups_by_mode ~(baseline_raw : string) (samples : sample list) :
     the file itself records the trajectory, not just the endpoint;
     [baseline_raw] does the same from a previously rendered cell block
     (see {!extract_cells}), taking precedence over [baseline]. When a
-    baseline is embedded, the path-mode compiled-vs-baseline speedup is
-    recorded in the document too. *)
+    baseline is embedded, the path-mode fused- and native-vs-baseline
+    speedups are recorded in the document too. *)
 let to_json ?(note = "") ?(baseline = []) ?baseline_raw (samples : sample list)
     : string =
   let buf = Buffer.create 4096 in
@@ -469,12 +465,6 @@ let to_json ?(note = "") ?(baseline = []) ?baseline_raw (samples : sample list)
   (match baseline_raw with
   | Some raw when raw <> "" ->
       (match speedup_vs_baseline ~baseline_raw:raw samples with
-      | Some (g, _) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  \"path_speedup_compiled_vs_baseline\": %s,\n" (json_float g))
-      | None -> ());
-      (match speedup_for ~mode:"path" ~engine:"fused" ~baseline_raw:raw samples with
       | Some (g, _) ->
           Buffer.add_string buf
             (Printf.sprintf
@@ -549,7 +539,7 @@ let to_table (samples : sample list) : string =
     ~header ~rows
 
 (** One line per subject: the acceptance-criterion view. *)
-let speedup_report ?(engine = "compiled") (g : float) (l : speedup list) :
+let speedup_report ?(engine = "fused") (g : float) (l : speedup list) :
     string =
   String.concat "\n"
     (List.map

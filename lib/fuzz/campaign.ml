@@ -156,12 +156,15 @@ let take_snapshot (st : state) : unit =
        ~queue:(Corpus.size st.corpus)
        ~virgin_residual:(Pathcov.Coverage_map.residual st.virgin))
 
-(* Pre/post brackets around one VM run, shared by the string path and
-   the scratch-buffer fast path. The trace map is left classified for
-   novelty checks. *)
-let pre_exec (st : state) : unit =
+(* Pre/post brackets around one VM run. A replay resets only the
+   listener state and trace map; an execution also clears the cmplog
+   buffer. The trace map is left classified for novelty checks. *)
+let reset_trace (st : state) : unit =
   st.feedback.reset ();
-  Pathcov.Coverage_map.clear st.feedback.trace;
+  Pathcov.Coverage_map.clear st.feedback.trace
+
+let pre_exec (st : state) : unit =
+  reset_trace st;
   if st.cfg.cmplog then st.cmp_buf.n_cmps <- 0
 
 let post_exec (st : state) (out : Vm.Interp.outcome) : unit =
@@ -174,97 +177,44 @@ let post_exec (st : state) (out : Vm.Interp.outcome) : unit =
   Pathcov.Coverage_map.classify st.feedback.trace;
   if st.execs mod st.sample_every = 0 then take_snapshot st
 
-(* Run one input with full instrumentation through the selected engine. *)
-let run_full (st : state) (input : string) : Vm.Interp.outcome =
-  match st.obs.clock with
-  | None ->
-      Tracer.run_full st.tracer st.ctx ~fuel:st.cfg.fuel
-        ~max_depth:st.cfg.max_depth ~input
-  | Some now ->
-      let t0 = now () in
-      let out =
-        Tracer.run_full st.tracer st.ctx ~fuel:st.cfg.fuel
-          ~max_depth:st.cfg.max_depth ~input
-      in
-      let c = st.obs.counters in
-      c.vm_s <- c.vm_s +. (now () -. t0);
-      out
+(* The campaign's one cohort entry: [n] candidates through the tracer's
+   full or signal specialisation, the VM wall charged to the counter
+   block when the observer carries a clock. *)
+let cohort (st : state) ~(signal : bool) ~(n : int)
+    ~(gen : int -> Bytes.t * int) ~(sink : int -> Vm.Interp.outcome -> unit)
+    : unit =
+  let clock = st.obs.clock in
+  let c = st.obs.counters in
+  let vm_s dt = c.vm_s <- c.vm_s +. dt in
+  let fuel = st.cfg.fuel and max_depth = st.cfg.max_depth in
+  if signal then
+    Tracer.run_signal_batch ?clock ~vm_s st.tracer st.ctx ~fuel ~max_depth ~n
+      ~gen ~sink
+  else
+    Tracer.run_full_batch ?clock ~vm_s st.tracer st.ctx ~fuel ~max_depth ~n
+      ~gen ~sink
 
-let run_full_scratch (st : state) : Vm.Interp.outcome =
-  let sc = st.scratch in
-  match st.obs.clock with
-  | None ->
-      Tracer.run_full_sub st.tracer st.ctx ~fuel:st.cfg.fuel
-        ~max_depth:st.cfg.max_depth ~buf:sc.buf ~len:sc.len
-  | Some now ->
-      let t0 = now () in
-      let out =
-        Tracer.run_full_sub st.tracer st.ctx ~fuel:st.cfg.fuel
-          ~max_depth:st.cfg.max_depth ~buf:sc.buf ~len:sc.len
-      in
-      let c = st.obs.counters in
-      c.vm_s <- c.vm_s +. (now () -. t0);
-      out
+(* Seeds, calibration runs and replays: one full-instrumentation run of
+   the view [v] as a cohort of one, [prep] resetting state first. *)
+let run_one (st : state) ~(prep : state -> unit) (v : Bytes.t * int) :
+    Vm.Interp.outcome =
+  let res = ref None in
+  cohort st ~signal:false ~n:1
+    ~gen:(fun _ ->
+      prep st;
+      v)
+    ~sink:(fun _ out -> res := Some out);
+  Option.get !res
+
+(* Zero-copy view of a string input: the VM never writes its input. *)
+let view (s : string) : Bytes.t * int =
+  (Bytes.unsafe_of_string s, String.length s)
+
+let input_of ((buf, len) : Bytes.t * int) : string = Bytes.sub_string buf 0 len
 
 (* Run one input. *)
 let execute (st : state) (input : string) : Vm.Interp.outcome =
-  pre_exec st;
-  let out = run_full st input in
-  post_exec st out;
-  out
-
-(* Run the candidate sitting in the mutation scratch, zero-copy. *)
-let execute_scratch (st : state) : Vm.Interp.outcome =
-  pre_exec st;
-  let out = run_full_scratch st in
-  post_exec st out;
-  out
-
-(* Selective-tracing bulk run: the near-null signal specialisation. The
-   exec/block clocks advance exactly as for a fully-traced run — outcomes
-   (and [blocks_executed]) are engine- and spec-invariant — so budget
-   accounting, snapshot cadence and checkpoint marks are untouched by
-   selective mode. The trace map stays cleared (pre_exec) and classify
-   over an empty journal is a no-op. *)
-let execute_signal_scratch (st : state) : Vm.Interp.outcome =
-  pre_exec st;
-  let sc = st.scratch in
-  let out =
-    match st.obs.clock with
-    | None ->
-        Tracer.run_signal_sub st.tracer st.ctx ~fuel:st.cfg.fuel
-          ~max_depth:st.cfg.max_depth ~buf:sc.buf ~len:sc.len
-    | Some now ->
-        let t0 = now () in
-        let out =
-          Tracer.run_signal_sub st.tracer st.ctx ~fuel:st.cfg.fuel
-            ~max_depth:st.cfg.max_depth ~buf:sc.buf ~len:sc.len
-        in
-        let c = st.obs.counters in
-        c.vm_s <- c.vm_s +. (now () -. t0);
-        out
-  in
-  post_exec st out;
-  out
-
-(* String-input twin of [execute_signal_scratch]. *)
-let execute_signal (st : state) (input : string) : Vm.Interp.outcome =
-  pre_exec st;
-  let out =
-    match st.obs.clock with
-    | None ->
-        Tracer.run_signal st.tracer st.ctx ~fuel:st.cfg.fuel
-          ~max_depth:st.cfg.max_depth ~input
-    | Some now ->
-        let t0 = now () in
-        let out =
-          Tracer.run_signal st.tracer st.ctx ~fuel:st.cfg.fuel
-            ~max_depth:st.cfg.max_depth ~input
-        in
-        let c = st.obs.counters in
-        c.vm_s <- c.vm_s +. (now () -. t0);
-        out
-  in
+  let out = run_one st ~prep:pre_exec (view input) in
   post_exec st out;
   out
 
@@ -272,22 +222,9 @@ let execute_signal (st : state) (input : string) : Vm.Interp.outcome =
    calibration crash): rebuilds the classified trace for merge/triage.
    Counted as a replay, not an execution — the budget clock already
    ticked for the first run of the same candidate. *)
-let reexec_full_scratch (st : state) : Vm.Interp.outcome =
+let replay (st : state) (v : Bytes.t * int) : Vm.Interp.outcome =
   trace_begin st Obs.Trace.Replay;
-  st.feedback.reset ();
-  Pathcov.Coverage_map.clear st.feedback.trace;
-  let out = run_full_scratch st in
-  Pathcov.Coverage_map.classify st.feedback.trace;
-  let c = st.obs.counters in
-  c.replays <- c.replays + 1;
-  trace_end st;
-  out
-
-let reexec_full (st : state) (input : string) : Vm.Interp.outcome =
-  trace_begin st Obs.Trace.Replay;
-  st.feedback.reset ();
-  Pathcov.Coverage_map.clear st.feedback.trace;
-  let out = run_full st input in
+  let out = run_one st ~prep:reset_trace v in
   Pathcov.Coverage_map.classify st.feedback.trace;
   let c = st.obs.counters in
   c.replays <- c.replays + 1;
@@ -370,47 +307,21 @@ let retain (st : state) ~depth (out : Vm.Interp.outcome) (data : string) : unit
     (Obs.Event.Retain
        { at_exec = c.execs; id = e.id; len = String.length data; depth })
 
-(* Evaluate one candidate input end to end: execute, triage crashes and
-   hangs, retain on coverage novelty. Under selective tracing, the same
-   decision procedure as [process_selective_scratch] below. *)
-let process (st : state) ~depth (input : string) : unit =
-  if st.cfg.selective then begin
-    let out = execute_signal st input in
-    match out.status with
-    | Vm.Interp.Crashed _ ->
-        let out = reexec_full st input in
-        triage_outcome st out ~input
-    | Vm.Interp.Hung -> triage_outcome st out ~input
-    | Vm.Interp.Finished _ ->
-        let s = Tracer.last_signal st.tracer in
-        if not (Tracer.seen_signal st.tracer s) then
-          if not (queue_full st) then begin
-            let out = reexec_full st input in
-            if
-              Pathcov.Coverage_map.merge_into ~virgin:st.virgin
-                st.feedback.trace
-              <> Pathcov.Coverage_map.Nothing
-            then retain st ~depth out input;
-            Tracer.mark_seen st.tracer s
-          end
-  end
-  else
-    let out = execute st input in
-    match out.status with
-    | Vm.Interp.Crashed _ | Vm.Interp.Hung -> triage_outcome st out ~input
-    | Vm.Interp.Finished _ -> if novel st then retain st ~depth out input
+(* The decision procedures, over the outcome of a run of the candidate
+   view [v] that already went through [post_exec]. The candidate's
+   string is materialised only when triage or retention needs one — the
+   common (boring) candidate allocates nothing beyond the VM's own
+   requests. *)
+let decide_full (st : state) ~depth (v : Bytes.t * int)
+    (out : Vm.Interp.outcome) : unit =
+  match out.status with
+  | Vm.Interp.Crashed _ | Vm.Interp.Hung ->
+      triage_outcome st out ~input:(input_of v)
+  | Vm.Interp.Finished _ -> if novel st then retain st ~depth out (input_of v)
 
-(* Hot-path variant of [process]: the candidate lives in the mutation
-   scratch and its string is materialised only when triage or retention
-   actually needs one — the common (boring) candidate allocates nothing
-   beyond the VM's own requests. *)
-let scratch_child (st : state) : string =
-  Bytes.sub_string st.scratch.buf 0 st.scratch.len
-
-(* Selective evaluation of the scratch candidate: one signal-specialised
-   run, then a full-instrumentation replay only when the trace can
-   matter. Decision-identical to [process_scratch] without selective
-   tracing (DESIGN §12):
+(* Selective evaluation after one signal-specialised run: a full-
+   instrumentation replay only when the trace can matter. Decision-
+   identical to [decide_full] without selective tracing (DESIGN §12):
    - a crash always replays — crash triage reads the trace for the
      crash-virgin merge, whose saturation is independent of the virgin
      map, so crash signals are never marked seen;
@@ -421,49 +332,49 @@ let scratch_child (st : state) : string =
    - a first-seen signal replays, merges, retains on novelty, and only
      then enters the seen set. The queue-capacity check fires first and
      suppresses the marking, exactly as [novel] suppresses the merge. *)
-(* The decision procedures proper, over the outcome of a run that
-   already went through [post_exec] — shared by the per-candidate
-   [process_*_scratch] wrappers and the batched cohort loop in [run]
-   (whose sinks feed them directly). *)
-let decide_selective_scratch (st : state) ~depth (out : Vm.Interp.outcome) :
-    unit =
+let decide_selective (st : state) ~depth (v : Bytes.t * int)
+    (out : Vm.Interp.outcome) : unit =
   match out.status with
-  | Vm.Interp.Crashed _ ->
-      let out = reexec_full_scratch st in
-      triage_outcome st out ~input:(scratch_child st)
-  | Vm.Interp.Hung -> triage_outcome st out ~input:(scratch_child st)
+  | Vm.Interp.Crashed _ -> triage_outcome st (replay st v) ~input:(input_of v)
+  | Vm.Interp.Hung -> triage_outcome st out ~input:(input_of v)
   | Vm.Interp.Finished _ ->
       let s = Tracer.last_signal st.tracer in
-      if not (Tracer.seen_signal st.tracer s) then
-        if not (queue_full st) then begin
-          let out = reexec_full_scratch st in
-          if
-            Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace
-            <> Pathcov.Coverage_map.Nothing
-          then retain st ~depth out (scratch_child st);
-          Tracer.mark_seen st.tracer s
-        end
+      if (not (Tracer.seen_signal st.tracer s)) && not (queue_full st) then begin
+        let out = replay st v in
+        if
+          Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace
+          <> Pathcov.Coverage_map.Nothing
+        then retain st ~depth out (input_of v);
+        Tracer.mark_seen st.tracer s
+      end
 
-let decide_scratch (st : state) ~depth (out : Vm.Interp.outcome) : unit =
-  match out.status with
-  | Vm.Interp.Crashed _ | Vm.Interp.Hung ->
-      triage_outcome st out ~input:(scratch_child st)
-  | Vm.Interp.Finished _ ->
-      if novel st then retain st ~depth out (scratch_child st)
+(* Evaluate a cohort of [n] candidates end to end: [gen k] builds
+   candidate [k] as a view valid until the next [gen]; each runs
+   signal-first under selective tracing, is accounted, and goes through
+   the matching decision procedure. A signal run ticks the exec/block
+   clocks exactly as a fully-traced run — outcomes and
+   [blocks_executed] are engine- and spec-invariant — so budget
+   accounting, snapshot cadence and checkpoint marks are untouched by
+   selective mode. *)
+let evaluate (st : state) ~depth ~(n : int) ~(gen : int -> Bytes.t * int) :
+    unit =
+  let cur = ref (Bytes.empty, 0) in
+  let selective = st.cfg.selective in
+  cohort st ~signal:selective ~n
+    ~gen:(fun k ->
+      let v = gen k in
+      pre_exec st;
+      cur := v;
+      v)
+    ~sink:(fun _ out ->
+      post_exec st out;
+      if selective then decide_selective st ~depth !cur out
+      else decide_full st ~depth !cur out)
 
-(* Per-candidate wrappers over the decision procedures — the batched
-   cohort loop in [run] is the hot path; these remain for one-off
-   evaluation sites and tests driving single stages. *)
-let process_selective_scratch (st : state) ~depth : unit =
-  let out = execute_signal_scratch st in
-  decide_selective_scratch st ~depth out
-
-let process_scratch (st : state) ~depth : unit =
-  if st.cfg.selective then process_selective_scratch st ~depth
-  else begin
-    let out = execute_scratch st in
-    decide_scratch st ~depth out
-  end
+(* Evaluate one candidate input end to end: execute, triage crashes and
+   hangs, retain on coverage novelty. *)
+let process (st : state) ~depth (input : string) : unit =
+  evaluate st ~depth ~n:1 ~gen:(fun _ -> view input)
 
 (* Seeds are always retained (afl imports the full seed directory). *)
 let add_seed (st : state) (input : string) : unit =
@@ -504,7 +415,7 @@ let calibrate (st : state) (e : Corpus.entry) : Mutator.cmp_pair array =
   if prune then Tracer.set_pruning st.tracer false;
   (match out.status with
   | Vm.Interp.Crashed _ ->
-      let out = if prune then reexec_full st e.data else out in
+      let out = if prune then replay st (view e.data) else out in
       triage_outcome st out ~input:e.data
   | Vm.Interp.Hung -> triage_outcome st out ~input:e.data
   | Vm.Interp.Finished _ ->
@@ -707,7 +618,7 @@ let harvest_metrics (st : state) : unit =
       Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_hits") e.cache_hits;
       Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_misses") e.cache_misses;
       Obs.Metrics.set (Obs.Metrics.gauge m "emit.fallbacks") e.fallbacks
-  | Tracer.Interp | Tracer.Compiled | Tracer.Fused -> ());
+  | Tracer.Interp | Tracer.Fused -> ());
   match Tracer.artifact_stats st.tracer with
   | None -> ()
   | Some (r, s) ->
@@ -801,43 +712,17 @@ let run ?plans ?obs ?(config = default_config) ?(checkpoint : Checkpoint.sink op
         let cmps = if config.cmplog then calibrate st e else [||] in
         let n = energy st e in
         (* Batched cohort: the whole energy allotment runs back-to-back
-           through one [Tracer.run_*_batch] call. Each candidate ticks
-           the budget clock exactly once (replays don't), so the cohort
-           size is exactly what the per-candidate loop would have run;
-           generation, post-exec accounting and the retain/triage
-           decisions are the same code in the same order. *)
+           through one [evaluate] call. Each candidate ticks the budget
+           clock exactly once (replays don't), so the cohort size is
+           exactly what a per-candidate loop would have run. *)
         let count = max 0 (min n (config.budget - st.execs)) in
         if count > 0 then begin
           let depth = e.depth + 1 in
           Obs.Metrics.observe st.h_batch count;
           trace_begin st Obs.Trace.Exec;
-          let gen _ =
-            mutate st ~cmps ?splice_with:(random_other st e) e.data;
-            pre_exec st;
-            (st.scratch.buf, st.scratch.len)
-          in
-          let clock = st.obs.clock in
-          let vm_s =
-            match clock with
-            | None -> None
-            | Some _ ->
-                Some
-                  (fun dt ->
-                    let c = st.obs.counters in
-                    c.vm_s <- c.vm_s +. dt)
-          in
-          if config.selective then
-            Tracer.run_signal_batch ?clock ?vm_s st.tracer st.ctx
-              ~fuel:config.fuel ~max_depth:config.max_depth ~n:count ~gen
-              ~sink:(fun _ out ->
-                post_exec st out;
-                decide_selective_scratch st ~depth out)
-          else
-            Tracer.run_full_batch ?clock ?vm_s st.tracer st.ctx
-              ~fuel:config.fuel ~max_depth:config.max_depth ~n:count ~gen
-              ~sink:(fun _ out ->
-                post_exec st out;
-                decide_scratch st ~depth out);
+          evaluate st ~depth ~n:count ~gen:(fun _ ->
+              mutate st ~cmps ?splice_with:(random_other st e) e.data;
+              (st.scratch.buf, st.scratch.len));
           trace_end ~arg:count st
         end;
         e.times_fuzzed <- e.times_fuzzed + 1;

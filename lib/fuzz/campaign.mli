@@ -20,8 +20,9 @@ type config = {
   cmplog : bool;  (** comparison-operand capture + I2S mutations *)
   max_queue : int;  (** hard safety bound on queue growth *)
   engine : Tracer.engine;
-      (** execution engine — interpreter or staged compilation; the
-          trajectory is engine-invariant (test-enforced differentially) *)
+      (** execution engine — the reference interpreter, the fused closure
+          artifact or the native generated unit; the trajectory is
+          engine-invariant (test-enforced differentially) *)
   selective : bool;
       (** selective tracing: bulk executions run a near-null novelty-
           signal specialisation and re-execute fully only on first-seen
@@ -153,16 +154,11 @@ val execute : state -> string -> Vm.Interp.outcome
     seed directory); crashes and hangs are triaged. *)
 val add_seed : state -> string -> unit
 
-(** Evaluate one candidate end to end: execute, triage crashes/hangs,
-    retain on coverage novelty if the queue has capacity. *)
+(** Evaluate one candidate end to end — a cohort of one through the
+    same decision procedure as the campaign's havoc cohorts: execute
+    (signal-first under selective tracing), triage crashes/hangs, retain
+    on coverage novelty if the queue has capacity. *)
 val process : state -> depth:int -> string -> unit
-
-(** Zero-copy twin of {!process} over the candidate sitting in the
-    mutation scratch. The campaign's own havoc loop runs cohorts through
-    [Tracer.run_full_batch]/[run_signal_batch] with the same decision
-    procedure; this per-candidate form serves one-off evaluation sites
-    and stage-level tests. *)
-val process_scratch : state -> depth:int -> unit
 
 (** One calibration run of a queue entry, capturing cmplog operand pairs;
     the outcome is triaged exactly like {!process}'s. *)

@@ -349,7 +349,7 @@ let i2s_in_place sc rng (p : cmp_pair) =
     operator; [splice_with] (when provided) allows the crossover operator
     into a second corpus entry. Allocates nothing in steady state — the
     campaign executes the child straight out of the buffer
-    ({!Vm.Interp.run_ctx_sub}) and materialises a string only on
+    ({!Vm.Interp.run_batch}) and materialises a string only on
     retention. *)
 let havoc_in_place (sc : scratch) ?(cmps = [||]) ?splice_with rng (s : string)
     : unit =

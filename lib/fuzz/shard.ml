@@ -175,9 +175,12 @@ let sh_trace_end ?(arg = 0) (sh : shard) : unit =
 
 (* Pre/post brackets around one VM run on a shard — the parallel twin of
    Campaign.pre_exec/post_exec, writing only shard-private state. *)
-let sh_pre (base : Campaign.config) (sh : shard) : unit =
+let sh_reset_trace (sh : shard) : unit =
   sh.feedback.reset ();
-  Pathcov.Coverage_map.clear sh.feedback.trace;
+  Pathcov.Coverage_map.clear sh.feedback.trace
+
+let sh_pre (base : Campaign.config) (sh : shard) : unit =
+  sh_reset_trace sh;
   if base.cmplog then sh.cmp_buf.n_cmps <- 0
 
 let sh_post (sh : shard) (out : Vm.Interp.outcome) : unit =
@@ -187,58 +190,57 @@ let sh_post (sh : shard) (out : Vm.Interp.outcome) : unit =
   Obs.Metrics.observe sh.h_dirty sh.ctx.last_reset_width;
   Pathcov.Coverage_map.classify sh.feedback.trace
 
-let sh_run_full_scratch (base : Campaign.config) (sh : shard) :
-    Vm.Interp.outcome =
-  let sc = sh.scratch in
-  match sh.clock with
-  | None ->
-      Tracer.run_full_sub sh.tracer sh.ctx ~fuel:base.fuel
-        ~max_depth:base.max_depth ~buf:sc.buf ~len:sc.len
-  | Some now ->
-      let t0 = now () in
-      let out =
-        Tracer.run_full_sub sh.tracer sh.ctx ~fuel:base.fuel
-          ~max_depth:base.max_depth ~buf:sc.buf ~len:sc.len
-      in
-      sh.counters.vm_s <- sh.counters.vm_s +. (now () -. t0);
-      out
+(* The shard's one cohort entry: [n] candidates through the tracer's
+   full or signal specialisation, the VM wall charged to the shard's
+   counter block when it carries a clock. *)
+let sh_cohort (base : Campaign.config) (sh : shard) ~(signal : bool)
+    ~(n : int) ~(gen : int -> Bytes.t * int)
+    ~(sink : int -> Vm.Interp.outcome -> unit) : unit =
+  let c = sh.counters in
+  let vm_s dt = c.vm_s <- c.vm_s +. dt in
+  let fuel = base.fuel and max_depth = base.max_depth in
+  if signal then
+    Tracer.run_signal_batch ?clock:sh.clock ~vm_s sh.tracer sh.ctx ~fuel
+      ~max_depth ~n ~gen ~sink
+  else
+    Tracer.run_full_batch ?clock:sh.clock ~vm_s sh.tracer sh.ctx ~fuel
+      ~max_depth ~n ~gen ~sink
 
-let sh_exec (base : Campaign.config) (sh : shard) (input : string) :
+(* Seed imports, calibration runs and replays: one full-instrumentation
+   run of the view [v] as a cohort of one, [prep] resetting state
+   first. *)
+let sh_run_one (base : Campaign.config) (sh : shard) ~(prep : unit -> unit)
+    (v : Bytes.t * int) : Vm.Interp.outcome =
+  let res = ref None in
+  sh_cohort base sh ~signal:false ~n:1
+    ~gen:(fun _ ->
+      prep ();
+      v)
+    ~sink:(fun _ out -> res := Some out);
+  Option.get !res
+
+(* One execution of a string input, zero-copy (the VM never writes its
+   input). *)
+let sh_execute (base : Campaign.config) (sh : shard) (input : string) :
     Vm.Interp.outcome =
-  sh_pre base sh;
   let out =
-    match sh.clock with
-    | None ->
-        Tracer.run_full sh.tracer sh.ctx ~fuel:base.fuel
-          ~max_depth:base.max_depth ~input
-    | Some now ->
-        let t0 = now () in
-        let out =
-          Tracer.run_full sh.tracer sh.ctx ~fuel:base.fuel
-            ~max_depth:base.max_depth ~input
-        in
-        sh.counters.vm_s <- sh.counters.vm_s +. (now () -. t0);
-        out
+    sh_run_one base sh
+      ~prep:(fun () -> sh_pre base sh)
+      (Bytes.unsafe_of_string input, String.length input)
   in
   sh_post sh out;
   out
 
-(* The per-candidate scratch executions are batched in run_item below
-   ([Tracer.run_full_batch]/[run_signal_batch]); only the replay path
-   keeps a one-shot scratch runner. *)
-let sh_reexec_scratch (base : Campaign.config) (sh : shard) : Vm.Interp.outcome
-    =
+(* Full-instrumentation replay of the view [v] after a signal run:
+   counted as a replay, not an execution. *)
+let sh_replay (base : Campaign.config) (sh : shard) (v : Bytes.t * int) :
+    Vm.Interp.outcome =
   sh_trace_begin sh Obs.Trace.Replay;
-  sh.feedback.reset ();
-  Pathcov.Coverage_map.clear sh.feedback.trace;
-  let out = sh_run_full_scratch base sh in
+  let out = sh_run_one base sh ~prep:(fun () -> sh_reset_trace sh) v in
   Pathcov.Coverage_map.classify sh.feedback.trace;
   sh.counters.replays <- sh.counters.replays + 1;
   sh_trace_end sh;
   out
-
-let scratch_child (sh : shard) : string =
-  Bytes.sub_string sh.scratch.buf 0 sh.scratch.len
 
 (* O(1) random splice peer over the epoch-start queue snapshot — the
    same draw-to-entry mapping as Campaign.random_other, against the view
@@ -261,7 +263,10 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
   Pathcov.Coverage_map.copy_into ~dst:sh.item_virgin global_virgin;
   let res = { execs = 0; n_cmps = 0; retained = []; crashes = []; hangs = [] } in
   let local = ref 0 in
-  let capture_outcome (out : Vm.Interp.outcome) ~(input : unit -> string)
+  (* The full-run decision procedure over the candidate view [v]: the
+     candidate's string is materialised only when a crash or a
+     retention record needs one. *)
+  let capture_outcome (out : Vm.Interp.outcome) ((buf, len) : Bytes.t * int)
       ~(depth : int) : unit =
     let tr = sh.feedback.trace in
     match out.status with
@@ -270,7 +275,7 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
         res.crashes <-
           {
             c_crash = crash;
-            c_input = input ();
+            c_input = Bytes.sub_string buf 0 len;
             c_at_exec = it.base_exec + !local;
             c_idxs = idxs;
             c_vals = Pathcov.Coverage_map.values_at tr idxs;
@@ -285,7 +290,7 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
           let idxs = Pathcov.Coverage_map.sorted_indices tr in
           res.retained <-
             {
-              r_data = input ();
+              r_data = Bytes.sub_string buf 0 len;
               r_idxs = idxs;
               r_vals = Pathcov.Coverage_map.values_at tr idxs;
               r_exec_blocks = max 1 out.blocks_executed;
@@ -294,31 +299,18 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
             }
             :: res.retained
   in
-  (* calibration run: capture cmplog pairs; its coverage never counts as
-     novel (the entry is already in the queue), mirroring the sequential
-     calibrate stage *)
+  (* calibration run: capture cmplog pairs; crashes and hangs are
+     triaged, but its coverage never counts as novel (the entry is
+     already in the queue), mirroring the sequential calibrate stage *)
   let cmps =
     if it.calib then begin
-      let out = sh_exec base sh e.Corpus.data in
+      let out = sh_execute base sh e.Corpus.data in
       incr local;
       (match out.status with
       | Vm.Interp.Crashed _ | Vm.Interp.Hung ->
-          (* rewind the retention check: calibration outcomes are triaged
-             but never retained *)
-          let tr = sh.feedback.trace in
-          (match out.status with
-          | Vm.Interp.Crashed crash ->
-              let idxs = Pathcov.Coverage_map.sorted_indices tr in
-              res.crashes <-
-                {
-                  c_crash = crash;
-                  c_input = e.Corpus.data;
-                  c_at_exec = it.base_exec + !local;
-                  c_idxs = idxs;
-                  c_vals = Pathcov.Coverage_map.values_at tr idxs;
-                }
-                :: res.crashes
-          | _ -> res.hangs <- (it.base_exec + !local) :: res.hangs)
+          capture_outcome out
+            (Bytes.unsafe_of_string e.Corpus.data, String.length e.Corpus.data)
+            ~depth:e.Corpus.depth
       | Vm.Interp.Finished _ ->
           ignore
             (Pathcov.Coverage_map.merge_into ~virgin:sh.item_virgin
@@ -330,12 +322,44 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
     else [||]
   in
   let c = sh.counters in
+  let depth = e.Corpus.depth + 1 in
+  (* Selective step: signal run first, full replay only when the trace
+     can matter. The seen set persists across items and epochs, so
+     admission is stricter than the sequential rule: a signal is
+     promoted only when its trace is wholly non-novel against the
+     EPOCH-START global map — monotonically non-novel against every
+     later global map and every item overlay seeded from one, making
+     the skip invisible. A capture that is novel only item-locally (or
+     that the barrier later drops, e.g. on a full queue) is not promoted
+     and is re-captured identically by later items — barrier decisions,
+     dup-drop counts and the final trajectory match the always-traced
+     run for every shard count. Crash triage needs the trace (crash-
+     virgin merge at the barrier), so crashes always replay and crash
+     signals are never marked seen. *)
+  let decide_selective (out : Vm.Interp.outcome) (v : Bytes.t * int) : unit =
+    match out.status with
+    | Vm.Interp.Crashed _ -> capture_outcome (sh_replay base sh v) v ~depth
+    | Vm.Interp.Hung -> capture_outcome out v ~depth
+    | Vm.Interp.Finished _ ->
+        let s = Tracer.last_signal sh.tracer in
+        if not (Tracer.seen_signal sh.tracer s) then begin
+          capture_outcome (sh_replay base sh v) v ~depth;
+          let tr = sh.feedback.trace in
+          let idxs = Pathcov.Coverage_map.sorted_indices tr in
+          let vals = Pathcov.Coverage_map.values_at tr idxs in
+          if
+            not
+              (Pathcov.Coverage_map.sparse_would_merge ~virgin:global_virgin
+                 ~idxs ~vals)
+          then Tracer.mark_seen sh.tracer s
+        end
+  in
   (* Batched cohort: the item's whole energy allotment runs back-to-back
-     through one [Tracer.run_*_batch] call — generation (splice draw,
-     counter bumps, timed mutation, pre-exec reset) moves into [gen],
-     the per-candidate bookkeeping and capture into [sink], in exactly
-     the per-iteration order of the former loop. Replays don't go
-     through the batch, so [local] ticks once per candidate as before. *)
+     through one [sh_cohort] call — generation (splice draw, counter
+     bumps, timed mutation, pre-exec reset) in [gen], the per-candidate
+     bookkeeping and decision in [sink]. Replays don't count as
+     executions, so [local] ticks once per candidate. *)
+  let cur = ref (Bytes.empty, 0) in
   let gen _ =
     let splice_with = random_other_view it.rng view e in
     c.havocs <- c.havocs + 1;
@@ -353,68 +377,20 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
         c.mut_s <- c.mut_s +. (now () -. t0);
         c.mut_minor_words <- c.mut_minor_words +. (Gc.minor_words () -. w0));
     sh_pre base sh;
-    (sh.scratch.buf, sh.scratch.len)
-  in
-  let vm_s =
-    match sh.clock with
-    | None -> None
-    | Some _ -> Some (fun dt -> c.vm_s <- c.vm_s +. dt)
+    let v = (sh.scratch.buf, sh.scratch.len) in
+    cur := v;
+    v
   in
   if it.energy > 0 then begin
     Obs.Metrics.observe sh.h_batch it.energy;
     sh_trace_begin sh Obs.Trace.Exec
   end;
-  (if not base.selective then
-     Tracer.run_full_batch ?clock:sh.clock ?vm_s sh.tracer sh.ctx
-       ~fuel:base.fuel ~max_depth:base.max_depth ~n:it.energy ~gen
-       ~sink:(fun _ out ->
-         sh_post sh out;
-         incr local;
-         capture_outcome out
-           ~input:(fun () -> scratch_child sh)
-           ~depth:(e.Corpus.depth + 1))
-   else
-     (* Selective step: signal run first, full replay only when the
-        trace can matter. The seen set persists across items and
-        epochs, so admission is stricter than the sequential rule: a
-        signal is promoted only when its trace is wholly non-novel
-        against the EPOCH-START global map — monotonically non-novel
-        against every later global map and every item overlay seeded
-        from one, making the skip invisible. A capture that is novel
-        only item-locally (or that the barrier later drops, e.g. on a
-        full queue) is not promoted and is re-captured identically by
-        later items — barrier decisions, dup-drop counts and the final
-        trajectory match the always-traced run for every shard count. *)
-     Tracer.run_signal_batch ?clock:sh.clock ?vm_s sh.tracer sh.ctx
-       ~fuel:base.fuel ~max_depth:base.max_depth ~n:it.energy ~gen
-       ~sink:(fun _ out ->
-         sh_post sh out;
-         incr local;
-         match out.status with
-         | Vm.Interp.Crashed _ ->
-             (* crash triage needs the trace (crash-virgin merge at the
-                barrier); crash signals are never marked seen *)
-             let out = sh_reexec_scratch base sh in
-             capture_outcome out
-               ~input:(fun () -> scratch_child sh)
-               ~depth:(e.Corpus.depth + 1)
-         | Vm.Interp.Hung -> res.hangs <- (it.base_exec + !local) :: res.hangs
-         | Vm.Interp.Finished _ ->
-             let s = Tracer.last_signal sh.tracer in
-             if not (Tracer.seen_signal sh.tracer s) then begin
-               let out = sh_reexec_scratch base sh in
-               capture_outcome out
-                 ~input:(fun () -> scratch_child sh)
-                 ~depth:(e.Corpus.depth + 1);
-               let tr = sh.feedback.trace in
-               let idxs = Pathcov.Coverage_map.sorted_indices tr in
-               let vals = Pathcov.Coverage_map.values_at tr idxs in
-               if
-                 not
-                   (Pathcov.Coverage_map.sparse_would_merge
-                      ~virgin:global_virgin ~idxs ~vals)
-               then Tracer.mark_seen sh.tracer s
-             end));
+  sh_cohort base sh ~signal:base.selective ~n:it.energy ~gen
+    ~sink:(fun _ out ->
+      sh_post sh out;
+      incr local;
+      if base.selective then decide_selective out !cur
+      else capture_outcome out !cur ~depth);
   if it.energy > 0 then sh_trace_end ~arg:it.energy sh;
   res.execs <- !local;
   res.retained <- List.rev res.retained;
@@ -702,7 +678,7 @@ let restore_checkpoint (t : t) (ck : Checkpoint.t) : unit =
    triaged, coverage merged into the shared virgin map directly. *)
 let import_seed (t : t) (sh : shard) (input : string) : unit =
   let base = t.cfg.base in
-  let out = sh_exec base sh input in
+  let out = sh_execute base sh input in
   t.execs <- t.execs + 1;
   let c = t.obs.counters in
   match out.status with
@@ -951,7 +927,7 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
       Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_hits") e.cache_hits;
       Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_misses") e.cache_misses;
       Obs.Metrics.set (Obs.Metrics.gauge m "emit.fallbacks") e.fallbacks
-  | Tracer.Interp | Tracer.Compiled | Tracer.Fused -> ());
+  | Tracer.Interp | Tracer.Fused -> ());
   (match Tracer.artifact_stats shards.(0).tracer with
   | None -> ()
   | Some (_, s) ->

@@ -63,11 +63,11 @@ val of_campaign : string -> Campaign.result -> run_result
     across every phase of a multi-phase strategy (cull rounds, the two
     opportunistic halves), so counters and snapshots accumulate over the
     whole campaign; fuzzing behaviour is identical without it. [engine]
-    (default [Tracer.Interp]; [Compiled] and [Fused] select the staged
-    artifact, without or with superblock fusion) and [selective]
+    (default [Tracer.Interp]; [Fused] selects the staged closure
+    artifact, [Native] the generated unit) and [selective]
     (default off) pick the execution engine and selective tracing for
     every phase — both are trajectory-invisible (test-enforced
-    differentially), and every phase's havoc cohorts run through the
+    differentially), and every VM run of every phase goes through the
     batched [Tracer.run_*_batch] entries whatever the engine. *)
 val run :
   ?plans:Pathcov.Ball_larus.program_plans ->

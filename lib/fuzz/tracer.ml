@@ -1,18 +1,17 @@
 (** Execution-engine selection and selective tracing for campaigns.
 
-    A campaign executes candidates through one of four engines over the
+    A campaign executes candidates through one of three engines over the
     same pooled {!Vm.Interp.exec_ctx}:
 
     - [Interp]: the reference CFG interpreter driving the runtime
       feedback listeners through hooks;
-    - [Compiled]: the {!Vm.Compile} staged artifact with the listener
-      probes partially evaluated into the block closures;
-    - [Fused]: [Compiled] plus superblock fusion — single-predecessor
+    - [Fused]: the {!Vm.Compile} staged artifact — the listener probes
+      partially evaluated into the block closures, single-predecessor
       goto chains collapsed into one closure with coalesced fuel burns
-      and folded Ball–Larus increments ([Vm.Compile.compile ~fused]);
-    - [Native]: the {!Vm.Emit} per-subject generated OCaml unit —
-      fusion plus out-of-process [ocamlopt] and a Dynlink load, cached
-      on disk. When emission fails for any reason (no toolchain,
+      and folded Ball–Larus increments;
+    - [Native]: the {!Vm.Emit} per-subject generated OCaml unit — the
+      fused plan plus out-of-process [ocamlopt] and a Dynlink load,
+      cached on disk. When emission fails for any reason (no toolchain,
       compile error, forced [PATHFUZZ_EMIT_FAIL]) the tracer silently
       degrades to [Fused] and records why ({!emit_fallback}), so
       campaigns behave identically on toolchain-less machines.
@@ -46,29 +45,27 @@
     trace feeds nothing but the virgin merge — so retained entries keep
     exactly the trace indices the unpruned pipeline records. *)
 
-type engine = Interp | Compiled | Fused | Native
+type engine = Interp | Fused | Native
 
 let engine_name = function
   | Interp -> "interp"
-  | Compiled -> "compiled"
   | Fused -> "fused"
   | Native -> "native"
 
 let engine_of_name = function
   | "interp" -> Some Interp
-  | "compiled" -> Some Compiled
   | "fused" -> Some Fused
   | "native" -> Some Native
   | _ -> None
 
-let engine_names = [ "interp"; "compiled"; "fused"; "native" ]
+let engine_names = [ "interp"; "fused"; "native" ]
 
 type t = {
   engine : engine;
   selective : bool;
   mode : Pathcov.Feedback.mode;
-  full_art : Vm.Compile.t option;  (** [Compiled]: the [Sfull mode] artifact *)
-  sig_art : Vm.Compile.t option;  (** [Compiled] + selective: [Ssignal] *)
+  full_art : Vm.Compile.t option;  (** [Fused]: the [Sfull mode] artifact *)
+  sig_art : Vm.Compile.t option;  (** [Fused] + selective: [Ssignal] *)
   full_emit : Vm.Emit.t option;  (** [Native]: the emitted [Sfull mode] unit *)
   sig_emit : Vm.Emit.t option;  (** [Native] + selective: emitted [Ssignal] *)
   emit_fallback : string option;
@@ -110,7 +107,7 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
      identically on toolchain-less machines. *)
   let full_emit, sig_emit, emit_fallback =
     match engine with
-    | Interp | Compiled | Fused -> (None, None, None)
+    | Interp | Fused -> (None, None, None)
     | Native -> (
         let r =
           clocked (fun () ->
@@ -135,31 +132,22 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
             Vm.Emit.note_fallback ();
             (None, None, Some reason))
   in
-  let fused =
+  let closures =
     match engine with
     | Fused -> true
     | Native -> emit_fallback <> None
-    | Interp | Compiled -> false
+    | Interp -> false
   in
   let compile spec =
     clocked (fun () ->
-        if shared then Vm.Compile.cached ?plans ~cmplog ~fused prepared spec
-        else Vm.Compile.compile ?plans ~cmplog ~fused prepared spec)
+        if shared then Vm.Compile.cached ?plans ~cmplog prepared spec
+        else Vm.Compile.compile ?plans ~cmplog prepared spec)
   in
   let full_art =
-    match engine with
-    | Interp -> None
-    | Compiled | Fused -> Some (compile (Vm.Compile.Sfull mode))
-    | Native ->
-        if emit_fallback <> None then Some (compile (Vm.Compile.Sfull mode))
-        else None
+    if closures then Some (compile (Vm.Compile.Sfull mode)) else None
   in
   let sig_art =
-    match engine with
-    | (Compiled | Fused) when selective -> Some (compile Vm.Compile.Ssignal)
-    | Native when selective && emit_fallback <> None ->
-        Some (compile Vm.Compile.Ssignal)
-    | _ -> None
+    if closures && selective then Some (compile Vm.Compile.Ssignal) else None
   in
   let sig_cell = ref 0 in
   let sig_ctx =
@@ -209,125 +197,66 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t) ~(h_cmp : int -> int -> unit)
       | None -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Execution *)
+(* Execution: batched cohorts only. The per-candidate engine dispatch
+   (and, compiled, the prepared-identity check) is hoisted out of the
+   loop, and back-to-back runs take the context's journaled fast-reset
+   path; a one-off run is a cohort of one. *)
 
-let run_full (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
-    ~(max_depth : int) ~(input : string) : Vm.Interp.outcome =
-  match t.full_emit with
-  | Some e -> Vm.Emit.run ~fuel ~max_depth e ctx ~input
-  | None -> (
-      match t.full_art with
-      | Some art -> Vm.Compile.run ~fuel ~max_depth art ctx ~input
-      | None -> Vm.Interp.run_ctx ~fuel ~max_depth ctx ~input)
-
-let run_full_sub (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
-    ~(max_depth : int) ~(buf : Bytes.t) ~(len : int) : Vm.Interp.outcome =
-  match t.full_emit with
-  | Some e -> Vm.Emit.run_sub ~fuel ~max_depth e ctx ~buf ~len
-  | None -> (
-      match t.full_art with
-      | Some art -> Vm.Compile.run_sub ~fuel ~max_depth art ctx ~buf ~len
-      | None -> Vm.Interp.run_ctx_sub ~fuel ~max_depth ctx ~buf ~len)
-
-let run_signal (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
-    ~(max_depth : int) ~(input : string) : Vm.Interp.outcome =
-  match t.sig_emit with
-  | Some e ->
-      let out = Vm.Emit.run ~fuel ~max_depth e ctx ~input in
-      t.last_sig <- Vm.Emit.signal e;
-      out
-  | None -> (
-      match t.sig_art with
-      | Some art ->
-          let out = Vm.Compile.run ~fuel ~max_depth art ctx ~input in
-          t.last_sig <- Vm.Compile.signal art;
-          out
-      | None -> (
-          match t.sig_ctx with
-          | Some sctx ->
-              t.sig_cell := 0;
-              let out = Vm.Interp.run_ctx ~fuel ~max_depth sctx ~input in
-              t.last_sig <- !(t.sig_cell);
-              out
-          | None -> invalid_arg "Tracer.run_signal: not a selective tracer"))
-
-let run_signal_sub (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
-    ~(max_depth : int) ~(buf : Bytes.t) ~(len : int) : Vm.Interp.outcome =
-  match t.sig_emit with
-  | Some e ->
-      let out = Vm.Emit.run_sub ~fuel ~max_depth e ctx ~buf ~len in
-      t.last_sig <- Vm.Emit.signal e;
-      out
-  | None -> (
-      match t.sig_art with
-      | Some art ->
-          let out = Vm.Compile.run_sub ~fuel ~max_depth art ctx ~buf ~len in
-          t.last_sig <- Vm.Compile.signal art;
-          out
-      | None -> (
-          match t.sig_ctx with
-          | Some sctx ->
-              t.sig_cell := 0;
-              let out = Vm.Interp.run_ctx_sub ~fuel ~max_depth sctx ~buf ~len in
-              t.last_sig <- !(t.sig_cell);
-              out
-          | None ->
-              invalid_arg "Tracer.run_signal_sub: not a selective tracer"))
-
-(* Batched cohort execution: hoist the per-candidate engine dispatch
-   (and, compiled, the prepared-identity check) out of the havoc inner
-   loop, and let back-to-back runs take the context's journaled
-   fast-reset path. Same observable semantics per candidate as the
-   one-shot entries above. *)
+(* The VM-wall bracket, once for every engine: [gen] returning marks the
+   start of a run and the matching [sink] call its end, so generation
+   and consumption stay outside the measured wall. Exactly two clock
+   reads per run. *)
+let timed ?clock ?vm_s gen sink =
+  match clock with
+  | None -> (gen, sink)
+  | Some now ->
+      let vm_s = match vm_s with Some f -> f | None -> ignore in
+      let t0 = ref 0. in
+      ( (fun k ->
+          let v = gen k in
+          t0 := now ();
+          v),
+        fun k out ->
+          vm_s (now () -. !t0);
+          sink k out )
 
 let run_full_batch ?clock ?vm_s (t : t) (ctx : Vm.Interp.exec_ctx)
     ~(fuel : int) ~(max_depth : int) ~(n : int)
     ~(gen : int -> Bytes.t * int) ~(sink : int -> Vm.Interp.outcome -> unit) :
     unit =
-  match t.full_emit with
-  | Some e -> Vm.Emit.run_batch ~fuel ~max_depth ?clock ?vm_s e ctx ~n ~gen ~sink
-  | None -> (
-      match t.full_art with
-      | Some art ->
-          Vm.Compile.run_batch ~fuel ~max_depth ?clock ?vm_s art ctx ~n ~gen
-            ~sink
-      | None ->
-          Vm.Interp.run_batch ~fuel ~max_depth ?clock ?vm_s ctx ~n ~gen ~sink)
+  let gen, sink = timed ?clock ?vm_s gen sink in
+  match (t.full_emit, t.full_art) with
+  | Some e, _ -> Vm.Emit.run_batch ~fuel ~max_depth e ctx ~n ~gen ~sink
+  | None, Some art -> Vm.Compile.run_batch ~fuel ~max_depth art ctx ~n ~gen ~sink
+  | None, None -> Vm.Interp.run_batch ~fuel ~max_depth ctx ~n ~gen ~sink
 
-(* The signal variant latches [last_sig] before each [sink] call, so the
-   sink observes exactly what a [run_signal_sub]-per-candidate loop
-   would. The interpreter case runs on the private signal context ([ctx]
-   is ignored), mirroring [run_signal_sub]. *)
+(* The signal variant latches [last_sig] before each [sink] call. The
+   interpreter case runs on the private signal context ([ctx] is
+   ignored). *)
 let run_signal_batch ?clock ?vm_s (t : t) (ctx : Vm.Interp.exec_ctx)
     ~(fuel : int) ~(max_depth : int) ~(n : int)
     ~(gen : int -> Bytes.t * int) ~(sink : int -> Vm.Interp.outcome -> unit) :
     unit =
-  ignore ctx;
-  match t.sig_emit with
-  | Some e ->
-      Vm.Emit.run_batch ~fuel ~max_depth ?clock ?vm_s e ctx ~n ~gen
-        ~sink:(fun k out ->
+  let gen, sink = timed ?clock ?vm_s gen sink in
+  match (t.sig_emit, t.sig_art, t.sig_ctx) with
+  | Some e, _, _ ->
+      Vm.Emit.run_batch ~fuel ~max_depth e ctx ~n ~gen ~sink:(fun k out ->
           t.last_sig <- Vm.Emit.signal e;
           sink k out)
-  | None -> (
-      match t.sig_art with
-      | Some art ->
-          Vm.Compile.run_batch ~fuel ~max_depth ?clock ?vm_s art ctx ~n ~gen
-            ~sink:(fun k out ->
-              t.last_sig <- Vm.Compile.signal art;
-              sink k out)
-      | None -> (
-          match t.sig_ctx with
-          | Some sctx ->
-              Vm.Interp.run_batch ~fuel ~max_depth ?clock ?vm_s sctx ~n
-                ~gen:(fun k ->
-                  t.sig_cell := 0;
-                  gen k)
-                ~sink:(fun k out ->
-                  t.last_sig <- !(t.sig_cell);
-                  sink k out)
-          | None ->
-              invalid_arg "Tracer.run_signal_batch: not a selective tracer"))
+  | None, Some art, _ ->
+      Vm.Compile.run_batch ~fuel ~max_depth art ctx ~n ~gen ~sink:(fun k out ->
+          t.last_sig <- Vm.Compile.signal art;
+          sink k out)
+  | None, None, Some sctx ->
+      Vm.Interp.run_batch ~fuel ~max_depth sctx ~n
+        ~gen:(fun k ->
+          t.sig_cell := 0;
+          gen k)
+        ~sink:(fun k out ->
+          t.last_sig <- !(t.sig_cell);
+          sink k out)
+  | None, None, None ->
+      invalid_arg "Tracer.run_signal_batch: not a selective tracer"
 
 let last_signal (t : t) : int = t.last_sig
 let seen_signal (t : t) (s : int) : bool = Hashtbl.mem t.seen s
@@ -338,7 +267,7 @@ let mark_seen (t : t) (s : int) : unit =
 (* ------------------------------------------------------------------ *)
 (* Probe self-pruning *)
 
-(** Pruning applies when the full engine is a compiled [Path] artifact
+(** Pruning applies when the full engine is a closure [Path] artifact
     under selective tracing — the configuration whose calibration runs
     are the only consumers of the elided commits. *)
 let pruning_available (t : t) : bool =

@@ -2,8 +2,7 @@
 
     A tracer wraps one prepared subject with a choice of execution
     engine — the reference CFG interpreter, the {!Vm.Compile} staged
-    artifact, the staged artifact with superblock fusion
-    ([Vm.Compile.compile ~fused]), or the {!Vm.Emit} per-subject
+    artifact with superblock fusion, or the {!Vm.Emit} per-subject
     generated-and-Dynlink'd native unit (degrading to fused, with
     {!emit_fallback} recording why, when emission fails) — plus,
     optionally, {e selective tracing}: bulk executions
@@ -15,7 +14,7 @@
     DESIGN.md §12 gives the argument, the differential suite enforces
     it. *)
 
-type engine = Interp | Compiled | Fused | Native
+type engine = Interp | Fused | Native
 
 val engine_name : engine -> string
 
@@ -62,61 +61,22 @@ val emit_fallback : t -> string option
 val bind :
   t -> trace:Pathcov.Coverage_map.t -> h_cmp:(int -> int -> unit) -> unit
 
-(** {2 Execution}
-
-    [run_full]/[run_full_sub] execute with full instrumentation through
-    the selected engine on the given pooled context (compiled probes
-    ignore the context's hooks). [run_signal]/[run_signal_sub] execute
-    the signal specialisation and latch {!last_signal}; they require a
-    selective tracer. *)
-
-val run_full :
-  t ->
-  Vm.Interp.exec_ctx ->
-  fuel:int ->
-  max_depth:int ->
-  input:string ->
-  Vm.Interp.outcome
-
-val run_full_sub :
-  t ->
-  Vm.Interp.exec_ctx ->
-  fuel:int ->
-  max_depth:int ->
-  buf:Bytes.t ->
-  len:int ->
-  Vm.Interp.outcome
-
-val run_signal :
-  t ->
-  Vm.Interp.exec_ctx ->
-  fuel:int ->
-  max_depth:int ->
-  input:string ->
-  Vm.Interp.outcome
-
-val run_signal_sub :
-  t ->
-  Vm.Interp.exec_ctx ->
-  fuel:int ->
-  max_depth:int ->
-  buf:Bytes.t ->
-  len:int ->
-  Vm.Interp.outcome
-
 (** {2 Batched cohort execution}
 
-    Run [n] candidates back-to-back on one context: [gen k] produces
-    the [k]-th candidate as a [(buf, len)] scratch view, [sink k out]
-    consumes its result before [gen (k + 1)] runs, so a single scratch
-    buffer may back the whole cohort. Per-candidate semantics are
-    identical to a [run_full_sub]/[run_signal_sub] loop; the batch
-    hoists the engine dispatch out of the loop and lets back-to-back
-    runs take the context's journaled fast-reset path. [clock]/[vm_s]
-    bracket each VM run alone. The signal variant latches
-    {!last_signal} before each [sink] call and requires a selective
-    tracer (the interpreter case runs on the private signal context —
-    the passed context is ignored, as in [run_signal_sub]). *)
+    The only run entry points: a one-off run is a cohort of one. Run [n]
+    candidates back-to-back on one context: [gen k] produces the [k]-th
+    candidate as a [(buf, len)] scratch view, [sink k out] consumes its
+    result before [gen (k + 1)] runs, so a single scratch buffer may
+    back the whole cohort. [run_full_batch] executes with full
+    instrumentation through the selected engine (compiled probes ignore
+    the context's hooks); the batch hoists the engine dispatch out of
+    the loop and lets back-to-back runs take the context's journaled
+    fast-reset path. When [clock] is given, each VM run alone —
+    generation and consumption excluded — is bracketed by two clock
+    reads and its wall passed to [vm_s]. [run_signal_batch] executes the
+    signal specialisation, latches {!last_signal} before each [sink]
+    call and requires a selective tracer (the interpreter case runs on
+    the private signal context — the passed context is ignored). *)
 
 val run_full_batch :
   ?clock:(unit -> float) ->
@@ -142,7 +102,8 @@ val run_signal_batch :
   sink:(int -> Vm.Interp.outcome -> unit) ->
   unit
 
-(** The signal latched by the last [run_signal]/[run_signal_sub]. *)
+(** The signal latched for the candidate [run_signal_batch] last handed
+    to its [sink]. *)
 val last_signal : t -> int
 
 (** {2 Seen-signal set}
@@ -157,7 +118,7 @@ val mark_seen : t -> int -> unit
 
 (** {2 Probe self-pruning}
 
-    Active only for compiled [Path] artifacts under selective tracing,
+    Active only for closure [Path] artifacts under selective tracing,
     and only around calibration runs — the one full-instrumentation
     site whose trace feeds nothing but the virgin merge, so eliding
     saturated Ball–Larus commits cannot perturb the trajectory. *)

@@ -32,7 +32,7 @@
       branch, skipping the 1/0 materialisation ([h_cmp] still fires
       between operand evaluation and the jump).
 
-    Compiled code runs against the unmodified pooled {!Interp.exec_ctx}
+    Staged code runs against the unmodified pooled {!Interp.exec_ctx}
     — frames, pools, the touched-globals journal, fuel, the int call
     stack and crash materialisation are shared with the interpreter —
     and replicates its observable semantics exactly: same evaluation
@@ -98,7 +98,6 @@ type t = {
   prepared : prepared;
   spec : spec;
   cmplog : bool;  (** were [h_cmp] calls compiled into comparisons? *)
-  fused : bool;  (** was superblock fusion applied? *)
   cs : cstate;
   fentries : (exec_ctx -> frame -> unit) array;
   main_zero : int array;
@@ -1833,8 +1832,8 @@ let cblock (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
    segment fuel is identical; otherwise the careful chain replays the
    per-op burn order exactly, making mid-chain hang points and crash
    sites (each instruction's own crash raises from its compiled body,
-   with [ctx.blocks] advanced per block entry) bit-identical to the
-   unfused engine. Probe event order is preserved: block probes fire
+   with [ctx.blocks] advanced per block entry) bit-identical to
+   block-at-a-time execution. Probe event order is preserved: block probes fire
    per entry in chain order, and only edges whose entire effect is a
    register increment ([probes.pe_add] = [Some k]) are folded — the
    folded constant is flushed (via [probes.padd], same top-of-stack
@@ -2089,33 +2088,31 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
   compile_ops ops
 
 let cfunc (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
-    ~(fused : bool) (fid : int) (f : rfunc) : bfn =
+    (fid : int) (f : rfunc) : bfn =
   let nb = Array.length f.rblocks in
   let tbl = Array.make nb (fun _ _ -> assert false : bfn) in
   for b = 0 to nb - 1 do
     tbl.(b) <- cblock env probes p fentries tbl fid b f.rblocks.(b)
   done;
-  if fused then begin
-    let interior = fusion_interior f in
-    let plan = fusion_plan_of f interior in
-    for b = 0 to nb - 1 do
-      match plan.(b) with
-      | Some chain ->
-            let cs = env.cs in
-            let len = List.length chain in
-            cs.stat_chains <- cs.stat_chains + 1;
-            cs.stat_chain_blocks <- cs.stat_chain_blocks + len;
-            if len > cs.stat_chain_max then cs.stat_chain_max <- len;
-            List.iteri
-              (fun i l ->
-                if i > 0 && not interior.(l) then
-                  cs.stat_dup_instrs <-
-                    cs.stat_dup_instrs + Array.length f.rblocks.(l).rinstrs + 1)
-              chain;
-            tbl.(b) <- cchain env probes p fentries tbl fid f chain
-      | None -> ()
-    done
-  end;
+  let interior = fusion_interior f in
+  let plan = fusion_plan_of f interior in
+  for b = 0 to nb - 1 do
+    match plan.(b) with
+    | Some chain ->
+        let cs = env.cs in
+        let len = List.length chain in
+        cs.stat_chains <- cs.stat_chains + 1;
+        cs.stat_chain_blocks <- cs.stat_chain_blocks + len;
+        if len > cs.stat_chain_max then cs.stat_chain_max <- len;
+        List.iteri
+          (fun i l ->
+            if i > 0 && not interior.(l) then
+              cs.stat_dup_instrs <-
+                cs.stat_dup_instrs + Array.length f.rblocks.(l).rinstrs + 1)
+          chain;
+        tbl.(b) <- cchain env probes p fentries tbl fid f chain
+    | None -> ()
+  done;
   let b0 = tbl.(0) in
   let cs = env.cs in
   match probes.pc fid with
@@ -2139,8 +2136,7 @@ let cfunc (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
     cheaply). *)
 let prune_path_bound = 4096
 
-let compile ?plans ?(cmplog = true) ?(fused = false) (p : prepared)
-    (spec : spec) : t =
+let compile ?plans ?(cmplog = true) (p : prepared) (spec : spec) : t =
   let nfuncs = Array.length p.rfuncs in
   let pruned_zero = Bytes.make (max 1 nfuncs) '\000' in
   let pruned_live = Bytes.make (max 1 nfuncs) '\000' in
@@ -2203,7 +2199,7 @@ let compile ?plans ?(cmplog = true) ?(fused = false) (p : prepared)
           zeroes;
         }
       in
-      fentries.(fid) <- cfunc env probes p fentries ~fused fid f)
+      fentries.(fid) <- cfunc env probes p fentries fid f)
     p.rfuncs;
   let path_universe =
     match path_plans with
@@ -2221,7 +2217,6 @@ let compile ?plans ?(cmplog = true) ?(fused = false) (p : prepared)
     prepared = p;
     spec;
     cmplog;
-    fused;
     cs;
     fentries;
     main_zero = zeroes.(p.main_id);
@@ -2292,7 +2287,8 @@ type static_stats = {
 let runtime_stats (t : t) : runtime_stats =
   { rollbacks = t.cs.stat_rollbacks; careful_units = t.cs.stat_careful_units }
 
-(** Superblock-fusion shape fixed at compilation (all zero unfused). *)
+(** Superblock-fusion shape fixed at compilation (all zero when no
+    chain qualifies). *)
 let static_stats (t : t) : static_stats =
   {
     chains = t.cs.stat_chains;
@@ -2344,26 +2340,13 @@ let run ?(fuel = default_fuel) ?(max_depth = default_max_depth) (t : t)
   ctx.input_len <- String.length input;
   run_current t ctx ~fuel ~max_depth
 
-(** Zero-copy variant over the first [len] bytes of [buf] (see
-    {!Interp.run_ctx_sub}). *)
-let run_sub ?(fuel = default_fuel) ?(max_depth = default_max_depth) (t : t)
-    (ctx : exec_ctx) ~(buf : Bytes.t) ~(len : int) : outcome =
-  if ctx.p != t.prepared then
-    invalid_arg "Compile.run_sub: context belongs to a different prepared program";
-  if len < 0 || len > Bytes.length buf then invalid_arg "Compile.run_sub";
-  ctx.input <- Bytes.unsafe_to_string buf;
-  ctx.input_len <- len;
-  run_current t ctx ~fuel ~max_depth
-
 (** Execute a cohort of [n] candidates back-to-back on one context (see
     {!Interp.run_batch}): [gen k] produces the [k]-th candidate as a
     [(buf, len)] scratch view, [sink k outcome] consumes its result
-    before [gen (k+1)] runs. [clock]/[vm_s] bracket each VM run alone
-    (generation and consumption excluded), matching the per-exec timing
-    of the one-shot entry points. *)
-let run_batch ?(fuel = default_fuel) ?(max_depth = default_max_depth) ?clock
-    ?(vm_s = fun (_ : float) -> ()) (t : t) (ctx : exec_ctx) ~(n : int)
-    ~(gen : int -> Bytes.t * int) ~(sink : int -> outcome -> unit) : unit =
+    before [gen (k+1)] runs. *)
+let run_batch ?(fuel = default_fuel) ?(max_depth = default_max_depth) (t : t)
+    (ctx : exec_ctx) ~(n : int) ~(gen : int -> Bytes.t * int)
+    ~(sink : int -> outcome -> unit) : unit =
   if n > 0 && ctx.p != t.prepared then
     invalid_arg
       "Compile.run_batch: context belongs to a different prepared program";
@@ -2372,16 +2355,7 @@ let run_batch ?(fuel = default_fuel) ?(max_depth = default_max_depth) ?clock
     if len < 0 || len > Bytes.length buf then invalid_arg "Compile.run_batch";
     ctx.input <- Bytes.unsafe_to_string buf;
     ctx.input_len <- len;
-    let out =
-      match clock with
-      | None -> run_current t ctx ~fuel ~max_depth
-      | Some now ->
-          let t0 = now () in
-          let out = run_current t ctx ~fuel ~max_depth in
-          vm_s (now () -. t0);
-          out
-    in
-    sink k out
+    sink k (run_current t ctx ~fuel ~max_depth)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -2408,15 +2382,12 @@ let cache_stats () : int * int =
     artifact (rebound per campaign via {!bind}). Sharded campaigns must
     not use this — each shard owns a fresh {!compile} because [cstate]
     is single-threaded. *)
-let cached ?plans ?(cmplog = true) ?(fused = false) (p : prepared)
-    (spec : spec) : t =
+let cached ?plans ?(cmplog = true) (p : prepared) (spec : spec) : t =
   let c = Domain.DLS.get dls_cache in
   let hits, misses = Domain.DLS.get dls_cache_stats in
   match
     List.find_opt
-      (fun t ->
-        t.prepared == p && t.spec = spec && t.cmplog = cmplog
-        && t.fused = fused)
+      (fun t -> t.prepared == p && t.spec = spec && t.cmplog = cmplog)
       !c
   with
   | Some t ->
@@ -2424,7 +2395,7 @@ let cached ?plans ?(cmplog = true) ?(fused = false) (p : prepared)
       t
   | None ->
       incr misses;
-      let t = compile ?plans ~cmplog ~fused p spec in
+      let t = compile ?plans ~cmplog p spec in
       let keep =
         if List.length !c >= cache_cap then
           List.filteri (fun i _ -> i < cache_cap - 1) !c

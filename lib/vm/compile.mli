@@ -12,7 +12,7 @@
     dense-table dispatch of the runtime listener disappears along with
     the interpreter's [rinstr]/[rexpr] match dispatch.
 
-    Compiled code executes against the unmodified pooled
+    Staged code executes against the unmodified pooled
     {!Interp.exec_ctx} and replicates the interpreter's observable
     semantics exactly — fuel burn placement, evaluation order, crash
     kinds/sites/stacks, [h_cmp] timing, [blocks_executed] — which the
@@ -37,32 +37,30 @@ type t
     callers pass [~cmplog:false] to compile the calls out entirely —
     unobservable by construction.
 
-    [fused] (default [false]) additionally applies superblock fusion:
-    chains of blocks linked by unconditional gotos whose interior blocks
-    have a single predecessor (plus rejoining diamond tails within a
-    tail-duplication budget) collapse into one closure — interior
-    dispatch elided, interior fuel burns coalesced into one bulk burn
-    with exact per-op replay on the crash/hang path, and consecutive
-    Ball–Larus register increments folded into one constant-add.
-    Observably equivalent to the unfused artifact (same outcomes, crash
-    sites, fuel accounting, [blocks_executed], probe event order);
-    enforced by the differential suite. *)
+    Every artifact applies superblock fusion: chains of blocks linked by
+    unconditional gotos whose interior blocks have a single predecessor
+    (plus rejoining diamond tails within a tail-duplication budget)
+    collapse into one closure — interior dispatch elided, interior fuel
+    burns coalesced into one bulk burn with exact per-op replay on the
+    crash/hang path, and consecutive Ball–Larus register increments
+    folded into one constant-add. Observably equivalent to block-at-a-
+    time execution (same outcomes, crash sites, fuel accounting,
+    [blocks_executed], probe event order); enforced by the differential
+    suite. *)
 val compile :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?cmplog:bool ->
-  ?fused:bool ->
   Interp.prepared ->
   spec ->
   t
 
-(** Per-domain compile-once memo over [(prepared, spec, cmplog, fused)]
+(** Per-domain compile-once memo over [(prepared, spec, cmplog)]
     (physical identity on [prepared]). Safe for sequential campaigns,
     measurement replays and bench cells; sharded campaigns must
     {!compile} fresh per shard instead. *)
 val cached :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?cmplog:bool ->
-  ?fused:bool ->
   Interp.prepared ->
   spec ->
   t
@@ -78,16 +76,13 @@ val bind :
 
 (** {2 Execution}
 
-    Both runners mirror {!Interp.run_ctx} / {!Interp.run_ctx_sub}: same
+    Both runners mirror {!Interp.run_ctx} / {!Interp.run_batch}: same
     defaults, same outcome construction, same crash materialisation.
     The context must have been created over the same [prepared] value
     the artifact was compiled from ([Invalid_argument] otherwise); the
     context's own hooks are ignored — probes are already compiled in. *)
 
 val run : ?fuel:int -> ?max_depth:int -> t -> Interp.exec_ctx -> input:string -> Interp.outcome
-
-val run_sub :
-  ?fuel:int -> ?max_depth:int -> t -> Interp.exec_ctx -> buf:Bytes.t -> len:int -> Interp.outcome
 
 (** Batched mirror of {!Interp.run_batch} over the compiled entry: run
     [n] candidates back-to-back on one context, [gen k] producing the
@@ -97,8 +92,6 @@ val run_sub :
 val run_batch :
   ?fuel:int ->
   ?max_depth:int ->
-  ?clock:(unit -> float) ->
-  ?vm_s:(float -> unit) ->
   t ->
   Interp.exec_ctx ->
   n:int ->
@@ -169,7 +162,8 @@ type static_stats = {
 (** Bulk-burn rollback tallies accumulated since compilation. *)
 val runtime_stats : t -> runtime_stats
 
-(** Superblock-fusion shape fixed at compilation (all zero unfused). *)
+(** Superblock-fusion shape fixed at compilation (all zero when no
+    chain qualifies). *)
 val static_stats : t -> static_stats
 
 (** [(hits, misses)] of {!cached} on the calling domain. *)

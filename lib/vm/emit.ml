@@ -9,7 +9,7 @@
 
 open Interp
 
-let emitter_version = 1
+let emitter_version = 2
 
 (* ------------------------------------------------------------------ *)
 (* Plugin side-channel *)
@@ -1154,18 +1154,9 @@ let run ?(fuel = default_fuel) ?(max_depth = default_max_depth) (t : t)
   ctx.input_len <- String.length input;
   run_current t ctx ~fuel ~max_depth
 
-let run_sub ?(fuel = default_fuel) ?(max_depth = default_max_depth) (t : t)
-    (ctx : exec_ctx) ~(buf : Bytes.t) ~(len : int) : outcome =
-  if ctx.p != t.prepared then
-    invalid_arg "Emit.run_sub: context belongs to a different prepared program";
-  if len < 0 || len > Bytes.length buf then invalid_arg "Emit.run_sub";
-  ctx.input <- Bytes.unsafe_to_string buf;
-  ctx.input_len <- len;
-  run_current t ctx ~fuel ~max_depth
-
-let run_batch ?(fuel = default_fuel) ?(max_depth = default_max_depth) ?clock
-    ?(vm_s = fun (_ : float) -> ()) (t : t) (ctx : exec_ctx) ~(n : int)
-    ~(gen : int -> Bytes.t * int) ~(sink : int -> outcome -> unit) : unit =
+let run_batch ?(fuel = default_fuel) ?(max_depth = default_max_depth) (t : t)
+    (ctx : exec_ctx) ~(n : int) ~(gen : int -> Bytes.t * int)
+    ~(sink : int -> outcome -> unit) : unit =
   if n > 0 && ctx.p != t.prepared then
     invalid_arg
       "Emit.run_batch: context belongs to a different prepared program";
@@ -1174,14 +1165,5 @@ let run_batch ?(fuel = default_fuel) ?(max_depth = default_max_depth) ?clock
     if len < 0 || len > Bytes.length buf then invalid_arg "Emit.run_batch";
     ctx.input <- Bytes.unsafe_to_string buf;
     ctx.input_len <- len;
-    let out =
-      match clock with
-      | None -> run_current t ctx ~fuel ~max_depth
-      | Some now ->
-          let t0 = now () in
-          let out = run_current t ctx ~fuel ~max_depth in
-          vm_s (now () -. t0);
-          out
-    in
-    sink k out
+    sink k (run_current t ctx ~fuel ~max_depth)
   done

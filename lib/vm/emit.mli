@@ -39,8 +39,9 @@ val set_cache_dir : string -> unit
 (** The cache directory currently in effect. *)
 val cache_dir : unit -> string
 
-(** Bumped whenever generated code changes shape; part of the cache
-    key, so stale artifacts from older emitters are never loaded. *)
+(** Bumped whenever generated code changes shape or the host interface
+    it links against ({!Interp}) changes; part of the cache key, so
+    stale artifacts from older emitters are never loaded. *)
 val emitter_version : int
 
 (** {2 Instantiation} *)
@@ -81,14 +82,9 @@ val signal : t -> int
 val run :
   ?fuel:int -> ?max_depth:int -> t -> Interp.exec_ctx -> input:string -> Interp.outcome
 
-val run_sub :
-  ?fuel:int -> ?max_depth:int -> t -> Interp.exec_ctx -> buf:Bytes.t -> len:int -> Interp.outcome
-
 val run_batch :
   ?fuel:int ->
   ?max_depth:int ->
-  ?clock:(unit -> float) ->
-  ?vm_s:(float -> unit) ->
   t ->
   Interp.exec_ctx ->
   n:int ->

@@ -335,7 +335,7 @@ type exec_ctx = {
   mutable cs_site : int array;
   mutable cs_top : int;
   (* Per-execution registers. [input_len] is authoritative: the scratch
-     fast path ([run_ctx_sub]) views a pooled buffer as a string whose
+     fast path ([run_batch]) views a pooled buffer as a string whose
      physical length exceeds the candidate's. *)
   mutable input : string;
   mutable input_len : int;
@@ -795,45 +795,26 @@ let run_ctx ?(fuel = default_fuel) ?(max_depth = default_max_depth)
   ctx.input_len <- String.length input;
   run_current ctx ~fuel ~max_depth
 
-(** Execute on the first [len] bytes of [buf] without copying them into a
-    string — the zero-copy path for pooled mutation buffers. The VM never
-    writes to its input, so viewing the buffer as a string is safe; the
-    caller must not mutate [buf] during the run. *)
-let run_ctx_sub ?(fuel = default_fuel) ?(max_depth = default_max_depth)
-    (ctx : exec_ctx) ~(buf : Bytes.t) ~(len : int) : outcome =
-  if len < 0 || len > Bytes.length buf then invalid_arg "Interp.run_ctx_sub";
-  ctx.input <- Bytes.unsafe_to_string buf;
-  ctx.input_len <- len;
-  run_current ctx ~fuel ~max_depth
-
 (** Execute a cohort of [n] candidates back-to-back on one context.
-    [gen k] produces candidate [k] as a [(buf, len)] scratch view (same
-    zero-copy contract as {!run_ctx_sub}); [sink k outcome] consumes its
-    result before [gen (k + 1)] is called, so a single scratch buffer
-    may back the whole cohort. The point of the batched entry is reset
-    amortisation: back-to-back runs take the journaled fast path of
-    [reset_ctx] (clean runs skip the frame-pool sweep entirely), and
-    callers hoist their own per-candidate dispatch out of the loop.
-    [clock]/[vm_s] bracket each VM run alone — generation and
-    consumption are excluded, matching the one-shot entry points. *)
-let run_batch ?(fuel = default_fuel) ?(max_depth = default_max_depth) ?clock
-    ?(vm_s = fun (_ : float) -> ()) (ctx : exec_ctx) ~(n : int)
-    ~(gen : int -> Bytes.t * int) ~(sink : int -> outcome -> unit) : unit =
+    [gen k] produces candidate [k] as a [(buf, len)] scratch view of the
+    first [len] bytes of [buf], run without copying them into a string
+    (the VM never writes to its input, so viewing the buffer as a string
+    is safe; the caller must not mutate [buf] during the run); [sink k
+    outcome] consumes its result before [gen (k + 1)] is called, so a
+    single scratch buffer may back the whole cohort. The point of the
+    batched entry is reset amortisation: back-to-back runs take the
+    journaled fast path of [reset_ctx] (clean runs skip the frame-pool
+    sweep entirely), and callers hoist their own per-candidate dispatch
+    out of the loop. *)
+let run_batch ?(fuel = default_fuel) ?(max_depth = default_max_depth)
+    (ctx : exec_ctx) ~(n : int) ~(gen : int -> Bytes.t * int)
+    ~(sink : int -> outcome -> unit) : unit =
   for k = 0 to n - 1 do
     let buf, len = gen k in
     if len < 0 || len > Bytes.length buf then invalid_arg "Interp.run_batch";
     ctx.input <- Bytes.unsafe_to_string buf;
     ctx.input_len <- len;
-    let out =
-      match clock with
-      | None -> run_current ctx ~fuel ~max_depth
-      | Some now ->
-          let t0 = now () in
-          let out = run_current ctx ~fuel ~max_depth in
-          vm_s (now () -. t0);
-          out
-    in
-    sink k out
+    sink k (run_current ctx ~fuel ~max_depth)
   done
 
 (** Execute a prepared program from [main] on [input] through a fresh

@@ -220,27 +220,17 @@ val copy_slot : exec_ctx -> frame -> slot -> frame -> slot -> unit
 
 val run_ctx : ?fuel:int -> ?max_depth:int -> exec_ctx -> input:string -> outcome
 
-(** Execute on the first [len] bytes of [buf] without copying them into a
-    string — the zero-copy path for pooled mutation buffers. The caller
-    must not mutate [buf] during the run; raises [Invalid_argument] if
-    [len] exceeds the buffer. *)
-val run_ctx_sub :
-  ?fuel:int -> ?max_depth:int -> exec_ctx -> buf:Bytes.t -> len:int -> outcome
-
 (** Execute a cohort of [n] candidates back-to-back on one context.
-    [gen k] produces candidate [k] as a [(buf, len)] scratch view (same
-    zero-copy contract as {!run_ctx_sub}); [sink k outcome] consumes its
-    result before [gen (k + 1)] is called, so one scratch buffer may
-    back the whole cohort. Back-to-back runs take the journaled
-    fast-reset path (clean runs skip the frame-pool sweep).
-    [clock]/[vm_s] bracket each VM run alone — generation and
-    consumption excluded — matching the one-shot entry points'
-    per-exec timing. *)
+    [gen k] produces candidate [k] as a [(buf, len)] scratch view: the
+    first [len] bytes of [buf], run without copying them into a string
+    (the caller must not mutate [buf] during the run; [Invalid_argument]
+    if [len] exceeds the buffer). [sink k outcome] consumes its result
+    before [gen (k + 1)] is called, so one scratch buffer may back the
+    whole cohort. Back-to-back runs take the journaled fast-reset path
+    (clean runs skip the frame-pool sweep). *)
 val run_batch :
   ?fuel:int ->
   ?max_depth:int ->
-  ?clock:(unit -> float) ->
-  ?vm_s:(float -> unit) ->
   exec_ctx ->
   n:int ->
   gen:(int -> Bytes.t * int) ->

@@ -1,9 +1,10 @@
-(** Superblock-fusion and batched-cohort suite: the [~fused] staged
+(** Superblock-fusion and batched-cohort suite: the fused staged
     artifact vs the interpreter-driven listeners — same status (crash
     kinds, sites, stacks), same block counts (hence fuel accounting),
-    identical classified traces — on the curated subjects and on random
-    CFGs biased toward exactly the shapes fusion rewrites (single-
-    predecessor chains, rejoining diamonds, mid-chain division crashes).
+    identical classified traces — on random CFGs biased toward exactly
+    the shapes fusion rewrites (single-predecessor chains, rejoining
+    diamonds, mid-chain division crashes); the curated subjects are
+    covered per mode by the compile suite.
     A fuel ladder drives hang points into chain interiors, where the
     bulk-burn replay must reproduce the interpreter's exact accounting.
     The batch entries ([run_batch]) are checked against one-shot runs
@@ -21,14 +22,13 @@ let all_modes =
     Pathcov.Feedback.Pathafl;
   ]
 
-let feedback_hooks ?(h_cmp = fun _ _ -> ()) (fb : Pathcov.Feedback.t) :
-    Vm.Interp.hooks =
+let feedback_hooks (fb : Pathcov.Feedback.t) : Vm.Interp.hooks =
   {
     Vm.Interp.h_call = fb.on_call;
     h_block = fb.on_block;
     h_edge = fb.on_edge;
     h_ret = fb.on_ret;
-    h_cmp;
+    h_cmp = (fun _ _ -> ());
   }
 
 let pp_status fmt (s : Vm.Interp.status) =
@@ -49,63 +49,6 @@ let trace_contents (m : Pathcov.Coverage_map.t) : (int * int) list =
   Pathcov.Coverage_map.iteri_set (fun i b -> acc := (i, b) :: !acc) m;
   List.rev !acc
 
-(* --- curated subjects, every mode: fused agrees with the
-   interpreter-driven listeners (status, blocks, cmp stream, trace) --- *)
-
-let test_fused_mode_agreement () =
-  List.iter
-    (fun (s : Subjects.Subject.t) ->
-      let prog = Subjects.Subject.compile_fresh s in
-      let prepared = Vm.Interp.prepare prog in
-      List.iter
-        (fun mode ->
-          let fb = Pathcov.Feedback.make mode prog in
-          let icmps = ref [] and ccmps = ref [] in
-          let ictx =
-            Vm.Interp.create_ctx
-              ~hooks:
-                (feedback_hooks
-                   ~h_cmp:(fun a b -> icmps := (a, b) :: !icmps)
-                   fb)
-              prepared
-          in
-          let cctx = Vm.Interp.create_ctx prepared in
-          let art =
-            Vm.Compile.compile ~fused:true prepared (Vm.Compile.Sfull mode)
-          in
-          let ctrace = Pathcov.Coverage_map.create () in
-          Vm.Compile.bind art ~trace:ctrace ~h_cmp:(fun a b ->
-              ccmps := (a, b) :: !ccmps);
-          List.iter
-            (fun input ->
-              fb.reset ();
-              Pathcov.Coverage_map.clear fb.trace;
-              Pathcov.Coverage_map.clear ctrace;
-              icmps := [];
-              ccmps := [];
-              let i = Vm.Interp.run_ctx ictx ~input in
-              let c = Vm.Compile.run art cctx ~input in
-              let where =
-                Printf.sprintf "%s/%s %S" s.name
-                  (Pathcov.Feedback.mode_name mode)
-                  input
-              in
-              check status_t (where ^ " status") i.status c.status;
-              check Alcotest.int (where ^ " blocks") i.blocks_executed
-                c.blocks_executed;
-              check
-                Alcotest.(list (pair int int))
-                (where ^ " cmp stream") (List.rev !icmps) (List.rev !ccmps);
-              Pathcov.Coverage_map.classify fb.trace;
-              Pathcov.Coverage_map.classify ctrace;
-              check
-                Alcotest.(list (pair int int))
-                (where ^ " classified trace")
-                (trace_contents fb.trace) (trace_contents ctrace))
-            (subject_inputs s))
-        all_modes)
-    Subjects.Registry.all
-
 (* --- chain-biased random CFGs x every mode: beyond the curated set --- *)
 
 let prop_fused_differential =
@@ -122,7 +65,7 @@ let prop_fused_differential =
           in
           let cctx = Vm.Interp.create_ctx prepared in
           let art =
-            Vm.Compile.compile ~fused:true prepared (Vm.Compile.Sfull mode)
+            Vm.Compile.compile prepared (Vm.Compile.Sfull mode)
           in
           let ctrace = Pathcov.Coverage_map.create () in
           Vm.Compile.bind art ~trace:ctrace ~h_cmp:(fun _ _ -> ());
@@ -150,7 +93,7 @@ let prop_fused_fuel_ladder =
       let ictx = Vm.Interp.create_ctx ~hooks:(feedback_hooks fb) prepared in
       let cctx = Vm.Interp.create_ctx prepared in
       let art =
-        Vm.Compile.compile ~fused:true prepared
+        Vm.Compile.compile prepared
           (Vm.Compile.Sfull Pathcov.Feedback.Path)
       in
       let ctrace = Pathcov.Coverage_map.create () in
@@ -178,46 +121,39 @@ let test_batch_agreement () =
     (fun (s : Subjects.Subject.t) ->
       let prog = Subjects.Subject.compile_fresh s in
       let prepared = Vm.Interp.prepare prog in
-      List.iter
-        (fun fused ->
-          let art =
-            Vm.Compile.compile ~fused prepared
-              (Vm.Compile.Sfull Pathcov.Feedback.Path)
-          in
-          let trace = Pathcov.Coverage_map.create () in
-          Vm.Compile.bind art ~trace ~h_cmp:(fun _ _ -> ());
-          let inputs = Array.of_list (subject_inputs s) in
-          let n = Array.length inputs in
-          (* one-shot reference results on a fresh context *)
-          let ctx1 = Vm.Interp.create_ctx prepared in
-          let expect =
-            Array.map
-              (fun input ->
-                Pathcov.Coverage_map.clear trace;
-                let out = Vm.Compile.run art ctx1 ~input in
-                Pathcov.Coverage_map.classify trace;
-                (out.Vm.Interp.status, out.blocks_executed,
-                 trace_contents trace))
-              inputs
-          in
-          let ctx2 = Vm.Interp.create_ctx prepared in
-          let bufs = Array.map Bytes.of_string inputs in
-          Vm.Compile.run_batch art ctx2 ~n
-            ~gen:(fun k ->
-              Pathcov.Coverage_map.clear trace;
-              (bufs.(k), Bytes.length bufs.(k)))
-            ~sink:(fun k out ->
-              Pathcov.Coverage_map.classify trace;
-              let st, bl, tr = expect.(k) in
-              let where =
-                Printf.sprintf "%s[%d] fused=%b" s.name k fused
-              in
-              check status_t (where ^ " status") st out.Vm.Interp.status;
-              check Alcotest.int (where ^ " blocks") bl out.blocks_executed;
-              check
-                Alcotest.(list (pair int int))
-                (where ^ " trace") tr (trace_contents trace)))
-        [ false; true ])
+      let art =
+        Vm.Compile.compile prepared (Vm.Compile.Sfull Pathcov.Feedback.Path)
+      in
+      let trace = Pathcov.Coverage_map.create () in
+      Vm.Compile.bind art ~trace ~h_cmp:(fun _ _ -> ());
+      let inputs = Array.of_list (subject_inputs s) in
+      let n = Array.length inputs in
+      (* one-shot reference results on a fresh context *)
+      let ctx1 = Vm.Interp.create_ctx prepared in
+      let expect =
+        Array.map
+          (fun input ->
+            Pathcov.Coverage_map.clear trace;
+            let out = Vm.Compile.run art ctx1 ~input in
+            Pathcov.Coverage_map.classify trace;
+            (out.Vm.Interp.status, out.blocks_executed, trace_contents trace))
+          inputs
+      in
+      let ctx2 = Vm.Interp.create_ctx prepared in
+      let bufs = Array.map Bytes.of_string inputs in
+      Vm.Compile.run_batch art ctx2 ~n
+        ~gen:(fun k ->
+          Pathcov.Coverage_map.clear trace;
+          (bufs.(k), Bytes.length bufs.(k)))
+        ~sink:(fun k out ->
+          Pathcov.Coverage_map.classify trace;
+          let st, bl, tr = expect.(k) in
+          let where = Printf.sprintf "%s[%d]" s.name k in
+          check status_t (where ^ " status") st out.Vm.Interp.status;
+          check Alcotest.int (where ^ " blocks") bl out.blocks_executed;
+          check
+            Alcotest.(list (pair int int))
+            (where ^ " trace") tr (trace_contents trace)))
     Subjects.Registry.all
 
 (* --- steady-state allocation: the batched cohort loop ---
@@ -233,7 +169,7 @@ let test_batch_allocation () =
   let prepared = Vm.Interp.prepare prog in
   let ctx = Vm.Interp.create_ctx prepared in
   let art =
-    Vm.Compile.compile ~fused:true prepared
+    Vm.Compile.compile prepared
       (Vm.Compile.Sfull Pathcov.Feedback.Path)
   in
   let trace = Pathcov.Coverage_map.create () in
@@ -257,8 +193,6 @@ let suite =
   [
     ( "fused",
       [
-        Alcotest.test_case "subjects: every mode agrees" `Quick
-          test_fused_mode_agreement;
         Alcotest.test_case "batch agrees with one-shot runs" `Quick
           test_batch_agreement;
         Alcotest.test_case "batched cohort allocation-free" `Quick

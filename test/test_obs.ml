@@ -159,24 +159,42 @@ let test_counter_allocation_free () =
 
 let test_observed_campaign_allocation () =
   (* The whole observer layer (counters + cadenced snapshots through a
-     null sink) must not move campaign steady-state allocation. *)
+     null sink) must not move campaign steady-state allocation — nor,
+     on the fused engine with selective tracing on or off, must a
+     clocked observer: seeds, calibration runs and replays go through
+     cohorts of one, and the VM-wall bracket wraps every run. *)
   let s = Subjects.Registry.find_exn "cflow" in
   let prog = Subjects.Subject.compile_fresh s in
+  let measure config obs =
+    let w0 = Gc.minor_words () in
+    let r = Fuzz.Campaign.run ?obs ~config prog ~seeds:s.seeds in
+    (Gc.minor_words () -. w0) /. float_of_int (max 1 r.execs)
+  in
+  let within label config obs =
+    let bare = measure config None in
+    let observed = measure config (Some obs) in
+    check_bool
+      (Printf.sprintf "%s: observed %.1f w/exec within 15%% + 8w of bare %.1f"
+         label observed bare)
+      true
+      (observed < (bare *. 1.15) +. 8.)
+  in
   let config =
     { Fuzz.Campaign.default_config with budget = 6_000; rng_seed = 3 }
   in
-  let measure obs =
-    let w0 = Gc.minor_words () in
-    let r = Fuzz.Campaign.run ?obs ~config prog ~seeds:s.seeds in
-    ((Gc.minor_words () -. w0) /. float_of_int (max 1 r.execs), r)
-  in
-  let bare, _ = measure None in
-  let observed, _ = measure (Some (Obs.Observer.create ())) in
-  check_bool
-    (Printf.sprintf "observed %.1f w/exec within 15%% + 8w of bare %.1f"
-       observed bare)
-    true
-    (observed < (bare *. 1.15) +. 8.)
+  within "interp" config (Obs.Observer.create ());
+  List.iter
+    (fun selective ->
+      within
+        (Printf.sprintf "fused selective=%b clocked" selective)
+        {
+          config with
+          mode = Pathcov.Feedback.Path;
+          engine = Fuzz.Tracer.Fused;
+          selective;
+        }
+        (Obs.Observer.create ~clock:Unix.gettimeofday ()))
+    [ false; true ]
 
 (* ------------------------------------------------------------------ *)
 (* Ring sink semantics *)

@@ -1,7 +1,7 @@
 (* Engine and selective-tracing guarantees (DESIGN.md §12): campaign
    trajectories — queue contents and order, exec/block clocks, triage,
    snapshot rows — are byte-identical across execution engines
-   (interpreter vs staged compilation), selective tracing on/off, shard
+   (interpreter, fused closures, native units), selective tracing on/off, shard
    counts, and checkpoint/resume under either engine. Probe self-pruning
    marks functions whose Ball–Larus commit universe is saturated and
    unmarks them when the virgin map is replaced. *)
@@ -77,8 +77,8 @@ let run_one ?(budget = 4_000) ?(seed = 7) ~engine ~selective ~mode ~cmplog prog
    trajectory, without one they pin the fallback path. *)
 let engine_variants =
   [
-    (Fuzz.Tracer.Compiled, false, "compiled");
-    (Fuzz.Tracer.Compiled, true, "compiled+sel");
+    (Fuzz.Tracer.Fused, false, "fused");
+    (Fuzz.Tracer.Fused, true, "fused+sel");
     (Fuzz.Tracer.Interp, true, "interp+sel");
     (Fuzz.Tracer.Native, false, "native");
     (Fuzz.Tracer.Native, true, "native+sel");
@@ -175,11 +175,11 @@ let test_sharded_selective () =
   List.iter
     (fun shards ->
       let r =
-        run_shd ~engine:Fuzz.Tracer.Compiled ~selective:true ~shards prog
+        run_shd ~engine:Fuzz.Tracer.Fused ~selective:true ~shards prog
           s.seeds
       in
       check_shard_traj
-        (Printf.sprintf "sharded compiled+sel shards=%d" shards)
+        (Printf.sprintf "sharded fused+sel shards=%d" shards)
         base r;
       let r2 =
         run_shd ~engine:Fuzz.Tracer.Interp ~selective:true ~shards prog s.seeds
@@ -230,7 +230,7 @@ let test_selective_resume () =
   in
   let straight =
     Fuzz.Campaign.run
-      ~config:(config_for Fuzz.Tracer.Compiled)
+      ~config:(config_for Fuzz.Tracer.Fused)
       ~checkpoint:sink prog ~seeds:s.seeds
   in
   check_bool "wrote at least one checkpoint" true (!acc <> []);
@@ -259,7 +259,7 @@ let test_selective_resume () =
             true
             (Fuzz.Triage.bugs straight.triage = Fuzz.Triage.bugs resumed.triage))
         !acc)
-    [ (Fuzz.Tracer.Compiled, "compiled"); (Fuzz.Tracer.Native, "native") ]
+    [ (Fuzz.Tracer.Fused, "fused"); (Fuzz.Tracer.Native, "native") ]
 
 (* ------------------------------------------------------------------ *)
 (* Probe self-pruning                                                 *)
@@ -275,10 +275,10 @@ let test_pruning_marks () =
   let prog = Minic.Lower.compile easy_bug_src in
   let prepared = Vm.Interp.prepare_cached prog in
   let tracer =
-    Fuzz.Tracer.make ~engine:Fuzz.Tracer.Compiled ~selective:true
+    Fuzz.Tracer.make ~engine:Fuzz.Tracer.Fused ~selective:true
       ~cmplog:false ~mode:Pathcov.Feedback.Path prepared
   in
-  check_bool "pruning available (compiled+selective+path)" true
+  check_bool "pruning available (fused+selective+path)" true
     (Fuzz.Tracer.pruning_available tracer);
   let interp_tracer =
     Fuzz.Tracer.make ~engine:Fuzz.Tracer.Interp ~selective:true ~cmplog:false
@@ -323,7 +323,7 @@ let test_pruning_in_calibration () =
       mode = Pathcov.Feedback.Path;
       budget = 1_000;
       cmplog = true;
-      engine = Fuzz.Tracer.Compiled;
+      engine = Fuzz.Tracer.Fused;
       selective = true;
     }
   in
