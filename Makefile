@@ -33,7 +33,10 @@ history: build
 # Resume-determinism smoke: an interrupted-and-resumed campaign must
 # print byte-identical results to the uninterrupted one — sequentially,
 # and from a 2-shard snapshot resumed single-sharded (barriers are
-# functions of (seed, sync_interval), not the shard count).
+# functions of (seed, sync_interval), not the shard count). The second
+# tier repeats both on a retention-heavy run (sqlite3 under pathafl
+# keeps thousands of entries), so the restored top-rated table, slot
+# counts and packed index sets carry a large queue.
 resume-check: build
 	@rm -rf _build/resume-check && mkdir -p _build/resume-check
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f afl -b 4000 \
@@ -56,6 +59,25 @@ resume-check: build
 	  > _build/resume-check/sh-resumed.out
 	diff _build/resume-check/sh-straight.out _build/resume-check/sh-ckpt.out
 	diff _build/resume-check/sh-straight.out _build/resume-check/sh-resumed.out
+	./_build/default/bin/pathfuzz.exe fuzz -s sqlite3 -f pathafl -b 20000 \
+	  > _build/resume-check/rh-straight.out
+	./_build/default/bin/pathfuzz.exe fuzz -s sqlite3 -f pathafl -b 20000 \
+	  --checkpoint _build/resume-check/rh.ckpt --checkpoint-every 500 \
+	  > _build/resume-check/rh-ckpt.out
+	./_build/default/bin/pathfuzz.exe fuzz -s sqlite3 -f pathafl -b 20000 \
+	  --resume _build/resume-check/rh.ckpt > _build/resume-check/rh-resumed.out
+	diff _build/resume-check/rh-straight.out _build/resume-check/rh-ckpt.out
+	diff _build/resume-check/rh-straight.out _build/resume-check/rh-resumed.out
+	./_build/default/bin/pathfuzz.exe fuzz -s sqlite3 -f pathafl -b 20000 \
+	  --shards 2 > _build/resume-check/rh-sh-straight.out
+	./_build/default/bin/pathfuzz.exe fuzz -s sqlite3 -f pathafl -b 20000 \
+	  --shards 2 --checkpoint _build/resume-check/rh-sh.ckpt \
+	  --checkpoint-every 10000 > _build/resume-check/rh-sh-ckpt.out
+	./_build/default/bin/pathfuzz.exe fuzz -s sqlite3 -f pathafl -b 20000 \
+	  --shards 1 --resume _build/resume-check/rh-sh.ckpt \
+	  > _build/resume-check/rh-sh-resumed.out
+	diff _build/resume-check/rh-sh-straight.out _build/resume-check/rh-sh-ckpt.out
+	diff _build/resume-check/rh-sh-straight.out _build/resume-check/rh-sh-resumed.out
 	@echo "resume-check: straight, checkpointed and resumed runs identical"
 
 # Engine-determinism smoke: the fused closure engine, the native

@@ -68,20 +68,33 @@ let tests =
     (* F1: the compile-time cost of the Ball-Larus pass itself *)
     Test.make ~name:"fig1-ball-larus-pass"
       (Staged.stage (fun () -> ignore (Pathcov.Ball_larus.of_program prog_jq)));
-    (* T1/T3: queue bookkeeping — favored-corpus recomputation *)
+    (* T1/T3: queue bookkeeping — favored-corpus recomputation over a
+       queue whose entries claimed their top-rated slots on admission,
+       as a campaign's do *)
     Test.make ~name:"table1-table3-favored-corpus"
       (Staged.stage
          (let corpus = Fuzz.Corpus.create () in
           let rng = Fuzz.Rng.create 3 in
           for i = 0 to 199 do
-            ignore
-              (Fuzz.Corpus.add corpus
-                 ~data:(string_of_int i)
-                 ~indices:(Array.init 20 (fun _ -> Fuzz.Rng.int rng 4096))
-                 ~exec_blocks:(1 + Fuzz.Rng.int rng 500)
-                 ~depth:0 ~found_at:i)
+            let indices = Array.init 20 (fun _ -> Fuzz.Rng.int rng 4096) in
+            Array.sort compare indices;
+            let e =
+              Fuzz.Corpus.add corpus ~data:(string_of_int i) ~indices
+                ~exec_blocks:(1 + Fuzz.Rng.int rng 500)
+                ~depth:0 ~found_at:i
+            in
+            Fuzz.Corpus.claim_top_rated corpus e
           done;
           fun () -> Fuzz.Corpus.recompute_favored corpus));
+    (* T1/T3: the retention path's sort of a trace's touched indices *)
+    Test.make ~name:"table1-table3-sorted-indices"
+      (Staged.stage
+         (let m = Pathcov.Coverage_map.create () in
+          let rng = Fuzz.Rng.create 4 in
+          for _ = 1 to 1000 do
+            Pathcov.Coverage_map.hit m (Fuzz.Rng.int rng 65536)
+          done;
+          fun () -> ignore (Pathcov.Coverage_map.sorted_indices m)));
     (* T2/T6/T7/T8/T10: the campaign loop under each feedback *)
     Test.make ~name:"table2-campaign-path"
       (Staged.stage (tiny_campaign Pathcov.Feedback.Path));

@@ -248,7 +248,7 @@ let fuzz_cmd =
       & opt string ""
       & info [ "checkpoint" ] ~docv:"FILE"
           ~doc:
-            "Write a versioned campaign snapshot (pathfuzz-checkpoint/v1) \
+            "Write a versioned campaign snapshot (pathfuzz-checkpoint/v2) \
              to FILE, atomically, at each deterministic boundary (cycle \
              boundary, or shard merge barrier with $(b,--shards)) that \
              crosses a multiple of $(b,--checkpoint-every) executions. \

@@ -18,6 +18,10 @@ type t = {
   mask : int;
   mutable touched : int array;  (** indices with non-zero count, unordered *)
   mutable ntouched : int;
+  passes : int;  (** 8-bit radix digits per index: ceil(size_log2 / 8) *)
+  counts : int array;  (** [passes] digit histograms of 256 slots each *)
+  mutable sort_a : int array;  (** radix ping-pong scratch, journal-sized *)
+  mutable sort_b : int array;
 }
 
 type novelty =
@@ -30,7 +34,17 @@ let default_size_log2 = 16
 let create ?(size_log2 = default_size_log2) () =
   if size_log2 < 4 || size_log2 > 24 then invalid_arg "Coverage_map.create";
   let size = 1 lsl size_log2 in
-  { bits = Bytes.make size '\000'; mask = size - 1; touched = Array.make 256 0; ntouched = 0 }
+  let passes = (size_log2 + 7) / 8 in
+  {
+    bits = Bytes.make size '\000';
+    mask = size - 1;
+    touched = Array.make 256 0;
+    ntouched = 0;
+    passes;
+    counts = Array.make (256 * passes) 0;
+    sort_a = [||];
+    sort_b = [||];
+  }
 
 let size t = Bytes.length t.bits
 
@@ -133,27 +147,29 @@ let restore_raw (t : t) (payload : bytes) : unit =
   t.ntouched <- 0
 
 (** The merge half of {!merge_into} over a sparse capture instead of a
-    live trace: [idxs.(k)] carries classified byte [vals.(k)]. Sharded
-    campaigns record each retained candidate's classified trace as such a
-    pair of arrays in the parallel phase and replay the merges against
-    the shared virgin map, in deterministic order, at the sync barrier. *)
-let merge_sparse_into ~(virgin : t) ~(idxs : int array) ~(vals : int array) :
+    live trace: index [Index_set.get idxs k] carries classified byte
+    [vals.[k]]. Sharded campaigns record each retained candidate's
+    classified trace as such a pair ({!sorted_set}, {!values_of}) in the
+    parallel phase and replay the merges against the shared virgin map,
+    in deterministic order, at the sync barrier. *)
+let merge_sparse_into ~(virgin : t) ~(idxs : Index_set.t) ~(vals : string) :
     novelty =
-  if Array.length idxs <> Array.length vals then
+  if Index_set.length idxs <> String.length vals then
     invalid_arg "Coverage_map.merge_sparse_into";
   let res = ref Nothing in
-  for k = 0 to Array.length idxs - 1 do
-    let i = Array.unsafe_get idxs k land virgin.mask in
-    let tr = Array.unsafe_get vals k in
-    if tr <> 0 then begin
-      let vg = Char.code (Bytes.unsafe_get virgin.bits i) in
-      if tr land vg <> 0 then begin
-        if vg = 255 then res := New_tuple
-        else if !res = Nothing then res := New_bucket;
-        Bytes.unsafe_set virgin.bits i (Char.unsafe_chr (vg land lnot tr land 255))
-      end
-    end
-  done;
+  Index_set.iteri
+    (fun k idx ->
+      let i = idx land virgin.mask in
+      let tr = Char.code (String.unsafe_get vals k) in
+      if tr <> 0 then begin
+        let vg = Char.code (Bytes.unsafe_get virgin.bits i) in
+        if tr land vg <> 0 then begin
+          if vg = 255 then res := New_tuple
+          else if !res = Nothing then res := New_bucket;
+          Bytes.unsafe_set virgin.bits i (Char.unsafe_chr (vg land lnot tr land 255))
+        end
+      end)
+    idxs;
   !res
 
 (** Would {!merge_sparse_into} report novelty against [virgin]? A pure
@@ -161,25 +177,30 @@ let merge_sparse_into ~(virgin : t) ~(idxs : int array) ~(vals : int array) :
     to decide whether a novelty signal may enter the permanently-seen
     set: only coverage already folded into the epoch-start global map is
     monotonically non-novel for the rest of the run. *)
-let sparse_would_merge ~(virgin : t) ~(idxs : int array) ~(vals : int array) :
+let sparse_would_merge ~(virgin : t) ~(idxs : Index_set.t) ~(vals : string) :
     bool =
-  if Array.length idxs <> Array.length vals then
+  if Index_set.length idxs <> String.length vals then
     invalid_arg "Coverage_map.sparse_would_merge";
-  let n = Array.length idxs in
+  let n = String.length vals in
   let rec go k =
     k < n
-    && (Array.unsafe_get vals k
+    && (Char.code (String.unsafe_get vals k)
         land Char.code
-              (Bytes.unsafe_get virgin.bits (Array.unsafe_get idxs k land virgin.mask))
+              (Bytes.unsafe_get virgin.bits (Index_set.get idxs k land virgin.mask))
         <> 0
        || go (k + 1))
   in
   go 0
 
-(** Classified bytes of a trace at the given indices (the sparse capture
-    paired with {!sorted_indices} on the sharded retention path). *)
-let values_at (t : t) (idxs : int array) : int array =
-  Array.map (fun i -> Char.code (Bytes.unsafe_get t.bits (i land t.mask))) idxs
+(** Classified bytes of a trace at the indices of [idxs], one byte each
+    (the sparse capture paired with {!sorted_set} on the sharded
+    retention path). *)
+let values_of (t : t) (idxs : Index_set.t) : string =
+  let b = Bytes.create (Index_set.length idxs) in
+  Index_set.iteri
+    (fun k i -> Bytes.unsafe_set b k (Bytes.unsafe_get t.bits (i land t.mask)))
+    idxs;
+  Bytes.unsafe_to_string b
 
 (** Byte-for-byte map equality — the determinism check of the sharded
     differential suite ([merge_into] only ever writes [bits], so
@@ -200,13 +221,63 @@ let bytes_hash (t : t) : int =
 (** Number of indices hit in a trace (AFL's [count_bytes]). *)
 let count_set t = t.ntouched
 
-(** Indices hit in a trace, ascending, as a fresh array: the journal
-    slice is copied once and sorted in place — no list-sort-then-array
-    detour on the retention path. *)
-let sorted_indices t =
-  let a = Array.sub t.touched 0 t.ntouched in
-  Array.sort Int.compare a;
-  a
+(* LSD radix sort of the journal into the map's scratch, returning the
+   buffer that holds the ascending result (valid until the next sort).
+   One read of the journal fills every digit histogram; a pass whose
+   digit is the same for every index is skipped. The journal itself is
+   never reordered. *)
+let radix_sorted t : int array =
+  let n = t.ntouched in
+  if Array.length t.sort_a < n then begin
+    t.sort_a <- Array.make (Array.length t.touched) 0;
+    t.sort_b <- Array.make (Array.length t.touched) 0
+  end;
+  let counts = t.counts and passes = t.passes in
+  Array.fill counts 0 (256 * passes) 0;
+  for k = 0 to n - 1 do
+    let v = Array.unsafe_get t.touched k in
+    for p = 0 to passes - 1 do
+      let c = (p lsl 8) lor ((v lsr (p lsl 3)) land 255) in
+      Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
+    done
+  done;
+  let src = ref t.touched in
+  for p = 0 to passes - 1 do
+    let base = p lsl 8 in
+    (* exclusive prefix sums, noting a digit every index shares *)
+    let sum = ref 0 and trivial = ref false in
+    for d = 0 to 255 do
+      let c = Array.unsafe_get counts (base + d) in
+      if c = n then trivial := true;
+      Array.unsafe_set counts (base + d) !sum;
+      sum := !sum + c
+    done;
+    if not !trivial then begin
+      let s = !src in
+      let dst = if s == t.sort_a then t.sort_b else t.sort_a in
+      let shift = p lsl 3 in
+      for k = 0 to n - 1 do
+        let v = Array.unsafe_get s k in
+        let c = base + ((v lsr shift) land 255) in
+        let at = Array.unsafe_get counts c in
+        Array.unsafe_set dst at v;
+        Array.unsafe_set counts c (at + 1)
+      done;
+      src := dst
+    end
+  done;
+  !src
+
+(** Indices hit in a trace, ascending, as a fresh array: an LSD radix
+    sort of the journal (8-bit digits, [ceil(size_log2 / 8)] passes)
+    through scratch owned by the map, so maps on different domains sort
+    independently. *)
+let sorted_indices t = Array.sub (radix_sorted t) 0 t.ntouched
+
+(** Indices hit in a trace, ascending, packed — the retention path's
+    form: the sorted scratch is packed directly, with no intermediate
+    [int array]. *)
+let sorted_set t = Index_set.of_sub (radix_sorted t) ~pos:0 ~len:t.ntouched
 
 (** Indices hit in a trace, ascending (list wrapper over
     {!sorted_indices}, kept for renderers and tests). *)
@@ -221,10 +292,12 @@ let iteri_set f t =
 
 let copy t =
   {
+    t with
     bits = Bytes.copy t.bits;
-    mask = t.mask;
     touched = Array.copy t.touched;
-    ntouched = t.ntouched;
+    counts = Array.copy t.counts;
+    sort_a = [||];
+    sort_b = [||];
   }
 
 (** Read the raw byte at a map index (tests and diagnostics). *)

@@ -51,20 +51,21 @@ val raw_bytes : t -> bytes
     required) and reset the journal — the checkpoint restore half. *)
 val restore_raw : t -> bytes -> unit
 
-(** The merge half of {!merge_into} over a sparse (index, classified
-    byte) capture instead of a live trace — sharded campaigns replay
-    their shards' recorded discoveries against the shared virgin map in
-    deterministic order at the sync barrier. *)
-val merge_sparse_into : virgin:t -> idxs:int array -> vals:int array -> novelty
+(** The merge half of {!merge_into} over a sparse capture instead of a
+    live trace: index [Index_set.get idxs k] carries classified byte
+    [vals.[k]]. Sharded campaigns replay their shards' recorded
+    discoveries against the shared virgin map in deterministic order at
+    the sync barrier. *)
+val merge_sparse_into : virgin:t -> idxs:Index_set.t -> vals:string -> novelty
 
 (** Would {!merge_sparse_into} report novelty? Pure — the virgin map is
     not written. Selective shard loops consult it before promoting a
     novelty signal to the permanently-seen set. *)
-val sparse_would_merge : virgin:t -> idxs:int array -> vals:int array -> bool
+val sparse_would_merge : virgin:t -> idxs:Index_set.t -> vals:string -> bool
 
-(** Classified bytes of a trace at the given indices (pairs with
-    {!sorted_indices} to form the sparse capture above). *)
-val values_at : t -> int array -> int array
+(** Classified bytes of a trace at the indices of a set, one byte each
+    (pairs with {!sorted_set} to form the sparse capture above). *)
+val values_of : t -> Index_set.t -> string
 
 (** Byte-for-byte map equality (determinism checks). *)
 val equal : t -> t -> bool
@@ -76,10 +77,14 @@ val bytes_hash : t -> int
 (** Number of indices hit (AFL's [count_bytes]). *)
 val count_set : t -> int
 
-(** Indices hit, ascending, as a fresh array (the journal slice sorted
-    in place — the allocation-lean form used on the fuzzer's retention
-    path). *)
+(** Indices hit, ascending, as a fresh array: an LSD radix sort of the
+    journal (8-bit digits, [ceil(size_log2 / 8)] passes) through scratch
+    owned by the map, so maps on different domains sort independently. *)
 val sorted_indices : t -> int array
+
+(** Indices hit, ascending, packed straight from the sort scratch — the
+    form the retention path stores. *)
+val sorted_set : t -> Index_set.t
 
 (** Indices hit, ascending (list wrapper over {!sorted_indices}, kept
     for renderers and tests). *)

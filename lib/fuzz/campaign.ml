@@ -242,11 +242,6 @@ let cmps_of_buf (b : cmp_buf) : Mutator.cmp_pair array =
 
 let current_cmps (st : state) : Mutator.cmp_pair array = cmps_of_buf st.cmp_buf
 
-(* Incremental update_bitmap_score (afl's on-retention half, now owned by
-   Corpus so the sharded merge scheduler shares it verbatim). *)
-let update_top_rated (st : state) (e : Corpus.entry) =
-  Corpus.claim_top_rated st.corpus e
-
 (* Crash/hang bookkeeping shared by every execution site — seed import,
    queue-entry calibration and mutated candidates all triage the same way,
    so no outcome can be dropped on the floor. Counter bumps and Crash/Hang
@@ -295,12 +290,12 @@ let novel (st : state) : bool =
 
 let retain (st : state) ~depth (out : Vm.Interp.outcome) (data : string) : unit
     =
-  let indices = Pathcov.Coverage_map.sorted_indices st.feedback.trace in
+  let indices = Pathcov.Coverage_map.sorted_set st.feedback.trace in
   let e =
-    Corpus.add st.corpus ~data ~indices
+    Corpus.add_set st.corpus ~data ~indices
       ~exec_blocks:(max 1 out.blocks_executed) ~depth ~found_at:st.execs
   in
-  update_top_rated st e;
+  Corpus.claim_top_rated st.corpus e;
   let c = st.obs.counters in
   c.retained <- c.retained + 1;
   Obs.Observer.event st.obs
@@ -400,7 +395,7 @@ let calibrate (st : state) (e : Corpus.entry) : Mutator.cmp_pair array =
      always fully instrumented, and its trace feeds only the virgin
      merge — eliding writes to saturated indices cannot change the merge
      verdict (Nothing either way at those indices) or the virgin bytes.
-     Retention and crash triage read [sorted_indices], so the marks come
+     Retention and crash triage read [sorted_set], so the marks come
      off before anything else executes, and a crash under pruning is
      replayed unpruned before its crash-virgin merge. *)
   trace_begin st Obs.Trace.Calibrate;

@@ -27,15 +27,19 @@
       {!fingerprint}, the deterministic identity);
     - the triage record: every crash cluster with its witness input.
 
-    On-disk format ([pathfuzz-checkpoint/v1]): an ASCII magic+version
+    On-disk format ([pathfuzz-checkpoint/v2]): an ASCII magic+version
     header, a length-prefixed little-endian binary payload, and a
-    trailing FNV-1a checksum over everything before it. {!of_string}
-    rejects truncated, corrupted, foreign and future-versioned files
-    with a diagnostic [Error] — never an exception — so the CLI can turn
-    any bad snapshot into a clean nonzero exit. *)
+    trailing FNV-1a checksum over everything before it. Entry index sets
+    are stored in their packed form ({!Pathcov.Index_set.encoding}), and
+    the whole file is written into one buffer whose checksum is folded
+    in as it grows. {!of_string} rejects truncated, corrupted, foreign,
+    older and future-versioned files, and payloads whose index sets or
+    top-rated pairs do not fit the recorded map size, with a diagnostic
+    [Error] — never an exception — so the CLI can turn any bad snapshot
+    into a clean nonzero exit. *)
 
 let magic_prefix = "pathfuzz-checkpoint/"
-let version = 1
+let version = 2
 let header = Printf.sprintf "%sv%d\n" magic_prefix version
 
 (** The identity of the run that wrote a snapshot. Resume validates the
@@ -79,7 +83,7 @@ type progress = {
 type entry_rec = {
   e_id : int;
   e_data : string;
-  e_indices : int array;
+  e_indices : Pathcov.Index_set.t;  (** packed, ascending *)
   e_exec_blocks : int;
   e_depth : int;
   e_found_at : int;
@@ -141,19 +145,13 @@ let capture ~(id : config_id) ~(progress : progress)
         {
           e_id = e.Corpus.id;
           e_data = e.Corpus.data;
-          e_indices = Array.copy e.Corpus.indices;
+          e_indices = e.Corpus.set;
           e_exec_blocks = e.Corpus.exec_blocks;
           e_depth = e.Corpus.depth;
           e_found_at = e.Corpus.found_at;
           e_favored = e.Corpus.favored;
           e_times_fuzzed = e.Corpus.times_fuzzed;
         })
-  in
-  let top_rated =
-    Hashtbl.fold
-      (fun idx (e : Corpus.entry) acc -> (idx, e.Corpus.id) :: acc)
-      corpus.Corpus.top_rated []
-    |> List.sort compare |> Array.of_list
   in
   let rec_of (r : Triage.record) =
     { x_crash = r.Triage.crash; x_input = r.Triage.input; x_at_exec = r.Triage.at_exec }
@@ -174,7 +172,7 @@ let capture ~(id : config_id) ~(progress : progress)
     entries;
     next_entry_id = corpus.Corpus.next_id;
     pending_favored = corpus.Corpus.pending_favored;
-    top_rated;
+    top_rated = Corpus.top_rated_pairs corpus;
     counters = counters_copy;
     snapshots = Array.of_list snapshots;
     triage =
@@ -192,31 +190,32 @@ let capture ~(id : config_id) ~(progress : progress)
 (* ------------------------------------------------------------------ *)
 (* Restore *)
 
-(** Rebuild the captured queue into [corpus] (normally fresh): entries in
-    discovery order with their metadata, favored flags, the top-rated
-    table and the pending-favored count — everything the scheduler and
-    the incremental [claim_top_rated] path read. *)
+(** Rebuild the captured queue into [corpus]: entries in discovery order
+    under their recorded ids, with their metadata, favored flags, the
+    top-rated table (and with it every entry's slot count) and the
+    pending-favored count — everything the scheduler and the incremental
+    [claim_top_rated] path read. *)
 let restore_corpus_into (ck : t) (corpus : Corpus.t) : unit =
-  corpus.Corpus.size <- 0;
-  Hashtbl.reset corpus.Corpus.top_rated;
+  Corpus.clear corpus;
+  let by_id = Hashtbl.create (max 16 (Array.length ck.entries)) in
   Array.iter
     (fun (er : entry_rec) ->
+      corpus.Corpus.next_id <- er.e_id;
       let e =
-        Corpus.add corpus ~data:er.e_data ~indices:er.e_indices
+        Corpus.add_set corpus ~data:er.e_data ~indices:er.e_indices
           ~exec_blocks:er.e_exec_blocks ~depth:er.e_depth
           ~found_at:er.e_found_at
       in
       e.Corpus.favored <- er.e_favored;
-      e.Corpus.times_fuzzed <- er.e_times_fuzzed)
+      e.Corpus.times_fuzzed <- er.e_times_fuzzed;
+      Hashtbl.replace by_id er.e_id e)
     ck.entries;
   corpus.Corpus.next_id <- ck.next_entry_id;
   corpus.Corpus.pending_favored <- ck.pending_favored;
-  let by_id = Hashtbl.create (max 16 (Array.length ck.entries)) in
-  Corpus.iter (fun e -> Hashtbl.replace by_id e.Corpus.id e) corpus;
   Array.iter
     (fun (idx, eid) ->
       match Hashtbl.find_opt by_id eid with
-      | Some e -> Hashtbl.replace corpus.Corpus.top_rated idx e
+      | Some e -> Corpus.rate corpus ~slot:idx e
       | None -> invalid_arg "Checkpoint.restore_corpus_into: dangling entry id")
     ck.top_rated
 
@@ -279,26 +278,72 @@ let check_compat ~(expected : config_id) (ck : t) : (unit, string) result =
 (* ------------------------------------------------------------------ *)
 (* Binary encoding: little-endian, length-prefixed, checksummed *)
 
-let w_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
+(* FNV-1a, folded into OCaml's 63-bit int range — the same construction
+   Coverage_map.bytes_hash uses. *)
+let fnv_basis = 0x3bf29ce484222325
 
-let w_bool buf b = w_int buf (if b then 1 else 0)
+let fnv_fold h (b : Bytes.t) ~pos ~len : int =
+  let h = ref h in
+  for i = pos to pos + len - 1 do
+    h := !h lxor Char.code (Bytes.unsafe_get b i);
+    h := !h * 0x100000001b3
+  done;
+  !h
 
-let w_str buf s =
-  w_int buf (String.length s);
-  Buffer.add_string buf s
+(* One growable buffer for the whole file. The FNV-1a state covers
+   [buf[0, hashed)] and is folded forward whenever the buffer grows and
+   at the end, so the checksum never needs a second copy of the body. *)
+type writer = {
+  mutable buf : Bytes.t;
+  mutable len : int;
+  mutable hashed : int;
+  mutable h : int;
+}
 
-let w_bytes buf b =
-  w_int buf (Bytes.length b);
-  Buffer.add_bytes buf b
+let writer cap = { buf = Bytes.create (max 64 cap); len = 0; hashed = 0; h = fnv_basis }
+
+let fold_hash w =
+  w.h <- fnv_fold w.h w.buf ~pos:w.hashed ~len:(w.len - w.hashed);
+  w.hashed <- w.len
+
+(* The checksum of everything written so far. *)
+let checksum w =
+  fold_hash w;
+  w.h land max_int
+
+let reserve w n =
+  if w.len + n > Bytes.length w.buf then begin
+    fold_hash w;
+    let bigger = Bytes.create (max (w.len + n) (2 * Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 bigger 0 w.len;
+    w.buf <- bigger
+  end
+
+let w_int64 w v =
+  reserve w 8;
+  Bytes.set_int64_le w.buf w.len v;
+  w.len <- w.len + 8
+
+let w_int w n = w_int64 w (Int64.of_int n)
+
+let w_bool w b = w_int w (if b then 1 else 0)
+
+(* Bytes appended as they are, with no length prefix. *)
+let w_raw w s =
+  let n = String.length s in
+  reserve w n;
+  Bytes.blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
+
+let w_str w s =
+  w_int w (String.length s);
+  w_raw w s
+
+let w_bytes w b = w_str w (Bytes.unsafe_to_string b)
 
 (* Floats as raw IEEE bits; [zero] writes 0.0 instead — the fingerprint
    path, where wall-clock measurements must not perturb the identity. *)
-let w_float ~zero buf f =
-  Buffer.add_int64_le buf (if zero then 0L else Int64.bits_of_float f)
-
-let w_int_array buf a =
-  w_int buf (Array.length a);
-  Array.iter (w_int buf) a
+let w_float ~zero w f = w_int64 w (if zero then 0L else Int64.bits_of_float f)
 
 let w_crash buf (c : Vm.Crash.t) =
   (match c.Vm.Crash.kind with
@@ -360,9 +405,7 @@ let w_snapshot ~zero buf (r : Obs.Snapshot.row) =
   w_float ~zero buf r.mut_s;
   w_float ~zero buf r.mut_minor_words
 
-let payload ?(zero_floats = false) (ck : t) : string =
-  let buf = Buffer.create 4096 in
-  let zero = zero_floats in
+let w_payload ~zero buf (ck : t) : unit =
   let id = ck.id in
   w_str buf id.subject;
   w_str buf id.fuzzer;
@@ -392,7 +435,7 @@ let payload ?(zero_floats = false) (ck : t) : string =
     (fun (e : entry_rec) ->
       w_int buf e.e_id;
       w_str buf e.e_data;
-      w_int_array buf e.e_indices;
+      w_str buf (Pathcov.Index_set.encoding e.e_indices);
       w_int buf e.e_exec_blocks;
       w_int buf e.e_depth;
       w_int buf e.e_found_at;
@@ -418,33 +461,40 @@ let payload ?(zero_floats = false) (ck : t) : string =
   w_int buf (Array.length tr.tr_by_bug);
   Array.iter (w_crash_rec buf) tr.tr_by_bug;
   w_int buf (Array.length tr.tr_afl_unique);
-  Array.iter (w_crash_rec buf) tr.tr_afl_unique;
-  Buffer.contents buf
+  Array.iter (w_crash_rec buf) tr.tr_afl_unique
 
-(* FNV-1a over a string region, folded into OCaml's 63-bit int range —
-   the same construction Coverage_map.bytes_hash uses. *)
-let fnv (s : string) ~pos ~len : int =
-  let h = ref 0x3bf29ce484222325 in
-  for i = pos to pos + len - 1 do
-    h := !h lxor Char.code (String.unsafe_get s i);
-    h := !h * 0x100000001b3
-  done;
-  !h land max_int
+(* A capacity that holds most snapshots without regrowing: the two maps
+   and the queue's data and index sets dominate. *)
+let size_hint (ck : t) : int =
+  Array.fold_left
+    (fun a (e : entry_rec) ->
+      a + 64 + String.length e.e_data
+      + String.length (Pathcov.Index_set.encoding e.e_indices))
+    (4096 + Bytes.length ck.virgin + Bytes.length ck.crash_virgin
+    + (16 * Array.length ck.top_rated))
+    ck.entries
 
 (** The snapshot's deterministic identity: FNV-1a over the payload with
     every wall-clock float zeroed. Two runs at the same logical point —
     straight vs resumed, clocked vs unclocked, any shard count — have
     equal fingerprints. *)
 let fingerprint (ck : t) : int =
-  let p = payload ~zero_floats:true ck in
-  fnv p ~pos:0 ~len:(String.length p)
+  let w = writer (size_hint ck) in
+  w_payload ~zero:true w ck;
+  checksum w
 
-(** Serialize: header, payload, trailing checksum over both. *)
+(* The whole file in one buffer: header, payload, trailing checksum over
+   both. Returns the buffer and the file's length. *)
+let serialize (ck : t) : Bytes.t * int =
+  let w = writer (String.length header + size_hint ck + 8) in
+  w_raw w header;
+  w_payload ~zero:false w ck;
+  w_int w (checksum w);
+  (w.buf, w.len)
+
 let to_string (ck : t) : string =
-  let body = header ^ payload ck in
-  let chk = Buffer.create 8 in
-  Buffer.add_int64_le chk (Int64.of_int (fnv body ~pos:0 ~len:(String.length body)));
-  body ^ Buffer.contents chk
+  let buf, len = serialize ck in
+  Bytes.sub_string buf 0 len
 
 (* ------------------------------------------------------------------ *)
 (* Decoding *)
@@ -486,9 +536,10 @@ let r_float (r : reader) : float =
   r.pos <- r.pos + 8;
   v
 
-let r_int_array (r : reader) : int array =
-  let n = r_count r "array" in
-  Array.init n (fun _ -> r_int r)
+let r_set (r : reader) : Pathcov.Index_set.t =
+  match Pathcov.Index_set.of_encoding (r_str r) with
+  | Some s -> s
+  | None -> raise (Corrupt "malformed packed index set")
 
 let r_crash (r : reader) : Vm.Crash.t =
   let kind =
@@ -645,7 +696,7 @@ let parse_payload (src : string) ~pos ~limit : t =
     Array.init n_entries (fun _ ->
         let e_id = r_int r in
         let e_data = r_str r in
-        let e_indices = r_int_array r in
+        let e_indices = r_set r in
         let e_exec_blocks = r_int r in
         let e_depth = r_int r in
         let e_found_at = r_int r in
@@ -683,18 +734,32 @@ let parse_payload (src : string) ~pos ~limit : t =
   let n_afl = r_count r "afl-crash" in
   let tr_afl_unique = Array.init n_afl (fun _ -> r_crash_rec r) in
   if r.pos <> limit then raise (Corrupt "trailing bytes after payload");
-  (* referential sanity: the restore path must never fault *)
-  let expect_map_len = 1 lsl map_size_log2 in
+  (* referential sanity: the restore path must never fault — every index
+     lands in a table of [2^map_size_log2] slots *)
   if map_size_log2 < 4 || map_size_log2 > 24 then
     raise (Corrupt (Printf.sprintf "bad map_size_log2 %d" map_size_log2));
-  if Bytes.length virgin <> expect_map_len then
+  let map_len = 1 lsl map_size_log2 in
+  if Bytes.length virgin <> map_len then
     raise (Corrupt "virgin map length disagrees with map_size_log2");
-  if Bytes.length crash_virgin <> expect_map_len then
+  if Bytes.length crash_virgin <> map_len then
     raise (Corrupt "crash-virgin map length disagrees with map_size_log2");
   let ids = Hashtbl.create (max 16 n_entries) in
-  Array.iter (fun (e : entry_rec) -> Hashtbl.replace ids e.e_id ()) entries;
   Array.iter
-    (fun (_, eid) ->
+    (fun (e : entry_rec) ->
+      if not (Pathcov.Index_set.ascending_below ~bound:map_len e.e_indices) then
+        raise
+          (Corrupt
+             (Printf.sprintf
+                "entry %d index set is not strictly ascending within the map"
+                e.e_id));
+      Hashtbl.replace ids e.e_id ())
+    entries;
+  Array.iteri
+    (fun k (idx, eid) ->
+      if idx < 0 || idx >= map_len then
+        raise (Corrupt (Printf.sprintf "top-rated index %d outside the map" idx));
+      if k > 0 && idx <= fst top_rated.(k - 1) then
+        raise (Corrupt "top-rated indices are not strictly ascending");
       if not (Hashtbl.mem ids eid) then
         raise (Corrupt (Printf.sprintf "top-rated refers to unknown entry %d" eid)))
     top_rated;
@@ -714,9 +779,10 @@ let parse_payload (src : string) ~pos ~limit : t =
   }
 
 (** Decode a serialized snapshot. Every failure mode — foreign file,
-    future format version, truncation, bit corruption, malformed or
-    inconsistent payload — comes back as [Error diagnostic], never an
-    exception. *)
+    older or future format version, truncation, bit corruption, malformed
+    or inconsistent payload (an index set or top-rated pair outside the
+    recorded map, out of order, or naming no entry) — comes back as
+    [Error diagnostic], never an exception. *)
 let of_string (s : string) : (t, string) result =
   let len = String.length s in
   if len < String.length magic_prefix then
@@ -743,7 +809,11 @@ let of_string (s : string) : (t, string) result =
           let stored =
             Int64.to_int (String.get_int64_le s body_len)
           in
-          if fnv s ~pos:0 ~len:body_len <> stored then
+          if
+            fnv_fold fnv_basis (Bytes.unsafe_of_string s) ~pos:0 ~len:body_len
+            land max_int
+            <> stored
+          then
             Error "checkpoint checksum mismatch (truncated or corrupt file)"
           else begin
             match parse_payload s ~pos:(nl + 1) ~limit:body_len with
@@ -761,12 +831,12 @@ let of_string (s : string) : (t, string) result =
     Returns the serialized size in bytes (for checkpoint metrics). *)
 let write_file ~(path : string) (ck : t) : int =
   let tmp = path ^ ".tmp" in
-  let payload = to_string ck in
+  let buf, len = serialize ck in
   let oc = open_out_bin tmp in
-  output_string oc payload;
+  output oc buf 0 len;
   close_out oc;
   Sys.rename tmp path;
-  String.length payload
+  len
 
 let read_file (path : string) : (t, string) result =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -1,13 +1,14 @@
-(** Versioned campaign snapshots ([pathfuzz-checkpoint/v1]): capture a
+(** Versioned campaign snapshots ([pathfuzz-checkpoint/v2]): capture a
     campaign's full state at a deterministic boundary, write it to a
     checksummed binary file, and later resume a run whose remaining
     trajectory is byte-identical to the uninterrupted one.
 
     The format is an ASCII magic+version header, a length-prefixed
-    little-endian payload, and a trailing FNV-1a checksum; {!of_string}
-    turns every failure mode (foreign file, future version, truncation,
-    corruption, inconsistent payload) into [Error diagnostic] — never an
-    exception. See DESIGN.md §9. *)
+    little-endian payload with packed entry index sets, and a trailing
+    FNV-1a checksum; {!of_string} turns every failure mode (foreign
+    file, older or future version, truncation, corruption, inconsistent
+    payload) into [Error diagnostic] — never an exception. See DESIGN.md
+    §9. *)
 
 (** The identity of the run that wrote a snapshot; resume must validate
     the whole block ({!check_compat}). [sync_interval = 0] marks a
@@ -45,7 +46,7 @@ type progress = {
 type entry_rec = {
   e_id : int;
   e_data : string;
-  e_indices : int array;
+  e_indices : Pathcov.Index_set.t;  (** packed, ascending *)
   e_exec_blocks : int;
   e_depth : int;
   e_found_at : int;
@@ -107,9 +108,10 @@ val capture :
   snapshots:Obs.Snapshot.row list ->
   t
 
-(** Rebuild the captured queue into a (normally fresh) corpus: entries
-    in discovery order with metadata, favored flags, the top-rated table
-    and the pending-favored count. *)
+(** Rebuild the captured queue into a corpus (emptied first): entries in
+    discovery order under their recorded ids, with metadata, favored
+    flags, the top-rated table (and so every entry's slot count) and the
+    pending-favored count. *)
 val restore_corpus_into : t -> Corpus.t -> unit
 
 (** Refill a (normally fresh) triage record; observer counters are not
@@ -127,7 +129,10 @@ val fingerprint : t -> int
 
 val to_string : t -> string
 
-(** Decode a serialized snapshot; all failures come back as [Error]. *)
+(** Decode a serialized snapshot; all failures come back as [Error],
+    including a v1 file, an index set that is not strictly ascending
+    below [2^map_size_log2], and a top-rated pair outside the map, out of
+    order, or naming no entry. *)
 val of_string : string -> (t, string) result
 
 (** Serialize to [path] atomically (write to [path ^ ".tmp"], rename);

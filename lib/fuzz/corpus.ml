@@ -1,50 +1,73 @@
 (** The fuzzer queue and AFL's favored-corpus machinery.
 
     Each interesting test case is retained as an [entry] with the sparse
-    set of coverage-map indices it touches. [recompute_favored] implements
-    afl-fuzz's [update_bitmap_score]/[cull_queue] greedy set-cover
-    approximation: for every map index, the cheapest entry covering it is
-    top-rated, and an entry is *favored* if it is top-rated for at least
-    one index. The paper's culling strategy (§III-B1) and the opportunistic
-    queue trim (§III-B2) both reuse exactly this machinery, as does the
-    scheduler's favored-skip logic.
+    set of coverage-map indices it touches. The top-rated table maps
+    every map index to the cheapest entry covering it (afl-fuzz's
+    [update_bitmap_score]), and an entry is *favored* if it is top-rated
+    for at least one index ([cull_queue]'s greedy set-cover
+    approximation). The paper's culling strategy (§III-B1) and the
+    opportunistic queue trim (§III-B2) both reuse exactly this machinery,
+    as does the scheduler's favored-skip logic.
 
     The queue is a growable array in discovery order rather than a list:
     entries are never removed, so an index is a stable identity, random
     peers are O(1) lookups instead of [List.nth] walks (quadratic over a
     campaign as the queue grows), and the cycle scheduler snapshots the
     queue by remembering its length. [fav_factor] is cached per entry at
-    admission — data and cost never change — so the greedy set-cover pass
-    stops recomputing it per covered index. *)
+    admission — data and cost never change.
+
+    Retention costs time in the indices an entry touches, nothing more:
+    index sets are packed ({!Pathcov.Index_set}), the top-rated table is
+    a flat array indexed by map slot, and each entry counts the slots it
+    holds. Entries are claimed in discovery order as they are retained,
+    under the same [best.fav <= e.fav] tie rule a from-scratch rebuild
+    uses, so the incremental table always equals the rebuilt one and the
+    cycle-start refresh only re-reads the slot counts. *)
 
 type entry = {
   id : int;
   data : string;
-  indices : int array;  (** classified trace indices hit, ascending *)
+  set : Pathcov.Index_set.t;  (** classified trace indices hit, ascending *)
   exec_blocks : int;  (** work proxy standing in for execution time *)
   depth : int;  (** mutation chain length from the seed *)
   found_at : int;  (** global execution counter at discovery *)
   fav : int;  (** cached fav_factor: exec_blocks x (length + 16) *)
   mutable favored : bool;
   mutable times_fuzzed : int;
+  mutable slots : int;  (** top-rated slots this entry holds *)
 }
 
 type t = {
   mutable arr : entry array;  (** slots [0, size), discovery order *)
   mutable size : int;
   mutable next_id : int;
-  top_rated : (int, entry) Hashtbl.t;  (** map index -> cheapest entry *)
+  mutable top_rated : entry array;
+      (** map index -> cheapest entry, {!unrated} where none covers it;
+          grown on demand to cover the largest index claimed *)
   mutable pending_favored : int;
 }
 
-let create () =
+(* The holder of every slot no entry covers. Never mutated: claims
+   compare against it physically before touching a holder. *)
+let unrated =
   {
-    arr = [||];
-    size = 0;
-    next_id = 0;
-    top_rated = Hashtbl.create 1024;
-    pending_favored = 0;
+    id = -1;
+    data = "";
+    set = Pathcov.Index_set.empty;
+    exec_blocks = 0;
+    depth = 0;
+    found_at = 0;
+    fav = max_int;
+    favored = false;
+    times_fuzzed = 0;
+    slots = 0;
   }
+
+let create () =
+  { arr = [||]; size = 0; next_id = 0; top_rated = [||]; pending_favored = 0 }
+
+(** The entry's index set, unpacked into a fresh ascending array. *)
+let indices e = Pathcov.Index_set.to_array e.set
 
 (* afl's fav_factor: exec time * input length (cached at admission). *)
 let fav_factor e = e.fav
@@ -62,38 +85,34 @@ let iter f t =
     f (Array.unsafe_get t.arr i)
   done
 
+(** afl's cull_queue at a cycle start: an entry is favored iff it holds
+    a top-rated slot. The table is already exact (every retained entry
+    claimed its slots in discovery order), so this pass only refreshes
+    the flags and recounts [pending_favored] — time in the queue length,
+    not in the indices it covers. *)
 let recompute_favored (t : t) : unit =
-  Hashtbl.reset t.top_rated;
+  let pending = ref 0 in
   iter
     (fun e ->
-      Array.iter
-        (fun idx ->
-          match Hashtbl.find_opt t.top_rated idx with
-          | Some best when best.fav <= e.fav -> ()
-          | _ -> Hashtbl.replace t.top_rated idx e)
-        e.indices)
+      e.favored <- e.slots > 0;
+      if e.favored && e.times_fuzzed = 0 then incr pending)
     t;
-  iter (fun e -> e.favored <- false) t;
-  Hashtbl.iter (fun _ e -> e.favored <- true) t.top_rated;
-  t.pending_favored <- 0;
-  iter
-    (fun e ->
-      if e.favored && e.times_fuzzed = 0 then
-        t.pending_favored <- t.pending_favored + 1)
-    t
+  t.pending_favored <- !pending
 
-let add (t : t) ~data ~indices ~exec_blocks ~depth ~found_at : entry =
+let add_set (t : t) ~data ~(indices : Pathcov.Index_set.t) ~exec_blocks ~depth
+    ~found_at : entry =
   let e =
     {
       id = t.next_id;
       data;
-      indices;
+      set = indices;
       exec_blocks;
       depth;
       found_at;
       fav = exec_blocks * (String.length data + 16);
       favored = false;
       times_fuzzed = 0;
+      slots = 0;
     }
   in
   t.next_id <- t.next_id + 1;
@@ -106,28 +125,75 @@ let add (t : t) ~data ~indices ~exec_blocks ~depth ~found_at : entry =
   t.size <- t.size + 1;
   e
 
+let add (t : t) ~data ~(indices : int array) ~exec_blocks ~depth ~found_at :
+    entry =
+  add_set t ~data ~indices:(Pathcov.Index_set.of_array indices) ~exec_blocks
+    ~depth ~found_at
+
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.arr.(i) :: acc) in
   go (t.size - 1) []
 
+(* Grow the flat table to cover slot [i]: the next power of two, at
+   least 1024 slots. *)
+let cover (t : t) i =
+  let n = ref (max 1024 (Array.length t.top_rated)) in
+  while !n <= i do
+    n := 2 * !n
+  done;
+  let bigger = Array.make !n unrated in
+  Array.blit t.top_rated 0 bigger 0 (Array.length t.top_rated);
+  t.top_rated <- bigger
+
 (** Incremental update_bitmap_score (afl's on-retention half of the
     favored machinery): the new entry claims every top_rated slot it
-    covers more cheaply; favored flags are refreshed in full at cycle
-    boundaries by {!recompute_favored}. Newly-favored never-fuzzed
-    entries bump [pending_favored], exactly as the cycle recompute
-    would. *)
+    covers more cheaply — one load and compare per index — moving the
+    slot count from the old holder to it. Favored flags are refreshed at
+    cycle boundaries by {!recompute_favored}; until then a claim only
+    raises flags: newly-favored never-fuzzed entries bump
+    [pending_favored], exactly as the cycle refresh would. *)
 let claim_top_rated (t : t) (e : entry) : unit =
-  Array.iter
-    (fun idx ->
-      match Hashtbl.find_opt t.top_rated idx with
-      | Some best when best.fav <= e.fav -> ()
-      | _ ->
-          Hashtbl.replace t.top_rated idx e;
-          if not e.favored then begin
-            e.favored <- true;
-            if e.times_fuzzed = 0 then t.pending_favored <- t.pending_favored + 1
-          end)
-    e.indices
+  Pathcov.Index_set.iter
+    (fun i ->
+      if i >= Array.length t.top_rated then cover t i;
+      let best = Array.unsafe_get t.top_rated i in
+      if best == unrated || best.fav > e.fav then begin
+        if best != unrated then best.slots <- best.slots - 1;
+        Array.unsafe_set t.top_rated i e;
+        e.slots <- e.slots + 1;
+        if not e.favored then begin
+          e.favored <- true;
+          if e.times_fuzzed = 0 then t.pending_favored <- t.pending_favored + 1
+        end
+      end)
+    e.set
+
+(** Seat [e] in slot [i] of the top-rated table, displacing the current
+    holder — the checkpoint restore primitive. *)
+let rate (t : t) ~(slot : int) (e : entry) : unit =
+  if slot < 0 then invalid_arg "Corpus.rate";
+  if slot >= Array.length t.top_rated then cover t slot;
+  let best = t.top_rated.(slot) in
+  if best != unrated then best.slots <- best.slots - 1;
+  t.top_rated.(slot) <- e;
+  e.slots <- e.slots + 1
+
+(** Top-rated slots in ascending order with their holders' ids. *)
+let top_rated_pairs (t : t) : (int * int) array =
+  let out = ref [] in
+  for i = Array.length t.top_rated - 1 downto 0 do
+    let e = Array.unsafe_get t.top_rated i in
+    if e != unrated then out := (i, e.id) :: !out
+  done;
+  Array.of_list !out
+
+(** Empty the corpus back to its {!create} state. *)
+let clear (t : t) : unit =
+  t.arr <- [||];
+  t.size <- 0;
+  t.next_id <- 0;
+  t.top_rated <- [||];
+  t.pending_favored <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Shard views *)
@@ -159,7 +225,7 @@ let favored_subset (t : t) : entry list =
 (** Union of all covered indices across the queue, ascending. *)
 let covered_indices_arr (t : t) : int array =
   let tbl = Hashtbl.create 1024 in
-  iter (fun e -> Array.iter (fun i -> Hashtbl.replace tbl i ()) e.indices) t;
+  iter (fun e -> Pathcov.Index_set.iter (fun i -> Hashtbl.replace tbl i ()) e.set) t;
   let out = Array.make (Hashtbl.length tbl) 0 in
   let k = ref 0 in
   Hashtbl.iter

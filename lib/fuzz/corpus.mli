@@ -8,25 +8,35 @@
     The queue is a growable array in discovery order: entries are never
     removed, so an index is a stable identity and {!get} is O(1) — the
     scheduler snapshots a cycle by remembering the queue length and the
-    splice stage picks random peers without list walks. *)
+    splice stage picks random peers without list walks.
+
+    Retention costs time in the indices an entry touches: index sets are
+    packed, the top-rated table is a flat array indexed by map slot, and
+    each entry counts the slots it holds. {b Contract:} every entry is
+    claimed ({!claim_top_rated}) in discovery order, right after it is
+    added; the incremental table then equals a from-scratch rebuild, and
+    {!recompute_favored} only refreshes flags from the slot counts. *)
 
 type entry = {
   id : int;
   data : string;
-  indices : int array;  (** classified trace indices hit, ascending *)
+  set : Pathcov.Index_set.t;  (** classified trace indices hit, ascending *)
   exec_blocks : int;  (** work proxy standing in for execution time *)
   depth : int;  (** mutation chain length from the seed *)
   found_at : int;  (** global execution counter at discovery *)
   fav : int;  (** cached fav_factor: exec_blocks x (length + 16) *)
   mutable favored : bool;
   mutable times_fuzzed : int;
+  mutable slots : int;  (** top-rated slots this entry holds *)
 }
 
 type t = {
   mutable arr : entry array;  (** slots [0, size), discovery order *)
   mutable size : int;
   mutable next_id : int;
-  top_rated : (int, entry) Hashtbl.t;  (** map index -> cheapest entry *)
+  mutable top_rated : entry array;
+      (** map index -> cheapest entry; slots no entry covers hold a
+          sentinel with id [-1] *)
   mutable pending_favored : int;
 }
 
@@ -35,13 +45,29 @@ val create : unit -> t
 (** afl's fav_factor: execution work x input length (cached per entry). *)
 val fav_factor : entry -> int
 
-(** Full favored recomputation (afl's cull_queue, run at cycle starts). *)
+(** The entry's index set, unpacked into a fresh ascending array. *)
+val indices : entry -> int array
+
+(** Favored refresh at a cycle start (afl's cull_queue): [favored] is set
+    iff the entry holds a top-rated slot, and [pending_favored] is
+    recounted. Time in the queue length. *)
 val recompute_favored : t -> unit
 
+(** Append an entry; [indices] are packed. *)
 val add :
   t ->
   data:string ->
   indices:int array ->
+  exec_blocks:int ->
+  depth:int ->
+  found_at:int ->
+  entry
+
+(** {!add} for an already packed index set (the retention path). *)
+val add_set :
+  t ->
+  data:string ->
+  indices:Pathcov.Index_set.t ->
   exec_blocks:int ->
   depth:int ->
   found_at:int ->
@@ -59,10 +85,20 @@ val to_list : t -> entry list
 val size : t -> int
 
 (** Incremental update_bitmap_score: the (just-retained) entry claims
-    every top_rated slot it covers more cheaply, bumping
-    [pending_favored] for newly-favored never-fuzzed entries. Full
-    favored refresh stays with {!recompute_favored} at cycle starts. *)
+    every top_rated slot it covers more cheaply — one array load and
+    compare per index — bumping [pending_favored] for newly-favored
+    never-fuzzed entries. *)
 val claim_top_rated : t -> entry -> unit
+
+(** Seat an entry in one top-rated slot, displacing the holder (the
+    checkpoint restore primitive). *)
+val rate : t -> slot:int -> entry -> unit
+
+(** Rated slots, ascending, with their holders' ids. *)
+val top_rated_pairs : t -> (int * int) array
+
+(** Empty the corpus back to its {!create} state. *)
+val clear : t -> unit
 
 (** {2 Shard views}
 

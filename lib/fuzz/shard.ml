@@ -72,11 +72,12 @@ type item = {
   base_exec : int;  (** campaign execs before this item's first one *)
 }
 
-(* Sparse captures recorded by shards and replayed at the barrier. *)
+(* Sparse captures recorded by shards and replayed at the barrier, index
+   sets packed like the queue's. *)
 type retained_rec = {
   r_data : string;
-  r_idxs : int array;  (** classified trace indices, ascending *)
-  r_vals : int array;  (** classified trace bytes at [r_idxs] *)
+  r_idxs : Pathcov.Index_set.t;  (** classified trace indices, ascending *)
+  r_vals : string;  (** classified trace bytes at [r_idxs], one each *)
   r_exec_blocks : int;
   r_depth : int;
   r_at_exec : int;
@@ -86,8 +87,8 @@ type crash_rec = {
   c_crash : Vm.Crash.t;
   c_input : string;
   c_at_exec : int;
-  c_idxs : int array;
-  c_vals : int array;
+  c_idxs : Pathcov.Index_set.t;
+  c_vals : string;
 }
 
 type item_result = {
@@ -271,14 +272,14 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
     let tr = sh.feedback.trace in
     match out.status with
     | Vm.Interp.Crashed crash ->
-        let idxs = Pathcov.Coverage_map.sorted_indices tr in
+        let idxs = Pathcov.Coverage_map.sorted_set tr in
         res.crashes <-
           {
             c_crash = crash;
             c_input = Bytes.sub_string buf 0 len;
             c_at_exec = it.base_exec + !local;
             c_idxs = idxs;
-            c_vals = Pathcov.Coverage_map.values_at tr idxs;
+            c_vals = Pathcov.Coverage_map.values_of tr idxs;
           }
           :: res.crashes
     | Vm.Interp.Hung -> res.hangs <- (it.base_exec + !local) :: res.hangs
@@ -287,12 +288,12 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
           Pathcov.Coverage_map.merge_into ~virgin:sh.item_virgin tr
           <> Pathcov.Coverage_map.Nothing
         then
-          let idxs = Pathcov.Coverage_map.sorted_indices tr in
+          let idxs = Pathcov.Coverage_map.sorted_set tr in
           res.retained <-
             {
               r_data = Bytes.sub_string buf 0 len;
               r_idxs = idxs;
-              r_vals = Pathcov.Coverage_map.values_at tr idxs;
+              r_vals = Pathcov.Coverage_map.values_of tr idxs;
               r_exec_blocks = max 1 out.blocks_executed;
               r_depth = depth;
               r_at_exec = it.base_exec + !local;
@@ -345,8 +346,8 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
         if not (Tracer.seen_signal sh.tracer s) then begin
           capture_outcome (sh_replay base sh v) v ~depth;
           let tr = sh.feedback.trace in
-          let idxs = Pathcov.Coverage_map.sorted_indices tr in
-          let vals = Pathcov.Coverage_map.values_at tr idxs in
+          let idxs = Pathcov.Coverage_map.sorted_set tr in
+          let vals = Pathcov.Coverage_map.values_of tr idxs in
           if
             not
               (Pathcov.Coverage_map.sparse_would_merge ~virgin:global_virgin
@@ -538,7 +539,7 @@ let merge_epoch (t : t) (items : item array) (results : item_result array) :
             <> Pathcov.Coverage_map.Nothing
           then begin
             let e =
-              Corpus.add t.corpus ~data:rr.r_data ~indices:rr.r_idxs
+              Corpus.add_set t.corpus ~data:rr.r_data ~indices:rr.r_idxs
                 ~exec_blocks:rr.r_exec_blocks ~depth:rr.r_depth
                 ~found_at:rr.r_at_exec
             in
@@ -698,9 +699,9 @@ let import_seed (t : t) (sh : shard) (input : string) : unit =
       Obs.Observer.event t.obs
         (Obs.Event.Seed_import
            { at_exec = t.exec_base + t.execs; len = String.length input });
-      let indices = Pathcov.Coverage_map.sorted_indices sh.feedback.trace in
+      let indices = Pathcov.Coverage_map.sorted_set sh.feedback.trace in
       let e =
-        Corpus.add t.corpus ~data:input ~indices
+        Corpus.add_set t.corpus ~data:input ~indices
           ~exec_blocks:(max 1 out.blocks_executed) ~depth:0 ~found_at:t.execs
       in
       Corpus.claim_top_rated t.corpus e;

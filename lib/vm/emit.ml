@@ -9,7 +9,7 @@
 
 open Interp
 
-let emitter_version = 2
+let emitter_version = 3
 
 (* ------------------------------------------------------------------ *)
 (* Plugin side-channel *)

@@ -39,9 +39,10 @@ val set_cache_dir : string -> unit
 (** The cache directory currently in effect. *)
 val cache_dir : unit -> string
 
-(** Bumped whenever generated code changes shape or the host interface
-    it links against ({!Interp}) changes; part of the cache key, so
-    stale artifacts from older emitters are never loaded. *)
+(** Bumped whenever generated code changes shape or a host interface
+    it links against ({!Interp}, [Pathcov.Coverage_map]) changes; part
+    of the cache key, so stale artifacts from older emitters are never
+    loaded. *)
 val emitter_version : int
 
 (** {2 Instantiation} *)

@@ -287,6 +287,59 @@ let test_sharded_resume () =
         [ false; true ])
     [ (Pathcov.Feedback.Edge, "edge"); (Pathcov.Feedback.Pathafl, "pathafl") ]
 
+(* A retention-heavy sharded pathafl campaign over a 2^18 map: its index
+   sets need the 4-byte packing, and resuming from every barrier
+   snapshot, at one shard or two, is still byte-identical. *)
+let test_wide_map_resume () =
+  let s = Subjects.Registry.find_exn "cflow" in
+  let prog = Subjects.Subject.compile_fresh s in
+  let config shards =
+    {
+      Fuzz.Shard.base =
+        {
+          Fuzz.Campaign.default_config with
+          mode = Pathcov.Feedback.Pathafl;
+          budget = 3_000;
+          rng_seed = 5;
+          map_size_log2 = 18;
+        };
+      shards;
+      sync_interval = 512;
+    }
+  in
+  let acc = ref [] in
+  let straight, obs_s =
+    run_shd ~checkpoint:(mem_sink acc) (config 2) prog s.seeds
+  in
+  let cks = List.rev !acc in
+  check_bool "barriers wrote snapshots" true (List.length cks >= 3);
+  let last = List.nth cks (List.length cks - 1) in
+  check_bool "some index set is 4 bytes wide" true
+    (Array.exists
+       (fun (e : Fuzz.Checkpoint.entry_rec) ->
+         Pathcov.Index_set.width e.e_indices = 4)
+       last.entries);
+  List.iter
+    (fun shards ->
+      List.iter
+        (fun (ck : Fuzz.Checkpoint.t) ->
+          let label =
+            Printf.sprintf "map 2^18 shards=%d resume@%d" shards ck.progress.execs
+          in
+          let ck =
+            match Fuzz.Checkpoint.of_string (Fuzz.Checkpoint.to_string ck) with
+            | Ok ck -> ck
+            | Error e -> Alcotest.fail (label ^ ": " ^ e)
+          in
+          let acc_r = ref [] in
+          let resumed, obs_r =
+            run_shd ~checkpoint:(mem_sink acc_r) ~resume:ck (config shards) prog []
+          in
+          check_shard_identical label straight obs_s resumed obs_r;
+          check_snapshot_tail label ~straight:cks ~resumed_from:ck (List.rev !acc_r))
+        cks)
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Serialization round trip and robustness                             *)
 (* ------------------------------------------------------------------ *)
@@ -357,6 +410,69 @@ let test_rejects_damage () =
   expect_error "empty string" (Fuzz.Checkpoint.of_string "");
   expect_error "foreign bytes"
     (Fuzz.Checkpoint.of_string "not a checkpoint at all\n\x00\x01\x02")
+
+(* A payload can carry a valid checksum and still not fit the map it
+   records: every index set and top-rated pair must be strictly
+   ascending, inside [2^map_size_log2], and name a real entry, or the
+   flat top-rated table of the restore path would fault. *)
+let test_rejects_inconsistent_payload () =
+  let ck = some_checkpoint () in
+  let map_len = 1 lsl ck.id.map_size_log2 in
+  let reencoded label (ck' : Fuzz.Checkpoint.t) =
+    expect_error label
+      (Fuzz.Checkpoint.of_string (Fuzz.Checkpoint.to_string ck'))
+  in
+  let with_entry0_indices a =
+    let entries = Array.copy ck.entries in
+    entries.(0) <- { entries.(0) with e_indices = Pathcov.Index_set.of_array a };
+    { ck with entries }
+  in
+  check_bool "snapshot has entries and top-rated slots" true
+    (Array.length ck.entries > 0 && Array.length ck.top_rated > 1);
+  reencoded "entry index at the map size" (with_entry0_indices [| 1; map_len |]);
+  reencoded "entry index set not ascending" (with_entry0_indices [| 5; 3 |]);
+  reencoded "entry index set with a repeat" (with_entry0_indices [| 3; 3 |]);
+  let with_top_rated f = { ck with top_rated = f (Array.copy ck.top_rated) } in
+  reencoded "top-rated index at the map size"
+    (with_top_rated (fun a ->
+         let n = Array.length a in
+         a.(n - 1) <- (map_len, snd a.(n - 1));
+         a));
+  reencoded "top-rated index negative"
+    (with_top_rated (fun a ->
+         a.(0) <- (-1, snd a.(0));
+         a));
+  reencoded "top-rated indices out of order"
+    (with_top_rated (fun a ->
+         let t = a.(0) in
+         a.(0) <- a.(1);
+         a.(1) <- t;
+         a));
+  reencoded "top-rated dangling entry id"
+    (with_top_rated (fun a ->
+         a.(0) <- (fst a.(0), ck.next_entry_id + 7);
+         a));
+  (* the unmodified snapshot still decodes *)
+  match Fuzz.Checkpoint.of_string (Fuzz.Checkpoint.to_string ck) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("pristine snapshot rejected: " ^ e)
+
+(* Format v1 stored every index as an int64; this build reads only v2,
+   and says so. *)
+let test_rejects_v1 () =
+  let s = Fuzz.Checkpoint.to_string (some_checkpoint ()) in
+  let vpos = String.length "pathfuzz-checkpoint/v" in
+  check Alcotest.char "this build writes v2" '2' s.[vpos];
+  let v1 = Bytes.of_string s in
+  Bytes.set v1 vpos '1';
+  match Fuzz.Checkpoint.of_string (Bytes.to_string v1) with
+  | Ok _ -> Alcotest.fail "v1 snapshot accepted"
+  | Error msg ->
+      check_bool
+        (Printf.sprintf "diagnostic names the version (%s)" msg)
+        true
+        (String.starts_with ~prefix:"unsupported checkpoint format version \"v1\""
+           msg)
 
 let test_compat_check () =
   let ck = some_checkpoint () in
@@ -462,8 +578,13 @@ let suite =
         Alcotest.test_case "sharded resume byte-identical" `Quick
           test_sharded_resume;
         Alcotest.test_case "serialization round trip" `Quick test_roundtrip;
+        Alcotest.test_case "sharded pathafl resume at map 2^18" `Quick
+          test_wide_map_resume;
         Alcotest.test_case "damaged snapshots rejected" `Quick
           test_rejects_damage;
+        Alcotest.test_case "inconsistent payloads rejected" `Quick
+          test_rejects_inconsistent_payload;
+        Alcotest.test_case "v1 snapshots rejected" `Quick test_rejects_v1;
         Alcotest.test_case "config compatibility check" `Quick
           test_compat_check;
         Alcotest.test_case "atomic file round trip" `Quick test_file_io;

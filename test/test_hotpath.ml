@@ -139,6 +139,72 @@ let test_campaign_allocation () =
     true
     (per_cand >= 0. && per_cand < 20.)
 
+(* --- steady-state allocation: retention under pathafl --- *)
+
+(* Words a closure allocates, minor and major (large arrays skip the
+   minor heap, so minor words alone would miss them). *)
+let allocated_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+(* Replaying a pathafl campaign's queue into a fresh campaign retains
+   most of it, so nearly every evaluation takes the retention path:
+   radix sort of the journal, packing, the entry itself, the top-rated
+   claims. The subject's own allocations are measured by executing the
+   same inputs again and subtracted. Per retained entry the rest may
+   allocate the packed set (2 bytes per index), the input string and a
+   few fixed-size records — never a word per index. *)
+let test_retention_allocation () =
+  let s = Subjects.Registry.find_exn "sqlite3" in
+  let prog = Subjects.Subject.compile_fresh s in
+  let config =
+    {
+      Fuzz.Campaign.default_config with
+      mode = Pathcov.Feedback.Pathafl;
+      budget = 4_000;
+      rng_seed = 3;
+    }
+  in
+  let queue = Fuzz.Campaign.queue_inputs (Fuzz.Campaign.run ~config prog ~seeds:s.seeds) in
+  let st = Fuzz.Campaign.make_state ~config prog in
+  (* warm-up: the first retentions grow the journal scratch, the queue
+     array and the top-rated table *)
+  let warm, steady = List.partition (fun q -> Hashtbl.hash q land 1 = 0) queue in
+  List.iter (Fuzz.Campaign.process st ~depth:1) warm;
+  let c = st.obs.counters in
+  let r0 = c.retained in
+  let indices = ref 0 and bytes = ref 0 in
+  let words =
+    allocated_words (fun () ->
+        List.iter (Fuzz.Campaign.process st ~depth:1) steady)
+  in
+  let vm_words =
+    allocated_words (fun () ->
+        List.iter (fun q -> ignore (Fuzz.Campaign.execute st q)) steady)
+  in
+  let retained = c.retained - r0 in
+  for i = Fuzz.Corpus.size st.corpus - retained to Fuzz.Corpus.size st.corpus - 1 do
+    let e = Fuzz.Corpus.get st.corpus i in
+    indices := !indices + Pathcov.Index_set.length e.set;
+    bytes := !bytes + String.length e.data
+  done;
+  check_bool "steady phase retained entries" true (retained > 200);
+  let per_entry = (words -. vm_words) /. float_of_int retained in
+  let per_index = float_of_int !indices /. float_of_int retained in
+  let data_words = float_of_int !bytes /. 8. /. float_of_int retained in
+  (* packed set: a quarter word per index; input string: data/8 words;
+     entry, event and headers: a few dozen words. An [int array] set
+     alone would be a word per index (the Hashtbl-backed table measured
+     ~7 words per index here). *)
+  let bound = 64. +. data_words +. per_index in
+  check_bool
+    (Printf.sprintf
+       "words per retained entry bounded (got %.1f, %.0f indices/entry, bound %.1f)"
+       per_entry per_index bound)
+    true (per_entry < bound)
+
 (* --- indexed corpus invariants --- *)
 
 let test_corpus_indexing () =
@@ -183,5 +249,7 @@ let suite =
           test_mutator_allocation;
         test_case "campaign steady-state allocation" `Quick
           test_campaign_allocation;
+        test_case "retention steady-state allocation" `Quick
+          test_retention_allocation;
       ] );
   ]

@@ -6,7 +6,8 @@ let () =
    @ Test_native.suite
    @ Test_coverage.suite
    @ Test_exec.suite
-   @ Test_fuzz.suite @ Test_hotpath.suite @ Test_tracer.suite
+   @ Test_fuzz.suite @ Test_hotpath.suite @ Test_retention.suite
+   @ Test_tracer.suite
    @ Test_shard.suite
    @ Test_checkpoint.suite @ Test_subjects.suite
    @ Test_experiments.suite @ Test_obs.suite @ Test_introspect.suite

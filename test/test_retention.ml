@@ -1,0 +1,288 @@
+(* The retention path at touched-index cost (DESIGN.md §6, "Retention
+   path"): the incremental flat top-rated table equals a from-scratch
+   cull_queue rebuild, the radix-sorted journal equals a comparison
+   sort, and packed index sets round-trip at both widths. *)
+
+let check = Alcotest.check
+let check_bool = check Alcotest.bool
+
+module Cm = Pathcov.Coverage_map
+module Iset = Pathcov.Index_set
+module Corpus = Fuzz.Corpus
+
+(* ------------------------------------------------------------------ *)
+(* The from-scratch oracle                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* afl's cull_queue as the corpus ran it before the table became
+   incremental: rebuild top_rated over the queue in discovery order under
+   the [best.fav <= e.fav] tie rule, favor every holder, count the
+   never-fuzzed favored. Returns the table as ascending (index, entry
+   id) pairs, each entry's favored flag in discovery order, and the
+   pending count. *)
+let oracle (c : Corpus.t) =
+  let tbl = Hashtbl.create 1024 in
+  Corpus.iter
+    (fun e ->
+      Array.iter
+        (fun idx ->
+          match Hashtbl.find_opt tbl idx with
+          | Some (best : Corpus.entry) when best.fav <= e.fav -> ()
+          | _ -> Hashtbl.replace tbl idx e)
+        (Corpus.indices e))
+    c;
+  let holders = Hashtbl.create 64 in
+  Hashtbl.iter (fun _ (e : Corpus.entry) -> Hashtbl.replace holders e.id ()) tbl;
+  let pairs =
+    Hashtbl.fold (fun idx (e : Corpus.entry) acc -> (idx, e.id) :: acc) tbl []
+    |> List.sort compare
+  in
+  let flags =
+    List.map (fun (e : Corpus.entry) -> Hashtbl.mem holders e.id) (Corpus.to_list c)
+  in
+  let pending =
+    List.length
+      (List.filter
+         (fun (e : Corpus.entry) -> Hashtbl.mem holders e.id && e.times_fuzzed = 0)
+         (Corpus.to_list c))
+  in
+  (pairs, flags, pending)
+
+let pairs_t = Alcotest.(list (pair int int))
+
+(* The incremental state must match the oracle: the table at any time,
+   and the flags, pending count and slot counts after a cycle-start
+   refresh. *)
+let check_against_oracle label (c : Corpus.t) =
+  let pairs, flags, pending = oracle c in
+  check pairs_t (label ^ ": top-rated table") pairs
+    (Array.to_list (Corpus.top_rated_pairs c));
+  Corpus.recompute_favored c;
+  check Alcotest.(list bool) (label ^ ": favored flags") flags
+    (List.map (fun (e : Corpus.entry) -> e.favored) (Corpus.to_list c));
+  check Alcotest.int (label ^ ": pending_favored") pending c.pending_favored;
+  Corpus.iter
+    (fun e ->
+      check Alcotest.int
+        (Printf.sprintf "%s: slot count of entry %d" label e.id)
+        (List.length (List.filter (fun (_, id) -> id = e.id) pairs))
+        e.slots)
+    c;
+  check Alcotest.(list int)
+    (label ^ ": favored_subset")
+    (List.filteri (fun i _ -> List.nth flags i) (Corpus.to_list c)
+    |> List.map (fun (e : Corpus.entry) -> e.id))
+    (List.map (fun (e : Corpus.entry) -> e.id) (Corpus.favored_subset c))
+
+(* A random retention: few distinct costs so fav ties are common, index
+   sets drawn from a small universe so entries contend for slots. *)
+let random_add rng (c : Corpus.t) ~universe =
+  let n = Fuzz.Rng.int rng 12 in
+  let idxs =
+    List.sort_uniq compare (List.init n (fun _ -> Fuzz.Rng.int rng universe))
+  in
+  let e =
+    Corpus.add c
+      ~data:(String.make (Fuzz.Rng.int rng 3) 'x')
+      ~indices:(Array.of_list idxs)
+      ~exec_blocks:(1 + Fuzz.Rng.int rng 3)
+      ~depth:0 ~found_at:(Corpus.size c)
+  in
+  Corpus.claim_top_rated c e
+
+(* The scheduler's side: fuzz a random entry, as a cycle would. *)
+let random_fuzz rng (c : Corpus.t) =
+  if Corpus.size c > 0 then begin
+    let e = Corpus.get c (Fuzz.Rng.int rng (Corpus.size c)) in
+    e.times_fuzzed <- e.times_fuzzed + 1;
+    if e.favored && e.times_fuzzed = 1 then
+      c.pending_favored <- max 0 (c.pending_favored - 1)
+  end
+
+let test_incremental_equals_oracle () =
+  for seed = 1 to 40 do
+    let rng = Fuzz.Rng.create seed in
+    let c = Corpus.create () in
+    let universe = if seed mod 2 = 0 then 64 else 70_000 in
+    for step = 1 to 60 do
+      random_add rng c ~universe;
+      if Fuzz.Rng.chance rng ~num:1 ~den:3 then random_fuzz rng c;
+      if step mod 15 = 0 then
+        check_against_oracle (Printf.sprintf "seed %d step %d" seed step) c
+    done
+  done
+
+let dummy_id =
+  {
+    Fuzz.Checkpoint.subject = "oracle";
+    fuzzer = "test";
+    mode = "edge";
+    cmplog = false;
+    rng_seed = 0;
+    budget = 0;
+    fuel = 0;
+    max_depth = 0;
+    map_size_log2 = 17;
+    max_queue = 0;
+    sync_interval = 0;
+  }
+
+let dummy_progress =
+  {
+    Fuzz.Checkpoint.execs = 0;
+    blocks = 0;
+    havocs = 0;
+    rng_state = 0;
+    items_total = 0;
+    cycle_len = 0;
+    next_qi = 0;
+    epochs = 0;
+    dup_dropped = 0;
+  }
+
+(* A restored corpus carries the same table, slot counts and flags, and
+   keeps matching the oracle as retention continues on both copies. *)
+let test_restore_equals_oracle () =
+  for seed = 1 to 10 do
+    let rng = Fuzz.Rng.create (100 + seed) in
+    let c = Corpus.create () in
+    for _ = 1 to 40 do
+      random_add rng c ~universe:100_000;
+      if Fuzz.Rng.chance rng ~num:1 ~den:3 then random_fuzz rng c
+    done;
+    let ck =
+      Fuzz.Checkpoint.capture ~id:dummy_id ~progress:dummy_progress
+        ~virgin:(Cm.create_virgin ~size_log2:17 ())
+        ~crash_virgin:(Cm.create_virgin ~size_log2:17 ())
+        ~corpus:c ~triage:(Fuzz.Triage.create ())
+        ~counters:(Obs.Counters.create ()) ~snapshots:[]
+    in
+    let ck =
+      match Fuzz.Checkpoint.of_string (Fuzz.Checkpoint.to_string ck) with
+      | Ok ck -> ck
+      | Error e -> Alcotest.fail e
+    in
+    let r = Corpus.create () in
+    Fuzz.Checkpoint.restore_corpus_into ck r;
+    let label = Printf.sprintf "restore seed %d" seed in
+    check pairs_t (label ^ ": table")
+      (Array.to_list (Corpus.top_rated_pairs c))
+      (Array.to_list (Corpus.top_rated_pairs r));
+    check Alcotest.int (label ^ ": pending") c.pending_favored r.pending_favored;
+    List.iter2
+      (fun (a : Corpus.entry) (b : Corpus.entry) ->
+        check Alcotest.int (label ^ ": id") a.id b.id;
+        check Alcotest.int (label ^ ": slots") a.slots b.slots;
+        check_bool (label ^ ": favored") a.favored b.favored)
+      (Corpus.to_list c) (Corpus.to_list r);
+    (* continue both with the same retention stream *)
+    let rng_a = Fuzz.Rng.create seed and rng_b = Fuzz.Rng.create seed in
+    for _ = 1 to 20 do
+      random_add rng_a c ~universe:100_000;
+      random_add rng_b r ~universe:100_000
+    done;
+    check_against_oracle (label ^ " + 20 (original)") c;
+    check_against_oracle (label ^ " + 20 (restored)") r
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Radix-sorted journal                                                *)
+(* ------------------------------------------------------------------ *)
+
+let test_radix_matches_sort () =
+  List.iter
+    (fun log2 ->
+      let m = Cm.create ~size_log2:log2 () in
+      let rng = Fuzz.Rng.create log2 in
+      let size = 1 lsl log2 in
+      List.iter
+        (fun want ->
+          Cm.clear m;
+          let hits = ref 0 in
+          while Cm.count_set m < min want size && !hits < 50 * (want + 1) do
+            Cm.hit m (Fuzz.Rng.int rng size);
+            incr hits
+          done;
+          let journal = ref [] in
+          Cm.iteri_set (fun i _ -> journal := i :: !journal) m;
+          let expected = Array.of_list !journal in
+          Array.sort compare expected;
+          let label = Printf.sprintf "log2 %d, %d indices" log2 (Cm.count_set m) in
+          check Alcotest.(array int) (label ^ ": sorted_indices") expected
+            (Cm.sorted_indices m);
+          check Alcotest.(array int) (label ^ ": sorted_set") expected
+            (Iset.to_array (Cm.sorted_set m));
+          (* the journal itself is left in discovery order *)
+          let after = ref [] in
+          Cm.iteri_set (fun i _ -> after := i :: !after) m;
+          check Alcotest.(list int) (label ^ ": journal untouched") !journal !after)
+        [ 0; 1; 2; 3; 17; 255; 256; 257; 1000; 2500; 5000 ])
+    [ 4; 8; 16; 17; 24 ]
+
+(* ------------------------------------------------------------------ *)
+(* Packed index sets                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let test_packed_roundtrip () =
+  let rng = Fuzz.Rng.create 7 in
+  List.iter
+    (fun (bound, width) ->
+      for n = 0 to 300 do
+        let a =
+          Array.of_list
+            (List.sort_uniq compare (List.init n (fun _ -> Fuzz.Rng.int rng bound)))
+        in
+        (* pin the width: one index at the top of the range *)
+        let a = if n > 0 then Array.append a [| bound |] else a in
+        let s = Iset.of_array a in
+        let label = Printf.sprintf "bound %d, n %d" bound n in
+        check Alcotest.(array int) (label ^ ": round trip") a (Iset.to_array s);
+        check Alcotest.int (label ^ ": length") (Array.length a) (Iset.length s);
+        if n > 0 then check Alcotest.int (label ^ ": width") width (Iset.width s);
+        Array.iteri (fun k v -> check Alcotest.int (label ^ ": get") v (Iset.get s k)) a;
+        check_bool (label ^ ": encoding round trip") true
+          (match Iset.of_encoding (Iset.encoding s) with
+          | Some s' -> Iset.to_array s' = a
+          | None -> false);
+        check_bool (label ^ ": ascending below bound + 1") true
+          (Iset.ascending_below ~bound:(bound + 1) s)
+      done)
+    [ (0xFFFF, 2); (0xFFFF_FFFF, 4) ];
+  check Alcotest.int "empty" 0 (Iset.length Iset.empty);
+  check_bool "index beyond the bound" false
+    (Iset.ascending_below ~bound:10 (Iset.of_array [| 3; 10 |]));
+  check_bool "repeated index" false
+    (Iset.ascending_below ~bound:10 (Iset.of_array [| 3; 3 |]));
+  check_bool "descending" false
+    (Iset.ascending_below ~bound:100_000 (Iset.of_array [| 70_000; 3 |]));
+  List.iter
+    (fun bad ->
+      check_bool (Printf.sprintf "of_encoding rejects %S" bad) true
+        (Iset.of_encoding bad = None))
+    [ ""; "\003"; "\002\001"; "\004\001\002\003"; "\000" ];
+  List.iter
+    (fun v ->
+      check_bool (Printf.sprintf "of_array rejects %d" v) true
+        (match Iset.of_array [| v |] with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ -1; 0x1_0000_0000 ];
+  check_bool "get out of range raises" true
+    (match Iset.get (Iset.of_array [| 1; 2 |]) 2 with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+let suite =
+  [
+    ( "retention",
+      [
+        Alcotest.test_case "incremental top-rated equals rebuild" `Quick
+          test_incremental_equals_oracle;
+        Alcotest.test_case "restored top-rated equals rebuild" `Quick
+          test_restore_equals_oracle;
+        Alcotest.test_case "radix sort equals Array.sort" `Quick
+          test_radix_matches_sort;
+        Alcotest.test_case "packed index sets round trip" `Quick
+          test_packed_roundtrip;
+      ] );
+  ]

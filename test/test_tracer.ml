@@ -265,11 +265,17 @@ let test_selective_resume () =
 (* Probe self-pruning                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Merge every index of [idxs] at every bucket, saturating it. *)
+let saturate virgin (idxs : int array) =
+  let idxs = Array.of_list (List.sort_uniq compare (Array.to_list idxs)) in
+  let vals = String.make (Array.length idxs) '\255' in
+  ignore
+    (Pathcov.Coverage_map.merge_sparse_into ~virgin
+       ~idxs:(Pathcov.Index_set.of_array idxs) ~vals)
+
 let saturate_universe virgin (u : int array) =
   let mask = Pathcov.Coverage_map.size virgin - 1 in
-  let idxs = Array.map (fun i -> i land mask) u in
-  let vals = Array.map (fun _ -> 255) u in
-  ignore (Pathcov.Coverage_map.merge_sparse_into ~virgin ~idxs ~vals)
+  saturate virgin (Array.map (fun i -> i land mask) u)
 
 let test_pruning_marks () =
   let prog = Minic.Lower.compile easy_bug_src in
@@ -331,10 +337,7 @@ let test_pruning_in_calibration () =
   Fuzz.Campaign.add_seed st "xx";
   check_bool "seed retained" true (Fuzz.Corpus.size st.corpus > 0);
   (* saturate the whole virgin map *)
-  let n = Pathcov.Coverage_map.size st.virgin in
-  let idxs = Array.init n Fun.id in
-  let vals = Array.make n 255 in
-  ignore (Pathcov.Coverage_map.merge_sparse_into ~virgin:st.virgin ~idxs ~vals);
+  saturate st.virgin (Array.init (Pathcov.Coverage_map.size st.virgin) Fun.id);
   let crashes0 = st.triage.total_crashes in
   ignore (Fuzz.Campaign.calibrate st (Fuzz.Corpus.get st.corpus 0));
   check_bool "calibration engaged pruning" true
