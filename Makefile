@@ -90,15 +90,20 @@ resume-check: build
 # emit cache: the first run measures the cold compile wall, the second
 # must be served entirely from the cache (100% hits, zero misses), and
 # a PATHFUZZ_EMIT_FAIL=1 run must degrade to fused mid-flight with the
-# fallback counted in the metrics — all with identical stdout.
+# fallback counted in the metrics — all with identical stdout. The
+# --jsonl event streams (wall_s stripped) of one unclocked cmplog run
+# per engine must match too: stdout shows only totals, while each
+# calibration event carries the count of comparison pairs its capture
+# saw.
 engine-check: build
 	@rm -rf _build/engine-check && mkdir -p _build/engine-check
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  > _build/engine-check/interp.out
+	  --jsonl _build/engine-check/interp.jsonl > _build/engine-check/interp.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --engine interp --selective > _build/engine-check/selective.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --engine fused > _build/engine-check/fused.out
+	  --engine fused --jsonl _build/engine-check/fused.jsonl \
+	  > _build/engine-check/fused.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --engine fused --selective > _build/engine-check/fused-selective.out
 	diff _build/engine-check/interp.out _build/engine-check/selective.out
@@ -148,6 +153,16 @@ engine-check: build
 	  --metrics _build/engine-check/native-fail.metrics.json \
 	  > _build/engine-check/native-fail.out
 	diff _build/engine-check/interp.out _build/engine-check/native-fail.out
+	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
+	  --engine native --emit-cache _build/engine-check/emit-cache \
+	  --jsonl _build/engine-check/native.jsonl > /dev/null
+	for e in interp fused native; do \
+	  sed -E 's/"wall_s": ?[-0-9.e+]+//g' _build/engine-check/$$e.jsonl \
+	    > _build/engine-check/$$e.events || exit 1; \
+	done
+	grep -q '"calibration"' _build/engine-check/interp.events
+	diff _build/engine-check/interp.events _build/engine-check/fused.events
+	diff _build/engine-check/interp.events _build/engine-check/native.events
 	python3 -c "import json; \
 	  cold = json.load(open('_build/engine-check/native-cold.metrics.json')); \
 	  warm = json.load(open('_build/engine-check/native-warm.metrics.json')); \

@@ -61,16 +61,23 @@ type result = {
 let queue_inputs (r : result) : string list =
   List.map (fun (e : Corpus.entry) -> e.data) (Corpus.to_list r.corpus)
 
-(** Per-exec comparison-operand capture: a flat, insertion-ordered,
-    deduplicated buffer bounded at {!cmp_capacity} pairs. The previous
-    [(int * int, unit) Hashtbl.t] allocated a key tuple per probe hit and
-    — worse — handed its pairs to the mutator in [Hashtbl.fold] order, an
-    implementation detail of the hash function; program order is the
-    deterministic contract. *)
+(** Comparison-operand capture for calibration runs: a flat,
+    insertion-ordered, deduplicated buffer bounded at {!cmp_capacity}
+    pairs. The previous [(int * int, unit) Hashtbl.t] allocated a key
+    tuple per probe hit and — worse — handed its pairs to the mutator in
+    [Hashtbl.fold] order, an implementation detail of the hash function;
+    program order is the deterministic contract.
+
+    The probe records only while [capture] is set, and only
+    {!capturing} sets it, around a calibration run: no other run's pairs
+    are ever read (AFL++ likewise captures operands in a separate
+    per-entry cmplog run), so every other comparison costs one flag
+    test. *)
 type cmp_buf = {
   ops_a : int array;
   ops_b : int array;
   mutable n_cmps : int;
+  mutable capture : bool;
 }
 
 let cmp_capacity = 64
@@ -80,15 +87,22 @@ let make_cmp_buf () =
     ops_a = Array.make cmp_capacity 0;
     ops_b = Array.make cmp_capacity 0;
     n_cmps = 0;
+    capture = false;
   }
 
-let cmp_seen (b : cmp_buf) a bv =
-  let rec go i =
-    i < b.n_cmps
-    && ((Array.unsafe_get b.ops_a i = a && Array.unsafe_get b.ops_b i = bv)
-       || go (i + 1))
-  in
-  go 0
+(* Is the pair among slots [i, n_cmps)? Top-level, so a probe hit
+   allocates no closure. *)
+let rec cmp_seen (b : cmp_buf) a bv i =
+  i < b.n_cmps
+  && ((Array.unsafe_get b.ops_a i = a && Array.unsafe_get b.ops_b i = bv)
+     || cmp_seen b a bv (i + 1))
+
+let capturing (b : cmp_buf) (run : unit -> 'a) : 'a =
+  b.n_cmps <- 0;
+  b.capture <- true;
+  let r = run () in
+  b.capture <- false;
+  r
 
 type state = {
   prepared : Vm.Interp.prepared;
@@ -105,7 +119,7 @@ type state = {
   mutable blocks : int;
   mutable havocs : int;
   mutable sample_every : int;  (** snapshot cadence in executions *)
-  cmp_buf : cmp_buf;  (** per-exec comparison pairs, program order *)
+  cmp_buf : cmp_buf;  (** calibration-run comparison pairs, program order *)
   scratch : Mutator.scratch;  (** pooled mutation buffer, reused per child *)
   obs : Obs.Observer.t;
       (** counters + snapshots + event sink; may be shared across phases *)
@@ -127,8 +141,8 @@ let trace_end ?(arg = 0) (st : state) : unit =
   | None -> ()
 
 (* The instrumentation hook set installed in the context at state-creation
-   time. The cmplog probe (and its per-exec buffer bookkeeping) exists
-   only when the config asks for it. *)
+   time. The cmplog probe exists only when the config asks for it, and
+   records only while a calibration run has the buffer armed. *)
 let make_hooks (cfg : config) (fb : Pathcov.Feedback.t) (cmp_buf : cmp_buf) :
     Vm.Interp.hooks =
   {
@@ -138,7 +152,10 @@ let make_hooks (cfg : config) (fb : Pathcov.Feedback.t) (cmp_buf : cmp_buf) :
     h_ret = fb.on_ret;
     h_cmp =
       (if cfg.cmplog then (fun a b ->
-         if a <> b && cmp_buf.n_cmps < cmp_capacity && not (cmp_seen cmp_buf a b)
+         if
+           cmp_buf.capture && a <> b
+           && cmp_buf.n_cmps < cmp_capacity
+           && not (cmp_seen cmp_buf a b 0)
          then begin
            Array.unsafe_set cmp_buf.ops_a cmp_buf.n_cmps a;
            Array.unsafe_set cmp_buf.ops_b cmp_buf.n_cmps b;
@@ -147,25 +164,29 @@ let make_hooks (cfg : config) (fb : Pathcov.Feedback.t) (cmp_buf : cmp_buf) :
        else fun _ _ -> ());
   }
 
+(* Fold the VM wall the tracer accumulated into the counter block; runs
+   before anything reads the block's [vm_s]. *)
+let settle_vm_s (st : state) : unit =
+  let c = st.obs.counters in
+  c.vm_s <- c.vm_s +. Tracer.take_vm_s st.tracer
+
 (* One periodic stats row: the counter block plus the two facts only the
    campaign can see (queue size, virgin residual). The residual scan is
    word-wise over the virgin map — cheap at snapshot cadence. *)
 let take_snapshot (st : state) : unit =
+  settle_vm_s st;
   Obs.Observer.snapshot st.obs
     (Obs.Snapshot.of_counters st.obs.counters
        ~queue:(Corpus.size st.corpus)
        ~virgin_residual:(Pathcov.Coverage_map.residual st.virgin))
 
-(* Pre/post brackets around one VM run. A replay resets only the
-   listener state and trace map; an execution also clears the cmplog
-   buffer. The trace map is left classified for novelty checks. *)
-let reset_trace (st : state) : unit =
+(* Pre/post brackets around one VM run: [pre_exec] resets the listener
+   state and trace map (the cmplog buffer is cleared by {!capturing}
+   instead), [post_exec] leaves the trace classified for novelty
+   checks. *)
+let pre_exec (st : state) : unit =
   st.feedback.reset ();
   Pathcov.Coverage_map.clear st.feedback.trace
-
-let pre_exec (st : state) : unit =
-  reset_trace st;
-  if st.cfg.cmplog then st.cmp_buf.n_cmps <- 0
 
 let post_exec (st : state) (out : Vm.Interp.outcome) : unit =
   st.execs <- st.execs + 1;
@@ -178,21 +199,15 @@ let post_exec (st : state) (out : Vm.Interp.outcome) : unit =
   if st.execs mod st.sample_every = 0 then take_snapshot st
 
 (* The campaign's one cohort entry: [n] candidates through the tracer's
-   full or signal specialisation, the VM wall charged to the counter
-   block when the observer carries a clock. *)
+   full or signal specialisation. The tracer carries the observer's
+   clock and accumulates each run's VM wall until {!settle_vm_s}. *)
 let cohort (st : state) ~(signal : bool) ~(n : int)
     ~(gen : int -> Bytes.t * int) ~(sink : int -> Vm.Interp.outcome -> unit)
     : unit =
-  let clock = st.obs.clock in
-  let c = st.obs.counters in
-  let vm_s dt = c.vm_s <- c.vm_s +. dt in
   let fuel = st.cfg.fuel and max_depth = st.cfg.max_depth in
   if signal then
-    Tracer.run_signal_batch ?clock ~vm_s st.tracer st.ctx ~fuel ~max_depth ~n
-      ~gen ~sink
-  else
-    Tracer.run_full_batch ?clock ~vm_s st.tracer st.ctx ~fuel ~max_depth ~n
-      ~gen ~sink
+    Tracer.run_signal_batch st.tracer st.ctx ~fuel ~max_depth ~n ~gen ~sink
+  else Tracer.run_full_batch st.tracer st.ctx ~fuel ~max_depth ~n ~gen ~sink
 
 (* Seeds, calibration runs and replays: one full-instrumentation run of
    the view [v] as a cohort of one, [prep] resetting state first. *)
@@ -224,7 +239,7 @@ let execute (st : state) (input : string) : Vm.Interp.outcome =
    ticked for the first run of the same candidate. *)
 let replay (st : state) (v : Bytes.t * int) : Vm.Interp.outcome =
   trace_begin st Obs.Trace.Replay;
-  let out = run_one st ~prep:reset_trace v in
+  let out = run_one st ~prep:pre_exec v in
   Pathcov.Coverage_map.classify st.feedback.trace;
   let c = st.obs.counters in
   c.replays <- c.replays + 1;
@@ -406,7 +421,7 @@ let calibrate (st : state) (e : Corpus.entry) : Mutator.cmp_pair array =
      Tracer.pruned_fids st.tracer > 0)
   in
   if prune then Tracer.set_pruning st.tracer true;
-  let out = execute st e.data in
+  let out = capturing st.cmp_buf (fun () -> execute st e.data) in
   if prune then Tracer.set_pruning st.tracer false;
   (match out.status with
   | Vm.Interp.Crashed _ ->
@@ -514,6 +529,7 @@ let make_state ?plans ?obs ?(config = default_config) (prog : Minic.Ir.program)
     are unused here — the whole cursor is the exec clock. *)
 let capture_checkpoint (st : state) ~(subject : string) ~(fuzzer : string) :
     Checkpoint.t =
+  settle_vm_s st;
   Checkpoint.capture
     ~id:
       {

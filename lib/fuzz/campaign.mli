@@ -82,23 +82,31 @@ val run :
     directly (e.g. triaging a calibration crash on an entry that was
     parked in the queue without a clean execution). *)
 
-(** Per-exec comparison-operand capture: flat, insertion-ordered,
-    deduplicated, bounded — pairs reach the mutator in program order
-    rather than [Hashtbl.fold] order. *)
+(** Comparison-operand capture: flat, insertion-ordered, deduplicated,
+    bounded — pairs reach the mutator in program order rather than
+    [Hashtbl.fold] order. The probe records only while [capture] is set,
+    i.e. during a {!capturing} (calibration) run. *)
 type cmp_buf = {
   ops_a : int array;
   ops_b : int array;
   mutable n_cmps : int;
+  mutable capture : bool;
 }
 
 val make_cmp_buf : unit -> cmp_buf
+
+(** [capturing b run] empties [b] and arms the probe for the duration of
+    [run] (one calibration execution): the only window in which pairs
+    are recorded. *)
+val capturing : cmp_buf -> (unit -> 'a) -> 'a
 
 (** Both substitution directions per captured pair, in capture order. *)
 val cmps_of_buf : cmp_buf -> Mutator.cmp_pair array
 
 (** The instrumentation hook set a campaign installs in its execution
-    context (the cmplog probe exists only when the config asks for it) —
-    sharded campaigns build one per shard. *)
+    context (the cmplog probe exists only when the config asks for it,
+    and records only inside {!capturing}) — sharded campaigns build one
+    per shard. *)
 val make_hooks : config -> Pathcov.Feedback.t -> cmp_buf -> Vm.Interp.hooks
 
 (** afl-fuzz's fuzz_one skip probabilities over an explicit RNG and
@@ -128,7 +136,7 @@ type state = {
   mutable blocks : int;
   mutable havocs : int;
   mutable sample_every : int;  (** snapshot cadence in executions *)
-  cmp_buf : cmp_buf;  (** per-exec comparison pairs, program order *)
+  cmp_buf : cmp_buf;  (** calibration-run comparison pairs, program order *)
   scratch : Mutator.scratch;  (** pooled mutation buffer, reused per child *)
   obs : Obs.Observer.t;
       (** counters + snapshots + event sink; may be shared across phases *)
@@ -160,8 +168,9 @@ val add_seed : state -> string -> unit
     on coverage novelty if the queue has capacity. *)
 val process : state -> depth:int -> string -> unit
 
-(** One calibration run of a queue entry, capturing cmplog operand pairs;
-    the outcome is triaged exactly like {!process}'s. *)
+(** One calibration run of a queue entry — the only run that captures
+    cmplog operand pairs; the outcome is triaged exactly like
+    {!process}'s. *)
 val calibrate : state -> Corpus.entry -> Mutator.cmp_pair array
 
 (** {2 Checkpoint/resume}

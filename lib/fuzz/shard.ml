@@ -176,13 +176,9 @@ let sh_trace_end ?(arg = 0) (sh : shard) : unit =
 
 (* Pre/post brackets around one VM run on a shard — the parallel twin of
    Campaign.pre_exec/post_exec, writing only shard-private state. *)
-let sh_reset_trace (sh : shard) : unit =
+let sh_pre (sh : shard) : unit =
   sh.feedback.reset ();
   Pathcov.Coverage_map.clear sh.feedback.trace
-
-let sh_pre (base : Campaign.config) (sh : shard) : unit =
-  sh_reset_trace sh;
-  if base.cmplog then sh.cmp_buf.n_cmps <- 0
 
 let sh_post (sh : shard) (out : Vm.Interp.outcome) : unit =
   let c = sh.counters in
@@ -192,20 +188,15 @@ let sh_post (sh : shard) (out : Vm.Interp.outcome) : unit =
   Pathcov.Coverage_map.classify sh.feedback.trace
 
 (* The shard's one cohort entry: [n] candidates through the tracer's
-   full or signal specialisation, the VM wall charged to the shard's
-   counter block when it carries a clock. *)
+   full or signal specialisation. The tracer carries the shard's clock
+   and accumulates each run's VM wall until {!drain_shard}. *)
 let sh_cohort (base : Campaign.config) (sh : shard) ~(signal : bool)
     ~(n : int) ~(gen : int -> Bytes.t * int)
     ~(sink : int -> Vm.Interp.outcome -> unit) : unit =
-  let c = sh.counters in
-  let vm_s dt = c.vm_s <- c.vm_s +. dt in
   let fuel = base.fuel and max_depth = base.max_depth in
   if signal then
-    Tracer.run_signal_batch ?clock:sh.clock ~vm_s sh.tracer sh.ctx ~fuel
-      ~max_depth ~n ~gen ~sink
-  else
-    Tracer.run_full_batch ?clock:sh.clock ~vm_s sh.tracer sh.ctx ~fuel
-      ~max_depth ~n ~gen ~sink
+    Tracer.run_signal_batch sh.tracer sh.ctx ~fuel ~max_depth ~n ~gen ~sink
+  else Tracer.run_full_batch sh.tracer sh.ctx ~fuel ~max_depth ~n ~gen ~sink
 
 (* Seed imports, calibration runs and replays: one full-instrumentation
    run of the view [v] as a cohort of one, [prep] resetting state
@@ -226,7 +217,7 @@ let sh_execute (base : Campaign.config) (sh : shard) (input : string) :
     Vm.Interp.outcome =
   let out =
     sh_run_one base sh
-      ~prep:(fun () -> sh_pre base sh)
+      ~prep:(fun () -> sh_pre sh)
       (Bytes.unsafe_of_string input, String.length input)
   in
   sh_post sh out;
@@ -237,11 +228,22 @@ let sh_execute (base : Campaign.config) (sh : shard) (input : string) :
 let sh_replay (base : Campaign.config) (sh : shard) (v : Bytes.t * int) :
     Vm.Interp.outcome =
   sh_trace_begin sh Obs.Trace.Replay;
-  let out = sh_run_one base sh ~prep:(fun () -> sh_reset_trace sh) v in
+  let out = sh_run_one base sh ~prep:(fun () -> sh_pre sh) v in
   Pathcov.Coverage_map.classify sh.feedback.trace;
   sh.counters.replays <- sh.counters.replays + 1;
   sh_trace_end sh;
   out
+
+(* Fold a shard's private counter and metric blocks, and the VM wall its
+   tracer accumulated, into the campaign observer. Race-free only while
+   the shard domains are parked (seed import, sync barriers). *)
+let drain_shard (obs : Obs.Observer.t) (sh : shard) : unit =
+  let c = sh.counters in
+  c.vm_s <- c.vm_s +. Tracer.take_vm_s sh.tracer;
+  Obs.Counters.add_into ~into:obs.counters c;
+  Obs.Counters.reset c;
+  Obs.Metrics.add_into ~into:obs.metrics sh.metrics;
+  Obs.Metrics.reset sh.metrics
 
 (* O(1) random splice peer over the epoch-start queue snapshot — the
    same draw-to-entry mapping as Campaign.random_other, against the view
@@ -305,7 +307,10 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
      already in the queue), mirroring the sequential calibrate stage *)
   let cmps =
     if it.calib then begin
-      let out = sh_execute base sh e.Corpus.data in
+      let out =
+        Campaign.capturing sh.cmp_buf (fun () ->
+            sh_execute base sh e.Corpus.data)
+      in
       incr local;
       (match out.status with
       | Vm.Interp.Crashed _ | Vm.Interp.Hung ->
@@ -377,7 +382,7 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
           e.Corpus.data;
         c.mut_s <- c.mut_s +. (now () -. t0);
         c.mut_minor_words <- c.mut_minor_words +. (Gc.minor_words () -. w0));
-    sh_pre base sh;
+    sh_pre sh;
     let v = (sh.scratch.buf, sh.scratch.len) in
     cur := v;
     v
@@ -785,10 +790,7 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
              ~found_at:t.execs);
       (* drain seed-import execution counts out of shard 0's block so the
          observer is current before the first barrier *)
-      Obs.Counters.add_into ~into:c shards.(0).counters;
-      Obs.Counters.reset shards.(0).counters;
-      Obs.Metrics.add_into ~into:obs.metrics shards.(0).metrics;
-      Obs.Metrics.reset shards.(0).metrics);
+      drain_shard obs shards.(0));
   (* snapshot schedule: a pure function of the exec clock, identical for
      straight and resumed runs *)
   let next_mark = ref max_int in
@@ -839,13 +841,7 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
         in
         (* barrier: the shard domains are parked (run_phase returned), so
            draining their private counter/metric blocks is race-free *)
-        Array.iter
-          (fun sh ->
-            Obs.Counters.add_into ~into:c sh.counters;
-            Obs.Counters.reset sh.counters;
-            Obs.Metrics.add_into ~into:obs.metrics sh.metrics;
-            Obs.Metrics.reset sh.metrics)
-          shards;
+        Array.iter (drain_shard obs) shards;
         co_trace_begin obs Obs.Trace.Merge;
         let retained_now = merge_epoch t items results in
         co_trace_end ~arg:retained_now obs;

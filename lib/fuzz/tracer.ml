@@ -60,6 +60,37 @@ let engine_of_name = function
 
 let engine_names = [ "interp"; "fused"; "native" ]
 
+(* The VM-wall bracket, preallocated once per tracer so that timing a
+   run allocates nothing but its two clock reads: the running batch's
+   clock, charge, [gen] and [sink] sit in mutable slots read by two fixed
+   wrappers, saved and restored around every timed batch because a
+   replay runs as a nested batch inside the sink of the cohort that
+   triggered it. [walls] holds the start stamp and the accumulated VM
+   wall in a float array, whose stores do not box. *)
+type bracket = {
+  mutable now : unit -> float;
+  mutable charge : (float -> unit) option;
+      (** a caller's per-run charge; [None] accumulates into [walls.(1)] *)
+  mutable gen : int -> Bytes.t * int;
+  mutable sink : int -> Vm.Interp.outcome -> unit;
+  walls : float array;
+}
+
+(* [gen] returning marks the start of a run and the matching [sink] call
+   its end, so generation and consumption stay outside the measured
+   wall: exactly two clock reads per run. *)
+let bracket_gen (b : bracket) k =
+  let v = b.gen k in
+  Array.unsafe_set b.walls 0 (b.now ());
+  v
+
+let bracket_sink (b : bracket) k out =
+  let dt = b.now () -. Array.unsafe_get b.walls 0 in
+  (match b.charge with
+  | None -> Array.unsafe_set b.walls 1 (Array.unsafe_get b.walls 1 +. dt)
+  | Some f -> f dt);
+  b.sink k out
+
 type t = {
   engine : engine;
   selective : bool;
@@ -79,6 +110,10 @@ type t = {
   prune_mark : bool array;  (** current per-function pruning marks *)
   mutable pruned : int;  (** functions currently marked pruned *)
   compile_s : float;  (** wall spent compiling artifacts (0 unclocked) *)
+  clock : (unit -> float) option;  (** default VM-wall clock of every batch *)
+  bracket : bracket;
+  timed_gen : int -> Bytes.t * int;  (** [bracket_gen bracket] *)
+  timed_sink : int -> Vm.Interp.outcome -> unit;  (** [bracket_sink bracket] *)
 }
 
 (** Build a tracer over a prepared subject. [shared] (default [true])
@@ -87,7 +122,8 @@ type t = {
     the artifact's rebindable state is single-threaded. [cmplog] elides
     the comparison probes from compiled code when the campaign binds a
     no-op [h_cmp] anyway. [clock] (optional, observation-only) times the
-    artifact compilations into {!compile_seconds}. *)
+    artifact compilations into {!compile_seconds} and is the default
+    clock of every batch, whose VM walls accumulate until {!take_vm_s}. *)
 let make ?plans ?clock ?(shared = true) ~(engine : engine)
     ~(selective : bool) ~(cmplog : bool) ~(mode : Pathcov.Feedback.mode)
     (prepared : Vm.Interp.prepared) : t =
@@ -159,6 +195,15 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
              prepared)
     | _ -> None
   in
+  let bracket =
+    {
+      now = (fun () -> 0.);
+      charge = None;
+      gen = (fun _ -> (Bytes.empty, 0));
+      sink = (fun _ _ -> ());
+      walls = [| 0.; 0. |];
+    }
+  in
   {
     engine;
     selective;
@@ -175,6 +220,10 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
     prune_mark = Array.make (Array.length prepared.rfuncs) false;
     pruned = 0;
     compile_s = !compile_s;
+    clock;
+    bracket;
+    timed_gen = bracket_gen bracket;
+    timed_sink = bracket_sink bracket;
   }
 
 let engine_of (t : t) : engine = t.engine
@@ -202,29 +251,9 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t) ~(h_cmp : int -> int -> unit)
    loop, and back-to-back runs take the context's journaled fast-reset
    path; a one-off run is a cohort of one. *)
 
-(* The VM-wall bracket, once for every engine: [gen] returning marks the
-   start of a run and the matching [sink] call its end, so generation
-   and consumption stay outside the measured wall. Exactly two clock
-   reads per run. *)
-let timed ?clock ?vm_s gen sink =
-  match clock with
-  | None -> (gen, sink)
-  | Some now ->
-      let vm_s = match vm_s with Some f -> f | None -> ignore in
-      let t0 = ref 0. in
-      ( (fun k ->
-          let v = gen k in
-          t0 := now ();
-          v),
-        fun k out ->
-          vm_s (now () -. !t0);
-          sink k out )
-
-let run_full_batch ?clock ?vm_s (t : t) (ctx : Vm.Interp.exec_ctx)
-    ~(fuel : int) ~(max_depth : int) ~(n : int)
-    ~(gen : int -> Bytes.t * int) ~(sink : int -> Vm.Interp.outcome -> unit) :
-    unit =
-  let gen, sink = timed ?clock ?vm_s gen sink in
+let full_batch (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
+    ~(max_depth : int) ~(n : int) ~(gen : int -> Bytes.t * int)
+    ~(sink : int -> Vm.Interp.outcome -> unit) : unit =
   match (t.full_emit, t.full_art) with
   | Some e, _ -> Vm.Emit.run_batch ~fuel ~max_depth e ctx ~n ~gen ~sink
   | None, Some art -> Vm.Compile.run_batch ~fuel ~max_depth art ctx ~n ~gen ~sink
@@ -233,11 +262,9 @@ let run_full_batch ?clock ?vm_s (t : t) (ctx : Vm.Interp.exec_ctx)
 (* The signal variant latches [last_sig] before each [sink] call. The
    interpreter case runs on the private signal context ([ctx] is
    ignored). *)
-let run_signal_batch ?clock ?vm_s (t : t) (ctx : Vm.Interp.exec_ctx)
-    ~(fuel : int) ~(max_depth : int) ~(n : int)
-    ~(gen : int -> Bytes.t * int) ~(sink : int -> Vm.Interp.outcome -> unit) :
-    unit =
-  let gen, sink = timed ?clock ?vm_s gen sink in
+let signal_batch (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
+    ~(max_depth : int) ~(n : int) ~(gen : int -> Bytes.t * int)
+    ~(sink : int -> Vm.Interp.outcome -> unit) : unit =
   match (t.sig_emit, t.sig_art, t.sig_ctx) with
   | Some e, _, _ ->
       Vm.Emit.run_batch ~fuel ~max_depth e ctx ~n ~gen ~sink:(fun k out ->
@@ -257,6 +284,40 @@ let run_signal_batch ?clock ?vm_s (t : t) (ctx : Vm.Interp.exec_ctx)
           sink k out)
   | None, None, None ->
       invalid_arg "Tracer.run_signal_batch: not a selective tracer"
+
+(* Run [batch] inside the VM-wall bracket when a clock is in scope (the
+   call's, else the tracer's), charging each run's wall to [vm_s] when
+   given, else to the tracer's accumulator. The enclosing batch's slots
+   are restored afterwards. *)
+let bracketed ?clock ?vm_s batch (t : t) ctx ~fuel ~max_depth ~n ~gen ~sink =
+  match (match clock with None -> t.clock | c -> c) with
+  | None -> batch t ctx ~fuel ~max_depth ~n ~gen ~sink
+  | Some now ->
+      let b = t.bracket in
+      let now0 = b.now and charge0 = b.charge in
+      let gen0 = b.gen and sink0 = b.sink in
+      b.now <- now;
+      b.charge <- vm_s;
+      b.gen <- gen;
+      b.sink <- sink;
+      batch t ctx ~fuel ~max_depth ~n ~gen:t.timed_gen ~sink:t.timed_sink;
+      b.now <- now0;
+      b.charge <- charge0;
+      b.gen <- gen0;
+      b.sink <- sink0
+
+let run_full_batch ?clock ?vm_s t ctx ~fuel ~max_depth ~n ~gen ~sink =
+  bracketed ?clock ?vm_s full_batch t ctx ~fuel ~max_depth ~n ~gen ~sink
+
+let run_signal_batch ?clock ?vm_s t ctx ~fuel ~max_depth ~n ~gen ~sink =
+  bracketed ?clock ?vm_s signal_batch t ctx ~fuel ~max_depth ~n ~gen ~sink
+
+(** The VM wall accumulated since the last call by runs timed without a
+    [vm_s] charge; resets the accumulator. *)
+let take_vm_s (t : t) : float =
+  let w = t.bracket.walls.(1) in
+  t.bracket.walls.(1) <- 0.;
+  w
 
 let last_signal (t : t) : int = t.last_sig
 let seen_signal (t : t) (s : int) : bool = Hashtbl.mem t.seen s

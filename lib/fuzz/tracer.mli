@@ -35,7 +35,8 @@ type t
     [h_cmp] anyway. Engine [Interp] with [selective] builds a private
     signal context over {!Vm.Compile.signal_hooks}. [clock]
     (observation-only) times artifact compilation into
-    {!compile_seconds}. *)
+    {!compile_seconds}, and is the default clock of every batch, whose
+    VM walls accumulate until {!take_vm_s}. *)
 val make :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?clock:(unit -> float) ->
@@ -71,12 +72,16 @@ val bind :
     instrumentation through the selected engine (compiled probes ignore
     the context's hooks); the batch hoists the engine dispatch out of
     the loop and lets back-to-back runs take the context's journaled
-    fast-reset path. When [clock] is given, each VM run alone —
-    generation and consumption excluded — is bracketed by two clock
-    reads and its wall passed to [vm_s]. [run_signal_batch] executes the
-    signal specialisation, latches {!last_signal} before each [sink]
-    call and requires a selective tracer (the interpreter case runs on
-    the private signal context — the passed context is ignored). *)
+    fast-reset path. When a clock is in scope ([clock], else the
+    tracer's), each VM run alone — generation and consumption excluded
+    — is bracketed by two clock reads and its wall passed to [vm_s], or
+    without [vm_s] added to the accumulator {!take_vm_s} drains. The
+    bracket is preallocated: on the accumulator path the two clock
+    reads are a timed run's only allocation. [run_signal_batch]
+    executes the signal specialisation, latches {!last_signal} before
+    each [sink] call and requires a selective tracer (the interpreter
+    case runs on the private signal context — the passed context is
+    ignored). *)
 
 val run_full_batch :
   ?clock:(unit -> float) ->
@@ -101,6 +106,11 @@ val run_signal_batch :
   gen:(int -> Bytes.t * int) ->
   sink:(int -> Vm.Interp.outcome -> unit) ->
   unit
+
+(** The VM wall accumulated since the last call by runs timed without a
+    [vm_s] charge; resets the accumulator. Campaigns fold it into the
+    counter block before anything reads [vm_s]. *)
+val take_vm_s : t -> float
 
 (** The signal latched for the candidate [run_signal_batch] last handed
     to its [sink]. *)

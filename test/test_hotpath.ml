@@ -1,8 +1,9 @@
 (* Fuzzer hot-path guarantees: (1) the pooled scratch-buffer havoc engine
    is byte-identical to the historical string-round-trip engine kept in
    [Mutator_ref] — same children AND the same number of RNG draws, which
-   is what makes whole campaigns byte-identical; (2) the mutation layer
-   and the campaign loop stay allocation-lean in steady state. *)
+   is what makes whole campaigns byte-identical; (2) the mutation layer,
+   the campaign loop and cmplog campaigns stay allocation-lean in
+   steady state. *)
 
 open Alcotest
 
@@ -139,6 +140,41 @@ let test_campaign_allocation () =
     true
     (per_cand >= 0. && per_cand < 20.)
 
+(* --- steady-state allocation: cmplog campaigns --- *)
+
+(* Comparison operands are captured on calibration runs only, so a
+   cmplog campaign's bulk candidates pay one flag test per comparison.
+   Capturing on every execution (a dedupe scan plus a closure per
+   executed comparison) measured ~760 minor words per exec here. A
+   warm-up run keeps artifact compilation out of the measurement. *)
+let test_cmplog_campaign_allocation () =
+  let s = Subjects.Registry.find_exn "sqlite3" in
+  let prog = Subjects.Subject.compile_fresh s in
+  let plans = Pathcov.Ball_larus.of_program prog in
+  List.iter
+    (fun engine ->
+      let config =
+        {
+          Fuzz.Campaign.default_config with
+          mode = Pathcov.Feedback.Path;
+          budget = 20_000;
+          rng_seed = 3;
+          cmplog = true;
+          engine;
+        }
+      in
+      ignore
+        (Fuzz.Campaign.run ~plans ~config:{ config with budget = 500 } prog
+           ~seeds:s.seeds);
+      let w0 = Gc.minor_words () in
+      let r = Fuzz.Campaign.run ~plans ~config prog ~seeds:s.seeds in
+      let per_exec = (Gc.minor_words () -. w0) /. float_of_int r.execs in
+      check_bool
+        (Printf.sprintf "%s cmplog campaign minor words per exec bounded (got %.1f)"
+           (Fuzz.Tracer.engine_name engine) per_exec)
+        true (per_exec < 32.))
+    [ Fuzz.Tracer.Fused; Fuzz.Tracer.Native ]
+
 (* --- steady-state allocation: retention under pathafl --- *)
 
 (* Words a closure allocates, minor and major (large arrays skip the
@@ -249,6 +285,8 @@ let suite =
           test_mutator_allocation;
         test_case "campaign steady-state allocation" `Quick
           test_campaign_allocation;
+        test_case "cmplog campaign steady-state allocation" `Quick
+          test_cmplog_campaign_allocation;
         test_case "retention steady-state allocation" `Quick
           test_retention_allocation;
       ] );

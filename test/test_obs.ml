@@ -160,9 +160,11 @@ let test_counter_allocation_free () =
 let test_observed_campaign_allocation () =
   (* The whole observer layer (counters + cadenced snapshots through a
      null sink) must not move campaign steady-state allocation — nor,
-     on the fused engine with selective tracing on or off, must a
-     clocked observer: seeds, calibration runs and replays go through
-     cohorts of one, and the VM-wall bracket wraps every run. *)
+     on the fused engine with selective tracing and cmplog on or off,
+     must a clocked observer: seeds, calibration runs and replays go
+     through cohorts of one, and the VM-wall bracket wraps every run.
+     With cmplog off nothing else allocates to hide the bracket's
+     cost. *)
   let s = Subjects.Registry.find_exn "cflow" in
   let prog = Subjects.Subject.compile_fresh s in
   let measure config obs =
@@ -184,17 +186,18 @@ let test_observed_campaign_allocation () =
   in
   within "interp" config (Obs.Observer.create ());
   List.iter
-    (fun selective ->
+    (fun (cmplog, selective) ->
       within
-        (Printf.sprintf "fused selective=%b clocked" selective)
+        (Printf.sprintf "fused selective=%b cmplog=%b clocked" selective cmplog)
         {
           config with
           mode = Pathcov.Feedback.Path;
           engine = Fuzz.Tracer.Fused;
           selective;
+          cmplog;
         }
         (Obs.Observer.create ~clock:Unix.gettimeofday ()))
-    [ false; true ]
+    [ (true, false); (true, true); (false, false); (false, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Ring sink semantics *)

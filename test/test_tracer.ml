@@ -352,6 +352,142 @@ let test_pruning_in_calibration () =
   check Alcotest.int "pruned calibration still triages crashes"
     (crashes0 + 1) st.triage.total_crashes
 
+(* ------------------------------------------------------------------ *)
+(* Calibration-only comparison capture                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference capture: an always-on probe applying the per-exec
+   dedupe rule (skip equal operands, skip pairs already held, stop at the
+   buffer's capacity) over a fresh interpreter run of [input]. Returns
+   the pairs in capture order. *)
+let reference_pairs prepared (config : Fuzz.Campaign.config) input =
+  let cap = Array.length (Fuzz.Campaign.make_cmp_buf ()).ops_a in
+  let pairs = ref [] and n = ref 0 in
+  let h_cmp a b =
+    if a <> b && !n < cap && not (List.mem (a, b) !pairs) then begin
+      pairs := (a, b) :: !pairs;
+      incr n
+    end
+  in
+  let ctx =
+    Vm.Interp.create_ctx ~hooks:{ Vm.Interp.no_hooks with h_cmp } prepared
+  in
+  ignore
+    (Vm.Interp.run_ctx ~fuel:config.fuel ~max_depth:config.max_depth ctx
+       ~input);
+  List.rev !pairs
+
+(* What [calibrate] hands the mutator for the reference pairs: both
+   substitution directions per pair. *)
+let both_directions pairs =
+  Array.of_list
+    (List.concat_map
+       (fun (a, b) ->
+         [
+           { Fuzz.Mutator.observed = a; wanted = b };
+           { Fuzz.Mutator.observed = b; wanted = a };
+         ])
+       pairs)
+
+let cmp_pair =
+  Alcotest.testable
+    (fun fmt (p : Fuzz.Mutator.cmp_pair) ->
+      Fmt.pf fmt "%d->%d" p.observed p.wanted)
+    ( = )
+
+let capture_variants =
+  [
+    (Fuzz.Tracer.Interp, false, "interp");
+    (Fuzz.Tracer.Interp, true, "interp+sel");
+    (Fuzz.Tracer.Fused, false, "fused");
+    (Fuzz.Tracer.Fused, true, "fused+sel");
+    (Fuzz.Tracer.Native, false, "native");
+    (Fuzz.Tracer.Native, true, "native+sel");
+  ]
+
+(* Comparison operands are captured on calibration runs only. Every
+   engine x selective combination must hand the mutator exactly the
+   reference pairs of the calibrated entry, and the candidate runs in
+   between (cohorts of one through [process], plain [execute]s) must
+   leave the buffer untouched. Sharded calibration runs are checked
+   through their events: each carries the pair count its capture saw. *)
+let test_calibration_capture_oracle () =
+  let s = Subjects.Registry.find_exn "cflow" in
+  let prog = Subjects.Subject.compile_fresh s in
+  let prepared = Vm.Interp.prepare prog in
+  let config =
+    {
+      Fuzz.Campaign.default_config with
+      mode = Pathcov.Feedback.Path;
+      budget = 3_000;
+      rng_seed = 7;
+      cmplog = true;
+    }
+  in
+  let queue =
+    Fuzz.Campaign.queue_inputs (Fuzz.Campaign.run ~config prog ~seeds:s.seeds)
+  in
+  let others = Array.of_list queue in
+  check_bool "queue to calibrate" true (Array.length others > 10);
+  List.iter
+    (fun (engine, selective, ename) ->
+      let config = { config with engine; selective } in
+      let st = Fuzz.Campaign.make_state ~config prog in
+      List.iter (Fuzz.Campaign.add_seed st) queue;
+      let b = st.cmp_buf in
+      let saturated = ref 0 in
+      for i = 0 to Fuzz.Corpus.size st.corpus - 1 do
+        let e = Fuzz.Corpus.get st.corpus i in
+        let want = reference_pairs prepared config e.data in
+        if List.length want = Array.length b.ops_a then incr saturated;
+        check (Alcotest.array cmp_pair)
+          (Printf.sprintf "%s: entry %d pairs" ename i)
+          (both_directions want)
+          (Fuzz.Campaign.calibrate st e);
+        let held = (b.n_cmps, Array.copy b.ops_a, Array.copy b.ops_b) in
+        let other = others.((i + 1) mod Array.length others) in
+        Fuzz.Campaign.process st ~depth:1 other;
+        ignore (Fuzz.Campaign.execute st other);
+        check_bool
+          (Printf.sprintf "%s: candidates after entry %d leave the buffer"
+             ename i)
+          true
+          (held = (b.n_cmps, b.ops_a, b.ops_b))
+      done;
+      check_bool (ename ^ ": some entries below capacity") true
+        (!saturated < Fuzz.Corpus.size st.corpus);
+      List.iter
+        (fun shards ->
+          let ring = Obs.Sink.create_ring ~capacity:(1 lsl 16) () in
+          let r =
+            Fuzz.Shard.run
+              ~obs:(Obs.Observer.create ~sink:(Obs.Sink.ring ring) ())
+              { Fuzz.Shard.base = config; shards; sync_interval = 512 }
+              prog ~seeds:s.seeds
+          in
+          let data = Hashtbl.create 64 in
+          Fuzz.Corpus.iter
+            (fun (e : Fuzz.Corpus.entry) -> Hashtbl.replace data e.id e.data)
+            r.campaign.corpus;
+          let calibrations = ref 0 in
+          List.iter
+            (function
+              | Obs.Event.Calibration { entry; cmps; _ } ->
+                  incr calibrations;
+                  check Alcotest.int
+                    (Printf.sprintf "%s shards=%d: entry %d pair count" ename
+                       shards entry)
+                    (List.length
+                       (reference_pairs prepared config (Hashtbl.find data entry)))
+                    cmps
+              | _ -> ())
+            (Obs.Sink.ring_events ring);
+          check_bool
+            (Printf.sprintf "%s shards=%d: calibrations seen" ename shards)
+            true (!calibrations > 10))
+        [ 1; 2 ])
+    capture_variants
+
 let suite =
   [
     ( "tracer",
@@ -368,5 +504,7 @@ let suite =
           test_pruning_marks;
         Alcotest.test_case "pruning engages in calibration" `Quick
           test_pruning_in_calibration;
+        Alcotest.test_case "calibration-only cmplog capture oracle" `Quick
+          test_calibration_capture_oracle;
       ] );
   ]
