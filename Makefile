@@ -1,4 +1,4 @@
-.PHONY: all build test bench shard-bench micro tables history resume-check engine-check profile-check clean
+.PHONY: all build test bench shard-bench micro tables tables-check history resume-check engine-check profile-check clean
 
 all: build
 
@@ -213,6 +213,21 @@ profile-check: build
 	python3 -m json.tool _build/profile-check/fused.metrics.json > /dev/null
 	python3 -m json.tool _build/profile-check/sh.metrics.json > /dev/null
 	@echo "profile-check: tracing is trajectory-invisible; trace/metrics files are valid JSON"
+
+# Paper-matrix engine smoke: `tables` runs on the fused engine unless
+# told otherwise, and the engine is trajectory-invisible, so a small
+# matrix rendered under --engine interp and under the default must print
+# byte-identical stdout.
+tables-check: build
+	@rm -rf _build/tables-check && mkdir -p _build/tables-check
+	PATHCOV_FAST=1 PATHCOV_BUDGET=2400 PATHCOV_TRIALS=2 \
+	  ./_build/default/bin/pathfuzz.exe tables --engine interp \
+	  > _build/tables-check/interp.out
+	PATHCOV_FAST=1 PATHCOV_BUDGET=2400 PATHCOV_TRIALS=2 \
+	  ./_build/default/bin/pathfuzz.exe tables \
+	  > _build/tables-check/default.out
+	diff _build/tables-check/interp.out _build/tables-check/default.out
+	@echo "tables-check: tables identical under interp and the default engine"
 
 # Bechamel micro-benchmarks (one per table/figure of the paper).
 micro: build

@@ -154,10 +154,10 @@ let trial_arg =
 let rounds_arg =
   Arg.(value & opt int 4 & info [ "rounds" ] ~doc:"Culling rounds.")
 
-let engine_arg =
+let engine_arg_of default =
   Arg.(
     value
-    & opt string "interp"
+    & opt string (Fuzz.Tracer.engine_name default)
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           (Printf.sprintf
@@ -174,6 +174,8 @@ let engine_arg =
               crashes, stdout — is engine-invariant; only throughput \
               changes."
              (String.concat ", " Fuzz.Tracer.engine_names)))
+
+let engine_arg = engine_arg_of Fuzz.Tracer.Interp
 
 let selective_arg =
   Arg.(
@@ -814,7 +816,8 @@ let cfg_cmd =
 
 let tables_cmd =
   let fast = Arg.(value & flag & info [ "fast" ] ~doc:"Smoke-test scale.") in
-  let run fast jobs =
+  let run fast jobs engine =
+    let engine = engine_of_flag engine in
     let cfg =
       if fast then Experiments.Config.fast else Experiments.Config.of_env ()
     in
@@ -822,14 +825,14 @@ let tables_cmd =
       match jobs with None -> cfg | Some _ -> { cfg with jobs = resolve_jobs jobs }
     in
     Fmt.pr "running the evaluation matrix (%a)...@." Experiments.Config.pp cfg;
-    let m = Experiments.Runner.run ~jobs:cfg.jobs cfg in
+    let m = Experiments.Runner.run ~jobs:cfg.jobs ~engine cfg in
     Fmt.epr "[matrix] %.1fs of fuzzing wall-clock across all cells@."
       (Experiments.Runner.total_wall_s m);
     print_string (Experiments.Tables.all m)
   in
   Cmd.v
     (Cmd.info "tables" ~doc:"Regenerate every table and figure of the paper")
-    Term.(const run $ fast $ jobs_arg)
+    Term.(const run $ fast $ jobs_arg $ engine_arg_of Fuzz.Tracer.matrix_engine)
 
 (* --- bench-throughput --- *)
 
@@ -1148,8 +1151,8 @@ let stats_cmd =
     Fmt.pr "stats: %s / %s, budget %d, trial seed %d@." s.name fz.name budget
       trial;
     let r =
-      Fuzz.Strategy.run ~plans ~obs ~budget ~trial_seed:trial fz prog
-        ~seeds:s.seeds
+      Fuzz.Strategy.run ~plans ~obs ~engine:Fuzz.Tracer.Interp ~budget
+        ~trial_seed:trial fz prog ~seeds:s.seeds
     in
     print_string (Experiments.Obs_render.counters_table obs.counters);
     print_string

@@ -22,6 +22,9 @@ type t = {
   counts : int array;  (** [passes] digit histograms of 256 slots each *)
   mutable sort_a : int array;  (** radix ping-pong scratch, journal-sized *)
   mutable sort_b : int array;
+  mutable ff : int;
+      (** virgin maps: bytes still 0xFF, kept by every writer of [bits]
+          ([0] on trace maps) *)
 }
 
 type novelty =
@@ -44,6 +47,7 @@ let create ?(size_log2 = default_size_log2) () =
     counts = Array.make (256 * passes) 0;
     sort_a = [||];
     sort_b = [||];
+    ff = 0;
   }
 
 let size t = Bytes.length t.bits
@@ -106,7 +110,10 @@ let merge_into ~(virgin : t) (trace : t) : novelty =
     if tr <> 0 then begin
       let vg = Char.code (Bytes.unsafe_get virgin.bits i) in
       if tr land vg <> 0 then begin
-        if vg = 255 then res := New_tuple
+        if vg = 255 then begin
+          res := New_tuple;
+          virgin.ff <- virgin.ff - 1
+        end
         else if !res = Nothing then res := New_bucket;
         Bytes.unsafe_set virgin.bits i (Char.unsafe_chr (vg land lnot tr land 255))
       end
@@ -114,11 +121,13 @@ let merge_into ~(virgin : t) (trace : t) : novelty =
   done;
   !res
 
-(* A virgin map is all-0xFF and is only ever written through [merge_into]
-   or [merge_sparse_into]; its journal is unused. *)
+(* A virgin map is all-0xFF and is only ever written through [merge_into],
+   [merge_sparse_into], [copy_into] and [restore_raw], each of which keeps
+   the 0xFF count [ff]; its journal is unused. *)
 let create_virgin ?size_log2 () =
   let t = create ?size_log2 () in
   Bytes.fill t.bits 0 (Bytes.length t.bits) '\255';
+  t.ff <- Bytes.length t.bits;
   t
 
 (** Overwrite [dst]'s bytes with [src]'s — the per-work-item virgin
@@ -130,11 +139,32 @@ let copy_into ~(dst : t) (src : t) : unit =
   if Bytes.length dst.bits <> Bytes.length src.bits then
     invalid_arg "Coverage_map.copy_into";
   Bytes.blit src.bits 0 dst.bits 0 (Bytes.length src.bits);
+  dst.ff <- src.ff;
   dst.ntouched <- 0
 
 (** A detached copy of the raw map payload — what a campaign snapshot
     records for its virgin/crash-virgin maps. Pairs with {!restore_raw}. *)
 let raw_bytes (t : t) : bytes = Bytes.copy t.bits
+
+(* Bytes equal to 0xFF, by a word-wise scan (one 64-bit compare per 8
+   indices: virgin maps stay almost entirely 0xFF). *)
+let count_ff (bits : Bytes.t) : int =
+  let n = Bytes.length bits in
+  let count = ref 0 in
+  let k = ref 0 in
+  while !k + 8 <= n do
+    if Bytes.get_int64_ne bits !k = -1L then count := !count + 8
+    else
+      for j = !k to !k + 7 do
+        if Bytes.unsafe_get bits j = '\255' then incr count
+      done;
+    k := !k + 8
+  done;
+  while !k < n do
+    if Bytes.unsafe_get bits !k = '\255' then incr count;
+    incr k
+  done;
+  !count
 
 (** Overwrite the map's payload with a previously captured {!raw_bytes}
     image (sizes must match) and reset the journal — the checkpoint
@@ -144,6 +174,7 @@ let restore_raw (t : t) (payload : bytes) : unit =
   if Bytes.length payload <> Bytes.length t.bits then
     invalid_arg "Coverage_map.restore_raw";
   Bytes.blit payload 0 t.bits 0 (Bytes.length payload);
+  t.ff <- count_ff t.bits;
   t.ntouched <- 0
 
 (** The merge half of {!merge_into} over a sparse capture instead of a
@@ -164,7 +195,10 @@ let merge_sparse_into ~(virgin : t) ~(idxs : Index_set.t) ~(vals : string) :
       if tr <> 0 then begin
         let vg = Char.code (Bytes.unsafe_get virgin.bits i) in
         if tr land vg <> 0 then begin
-          if vg = 255 then res := New_tuple
+          if vg = 255 then begin
+            res := New_tuple;
+            virgin.ff <- virgin.ff - 1
+          end
           else if !res = Nothing then res := New_bucket;
           Bytes.unsafe_set virgin.bits i (Char.unsafe_chr (vg land lnot tr land 255))
         end
@@ -304,30 +338,16 @@ let copy t =
 let get t idx = Char.code (Bytes.get t.bits (idx land t.mask))
 
 (** Number of virgin-map indices still fully untouched (byte = 0xFF) —
-    the "virgin bits residual" sampled into stats snapshots. A virgin
-    map's journal is unused, so this scans the raw bytes; the scan is
-    word-wise (one 64-bit compare per 8 indices) because virgin maps
-    stay almost entirely 0xFF, making the per-snapshot cost ~map/8
-    loads rather than map bytes. *)
-let residual t =
-  let bits = t.bits in
-  let n = Bytes.length bits in
-  let all_ff = -1L in
-  let count = ref 0 in
-  let k = ref 0 in
-  while !k + 8 <= n do
-    if Bytes.get_int64_ne bits !k = all_ff then count := !count + 8
-    else
-      for j = !k to !k + 7 do
-        if Bytes.unsafe_get bits j = '\255' then incr count
-      done;
-    k := !k + 8
-  done;
-  while !k < n do
-    if Bytes.unsafe_get bits !k = '\255' then incr count;
-    incr k
-  done;
-  !count
+    the "virgin bits residual" sampled into stats snapshots. O(1): the
+    count is kept by the writers of a virgin map's bytes (creation,
+    both merges, {!copy_into}; {!restore_raw} recounts once), because
+    a 64 KB scan per snapshot row is a visible share of a short
+    campaign. *)
+let residual t = t.ff
+
+(** {!residual} recounted by scanning the bytes (tests check the kept
+    count against it). *)
+let residual_scan t = count_ff t.bits
 
 (** FNV-1a hash of the trace contents (order-independent via sorting). *)
 let hash t =

@@ -15,7 +15,8 @@ val default_size_log2 : int
 (** Create an all-zero trace map of [2^size_log2] entries (4 ≤ n ≤ 24). *)
 val create : ?size_log2:int -> unit -> t
 
-(** Create an all-0xFF virgin map, written only through {!merge_into}. *)
+(** Create an all-0xFF virgin map, written only through {!merge_into},
+    {!merge_sparse_into}, {!copy_into} and {!restore_raw}. *)
 val create_virgin : ?size_log2:int -> unit -> t
 
 val size : t -> int
@@ -99,9 +100,14 @@ val copy : t -> t
 val get : t -> int -> int
 
 (** Number of virgin-map indices still fully untouched (byte = 0xFF) —
-    the "virgin bits residual" sampled into stats snapshots. Word-wise
-    scan: cheap enough for a per-snapshot cadence, not for per-exec. *)
+    the "virgin bits residual" sampled into stats snapshots. O(1): the
+    count is kept by every writer of a virgin map ({!create_virgin},
+    {!merge_into}, {!merge_sparse_into}, {!copy_into}; {!restore_raw}
+    recounts once). [0] on trace maps. *)
 val residual : t -> int
+
+(** The byte scan {!residual} replaces — tests only. *)
+val residual_scan : t -> int
 
 (** Order-independent FNV-1a hash of the trace contents. *)
 val hash : t -> int

@@ -58,15 +58,17 @@ let subject_plans (subject : Subjects.Subject.t) (prog : Minic.Ir.program) :
     all built once per subject and shared read-only across trials and
     worker domains. Campaigns are pure functions of
     (program, seeds, config) and the shared artifacts are immutable, so
-    the matrix stays bit-identical at any worker count. *)
-let run_trial (cfg : Config.t) (subject : Subjects.Subject.t)
+    the matrix stays bit-identical at any worker count. [engine] is
+    trajectory-invisible; every campaign's maps take [cfg]'s size. *)
+let run_trial ?engine (cfg : Config.t) (subject : Subjects.Subject.t)
     (fuzzer : Fuzz.Strategy.fuzzer) (trial : int) :
     Fuzz.Strategy.run_result * float =
   let prog = Subjects.Subject.program subject in
   let plans = subject_plans subject prog in
   let t0 = Unix.gettimeofday () in
   let r =
-    Fuzz.Strategy.run ~plans ~budget:cfg.budget
+    Fuzz.Strategy.run ~plans ?engine ~map_size_log2:cfg.map_size_log2
+      ~budget:cfg.budget
       ~trial_seed:(cfg.base_seed + (trial * 7919))
       fuzzer prog ~seeds:subject.seeds
   in
@@ -76,8 +78,11 @@ let run_trial (cfg : Config.t) (subject : Subjects.Subject.t)
     out over [jobs] worker domains. Results are collected keyed by task
     index and merged in a fixed order, so the matrix — and every table
     derived from it — is identical regardless of worker count or
-    scheduling. [quiet] suppresses progress on stderr. *)
-let run ?(quiet = false) ?(jobs = 1) ?fuzzers ?subjects (cfg : Config.t) : matrix =
+    scheduling. [quiet] suppresses progress on stderr. [engine]
+    (default {!Fuzz.Tracer.matrix_engine}) runs every campaign; the
+    engine is trajectory-invisible, so the tables do not depend on it. *)
+let run ?(quiet = false) ?(jobs = 1) ?engine ?fuzzers ?subjects (cfg : Config.t)
+    : matrix =
   let fuzzers = Option.value fuzzers ~default:(standard_fuzzers cfg) in
   let subjects = Option.value subjects ~default:Subjects.Registry.all in
   let tasks =
@@ -120,7 +125,7 @@ let run ?(quiet = false) ?(jobs = 1) ?fuzzers ?subjects (cfg : Config.t) : matri
   let results =
     Exec.Pool.map ~jobs ~sink ~on_done total (fun i ->
         let subject, fuzzer, trial = tasks.(i) in
-        run_trial cfg subject fuzzer trial)
+        run_trial ?engine cfg subject fuzzer trial)
   in
   (* Deterministic merge: regroup trial results into cells by task index,
      independent of the order workers finished in. *)

@@ -171,8 +171,8 @@ let settle_vm_s (st : state) : unit =
   c.vm_s <- c.vm_s +. Tracer.take_vm_s st.tracer
 
 (* One periodic stats row: the counter block plus the two facts only the
-   campaign can see (queue size, virgin residual). The residual scan is
-   word-wise over the virgin map — cheap at snapshot cadence. *)
+   campaign can see (queue size, virgin residual). The residual is a
+   count the virgin map keeps, so a row costs no map scan. *)
 let take_snapshot (st : state) : unit =
   settle_vm_s st;
   Obs.Observer.snapshot st.obs
@@ -509,7 +509,7 @@ let make_state ?plans ?obs ?(config = default_config) (prog : Minic.Ir.program)
     virgin = Pathcov.Coverage_map.create_virgin ~size_log2:config.map_size_log2 ();
     crash_virgin =
       Pathcov.Coverage_map.create_virgin ~size_log2:config.map_size_log2 ();
-    corpus = Corpus.create ();
+    corpus = Corpus.create ~map_size_log2:config.map_size_log2 ();
     triage = Triage.create ~obs ();
     rng = Rng.create config.rng_seed;
     execs = 0;
@@ -649,22 +649,12 @@ let harvest_metrics (st : state) : unit =
         (Obs.Metrics.gauge m "fusion.dup_instrs")
         s.Vm.Compile.dup_instrs
 
-(** Run a campaign. [plans] shares a precomputed Ball–Larus artifact;
-    [obs] supplies the observer (counters, snapshot log, event sink and
-    the optional wall clock that enables the mutation-vs-VM split the
-    benches report). Fuzzing behaviour is identical with or without it.
-
-    [checkpoint] writes a snapshot at each cycle boundary that crosses a
-    multiple of [sink.every] executions (mid-budget only). [resume]
-    restores one such snapshot instead of importing [seeds]; the resumed
-    run replays the uninterrupted run's trajectory byte for byte. Both
-    assume the campaign owns its observer — a checkpointed counter block
-    is restored wholesale, so resuming into a shared observer would
-    double-count other phases' work. *)
-let run ?plans ?obs ?(config = default_config) ?(checkpoint : Checkpoint.sink option)
-    ?(resume : Checkpoint.t option) (prog : Minic.Ir.program)
-    ~(seeds : string list) : result =
-  let st = make_state ?plans ?obs ~config prog in
+(** {!run}'s loop over a state built by {!make_state}; the state's
+    tracer is released on return. *)
+let run_state ?(checkpoint : Checkpoint.sink option)
+    ?(resume : Checkpoint.t option) (st : state) ~(seeds : string list) :
+    result =
+  let config = st.cfg in
   let c = st.obs.counters in
   (* deltas vs the observer's state at entry: a shared observer (culling
      rounds, the opportunistic driver, benches) accumulates globally
@@ -746,6 +736,9 @@ let run ?plans ?obs ?(config = default_config) ?(checkpoint : Checkpoint.sink op
      cadence row, matching the historical queue_series tail sample) *)
   take_snapshot st;
   harvest_metrics st;
+  (* a per-domain cached artifact outlives the campaign: unbind it so it
+     stops keeping this campaign's trace map and cmplog buffer alive *)
+  Tracer.release st.tracer;
   let snapshots = Obs.Observer.snapshots_from st.obs ~from:snap_base in
   {
     config;
@@ -765,3 +758,19 @@ let run ?plans ?obs ?(config = default_config) ?(checkpoint : Checkpoint.sink op
     mut_s = c.mut_s -. mut_s0;
     mut_minor_words = c.mut_minor_words -. mut_minor_words0;
   }
+
+(** Run a campaign. [plans] shares a precomputed Ball–Larus artifact;
+    [obs] supplies the observer (counters, snapshot log, event sink and
+    the optional wall clock that enables the mutation-vs-VM split the
+    benches report). Fuzzing behaviour is identical with or without it.
+
+    [checkpoint] writes a snapshot at each cycle boundary that crosses a
+    multiple of [sink.every] executions (mid-budget only). [resume]
+    restores one such snapshot instead of importing [seeds]; the resumed
+    run replays the uninterrupted run's trajectory byte for byte. Both
+    assume the campaign owns its observer — a checkpointed counter block
+    is restored wholesale, so resuming into a shared observer would
+    double-count other phases' work. *)
+let run ?plans ?obs ?(config = default_config) ?checkpoint ?resume
+    (prog : Minic.Ir.program) ~(seeds : string list) : result =
+  run_state ?checkpoint ?resume (make_state ?plans ?obs ~config prog) ~seeds

@@ -155,6 +155,16 @@ val make_state :
   Minic.Ir.program ->
   state
 
+(** {!run}'s loop over a state built by {!make_state} (tests hold the
+    state to inspect its maps while the loop runs). The state's tracer
+    is released on return: the state cannot execute again. *)
+val run_state :
+  ?checkpoint:Checkpoint.sink ->
+  ?resume:Checkpoint.t ->
+  state ->
+  seeds:string list ->
+  result
+
 (** Run one input; the trace map is left classified for novelty checks. *)
 val execute : state -> string -> Vm.Interp.outcome
 

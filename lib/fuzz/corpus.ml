@@ -43,7 +43,8 @@ type t = {
   mutable next_id : int;
   mutable top_rated : entry array;
       (** map index -> cheapest entry, {!unrated} where none covers it;
-          grown on demand to cover the largest index claimed *)
+          allocated once at the map size when {!create} is given one,
+          else grown on demand to cover the largest index claimed *)
   mutable pending_favored : int;
 }
 
@@ -63,8 +64,17 @@ let unrated =
     slots = 0;
   }
 
-let create () =
-  { arr = [||]; size = 0; next_id = 0; top_rated = [||]; pending_favored = 0 }
+(* With [map_size_log2] the table covers the whole map from the start: a
+   campaign's first claims would otherwise grow it through a chain of
+   doublings (1024 -> ... -> 65,536 slots, an allocation and a blit at
+   each step) that cost more than a short campaign's retention. *)
+let create ?map_size_log2 () =
+  let top_rated =
+    match map_size_log2 with
+    | Some n -> Array.make (1 lsl n) unrated
+    | None -> [||]
+  in
+  { arr = [||]; size = 0; next_id = 0; top_rated; pending_favored = 0 }
 
 (** The entry's index set, unpacked into a fresh ascending array. *)
 let indices e = Pathcov.Index_set.to_array e.set
@@ -187,12 +197,13 @@ let top_rated_pairs (t : t) : (int * int) array =
   done;
   Array.of_list !out
 
-(** Empty the corpus back to its {!create} state. *)
+(** Empty the corpus back to its {!create} state; the table keeps its
+    size. *)
 let clear (t : t) : unit =
   t.arr <- [||];
   t.size <- 0;
   t.next_id <- 0;
-  t.top_rated <- [||];
+  Array.fill t.top_rated 0 (Array.length t.top_rated) unrated;
   t.pending_favored <- 0
 
 (* ------------------------------------------------------------------ *)

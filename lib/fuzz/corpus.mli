@@ -40,7 +40,10 @@ type t = {
   mutable pending_favored : int;
 }
 
-val create : unit -> t
+(** A fresh, empty corpus. [map_size_log2] allocates the top-rated
+    table once, covering every index of a map that size; without it
+    the table grows on demand. *)
+val create : ?map_size_log2:int -> unit -> t
 
 (** afl's fav_factor: execution work x input length (cached per entry). *)
 val fav_factor : entry -> int
@@ -97,7 +100,8 @@ val rate : t -> slot:int -> entry -> unit
 (** Rated slots, ascending, with their holders' ids. *)
 val top_rated_pairs : t -> (int * int) array
 
-(** Empty the corpus back to its {!create} state. *)
+(** Empty the corpus back to its {!create} state (the top-rated table
+    keeps its size). *)
 val clear : t -> unit
 
 (** {2 Shard views}

@@ -763,7 +763,7 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
     {
       cfg;
       obs;
-      corpus = Corpus.create ();
+      corpus = Corpus.create ~map_size_log2:base.map_size_log2 ();
       virgin =
         Pathcov.Coverage_map.create_virgin ~size_log2:base.map_size_log2 ();
       crash_virgin =

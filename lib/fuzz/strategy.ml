@@ -69,13 +69,15 @@ let of_campaign name (r : Campaign.result) : run_result =
     sum_exec_blocks = r.sum_exec_blocks;
   }
 
-let base_config ?(engine = Tracer.Interp) ?(selective = false) ~budget
+let base_config ?(engine = Tracer.matrix_engine) ?(selective = false)
+    ?(map_size_log2 = Campaign.default_config.map_size_log2) ~budget
     ~trial_seed ~cmplog mode =
   {
     Campaign.default_config with
     mode;
     budget;
     rng_seed = trial_seed;
+    map_size_log2;
     cmplog;
     engine;
     selective;
@@ -103,13 +105,16 @@ let random_trim rng inputs =
     shares the Ball–Larus artifact across configurations of a trial.
     [obs] is shared across every phase of a multi-phase strategy, so its
     counters and snapshots accumulate over the whole campaign (culling
-    replays included); fuzzing behaviour is identical without it. *)
-let run ?plans ?obs ?engine ?selective ~budget ~trial_seed (fuzzer : fuzzer)
-    (prog : Minic.Ir.program) ~(seeds : string list) : run_result =
+    replays included); fuzzing behaviour is identical without it.
+    [engine] defaults to {!Tracer.matrix_engine}; [map_size_log2] to
+    {!Campaign.default_config}'s. *)
+let run ?plans ?obs ?engine ?selective ?map_size_log2 ~budget ~trial_seed
+    (fuzzer : fuzzer) (prog : Minic.Ir.program) ~(seeds : string list) :
+    run_result =
   match fuzzer.spec with
   | Plain mode ->
       let config =
-        base_config ?engine ?selective ~budget ~trial_seed
+        base_config ?engine ?selective ?map_size_log2 ~budget ~trial_seed
           ~cmplog:fuzzer.cmplog mode
       in
       of_campaign fuzzer.name (Campaign.run ?plans ?obs ~config prog ~seeds)
@@ -120,7 +125,7 @@ let run ?plans ?obs ?engine ?selective ~budget ~trial_seed (fuzzer : fuzzer)
       let triage = Triage.create () in
       let rec go round seeds_now execs_so_far series last =
         let config =
-          base_config ?engine ?selective ~budget:per_round
+          base_config ?engine ?selective ?map_size_log2 ~budget:per_round
             ~trial_seed:(trial_seed + (round * 101))
             ~cmplog:fuzzer.cmplog Pathcov.Feedback.Path
         in
@@ -157,7 +162,7 @@ let run ?plans ?obs ?engine ?selective ~budget ~trial_seed (fuzzer : fuzzer)
   | Opportunistic ->
       let half = max 1 (budget / 2) in
       let config1 =
-        base_config ?engine ?selective ~budget:half
+        base_config ?engine ?selective ?map_size_log2 ~budget:half
           ~trial_seed:(trial_seed + 17) ~cmplog:true Pathcov.Feedback.Edge
       in
       let phase1 = Campaign.run ?plans ?obs ~config:config1 prog ~seeds in
@@ -168,8 +173,8 @@ let run ?plans ?obs ?engine ?selective ~budget ~trial_seed (fuzzer : fuzzer)
       in
       let donor = if donor = [] then seeds else donor in
       let config2 =
-        base_config ?engine ?selective ~budget:(budget - half) ~trial_seed
-          ~cmplog:fuzzer.cmplog Pathcov.Feedback.Path
+        base_config ?engine ?selective ?map_size_log2 ~budget:(budget - half)
+          ~trial_seed ~cmplog:fuzzer.cmplog Pathcov.Feedback.Path
       in
       let phase2 = Campaign.run ?plans ?obs ~config:config2 prog ~seeds:donor in
       {

@@ -63,17 +63,20 @@ val of_campaign : string -> Campaign.result -> run_result
     across every phase of a multi-phase strategy (cull rounds, the two
     opportunistic halves), so counters and snapshots accumulate over the
     whole campaign; fuzzing behaviour is identical without it. [engine]
-    (default [Tracer.Interp]; [Fused] selects the staged closure
-    artifact, [Native] the generated unit) and [selective]
-    (default off) pick the execution engine and selective tracing for
-    every phase — both are trajectory-invisible (test-enforced
-    differentially), and every VM run of every phase goes through the
-    batched [Tracer.run_*_batch] entries whatever the engine. *)
+    (default {!Tracer.matrix_engine}, i.e. [Fused]: the staged closure
+    artifact; [Interp] the reference interpreter, [Native] the
+    generated unit) and [selective] (default off) pick the execution
+    engine and selective tracing for every phase — both are
+    trajectory-invisible (test-enforced differentially), and every VM
+    run of every phase goes through the batched [Tracer.run_*_batch]
+    entries whatever the engine. [map_size_log2] (default
+    {!Campaign.default_config}'s) sizes every phase's coverage maps. *)
 val run :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?obs:Obs.Observer.t ->
   ?engine:Tracer.engine ->
   ?selective:bool ->
+  ?map_size_log2:int ->
   budget:int ->
   trial_seed:int ->
   fuzzer ->

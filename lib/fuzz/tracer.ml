@@ -60,6 +60,8 @@ let engine_of_name = function
 
 let engine_names = [ "interp"; "fused"; "native" ]
 
+let matrix_engine = Fused
+
 (* The VM-wall bracket, preallocated once per tracer so that timing a
    run allocates nothing but its two clock reads: the running batch's
    clock, charge, [gen] and [sink] sit in mutable slots read by two fixed
@@ -114,6 +116,7 @@ type t = {
   bracket : bracket;
   timed_gen : int -> Bytes.t * int;  (** [bracket_gen bracket] *)
   timed_sink : int -> Vm.Interp.outcome -> unit;  (** [bracket_sink bracket] *)
+  mutable released : bool;  (** {!release}d: every run entry refuses *)
 }
 
 (** Build a tracer over a prepared subject. [shared] (default [true])
@@ -224,6 +227,7 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
     bracket;
     timed_gen = bracket_gen bracket;
     timed_sink = bracket_sink bracket;
+    released = false;
   }
 
 let engine_of (t : t) : engine = t.engine
@@ -244,6 +248,18 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t) ~(h_cmp : int -> int -> unit)
       match t.full_art with
       | Some art -> Vm.Compile.bind art ~trace ~h_cmp
       | None -> ())
+
+(** Retire the tracer at the end of its campaign: point the artifact's
+    probes at a fresh private map and a no-op cmplog probe, so a
+    per-domain cached artifact stops keeping the finished campaign's
+    trace map, buffers and hooks alive. The placeholder is allocated
+    here, never shared, so no two domains can write it. Every later run
+    raises [Invalid_argument]. *)
+let release (t : t) : unit =
+  t.released <- true;
+  bind t
+    ~trace:(Pathcov.Coverage_map.create ~size_log2:4 ())
+    ~h_cmp:(fun _ _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Execution: batched cohorts only. The per-candidate engine dispatch
@@ -290,6 +306,7 @@ let signal_batch (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
    given, else to the tracer's accumulator. The enclosing batch's slots
    are restored afterwards. *)
 let bracketed ?clock ?vm_s batch (t : t) ctx ~fuel ~max_depth ~n ~gen ~sink =
+  if t.released then invalid_arg "Tracer: run after release";
   match (match clock with None -> t.clock | c -> c) with
   | None -> batch t ctx ~fuel ~max_depth ~n ~gen ~sink
   | Some now ->

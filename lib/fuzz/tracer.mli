@@ -25,6 +25,14 @@ val engine_of_name : string -> engine option
     truth for CLI documentation, diagnostics and bench filters. *)
 val engine_names : string list
 
+(** The engine of the paper-reproduction path — {!Strategy.run},
+    [Experiments.Runner.run] and [pathfuzz tables] — unless told
+    otherwise: [Fused]. Native is not the default there because its
+    cold compile (seconds per subject unit) outweighs a matrix of short
+    campaigns; [fuzz], [profile], [stats] and {!Campaign.default_config}
+    keep [Interp]. *)
+val matrix_engine : engine
+
 type t
 
 (** Build a tracer over a prepared subject. [shared] (default [true])
@@ -61,6 +69,14 @@ val emit_fallback : t -> string option
     installed in the campaign context directly). *)
 val bind :
   t -> trace:Pathcov.Coverage_map.t -> h_cmp:(int -> int -> unit) -> unit
+
+(** Retire the tracer when its campaign ends: the artifact's probes are
+    pointed at a fresh private placeholder map and a no-op cmplog probe,
+    so a per-domain cached artifact ({!Vm.Compile.cached}) no longer
+    keeps the finished campaign's trace map and hooks alive. Every later
+    run through this tracer raises [Invalid_argument]; a new campaign
+    binds the artifact again through its own tracer. *)
+val release : t -> unit
 
 (** {2 Batched cohort execution}
 

@@ -2235,6 +2235,9 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t)
   t.cs.trace <- trace;
   t.cs.h_cmp <- h_cmp
 
+(** The trace map the probes currently write (tests and diagnostics). *)
+let bound_trace (t : t) : Pathcov.Coverage_map.t = t.cs.trace
+
 (** Reset the baked listener state (the [Feedback.t.reset] analogue);
     {!run} calls this itself before every execution. *)
 let reset (t : t) : unit =

@@ -74,6 +74,9 @@ val cached :
 val bind :
   t -> trace:Pathcov.Coverage_map.t -> h_cmp:(int -> int -> unit) -> unit
 
+(** The trace map the probes currently write (tests and diagnostics). *)
+val bound_trace : t -> Pathcov.Coverage_map.t
+
 (** {2 Execution}
 
     Both runners mirror {!Interp.run_ctx} / {!Interp.run_batch}: same

@@ -9,7 +9,7 @@
 
 open Interp
 
-let emitter_version = 3
+let emitter_version = 4
 
 (* ------------------------------------------------------------------ *)
 (* Plugin side-channel *)

@@ -100,6 +100,65 @@ let prop_journal_matches_bytes =
       && Array.to_list (Cm.sorted_indices m) = expected
       && Cm.count_set m = List.length expected)
 
+(* The virgin residual is a count kept by the map's writers; after any
+   sequence of writes it must equal a scan of the bytes. Two small maps
+   (64 slots) so merges saturate bytes and copies/restores cross. *)
+type virgin_op =
+  | Merge of int * (int * int) list  (** target, (index, hits) *)
+  | Sparse of int * (int * int) list  (** target, (index, byte) *)
+  | Copy of int  (** the other map into this one *)
+  | Restore of int * int list  (** target, bytes not left 0xFF *)
+
+let gen_virgin_op =
+  let open QCheck.Gen in
+  let target = int_bound 1 and idx = int_bound 127 in
+  frequency
+    [
+      (4, map2 (fun t l -> Merge (t, l)) target
+            (list_size (int_range 0 12) (pair idx (int_range 1 300))));
+      (3, map2 (fun t l -> Sparse (t, l)) target
+            (list_size (int_range 0 12) (pair idx (int_bound 255))));
+      (1, map (fun t -> Copy t) target);
+      (1, map2 (fun t l -> Restore (t, l)) target (list_size (int_range 0 20) idx));
+    ]
+
+let prop_residual_matches_scan =
+  QCheck.Test.make ~count:300 ~name:"virgin residual count equals a byte scan"
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 40) gen_virgin_op))
+    (fun ops ->
+      let maps = Array.init 2 (fun _ -> Cm.create_virgin ~size_log2:6 ()) in
+      let agree () =
+        Array.for_all (fun m -> Cm.residual m = Cm.residual_scan m) maps
+      in
+      agree ()
+      && List.for_all
+           (fun op ->
+             (match op with
+             | Merge (t, hits) ->
+                 let trace = Cm.create ~size_log2:6 () in
+                 List.iter (fun (i, n) -> for _ = 1 to n do Cm.hit trace i done) hits;
+                 Cm.classify trace;
+                 ignore (Cm.merge_into ~virgin:maps.(t) trace)
+             | Sparse (t, pairs) ->
+                 let pairs =
+                   List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+                     (List.map (fun (i, v) -> (i land 63, v)) pairs)
+                 in
+                 let idxs =
+                   Pathcov.Index_set.of_array (Array.of_list (List.map fst pairs))
+                 in
+                 let vals =
+                   String.concat "" (List.map (fun (_, v) -> String.make 1 (Char.chr v)) pairs)
+                 in
+                 ignore (Cm.merge_sparse_into ~virgin:maps.(t) ~idxs ~vals)
+             | Copy t -> Cm.copy_into ~dst:maps.(t) maps.(1 - t)
+             | Restore (t, touched) ->
+                 let img = Bytes.make 64 '\255' in
+                 List.iter (fun i -> Bytes.set img (i land 63) (Char.chr (i land 0x7f))) touched;
+                 Cm.restore_raw maps.(t) img);
+             agree ())
+           ops)
+
 (* --- feedback listeners --- *)
 
 let run_with_feedback fb prog input =
@@ -224,5 +283,10 @@ let suite =
       ] );
     ( "coverage-properties",
       List.map QCheck_alcotest.to_alcotest
-        [ prop_merge_idempotent; prop_journal_matches_bytes; prop_feedback_deterministic ] );
+        [
+          prop_merge_idempotent;
+          prop_journal_matches_bytes;
+          prop_feedback_deterministic;
+          prop_residual_matches_scan;
+        ] );
   ]

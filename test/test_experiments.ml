@@ -33,6 +33,43 @@ let test_parallel_matrix_identical () =
   check Alcotest.bool "matrix wall clock aggregates" true
     (Experiments.Runner.total_wall_s m4 >= c.wall_s)
 
+(* The matrix runs on [Fuzz.Tracer.matrix_engine] unless told
+   otherwise; the engine is trajectory-invisible, so the interpreter
+   reference renders the same tables byte for byte. *)
+let test_engine_default_identical () =
+  check Alcotest.string "matrix engine" "fused"
+    (Fuzz.Tracer.engine_name Fuzz.Tracer.matrix_engine);
+  let interp =
+    Experiments.Runner.run ~quiet:true ~engine:Fuzz.Tracer.Interp
+      ~subjects:(tiny_subjects ()) tiny_config
+  in
+  check Alcotest.string "tables byte-identical under interp and the default"
+    (Experiments.Tables.all interp)
+    (Experiments.Tables.all (Lazy.force matrix))
+
+(* [Config.map_size_log2] reaches every campaign of every strategy
+   (cull rounds and both opportunistic phases included): no snapshot
+   row can count more untouched virgin indices than a 2^10 map has. *)
+let test_map_size_threaded () =
+  let s = Subjects.Registry.find_exn "flvmeta" in
+  let prog = Subjects.Subject.program s in
+  List.iter
+    (fun (fz : Fuzz.Strategy.fuzzer) ->
+      let obs = Obs.Observer.create () in
+      ignore
+        (Fuzz.Strategy.run ~obs ~map_size_log2:10 ~budget:900 ~trial_seed:1 fz
+           prog ~seeds:s.seeds);
+      let rows = Obs.Observer.snapshots obs in
+      check Alcotest.bool (fz.name ^ ": rows recorded") true (rows <> []);
+      List.iter
+        (fun (r : Obs.Snapshot.row) ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: residual %d within a 2^10 map" fz.name
+               r.virgin_residual)
+            true (r.virgin_residual <= 1024))
+        rows)
+    Fuzz.Strategy.[ path; cull ~rounds:3 (); opp ]
+
 let test_matrix_deterministic () =
   let m1 = Lazy.force matrix in
   let m2 = Experiments.Runner.run ~quiet:true ~subjects:(tiny_subjects ()) tiny_config in
@@ -112,5 +149,9 @@ let suite =
         Alcotest.test_case "figure 1 renders" `Quick test_fig1_renders;
         Alcotest.test_case "config from env" `Quick test_config_env;
         Alcotest.test_case "aggregations" `Quick test_aggregations;
+        Alcotest.test_case "engine default renders identical tables" `Quick
+          test_engine_default_identical;
+        Alcotest.test_case "map size reaches every campaign" `Quick
+          test_map_size_threaded;
       ] );
   ]

@@ -241,6 +241,44 @@ let test_retention_allocation () =
        per_entry per_index bound)
     true (per_entry < bound)
 
+(* --- per-campaign fixed cost: one top-rated table --- *)
+
+(* Words allocated straight into the major heap (blocks too large for
+   the minor heap) while [f] runs. *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let _, promoted1, major1 = Gc.counters () in
+  (r, major1 -. major0 -. (promoted1 -. promoted0))
+
+(* A short campaign's large blocks are its maps and one top-rated table
+   sized to the map. Growing the table through doublings from 1024
+   slots, as the first claims used to, allocated another half table or
+   more on top (131k words here against 99k). *)
+let test_campaign_fixed_allocation () =
+  let s = Subjects.Registry.find_exn "cflow" in
+  let prog = Subjects.Subject.compile_fresh s in
+  let config =
+    {
+      Fuzz.Campaign.default_config with
+      mode = Pathcov.Feedback.Path;
+      budget = 1_400;
+      rng_seed = 3;
+    }
+  in
+  ignore (Fuzz.Campaign.run ~config prog ~seeds:s.seeds);
+  let r, words =
+    direct_major_words (fun () -> Fuzz.Campaign.run ~config prog ~seeds:s.seeds)
+  in
+  check_bool "campaign retained entries" true (Fuzz.Corpus.size r.corpus > 10);
+  let slots = float_of_int (1 lsl config.map_size_log2) in
+  (* one table word per slot; five byte maps' worth of other buffers *)
+  let bound = slots +. (5. *. slots /. 8.) in
+  check_bool
+    (Printf.sprintf "direct major words per campaign bounded (got %.0f, bound %.0f)"
+       words bound)
+    true (words < bound)
+
 (* --- indexed corpus invariants --- *)
 
 let test_corpus_indexing () =
@@ -289,5 +327,8 @@ let suite =
           test_cmplog_campaign_allocation;
         test_case "retention steady-state allocation" `Quick
           test_retention_allocation;
+        test_case "campaign allocates one top-rated table" `Quick
+          test_campaign_fixed_allocation;
       ] );
   ]
+

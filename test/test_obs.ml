@@ -303,6 +303,101 @@ let test_virgin_residual () =
   ignore (Pathcov.Coverage_map.merge_into ~virgin:v trace);
   check Alcotest.int "two bytes consumed" 254 (Pathcov.Coverage_map.residual v)
 
+(* A snapshot row's residual is the count the virgin map keeps; it must
+   equal a scan of the map at the moment the row is taken. *)
+let count_ff (b : bytes) : int =
+  Bytes.fold_left (fun n c -> if c = '\255' then n + 1 else n) 0 b
+
+let residual_config =
+  {
+    Fuzz.Campaign.default_config with
+    mode = Pathcov.Feedback.Path;
+    budget = 8_000;
+    rng_seed = 5;
+  }
+
+(* Sequential: the sink scans the live virgin map on every row, through
+   a straight run and through a run resumed from a restored (recounted)
+   map. *)
+let test_residual_rows_sequential () =
+  let s = Subjects.Registry.find_exn "cflow" in
+  let prog = Subjects.Subject.compile_fresh s in
+  let live = ref None and rows = ref 0 in
+  let sink =
+    Obs.Sink.make (function
+      | Obs.Event.Snapshot row -> (
+          match !live with
+          | Some (st : Fuzz.Campaign.state) ->
+              incr rows;
+              check Alcotest.int
+                (Printf.sprintf "row at %d: residual = scan" row.at_exec)
+                (Pathcov.Coverage_map.residual_scan st.virgin)
+                row.virgin_residual
+          | None -> ())
+      | _ -> ())
+  in
+  let run ?checkpoint ?resume () =
+    let obs = Obs.Observer.create ~sink () in
+    let st = Fuzz.Campaign.make_state ~obs ~config:residual_config prog in
+    live := Some st;
+    Fuzz.Campaign.run_state ?checkpoint ?resume st ~seeds:s.seeds
+  in
+  let saved = ref None in
+  let straight =
+    run
+      ~checkpoint:
+        {
+          Fuzz.Checkpoint.every = 2_000;
+          subject = s.name;
+          fuzzer = "path";
+          save = (fun ck -> if !saved = None then saved := Some ck);
+        }
+      ()
+  in
+  check_bool "straight rows checked" true (!rows >= 64);
+  let ck = Option.get !saved in
+  check Alcotest.int "restored map recounted"
+    (count_ff ck.Fuzz.Checkpoint.virgin)
+    (let m = Pathcov.Coverage_map.create_virgin () in
+     Pathcov.Coverage_map.restore_raw m ck.virgin;
+     Pathcov.Coverage_map.residual m);
+  let before = !rows in
+  let resumed = run ~resume:ck () in
+  check_bool "resumed rows checked" true (!rows > before);
+  let last (r : Fuzz.Campaign.result) =
+    (List.nth r.snapshots (List.length r.snapshots - 1)).virgin_residual
+  in
+  check Alcotest.int "resumed final residual" (last straight) (last resumed)
+
+(* Sharded: shard snapshots are taken at merge barriers, and a
+   checkpoint written at the same barrier carries the virgin bytes, so
+   every mid-budget row is checked against its barrier's map image and
+   the final row against the returned map. *)
+let test_residual_rows_sharded () =
+  let s = Subjects.Registry.find_exn "sqlite3" in
+  let prog = Subjects.Subject.compile_fresh s in
+  let cfg =
+    { Fuzz.Shard.base = residual_config; shards = 2; sync_interval = 512 }
+  in
+  let barriers = ref 0 in
+  let save (ck : Fuzz.Checkpoint.t) =
+    incr barriers;
+    let row = ck.snapshots.(Array.length ck.snapshots - 1) in
+    check Alcotest.int
+      (Printf.sprintf "barrier row at %d: residual = scan" row.at_exec)
+      (count_ff ck.virgin) row.virgin_residual
+  in
+  let r =
+    Fuzz.Shard.run ~obs:(Obs.Observer.create ())
+      ~checkpoint:{ Fuzz.Checkpoint.every = 1; subject = s.name; fuzzer = "path"; save }
+      cfg prog ~seeds:s.seeds
+  in
+  check_bool "barrier rows checked" true (!barriers >= 8);
+  let last = List.nth r.campaign.snapshots (List.length r.campaign.snapshots - 1) in
+  check Alcotest.int "final row: residual = scan"
+    (Pathcov.Coverage_map.residual_scan r.virgin)
+    last.virgin_residual
+
 (* ------------------------------------------------------------------ *)
 (* Event JSONL shape *)
 
@@ -646,5 +741,9 @@ let suite =
         Alcotest.test_case "bench history shards schema tolerance" `Quick
           test_bench_history_schema_tolerant;
         Alcotest.test_case "mode of name" `Quick test_mode_of_name;
+        Alcotest.test_case "residual rows match a scan" `Quick
+          test_residual_rows_sequential;
+        Alcotest.test_case "sharded residual rows match a scan" `Quick
+          test_residual_rows_sharded;
       ] );
   ]

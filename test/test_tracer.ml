@@ -488,6 +488,54 @@ let test_calibration_capture_oracle () =
         [ 1; 2 ])
     capture_variants
 
+(* A finished campaign releases its tracer: the per-domain cached
+   artifact no longer keeps the campaign's trace map alive (a weak
+   pointer taken while the campaign runs is cleared by a full major
+   collection after it returns), and the released tracer refuses to
+   run. *)
+let test_release_unbinds_cached_artifact () =
+  let s = Subjects.Registry.find_exn "cflow" in
+  let prog = Subjects.Subject.compile_fresh s in
+  let config =
+    {
+      Fuzz.Campaign.default_config with
+      mode = Pathcov.Feedback.Path;
+      budget = 1_000;
+      engine = Fuzz.Tracer.Fused;
+    }
+  in
+  let prepared = Vm.Interp.prepare_cached prog in
+  let art =
+    Vm.Compile.cached ~cmplog:config.cmplog prepared
+      (Vm.Compile.Sfull config.mode)
+  in
+  let probe = Weak.create 1 in
+  let sink =
+    Obs.Sink.make (function
+      | Obs.Event.Snapshot _ when not (Weak.check probe 0) ->
+          Weak.set probe 0 (Some (Vm.Compile.bound_trace art))
+      | _ -> ())
+  in
+  let st = Fuzz.Campaign.make_state ~config prog in
+  check_bool "campaign binds the cached artifact" true
+    (Vm.Compile.bound_trace art == st.feedback.trace);
+  ignore (Fuzz.Campaign.run_state st ~seeds:s.seeds);
+  check_bool "released tracer refuses to run" true
+    (match Fuzz.Campaign.execute st "x" with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  check_bool "artifact unbound from the campaign" true
+    (Vm.Compile.bound_trace art != st.feedback.trace);
+  (* [st] is still reachable here, so probe a campaign whose state only
+     [Campaign.run] holds *)
+  ignore
+    (Fuzz.Campaign.run ~obs:(Obs.Observer.create ~sink ()) ~config prog
+       ~seeds:s.seeds);
+  check_bool "probe armed during the run" true (Weak.check probe 0);
+  Gc.full_major ();
+  check_bool "finished campaign's trace map collected" false
+    (Weak.check probe 0)
+
 let suite =
   [
     ( "tracer",
@@ -506,5 +554,7 @@ let suite =
           test_pruning_in_calibration;
         Alcotest.test_case "calibration-only cmplog capture oracle" `Quick
           test_calibration_capture_oracle;
+        Alcotest.test_case "finished campaign releases its artifact" `Quick
+          test_release_unbinds_cached_artifact;
       ] );
   ]
