@@ -94,7 +94,9 @@ resume-check: build
 # --jsonl event streams (wall_s stripped) of one unclocked cmplog run
 # per engine must match too: stdout shows only totals, while each
 # calibration event carries the count of comparison pairs its capture
-# saw.
+# saw. A pathafl tier (sqlite3, retention heavy: the edge probes and
+# rolling-hash commits of the native unit) diffs stdout and the event
+# stream under interp and native, sequentially and at 2 shards.
 engine-check: build
 	@rm -rf _build/engine-check && mkdir -p _build/engine-check
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
@@ -163,6 +165,25 @@ engine-check: build
 	grep -q '"calibration"' _build/engine-check/interp.events
 	diff _build/engine-check/interp.events _build/engine-check/fused.events
 	diff _build/engine-check/interp.events _build/engine-check/native.events
+	for e in interp native; do \
+	  ./_build/default/bin/pathfuzz.exe fuzz -s sqlite3 -f pathafl -b 20000 \
+	    --engine $$e --emit-cache _build/engine-check/emit-cache \
+	    --jsonl _build/engine-check/pa-$$e.jsonl \
+	    > _build/engine-check/pa-$$e.out || exit 1; \
+	  ./_build/default/bin/pathfuzz.exe fuzz -s sqlite3 -f pathafl -b 20000 \
+	    --engine $$e --emit-cache _build/engine-check/emit-cache \
+	    --shards 2 --sync-interval 512 \
+	    --jsonl _build/engine-check/pa-sh-$$e.jsonl \
+	    > _build/engine-check/pa-sh-$$e.out || exit 1; \
+	  for r in pa pa-sh; do \
+	    sed -E 's/"wall_s": ?[-0-9.e+]+//g' _build/engine-check/$$r-$$e.jsonl \
+	      > _build/engine-check/$$r-$$e.events || exit 1; \
+	  done; \
+	done
+	diff _build/engine-check/pa-interp.out _build/engine-check/pa-native.out
+	diff _build/engine-check/pa-sh-interp.out _build/engine-check/pa-sh-native.out
+	diff _build/engine-check/pa-interp.events _build/engine-check/pa-native.events
+	diff _build/engine-check/pa-sh-interp.events _build/engine-check/pa-sh-native.events
 	python3 -c "import json; \
 	  cold = json.load(open('_build/engine-check/native-cold.metrics.json')); \
 	  warm = json.load(open('_build/engine-check/native-warm.metrics.json')); \

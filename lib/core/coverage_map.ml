@@ -16,7 +16,7 @@
 type t = {
   bits : Bytes.t;
   mask : int;
-  mutable touched : int array;  (** indices with non-zero count, unordered *)
+  mutable touched : int array;  (** indices with non-zero count, first-hit order *)
   mutable ntouched : int;
   passes : int;  (** 8-bit radix digits per index: ceil(size_log2 / 8) *)
   counts : int array;  (** [passes] digit histograms of 256 slots each *)

@@ -2,7 +2,25 @@
     touched-index journal (clear/classify/merge cost is proportional to
     the indices actually hit, not to the map size). *)
 
-type t
+(** The map's representation is exposed so that generated native code
+    can inline {!hit} instead of calling it across a module boundary
+    (DESIGN §15, "No opaque calls on the per-block path"). Only this
+    module and the hit code [Vm.Emit] emits write these fields; every
+    other client treats [t] as abstract. *)
+type t = {
+  bits : Bytes.t;  (** one saturating count (or virgin byte) per index *)
+  mask : int;  (** [size - 1] *)
+  mutable touched : int array;
+      (** journal: indices with a non-zero count, in first-hit order *)
+  mutable ntouched : int;  (** live prefix of [touched] *)
+  passes : int;  (** 8-bit radix digits per index: ceil(size_log2 / 8) *)
+  counts : int array;  (** [passes] digit histograms of 256 slots each *)
+  mutable sort_a : int array;  (** radix ping-pong scratch, journal-sized *)
+  mutable sort_b : int array;
+  mutable ff : int;
+      (** virgin maps: bytes still 0xFF, kept by every writer of [bits]
+          ([0] on trace maps) *)
+}
 
 (** Novelty verdict of {!merge_into}. *)
 type novelty =
@@ -24,7 +42,9 @@ val size : t -> int
 (** Reset all touched counts to zero. *)
 val clear : t -> unit
 
-(** Record one hit at an index (wrapped into range, saturating at 255). *)
+(** Record one hit at an index (wrapped into range, saturating at 255);
+    a 0 -> 1 transition appends the index to the journal, growing it
+    when full. *)
 val hit : t -> int -> unit
 
 (** AFL's power-of-two count classification (1,2,3,4-7,8-15,...). *)

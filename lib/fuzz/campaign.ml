@@ -72,7 +72,9 @@ let queue_inputs (r : result) : string list =
     {!capturing} sets it, around a calibration run: no other run's pairs
     are ever read (AFL++ likewise captures operands in a separate
     per-entry cmplog run), so every other comparison costs one flag
-    test. *)
+    test. {!capturing} also arms the tracer: a native unit calls the
+    probe only inside the window, so there a comparison outside it costs
+    one inline load and branch instead of a closure call. *)
 type cmp_buf = {
   ops_a : int array;
   ops_b : int array;
@@ -97,10 +99,12 @@ let rec cmp_seen (b : cmp_buf) a bv i =
   && ((Array.unsafe_get b.ops_a i = a && Array.unsafe_get b.ops_b i = bv)
      || cmp_seen b a bv (i + 1))
 
-let capturing (b : cmp_buf) (run : unit -> 'a) : 'a =
+let capturing (tracer : Tracer.t) (b : cmp_buf) (run : unit -> 'a) : 'a =
   b.n_cmps <- 0;
   b.capture <- true;
+  Tracer.arm_cmp tracer true;
   let r = run () in
+  Tracer.arm_cmp tracer false;
   b.capture <- false;
   r
 
@@ -421,7 +425,7 @@ let calibrate (st : state) (e : Corpus.entry) : Mutator.cmp_pair array =
      Tracer.pruned_fids st.tracer > 0)
   in
   if prune then Tracer.set_pruning st.tracer true;
-  let out = capturing st.cmp_buf (fun () -> execute st e.data) in
+  let out = capturing st.tracer st.cmp_buf (fun () -> execute st e.data) in
   if prune then Tracer.set_pruning st.tracer false;
   (match out.status with
   | Vm.Interp.Crashed _ ->

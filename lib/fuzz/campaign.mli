@@ -95,10 +95,13 @@ type cmp_buf = {
 
 val make_cmp_buf : unit -> cmp_buf
 
-(** [capturing b run] empties [b] and arms the probe for the duration of
-    [run] (one calibration execution): the only window in which pairs
-    are recorded. *)
-val capturing : cmp_buf -> (unit -> 'a) -> 'a
+(** [capturing tracer b run] empties [b] and arms the probe — both [b]'s
+    [capture] flag and the tracer's comparison probes
+    ({!Tracer.arm_cmp}) — for the duration of [run] (one calibration
+    execution): the only window in which pairs are recorded. Under the
+    native engine it is also the only window in which [h_cmp] is called
+    at all. *)
+val capturing : Tracer.t -> cmp_buf -> (unit -> 'a) -> 'a
 
 (** Both substitution directions per captured pair, in capture order. *)
 val cmps_of_buf : cmp_buf -> Mutator.cmp_pair array

@@ -308,7 +308,7 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
   let cmps =
     if it.calib then begin
       let out =
-        Campaign.capturing sh.cmp_buf (fun () ->
+        Campaign.capturing sh.tracer sh.cmp_buf (fun () ->
             sh_execute base sh e.Corpus.data)
       in
       incr local;

@@ -109,8 +109,7 @@ type t = {
       (** [Interp] + selective: private context with the signal hooks *)
   seen : (int, unit) Hashtbl.t;  (** signals whose traces are in the virgin map *)
   mutable last_sig : int;  (** signal of the last signal-specialised run *)
-  prune_mark : bool array;  (** current per-function pruning marks *)
-  mutable pruned : int;  (** functions currently marked pruned *)
+  nfuncs : int;  (** the subject's function count (pruning marks) *)
   compile_s : float;  (** wall spent compiling artifacts (0 unclocked) *)
   clock : (unit -> float) option;  (** default VM-wall clock of every batch *)
   bracket : bracket;
@@ -182,8 +181,15 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
         if shared then Vm.Compile.cached ?plans ~cmplog prepared spec
         else Vm.Compile.compile ?plans ~cmplog prepared spec)
   in
+  (* A per-domain cached artifact carries whatever pruning marks the
+     previous campaign's tracer left on it; start from none. *)
   let full_art =
-    if closures then Some (compile (Vm.Compile.Sfull mode)) else None
+    if closures then begin
+      let art = compile (Vm.Compile.Sfull mode) in
+      Vm.Compile.clear_pruning art;
+      Some art
+    end
+    else None
   in
   let sig_art =
     if closures && selective then Some (compile Vm.Compile.Ssignal) else None
@@ -220,8 +226,7 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
     sig_ctx;
     seen = Hashtbl.create 4096;
     last_sig = 0;
-    prune_mark = Array.make (Array.length prepared.rfuncs) false;
-    pruned = 0;
+    nfuncs = Array.length prepared.rfuncs;
     compile_s = !compile_s;
     clock;
     bracket;
@@ -249,14 +254,27 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t) ~(h_cmp : int -> int -> unit)
       | Some art -> Vm.Compile.bind art ~trace ~h_cmp
       | None -> ())
 
+(** Open or close a comparison-capture window. The native unit's
+    comparison probes call [h_cmp] only while armed; the interpreter and
+    fused engines call it on every comparison and leave the filtering to
+    the probe itself, so this is a no-op for them. *)
+let arm_cmp (t : t) (on : bool) : unit =
+  match t.full_emit with Some e -> Vm.Emit.arm e on | None -> ()
+
+let cmp_armed (t : t) : bool =
+  match t.full_emit with Some e -> Vm.Emit.armed e | None -> false
+
 (** Retire the tracer at the end of its campaign: point the artifact's
     probes at a fresh private map and a no-op cmplog probe, so a
     per-domain cached artifact stops keeping the finished campaign's
-    trace map, buffers and hooks alive. The placeholder is allocated
+    trace map, buffers and hooks alive, disarm the comparison probes and
+    drop the artifact's pruning marks. The placeholder is allocated
     here, never shared, so no two domains can write it. Every later run
     raises [Invalid_argument]. *)
 let release (t : t) : unit =
   t.released <- true;
+  arm_cmp t false;
+  Option.iter Vm.Compile.clear_pruning t.full_art;
   bind t
     ~trace:(Pathcov.Coverage_map.create ~size_log2:4 ())
     ~h_cmp:(fun _ _ -> ())
@@ -363,7 +381,7 @@ let refresh_pruning (t : t) ~(virgin : Pathcov.Coverage_map.t) : unit =
   match t.full_art with
   | None -> ()
   | Some art ->
-      for fid = 0 to Array.length t.prune_mark - 1 do
+      for fid = 0 to t.nfuncs - 1 do
         let u = Vm.Compile.path_universe art fid in
         let n = Array.length u in
         if n > 0 then begin
@@ -374,11 +392,7 @@ let refresh_pruning (t : t) ~(virgin : Pathcov.Coverage_map.t) : unit =
             then sat := false;
             incr k
           done;
-          if !sat <> t.prune_mark.(fid) then begin
-            t.prune_mark.(fid) <- !sat;
-            t.pruned <- (t.pruned + if !sat then 1 else -1);
-            Vm.Compile.prune_fid art fid !sat
-          end
+          Vm.Compile.prune_fid art fid !sat
         end
       done
 
@@ -390,8 +404,10 @@ let set_pruning (t : t) (on : bool) : unit =
   | Some art -> Vm.Compile.set_pruning art on
   | None -> ()
 
-(** Functions currently marked pruned (diagnostics and tests). *)
-let pruned_fids (t : t) : int = t.pruned
+(** Functions currently marked pruned on the artifact (diagnostics and
+    tests). *)
+let pruned_fids (t : t) : int =
+  match t.full_art with Some art -> Vm.Compile.pruned_count art | None -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Introspection — read-only tallies for the metrics registry. *)

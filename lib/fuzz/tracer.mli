@@ -70,12 +70,27 @@ val emit_fallback : t -> string option
 val bind :
   t -> trace:Pathcov.Coverage_map.t -> h_cmp:(int -> int -> unit) -> unit
 
+(** Open ([true]) or close a comparison-capture window. The native
+    unit's comparison probes call the bound [h_cmp] only while armed, so
+    a comparison outside the window costs one load and branch; the
+    interpreter and fused engines call [h_cmp] on every comparison and
+    leave the filtering to the probe, so for them this is a no-op. The
+    flag belongs to this tracer's own unit instance, so shards arm
+    independently. {!Campaign.capturing} is the only caller. *)
+val arm_cmp : t -> bool -> unit
+
+(** Is the native unit's capture window open? Always [false] for the
+    other engines. *)
+val cmp_armed : t -> bool
+
 (** Retire the tracer when its campaign ends: the artifact's probes are
     pointed at a fresh private placeholder map and a no-op cmplog probe,
     so a per-domain cached artifact ({!Vm.Compile.cached}) no longer
-    keeps the finished campaign's trace map and hooks alive. Every later
-    run through this tracer raises [Invalid_argument]; a new campaign
-    binds the artifact again through its own tracer. *)
+    keeps the finished campaign's trace map and hooks alive; the
+    comparison probes are disarmed and the artifact's pruning marks
+    dropped. Every later run through this tracer raises
+    [Invalid_argument]; a new campaign binds the artifact again through
+    its own tracer. *)
 val release : t -> unit
 
 (** {2 Batched cohort execution}
@@ -160,7 +175,9 @@ val refresh_pruning : t -> virgin:Pathcov.Coverage_map.t -> unit
 (** Gate the pruning marks on or off; initial state is off. *)
 val set_pruning : t -> bool -> unit
 
-(** Functions currently marked pruned (diagnostics and tests). *)
+(** Functions currently marked pruned on the artifact (diagnostics and
+    tests). A new tracer clears the marks a cached artifact carries from
+    an earlier campaign, so this is [0] until its first refresh. *)
 val pruned_fids : t -> int
 
 (** {2 Introspection}

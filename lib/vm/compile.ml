@@ -2264,6 +2264,18 @@ let set_pruning (t : t) (on : bool) : unit =
 let prune_fid (t : t) (fid : int) (elide : bool) : unit =
   Bytes.set t.pruned_live fid (if elide then '\001' else '\000')
 
+(** Functions marked in the live table. *)
+let pruned_count (t : t) : int =
+  let n = ref 0 in
+  Bytes.iter (fun c -> if c <> '\000' then incr n) t.pruned_live;
+  !n
+
+(** Drop every mark and disable pruning: the state of a fresh
+    artifact. *)
+let clear_pruning (t : t) : unit =
+  Bytes.fill t.pruned_live 0 (Bytes.length t.pruned_live) '\000';
+  set_pruning t false
+
 (** Every map key function [fid]'s path commits can produce (unwrapped),
     or [[||]] when not enumerable (too many paths, or a non-path
     spec). *)

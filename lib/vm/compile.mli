@@ -144,6 +144,14 @@ val prune_fid : t -> int -> bool -> unit
     probe fire regardless of {!prune_fid} marks. *)
 val set_pruning : t -> bool -> unit
 
+(** Functions marked in the live pruning table. *)
+val pruned_count : t -> int
+
+(** Drop every mark and disable pruning — a fresh artifact's state. A
+    per-domain {!cached} artifact outlives the campaign that marked it,
+    so each campaign's tracer clears it on taking and on releasing it. *)
+val clear_pruning : t -> unit
+
 (** {2 Introspection}
 
     Plain-int tallies — this library carries no obs dependency; the

@@ -9,7 +9,7 @@
 
 open Interp
 
-let emitter_version = 4
+let emitter_version = 5
 
 (* ------------------------------------------------------------------ *)
 (* Plugin side-channel *)
@@ -17,6 +17,7 @@ let emitter_version = 4
 type raw = {
   r_set_trace : Pathcov.Coverage_map.t -> unit;
   r_set_cmp : (int -> int -> unit) -> unit;
+  r_armed : bool ref;
   r_reset : unit -> unit;
   r_signal : unit -> int;
   r_enter : exec_ctx -> unit;
@@ -110,24 +111,6 @@ let artifact_path key =
   Filename.concat (cache_dir_ensured ()) ("pf_emit_" ^ key ^ artifact_ext)
 
 (* ------------------------------------------------------------------ *)
-(* Cache key: resolved IR fingerprint × spec × cmplog × compiler
-   version × emitter version × linking model. *)
-
-let key_of (p : prepared) (spec : Compile.spec) (cmplog : bool) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b (Marshal.to_string p.prog []);
-  Buffer.add_string b (Compile.spec_name spec);
-  (match spec with
-  | Compile.Sfull (Pathcov.Feedback.Ngram n) ->
-      Buffer.add_string b (string_of_int n)
-  | _ -> ());
-  Buffer.add_string b (if cmplog then "+cmp" else "-cmp");
-  Buffer.add_string b Sys.ocaml_version;
-  Buffer.add_string b (string_of_int emitter_version);
-  Buffer.add_string b (if Dynlink.is_native then "n" else "b");
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-(* ------------------------------------------------------------------ *)
 (* Source generation: probe templates *)
 
 let lit n = if n < 0 then Printf.sprintf "(%d)" n else string_of_int n
@@ -160,7 +143,7 @@ let gprobes_none =
 let edge_pb fid b =
   let cur = Pathcov.Feedback.block_key fid b in
   Some
-    (Printf.sprintf "M.hit !trace (%s lxor !prev); prev := %s" (lit cur)
+    (Printf.sprintf "hit !trace (%s lxor !prev); prev := %s" (lit cur)
        (lit (cur lsr 1)))
 
 let gprobes_of ?plans (p : prepared) (spec : Compile.spec) : gprobes =
@@ -185,7 +168,7 @@ let gprobes_of ?plans (p : prepared) (spec : Compile.spec) : gprobes =
         gpb =
           (fun fid b ->
             Some
-              (Printf.sprintf "M.hit !trace %s"
+              (Printf.sprintf "hit !trace %s"
                  (lit (Pathcov.Feedback.block_key fid b))));
       }
   | Compile.Sfull Pathcov.Feedback.Edge ->
@@ -201,8 +184,8 @@ let gprobes_of ?plans (p : prepared) (spec : Compile.spec) : gprobes =
               (Printf.sprintf
                  "Array.unsafe_set hist (!pos mod %d) %s; pos := !pos + 1; \
                   let h = ref 0 in for i = 0 to %d do h := !h lxor \
-                  (Array.unsafe_get hist i lsr (i land 15)) done; M.hit \
-                  !trace !h"
+                  (Array.unsafe_get hist i lsr (i land 15)) done; hit !trace \
+                  !h"
                  n (lit key) (n - 1)));
       }
   | Compile.Sfull Pathcov.Feedback.Path ->
@@ -241,7 +224,7 @@ let gprobes_of ?plans (p : prepared) (spec : Compile.spec) : gprobes =
                 Some
                   (Printf.sprintf
                      "if !top > 0 then begin let r = !regs in let i = !top \
-                      - 1 in M.hit !trace (((Array.unsafe_get r i + %s) \
+                      - 1 in hit !trace (((Array.unsafe_get r i + %s) \
                       lxor %s) land max_int); Array.unsafe_set r i %s end"
                      (lit add)
                      (lit salts.(fid))
@@ -265,7 +248,7 @@ let gprobes_of ?plans (p : prepared) (spec : Compile.spec) : gprobes =
             in
             Some
               (Printf.sprintf
-                 "if !top > 0 then begin let i = !top - 1 in M.hit !trace \
+                 "if !top > 0 then begin let i = !top - 1 in hit !trace \
                   (((Array.unsafe_get !regs i + %s) lxor %s) land max_int); \
                   top := i end"
                  (lit ra)
@@ -279,7 +262,7 @@ let gprobes_of ?plans (p : prepared) (spec : Compile.spec) : gprobes =
       let key_event k =
         Printf.sprintf
           "rolling := (((!rolling lsl 13) lor (!rolling lsr 49)) lxor %s) \
-           land max_int; M.hit !trace !rolling"
+           land max_int; hit !trace !rolling"
           (lit k)
       in
       {
@@ -392,7 +375,8 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
           Printf.sprintf "(let %s = %s in let %s = %s in %sif %s %s %s then \
                           1 else 0)"
             a (exp e1) b (exp e2)
-            (if gp.gemit_cmp then Printf.sprintf "(!hcmp) %s %s; " a b
+            (if gp.gemit_cmp then
+               Printf.sprintf "if !armed then (!hcmp) %s %s; " a b
              else "")
             a (rel_of op) b
       | Rneg e -> Printf.sprintf "(- %s)" (exp e)
@@ -456,42 +440,47 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
           let a = fresh () and b = fresh () in
           Printf.sprintf "(let %s = %s in let %s = %s in %s%s %s %s)" a
             (exp e1) b (exp e2)
-            (if gp.gemit_cmp then Printf.sprintf "(!hcmp) %s %s; " a b
+            (if gp.gemit_cmp then
+               Printf.sprintf "if !armed then (!hcmp) %s %s; " a b
              else "")
             a (rel_of op) b
       | Rnot e -> Printf.sprintf "(%s = 0)" (exp e)
       | _ -> Printf.sprintf "(%s <> 0)" (exp e)
     in
+    (* [Interp.write_int] specialised by slot kind and the destination's
+       typing row: store int [v] into [dstv]'s slot [dst]. *)
+    let store_int ~(dstma : bool array) ~(dstv : string) (dst : slot)
+        (v : string) : string =
+      match dst with
+      | Local i ->
+          if dstma.(i) then
+            let t = fresh () in
+            Printf.sprintf
+              "(let %s = %s in Array.unsafe_set %s.I.f_ints %d %s; if \
+               %s.I.f_arrs_live && Array.unsafe_get %s.I.f_arrs %d != \
+               I.no_arr then Array.unsafe_set %s.I.f_arrs %d I.no_arr)"
+              t v dstv i t dstv dstv i dstv i
+          else Printf.sprintf "(Array.unsafe_set %s.I.f_ints %d %s)" dstv i v
+      | Global g ->
+          if gma.(g) then
+            let t = fresh () in
+            Printf.sprintf
+              "(let %s = %s in touch ctx %d; Array.unsafe_set ctx.I.gints %d \
+               %s; if Array.unsafe_get ctx.I.garrs %d != I.no_arr then \
+               Array.unsafe_set ctx.I.garrs %d I.no_arr)"
+              t v g g t g g
+          else
+            let t = fresh () in
+            Printf.sprintf
+              "(let %s = %s in touch ctx %d; Array.unsafe_set ctx.I.gints %d \
+               %s)"
+              t v g g t
+    in
     (* [Interp.eval_into]: evaluate in the caller frame [fr], store
        into [dstv]'s slot [dst] under the destination's typing row. *)
     let into ~(dstma : bool array) ~(dstv : string) (dst : slot) (e : rexpr)
         : string =
-      let store_int (v : string) : string =
-        match dst with
-        | Local i ->
-            if dstma.(i) then
-              let t = fresh () in
-              Printf.sprintf
-                "(let %s = %s in Array.unsafe_set %s.I.f_ints %d %s; if \
-                 %s.I.f_arrs_live && Array.unsafe_get %s.I.f_arrs %d != \
-                 I.no_arr then Array.unsafe_set %s.I.f_arrs %d I.no_arr)"
-                t v dstv i t dstv dstv i dstv i
-            else Printf.sprintf "(Array.unsafe_set %s.I.f_ints %d %s)" dstv i v
-        | Global g ->
-            if gma.(g) then
-              let t = fresh () in
-              Printf.sprintf
-                "(let %s = %s in I.touch_global ctx %d; Array.unsafe_set \
-                 ctx.I.gints %d %s; if Array.unsafe_get ctx.I.garrs %d != \
-                 I.no_arr then Array.unsafe_set ctx.I.garrs %d I.no_arr)"
-                t v g g t g g
-            else
-              let t = fresh () in
-              Printf.sprintf
-                "(let %s = %s in I.touch_global ctx %d; Array.unsafe_set \
-                 ctx.I.gints %d %s)"
-                t v g g t
-      in
+      let store_int = store_int ~dstma ~dstv dst in
       match e with
       | Rload ((Local i) as s, _) when ma.(i) ->
           Printf.sprintf "(I.copy_slot ctx fr %s %s %s)" (slot_lit s) dstv
@@ -581,7 +570,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
       Printf.bprintf bb
         "ctx.I.fuel <- ctx.I.fuel - 1;\n\
          if ctx.I.fuel <= 0 then raise I.Out_of_fuel;\n\
-         let %s = I.acquire_raw ctx %d in\n"
+         let %s = acquire ctx %d in\n"
         cf callee;
       Array.iter
         (fun sl -> Printf.bprintf bb "Array.unsafe_set %s.I.f_ints %d 0;\n" cf sl)
@@ -592,7 +581,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
           Printf.bprintf bb "%s;\n"
             (into ~dstma:typing.Compile.lmay.(callee) ~dstv:cf params.(k) a))
         args;
-      Printf.bprintf bb "I.push_call ctx %d %s;\n" fid (lit site);
+      Printf.bprintf bb "push ctx %d %s;\n" fid (lit site);
       Printf.bprintf bb "depth := !depth + 1;\n";
       Printf.bprintf bb "f_%d ctx %s;\n" callee cf;
       Printf.bprintf bb "depth := !depth - 1;\n";
@@ -606,8 +595,9 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
       | Some d ->
           Printf.bprintf bb
             "(if ctx.I.ret_a != I.no_arr then I.write_arr ctx fr %s \
-             ctx.I.ret_a else I.write_int ctx fr %s ctx.I.ret_i);\n"
-            (slot_lit d) (slot_lit d));
+             ctx.I.ret_a else %s);\n"
+            (slot_lit d)
+            (store_int ~dstma:ma ~dstv:"fr" d "ctx.I.ret_i"));
       Buffer.contents bb
     in
     let term_code (label : int) (t : rterm) : string =
@@ -781,6 +771,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
   Printf.bprintf buf "let () =\n  Vm.Emit.register ~key:%S (fun () ->\n" key;
   Printf.bprintf buf "let trace = ref (M.create ~size_log2:6 ()) in\n";
   Printf.bprintf buf "let hcmp = ref (fun (_ : int) (_ : int) -> ()) in\n";
+  Printf.bprintf buf "let armed = ref false in\n";
   Printf.bprintf buf "let depth = ref 0 in\n";
   Printf.bprintf buf "let prev = ref 0 in\n";
   Printf.bprintf buf "let hist = Array.make %d 0 in\n" ngram_n;
@@ -804,6 +795,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
   Printf.bprintf buf
     "{ Vm.Emit.r_set_trace = (fun m -> trace := m);\n\
     \  Vm.Emit.r_set_cmp = (fun f -> hcmp := f);\n\
+    \  Vm.Emit.r_armed = armed;\n\
     \  Vm.Emit.r_reset = (fun () -> depth := 0; prev := 0; pos := 0; %stop \
      := 0; rolling := 0; sigh := 0);\n\
     \  Vm.Emit.r_signal = (fun () -> !sigh);\n\
@@ -813,11 +805,62 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
      else "")
     p.main_id zero_main p.main_id
 
+(* The unit prelude. The host libraries are built [-opaque] under dune's
+   dev profile, so a call into [Coverage_map] or [Interp] from generated
+   code is an unknown-function call that spills every live register.
+   The per-block operations are therefore defined here, where ocamlopt
+   inlines them: [hit] is [Coverage_map.hit] over the exposed record
+   (mask, saturate at 255, journal append on 0 -> 1), [touch] is
+   [Interp.touch_global], [push] is [Interp.push_call] and [acquire] is
+   [Interp.acquire_raw] on a frame whose array table is clear. Each
+   calls back into the host only on its slow path: journal, write-log,
+   call-stack or pool growth, or an array table to reset. *)
 let header =
   "(* generated by Vm.Emit — do not edit *)\n\
    module I = Vm.Interp\n\
    module C = Vm.Crash\n\
-   module M = Pathcov.Coverage_map\n\n"
+   module M = Pathcov.Coverage_map\n\n\
+   let[@inline] hit (m : M.t) x =\n\
+  \  let i = x land m.M.mask in\n\
+  \  let c = Char.code (Bytes.unsafe_get m.M.bits i) in\n\
+  \  if c = 0 then begin\n\
+  \    let n = m.M.ntouched in\n\
+  \    if n = Array.length m.M.touched then M.hit m i\n\
+  \    else begin\n\
+  \      Array.unsafe_set m.M.touched n i;\n\
+  \      m.M.ntouched <- n + 1;\n\
+  \      Bytes.unsafe_set m.M.bits i '\\001'\n\
+  \    end\n\
+  \  end\n\
+  \  else if c < 255 then Bytes.unsafe_set m.M.bits i (Char.unsafe_chr (c + 1))\n\n\
+   let[@inline] touch (ctx : I.exec_ctx) g =\n\
+  \  if Bytes.unsafe_get ctx.I.gdirty g = '\\000' then begin\n\
+  \    let n = ctx.I.ngtouched in\n\
+  \    if n = Array.length ctx.I.gtouched then I.touch_global ctx g\n\
+  \    else begin\n\
+  \      Bytes.unsafe_set ctx.I.gdirty g '\\001';\n\
+  \      Array.unsafe_set ctx.I.gtouched n g;\n\
+  \      ctx.I.ngtouched <- n + 1\n\
+  \    end\n\
+  \  end\n\n\
+   let[@inline] push (ctx : I.exec_ctx) fid site =\n\
+  \  let n = ctx.I.cs_top in\n\
+  \  if n = Array.length ctx.I.cs_fid then I.push_call ctx fid site\n\
+  \  else begin\n\
+  \    Array.unsafe_set ctx.I.cs_fid n fid;\n\
+  \    Array.unsafe_set ctx.I.cs_site n site;\n\
+  \    ctx.I.cs_top <- n + 1\n\
+  \  end\n\n\
+   let[@inline] acquire (ctx : I.exec_ctx) fid =\n\
+  \  let pl = Array.unsafe_get ctx.I.pools fid in\n\
+  \  let n = pl.I.live in\n\
+  \  if n < Array.length pl.I.frames\n\
+  \     && not (Array.unsafe_get pl.I.frames n).I.f_arrs_live\n\
+  \  then begin\n\
+  \    pl.I.live <- n + 1;\n\
+  \    Array.unsafe_get pl.I.frames n\n\
+  \  end\n\
+  \  else I.acquire_raw ctx fid\n\n"
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-process compilation *)
@@ -836,12 +879,19 @@ let read_tail path n =
 (* The cmi search path: the dune build tree that produced the running
    executable (walk up to the [_build/default] ancestor), plus fmt's
    findlib dir (vm's interfaces may surface its types). Overridable
-   with a colon-separated [PATHFUZZ_EMIT_INC]. *)
-let discovered_incs =
+   with a colon-separated [PATHFUZZ_EMIT_INC]. [tree_incs] spawns no
+   process, so computing a cache key stays cheap; the fmt query runs
+   only when a unit is actually compiled. *)
+let inc_override () =
+  match Sys.getenv_opt "PATHFUZZ_EMIT_INC" with
+  | Some s when s <> "" -> Some (String.split_on_char ':' s)
+  | _ -> None
+
+let tree_incs =
   lazy
-    (match Sys.getenv_opt "PATHFUZZ_EMIT_INC" with
-    | Some s when s <> "" -> String.split_on_char ':' s
-    | _ ->
+    (match inc_override () with
+    | Some incs -> incs
+    | None ->
         let marker root =
           Sys.file_exists
             (Filename.concat root "lib/vm/.vm.objs/byte/vm.cmi")
@@ -871,6 +921,13 @@ let discovered_incs =
                   [ Filename.concat objs "byte"; Filename.concat objs "native" ])
                 [ ("vm", "vm"); ("core", "pathcov"); ("minic", "minic") ]
         in
+        List.filter Sys.file_exists tree)
+
+let discovered_incs =
+  lazy
+    (match inc_override () with
+    | Some incs -> incs
+    | None ->
         let fmt_dir =
           let tmp = Filename.temp_file "pfemit" ".out" in
           let rc =
@@ -891,7 +948,47 @@ let discovered_incs =
           (try Sys.remove tmp with _ -> ());
           r
         in
-        List.filter Sys.file_exists (tree @ fmt_dir))
+        Lazy.force tree_incs @ List.filter Sys.file_exists fmt_dir)
+
+(* ------------------------------------------------------------------ *)
+(* Cache key: resolved IR fingerprint × spec × cmplog × compiler
+   version × emitter version × linking model × linked interfaces. *)
+
+let linked_interfaces =
+  [ "vm__Interp.cmi"; "vm__Crash.cmi"; "vm__Emit.cmi"; "pathcov__Coverage_map.cmi" ]
+
+(* Each linked interface's digest as found first on [incs] ("-" when
+   absent: such a unit cannot compile anyway). *)
+let interfaces_digest (incs : string list) : string =
+  String.concat ","
+    (List.map
+       (fun name ->
+         match
+           List.find_opt (fun d -> Sys.file_exists (Filename.concat d name)) incs
+         with
+         | Some d -> Digest.to_hex (Digest.file (Filename.concat d name))
+         | None -> "-")
+       linked_interfaces)
+
+let linked_digest = lazy (interfaces_digest (Lazy.force tree_incs))
+
+let key_of ?incs (p : prepared) (spec : Compile.spec) (cmplog : bool) : string =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Marshal.to_string p.prog []);
+  Buffer.add_string b (Compile.spec_name spec);
+  (match spec with
+  | Compile.Sfull (Pathcov.Feedback.Ngram n) ->
+      Buffer.add_string b (string_of_int n)
+  | _ -> ());
+  Buffer.add_string b (if cmplog then "+cmp" else "-cmp");
+  Buffer.add_string b Sys.ocaml_version;
+  Buffer.add_string b (string_of_int emitter_version);
+  Buffer.add_string b (if Dynlink.is_native then "n" else "b");
+  Buffer.add_string b
+    (match incs with
+    | Some incs -> interfaces_digest incs
+    | None -> Lazy.force linked_digest);
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let compile_source ~(tmp : string) ~(modbase : string) : (string, string) result
     =
@@ -1120,6 +1217,8 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t)
   t.raw.r_set_trace trace;
   t.raw.r_set_cmp h_cmp
 
+let arm (t : t) (on : bool) : unit = t.raw.r_armed := on
+let armed (t : t) : bool = !(t.raw.r_armed)
 let signal (t : t) : int = t.raw.r_signal ()
 
 let run_current (t : t) (ctx : exec_ctx) ~fuel ~max_depth : outcome =

@@ -16,9 +16,10 @@
     suite enforces this against the boxed reference interpreter.
 
     Artifacts are cached on disk keyed by a content hash of the
-    resolved IR, the spec, the cmplog flag, the compiler version and
-    the emitter version, so a campaign pays the compile cost once ever
-    per subject. Every fallible step ({!instance}, {!preload}) returns
+    resolved IR, the spec, the cmplog flag, the compiler version, the
+    emitter version and the interfaces the unit links against
+    ({!key_of}), so a campaign pays the compile cost once ever per
+    subject. Every fallible step ({!instance}, {!preload}) returns
     [Error reason] rather than raising: callers degrade to the fused
     closure engine and surface the reason through their own telemetry
     (the fuzz layer's [emit.fallbacks] metric and [emit_fallback]
@@ -39,11 +40,25 @@ val set_cache_dir : string -> unit
 (** The cache directory currently in effect. *)
 val cache_dir : unit -> string
 
-(** Bumped whenever generated code changes shape or a host interface
-    it links against ({!Interp}, [Pathcov.Coverage_map]) changes; part
-    of the cache key, so stale artifacts from older emitters are never
-    loaded. *)
+(** Bumped whenever generated code changes shape; part of the cache
+    key, so stale artifacts from older emitters are never loaded.
+    Interface changes in the units a plugin links against are caught
+    by {!linked_interfaces} instead. *)
 val emitter_version : int
+
+(** The compiled interfaces ([.cmi] file names) every generated unit
+    links against. {!key_of} digests each one, read from the include
+    path the compile uses, so changing any of them invalidates cached
+    artifacts. *)
+val linked_interfaces : string list
+
+(** The cache key of one [(prepared, spec, cmplog)] triple: a digest of
+    the resolved IR, the spec, the cmplog flag, the compiler and emitter
+    versions, the linking model and the contents of
+    {!linked_interfaces} as found in [incs] (default: the discovered
+    include path). *)
+val key_of :
+  ?incs:string list -> Interp.prepared -> Compile.spec -> bool -> string
 
 (** {2 Instantiation} *)
 
@@ -77,6 +92,15 @@ val preload : (Interp.prepared * Compile.spec * bool) list -> int
 val bind :
   t -> trace:Pathcov.Coverage_map.t -> h_cmp:(int -> int -> unit) -> unit
 
+(** Arm or disarm the unit's comparison probes. A generated comparison
+    calls the bound [h_cmp] only while armed, so outside a capture
+    window it costs one load and branch. The flag is private to the
+    instance (safe across shard domains); a fresh instance is
+    disarmed. *)
+val arm : t -> bool -> unit
+
+val armed : t -> bool
+
 (** The signal accumulated by the last [Ssignal] execution. *)
 val signal : t -> int
 
@@ -106,6 +130,7 @@ val run_batch :
 type raw = {
   r_set_trace : Pathcov.Coverage_map.t -> unit;
   r_set_cmp : (int -> int -> unit) -> unit;
+  r_armed : bool ref;  (** comparison probes call [h_cmp] only when set *)
   r_reset : unit -> unit;  (** clear probe state before an execution *)
   r_signal : unit -> int;  (** last [Ssignal] hash; [0] otherwise *)
   r_enter : Interp.exec_ctx -> unit;  (** run main on a primed context *)

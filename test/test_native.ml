@@ -122,6 +122,7 @@ let test_native_mode_agreement () =
             let ntrace = Pathcov.Coverage_map.create () in
             Vm.Emit.bind art ~trace:ntrace ~h_cmp:(fun a b ->
                 ncmps := (a, b) :: !ncmps);
+            Vm.Emit.arm art true;
             List.iter
               (fun input ->
                 fb.reset ();
@@ -148,7 +149,18 @@ let test_native_mode_agreement () =
                   Alcotest.(list (pair int int))
                   (where ^ " classified trace")
                   (trace_contents fb.trace) (trace_contents ntrace))
-              (subject_inputs s))
+              (subject_inputs s);
+            (* disarmed, the unit's comparisons never reach [h_cmp] *)
+            Vm.Emit.arm art false;
+            ncmps := [];
+            List.iter
+              (fun input -> ignore (Vm.Emit.run art nctx ~input))
+              (subject_inputs s);
+            check
+              Alcotest.(list (pair int int))
+              (Printf.sprintf "%s/%s disarmed cmp stream" s.name
+                 (Pathcov.Feedback.mode_name mode))
+              [] !ncmps)
           all_modes)
       Subjects.Registry.all
   end
@@ -201,6 +213,7 @@ let test_native_differential () =
         let ntrace = Pathcov.Coverage_map.create () in
         Vm.Emit.bind art ~trace:ntrace ~h_cmp:(fun a b ->
             ncmps := (a, b) :: !ncmps);
+        Vm.Emit.arm art true;
         fb.reset ();
         Pathcov.Coverage_map.clear fb.trace;
         let i_out = Vm.Interp.run_ctx ~fuel:50_000 ictx ~input in
@@ -374,6 +387,119 @@ let test_native_forced_fail () =
   Unix.putenv "PATHFUZZ_EMIT_FAIL" "";
   check_bool "forced failure yields Error" true (Result.is_error r)
 
+(* --- journal boundary: one execution touches more than twice the
+   trace map's 256-entry initial journal (so the emitted hit's inline
+   append falls back to the host's growth, twice) and hits some index
+   more than 255 times (saturation). [wide] is a chain of 300 taken
+   branches (distinct blocks and edges); [main]'s first loop takes one
+   of 1,024 acyclic paths per iteration and its second loop repeats
+   one path 300 times. A second run reuses the grown journal. --- *)
+
+let journal_src =
+  let b = Buffer.create 16384 in
+  Buffer.add_string b "global g;\nfn wide() {\n";
+  for k = 0 to 299 do
+    Printf.bprintf b "  if (in(0) != %d) { g = g + %d; }\n" k (k + 1)
+  done;
+  Buffer.add_string b
+    "  return g;\n}\nfn main() {\n  var i = 0;\n  var acc = 0;\n  while (i < 700) {\n";
+  for bit = 0 to 9 do
+    Printf.bprintf b
+      "    if ((i >> %d) & 1) { acc = acc + %d; } else { acc = acc - 1; }\n"
+      bit (bit + 1)
+  done;
+  Buffer.add_string b
+    "    i = i + 1;\n  }\n  var j = 0;\n  while (j < 300) { j = j + 1; }\n  return acc + wide();\n}\n";
+  Buffer.contents b
+
+let test_native_journal_boundary () =
+  if not (Lazy.force available) then ()
+  else begin
+    let prog = Minic.Lower.compile journal_src in
+    let prepared = Vm.Interp.prepare prog in
+    let module M = Pathcov.Coverage_map in
+    List.iter
+      (fun mode ->
+        let fb = Pathcov.Feedback.make mode prog in
+        let ictx = Vm.Interp.create_ctx ~hooks:(feedback_hooks fb) prepared in
+        let nctx = Vm.Interp.create_ctx prepared in
+        let art = instance_exn prepared (Vm.Compile.Sfull mode) in
+        let ntrace = M.create () in
+        Vm.Emit.bind art ~trace:ntrace ~h_cmp:(fun _ _ -> ());
+        List.iteri
+          (fun run input ->
+            fb.reset ();
+            M.clear fb.trace;
+            M.clear ntrace;
+            let i = Vm.Interp.run_ctx ictx ~input in
+            let n = Vm.Emit.run art nctx ~input in
+            let where =
+              Printf.sprintf "%s run %d" (Pathcov.Feedback.mode_name mode) run
+            in
+            check status_t (where ^ " status") i.status n.status;
+            check Alcotest.int (where ^ " blocks") i.blocks_executed
+              n.blocks_executed;
+            check_bool (where ^ " touches > 2x the initial journal") true
+              (M.count_set fb.trace > 512);
+            let saturated = ref false in
+            M.iteri_set (fun _ c -> if c = 255 then saturated := true) fb.trace;
+            check_bool (where ^ " saturates an index") true !saturated;
+            check Alcotest.int (where ^ " raw bytes_hash") (M.bytes_hash fb.trace)
+              (M.bytes_hash ntrace);
+            check Alcotest.int (where ^ " count_set") (M.count_set fb.trace)
+              (M.count_set ntrace);
+            check
+              Alcotest.(array int)
+              (where ^ " sorted_indices") (M.sorted_indices fb.trace)
+              (M.sorted_indices ntrace);
+            M.classify fb.trace;
+            M.classify ntrace;
+            check Alcotest.int (where ^ " classified bytes_hash")
+              (M.bytes_hash fb.trace) (M.bytes_hash ntrace);
+            check
+              Alcotest.(list (pair int int))
+              (where ^ " classified trace, journal order")
+              (trace_contents fb.trace) (trace_contents ntrace))
+          [ ""; "A" ])
+      [
+        Pathcov.Feedback.Block;
+        Pathcov.Feedback.Edge;
+        Pathcov.Feedback.Path;
+        Pathcov.Feedback.Pathafl;
+      ]
+  end
+
+(* --- fail-safe cache key: changing any interface a generated unit
+   links against changes the key, so a stale plugin is never loaded ---
+   (no toolchain needed: the digests are read from a scratch include
+   directory) *)
+
+let test_native_key_tracks_interfaces () =
+  let prepared = Vm.Interp.prepare (Minic.Lower.compile "fn main() { return 0; }") in
+  let dir = Filename.temp_dir "pf_emit_key" "" in
+  let write name body =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
+        output_string oc body)
+  in
+  List.iter (fun name -> write name "v1") Vm.Emit.linked_interfaces;
+  let key () =
+    Vm.Emit.key_of ~incs:[ dir ] prepared
+      (Vm.Compile.Sfull Pathcov.Feedback.Path) true
+  in
+  let k0 = key () in
+  check Alcotest.string "key is stable" k0 (key ());
+  List.iter
+    (fun name ->
+      write name "v2";
+      check_bool (name ^ " change invalidates the key") true (key () <> k0);
+      write name "v1")
+    Vm.Emit.linked_interfaces;
+  check Alcotest.string "restored interfaces restore the key" k0 (key ());
+  List.iter
+    (fun name -> Sys.remove (Filename.concat dir name))
+    Vm.Emit.linked_interfaces;
+  Sys.rmdir dir
+
 let suite =
   [
     ( "native",
@@ -392,5 +518,9 @@ let suite =
           test_native_cache_hit;
         Alcotest.test_case "PATHFUZZ_EMIT_FAIL forces clean failure" `Quick
           test_native_forced_fail;
+        Alcotest.test_case "journal growth and saturation agree" `Quick
+          test_native_journal_boundary;
+        Alcotest.test_case "cache key tracks linked interfaces" `Quick
+          test_native_key_tracks_interfaces;
       ] );
   ]

@@ -536,6 +536,124 @@ let test_release_unbinds_cached_artifact () =
   check_bool "finished campaign's trace map collected" false
     (Weak.check probe 0)
 
+(* Under the native engine a comparison reaches [h_cmp] only inside a
+   [Campaign.capturing] window: the unit's probes are armed there and
+   nowhere else. A counting wrapper around each campaign's own probe
+   sees every call; calls outside a window must be zero, while the
+   calibrations still hand the mutator the always-on reference pairs.
+   The same holds with one and with two campaigns running at once on
+   their own domains (the arm flag is per unit instance). A released
+   tracer is left disarmed. *)
+let test_native_cmp_armed_only_while_capturing () =
+  let s = Subjects.Registry.find_exn "cflow" in
+  let prog = Subjects.Subject.compile_fresh s in
+  let prepared = Vm.Interp.prepare prog in
+  let base =
+    {
+      Fuzz.Campaign.default_config with
+      mode = Pathcov.Feedback.Path;
+      budget = 3_000;
+      rng_seed = 7;
+      cmplog = true;
+    }
+  in
+  let queue =
+    Array.of_list
+      (Fuzz.Campaign.queue_inputs (Fuzz.Campaign.run ~config:base prog ~seeds:s.seeds))
+  in
+  let config = { base with engine = Fuzz.Tracer.Native } in
+  (* one campaign: (native live, calls inside, calls outside, pair
+     mismatches, armed after) *)
+  let campaign () =
+    let st = Fuzz.Campaign.make_state ~config prog in
+    let inside = ref 0 and outside = ref 0 and mismatches = ref 0 in
+    let probe = st.ctx.Vm.Interp.hooks.h_cmp in
+    Fuzz.Tracer.bind st.tracer ~trace:st.feedback.trace ~h_cmp:(fun a b ->
+        if st.cmp_buf.capture then incr inside else incr outside;
+        probe a b);
+    Array.iter (Fuzz.Campaign.add_seed st) queue;
+    for i = 0 to Fuzz.Corpus.size st.corpus - 1 do
+      let e = Fuzz.Corpus.get st.corpus i in
+      if
+        Fuzz.Campaign.calibrate st e
+        <> both_directions (reference_pairs prepared config e.data)
+      then incr mismatches;
+      let other = queue.((i + 1) mod Array.length queue) in
+      Fuzz.Campaign.process st ~depth:1 other;
+      ignore (Fuzz.Campaign.execute st other)
+    done;
+    let armed_after = Fuzz.Tracer.cmp_armed st.tracer in
+    ( Fuzz.Tracer.emit_fallback st.tracer = None,
+      !inside,
+      !outside,
+      !mismatches,
+      armed_after )
+  in
+  List.iter
+    (fun domains ->
+      List.init domains (fun _ -> Domain.spawn campaign)
+      |> List.map Domain.join
+      |> List.iteri (fun d (live, inside, outside, mismatches, armed_after) ->
+             let where = Printf.sprintf "domains=%d #%d" domains d in
+             check Alcotest.int (where ^ ": calibration pairs") 0 mismatches;
+             check_bool (where ^ ": window closed after the campaign") false
+               armed_after;
+             if live then begin
+               check_bool (where ^ ": h_cmp called while capturing") true
+                 (inside > 0);
+               check Alcotest.int (where ^ ": h_cmp calls outside windows") 0
+                 outside
+             end))
+    [ 1; 2 ];
+  let tracer =
+    Fuzz.Tracer.make ~engine:Fuzz.Tracer.Native ~selective:false ~cmplog:true
+      ~mode:Pathcov.Feedback.Path prepared
+  in
+  Fuzz.Tracer.arm_cmp tracer true;
+  check_bool "arming reaches a live native unit" true
+    (Fuzz.Tracer.cmp_armed tracer = (Fuzz.Tracer.emit_fallback tracer = None));
+  Fuzz.Tracer.release tracer;
+  check_bool "released tracer disarmed" false (Fuzz.Tracer.cmp_armed tracer)
+
+(* A per-domain cached fused artifact outlives its campaign. A fresh
+   tracer over the same (prepared, spec) must not inherit the pruning
+   marks a finished or abandoned selective campaign left on it, and a
+   released tracer drops its own marks. *)
+let test_fresh_tracer_starts_unpruned () =
+  let prog = Minic.Lower.compile easy_bug_src in
+  let config =
+    {
+      Fuzz.Campaign.default_config with
+      mode = Pathcov.Feedback.Path;
+      budget = 1_000;
+      cmplog = true;
+      engine = Fuzz.Tracer.Fused;
+      selective = true;
+    }
+  in
+  let st = Fuzz.Campaign.make_state ~config prog in
+  Fuzz.Campaign.add_seed st "xx";
+  saturate st.virgin (Array.init (Pathcov.Coverage_map.size st.virgin) Fun.id);
+  ignore (Fuzz.Campaign.calibrate st (Fuzz.Corpus.get st.corpus 0));
+  check_bool "campaign pruned" true (Fuzz.Tracer.pruned_fids st.tracer > 0);
+  let fresh () =
+    Fuzz.Tracer.make ~engine:Fuzz.Tracer.Fused ~selective:true ~cmplog:true
+      ~mode:Pathcov.Feedback.Path st.prepared
+  in
+  check Alcotest.int "fresh tracer starts unpruned" 0
+    (Fuzz.Tracer.pruned_fids (fresh ()));
+  Fuzz.Tracer.refresh_pruning st.tracer ~virgin:st.virgin;
+  check_bool "campaign pruned again" true (Fuzz.Tracer.pruned_fids st.tracer > 0);
+  Fuzz.Tracer.release st.tracer;
+  let art =
+    Vm.Compile.cached ~cmplog:true st.prepared
+      (Vm.Compile.Sfull Pathcov.Feedback.Path)
+  in
+  check Alcotest.int "release drops the artifact's marks" 0
+    (Vm.Compile.pruned_count art);
+  check Alcotest.int "fresh tracer after release" 0
+    (Fuzz.Tracer.pruned_fids (fresh ()))
+
 let suite =
   [
     ( "tracer",
@@ -556,5 +674,9 @@ let suite =
           test_calibration_capture_oracle;
         Alcotest.test_case "finished campaign releases its artifact" `Quick
           test_release_unbinds_cached_artifact;
+        Alcotest.test_case "native cmplog armed only while capturing" `Quick
+          test_native_cmp_armed_only_while_capturing;
+        Alcotest.test_case "fresh tracer starts unpruned" `Quick
+          test_fresh_tracer_starts_unpruned;
       ] );
   ]
