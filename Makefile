@@ -80,51 +80,36 @@ resume-check: build
 	diff _build/resume-check/rh-sh-straight.out _build/resume-check/rh-sh-resumed.out
 	@echo "resume-check: straight, checkpointed and resumed runs identical"
 
-# Engine-determinism smoke: the fused closure engine, the native
-# generated-unit engine and selective tracing (including the
-# interpreter's private signal context) must be trajectory-invisible —
-# fuzz stdout is byte-identical across --engine interp/fused/native x
-# --selective on/off, sequentially and at any shard count (path mode
-# exercises the Ball-Larus probes, the fused bulk-burn/folded-increment
-# paths and the cmplog taps). The native tiers run against a private
-# emit cache: the first run measures the cold compile wall, the second
-# must be served entirely from the cache (100% hits, zero misses), and
-# a PATHFUZZ_EMIT_FAIL=1 run must degrade to fused mid-flight with the
-# fallback counted in the metrics — all with identical stdout. The
-# --jsonl event streams (wall_s stripped) of one unclocked cmplog run
-# per engine must match too: stdout shows only totals, while each
-# calibration event carries the count of comparison pairs its capture
-# saw. A pathafl tier (sqlite3, retention heavy: the edge probes and
-# rolling-hash commits of the native unit) diffs stdout and the event
-# stream under interp and native, sequentially and at 2 shards.
+# Engine-determinism smoke: the fused closure engine and the native
+# generated-unit engine must be trajectory-invisible — fuzz stdout is
+# byte-identical across --engine interp/fused/native, sequentially and
+# at any shard count (path mode exercises the Ball-Larus probes, the
+# fused bulk-burn/folded-increment paths and the cmplog taps). The
+# native tiers run against a private emit cache: the first run measures
+# the cold compile wall, the second must be served entirely from the
+# cache (100% hits, zero misses), and a PATHFUZZ_EMIT_FAIL=1 run must
+# degrade to fused mid-flight with the fallback counted in the metrics
+# — all with identical stdout. The --jsonl event streams (wall_s
+# stripped) of one unclocked cmplog run per engine must match too:
+# stdout shows only totals, while each calibration event carries the
+# count of comparison pairs its capture saw. A pathafl tier (sqlite3,
+# retention heavy: the edge probes and rolling-hash commits of the
+# closure artifact and the native unit) diffs stdout and the event
+# stream under interp, fused and native, sequentially and at 2 shards.
 engine-check: build
 	@rm -rf _build/engine-check && mkdir -p _build/engine-check
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --jsonl _build/engine-check/interp.jsonl > _build/engine-check/interp.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --engine interp --selective > _build/engine-check/selective.out
-	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --engine fused --jsonl _build/engine-check/fused.jsonl \
 	  > _build/engine-check/fused.out
-	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --engine fused --selective > _build/engine-check/fused-selective.out
-	diff _build/engine-check/interp.out _build/engine-check/selective.out
 	diff _build/engine-check/interp.out _build/engine-check/fused.out
-	diff _build/engine-check/interp.out _build/engine-check/fused-selective.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --shards 2 --sync-interval 512 > _build/engine-check/sh-interp.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --shards 2 --sync-interval 512 --engine interp --selective \
-	  > _build/engine-check/sh-selective.out
-	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --shards 2 --sync-interval 512 --engine fused \
 	  > _build/engine-check/sh-fused.out
-	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --shards 2 --sync-interval 512 --engine fused --selective \
-	  > _build/engine-check/sh-fused-selective.out
-	diff _build/engine-check/sh-interp.out _build/engine-check/sh-selective.out
 	diff _build/engine-check/sh-interp.out _build/engine-check/sh-fused.out
-	diff _build/engine-check/sh-interp.out _build/engine-check/sh-fused-selective.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --engine native --emit-cache _build/engine-check/emit-cache \
 	  --metrics _build/engine-check/native-cold.metrics.json \
@@ -136,20 +121,10 @@ engine-check: build
 	diff _build/engine-check/interp.out _build/engine-check/native-cold.out
 	diff _build/engine-check/interp.out _build/engine-check/native-warm.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --engine native --selective \
-	  --emit-cache _build/engine-check/emit-cache \
-	  > _build/engine-check/native-selective.out
-	diff _build/engine-check/interp.out _build/engine-check/native-selective.out
-	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --shards 2 --sync-interval 512 --engine native \
 	  --emit-cache _build/engine-check/emit-cache \
 	  > _build/engine-check/sh-native.out
-	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --shards 2 --sync-interval 512 --engine native --selective \
-	  --emit-cache _build/engine-check/emit-cache \
-	  > _build/engine-check/sh-native-selective.out
 	diff _build/engine-check/sh-interp.out _build/engine-check/sh-native.out
-	diff _build/engine-check/sh-interp.out _build/engine-check/sh-native-selective.out
 	PATHFUZZ_EMIT_FAIL=1 ./_build/default/bin/pathfuzz.exe fuzz -s cflow \
 	  -f path -b 6000 --engine native \
 	  --metrics _build/engine-check/native-fail.metrics.json \
@@ -165,7 +140,7 @@ engine-check: build
 	grep -q '"calibration"' _build/engine-check/interp.events
 	diff _build/engine-check/interp.events _build/engine-check/fused.events
 	diff _build/engine-check/interp.events _build/engine-check/native.events
-	for e in interp native; do \
+	for e in interp fused native; do \
 	  ./_build/default/bin/pathfuzz.exe fuzz -s sqlite3 -f pathafl -b 20000 \
 	    --engine $$e --emit-cache _build/engine-check/emit-cache \
 	    --jsonl _build/engine-check/pa-$$e.jsonl \
@@ -180,10 +155,14 @@ engine-check: build
 	      > _build/engine-check/$$r-$$e.events || exit 1; \
 	  done; \
 	done
-	diff _build/engine-check/pa-interp.out _build/engine-check/pa-native.out
-	diff _build/engine-check/pa-sh-interp.out _build/engine-check/pa-sh-native.out
-	diff _build/engine-check/pa-interp.events _build/engine-check/pa-native.events
-	diff _build/engine-check/pa-sh-interp.events _build/engine-check/pa-sh-native.events
+	for e in fused native; do \
+	  for r in pa pa-sh; do \
+	    diff _build/engine-check/$$r-interp.out _build/engine-check/$$r-$$e.out \
+	      || exit 1; \
+	    diff _build/engine-check/$$r-interp.events \
+	      _build/engine-check/$$r-$$e.events || exit 1; \
+	  done; \
+	done
 	python3 -c "import json; \
 	  cold = json.load(open('_build/engine-check/native-cold.metrics.json')); \
 	  warm = json.load(open('_build/engine-check/native-warm.metrics.json')); \
@@ -195,13 +174,14 @@ engine-check: build
 	    warm['emit.cache_misses'] == 0 and warm['emit.cache_hits'] > 0 \
 	    and warm['emit.fallbacks'] == 0), \
 	    'warm native run was not served 100% from the emit cache'"
-	@echo "engine-check: trajectories identical across engines and selective tracing"
+	@echo "engine-check: trajectories identical across engines"
 
 # Introspection-perturbation smoke: recording a span trace and the
 # engine-metrics registry must be trajectory-invisible — fuzz stdout is
 # byte-identical with and without --trace/--metrics, sequentially and
-# sharded, under the interpreter and the fused engine — and the trace
-# files must parse as valid Chrome trace-event JSON.
+# sharded, under the interpreter, the fused engine and the native
+# engine — and the trace files must parse as valid Chrome trace-event
+# JSON.
 profile-check: build
 	@rm -rf _build/profile-check && mkdir -p _build/profile-check
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
@@ -211,14 +191,18 @@ profile-check: build
 	  --metrics _build/profile-check/seq.metrics.json \
 	  > _build/profile-check/traced.out
 	diff _build/profile-check/plain.out _build/profile-check/traced.out
-	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --engine fused --selective > _build/profile-check/fused.out
-	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
-	  --engine fused --selective \
-	  --trace _build/profile-check/fused.trace.json \
-	  --metrics _build/profile-check/fused.metrics.json \
-	  > _build/profile-check/fused-traced.out
-	diff _build/profile-check/fused.out _build/profile-check/fused-traced.out
+	for e in fused native; do \
+	  ./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
+	    --engine $$e --emit-cache _build/profile-check/emit-cache \
+	    > _build/profile-check/$$e.out || exit 1; \
+	  ./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
+	    --engine $$e --emit-cache _build/profile-check/emit-cache \
+	    --trace _build/profile-check/$$e.trace.json \
+	    --metrics _build/profile-check/$$e.metrics.json \
+	    > _build/profile-check/$$e-traced.out || exit 1; \
+	  diff _build/profile-check/$$e.out _build/profile-check/$$e-traced.out \
+	    || exit 1; \
+	done
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
 	  --shards 2 --sync-interval 512 > _build/profile-check/sh.out
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
@@ -227,12 +211,12 @@ profile-check: build
 	  --metrics _build/profile-check/sh.metrics.json \
 	  > _build/profile-check/sh-traced.out
 	diff _build/profile-check/sh.out _build/profile-check/sh-traced.out
-	python3 -m json.tool _build/profile-check/seq.trace.json > /dev/null
-	python3 -m json.tool _build/profile-check/fused.trace.json > /dev/null
-	python3 -m json.tool _build/profile-check/sh.trace.json > /dev/null
-	python3 -m json.tool _build/profile-check/seq.metrics.json > /dev/null
-	python3 -m json.tool _build/profile-check/fused.metrics.json > /dev/null
-	python3 -m json.tool _build/profile-check/sh.metrics.json > /dev/null
+	for f in seq fused native sh; do \
+	  python3 -m json.tool _build/profile-check/$$f.trace.json > /dev/null \
+	    || exit 1; \
+	  python3 -m json.tool _build/profile-check/$$f.metrics.json > /dev/null \
+	    || exit 1; \
+	done
 	@echo "profile-check: tracing is trajectory-invisible; trace/metrics files are valid JSON"
 
 # Paper-matrix engine smoke: `tables` runs on the fused engine unless

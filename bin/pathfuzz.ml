@@ -177,17 +177,6 @@ let engine_arg_of default =
 
 let engine_arg = engine_arg_of Fuzz.Tracer.Interp
 
-let selective_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "selective" ]
-        ~doc:
-          "Selective tracing: run candidates under a near-null novelty- \
-           signal specialisation and re-execute with full instrumentation \
-           only on first-seen signals. Decisions are byte-identical to \
-           always-on tracing.")
-
 let engine_of_flag engine =
   match Fuzz.Tracer.engine_of_name engine with
   | Some e -> e
@@ -224,7 +213,6 @@ let fuzz_cmd =
   in
   let rounds = rounds_arg in
   let engine = engine_arg in
-  let selective = selective_arg in
   let stats =
     Arg.(
       value
@@ -281,7 +269,7 @@ let fuzz_cmd =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Record the campaign's span trace (planning, mutation, \
-             execution, replays, triage, merges, compiles, checkpoints) \
+             execution, calibration, triage, merges, compiles, checkpoints) \
              and write it to FILE as Chrome trace-event JSON — loadable \
              in chrome://tracing or Perfetto, one track per shard. \
              Observation-only: stdout is byte-identical with or without \
@@ -298,8 +286,7 @@ let fuzz_cmd =
              barrier waits, checkpoint costs) to FILE as one JSON object \
              (\"-\" for stderr). Observation-only; single trial.")
   in
-  let run subject fuzzer budget trial trials rounds engine selective
-      emit_cache jobs shards sync_interval stats jsonl checkpoint
+  let run subject fuzzer budget trial trials rounds engine emit_cache jobs shards sync_interval stats jsonl checkpoint
       checkpoint_every resume trace_file metrics_file =
     let s = lookup_subject subject in
     let fz = fuzzer_of_name rounds fuzzer in
@@ -421,13 +408,11 @@ let fuzz_cmd =
     if jobs > 1 then Fmt.epr "[fuzz] %d worker domains@." jobs;
     if shards > 0 then
       Fmt.epr "[fuzz] %d shards, sync every %d execs@." shards sync_interval;
-    (* engine/selective are trajectory-invisible, so they stay off stdout
-       (runs must diff clean across engines) and out of the checkpoint
-       identity (snapshots resume under either engine) *)
-    if engine <> Fuzz.Tracer.Interp || selective then
-      Fmt.epr "[fuzz] engine=%s%s@."
-        (Fuzz.Tracer.engine_name engine)
-        (if selective then " +selective" else "");
+    (* the engine is trajectory-invisible, so it stays off stdout (runs
+       must diff clean across engines) and out of the checkpoint identity
+       (snapshots resume under any engine) *)
+    if engine <> Fuzz.Tracer.Interp then
+      Fmt.epr "[fuzz] engine=%s@." (Fuzz.Tracer.engine_name engine);
     (* Observability: status/JSONL sinks never touch stdout, so observed
        and unobserved runs produce the same diffable report. The sink is
        mutex-wrapped and shared; each trial gets its own counter block. *)
@@ -485,7 +470,6 @@ let fuzz_cmd =
                       rng_seed = trial + i;
                       cmplog = fz.cmplog;
                       engine;
-                      selective;
                     };
                   shards;
                   sync_interval;
@@ -517,7 +501,6 @@ let fuzz_cmd =
                  rng_seed = trial;
                  cmplog = fz.cmplog;
                  engine;
-                 selective;
                }
              in
              let r =
@@ -532,7 +515,7 @@ let fuzz_cmd =
               let prog = Subjects.Subject.compile_fresh s in
               let plans = Pathcov.Ball_larus.of_program prog in
               let obs = mk_obs ~tracks:1 () in
-              Fuzz.Strategy.run ~plans ?obs ~engine ~selective ~budget
+              Fuzz.Strategy.run ~plans ?obs ~engine ~budget
                 ~trial_seed:(trial + i) fz prog ~seeds:s.seeds)
     in
     (match jsonl_oc with
@@ -606,7 +589,7 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc:"Run one or more fuzzing campaigns")
     Term.(
       const run $ subject_arg $ fuzzer $ budget $ trial $ trials $ rounds
-      $ engine $ selective $ emit_cache_arg $ jobs_arg $ shards_arg
+      $ engine $ emit_cache_arg $ jobs_arg $ shards_arg
       $ sync_interval_arg $ stats $ jsonl $ checkpoint $ checkpoint_every
       $ resume $ trace_file $ metrics_file)
 
@@ -632,8 +615,8 @@ let profile_cmd =
              Sequential loop only — ticks are not meaningful across \
              domains.")
   in
-  let run subject fuzzer budget trial rounds engine selective emit_cache
-      shards sync_interval deterministic =
+  let run subject fuzzer budget trial rounds engine emit_cache shards
+      sync_interval deterministic =
     let s = lookup_subject subject in
     let fz = fuzzer_of_name rounds fuzzer in
     let engine = engine_of_flag engine in
@@ -664,7 +647,7 @@ let profile_cmd =
     (match shards with
     | 0 ->
         ignore
-          (Fuzz.Strategy.run ~plans ~obs ~engine ~selective ~budget
+          (Fuzz.Strategy.run ~plans ~obs ~engine ~budget
              ~trial_seed:trial fz prog ~seeds:s.seeds)
     | _ ->
         let mode = plain_mode_of_fuzzer ~flag:"--shards" fz in
@@ -678,7 +661,6 @@ let profile_cmd =
                 rng_seed = trial;
                 cmplog = fz.cmplog;
                 engine;
-                selective;
               };
             shards;
             sync_interval;
@@ -702,7 +684,7 @@ let profile_cmd =
           walls, shard utilization, engine metrics, counters)")
     Term.(
       const run $ subject_arg $ fuzzer_arg $ budget $ trial_arg $ rounds_arg
-      $ engine_arg $ selective_arg $ emit_cache_arg $ shards_arg
+      $ engine_arg $ emit_cache_arg $ shards_arg
       $ sync_interval_arg $ deterministic)
 
 (* --- path-profile --- *)

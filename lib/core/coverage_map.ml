@@ -206,26 +206,6 @@ let merge_sparse_into ~(virgin : t) ~(idxs : Index_set.t) ~(vals : string) :
     idxs;
   !res
 
-(** Would {!merge_sparse_into} report novelty against [virgin]? A pure
-    check — the virgin map is not written. Selective shard loops use it
-    to decide whether a novelty signal may enter the permanently-seen
-    set: only coverage already folded into the epoch-start global map is
-    monotonically non-novel for the rest of the run. *)
-let sparse_would_merge ~(virgin : t) ~(idxs : Index_set.t) ~(vals : string) :
-    bool =
-  if Index_set.length idxs <> String.length vals then
-    invalid_arg "Coverage_map.sparse_would_merge";
-  let n = String.length vals in
-  let rec go k =
-    k < n
-    && (Char.code (String.unsafe_get vals k)
-        land Char.code
-              (Bytes.unsafe_get virgin.bits (Index_set.get idxs k land virgin.mask))
-        <> 0
-       || go (k + 1))
-  in
-  go 0
-
 (** Classified bytes of a trace at the indices of [idxs], one byte each
     (the sparse capture paired with {!sorted_set} on the sharded
     retention path). *)

@@ -79,11 +79,6 @@ val restore_raw : t -> bytes -> unit
     the sync barrier. *)
 val merge_sparse_into : virgin:t -> idxs:Index_set.t -> vals:string -> novelty
 
-(** Would {!merge_sparse_into} report novelty? Pure — the virgin map is
-    not written. Selective shard loops consult it before promoting a
-    novelty signal to the permanently-seen set. *)
-val sparse_would_merge : virgin:t -> idxs:Index_set.t -> vals:string -> bool
-
 (** Classified bytes of a trace at the indices of a set, one byte each
     (pairs with {!sorted_set} to form the sparse capture above). *)
 val values_of : t -> Index_set.t -> string

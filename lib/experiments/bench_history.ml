@@ -24,8 +24,7 @@ type cell = {
           lines, so legacy cells and [--shards 1] cells never collide) *)
   engine : string;
       (** execution engine of the measurement ("interp", "fused",
-          "selective", "native"; older lines may name the retired
-          "compiled"); the schema-tolerant default for pre-engine
+          "native"; older lines may name retired engines); the schema-tolerant default for pre-engine
           history lines is "interp", which is what those lines measured *)
   execs_per_sec : float;
 }

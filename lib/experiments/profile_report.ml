@@ -14,7 +14,6 @@ let phase_kinds : Obs.Trace.kind list =
     Obs.Trace.Mutate;
     Obs.Trace.Exec;
     Obs.Trace.Calibrate;
-    Obs.Trace.Replay;
     Obs.Trace.Triage;
     Obs.Trace.Merge;
     Obs.Trace.Checkpoint;

@@ -10,22 +10,15 @@
 
     One measured "execution" is exactly one iteration of the campaign hot
     loop: feedback reset, trace clear, run, trace classify — i.e. what
-    [Fuzz.Campaign.execute] does minus queue bookkeeping. Four engines
+    [Fuzz.Campaign.execute] does minus queue bookkeeping. Three engines
     are measured: [interp] (the pooled interpreter driving the runtime
     listeners), [fused] (the [Vm.Compile] staged artifact with probes
     baked in and superblock fusion — single-predecessor chains collapsed
     into one closure with coalesced fuel burns and folded path
-    increments), [selective] (the selective-tracing pipeline campaigns
-    run on the fused engine: the near-null signal specialisation per
-    execution plus a full-instrumentation replay on each first-seen
-    signal; the mode-less row is the pure signal floor with no replay),
-    and [native] (the [Vm.Emit] per-subject generated OCaml unit,
-    compiled out-of-process and Dynlink'd — measured only when the
+    increments), and [native] (the [Vm.Emit] per-subject generated OCaml
+    unit, compiled out-of-process and Dynlink'd — measured only when the
     emitter is available on this host; {!grid} probes once and skips the
-    native rows with a stderr note otherwise).
-    Selective rows also report [replays] — the replays that fell inside
-    the measured window, which drops to ~0 once the cycled seeds' signals
-    are all seen (the amortisation the campaign enjoys). Seeds are cycled
+    native rows with a stderr note otherwise). Seeds are cycled
     in order, so the work per execution (and therefore minor-words/exec)
     is deterministic; only wall-clock rates vary across hosts. *)
 
@@ -33,15 +26,12 @@ type sample = {
   subject : string;
   mode : string;  (** feedback mode name, or ["none"] (uninstrumented) *)
   engine : string;
-      (** "interp", "fused", "selective" or "native" *)
+      (** "interp", "fused" or "native" *)
   execs : int;  (** measured executions (after warmup) *)
   wall_s : float;
   execs_per_sec : float;
   blocks_per_sec : float;
   minor_words_per_exec : float;
-  replays : int;
-      (** selective rows: full-instrumentation replays (first-seen
-          signals) inside the measured window; 0 elsewhere *)
 }
 
 (** The measured instrumentation ladder: uninstrumented, then each
@@ -57,7 +47,7 @@ let modes : (string * Pathcov.Feedback.mode option) list =
 
 (** The measured engines, in presentation order — the grid default and
     the universe the [--engines] bench filter validates against. *)
-let engines : string list = [ "interp"; "fused"; "selective"; "native" ]
+let engines : string list = [ "interp"; "fused"; "native" ]
 
 (* One throughput cell: replay the subject's seeds round-robin through a
    reused execution context. Warmup executions let frame pools, the
@@ -73,7 +63,6 @@ let measure ?(warmup = 64) ~execs ~(engine : string)
   let seeds = Array.of_list (if s.seeds = [] then [ "A" ] else s.seeds) in
   let nseeds = Array.length seeds in
   let blocks = ref 0 in
-  let replays = ref 0 in
   let one : int -> unit =
     match engine with
     | "interp" ->
@@ -123,39 +112,6 @@ let measure ?(warmup = 64) ~execs ~(engine : string)
           (match mode with
           | Some _ -> Pathcov.Coverage_map.classify trace
           | None -> ())
-    | "selective" -> (
-        let sig_art = Vm.Compile.cached prepared Vm.Compile.Ssignal in
-        let ctx = Vm.Interp.create_ctx prepared in
-        match mode with
-        | None ->
-            (* the bulk-exec floor of selective tracing: signal spec
-               only, no trace to clear or classify, no replays *)
-            fun i ->
-              let out = Vm.Compile.run sig_art ctx ~input:seeds.(i mod nseeds) in
-              blocks := !blocks + out.blocks_executed
-        | Some m ->
-            (* the full selective pipeline at this mode: a signal run per
-               execution plus a full-instrumentation replay on each
-               first-seen signal — the steady-state cost the campaign's
-               bulk executions actually pay *)
-            let full =
-              Vm.Compile.cached ~cmplog:false prepared (Vm.Compile.Sfull m)
-            in
-            let trace = Pathcov.Coverage_map.create () in
-            Vm.Compile.bind full ~trace ~h_cmp:(fun _ _ -> ());
-            let seen = Hashtbl.create 256 in
-            fun i ->
-              let input = seeds.(i mod nseeds) in
-              let out = Vm.Compile.run sig_art ctx ~input in
-              blocks := !blocks + out.blocks_executed;
-              let s = Vm.Compile.signal sig_art in
-              if not (Hashtbl.mem seen s) then begin
-                Hashtbl.add seen s ();
-                incr replays;
-                Pathcov.Coverage_map.clear trace;
-                ignore (Vm.Compile.run full ctx ~input);
-                Pathcov.Coverage_map.classify trace
-              end)
     | "native" -> (
         let spec =
           match mode with
@@ -186,7 +142,6 @@ let measure ?(warmup = 64) ~execs ~(engine : string)
     one i
   done;
   blocks := 0;
-  replays := 0;
   let mw0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   for i = 0 to execs - 1 do
@@ -204,13 +159,10 @@ let measure ?(warmup = 64) ~execs ~(engine : string)
     execs_per_sec = per_sec execs;
     blocks_per_sec = per_sec !blocks;
     minor_words_per_exec = mw /. float_of_int (max 1 execs);
-    replays = !replays;
   }
 
 (** Measure the (subject x mode x engine) grid: every mode under each
-    requested engine (default: all of {!engines}), where [selective]'s
-    mode-less row is the signal floor and its instrumented rows the full
-    pipeline (signal runs + first-seen replays). [native] cells are
+    requested engine (default: all of {!engines}). [native] cells are
     measured only when the emitter works on this host: the grid probes
     once (first subject, no instrumentation) and drops the engine with a
     stderr note otherwise, so a toolchain-less machine still produces
@@ -265,14 +217,11 @@ let sample_json buf (s : sample) =
     (Printf.sprintf
        "    {\"subject\": %S, \"mode\": %S, \"engine\": %S, \"execs\": %d, \
         \"wall_s\": %s, \"execs_per_sec\": %s, \"blocks_per_sec\": %s, \
-        \"minor_words_per_exec\": %s%s}"
+        \"minor_words_per_exec\": %s}"
        s.subject s.mode s.engine s.execs (json_float s.wall_s)
        (json_float s.execs_per_sec)
        (json_float s.blocks_per_sec)
-       (json_float s.minor_words_per_exec)
-       (if s.engine = "selective" then
-          Printf.sprintf ", \"replays\": %d" s.replays
-        else ""))
+       (json_float s.minor_words_per_exec))
 
 (** Extract the raw (verbatim) cell lines of a [key] array block from a
     previously written BENCH_*.json file, e.g. [~key:"baseline_cells"].
@@ -435,7 +384,7 @@ let speedup_vs_baseline ~(baseline_raw : string) (samples : sample list) :
 (** Geomean speedup vs the baseline's interp cells for every
     (mode x engine) pair present in [samples] — the honest per-mode view
     behind the single path scalar. Modes keep the ladder order; engines
-    are ordered fused, selective, native. *)
+    are ordered fused, native. *)
 let speedups_by_mode ~(baseline_raw : string) (samples : sample list) :
     (string * string * float) list =
   let mode_names = List.map fst modes in
@@ -446,7 +395,7 @@ let speedups_by_mode ~(baseline_raw : string) (samples : sample list) :
           match speedup_for ~mode ~engine ~baseline_raw samples with
           | Some (g, _) -> Some (mode, engine, g)
           | None -> None)
-        [ "fused"; "selective"; "native" ])
+        [ "fused"; "native" ])
     mode_names
 
 (** Render the [BENCH_throughput.json] document. [baseline] optionally
@@ -518,7 +467,6 @@ let to_table (samples : sample list) : string =
   let header =
     [
       "subject"; "mode"; "engine"; "execs/s"; "blocks/s"; "minor w/exec";
-      "replays";
     ]
   in
   let rows =
@@ -531,7 +479,6 @@ let to_table (samples : sample list) : string =
           Printf.sprintf "%.0f" s.execs_per_sec;
           Printf.sprintf "%.0f" s.blocks_per_sec;
           Printf.sprintf "%.1f" s.minor_words_per_exec;
-          (if s.engine = "selective" then string_of_int s.replays else "-");
         ])
       samples
   in

@@ -26,7 +26,7 @@ type config = {
   cmplog : bool;  (** enable comparison-operand capture + I2S mutations *)
   max_queue : int;  (** hard safety bound on queue growth *)
   engine : Tracer.engine;  (** execution engine (trajectory-invisible) *)
-  selective : bool;  (** signal-first execution with full replay on novelty *)
+  selective : bool;  (** removed feature; [true] is rejected *)
 }
 
 let default_config =
@@ -111,7 +111,7 @@ let capturing (tracer : Tracer.t) (b : cmp_buf) (run : unit -> 'a) : 'a =
 type state = {
   prepared : Vm.Interp.prepared;
   ctx : Vm.Interp.exec_ctx;  (** pooled execution context, reused per exec *)
-  tracer : Tracer.t;  (** engine dispatch + selective-tracing state *)
+  tracer : Tracer.t;  (** engine dispatch *)
   cfg : config;
   feedback : Pathcov.Feedback.t;
   virgin : Pathcov.Coverage_map.t;
@@ -127,6 +127,10 @@ type state = {
   scratch : Mutator.scratch;  (** pooled mutation buffer, reused per child *)
   obs : Obs.Observer.t;
       (** counters + snapshots + event sink; may be shared across phases *)
+  mut_words : float array;
+      (** one slot: mutator minor words counted since the last
+          {!settle_walls} (a float-array store does not box, a store to
+          the counter block does) *)
   h_batch : Obs.Metrics.hist;  (** cohort sizes ([exec.batch_n]) *)
   h_dirty : Obs.Metrics.hist;  (** context dirty-reset widths *)
 }
@@ -168,17 +172,20 @@ let make_hooks (cfg : config) (fb : Pathcov.Feedback.t) (cmp_buf : cmp_buf) :
        else fun _ _ -> ());
   }
 
-(* Fold the VM wall the tracer accumulated into the counter block; runs
-   before anything reads the block's [vm_s]. *)
-let settle_vm_s (st : state) : unit =
+(* Fold the VM wall the tracer accumulated and the minor words [mutate]
+   counted into the counter block; runs before anything reads the
+   block's [vm_s] or [mut_minor_words]. *)
+let settle_walls (st : state) : unit =
   let c = st.obs.counters in
-  c.vm_s <- c.vm_s +. Tracer.take_vm_s st.tracer
+  c.vm_s <- c.vm_s +. Tracer.take_vm_s st.tracer;
+  c.mut_minor_words <- c.mut_minor_words +. st.mut_words.(0);
+  st.mut_words.(0) <- 0.
 
 (* One periodic stats row: the counter block plus the two facts only the
    campaign can see (queue size, virgin residual). The residual is a
    count the virgin map keeps, so a row costs no map scan. *)
 let take_snapshot (st : state) : unit =
-  settle_vm_s st;
+  settle_walls st;
   Obs.Observer.snapshot st.obs
     (Obs.Snapshot.of_counters st.obs.counters
        ~queue:(Corpus.size st.corpus)
@@ -202,28 +209,13 @@ let post_exec (st : state) (out : Vm.Interp.outcome) : unit =
   Pathcov.Coverage_map.classify st.feedback.trace;
   if st.execs mod st.sample_every = 0 then take_snapshot st
 
-(* The campaign's one cohort entry: [n] candidates through the tracer's
-   full or signal specialisation. The tracer carries the observer's
-   clock and accumulates each run's VM wall until {!settle_vm_s}. *)
-let cohort (st : state) ~(signal : bool) ~(n : int)
-    ~(gen : int -> Bytes.t * int) ~(sink : int -> Vm.Interp.outcome -> unit)
-    : unit =
-  let fuel = st.cfg.fuel and max_depth = st.cfg.max_depth in
-  if signal then
-    Tracer.run_signal_batch st.tracer st.ctx ~fuel ~max_depth ~n ~gen ~sink
-  else Tracer.run_full_batch st.tracer st.ctx ~fuel ~max_depth ~n ~gen ~sink
-
-(* Seeds, calibration runs and replays: one full-instrumentation run of
-   the view [v] as a cohort of one, [prep] resetting state first. *)
-let run_one (st : state) ~(prep : state -> unit) (v : Bytes.t * int) :
-    Vm.Interp.outcome =
-  let res = ref None in
-  cohort st ~signal:false ~n:1
-    ~gen:(fun _ ->
-      prep st;
-      v)
-    ~sink:(fun _ out -> res := Some out);
-  Option.get !res
+(* The campaign's one cohort entry: [n] candidates through the tracer.
+   The tracer carries the observer's clock and accumulates each run's VM
+   wall until {!settle_walls}. *)
+let cohort (st : state) ~(n : int) ~(gen : int -> Bytes.t * int)
+    ~(sink : int -> Vm.Interp.outcome -> unit) : unit =
+  Tracer.run_full_batch st.tracer st.ctx ~fuel:st.cfg.fuel
+    ~max_depth:st.cfg.max_depth ~n ~gen ~sink
 
 (* Zero-copy view of a string input: the VM never writes its input. *)
 let view (s : string) : Bytes.t * int =
@@ -231,23 +223,16 @@ let view (s : string) : Bytes.t * int =
 
 let input_of ((buf, len) : Bytes.t * int) : string = Bytes.sub_string buf 0 len
 
-(* Run one input. *)
+(* Run one input (a seed or a calibration run) as a cohort of one. *)
 let execute (st : state) (input : string) : Vm.Interp.outcome =
-  let out = run_one st ~prep:pre_exec (view input) in
+  let res = ref None in
+  cohort st ~n:1
+    ~gen:(fun _ ->
+      pre_exec st;
+      view input)
+    ~sink:(fun _ out -> res := Some out);
+  let out = Option.get !res in
   post_exec st out;
-  out
-
-(* Full-instrumentation replay after a signal run (or after a pruned
-   calibration crash): rebuilds the classified trace for merge/triage.
-   Counted as a replay, not an execution — the budget clock already
-   ticked for the first run of the same candidate. *)
-let replay (st : state) (v : Bytes.t * int) : Vm.Interp.outcome =
-  trace_begin st Obs.Trace.Replay;
-  let out = run_one st ~prep:pre_exec v in
-  Pathcov.Coverage_map.classify st.feedback.trace;
-  let c = st.obs.counters in
-  c.replays <- c.replays + 1;
-  trace_end st;
   out
 
 (** Both substitution directions per captured pair, in capture order —
@@ -282,8 +267,7 @@ let triage_outcome (st : state) (out : Vm.Interp.outcome) ~(input : string) : un
   | Vm.Interp.Finished _ -> ()
 
 (* Queue-capacity bookkeeping for one evaluated finished exec. The
-   capacity check precedes the virgin merge (and, under selective
-   tracing, precedes marking a signal seen): a full queue must not mark
+   capacity check precedes the virgin merge: a full queue must not mark
    coverage as seen without retaining an input reaching it, or that
    coverage becomes unreachable for the whole run. *)
 let queue_full (st : state) : bool =
@@ -321,60 +305,25 @@ let retain (st : state) ~depth (out : Vm.Interp.outcome) (data : string) : unit
     (Obs.Event.Retain
        { at_exec = c.execs; id = e.id; len = String.length data; depth })
 
-(* The decision procedures, over the outcome of a run of the candidate
+(* The decision procedure, over the outcome of a run of the candidate
    view [v] that already went through [post_exec]. The candidate's
    string is materialised only when triage or retention needs one — the
    common (boring) candidate allocates nothing beyond the VM's own
    requests. *)
-let decide_full (st : state) ~depth (v : Bytes.t * int)
+let decide (st : state) ~depth (v : Bytes.t * int)
     (out : Vm.Interp.outcome) : unit =
   match out.status with
   | Vm.Interp.Crashed _ | Vm.Interp.Hung ->
       triage_outcome st out ~input:(input_of v)
   | Vm.Interp.Finished _ -> if novel st then retain st ~depth out (input_of v)
 
-(* Selective evaluation after one signal-specialised run: a full-
-   instrumentation replay only when the trace can matter. Decision-
-   identical to [decide_full] without selective tracing (DESIGN §12):
-   - a crash always replays — crash triage reads the trace for the
-     crash-virgin merge, whose saturation is independent of the virgin
-     map, so crash signals are never marked seen;
-   - a hang triages directly — the trace is never read;
-   - a finished run with a seen signal would replay a trace already
-     folded into the virgin map, whose merge verdict is Nothing by
-     virgin monotonicity: skipping it is invisible;
-   - a first-seen signal replays, merges, retains on novelty, and only
-     then enters the seen set. The queue-capacity check fires first and
-     suppresses the marking, exactly as [novel] suppresses the merge. *)
-let decide_selective (st : state) ~depth (v : Bytes.t * int)
-    (out : Vm.Interp.outcome) : unit =
-  match out.status with
-  | Vm.Interp.Crashed _ -> triage_outcome st (replay st v) ~input:(input_of v)
-  | Vm.Interp.Hung -> triage_outcome st out ~input:(input_of v)
-  | Vm.Interp.Finished _ ->
-      let s = Tracer.last_signal st.tracer in
-      if (not (Tracer.seen_signal st.tracer s)) && not (queue_full st) then begin
-        let out = replay st v in
-        if
-          Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace
-          <> Pathcov.Coverage_map.Nothing
-        then retain st ~depth out (input_of v);
-        Tracer.mark_seen st.tracer s
-      end
-
 (* Evaluate a cohort of [n] candidates end to end: [gen k] builds
-   candidate [k] as a view valid until the next [gen]; each runs
-   signal-first under selective tracing, is accounted, and goes through
-   the matching decision procedure. A signal run ticks the exec/block
-   clocks exactly as a fully-traced run — outcomes and
-   [blocks_executed] are engine- and spec-invariant — so budget
-   accounting, snapshot cadence and checkpoint marks are untouched by
-   selective mode. *)
+   candidate [k] as a view valid until the next [gen]; each runs, is
+   accounted, and goes through the decision procedure. *)
 let evaluate (st : state) ~depth ~(n : int) ~(gen : int -> Bytes.t * int) :
     unit =
   let cur = ref (Bytes.empty, 0) in
-  let selective = st.cfg.selective in
-  cohort st ~signal:selective ~n
+  cohort st ~n
     ~gen:(fun k ->
       let v = gen k in
       pre_exec st;
@@ -382,8 +331,7 @@ let evaluate (st : state) ~depth ~(n : int) ~(gen : int -> Bytes.t * int) :
       v)
     ~sink:(fun _ out ->
       post_exec st out;
-      if selective then decide_selective st ~depth !cur out
-      else decide_full st ~depth !cur out)
+      decide st ~depth !cur out)
 
 (* Evaluate one candidate input end to end: execute, triage crashes and
    hangs, retain on coverage novelty. *)
@@ -410,28 +358,10 @@ let add_seed (st : state) (input : string) : unit =
     crash or hang here — possible for the synthetic fallback entry, whose
     data never executed cleanly — must be recorded, not discarded. *)
 let calibrate (st : state) (e : Corpus.entry) : Mutator.cmp_pair array =
-  (* Probe self-pruning is enabled for exactly this run: calibration is
-     always fully instrumented, and its trace feeds only the virgin
-     merge — eliding writes to saturated indices cannot change the merge
-     verdict (Nothing either way at those indices) or the virgin bytes.
-     Retention and crash triage read [sorted_set], so the marks come
-     off before anything else executes, and a crash under pruning is
-     replayed unpruned before its crash-virgin merge. *)
   trace_begin st Obs.Trace.Calibrate;
-  let prune =
-    Tracer.pruning_available st.tracer
-    &&
-    (Tracer.refresh_pruning st.tracer ~virgin:st.virgin;
-     Tracer.pruned_fids st.tracer > 0)
-  in
-  if prune then Tracer.set_pruning st.tracer true;
   let out = capturing st.tracer st.cmp_buf (fun () -> execute st e.data) in
-  if prune then Tracer.set_pruning st.tracer false;
   (match out.status with
-  | Vm.Interp.Crashed _ ->
-      let out = if prune then replay st (view e.data) else out in
-      triage_outcome st out ~input:e.data
-  | Vm.Interp.Hung -> triage_outcome st out ~input:e.data
+  | Vm.Interp.Crashed _ | Vm.Interp.Hung -> triage_outcome st out ~input:e.data
   | Vm.Interp.Finished _ ->
       ignore (Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace));
   let c = st.obs.counters in
@@ -482,6 +412,8 @@ let random_other (st : state) (e : Corpus.entry) : string option =
     pipeline stages directly. *)
 let make_state ?plans ?obs ?(config = default_config) (prog : Minic.Ir.program)
     : state =
+  if config.selective then
+    invalid_arg "Campaign: selective tracing was removed";
   let obs = match obs with Some o -> o | None -> Obs.Observer.null () in
   let feedback =
     Pathcov.Feedback.make ~size_log2:config.map_size_log2 ?plans config.mode prog
@@ -494,7 +426,7 @@ let make_state ?plans ?obs ?(config = default_config) (prog : Minic.Ir.program)
   | None -> ());
   let tracer =
     Tracer.make ?plans ?clock:obs.clock ~engine:config.engine
-      ~selective:config.selective ~cmplog:config.cmplog ~mode:config.mode
+      ~selective:false ~cmplog:config.cmplog ~mode:config.mode
       prepared
   in
   (match obs.trace with
@@ -523,6 +455,7 @@ let make_state ?plans ?obs ?(config = default_config) (prog : Minic.Ir.program)
     cmp_buf;
     scratch = Mutator.create_scratch ();
     obs;
+    mut_words = [| 0. |];
     h_batch = Obs.Metrics.hist obs.metrics "exec.batch_n";
     h_dirty = Obs.Metrics.hist obs.metrics "vm.dirty_reset_w";
   }
@@ -533,7 +466,7 @@ let make_state ?plans ?obs ?(config = default_config) (prog : Minic.Ir.program)
     are unused here — the whole cursor is the exec clock. *)
 let capture_checkpoint (st : state) ~(subject : string) ~(fuzzer : string) :
     Checkpoint.t =
-  settle_vm_s st;
+  settle_walls st;
   Checkpoint.capture
     ~id:
       {
@@ -601,7 +534,8 @@ let mutate (st : state) ~cmps ?splice_with (data : string) : unit =
       let t0 = now () in
       Mutator.havoc_in_place st.scratch ~cmps ?splice_with st.rng data;
       c.mut_s <- c.mut_s +. (now () -. t0);
-      c.mut_minor_words <- c.mut_minor_words +. (Gc.minor_words () -. w0));
+      let mw = st.mut_words in
+      mw.(0) <- mw.(0) +. (Gc.minor_words () -. w0));
   trace_end st
 
 (* Drain the engine-level tallies into the observer's metrics registry.
@@ -620,9 +554,6 @@ let harvest_metrics (st : state) : unit =
   let hits, misses = Vm.Compile.cache_stats () in
   Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_hits") hits;
   Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_misses") misses;
-  Obs.Metrics.set
-    (Obs.Metrics.gauge m "engine.seen_signals")
-    (Tracer.seen_signals st.tracer);
   (* Emitter tallies only exist on native campaigns — process-global
      cumulative sources, so set semantics; gated to keep every other
      engine's metric dump (and the golden reports) untouched. *)

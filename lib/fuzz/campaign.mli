@@ -24,10 +24,10 @@ type config = {
           artifact or the native generated unit; the trajectory is
           engine-invariant (test-enforced differentially) *)
   selective : bool;
-      (** selective tracing: bulk executions run a near-null novelty-
-          signal specialisation and re-execute fully only on first-seen
-          signals; decisions are byte-identical to always-on tracing
-          (DESIGN §12) *)
+      (** kept only because the benchmark harness names it: selective
+          tracing was removed, so [true] makes {!run} (and
+          {!Shard.run}) raise [Invalid_argument]. Drop the field with
+          the next benchmark change. *)
 }
 
 val default_config : config
@@ -127,7 +127,7 @@ val entry_energy : budget:int -> Corpus.entry -> int
 type state = {
   prepared : Vm.Interp.prepared;
   ctx : Vm.Interp.exec_ctx;  (** pooled execution context, reused per exec *)
-  tracer : Tracer.t;  (** engine dispatch + selective-tracing state *)
+  tracer : Tracer.t;  (** engine dispatch *)
   cfg : config;
   feedback : Pathcov.Feedback.t;
   virgin : Pathcov.Coverage_map.t;
@@ -143,6 +143,11 @@ type state = {
   scratch : Mutator.scratch;  (** pooled mutation buffer, reused per child *)
   obs : Obs.Observer.t;
       (** counters + snapshots + event sink; may be shared across phases *)
+  mut_words : float array;
+      (** one slot: mutator minor words counted since they were last
+          folded into the counter block (at every snapshot row and
+          checkpoint); a float-array store does not box, a store to the
+          counter block does *)
   h_batch : Obs.Metrics.hist;
       (** cohort-size histogram ([exec.batch_n]), pre-registered in the
           observer's metrics registry at state creation *)
@@ -176,8 +181,8 @@ val execute : state -> string -> Vm.Interp.outcome
 val add_seed : state -> string -> unit
 
 (** Evaluate one candidate end to end — a cohort of one through the
-    same decision procedure as the campaign's havoc cohorts: execute
-    (signal-first under selective tracing), triage crashes/hangs, retain
+    same decision procedure as the campaign's havoc cohorts: execute,
+    triage crashes/hangs, retain
     on coverage novelty if the queue has capacity. *)
 val process : state -> depth:int -> string -> unit
 

@@ -108,7 +108,7 @@ type item_result = {
     each barrier. *)
 type shard = {
   ctx : Vm.Interp.exec_ctx;
-  tracer : Tracer.t;  (** engine dispatch + per-shard seen-signal set *)
+  tracer : Tracer.t;  (** engine dispatch *)
   feedback : Pathcov.Feedback.t;
   cmp_buf : Campaign.cmp_buf;
   scratch : Mutator.scratch;
@@ -137,7 +137,7 @@ let make_shard ?plans (base : Campaign.config) prepared clock span_trace
      state, so every shard compiles its own *)
   let tracer =
     Tracer.make ?plans ?clock ~shared:false ~engine:base.engine
-      ~selective:base.selective ~cmplog:base.cmplog ~mode:base.mode prepared
+      ~selective:false ~cmplog:base.cmplog ~mode:base.mode prepared
   in
   Tracer.bind tracer ~trace:feedback.trace ~h_cmp:hooks.Vm.Interp.h_cmp;
   let metrics = Obs.Metrics.create () in
@@ -187,51 +187,27 @@ let sh_post (sh : shard) (out : Vm.Interp.outcome) : unit =
   Obs.Metrics.observe sh.h_dirty sh.ctx.last_reset_width;
   Pathcov.Coverage_map.classify sh.feedback.trace
 
-(* The shard's one cohort entry: [n] candidates through the tracer's
-   full or signal specialisation. The tracer carries the shard's clock
-   and accumulates each run's VM wall until {!drain_shard}. *)
-let sh_cohort (base : Campaign.config) (sh : shard) ~(signal : bool)
-    ~(n : int) ~(gen : int -> Bytes.t * int)
-    ~(sink : int -> Vm.Interp.outcome -> unit) : unit =
-  let fuel = base.fuel and max_depth = base.max_depth in
-  if signal then
-    Tracer.run_signal_batch sh.tracer sh.ctx ~fuel ~max_depth ~n ~gen ~sink
-  else Tracer.run_full_batch sh.tracer sh.ctx ~fuel ~max_depth ~n ~gen ~sink
+(* The shard's one cohort entry: [n] candidates through the tracer. The
+   tracer carries the shard's clock and accumulates each run's VM wall
+   until {!drain_shard}. *)
+let sh_cohort (base : Campaign.config) (sh : shard) ~(n : int)
+    ~(gen : int -> Bytes.t * int) ~(sink : int -> Vm.Interp.outcome -> unit)
+    : unit =
+  Tracer.run_full_batch sh.tracer sh.ctx ~fuel:base.fuel
+    ~max_depth:base.max_depth ~n ~gen ~sink
 
-(* Seed imports, calibration runs and replays: one full-instrumentation
-   run of the view [v] as a cohort of one, [prep] resetting state
-   first. *)
-let sh_run_one (base : Campaign.config) (sh : shard) ~(prep : unit -> unit)
-    (v : Bytes.t * int) : Vm.Interp.outcome =
-  let res = ref None in
-  sh_cohort base sh ~signal:false ~n:1
-    ~gen:(fun _ ->
-      prep ();
-      v)
-    ~sink:(fun _ out -> res := Some out);
-  Option.get !res
-
-(* One execution of a string input, zero-copy (the VM never writes its
-   input). *)
+(* One execution of a string input (a seed import or a calibration run)
+   as a cohort of one, zero-copy (the VM never writes its input). *)
 let sh_execute (base : Campaign.config) (sh : shard) (input : string) :
     Vm.Interp.outcome =
-  let out =
-    sh_run_one base sh
-      ~prep:(fun () -> sh_pre sh)
-      (Bytes.unsafe_of_string input, String.length input)
-  in
+  let res = ref None in
+  sh_cohort base sh ~n:1
+    ~gen:(fun _ ->
+      sh_pre sh;
+      (Bytes.unsafe_of_string input, String.length input))
+    ~sink:(fun _ out -> res := Some out);
+  let out = Option.get !res in
   sh_post sh out;
-  out
-
-(* Full-instrumentation replay of the view [v] after a signal run:
-   counted as a replay, not an execution. *)
-let sh_replay (base : Campaign.config) (sh : shard) (v : Bytes.t * int) :
-    Vm.Interp.outcome =
-  sh_trace_begin sh Obs.Trace.Replay;
-  let out = sh_run_one base sh ~prep:(fun () -> sh_pre sh) v in
-  Pathcov.Coverage_map.classify sh.feedback.trace;
-  sh.counters.replays <- sh.counters.replays + 1;
-  sh_trace_end sh;
   out
 
 (* Fold a shard's private counter and metric blocks, and the VM wall its
@@ -266,7 +242,7 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
   Pathcov.Coverage_map.copy_into ~dst:sh.item_virgin global_virgin;
   let res = { execs = 0; n_cmps = 0; retained = []; crashes = []; hangs = [] } in
   let local = ref 0 in
-  (* The full-run decision procedure over the candidate view [v]: the
+  (* The decision procedure over the candidate view [v]: the
      candidate's string is materialised only when a crash or a
      retention record needs one. *)
   let capture_outcome (out : Vm.Interp.outcome) ((buf, len) : Bytes.t * int)
@@ -329,42 +305,10 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
   in
   let c = sh.counters in
   let depth = e.Corpus.depth + 1 in
-  (* Selective step: signal run first, full replay only when the trace
-     can matter. The seen set persists across items and epochs, so
-     admission is stricter than the sequential rule: a signal is
-     promoted only when its trace is wholly non-novel against the
-     EPOCH-START global map — monotonically non-novel against every
-     later global map and every item overlay seeded from one, making
-     the skip invisible. A capture that is novel only item-locally (or
-     that the barrier later drops, e.g. on a full queue) is not promoted
-     and is re-captured identically by later items — barrier decisions,
-     dup-drop counts and the final trajectory match the always-traced
-     run for every shard count. Crash triage needs the trace (crash-
-     virgin merge at the barrier), so crashes always replay and crash
-     signals are never marked seen. *)
-  let decide_selective (out : Vm.Interp.outcome) (v : Bytes.t * int) : unit =
-    match out.status with
-    | Vm.Interp.Crashed _ -> capture_outcome (sh_replay base sh v) v ~depth
-    | Vm.Interp.Hung -> capture_outcome out v ~depth
-    | Vm.Interp.Finished _ ->
-        let s = Tracer.last_signal sh.tracer in
-        if not (Tracer.seen_signal sh.tracer s) then begin
-          capture_outcome (sh_replay base sh v) v ~depth;
-          let tr = sh.feedback.trace in
-          let idxs = Pathcov.Coverage_map.sorted_set tr in
-          let vals = Pathcov.Coverage_map.values_of tr idxs in
-          if
-            not
-              (Pathcov.Coverage_map.sparse_would_merge ~virgin:global_virgin
-                 ~idxs ~vals)
-          then Tracer.mark_seen sh.tracer s
-        end
-  in
   (* Batched cohort: the item's whole energy allotment runs back-to-back
      through one [sh_cohort] call — generation (splice draw, counter
      bumps, timed mutation, pre-exec reset) in [gen], the per-candidate
-     bookkeeping and decision in [sink]. Replays don't count as
-     executions, so [local] ticks once per candidate. *)
+     bookkeeping and decision in [sink]. *)
   let cur = ref (Bytes.empty, 0) in
   let gen _ =
     let splice_with = random_other_view it.rng view e in
@@ -391,12 +335,10 @@ let run_item (base : Campaign.config) (sh : shard) (view : Corpus.view)
     Obs.Metrics.observe sh.h_batch it.energy;
     sh_trace_begin sh Obs.Trace.Exec
   end;
-  sh_cohort base sh ~signal:base.selective ~n:it.energy ~gen
-    ~sink:(fun _ out ->
+  sh_cohort base sh ~n:it.energy ~gen ~sink:(fun _ out ->
       sh_post sh out;
       incr local;
-      if base.selective then decide_selective out !cur
-      else capture_outcome out !cur ~depth);
+      capture_outcome out !cur ~depth);
   if it.energy > 0 then sh_trace_end ~arg:it.energy sh;
   res.execs <- !local;
   res.retained <- List.rev res.retained;
@@ -739,6 +681,8 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
     ?(resume : Checkpoint.t option) (cfg : config) (prog : Minic.Ir.program)
     ~(seeds : string list) : result =
   if cfg.shards < 1 then invalid_arg "Shard.run: shards must be >= 1";
+  if cfg.base.selective then
+    invalid_arg "Shard.run: selective tracing was removed";
   if cfg.sync_interval < 1 then
     invalid_arg "Shard.run: sync_interval must be >= 1";
   let obs = match obs with Some o -> o | None -> Obs.Observer.null () in
@@ -914,9 +858,6 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
   let hits, misses = Vm.Compile.cache_stats () in
   Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_hits") hits;
   Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_misses") misses;
-  Obs.Metrics.set
-    (Obs.Metrics.gauge m "engine.seen_signals")
-    (Array.fold_left (fun a sh -> a + Tracer.seen_signals sh.tracer) 0 shards);
   (match base.engine with
   | Tracer.Native ->
       let e = Vm.Emit.stats () in

@@ -69,7 +69,7 @@ let of_campaign name (r : Campaign.result) : run_result =
     sum_exec_blocks = r.sum_exec_blocks;
   }
 
-let base_config ?(engine = Tracer.matrix_engine) ?(selective = false)
+let base_config ?(engine = Tracer.matrix_engine)
     ?(map_size_log2 = Campaign.default_config.map_size_log2) ~budget
     ~trial_seed ~cmplog mode =
   {
@@ -80,7 +80,6 @@ let base_config ?(engine = Tracer.matrix_engine) ?(selective = false)
     map_size_log2;
     cmplog;
     engine;
-    selective;
   }
 
 (* Random trim per Appendix D: remove 84–98% of the queue. *)
@@ -108,13 +107,13 @@ let random_trim rng inputs =
     replays included); fuzzing behaviour is identical without it.
     [engine] defaults to {!Tracer.matrix_engine}; [map_size_log2] to
     {!Campaign.default_config}'s. *)
-let run ?plans ?obs ?engine ?selective ?map_size_log2 ~budget ~trial_seed
+let run ?plans ?obs ?engine ?map_size_log2 ~budget ~trial_seed
     (fuzzer : fuzzer) (prog : Minic.Ir.program) ~(seeds : string list) :
     run_result =
   match fuzzer.spec with
   | Plain mode ->
       let config =
-        base_config ?engine ?selective ?map_size_log2 ~budget ~trial_seed
+        base_config ?engine ?map_size_log2 ~budget ~trial_seed
           ~cmplog:fuzzer.cmplog mode
       in
       of_campaign fuzzer.name (Campaign.run ?plans ?obs ~config prog ~seeds)
@@ -125,7 +124,7 @@ let run ?plans ?obs ?engine ?selective ?map_size_log2 ~budget ~trial_seed
       let triage = Triage.create () in
       let rec go round seeds_now execs_so_far series last =
         let config =
-          base_config ?engine ?selective ?map_size_log2 ~budget:per_round
+          base_config ?engine ?map_size_log2 ~budget:per_round
             ~trial_seed:(trial_seed + (round * 101))
             ~cmplog:fuzzer.cmplog Pathcov.Feedback.Path
         in
@@ -162,7 +161,7 @@ let run ?plans ?obs ?engine ?selective ?map_size_log2 ~budget ~trial_seed
   | Opportunistic ->
       let half = max 1 (budget / 2) in
       let config1 =
-        base_config ?engine ?selective ?map_size_log2 ~budget:half
+        base_config ?engine ?map_size_log2 ~budget:half
           ~trial_seed:(trial_seed + 17) ~cmplog:true Pathcov.Feedback.Edge
       in
       let phase1 = Campaign.run ?plans ?obs ~config:config1 prog ~seeds in
@@ -173,7 +172,7 @@ let run ?plans ?obs ?engine ?selective ?map_size_log2 ~budget ~trial_seed
       in
       let donor = if donor = [] then seeds else donor in
       let config2 =
-        base_config ?engine ?selective ?map_size_log2 ~budget:(budget - half)
+        base_config ?engine ?map_size_log2 ~budget:(budget - half)
           ~trial_seed ~cmplog:fuzzer.cmplog Pathcov.Feedback.Path
       in
       let phase2 = Campaign.run ?plans ?obs ~config:config2 prog ~seeds:donor in

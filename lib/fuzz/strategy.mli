@@ -65,17 +65,15 @@ val of_campaign : string -> Campaign.result -> run_result
     whole campaign; fuzzing behaviour is identical without it. [engine]
     (default {!Tracer.matrix_engine}, i.e. [Fused]: the staged closure
     artifact; [Interp] the reference interpreter, [Native] the
-    generated unit) and [selective] (default off) pick the execution
-    engine and selective tracing for every phase — both are
+    generated unit) picks the execution engine for every phase — it is
     trajectory-invisible (test-enforced differentially), and every VM
-    run of every phase goes through the batched [Tracer.run_*_batch]
-    entries whatever the engine. [map_size_log2] (default
+    run of every phase goes through the batched [Tracer.run_full_batch]
+    entry whatever the engine. [map_size_log2] (default
     {!Campaign.default_config}'s) sizes every phase's coverage maps. *)
 val run :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?obs:Obs.Observer.t ->
   ?engine:Tracer.engine ->
-  ?selective:bool ->
   ?map_size_log2:int ->
   budget:int ->
   trial_seed:int ->

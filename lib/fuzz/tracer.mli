@@ -1,17 +1,12 @@
-(** Execution-engine selection and selective tracing for campaigns.
+(** Execution-engine selection for campaigns.
 
     A tracer wraps one prepared subject with a choice of execution
     engine — the reference CFG interpreter, the {!Vm.Compile} staged
     artifact with superblock fusion, or the {!Vm.Emit} per-subject
     generated-and-Dynlink'd native unit (degrading to fused, with
-    {!emit_fallback} recording why, when emission fails) — plus,
-    optionally, {e selective tracing}: bulk executions
-    run under a near-null specialisation that folds only a 62-bit
-    novelty signal, and a full-instrumentation replay rebuilds the
-    classified trace exactly when the signal is new. Signal equality
-    implies trace equality (up to hash collisions), so campaign
-    trajectories are byte-identical across engines × selective on/off —
-    DESIGN.md §12 gives the argument, the differential suite enforces
+    {!emit_fallback} recording why, when emission fails). Every
+    execution runs fully instrumented, and campaign trajectories are
+    byte-identical across engines; the differential suite enforces
     it. *)
 
 type engine = Interp | Fused | Native
@@ -40,11 +35,14 @@ type t
     sharded campaigns pass [~shared:false] to compile fresh per shard —
     the artifact's rebindable state is single-threaded. [cmplog] elides
     comparison probes from compiled code when the campaign binds a no-op
-    [h_cmp] anyway. Engine [Interp] with [selective] builds a private
-    signal context over {!Vm.Compile.signal_hooks}. [clock]
-    (observation-only) times artifact compilation into
-    {!compile_seconds}, and is the default clock of every batch, whose
-    VM walls accumulate until {!take_vm_s}. *)
+    [h_cmp] anyway. [clock] (observation-only) times artifact
+    compilation into {!compile_seconds}, and is the default clock of
+    every batch, whose VM walls accumulate until {!take_vm_s}.
+
+    [selective] is kept only for source compatibility with the
+    benchmark harness, which names it: selective tracing was removed
+    and [~selective:true] raises [Invalid_argument]. Drop the argument
+    with the next benchmark change. *)
 val make :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?clock:(unit -> float) ->
@@ -57,7 +55,6 @@ val make :
   t
 
 val engine_of : t -> engine
-val selective : t -> bool
 
 (** [Some reason] when a [Native] tracer failed to emit (no compiler,
     compile error, Dynlink refusal, forced [PATHFUZZ_EMIT_FAIL]) and
@@ -86,9 +83,8 @@ val cmp_armed : t -> bool
 (** Retire the tracer when its campaign ends: the artifact's probes are
     pointed at a fresh private placeholder map and a no-op cmplog probe,
     so a per-domain cached artifact ({!Vm.Compile.cached}) no longer
-    keeps the finished campaign's trace map and hooks alive; the
-    comparison probes are disarmed and the artifact's pruning marks
-    dropped. Every later run through this tracer raises
+    keeps the finished campaign's trace map and hooks alive, and the
+    comparison probes are disarmed. Every later run through this tracer raises
     [Invalid_argument]; a new campaign binds the artifact again through
     its own tracer. *)
 val release : t -> unit
@@ -108,25 +104,9 @@ val release : t -> unit
     — is bracketed by two clock reads and its wall passed to [vm_s], or
     without [vm_s] added to the accumulator {!take_vm_s} drains. The
     bracket is preallocated: on the accumulator path the two clock
-    reads are a timed run's only allocation. [run_signal_batch]
-    executes the signal specialisation, latches {!last_signal} before
-    each [sink] call and requires a selective tracer (the interpreter
-    case runs on the private signal context — the passed context is
-    ignored). *)
+    reads are a timed run's only allocation. *)
 
 val run_full_batch :
-  ?clock:(unit -> float) ->
-  ?vm_s:(float -> unit) ->
-  t ->
-  Vm.Interp.exec_ctx ->
-  fuel:int ->
-  max_depth:int ->
-  n:int ->
-  gen:(int -> Bytes.t * int) ->
-  sink:(int -> Vm.Interp.outcome -> unit) ->
-  unit
-
-val run_signal_batch :
   ?clock:(unit -> float) ->
   ?vm_s:(float -> unit) ->
   t ->
@@ -143,43 +123,6 @@ val run_signal_batch :
     counter block before anything reads [vm_s]. *)
 val take_vm_s : t -> float
 
-(** The signal latched for the candidate [run_signal_batch] last handed
-    to its [sink]. *)
-val last_signal : t -> int
-
-(** {2 Seen-signal set}
-
-    An in-memory cache of "a trace with this signal is already folded
-    into the virgin map". Deliberately absent from checkpoints: a
-    resumed campaign re-replays a few signals and reaches identical
-    decisions. *)
-
-val seen_signal : t -> int -> bool
-val mark_seen : t -> int -> unit
-
-(** {2 Probe self-pruning}
-
-    Active only for closure [Path] artifacts under selective tracing,
-    and only around calibration runs — the one full-instrumentation
-    site whose trace feeds nothing but the virgin merge, so eliding
-    saturated Ball–Larus commits cannot perturb the trajectory. *)
-
-val pruning_available : t -> bool
-
-(** Recompute per-function pruning marks from the virgin map: a function
-    prunes when every index in its {!Vm.Compile.path_universe} is
-    saturated (virgin byte 0). Recomputed from scratch each call, so a
-    restored virgin map reproduces the uninterrupted run's marks. *)
-val refresh_pruning : t -> virgin:Pathcov.Coverage_map.t -> unit
-
-(** Gate the pruning marks on or off; initial state is off. *)
-val set_pruning : t -> bool -> unit
-
-(** Functions currently marked pruned on the artifact (diagnostics and
-    tests). A new tracer clears the marks a cached artifact carries from
-    an earlier campaign, so this is [0] until its first refresh. *)
-val pruned_fids : t -> int
-
 (** {2 Introspection}
 
     Read-only tallies the campaign drains into its metrics registry at
@@ -189,11 +132,8 @@ val pruned_fids : t -> int
     given no clock). *)
 val compile_seconds : t -> float
 
-(** Distinct novelty signals recorded as seen. *)
-val seen_signals : t -> int
-
-(** Engine-level tallies from the compiled artifacts: bulk-burn
-    rollback counts summed over both artifacts, fusion shape from the
-    full artifact. [None] for the interpreter engine. *)
+(** Engine-level tallies from the closure artifact: bulk-burn rollback
+    counts and fusion shape. [None] for the interpreter engine and for
+    a live native unit. *)
 val artifact_stats :
   t -> (Vm.Compile.runtime_stats * Vm.Compile.static_stats) option

@@ -2,8 +2,8 @@
 
     Counters, snapshots and events (PR 4) cover the fuzzing trajectory;
     this registry covers the *machinery underneath it*: compile-cache
-    behaviour, superblock-fusion shape, bulk-burn rollbacks, selective
-    replays, batch cohort sizes, dirty-reset widths, shard barrier
+    behaviour, superblock-fusion shape, bulk-burn rollbacks, batch
+    cohort sizes, dirty-reset widths, shard barrier
     waits, checkpoint write costs. Instruments are registered by name on
     first use and kept in registration order, so every render and dump
     is deterministic for a deterministic trajectory.

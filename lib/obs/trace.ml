@@ -25,38 +25,35 @@ type kind =
   | Mutate  (** candidate generation (mutator) *)
   | Exec  (** VM execution of a candidate cohort *)
   | Calibrate  (** calibration / cmplog colorization runs *)
-  | Replay  (** selective-tracing full replays and triage re-execs *)
   | Triage  (** crash triage *)
   | Merge  (** coordinator: shard sync-barrier merge *)
   | Compile  (** staged subject compilation *)
   | Checkpoint  (** campaign snapshot serialization + write *)
   | Epoch  (** one shard's whole epoch slice (shard tracks) *)
 
-let n_kinds = 10
+let n_kinds = 9
 
 let kind_index = function
   | Plan -> 0
   | Mutate -> 1
   | Exec -> 2
   | Calibrate -> 3
-  | Replay -> 4
-  | Triage -> 5
-  | Merge -> 6
-  | Compile -> 7
-  | Checkpoint -> 8
-  | Epoch -> 9
+  | Triage -> 4
+  | Merge -> 5
+  | Compile -> 6
+  | Checkpoint -> 7
+  | Epoch -> 8
 
 let kind_of_index = function
   | 0 -> Plan
   | 1 -> Mutate
   | 2 -> Exec
   | 3 -> Calibrate
-  | 4 -> Replay
-  | 5 -> Triage
-  | 6 -> Merge
-  | 7 -> Compile
-  | 8 -> Checkpoint
-  | 9 -> Epoch
+  | 4 -> Triage
+  | 5 -> Merge
+  | 6 -> Compile
+  | 7 -> Checkpoint
+  | 8 -> Epoch
   | k -> invalid_arg (Printf.sprintf "Trace.kind_of_index: %d" k)
 
 let kind_name = function
@@ -64,7 +61,6 @@ let kind_name = function
   | Mutate -> "mutate"
   | Exec -> "exec"
   | Calibrate -> "calibrate"
-  | Replay -> "replay"
   | Triage -> "triage"
   | Merge -> "merge"
   | Compile -> "compile"

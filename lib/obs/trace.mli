@@ -16,7 +16,6 @@ type kind =
   | Mutate  (** candidate generation (mutator) *)
   | Exec  (** VM execution of a candidate cohort *)
   | Calibrate  (** calibration / cmplog colorization runs *)
-  | Replay  (** selective-tracing full replays and triage re-execs *)
   | Triage  (** crash triage *)
   | Merge  (** coordinator: shard sync-barrier merge *)
   | Compile  (** staged subject compilation *)

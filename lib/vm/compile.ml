@@ -42,8 +42,8 @@
     seed/witness, per mode.
 
     Artifacts are cacheable: all per-campaign state (the bound trace
-    map, the cmplog probe, listener registers, the activation depth, the
-    probe-pruning table) lives in a mutable {!cstate} rebound via
+    map, the cmplog probe, listener registers, the activation depth)
+    lives in a mutable {!cstate} rebound via
     {!bind}, so one compiled artifact per [(prepared, spec)] serves
     every campaign on a domain — {!cached} memoises per domain via
     [Domain.DLS]. Sharded campaigns must {!compile} fresh per shard
@@ -52,15 +52,12 @@
 open Interp
 
 (** What gets baked in. [Snone] is the bare program (the throughput
-    bench's "none" row); [Ssignal] folds the whole tagged execution
-    event stream (call/block/ret) into a rolling hash — the selective-
-    tracing novelty signal — and nothing else; [Sfull mode] bakes the
-    corresponding {!Pathcov.Feedback} listener in as per-site probes. *)
-type spec = Snone | Ssignal | Sfull of Pathcov.Feedback.mode
+    bench's "none" row); [Sfull mode] bakes the corresponding
+    {!Pathcov.Feedback} listener in as per-site probes. *)
+type spec = Snone | Sfull of Pathcov.Feedback.mode
 
 let spec_name = function
   | Snone -> "none"
-  | Ssignal -> "signal"
   | Sfull m -> Pathcov.Feedback.mode_name m
 
 (* Per-campaign (rebindable) listener state. One record per artifact;
@@ -79,8 +76,6 @@ type cstate = {
   mutable regs : int array;  (** Ball–Larus path registers, a stack *)
   mutable top : int;
   mutable rolling : int;  (** pathafl whole-program rolling hash *)
-  mutable sig_h : int;  (** Ssignal event-stream hash *)
-  mutable pruned : Bytes.t;  (** per-fid path-commit elision gate *)
   (* introspection tallies — plain stores on paths that never feed back
      into execution, so they are trajectory-invisible *)
   mutable stat_rollbacks : int;
@@ -103,63 +98,7 @@ type t = {
   main_zero : int array;
       (** [main]'s definite-assignment residue (entry frames come from
           {!Interp.acquire_raw}, so the residue is zeroed by hand) *)
-  pruned_zero : Bytes.t;  (** all-live table (no probe elided) *)
-  pruned_live : Bytes.t;  (** the self-pruning table {!prune_fid} edits *)
-  path_universe : int array array;
-      (** per function: every map key its path commits can produce
-          (unwrapped; [[||]] when the function's path count exceeds the
-          pruning bound, or for non-path specs) *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* Selective-tracing signal: a 62-bit rolling hash over the tagged
-   event stream. Blocks alone would conflate recursion with looping;
-   with call/block/ret tags the per-activation block sequences — and
-   hence every edge — are derivable from the stream, so signal equality
-   implies trace equality under every feedback mode (modulo hash
-   collisions; see DESIGN §12). Both engines must compute bit-identical
-   signals, so the in-interpreter hook variant below shares these.
-
-   The mixer is xor-then-multiply (xorshift*-style; odd multiplier, so
-   each step is a bijection of the accumulator). A rotate-xor mixer is
-   NOT acceptable here: it is linear over GF(2) with rotation period 62,
-   so the hash only sees the XOR of tags grouped by stream position mod
-   62 — compensating loop-iteration patterns collide within a few
-   thousand executions and break skip invisibility (observed on cflow). *)
-
-let[@inline] sig_mix h k = ((h lxor k) * 0x2545F4914F6CDD1D) land max_int
-let sig_call_tag fid = Pathcov.Feedback.block_key fid 0 + 0x1351
-let sig_block_tag fid b = Pathcov.Feedback.block_key fid b
-let sig_ret_tag fid b = Pathcov.Feedback.block_key fid b lxor 0x6b43
-
-(** The interpreter-engine signal listener: same hash, driven by hooks.
-    [cell] accumulates across one execution; reset it to 0 first. *)
-let signal_hooks (p : prepared) ~(cell : int ref) : hooks =
-  let block_tags =
-    Array.mapi
-      (fun fid (f : rfunc) ->
-        Array.init (Array.length f.rblocks) (fun b -> sig_block_tag fid b))
-      p.rfuncs
-  in
-  let ret_tags =
-    Array.mapi
-      (fun fid (f : rfunc) ->
-        Array.init (Array.length f.rblocks) (fun b -> sig_ret_tag fid b))
-      p.rfuncs
-  in
-  let call_tags =
-    Array.init (Array.length p.rfuncs) (fun fid -> sig_call_tag fid)
-  in
-  {
-    no_hooks with
-    h_call = (fun fid -> cell := sig_mix !cell (Array.unsafe_get call_tags fid));
-    h_block =
-      (fun fid b ->
-        cell := sig_mix !cell (Array.unsafe_get (Array.unsafe_get block_tags fid) b));
-    h_ret =
-      (fun fid b ->
-        cell := sig_mix !cell (Array.unsafe_get (Array.unsafe_get ret_tags fid) b));
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Probe generation: compile-time per-site closures, or None = the
@@ -196,23 +135,6 @@ let probes_none =
     pe_add = (fun _ _ _ -> Some 0);
     padd = None;
     emit_cmp = false;
-  }
-
-let probes_signal (cs : cstate) =
-  {
-    probes_none with
-    pc =
-      (fun fid ->
-        let k = sig_call_tag fid in
-        Some (fun () -> cs.sig_h <- sig_mix cs.sig_h k));
-    pb =
-      (fun fid b ->
-        let k = sig_block_tag fid b in
-        Some (fun () -> cs.sig_h <- sig_mix cs.sig_h k));
-    pr =
-      (fun fid b ->
-        let k = sig_ret_tag fid b in
-        Some (fun () -> cs.sig_h <- sig_mix cs.sig_h k));
   }
 
 let probes_block (cs : cstate) =
@@ -259,9 +181,7 @@ let probes_ngram (cs : cstate) n =
 (* Path probes: the Ball–Larus operation per edge is resolved at compile
    time — edges carrying no operation compile to direct jumps, register
    increments bake their constant in, and commits bake (salt, add/reset)
-   in. Commits additionally consult the per-function pruning gate: an
-   elided commit skips only the map write (the register discipline is
-   untouched, so later commits in the same run stay exact). *)
+   in. *)
 let path_salt (f : Minic.Ir.func) = Hashtbl.hash f.Minic.Ir.name * 0x9e3779b1
 
 let probes_path (cs : cstate) (p : prepared)
@@ -300,9 +220,8 @@ let probes_path (cs : cstate) (p : prepared)
                 if cs.top > 0 then begin
                   let r = cs.regs in
                   let i = cs.top - 1 in
-                  if Bytes.unsafe_get cs.pruned fid = '\000' then
-                    Pathcov.Coverage_map.hit cs.trace
-                      (((Array.unsafe_get r i + add) lxor salt) land max_int);
+                  Pathcov.Coverage_map.hit cs.trace
+                    (((Array.unsafe_get r i + add) lxor salt) land max_int);
                   Array.unsafe_set r i reset
                 end));
     pe_add =
@@ -327,9 +246,8 @@ let probes_path (cs : cstate) (p : prepared)
           (fun () ->
             if cs.top > 0 then begin
               let i = cs.top - 1 in
-              if Bytes.unsafe_get cs.pruned fid = '\000' then
-                Pathcov.Coverage_map.hit cs.trace
-                  (((Array.unsafe_get cs.regs i + ra) lxor salt) land max_int);
+              Pathcov.Coverage_map.hit cs.trace
+                (((Array.unsafe_get cs.regs i + ra) lxor salt) land max_int);
               cs.top <- i
             end));
   }
@@ -2131,15 +2049,8 @@ let cfunc (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
 (* ------------------------------------------------------------------ *)
 (* Artifact construction *)
 
-(** Functions whose acyclic-path count is at most this are tracked for
-    probe self-pruning (their full commit-key universe is enumerable
-    cheaply). *)
-let prune_path_bound = 4096
-
 let compile ?plans ?(cmplog = true) (p : prepared) (spec : spec) : t =
   let nfuncs = Array.length p.rfuncs in
-  let pruned_zero = Bytes.make (max 1 nfuncs) '\000' in
-  let pruned_live = Bytes.make (max 1 nfuncs) '\000' in
   let ngram_n = match spec with Sfull (Ngram n) -> n | _ -> 0 in
   let cs =
     {
@@ -2152,8 +2063,6 @@ let compile ?plans ?(cmplog = true) (p : prepared) (spec : spec) : t =
       regs = Array.make 64 0;
       top = 0;
       rolling = 0;
-      sig_h = 0;
-      pruned = pruned_zero;
       stat_rollbacks = 0;
       stat_careful_units = 0;
       stat_chains = 0;
@@ -2162,22 +2071,19 @@ let compile ?plans ?(cmplog = true) (p : prepared) (spec : spec) : t =
       stat_dup_instrs = 0;
     }
   in
-  let path_plans =
-    match spec with
-    | Sfull Path -> (
-        match plans with
-        | Some pl -> Some pl
-        | None -> Some (Pathcov.Ball_larus.of_program p.prog))
-    | _ -> None
-  in
   let probes =
     match spec with
     | Snone -> probes_none
-    | Ssignal -> probes_signal cs
     | Sfull Block -> probes_block cs
     | Sfull Edge -> probes_edge cs
     | Sfull (Ngram n) -> probes_ngram cs n
-    | Sfull Path -> probes_path cs p (Option.get path_plans)
+    | Sfull Path ->
+        let plans =
+          match plans with
+          | Some pl -> pl
+          | None -> Pathcov.Ball_larus.of_program p.prog
+        in
+        probes_path cs p plans
     | Sfull Pathafl -> probes_pathafl cs p
   in
   (* A campaign with cmplog off binds a no-op [h_cmp]; eliding the call
@@ -2201,18 +2107,6 @@ let compile ?plans ?(cmplog = true) (p : prepared) (spec : spec) : t =
       in
       fentries.(fid) <- cfunc env probes p fentries fid f)
     p.rfuncs;
-  let path_universe =
-    match path_plans with
-    | None -> Array.make nfuncs [||]
-    | Some plans ->
-        Array.init nfuncs (fun fid ->
-            let plan = plans.plans.(fid) in
-            let np = plan.Pathcov.Ball_larus.num_paths in
-            if np > prune_path_bound then [||]
-            else
-              let salt = path_salt p.prog.funcs.(fid) in
-              Array.init np (fun pid -> (pid lxor salt) land max_int))
-  in
   {
     prepared = p;
     spec;
@@ -2220,9 +2114,6 @@ let compile ?plans ?(cmplog = true) (p : prepared) (spec : spec) : t =
     cs;
     fentries;
     main_zero = zeroes.(p.main_id);
-    pruned_zero;
-    pruned_live;
-    path_universe;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -2248,38 +2139,7 @@ let reset (t : t) : unit =
   let n = Array.length cs.hist in
   if n > 0 then Array.fill cs.hist 0 n 0;
   cs.top <- 0;
-  cs.rolling <- 0;
-  cs.sig_h <- 0
-
-(** The [Ssignal] event-stream hash of the last execution. *)
-let signal (t : t) : int = t.cs.sig_h
-
-(** Toggle probe self-pruning: [true] installs the live table edited by
-    {!prune_fid}, [false] the all-zero table (every probe fires). *)
-let set_pruning (t : t) (on : bool) : unit =
-  t.cs.pruned <- (if on then t.pruned_live else t.pruned_zero)
-
-(** Mark one function's path commits elided (or restore them) in the
-    live pruning table. *)
-let prune_fid (t : t) (fid : int) (elide : bool) : unit =
-  Bytes.set t.pruned_live fid (if elide then '\001' else '\000')
-
-(** Functions marked in the live table. *)
-let pruned_count (t : t) : int =
-  let n = ref 0 in
-  Bytes.iter (fun c -> if c <> '\000' then incr n) t.pruned_live;
-  !n
-
-(** Drop every mark and disable pruning: the state of a fresh
-    artifact. *)
-let clear_pruning (t : t) : unit =
-  Bytes.fill t.pruned_live 0 (Bytes.length t.pruned_live) '\000';
-  set_pruning t false
-
-(** Every map key function [fid]'s path commits can produce (unwrapped),
-    or [[||]] when not enumerable (too many paths, or a non-path
-    spec). *)
-let path_universe (t : t) (fid : int) : int array = t.path_universe.(fid)
+  cs.rolling <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Introspection (plain ints — this library has no obs dependency; the

@@ -19,14 +19,13 @@
     differential suite enforces against the boxed reference interpreter.
 
     Artifacts are immutable modulo a small rebindable {!cstate} (trace
-    map, cmplog probe, listener registers, pruning gate), so one
+    map, cmplog probe, listener registers), so one
     artifact per [(prepared, spec)] serves every campaign on a domain;
     {!cached} memoises exactly that. The state is single-threaded:
     sharded campaigns compile one artifact per shard via {!compile}. *)
 
-(** What gets baked in: nothing, the selective-tracing novelty signal,
-    or a full {!Pathcov.Feedback} mode. *)
-type spec = Snone | Ssignal | Sfull of Pathcov.Feedback.mode
+(** What gets baked in: nothing, or a full {!Pathcov.Feedback} mode. *)
+type spec = Snone | Sfull of Pathcov.Feedback.mode
 
 val spec_name : spec -> string
 
@@ -69,7 +68,7 @@ val cached :
 
 (** Retarget the artifact's probes at a trace map and cmplog probe —
     two field writes, so callers may rebind before every execution.
-    Only meaningful for [Sfull _] artifacts (others never touch
+    Only meaningful for [Sfull _] artifacts ([Snone] never touches
     either). *)
 val bind :
   t -> trace:Pathcov.Coverage_map.t -> h_cmp:(int -> int -> unit) -> unit
@@ -101,56 +100,6 @@ val run_batch :
   gen:(int -> Bytes.t * int) ->
   sink:(int -> Interp.outcome -> unit) ->
   unit
-
-(** {2 Selective-tracing novelty signal}
-
-    A 62-bit rolling hash over the tagged call/block/return event
-    stream. The tags make per-activation block sequences — and hence
-    every derived feedback index, in every mode — a function of the
-    stream, so signal equality implies trace equality up to hash
-    collisions (DESIGN §12). *)
-
-(** The signal accumulated by the last [Ssignal] execution. *)
-val signal : t -> int
-
-(** The same hash computed by the interpreter engine: hooks folding
-    each event's tag into [cell]. Reset [cell] to [0] before each
-    execution; precomputed tag tables keep the handlers
-    allocation-free. *)
-val signal_hooks : Interp.prepared -> cell:int ref -> Interp.hooks
-
-(** {2 Probe self-pruning} (only affects [Sfull Path] artifacts)
-
-    The runtime analogue of Ball–Larus spanning-tree probe
-    minimisation: once every map index a function's path commits can
-    produce is saturated in the virgin map, the commit's map write can
-    never change novelty and is elided. Register arithmetic is never
-    elided, so unpruned functions commit exact IDs regardless. *)
-
-(** Functions with at most this many acyclic paths have an enumerable
-    commit universe and participate in pruning. *)
-val prune_path_bound : int
-
-(** Every map key function [fid]'s path commits can produce — unwrapped,
-    so wrap by the consulted map's size — or [[||]] when not enumerable
-    (too many paths, or non-path spec). *)
-val path_universe : t -> int -> int array
-
-(** Mark one function's path commits elided (or restore them). Takes
-    effect only while pruning is enabled. *)
-val prune_fid : t -> int -> bool -> unit
-
-(** Enable/disable pruning: [false] (the initial state) makes every
-    probe fire regardless of {!prune_fid} marks. *)
-val set_pruning : t -> bool -> unit
-
-(** Functions marked in the live pruning table. *)
-val pruned_count : t -> int
-
-(** Drop every mark and disable pruning — a fresh artifact's state. A
-    per-domain {!cached} artifact outlives the campaign that marked it,
-    so each campaign's tracer clears it on taking and on releasing it. *)
-val clear_pruning : t -> unit
 
 (** {2 Introspection}
 
@@ -200,15 +149,6 @@ val may_array_analysis : Interp.prepared -> typing
 (** Per function: the local slots to zero at frame entry (the
     definite-assignment residue left over a pooled [acquire_raw]). *)
 val zero_slots_analysis : Interp.prepared -> int array array
-
-(** The tagged-event-stream mixer tags behind {!signal} /
-    {!signal_hooks}: call entry, block entry and return tags per
-    (fid, block). The mixer itself is
-    [h' = ((h lxor tag) * 0x2545F4914F6CDD1D) land max_int]. *)
-val sig_call_tag : int -> int
-
-val sig_block_tag : int -> int -> int
-val sig_ret_tag : int -> int -> int
 
 (** The per-function salt XOR-folded into every Ball–Larus commit key. *)
 val path_salt : Minic.Ir.func -> int

@@ -9,7 +9,7 @@
 
 open Interp
 
-let emitter_version = 5
+let emitter_version = 6
 
 (* ------------------------------------------------------------------ *)
 (* Plugin side-channel *)
@@ -19,7 +19,6 @@ type raw = {
   r_set_cmp : (int -> int -> unit) -> unit;
   r_armed : bool ref;
   r_reset : unit -> unit;
-  r_signal : unit -> int;
   r_enter : exec_ctx -> unit;
 }
 
@@ -100,9 +99,42 @@ let rec mkdir_p d =
     | Unix.Unix_error _ -> ()
   end
 
+let cleanup_dir d =
+  (try
+     Array.iter
+       (fun f -> try Sys.remove (Filename.concat d f) with _ -> ())
+       (Sys.readdir d)
+   with _ -> ());
+  try Unix.rmdir d with _ -> ()
+
+(* A build's scratch directory is [tmp-PID-KEY]; a process killed
+   mid-compile leaves its directory behind. Remove every one whose PID
+   names no live process ([kill pid 0] fails with [ESRCH]); live PIDs
+   (including our own) and other names are left alone. *)
+let collect_stale_tmp (dir : string) : int =
+  let removed = ref 0 in
+  let entries = try Sys.readdir dir with Sys_error _ -> [||] in
+  Array.iter
+    (fun f ->
+      match Scanf.sscanf_opt f "tmp-%d-%_s" (fun pid -> pid) with
+      | Some pid when pid > 0 -> (
+          match Unix.kill pid 0 with
+          | () -> ()
+          | exception Unix.Unix_error (Unix.ESRCH, _, _) ->
+              let d = Filename.concat dir f in
+              cleanup_dir d;
+              if not (Sys.file_exists d) then incr removed
+          | exception Unix.Unix_error _ -> ())
+      | _ -> ())
+    entries;
+  !removed
+
+let collected = Atomic.make false
+
 let cache_dir_ensured () =
   let d = cache_dir () in
   mkdir_p d;
+  if not (Atomic.exchange collected true) then ignore (collect_stale_tmp d);
   d
 
 let artifact_ext = if Dynlink.is_native then ".cmxs" else ".cmo"
@@ -149,18 +181,6 @@ let edge_pb fid b =
 let gprobes_of ?plans (p : prepared) (spec : Compile.spec) : gprobes =
   match spec with
   | Compile.Snone -> gprobes_none
-  | Compile.Ssignal ->
-      let mix k =
-        Printf.sprintf
-          "sigh := ((!sigh lxor %s) * 0x2545F4914F6CDD1D) land max_int"
-          (lit k)
-      in
-      {
-        gprobes_none with
-        gpc = (fun fid -> Some (mix (Compile.sig_call_tag fid)));
-        gpb = (fun fid b -> Some (mix (Compile.sig_block_tag fid b)));
-        gpr = (fun fid b -> Some (mix (Compile.sig_ret_tag fid b)));
-      }
   | Compile.Sfull Pathcov.Feedback.Block ->
       {
         gprobes_none with
@@ -779,7 +799,6 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
   Printf.bprintf buf "let regs = ref (Array.make 64 0) in\n";
   Printf.bprintf buf "let top = ref 0 in\n";
   Printf.bprintf buf "let rolling = ref 0 in\n";
-  Printf.bprintf buf "let sigh = ref 0 in\n";
   List.iteri
     (fun i (name, body) ->
       Printf.bprintf buf "%s %s (ctx : I.exec_ctx) (fr : I.frame) =\n%s\n"
@@ -797,8 +816,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
     \  Vm.Emit.r_set_cmp = (fun f -> hcmp := f);\n\
     \  Vm.Emit.r_armed = armed;\n\
     \  Vm.Emit.r_reset = (fun () -> depth := 0; prev := 0; pos := 0; %stop \
-     := 0; rolling := 0; sigh := 0);\n\
-    \  Vm.Emit.r_signal = (fun () -> !sigh);\n\
+     := 0; rolling := 0);\n\
     \  Vm.Emit.r_enter = (fun ctx -> let fr = I.acquire_raw ctx %d in \
      %sf_%d ctx fr) })\n\n"
     (if ngram_n > 0 then Printf.sprintf "Array.fill hist 0 %d 0; " ngram_n
@@ -1027,14 +1045,6 @@ let compile_source ~(tmp : string) ~(modbase : string) : (string, string) result
   in
   try try_all attempts with Failure e -> Error e
 
-let cleanup_dir d =
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat d f) with _ -> ())
-       (Sys.readdir d)
-   with _ -> ());
-  try Unix.rmdir d with _ -> ()
-
 (* Generate + compile one compilation unit holding [entries]; publish
    the artifact at [artifact_path gkey] with an atomic rename. Caller
    holds [lock]. *)
@@ -1219,7 +1229,6 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t)
 
 let arm (t : t) (on : bool) : unit = t.raw.r_armed := on
 let armed (t : t) : bool = !(t.raw.r_armed)
-let signal (t : t) : int = t.raw.r_signal ()
 
 let run_current (t : t) (ctx : exec_ctx) ~fuel ~max_depth : outcome =
   t.raw.r_reset ();

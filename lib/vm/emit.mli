@@ -40,6 +40,12 @@ val set_cache_dir : string -> unit
 (** The cache directory currently in effect. *)
 val cache_dir : unit -> string
 
+(** Remove the scratch directories ([tmp-PID-*]) that builds by dead
+    processes left in [dir]: a PID for which [kill pid 0] fails with
+    [ESRCH]. Returns how many were removed. The cache directory is
+    swept once per process, on first use. *)
+val collect_stale_tmp : string -> int
+
 (** Bumped whenever generated code changes shape; part of the cache
     key, so stale artifacts from older emitters are never loaded.
     Interface changes in the units a plugin links against are caught
@@ -101,9 +107,6 @@ val arm : t -> bool -> unit
 
 val armed : t -> bool
 
-(** The signal accumulated by the last [Ssignal] execution. *)
-val signal : t -> int
-
 val run :
   ?fuel:int -> ?max_depth:int -> t -> Interp.exec_ctx -> input:string -> Interp.outcome
 
@@ -132,7 +135,6 @@ type raw = {
   r_set_cmp : (int -> int -> unit) -> unit;
   r_armed : bool ref;  (** comparison probes call [h_cmp] only when set *)
   r_reset : unit -> unit;  (** clear probe state before an execution *)
-  r_signal : unit -> int;  (** last [Ssignal] hash; [0] otherwise *)
   r_enter : Interp.exec_ctx -> unit;  (** run main on a primed context *)
 }
 

@@ -2,10 +2,8 @@
     baked in) vs [Vm.Interp] driving the runtime [Pathcov.Feedback]
     listeners — same status (crash kinds, sites, stacks), same block
     counts (hence fuel behaviour), same cmplog event streams, identical
-    classified traces under every feedback mode; plus the selective-
-    tracing signal parity between the two engines, probe-pruning
-    invariants, and a steady-state allocation bound for the compiled
-    hot path. *)
+    classified traces under every feedback mode; plus a steady-state
+    allocation bound for the compiled hot path. *)
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -123,48 +121,6 @@ let test_mode_agreement () =
         all_modes)
     Subjects.Registry.all
 
-(* --- selective-tracing signal: both engines fold the same hash --- *)
-
-let test_signal_parity () =
-  List.iter
-    (fun (s : Subjects.Subject.t) ->
-      let prog = Subjects.Subject.compile_fresh s in
-      let prepared = Vm.Interp.prepare prog in
-      let cell = ref 0 in
-      let ictx =
-        Vm.Interp.create_ctx
-          ~hooks:(Vm.Compile.signal_hooks prepared ~cell)
-          prepared
-      in
-      let cctx = Vm.Interp.create_ctx prepared in
-      let art = Vm.Compile.compile prepared Vm.Compile.Ssignal in
-      let sigs = Hashtbl.create 16 in
-      List.iter
-        (fun input ->
-          cell := 0;
-          let i = Vm.Interp.run_ctx ictx ~input in
-          let c = Vm.Compile.run art cctx ~input in
-          let where = Printf.sprintf "%s %S" s.name input in
-          check status_t (where ^ " status") i.status c.status;
-          check Alcotest.int (where ^ " signal") !cell
-            (Vm.Compile.signal art);
-          Hashtbl.replace sigs !cell ())
-        (subject_inputs s);
-      (* sanity: the signal actually separates distinct executions — a
-         constant hash would trivially satisfy parity *)
-      let distinct_inputs =
-        List.length
-          (List.sort_uniq compare
-             (List.map
-                (fun input -> (Vm.Interp.run_ctx ictx ~input).blocks_executed)
-                (subject_inputs s)))
-      in
-      check_bool
-        (s.name ^ " signal separates executions")
-        true
-        (Hashtbl.length sigs >= distinct_inputs))
-    Subjects.Registry.all
-
 (* --- random programs x all modes: the compiled engine must agree with
    the interpreter-driven listeners beyond the curated subjects --- *)
 
@@ -193,105 +149,6 @@ let prop_compiled_differential =
           && i.blocks_executed = c.blocks_executed
           && trace_contents fb.trace = trace_contents ctrace)
         all_modes)
-
-(* ... and the signal parity property over the same space. *)
-let prop_signal_differential =
-  QCheck.Test.make ~count:300 ~name:"signal hash identical across engines"
-    (QCheck.pair Gen.arbitrary_ir Gen.arbitrary_input)
-    (fun (prog, input) ->
-      let prepared = Vm.Interp.prepare prog in
-      let cell = ref 0 in
-      let ictx =
-        Vm.Interp.create_ctx
-          ~hooks:(Vm.Compile.signal_hooks prepared ~cell)
-          prepared
-      in
-      let cctx = Vm.Interp.create_ctx prepared in
-      let art = Vm.Compile.compile prepared Vm.Compile.Ssignal in
-      let i = Vm.Interp.run_ctx ~fuel:50_000 ictx ~input in
-      let c = Vm.Compile.run ~fuel:50_000 art cctx ~input in
-      i.status = c.status && !cell = Vm.Compile.signal art)
-
-(* --- probe self-pruning invariants (path mode) ---
-
-   Eliding a function's commits must (a) only remove trace indices, (b)
-   remove only indices inside that function's enumerated commit
-   universe, and (c) leave the register discipline exact: un-eliding
-   restores the byte-identical trace. *)
-
-let test_pruning_invariants () =
-  List.iter
-    (fun (s : Subjects.Subject.t) ->
-      let prog = Subjects.Subject.compile_fresh s in
-      let prepared = Vm.Interp.prepare prog in
-      let cctx = Vm.Interp.create_ctx prepared in
-      let art = Vm.Compile.compile prepared (Vm.Compile.Sfull Path) in
-      let trace = Pathcov.Coverage_map.create () in
-      Vm.Compile.bind art ~trace ~h_cmp:(fun _ _ -> ());
-      let run_trace input =
-        Pathcov.Coverage_map.clear trace;
-        ignore (Vm.Compile.run art cctx ~input);
-        Pathcov.Coverage_map.classify trace;
-        trace_contents trace
-      in
-      let nfuncs = Array.length prog.funcs in
-      let enumerable =
-        List.filter
-          (fun fid -> Array.length (Vm.Compile.path_universe art fid) > 0)
-          (List.init nfuncs Fun.id)
-      in
-      check_bool (s.name ^ " has enumerable functions") true
-        (enumerable <> []);
-      (* the universe holds unwrapped keys; traces hold map indices *)
-      let mask = Pathcov.Coverage_map.size trace - 1 in
-      let universe = Hashtbl.create 256 in
-      List.iter
-        (fun fid ->
-          Array.iter
-            (fun key -> Hashtbl.replace universe (key land mask) ())
-            (Vm.Compile.path_universe art fid))
-        enumerable;
-      List.iter
-        (fun input ->
-          let full = run_trace input in
-          (* pruning enabled but nothing marked: identical *)
-          Vm.Compile.set_pruning art true;
-          check
-            Alcotest.(list (pair int int))
-            (s.name ^ " pruning-on/empty trace") full (run_trace input);
-          (* every enumerable function elided *)
-          List.iter (fun fid -> Vm.Compile.prune_fid art fid true) enumerable;
-          let pruned = run_trace input in
-          List.iter
-            (fun (idx, _) ->
-              check_bool
-                (Printf.sprintf "%s pruned idx %d survives from full" s.name
-                   idx)
-                true
-                (List.mem_assoc idx full))
-            pruned;
-          List.iter
-            (fun (idx, b) ->
-              match List.assoc_opt idx pruned with
-              | Some b' ->
-                  check Alcotest.int
-                    (Printf.sprintf "%s surviving idx %d byte" s.name idx)
-                    b b'
-              | None ->
-                  check_bool
-                    (Printf.sprintf
-                       "%s removed idx %d lies in the pruned universe" s.name
-                       idx)
-                    true (Hashtbl.mem universe idx))
-            full;
-          (* restore: byte-identical again *)
-          List.iter (fun fid -> Vm.Compile.prune_fid art fid false) enumerable;
-          check
-            Alcotest.(list (pair int int))
-            (s.name ^ " restored trace") full (run_trace input);
-          Vm.Compile.set_pruning art false)
-        (subject_inputs s))
-    Subjects.Registry.all
 
 (* --- steady-state allocation: the compiled hot path ---
 
@@ -333,16 +190,11 @@ let suite =
           test_none_agreement;
         Alcotest.test_case "subjects: every mode agrees" `Quick
           test_mode_agreement;
-        Alcotest.test_case "subjects: signal parity across engines" `Quick
-          test_signal_parity;
-        Alcotest.test_case "path probe pruning invariants" `Quick
-          test_pruning_invariants;
         Alcotest.test_case "compiled hot path allocation-free" `Quick
           test_compiled_allocation;
       ] );
     ( "compile-properties",
       [
         QCheck_alcotest.to_alcotest prop_compiled_differential;
-        QCheck_alcotest.to_alcotest prop_signal_differential;
       ] );
   ]

@@ -293,14 +293,13 @@ let test_introspected_campaign_identical () =
   let prog = Subjects.Subject.compile_fresh s in
   let plans = Pathcov.Ball_larus.of_program prog in
   List.iter
-    (fun (label, engine, selective) ->
+    (fun (label, engine) ->
       let config =
         {
           Fuzz.Campaign.default_config with
           budget = 3_000;
           rng_seed = 7;
           engine;
-          selective;
         }
       in
       let bare =
@@ -326,22 +325,29 @@ let test_introspected_campaign_identical () =
         (fst (Obs.Trace.agg_all (Option.get obs.trace) Obs.Trace.Exec) > 0);
       check_bool (label ^ ": vm wall harvested") true
         (Obs.Metrics.wall_value obs.metrics "campaign.vm_s" > 0.);
-      if engine <> Fuzz.Tracer.Interp then begin
+      if engine <> Fuzz.Tracer.Interp then
         check_bool (label ^ ": compile span recorded") true
           (fst (Obs.Trace.agg_all (Option.get obs.trace) Obs.Trace.Compile)
           > 0);
-        check_bool (label ^ ": compile cache consulted") true
-          (Obs.Metrics.gauge_value obs.metrics "engine.cache_hits"
-           + Obs.Metrics.gauge_value obs.metrics "engine.cache_misses"
-          > 0)
-      end;
-      if selective then
-        check_bool (label ^ ": seen signals harvested") true
-          (Obs.Metrics.gauge_value obs.metrics "engine.seen_signals" > 0))
+      let gauges names =
+        List.fold_left
+          (fun a n -> a + Obs.Metrics.gauge_value obs.metrics n)
+          0 names
+      in
+      match engine with
+      | Fuzz.Tracer.Interp -> ()
+      | Fuzz.Tracer.Fused ->
+          check_bool (label ^ ": compile cache consulted") true
+            (gauges [ "engine.cache_hits"; "engine.cache_misses" ] > 0)
+      | Fuzz.Tracer.Native ->
+          check_bool (label ^ ": emit cache consulted") true
+            (gauges
+               [ "emit.cache_hits"; "emit.cache_misses"; "emit.fallbacks" ]
+            > 0))
     [
-      ("interp", Fuzz.Tracer.Interp, false);
-      ("fused", Fuzz.Tracer.Fused, false);
-      ("fused+selective", Fuzz.Tracer.Fused, true);
+      ("interp", Fuzz.Tracer.Interp);
+      ("fused", Fuzz.Tracer.Fused);
+      ("native", Fuzz.Tracer.Native);
     ]
 
 let shard_signature (r : Fuzz.Shard.result) : string =

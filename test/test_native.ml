@@ -7,8 +7,7 @@
     {!Vm.Emit.preload}. A fuel ladder drives hang points into chain
     interiors where the emitted bulk-burn replay must reproduce the
     interpreter's exact accounting; [run_batch] is checked against
-    one-shot runs; [Ssignal] artifacts must reproduce
-    {!Vm.Compile.signal_hooks} bit for bit.
+    one-shot runs.
 
     The whole suite degrades to a skip (with a stderr note) when the
     emitter reports unavailable — no OCaml compiler on PATH, no Dynlink
@@ -86,10 +85,7 @@ let curated_preloaded =
      let triples =
        List.concat_map
          (fun prepared ->
-           (prepared, Vm.Compile.Ssignal, false)
-           :: List.map
-                (fun m -> (prepared, Vm.Compile.Sfull m, true))
-                all_modes)
+           List.map (fun m -> (prepared, Vm.Compile.Sfull m, true)) all_modes)
          subs
      in
      ignore (Vm.Emit.preload triples))
@@ -322,37 +318,6 @@ let test_native_batch_agreement () =
       Subjects.Registry.all
   end
 
-(* --- Ssignal artifacts: the emitted rolling hash must equal the
-   interpreter-hook hash on every curated input --- *)
-
-let test_native_signal_agreement () =
-  if not (Lazy.force available) then ()
-  else begin
-    Lazy.force curated_preloaded;
-    List.iter
-      (fun (s : Subjects.Subject.t) ->
-        let prog = Subjects.Subject.compile_fresh s in
-        let prepared = Vm.Interp.prepare prog in
-        let cell = ref 0 in
-        let ictx =
-          Vm.Interp.create_ctx
-            ~hooks:(Vm.Compile.signal_hooks prepared ~cell)
-            prepared
-        in
-        let nctx = Vm.Interp.create_ctx prepared in
-        let art = instance_exn ~cmplog:false prepared Vm.Compile.Ssignal in
-        List.iter
-          (fun input ->
-            cell := 0;
-            let i = Vm.Interp.run_ctx ictx ~input in
-            let n = Vm.Emit.run art nctx ~input in
-            let where = Printf.sprintf "%s %S" s.name input in
-            check status_t (where ^ " status") i.status n.status;
-            check Alcotest.int (where ^ " signal") !cell (Vm.Emit.signal art))
-          (subject_inputs s))
-      Subjects.Registry.all
-  end
-
 (* --- cache hygiene: a second instantiation of an already-served triple
    must be a registry hit, never a recompile --- *)
 
@@ -500,6 +465,37 @@ let test_native_key_tracks_interfaces () =
     Vm.Emit.linked_interfaces;
   Sys.rmdir dir
 
+(* --- fail-safe cache directory: scratch directories left by builds
+   whose process died are collected; a live process's are kept --- *)
+
+let test_native_collects_stale_tmp () =
+  let dir = Filename.temp_dir "pf_emit_tmp" "" in
+  (* a reaped child's PID names no live process *)
+  let dead =
+    let pid =
+      Unix.create_process "true" [| "true" |] Unix.stdin Unix.stdout
+        Unix.stderr
+    in
+    ignore (Unix.waitpid [] pid);
+    pid
+  in
+  let mk name =
+    let d = Filename.concat dir name in
+    Unix.mkdir d 0o755;
+    Out_channel.with_open_bin (Filename.concat d "unit.ml") (fun oc ->
+        output_string oc "let x = 1\n");
+    d
+  in
+  let stale = mk (Printf.sprintf "tmp-%d-x" dead) in
+  let live = mk (Printf.sprintf "tmp-%d-x" (Unix.getpid ())) in
+  check Alcotest.int "one directory collected" 1
+    (Vm.Emit.collect_stale_tmp dir);
+  check_bool "dead PID's directory removed" false (Sys.file_exists stale);
+  check_bool "live PID's directory kept" true (Sys.file_exists live);
+  Sys.remove (Filename.concat live "unit.ml");
+  Sys.rmdir live;
+  Sys.rmdir dir
+
 let suite =
   [
     ( "native",
@@ -512,8 +508,6 @@ let suite =
           test_native_fuel_ladder;
         Alcotest.test_case "batch agrees with one-shot runs" `Quick
           test_native_batch_agreement;
-        Alcotest.test_case "selective signal agrees with hooks" `Quick
-          test_native_signal_agreement;
         Alcotest.test_case "repeat instantiation hits the cache" `Quick
           test_native_cache_hit;
         Alcotest.test_case "PATHFUZZ_EMIT_FAIL forces clean failure" `Quick
@@ -522,5 +516,7 @@ let suite =
           test_native_journal_boundary;
         Alcotest.test_case "cache key tracks linked interfaces" `Quick
           test_native_key_tracks_interfaces;
+        Alcotest.test_case "stale build directories collected" `Quick
+          test_native_collects_stale_tmp;
       ] );
   ]

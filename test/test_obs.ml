@@ -160,9 +160,9 @@ let test_counter_allocation_free () =
 let test_observed_campaign_allocation () =
   (* The whole observer layer (counters + cadenced snapshots through a
      null sink) must not move campaign steady-state allocation — nor,
-     on the fused engine with selective tracing and cmplog on or off,
-     must a clocked observer: seeds, calibration runs and replays go
-     through cohorts of one, and the VM-wall bracket wraps every run.
+     on the fused and native engines with cmplog on or off, must a
+     clocked observer: seeds and calibration runs go through cohorts
+     of one, and the VM-wall bracket wraps every run.
      With cmplog off nothing else allocates to hide the bracket's
      cost. *)
   let s = Subjects.Registry.find_exn "cflow" in
@@ -186,18 +186,19 @@ let test_observed_campaign_allocation () =
   in
   within "interp" config (Obs.Observer.create ());
   List.iter
-    (fun (cmplog, selective) ->
+    (fun (engine, cmplog) ->
       within
-        (Printf.sprintf "fused selective=%b cmplog=%b clocked" selective cmplog)
-        {
-          config with
-          mode = Pathcov.Feedback.Path;
-          engine = Fuzz.Tracer.Fused;
-          selective;
-          cmplog;
-        }
+        (Printf.sprintf "%s cmplog=%b clocked"
+           (Fuzz.Tracer.engine_name engine)
+           cmplog)
+        { config with mode = Pathcov.Feedback.Path; engine; cmplog }
         (Obs.Observer.create ~clock:Unix.gettimeofday ()))
-    [ (true, false); (true, true); (false, false); (false, true) ]
+    [
+      (Fuzz.Tracer.Fused, true);
+      (Fuzz.Tracer.Fused, false);
+      (Fuzz.Tracer.Native, true);
+      (Fuzz.Tracer.Native, false);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Ring sink semantics *)

@@ -1,10 +1,8 @@
-(* Engine and selective-tracing guarantees (DESIGN.md §12): campaign
-   trajectories — queue contents and order, exec/block clocks, triage,
-   snapshot rows — are byte-identical across execution engines
-   (interpreter, fused closures, native units), selective tracing on/off, shard
-   counts, and checkpoint/resume under either engine. Probe self-pruning
-   marks functions whose Ball–Larus commit universe is saturated and
-   unmarks them when the virgin map is replaced. *)
+(* Engine guarantees (DESIGN.md §12): campaign trajectories — queue
+   contents and order, exec/block clocks, triage, snapshot rows — are
+   byte-identical across execution engines (interpreter, fused closures,
+   native units), shard counts, and checkpoint/resume under any
+   engine. *)
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -16,15 +14,12 @@ let row =
     ( = )
 
 (* The seed "hi" triggers bug 5 immediately, so seed import, calibration
-   and a dense neighborhood of mutated candidates all exercise the
-   selective crash-replay path. *)
+   and a dense neighborhood of mutated candidates all exercise every
+   engine's crash path. *)
 let easy_bug_src =
   "fn main() { if (in(0) == 104) { if (in(1) == 105) { bug(5); } } return 0; }"
 
-(* Trajectory facts only: everything here is decision-determined.
-   Deliberately NOT the full counter block — selective tracing spends a
-   different number of (off-clock) replays, which is the point. Snapshot
-   rows exclude the replay counter, so they compare equal. *)
+(* Trajectory facts only: everything here is decision-determined. *)
 let check_traj label (a : Fuzz.Campaign.result) (b : Fuzz.Campaign.result) =
   check Alcotest.int (label ^ ": execs") a.execs b.execs;
   check Alcotest.int (label ^ ": blocks") a.sum_exec_blocks b.sum_exec_blocks;
@@ -55,8 +50,7 @@ let check_traj label (a : Fuzz.Campaign.result) (b : Fuzz.Campaign.result) =
     true
     (Fuzz.Triage.bugs a.triage = Fuzz.Triage.bugs b.triage)
 
-let run_one ?(budget = 4_000) ?(seed = 7) ~engine ~selective ~mode ~cmplog prog
-    seeds =
+let run_one ?(budget = 4_000) ?(seed = 7) ~engine ~mode ~cmplog prog seeds =
   let config =
     {
       Fuzz.Campaign.default_config with
@@ -65,24 +59,17 @@ let run_one ?(budget = 4_000) ?(seed = 7) ~engine ~selective ~mode ~cmplog prog
       rng_seed = seed;
       cmplog;
       engine;
-      selective;
     }
   in
   Fuzz.Campaign.run ~obs:(Obs.Observer.create ()) ~config prog ~seeds
 
-(* Every engine x selective combination must replay the reference
-   trajectory, per feedback mode and cmplog setting. Native degrades to
-   fused when the emitter is unavailable, so its variants hold on every
-   host: with a toolchain they pin the generated units to the reference
-   trajectory, without one they pin the fallback path. *)
+(* Every engine must replay the interpreter's reference trajectory, per
+   feedback mode and cmplog setting. Native degrades to fused when the
+   emitter is unavailable, so its variant holds on every host: with a
+   toolchain it pins the generated units to the reference trajectory,
+   without one it pins the fallback path. *)
 let engine_variants =
-  [
-    (Fuzz.Tracer.Fused, false, "fused");
-    (Fuzz.Tracer.Fused, true, "fused+sel");
-    (Fuzz.Tracer.Interp, true, "interp+sel");
-    (Fuzz.Tracer.Native, false, "native");
-    (Fuzz.Tracer.Native, true, "native+sel");
-  ]
+  [ (Fuzz.Tracer.Fused, "fused"); (Fuzz.Tracer.Native, "native") ]
 
 let test_sequential_engines () =
   let s = Subjects.Registry.find_exn "cflow" in
@@ -92,12 +79,11 @@ let test_sequential_engines () =
       List.iter
         (fun cmplog ->
           let base =
-            run_one ~engine:Fuzz.Tracer.Interp ~selective:false ~mode ~cmplog
-              prog s.seeds
+            run_one ~engine:Fuzz.Tracer.Interp ~mode ~cmplog prog s.seeds
           in
           List.iter
-            (fun (engine, selective, ename) ->
-              let r = run_one ~engine ~selective ~mode ~cmplog prog s.seeds in
+            (fun (engine, ename) ->
+              let r = run_one ~engine ~mode ~cmplog prog s.seeds in
               check_traj
                 (Printf.sprintf "cflow/%s cmplog=%b %s" mname cmplog ename)
                 base r)
@@ -112,16 +98,16 @@ let test_sequential_engines () =
 let test_sequential_engines_crashy () =
   let prog = Minic.Lower.compile easy_bug_src in
   let base =
-    run_one ~budget:3_000 ~seed:5 ~engine:Fuzz.Tracer.Interp ~selective:false
+    run_one ~budget:3_000 ~seed:5 ~engine:Fuzz.Tracer.Interp
       ~mode:Pathcov.Feedback.Path ~cmplog:true prog [ "hi" ]
   in
   check_bool "crash-dense subject actually crashes" true
     (base.triage.total_crashes > 0);
   List.iter
-    (fun (engine, selective, ename) ->
+    (fun (engine, ename) ->
       let r =
-        run_one ~budget:3_000 ~seed:5 ~engine ~selective
-          ~mode:Pathcov.Feedback.Path ~cmplog:true prog [ "hi" ]
+        run_one ~budget:3_000 ~seed:5 ~engine ~mode:Pathcov.Feedback.Path
+          ~cmplog:true prog [ "hi" ]
       in
       check_traj ("easy-bug path " ^ ename) base r)
     engine_variants
@@ -130,7 +116,7 @@ let test_sequential_engines_crashy () =
 (* Sharded campaigns                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let run_shd ~engine ~selective ~shards prog seeds =
+let run_shd ~engine ~shards prog seeds =
   let cfg =
     {
       Fuzz.Shard.base =
@@ -141,7 +127,6 @@ let run_shd ~engine ~selective ~shards prog seeds =
           rng_seed = 11;
           cmplog = true;
           engine;
-          selective;
         };
       shards;
       sync_interval = 512;
@@ -163,49 +148,36 @@ let check_shard_traj label (a : Fuzz.Shard.result) (b : Fuzz.Shard.result) =
   check Alcotest.int (label ^ ": epochs") a.epochs b.epochs;
   check Alcotest.int (label ^ ": dup_dropped") a.dup_dropped b.dup_dropped
 
-(* The per-shard seen sets must be invisible: same trajectory (and the
-   same barrier duplicate-drop count) for selective on/off at every
-   shard count. *)
-let test_sharded_selective () =
+(* Every engine runs the same sharded trajectory (and the same barrier
+   duplicate-drop count) at every shard count. *)
+let test_sharded_engines () =
   let s = Subjects.Registry.find_exn "cflow" in
   let prog = Subjects.Subject.compile_fresh s in
-  let base =
-    run_shd ~engine:Fuzz.Tracer.Interp ~selective:false ~shards:1 prog s.seeds
-  in
+  let base = run_shd ~engine:Fuzz.Tracer.Interp ~shards:1 prog s.seeds in
   List.iter
     (fun shards ->
-      let r =
-        run_shd ~engine:Fuzz.Tracer.Fused ~selective:true ~shards prog
-          s.seeds
-      in
-      check_shard_traj
-        (Printf.sprintf "sharded fused+sel shards=%d" shards)
-        base r;
-      let r2 =
-        run_shd ~engine:Fuzz.Tracer.Interp ~selective:true ~shards prog s.seeds
-      in
-      check_shard_traj
-        (Printf.sprintf "sharded interp+sel shards=%d" shards)
-        base r2;
-      let r3 =
-        run_shd ~engine:Fuzz.Tracer.Native ~selective:true ~shards prog s.seeds
-      in
-      check_shard_traj
-        (Printf.sprintf "sharded native+sel shards=%d" shards)
-        base r3)
+      List.iter
+        (fun (engine, ename) ->
+          check_shard_traj
+            (Printf.sprintf "sharded %s shards=%d" ename shards)
+            base
+            (run_shd ~engine ~shards prog s.seeds))
+        [
+          (Fuzz.Tracer.Fused, "fused");
+          (Fuzz.Tracer.Interp, "interp");
+          (Fuzz.Tracer.Native, "native");
+        ])
     [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint/resume under selective tracing                          *)
+(* Checkpoint/resume across engines                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The seen-signal set is deliberately absent from snapshots: a resumed
-   selective run starts with an empty set, re-replays a few signals and
-   reaches identical decisions. Checkpoints exclude the engine axis, so
-   a snapshot written under one engine must resume identically under
-   another — including Native, whose resumes cross the Dynlink'd
-   generated units (or the fallback path on toolchain-less hosts). *)
-let test_selective_resume () =
+(* Checkpoints exclude the engine axis, so a snapshot written under one
+   engine must resume identically under another — including Native,
+   whose resumes cross the Dynlink'd generated units (or the fallback
+   path on toolchain-less hosts). *)
+let test_cross_engine_resume () =
   let s = Subjects.Registry.find_exn "cflow" in
   let prog = Subjects.Subject.compile_fresh s in
   let config_for engine =
@@ -216,7 +188,6 @@ let test_selective_resume () =
       rng_seed = 3;
       cmplog = true;
       engine;
-      selective = true;
     }
   in
   let acc = ref [] in
@@ -241,7 +212,7 @@ let test_selective_resume () =
         (fun ck ->
           let resumed = Fuzz.Campaign.run ~config ~resume:ck prog ~seeds:[] in
           let label =
-            Printf.sprintf "selective resume@%d (%s)"
+            Printf.sprintf "resume@%d (%s)"
               ck.Fuzz.Checkpoint.progress.execs ename
           in
           check Alcotest.int (label ^ ": execs") straight.execs resumed.execs;
@@ -262,95 +233,38 @@ let test_selective_resume () =
     [ (Fuzz.Tracer.Fused, "fused"); (Fuzz.Tracer.Native, "native") ]
 
 (* ------------------------------------------------------------------ *)
-(* Probe self-pruning                                                 *)
+(* Compatibility fields                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Merge every index of [idxs] at every bucket, saturating it. *)
-let saturate virgin (idxs : int array) =
-  let idxs = Array.of_list (List.sort_uniq compare (Array.to_list idxs)) in
-  let vals = String.make (Array.length idxs) '\255' in
-  ignore
-    (Pathcov.Coverage_map.merge_sparse_into ~virgin
-       ~idxs:(Pathcov.Index_set.of_array idxs) ~vals)
-
-let saturate_universe virgin (u : int array) =
-  let mask = Pathcov.Coverage_map.size virgin - 1 in
-  saturate virgin (Array.map (fun i -> i land mask) u)
-
-let test_pruning_marks () =
-  let prog = Minic.Lower.compile easy_bug_src in
-  let prepared = Vm.Interp.prepare_cached prog in
-  let tracer =
-    Fuzz.Tracer.make ~engine:Fuzz.Tracer.Fused ~selective:true
-      ~cmplog:false ~mode:Pathcov.Feedback.Path prepared
+(* [Campaign.config.selective] and [Tracer.make ~selective] outlive the
+   feature they configured; asking for it is an error everywhere. *)
+let test_selective_rejected () =
+  let s = Subjects.Registry.find_exn "cflow" in
+  let prog = Subjects.Subject.compile_fresh s in
+  let raises label f =
+    check_bool label true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
   in
-  check_bool "pruning available (fused+selective+path)" true
-    (Fuzz.Tracer.pruning_available tracer);
-  let interp_tracer =
-    Fuzz.Tracer.make ~engine:Fuzz.Tracer.Interp ~selective:true ~cmplog:false
-      ~mode:Pathcov.Feedback.Path prepared
-  in
-  check_bool "pruning unavailable on the interpreter engine" false
-    (Fuzz.Tracer.pruning_available interp_tracer);
-  let virgin = Pathcov.Coverage_map.create_virgin () in
-  Fuzz.Tracer.refresh_pruning tracer ~virgin;
-  check Alcotest.int "fresh virgin map prunes nothing" 0
-    (Fuzz.Tracer.pruned_fids tracer);
-  (* saturate every enumerable commit universe; main's three acyclic
-     paths are comfortably within the enumeration bound *)
-  let art = Vm.Compile.cached ~cmplog:false prepared (Vm.Compile.Sfull Pathcov.Feedback.Path) in
-  let enumerable = ref 0 in
-  Array.iteri
-    (fun fid _ ->
-      let u = Vm.Compile.path_universe art fid in
-      if Array.length u > 0 then begin
-        incr enumerable;
-        saturate_universe virgin u
-      end)
-    prepared.Vm.Interp.rfuncs;
-  check_bool "at least one enumerable function" true (!enumerable > 0);
-  Fuzz.Tracer.refresh_pruning tracer ~virgin;
-  check Alcotest.int "saturated universes all prune" !enumerable
-    (Fuzz.Tracer.pruned_fids tracer);
-  (* a fresh (restored) virgin map must unprune everything again *)
-  let fresh = Pathcov.Coverage_map.create_virgin () in
-  Fuzz.Tracer.refresh_pruning tracer ~virgin:fresh;
-  check Alcotest.int "fresh virgin map unprunes" 0
-    (Fuzz.Tracer.pruned_fids tracer)
-
-(* End to end: a campaign whose virgin map is fully saturated must prune
-   during calibration — and still calibrate/triage correctly (the
-   crash-dense entry replays unpruned before crash triage). *)
-let test_pruning_in_calibration () =
-  let prog = Minic.Lower.compile easy_bug_src in
+  raises "Tracer.make ~selective:true" (fun () ->
+      ignore
+        (Fuzz.Tracer.make ~engine:Fuzz.Tracer.Fused ~selective:true
+           ~cmplog:true ~mode:Pathcov.Feedback.Path
+           (Vm.Interp.prepare_cached prog)));
   let config =
     {
       Fuzz.Campaign.default_config with
       mode = Pathcov.Feedback.Path;
-      budget = 1_000;
-      cmplog = true;
-      engine = Fuzz.Tracer.Fused;
+      budget = 500;
       selective = true;
     }
   in
-  let st = Fuzz.Campaign.make_state ~config prog in
-  Fuzz.Campaign.add_seed st "xx";
-  check_bool "seed retained" true (Fuzz.Corpus.size st.corpus > 0);
-  (* saturate the whole virgin map *)
-  saturate st.virgin (Array.init (Pathcov.Coverage_map.size st.virgin) Fun.id);
-  let crashes0 = st.triage.total_crashes in
-  ignore (Fuzz.Campaign.calibrate st (Fuzz.Corpus.get st.corpus 0));
-  check_bool "calibration engaged pruning" true
-    (Fuzz.Tracer.pruned_fids st.tracer > 0);
-  (* the crashing seed "hi" was never retained; force a crash calibration
-     on a synthetic entry to cross the pruned-crash replay path *)
-  let e =
-    Fuzz.Corpus.add st.corpus ~data:"hi" ~indices:[||] ~exec_blocks:1 ~depth:0
-      ~found_at:0
-  in
-  ignore (Fuzz.Campaign.calibrate st e);
-  check Alcotest.int "pruned calibration still triages crashes"
-    (crashes0 + 1) st.triage.total_crashes
+  raises "Campaign.run with selective = true" (fun () ->
+      ignore (Fuzz.Campaign.run ~config prog ~seeds:s.seeds));
+  raises "Shard.run with selective = true" (fun () ->
+      ignore
+        (Fuzz.Shard.run
+           { Fuzz.Shard.base = config; shards = 2; sync_interval = 512 }
+           prog ~seeds:s.seeds))
 
 (* ------------------------------------------------------------------ *)
 (* Calibration-only comparison capture                                *)
@@ -397,19 +311,16 @@ let cmp_pair =
 
 let capture_variants =
   [
-    (Fuzz.Tracer.Interp, false, "interp");
-    (Fuzz.Tracer.Interp, true, "interp+sel");
-    (Fuzz.Tracer.Fused, false, "fused");
-    (Fuzz.Tracer.Fused, true, "fused+sel");
-    (Fuzz.Tracer.Native, false, "native");
-    (Fuzz.Tracer.Native, true, "native+sel");
+    (Fuzz.Tracer.Interp, "interp");
+    (Fuzz.Tracer.Fused, "fused");
+    (Fuzz.Tracer.Native, "native");
   ]
 
 (* Comparison operands are captured on calibration runs only. Every
-   engine x selective combination must hand the mutator exactly the
-   reference pairs of the calibrated entry, and the candidate runs in
-   between (cohorts of one through [process], plain [execute]s) must
-   leave the buffer untouched. Sharded calibration runs are checked
+   engine must hand the mutator exactly the reference pairs of the
+   calibrated entry, and the candidate runs in between (cohorts of one
+   through [process], plain [execute]s) must leave the buffer
+   untouched. Sharded calibration runs are checked
    through their events: each carries the pair count its capture saw. *)
 let test_calibration_capture_oracle () =
   let s = Subjects.Registry.find_exn "cflow" in
@@ -430,8 +341,8 @@ let test_calibration_capture_oracle () =
   let others = Array.of_list queue in
   check_bool "queue to calibrate" true (Array.length others > 10);
   List.iter
-    (fun (engine, selective, ename) ->
-      let config = { config with engine; selective } in
+    (fun (engine, ename) ->
+      let config = { config with engine } in
       let st = Fuzz.Campaign.make_state ~config prog in
       List.iter (Fuzz.Campaign.add_seed st) queue;
       let b = st.cmp_buf in
@@ -615,68 +526,25 @@ let test_native_cmp_armed_only_while_capturing () =
   Fuzz.Tracer.release tracer;
   check_bool "released tracer disarmed" false (Fuzz.Tracer.cmp_armed tracer)
 
-(* A per-domain cached fused artifact outlives its campaign. A fresh
-   tracer over the same (prepared, spec) must not inherit the pruning
-   marks a finished or abandoned selective campaign left on it, and a
-   released tracer drops its own marks. *)
-let test_fresh_tracer_starts_unpruned () =
-  let prog = Minic.Lower.compile easy_bug_src in
-  let config =
-    {
-      Fuzz.Campaign.default_config with
-      mode = Pathcov.Feedback.Path;
-      budget = 1_000;
-      cmplog = true;
-      engine = Fuzz.Tracer.Fused;
-      selective = true;
-    }
-  in
-  let st = Fuzz.Campaign.make_state ~config prog in
-  Fuzz.Campaign.add_seed st "xx";
-  saturate st.virgin (Array.init (Pathcov.Coverage_map.size st.virgin) Fun.id);
-  ignore (Fuzz.Campaign.calibrate st (Fuzz.Corpus.get st.corpus 0));
-  check_bool "campaign pruned" true (Fuzz.Tracer.pruned_fids st.tracer > 0);
-  let fresh () =
-    Fuzz.Tracer.make ~engine:Fuzz.Tracer.Fused ~selective:true ~cmplog:true
-      ~mode:Pathcov.Feedback.Path st.prepared
-  in
-  check Alcotest.int "fresh tracer starts unpruned" 0
-    (Fuzz.Tracer.pruned_fids (fresh ()));
-  Fuzz.Tracer.refresh_pruning st.tracer ~virgin:st.virgin;
-  check_bool "campaign pruned again" true (Fuzz.Tracer.pruned_fids st.tracer > 0);
-  Fuzz.Tracer.release st.tracer;
-  let art =
-    Vm.Compile.cached ~cmplog:true st.prepared
-      (Vm.Compile.Sfull Pathcov.Feedback.Path)
-  in
-  check Alcotest.int "release drops the artifact's marks" 0
-    (Vm.Compile.pruned_count art);
-  check Alcotest.int "fresh tracer after release" 0
-    (Fuzz.Tracer.pruned_fids (fresh ()))
-
 let suite =
   [
     ( "tracer",
       [
-        Alcotest.test_case "sequential engine/selective identity" `Slow
+        Alcotest.test_case "sequential engine identity" `Slow
           test_sequential_engines;
-        Alcotest.test_case "crash-dense engine/selective identity" `Quick
+        Alcotest.test_case "crash-dense engine identity" `Quick
           test_sequential_engines_crashy;
-        Alcotest.test_case "sharded selective identity" `Slow
-          test_sharded_selective;
-        Alcotest.test_case "selective checkpoint/resume identity" `Quick
-          test_selective_resume;
-        Alcotest.test_case "pruning marks follow virgin saturation" `Quick
-          test_pruning_marks;
-        Alcotest.test_case "pruning engages in calibration" `Quick
-          test_pruning_in_calibration;
+        Alcotest.test_case "sharded engine identity" `Slow
+          test_sharded_engines;
+        Alcotest.test_case "cross-engine checkpoint/resume identity" `Quick
+          test_cross_engine_resume;
+        Alcotest.test_case "selective compatibility fields rejected" `Quick
+          test_selective_rejected;
         Alcotest.test_case "calibration-only cmplog capture oracle" `Quick
           test_calibration_capture_oracle;
         Alcotest.test_case "finished campaign releases its artifact" `Quick
           test_release_unbinds_cached_artifact;
         Alcotest.test_case "native cmplog armed only while capturing" `Quick
           test_native_cmp_armed_only_while_capturing;
-        Alcotest.test_case "fresh tracer starts unpruned" `Quick
-          test_fresh_tracer_starts_unpruned;
       ] );
   ]
