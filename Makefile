@@ -1,4 +1,4 @@
-.PHONY: all build test bench shard-bench micro tables tables-check history resume-check engine-check profile-check clean
+.PHONY: all build test micro tables tables-check resume-check engine-check profile-check clean
 
 all: build
 
@@ -7,28 +7,6 @@ build:
 
 test:
 	dune runtest
-
-# Refresh both checked-in benchmark artifacts. Each run carries the
-# embedded baseline cells forward (see README "Benchmarks"), so the
-# pre-optimisation trajectory is never erased by a refresh.
-bench: build
-	./_build/default/bin/pathfuzz.exe bench-throughput -o BENCH_throughput.json
-	./_build/default/bin/pathfuzz.exe bench-campaign -o BENCH_campaign.json
-
-# Sharded-campaign benchmark: measures --shards 1 and --shards $(SHARDS)
-# (default 4) per cell, checks the merged coverage/queue/crash
-# fingerprints are byte-identical across shard counts, and reports the
-# execs/sec speedup geomean. Writes the combined cells (distinguished by
-# their "shards" field) into BENCH_campaign.json like `make bench`.
-SHARDS ?= 4
-shard-bench: build
-	./_build/default/bin/pathfuzz.exe bench-campaign --shards $(SHARDS) -o BENCH_campaign.json
-
-# Append the current benchmark artifacts to the checked-in trend file
-# BENCH_history.jsonl and fail on >20% regressions vs the trailing
-# window. Run after `make bench`; set LABEL to tag the row.
-history: build
-	./_build/default/bin/pathfuzz.exe bench-history --label "$(LABEL)"
 
 # Resume-determinism smoke: an interrupted-and-resumed campaign must
 # print byte-identical results to the uninterrupted one — sequentially,

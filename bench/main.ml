@@ -189,15 +189,6 @@ let run_benchmarks () =
     tests;
   Fmt.pr "@."
 
-(* Steady-state interpreter throughput (the BENCH_throughput.json metric,
-   at bench scale): execs/sec, blocks/sec and minor words/exec per
-   (subject x feedback mode) through a reused execution context. *)
-let run_throughput () =
-  let subjects = List.filter_map Subjects.Registry.find [ "gdk"; "jq" ] in
-  let samples = Experiments.Throughput.grid ~execs:5_000 subjects in
-  print_string (Experiments.Throughput.to_table samples);
-  Fmt.pr "@."
-
 (* Parallel-runner scaling: wall-clock for the same small matrix at one
    worker domain versus one per core. (The matrix content is identical by
    construction; the determinism test in test_experiments.ml asserts it.) *)
@@ -221,7 +212,6 @@ let run_matrix_scaling () =
 
 let () =
   run_benchmarks ();
-  run_throughput ();
   if Sys.getenv_opt "PATHCOV_SKIP_TABLES" <> Some "1" then begin
     run_matrix_scaling ();
     let cfg = Experiments.Config.of_env () in

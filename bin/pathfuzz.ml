@@ -13,19 +13,9 @@
     - [cfg]                print a function's CFG (optionally Graphviz)
                            with path increments;
     - [tables]             regenerate every table and figure of the paper;
-    - [bench-throughput]   measure interpreter throughput per
-                           (subject x feedback) and write the
-                           BENCH_throughput.json telemetry baseline;
-    - [bench-campaign]     measure full-campaign throughput (execs/sec,
-                           allocation, mutation-vs-VM split) per
-                           (subject x feedback) and write
-                           BENCH_campaign.json;
     - [stats]              run one observed campaign and render its
                            counter block, snapshot trajectory and event
-                           log (the fuzzer_stats / plot_data analogue);
-    - [bench-history]      append the current BENCH_*.json cells as dated
-                           rows of BENCH_history.jsonl and flag execs/sec
-                           regressions against the trailing window. *)
+                           log (the fuzzer_stats / plot_data analogue). *)
 
 open Cmdliner
 
@@ -816,274 +806,6 @@ let tables_cmd =
     (Cmd.info "tables" ~doc:"Regenerate every table and figure of the paper")
     Term.(const run $ fast $ jobs_arg $ engine_arg_of Fuzz.Tracer.matrix_engine)
 
-(* --- bench-throughput --- *)
-
-let bench_throughput_cmd =
-  let subjects =
-    Arg.(
-      value
-      & opt string "cflow,sqlite3,gdk,jq"
-      & info [ "subjects" ] ~docv:"NAMES"
-          ~doc:"Comma-separated subjects to measure.")
-  in
-  let execs =
-    Arg.(
-      value
-      & opt int 20_000
-      & info [ "execs" ] ~docv:"N" ~doc:"Executions measured per cell.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_throughput.json"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output JSON path (\"-\" prints the JSON to stdout).")
-  in
-  let smoke =
-    Arg.(
-      value
-      & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Tiny-budget self-check: one subject, 50 execs per cell — \
-             exercises the telemetry path in seconds (used by dune runtest).")
-  in
-  let note =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "note" ] ~docv:"TEXT"
-          ~doc:
-            "Free-form note embedded in the JSON (e.g. the honest outcome \
-             of a perf target).")
-  in
-  let engines =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "engines" ] ~docv:"NAMES"
-          ~doc:
-            (Printf.sprintf
-               "Comma-separated engines to measure (subset of %s; default: \
-                all). The filter is recorded in the JSON note so a partial \
-                re-measurement is never mistaken for a full grid."
-               (String.concat ", " Experiments.Throughput.engines)))
-  in
-  let run subjects execs out smoke note engines emit_cache =
-    apply_emit_cache emit_cache;
-    let names =
-      if smoke then [ "gdk" ]
-      else String.split_on_char ',' subjects |> List.map String.trim
-    in
-    let execs = if smoke then 50 else max 1 execs in
-    let subjects = List.map lookup_subject names in
-    let engine_filter =
-      match engines with
-      | "" -> None
-      | s ->
-          let l = String.split_on_char ',' s |> List.map String.trim in
-          List.iter
-            (fun e ->
-              if not (List.mem e Experiments.Throughput.engines) then begin
-                Fmt.epr "pathfuzz: unknown --engines entry %s (expected %s)@."
-                  e
-                  (String.concat ", " Experiments.Throughput.engines);
-                exit 2
-              end)
-            l;
-          Some l
-    in
-    let note =
-      match engine_filter with
-      | None -> note
-      | Some l ->
-          let tag =
-            Printf.sprintf "engines filter: %s" (String.concat "," l)
-          in
-          if note = "" then tag else note ^ "; " ^ tag
-    in
-    let samples =
-      Experiments.Throughput.grid ?engines:engine_filter ~execs subjects
-    in
-    (* table to stderr: stdout stays machine-readable when out = "-" *)
-    Fmt.epr "%s@." (Experiments.Throughput.to_table samples);
-    (* regeneration keeps the recorded baseline trajectory of the
-       existing file, so `make bench` never erases it *)
-    let baseline_raw =
-      if out = "-" then None
-      else Experiments.Throughput.extract_cells ~key:"baseline_cells" out
-    in
-    (match baseline_raw with
-    | Some raw ->
-        (match
-           Experiments.Throughput.speedup_vs_baseline ~baseline_raw:raw samples
-         with
-        | Some (g, l) ->
-            Fmt.epr "%s@." (Experiments.Throughput.speedup_report g l)
-        | None -> ());
-        (match Experiments.Throughput.speedups_by_mode ~baseline_raw:raw samples with
-        | [] -> ()
-        | by_mode ->
-            Fmt.epr "  per-mode geomeans vs baseline interp:@.";
-            List.iter
-              (fun (mode, engine, g) ->
-                Fmt.epr "    %-8s %-9s %.2fx@." mode engine g)
-              by_mode)
-    | None -> ());
-    let json = Experiments.Throughput.to_json ~note ?baseline_raw samples in
-    if out = "-" then print_string json
-    else begin
-      let oc = open_out out in
-      output_string oc json;
-      close_out oc;
-      Fmt.epr "[bench-throughput] wrote %s (%d cells)@." out
-        (List.length samples)
-    end
-  in
-  Cmd.v
-    (Cmd.info "bench-throughput"
-       ~doc:
-         "Measure execs/sec, blocks/sec and allocation per execution across \
-          the (subject x feedback) grid")
-    Term.(
-      const run $ subjects $ execs $ out $ smoke $ note $ engines
-      $ emit_cache_arg)
-
-(* --- bench-campaign --- *)
-
-let bench_campaign_cmd =
-  let subjects =
-    Arg.(
-      value
-      & opt string "cflow,sqlite3,gdk,jq"
-      & info [ "subjects" ] ~docv:"NAMES"
-          ~doc:"Comma-separated subjects to measure.")
-  in
-  let budget =
-    Arg.(
-      value
-      & opt int 20_000
-      & info [ "b"; "budget" ] ~docv:"EXECS"
-          ~doc:"Execution budget per campaign cell.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_campaign.json"
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Output JSON path (\"-\" prints the JSON to stdout).")
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Embed FILE's \"cells\" as this run's \"baseline_cells\" (a \
-             prior pathfuzz-campaign/v1 measurement). Without this flag, \
-             an existing output file's baseline_cells are carried forward.")
-  in
-  let note =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "note" ] ~docv:"TEXT" ~doc:"Free-form note embedded in the JSON.")
-  in
-  let smoke =
-    Arg.(
-      value
-      & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Tiny-budget self-check: one subject, 400-exec campaigns — \
-             exercises the full campaign telemetry path in seconds (used \
-             by dune runtest).")
-  in
-  let run subjects budget out baseline note smoke shards sync_interval =
-    let names =
-      if smoke then [ "gdk" ]
-      else String.split_on_char ',' subjects |> List.map String.trim
-    in
-    let budget = if smoke then 400 else max 1 budget in
-    let subjects = List.map lookup_subject names in
-    if shards < 0 then begin
-      Fmt.epr "pathfuzz: --shards must be >= 0, got %d@." shards;
-      exit 2
-    end;
-    check_positive ~flag:"--sync-interval" sync_interval;
-    let samples =
-      if shards = 0 then Experiments.Campaign_bench.grid ~budget subjects
-      else begin
-        (* sharded bench: measure --shards 1 as the reference, then the
-           requested width, and hold the determinism contract between
-           them (merged coverage map, queue and crash set fingerprints
-           must be byte-identical) *)
-        let base =
-          Experiments.Campaign_bench.shard_grid ~budget ~shards:1
-            ~sync_interval subjects
-        in
-        let wide =
-          if shards = 1 then base
-          else
-            Experiments.Campaign_bench.shard_grid ~budget ~shards
-              ~sync_interval subjects
-        in
-        let mismatches =
-          List.filter
-            (fun ((s1, f1), (_, fn)) ->
-              ignore (s1 : Experiments.Campaign_bench.sample);
-              f1 <> fn)
-            (List.combine base wide)
-        in
-        List.iter
-          (fun (((s1 : Experiments.Campaign_bench.sample), _), _) ->
-            Fmt.epr
-              "[bench-campaign] DETERMINISM MISMATCH %s/%s: --shards %d \
-               diverged from --shards 1@."
-              s1.subject s1.mode shards)
-          mismatches;
-        let base_s = List.map fst base and wide_s = List.map fst wide in
-        Fmt.epr
-          "[bench-campaign] determinism: merged coverage/queue/crash \
-           fingerprints %s across --shards 1 and --shards %d (%d cells)@."
-          (if mismatches = [] then "identical" else "DIVERGED")
-          shards (List.length base_s);
-        if shards > 1 then
-          Fmt.epr
-            "[bench-campaign] speedup: %.2fx execs/sec geomean at --shards \
-             %d over --shards 1 (sync every %d execs)@."
-            (Experiments.Campaign_bench.speedup_geomean ~base:base_s wide_s)
-            shards sync_interval;
-        if mismatches <> [] then exit 1;
-        if shards = 1 then base_s else base_s @ wide_s
-      end
-    in
-    Fmt.epr "%s@." (Experiments.Campaign_bench.to_table samples);
-    let baseline_raw =
-      if baseline <> "" then
-        Experiments.Throughput.extract_cells ~key:"cells" baseline
-      else if out <> "-" then
-        Experiments.Throughput.extract_cells ~key:"baseline_cells" out
-      else None
-    in
-    let json = Experiments.Campaign_bench.to_json ~note ?baseline_raw samples in
-    if out = "-" then print_string json
-    else begin
-      let oc = open_out out in
-      output_string oc json;
-      close_out oc;
-      Fmt.epr "[bench-campaign] wrote %s (%d cells)@." out (List.length samples)
-    end
-  in
-  Cmd.v
-    (Cmd.info "bench-campaign"
-       ~doc:
-         "Measure full-campaign execs/sec, allocation per execution and the \
-          mutation-vs-VM time split across the (subject x feedback) grid")
-    Term.(
-      const run $ subjects $ budget $ out $ baseline $ note $ smoke
-      $ shards_arg $ sync_interval_arg)
-
 (* --- stats --- *)
 
 let stats_cmd =
@@ -1167,125 +889,6 @@ let stats_cmd =
       const run $ subject_arg $ fuzzer $ budget $ trial $ rounds $ events
       $ jsonl)
 
-(* --- bench-history --- *)
-
-let bench_history_cmd =
-  let history =
-    Arg.(
-      value
-      & opt string "BENCH_history.jsonl"
-      & info [ "history" ] ~docv:"FILE" ~doc:"Trend history file (JSONL).")
-  in
-  let throughput =
-    Arg.(
-      value
-      & opt string "BENCH_throughput.json"
-      & info [ "throughput" ] ~docv:"FILE"
-          ~doc:"Throughput bench to ingest (skipped when missing).")
-  in
-  let campaign =
-    Arg.(
-      value
-      & opt string "BENCH_campaign.json"
-      & info [ "campaign" ] ~docv:"FILE"
-          ~doc:"Campaign bench to ingest (skipped when missing).")
-  in
-  let date =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "date" ] ~docv:"YYYY-MM-DD"
-          ~doc:"Date stamp for the appended rows (default: today, UTC).")
-  in
-  let label =
-    Arg.(
-      value
-      & opt string ""
-      & info [ "label" ] ~docv:"TEXT"
-          ~doc:"Free-form tag recorded with the appended rows (e.g. a PR).")
-  in
-  let threshold =
-    Arg.(
-      value
-      & opt float 20.
-      & info [ "threshold" ] ~docv:"PCT"
-          ~doc:
-            "Regression threshold: flag cells whose execs/sec fall more \
-             than PCT percent below the trailing-window mean.")
-  in
-  let window =
-    Arg.(
-      value
-      & opt int 4
-      & info [ "window" ] ~docv:"N"
-          ~doc:"Trailing history rows (per source) to compare against.")
-  in
-  let check_only =
-    Arg.(
-      value
-      & flag
-      & info [ "check-only" ]
-          ~doc:"Run the regression check without appending to the history.")
-  in
-  let run history throughput campaign date label threshold window check_only =
-    let date =
-      if date <> "" then date
-      else
-        let tm = Unix.gmtime (Unix.time ()) in
-        Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900)
-          (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-    in
-    let machine =
-      Printf.sprintf "nproc=%d ocaml=%s"
-        (Domain.recommended_domain_count ())
-        Sys.ocaml_version
-    in
-    let sources =
-      List.filter_map
-        (fun (source, path) ->
-          match Experiments.Bench_history.cells_of_bench path with
-          | None -> None
-          | Some cells ->
-              Some
-                { Experiments.Bench_history.date; source; label; machine; cells })
-        [ ("throughput", throughput); ("campaign", campaign) ]
-    in
-    if sources = [] then begin
-      Fmt.epr
-        "bench-history: neither %s nor %s has a readable \"cells\" block@."
-        throughput campaign;
-      exit 2
-    end;
-    let past = Experiments.Bench_history.load history in
-    let regressions =
-      List.concat_map
-        (fun row ->
-          Experiments.Bench_history.check ~window ~threshold_pct:threshold past
-            row)
-        sources
-    in
-    if not check_only then
-      List.iter (Experiments.Bench_history.append history) sources;
-    let all = past @ sources in
-    print_string (Experiments.Bench_history.to_table all);
-    if not check_only then
-      Fmt.epr "[bench-history] appended %d row%s to %s@." (List.length sources)
-        (if List.length sources = 1 then "" else "s")
-        history;
-    if regressions <> [] then begin
-      Fmt.epr "%s@." (Experiments.Bench_history.regressions_report regressions);
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "bench-history"
-       ~doc:
-         "Append the current bench cells as dated trend rows and flag \
-          execs/sec regressions against the trailing window")
-    Term.(
-      const run $ history $ throughput $ campaign $ date $ label $ threshold
-      $ window $ check_only)
-
 let () =
   let doc = "path-aware coverage-guided fuzzing (CGO 2026 reproduction)" in
   exit
@@ -1298,8 +901,5 @@ let () =
             path_profile_cmd;
             cfg_cmd;
             tables_cmd;
-            bench_throughput_cmd;
-            bench_campaign_cmd;
             stats_cmd;
-            bench_history_cmd;
           ]))

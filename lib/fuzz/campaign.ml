@@ -696,8 +696,9 @@ let run_state ?(checkpoint : Checkpoint.sink option)
 
 (** Run a campaign. [plans] shares a precomputed Ball–Larus artifact;
     [obs] supplies the observer (counters, snapshot log, event sink and
-    the optional wall clock that enables the mutation-vs-VM split the
-    benches report). Fuzzing behaviour is identical with or without it.
+    the optional wall clock that enables the mutation-vs-VM split
+    [pathfuzz profile] reports). Fuzzing behaviour is identical with or
+    without it.
 
     [checkpoint] writes a snapshot at each cycle boundary that crosses a
     multiple of [sink.every] executions (mid-budget only). [resume]

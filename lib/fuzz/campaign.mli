@@ -54,7 +54,7 @@ val queue_inputs : result -> string list
 (** Run a campaign. [plans] shares a precomputed Ball–Larus artifact
     across campaigns on the same program. [obs] supplies the observer —
     counters, snapshot log, event sink, and the optional wall clock that
-    enables the mutation-vs-VM split [pathfuzz bench-campaign] reports.
+    enables the mutation-vs-VM split [pathfuzz profile] reports.
     A shared observer accumulates across runs (multi-phase strategies,
     benches); each run's [result] reports its own deltas. Fuzzing
     behaviour is identical with or without an observer.

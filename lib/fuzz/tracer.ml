@@ -70,8 +70,8 @@ let bracket_sink (b : bracket) k out =
 
 type t = {
   engine : engine;
-  full_art : Vm.Compile.t option;  (** [Fused]: the [Sfull mode] artifact *)
-  full_emit : Vm.Emit.t option;  (** [Native]: the emitted [Sfull mode] unit *)
+  full_art : Vm.Compile.t option;  (** [Fused]: the closure artifact *)
+  full_emit : Vm.Emit.t option;  (** [Native]: the emitted unit *)
   emit_fallback : string option;
       (** [Native] only: why emission failed and the tracer degraded to
           the fused closure engine ([None] when native is live) *)
@@ -119,7 +119,7 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
     | Native -> (
         match
           clocked (fun () ->
-              Vm.Emit.instance ?plans ~cmplog prepared (Vm.Compile.Sfull mode))
+              Vm.Emit.instance ?plans ~cmplog prepared mode)
         with
         | Ok full -> (Some full, None)
         | Error reason ->
@@ -134,11 +134,10 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
   in
   let full_art =
     if closures then
-      let spec = Vm.Compile.Sfull mode in
       Some
         (clocked (fun () ->
-             if shared then Vm.Compile.cached ?plans ~cmplog prepared spec
-             else Vm.Compile.compile ?plans ~cmplog prepared spec))
+             if shared then Vm.Compile.cached ?plans ~cmplog prepared mode
+             else Vm.Compile.compile ?plans ~cmplog prepared mode))
     else None
   in
   let bracket =

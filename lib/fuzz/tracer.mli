@@ -17,7 +17,7 @@ val engine_name : engine -> string
 val engine_of_name : string -> engine option
 
 (** Every engine name, in presentation order — the single source of
-    truth for CLI documentation, diagnostics and bench filters. *)
+    truth for CLI documentation and diagnostics. *)
 val engine_names : string list
 
 (** The engine of the paper-reproduction path — {!Strategy.run},

@@ -10,9 +10,9 @@
     read at call time), expressions into closure trees with operators,
     slots, sites and constants baked in, and — the point — the feedback
     listener itself into per-site probe closures generated at compile
-    time from the {!spec}. A probe that a (site, mode) pair cannot fire
-    (an edge that is no Ball–Larus operation, any probe under the null
-    spec) is simply not emitted: the compiled code for it is a direct
+    time from the feedback mode. A probe that a (site, mode) pair cannot
+    fire (an edge that is no Ball–Larus operation, a block probe under
+    [edge]) is simply not emitted: the compiled code for it is a direct
     jump.
 
     Three further things are resolved at compile time that the
@@ -44,21 +44,12 @@
     Artifacts are cacheable: all per-campaign state (the bound trace
     map, the cmplog probe, listener registers, the activation depth)
     lives in a mutable {!cstate} rebound via
-    {!bind}, so one compiled artifact per [(prepared, spec)] serves
+    {!bind}, so one compiled artifact per [(prepared, mode)] serves
     every campaign on a domain — {!cached} memoises per domain via
     [Domain.DLS]. Sharded campaigns must {!compile} fresh per shard
     instead: [cstate] is single-threaded. *)
 
 open Interp
-
-(** What gets baked in. [Snone] is the bare program (the throughput
-    bench's "none" row); [Sfull mode] bakes the corresponding
-    {!Pathcov.Feedback} listener in as per-site probes. *)
-type spec = Snone | Sfull of Pathcov.Feedback.mode
-
-let spec_name = function
-  | Snone -> "none"
-  | Sfull m -> Pathcov.Feedback.mode_name m
 
 (* Per-campaign (rebindable) listener state. One record per artifact;
    probes read it through the closure environment, so rebinding [trace]
@@ -91,7 +82,7 @@ type cstate = {
 
 type t = {
   prepared : prepared;
-  spec : spec;
+  mode : Pathcov.Feedback.mode;
   cmplog : bool;  (** were [h_cmp] calls compiled into comparisons? *)
   cs : cstate;
   fentries : (exec_ctx -> frame -> unit) array;
@@ -120,12 +111,13 @@ type probes = {
           either is [None] or only adds to the register. *)
   padd : (int -> unit) option;
       (** Apply a folded (nonzero) register add — same top-of-stack guard
-          as the per-edge closures it replaces. [None] when the spec has
+          as the per-edge closures it replaces. [None] when the mode has
           no register adds to fold (then [pe_add] never reports a nonzero
           constant). *)
   emit_cmp : bool;  (** compile [cs.h_cmp] calls into comparisons *)
 }
 
+(* No probe anywhere: the base record every mode's probes extend. *)
 let probes_none =
   {
     pc = (fun _ -> None);
@@ -2049,9 +2041,10 @@ let cfunc (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
 (* ------------------------------------------------------------------ *)
 (* Artifact construction *)
 
-let compile ?plans ?(cmplog = true) (p : prepared) (spec : spec) : t =
+let compile ?plans ?(cmplog = true) (p : prepared)
+    (mode : Pathcov.Feedback.mode) : t =
   let nfuncs = Array.length p.rfuncs in
-  let ngram_n = match spec with Sfull (Ngram n) -> n | _ -> 0 in
+  let ngram_n = match mode with Ngram n -> n | _ -> 0 in
   let cs =
     {
       trace = Pathcov.Coverage_map.create ~size_log2:6 ();
@@ -2072,19 +2065,18 @@ let compile ?plans ?(cmplog = true) (p : prepared) (spec : spec) : t =
     }
   in
   let probes =
-    match spec with
-    | Snone -> probes_none
-    | Sfull Block -> probes_block cs
-    | Sfull Edge -> probes_edge cs
-    | Sfull (Ngram n) -> probes_ngram cs n
-    | Sfull Path ->
+    match mode with
+    | Block -> probes_block cs
+    | Edge -> probes_edge cs
+    | Ngram n -> probes_ngram cs n
+    | Path ->
         let plans =
           match plans with
           | Some pl -> pl
           | None -> Pathcov.Ball_larus.of_program p.prog
         in
         probes_path cs p plans
-    | Sfull Pathafl -> probes_pathafl cs p
+    | Pathafl -> probes_pathafl cs p
   in
   (* A campaign with cmplog off binds a no-op [h_cmp]; eliding the call
      entirely is then unobservable, so such callers compile (and cache)
@@ -2109,7 +2101,7 @@ let compile ?plans ?(cmplog = true) (p : prepared) (spec : spec) : t =
     p.rfuncs;
   {
     prepared = p;
-    spec;
+    mode;
     cmplog;
     cs;
     fentries;
@@ -2252,17 +2244,18 @@ let cache_stats () : int * int =
   let hits, misses = Domain.DLS.get dls_cache_stats in
   (!hits, !misses)
 
-(** Compile-once memo, per domain: sequential campaigns, measurement
-    replays and bench cells over the same [(prepared, spec)] share one
+(** Compile-once memo, per domain: sequential campaigns and measurement
+    replays over the same [(prepared, mode)] share one
     artifact (rebound per campaign via {!bind}). Sharded campaigns must
     not use this — each shard owns a fresh {!compile} because [cstate]
     is single-threaded. *)
-let cached ?plans ?(cmplog = true) (p : prepared) (spec : spec) : t =
+let cached ?plans ?(cmplog = true) (p : prepared)
+    (mode : Pathcov.Feedback.mode) : t =
   let c = Domain.DLS.get dls_cache in
   let hits, misses = Domain.DLS.get dls_cache_stats in
   match
     List.find_opt
-      (fun t -> t.prepared == p && t.spec = spec && t.cmplog = cmplog)
+      (fun t -> t.prepared == p && t.mode = mode && t.cmplog = cmplog)
       !c
   with
   | Some t ->
@@ -2270,7 +2263,7 @@ let cached ?plans ?(cmplog = true) (p : prepared) (spec : spec) : t =
       t
   | None ->
       incr misses;
-      let t = compile ?plans ~cmplog p spec in
+      let t = compile ?plans ~cmplog p mode in
       let keep =
         if List.length !c >= cache_cap then
           List.filteri (fun i _ -> i < cache_cap - 1) !c

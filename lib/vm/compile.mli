@@ -6,8 +6,7 @@
     through a block table read at call time), expression trees folded
     into closure trees with slots/sites/constants baked in, and the
     feedback listener specialised at compile time into per-site probes.
-    Under {!spec} [Snone] no probe code exists at all; under
-    [Sfull Path] each CFG edge bakes its resolved Ball–Larus operation
+    Under [Path] each CFG edge bakes its resolved Ball–Larus operation
     (or compiles to a direct jump when it carries none), so the per-event
     dense-table dispatch of the runtime listener disappears along with
     the interpreter's [rinstr]/[rexpr] match dispatch.
@@ -20,21 +19,17 @@
 
     Artifacts are immutable modulo a small rebindable {!cstate} (trace
     map, cmplog probe, listener registers), so one
-    artifact per [(prepared, spec)] serves every campaign on a domain;
+    artifact per [(prepared, mode)] serves every campaign on a domain;
     {!cached} memoises exactly that. The state is single-threaded:
     sharded campaigns compile one artifact per shard via {!compile}. *)
 
-(** What gets baked in: nothing, or a full {!Pathcov.Feedback} mode. *)
-type spec = Snone | Sfull of Pathcov.Feedback.mode
-
-val spec_name : spec -> string
-
 type t
 
-(** [cmplog] (default [true]) controls whether comparisons emit [h_cmp]
-    calls. A campaign with cmplog disabled binds a no-op probe, so such
-    callers pass [~cmplog:false] to compile the calls out entirely —
-    unobservable by construction.
+(** [compile p mode] bakes [mode]'s {!Pathcov.Feedback} listener into
+    [p] as per-site probes. [cmplog] (default [true]) controls whether
+    comparisons emit [h_cmp] calls. A campaign with cmplog disabled
+    binds a no-op probe, so such callers pass [~cmplog:false] to compile
+    the calls out entirely — unobservable by construction.
 
     Every artifact applies superblock fusion: chains of blocks linked by
     unconditional gotos whose interior blocks have a single predecessor
@@ -50,26 +45,24 @@ val compile :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?cmplog:bool ->
   Interp.prepared ->
-  spec ->
+  Pathcov.Feedback.mode ->
   t
 
-(** Per-domain compile-once memo over [(prepared, spec, cmplog)]
-    (physical identity on [prepared]). Safe for sequential campaigns,
-    measurement replays and bench cells; sharded campaigns must
+(** Per-domain compile-once memo over [(prepared, mode, cmplog)]
+    (physical identity on [prepared]). Safe for sequential campaigns
+    and measurement replays; sharded campaigns must
     {!compile} fresh per shard instead. *)
 val cached :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?cmplog:bool ->
   Interp.prepared ->
-  spec ->
+  Pathcov.Feedback.mode ->
   t
 
 (** {2 Campaign binding} *)
 
 (** Retarget the artifact's probes at a trace map and cmplog probe —
-    two field writes, so callers may rebind before every execution.
-    Only meaningful for [Sfull _] artifacts ([Snone] never touches
-    either). *)
+    two field writes, so callers may rebind before every execution. *)
 val bind :
   t -> trace:Pathcov.Coverage_map.t -> h_cmp:(int -> int -> unit) -> unit
 

@@ -178,10 +178,10 @@ let edge_pb fid b =
     (Printf.sprintf "hit !trace (%s lxor !prev); prev := %s" (lit cur)
        (lit (cur lsr 1)))
 
-let gprobes_of ?plans (p : prepared) (spec : Compile.spec) : gprobes =
-  match spec with
-  | Compile.Snone -> gprobes_none
-  | Compile.Sfull Pathcov.Feedback.Block ->
+let gprobes_of ?plans (p : prepared) (mode : Pathcov.Feedback.mode) :
+    gprobes =
+  match mode with
+  | Pathcov.Feedback.Block ->
       {
         gprobes_none with
         gemit_cmp = true;
@@ -191,9 +191,9 @@ let gprobes_of ?plans (p : prepared) (spec : Compile.spec) : gprobes =
               (Printf.sprintf "hit !trace %s"
                  (lit (Pathcov.Feedback.block_key fid b))));
       }
-  | Compile.Sfull Pathcov.Feedback.Edge ->
+  | Pathcov.Feedback.Edge ->
       { gprobes_none with gemit_cmp = true; gpb = edge_pb }
-  | Compile.Sfull (Pathcov.Feedback.Ngram n) ->
+  | Pathcov.Feedback.Ngram n ->
       {
         gprobes_none with
         gemit_cmp = true;
@@ -208,7 +208,7 @@ let gprobes_of ?plans (p : prepared) (spec : Compile.spec) : gprobes =
                   !h"
                  n (lit key) (n - 1)));
       }
-  | Compile.Sfull Pathcov.Feedback.Path ->
+  | Pathcov.Feedback.Path ->
       let plans =
         match plans with
         | Some pl -> pl
@@ -274,7 +274,7 @@ let gprobes_of ?plans (p : prepared) (spec : Compile.spec) : gprobes =
                  (lit ra)
                  (lit salts.(fid))));
       }
-  | Compile.Sfull Pathcov.Feedback.Pathafl ->
+  | Pathcov.Feedback.Pathafl ->
       let nsucc fid src =
         List.length
           (Minic.Ir.successors p.prog.funcs.(fid).blocks.(src).Minic.Ir.term)
@@ -319,15 +319,13 @@ let rel_of = function
   | Cge -> ">="
 
 let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
-    (p : prepared) (spec : Compile.spec) : unit =
-  let gp = gprobes_of ?plans p spec in
+    (p : prepared) (mode : Pathcov.Feedback.mode) : unit =
+  let gp = gprobes_of ?plans p mode in
   let gp = { gp with gemit_cmp = gp.gemit_cmp && cmplog } in
   let typing = Compile.may_array_analysis p in
   let zeroes = Compile.zero_slots_analysis p in
   let gma = typing.Compile.gmay in
-  let ngram_n =
-    match spec with Compile.Sfull (Pathcov.Feedback.Ngram n) -> n | _ -> 0
-  in
+  let ngram_n = match mode with Pathcov.Feedback.Ngram n -> n | _ -> 0 in
   let nextv = ref 0 in
   let fresh () =
     incr nextv;
@@ -969,7 +967,7 @@ let discovered_incs =
         Lazy.force tree_incs @ List.filter Sys.file_exists fmt_dir)
 
 (* ------------------------------------------------------------------ *)
-(* Cache key: resolved IR fingerprint × spec × cmplog × compiler
+(* Cache key: resolved IR fingerprint × mode × cmplog × compiler
    version × emitter version × linking model × linked interfaces. *)
 
 let linked_interfaces =
@@ -990,13 +988,13 @@ let interfaces_digest (incs : string list) : string =
 
 let linked_digest = lazy (interfaces_digest (Lazy.force tree_incs))
 
-let key_of ?incs (p : prepared) (spec : Compile.spec) (cmplog : bool) : string =
+let key_of ?incs (p : prepared) (mode : Pathcov.Feedback.mode)
+    (cmplog : bool) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b (Marshal.to_string p.prog []);
-  Buffer.add_string b (Compile.spec_name spec);
-  (match spec with
-  | Compile.Sfull (Pathcov.Feedback.Ngram n) ->
-      Buffer.add_string b (string_of_int n)
+  Buffer.add_string b (Pathcov.Feedback.mode_name mode);
+  (match mode with
+  | Pathcov.Feedback.Ngram n -> Buffer.add_string b (string_of_int n)
   | _ -> ());
   Buffer.add_string b (if cmplog then "+cmp" else "-cmp");
   Buffer.add_string b Sys.ocaml_version;
@@ -1050,7 +1048,7 @@ let compile_source ~(tmp : string) ~(modbase : string) : (string, string) result
    holds [lock]. *)
 let build_unit ~(gkey : string)
     (entries :
-      (string * prepared * Compile.spec * bool
+      (string * prepared * Pathcov.Feedback.mode * bool
       * Pathcov.Ball_larus.program_plans option)
       list) : (string, string) result =
   let dir = cache_dir_ensured () in
@@ -1065,8 +1063,8 @@ let build_unit ~(gkey : string)
     let buf = Buffer.create 65536 in
     Buffer.add_string buf header;
     List.iter
-      (fun (key, p, spec, cmplog, plans) ->
-        gen_subject buf ~key ?plans ~cmplog p spec)
+      (fun (key, p, mode, cmplog, plans) ->
+        gen_subject buf ~key ?plans ~cmplog p mode)
       entries;
     let src = Filename.concat tmp (modbase ^ ".ml") in
     let res =
@@ -1120,9 +1118,9 @@ type t = { prepared : prepared; raw : raw }
 
 let locked f = Mutex.protect lock f
 
-let maker_for ?plans ~cmplog (p : prepared) (spec : Compile.spec) :
+let maker_for ?plans ~cmplog (p : prepared) (mode : Pathcov.Feedback.mode) :
     ((unit -> raw), string) result =
-  let key = key_of p spec cmplog in
+  let key = key_of p mode cmplog in
   match Hashtbl.find_opt makers key with
   | Some mk ->
       Atomic.incr hits;
@@ -1143,7 +1141,7 @@ let maker_for ?plans ~cmplog (p : prepared) (spec : Compile.spec) :
       end
       else begin
         Atomic.incr misses;
-        match build_unit ~gkey:key [ (key, p, spec, cmplog, plans) ] with
+        match build_unit ~gkey:key [ (key, p, mode, cmplog, plans) ] with
         | Ok art -> (
             match load_and_drain art with
             | Ok () -> finish ()
@@ -1151,21 +1149,21 @@ let maker_for ?plans ~cmplog (p : prepared) (spec : Compile.spec) :
         | Error e -> Error e
       end)
 
-let instance ?plans ?(cmplog = true) (p : prepared) (spec : Compile.spec) :
-    (t, string) result =
+let instance ?plans ?(cmplog = true) (p : prepared)
+    (mode : Pathcov.Feedback.mode) : (t, string) result =
   if forced_fail () then Error "disabled by PATHFUZZ_EMIT_FAIL"
   else
     locked (fun () ->
-        match maker_for ?plans ~cmplog p spec with
+        match maker_for ?plans ~cmplog p mode with
         | Ok mk -> Ok { prepared = p; raw = mk () }
         | Error e -> Error e)
 
-let preload (entries : (prepared * Compile.spec * bool) list) : int =
+let preload (entries : (prepared * Pathcov.Feedback.mode * bool) list) : int =
   if forced_fail () then 0
   else
     locked (fun () ->
         let keyed =
-          List.map (fun (p, spec, cmplog) -> (key_of p spec cmplog, p, spec, cmplog)) entries
+          List.map (fun (p, mode, cmplog) -> (key_of p mode cmplog, p, mode, cmplog)) entries
         in
         (* Dedup by key, keep first occurrence. *)
         let seen = Hashtbl.create 64 in
@@ -1209,7 +1207,7 @@ let preload (entries : (prepared * Compile.spec * bool) list) : int =
               match
                 build_unit ~gkey
                   (List.map
-                     (fun (k, p, spec, cmplog) -> (k, p, spec, cmplog, None))
+                     (fun (k, p, mode, cmplog) -> (k, p, mode, cmplog, None))
                      chunk)
               with
               | Ok art -> ignore (load_and_drain art)

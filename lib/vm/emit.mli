@@ -3,10 +3,10 @@
     Where {!Compile} partially evaluates a {!Interp.prepared} CFG into
     a closure tree at runtime, this module prints it as straight-line
     OCaml source — superblock chains, inlined comparisons, baked
-    feedback probes per {!Compile.spec}, folded Ball–Larus adds, cmplog
-    taps — compiles the source out-of-process ([ocamlfind ocamlopt
-    -shared], falling back to [ocamlc] bytecode where native Dynlink is
-    unavailable), and loads the artifact via {!Dynlink} through a
+    feedback probes per {!Pathcov.Feedback.mode}, folded Ball–Larus
+    adds, cmplog taps — compiles the source out-of-process ([ocamlfind
+    ocamlopt -shared], falling back to [ocamlc] bytecode where native
+    Dynlink is unavailable), and loads the artifact via {!Dynlink} through a
     registration side-channel. Generated code runs against the
     unmodified pooled {!Interp.exec_ctx} and replicates the
     interpreter's observable semantics exactly — fuel burn placement,
@@ -16,7 +16,7 @@
     suite enforces this against the boxed reference interpreter.
 
     Artifacts are cached on disk keyed by a content hash of the
-    resolved IR, the spec, the cmplog flag, the compiler version, the
+    resolved IR, the mode, the cmplog flag, the compiler version, the
     emitter version and the interfaces the unit links against
     ({!key_of}), so a campaign pays the compile cost once ever per
     subject. Every fallible step ({!instance}, {!preload}) returns
@@ -58,20 +58,24 @@ val emitter_version : int
     artifacts. *)
 val linked_interfaces : string list
 
-(** The cache key of one [(prepared, spec, cmplog)] triple: a digest of
-    the resolved IR, the spec, the cmplog flag, the compiler and emitter
+(** The cache key of one [(prepared, mode, cmplog)] triple: a digest of
+    the resolved IR, the mode, the cmplog flag, the compiler and emitter
     versions, the linking model and the contents of
     {!linked_interfaces} as found in [incs] (default: the discovered
     include path). *)
 val key_of :
-  ?incs:string list -> Interp.prepared -> Compile.spec -> bool -> string
+  ?incs:string list ->
+  Interp.prepared ->
+  Pathcov.Feedback.mode ->
+  bool ->
+  string
 
 (** {2 Instantiation} *)
 
 (** Emit + compile + load (or reuse a cached artifact for) one
-    [(prepared, spec, cmplog)] triple and return a runnable instance.
+    [(prepared, mode, cmplog)] triple and return a runnable instance.
     [plans] as in {!Compile.compile} — consulted only under
-    [Sfull Path], defaulting to [Ball_larus.of_program]. Each call
+    [Path], defaulting to [Ball_larus.of_program]. Each call
     returns an instance with private mutable probe state, so distinct
     shards/domains each take their own. All failures (no compiler,
     compile error, Dynlink refusal, forced [PATHFUZZ_EMIT_FAIL]) come
@@ -80,7 +84,7 @@ val instance :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?cmplog:bool ->
   Interp.prepared ->
-  Compile.spec ->
+  Pathcov.Feedback.mode ->
   (t, string) result
 
 (** Batch-compile many triples into a handful of compilation units
@@ -89,7 +93,7 @@ val instance :
     Returns the number of triples that are now servable; failures are
     skipped silently (the corresponding {!instance} call reports the
     reason). *)
-val preload : (Interp.prepared * Compile.spec * bool) list -> int
+val preload : (Interp.prepared * Pathcov.Feedback.mode * bool) list -> int
 
 (** {2 Campaign binding + execution}
 

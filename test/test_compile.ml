@@ -45,27 +45,6 @@ let trace_contents (m : Pathcov.Coverage_map.t) : (int * int) list =
   Pathcov.Coverage_map.iteri_set (fun i b -> acc := (i, b) :: !acc) m;
   List.rev !acc
 
-(* --- uninstrumented ([Snone]) agreement on the curated subjects --- *)
-
-let test_none_agreement () =
-  List.iter
-    (fun (s : Subjects.Subject.t) ->
-      let prog = Subjects.Subject.compile_fresh s in
-      let prepared = Vm.Interp.prepare prog in
-      let ictx = Vm.Interp.create_ctx prepared in
-      let cctx = Vm.Interp.create_ctx prepared in
-      let art = Vm.Compile.compile prepared Vm.Compile.Snone in
-      List.iter
-        (fun input ->
-          let i = Vm.Interp.run_ctx ictx ~input in
-          let c = Vm.Compile.run art cctx ~input in
-          let where = Printf.sprintf "%s %S" s.name input in
-          check status_t (where ^ " status") i.status c.status;
-          check Alcotest.int (where ^ " blocks") i.blocks_executed
-            c.blocks_executed)
-        (subject_inputs s))
-    Subjects.Registry.all
-
 (* --- instrumented agreement, every mode: status, blocks, classified
    trace, and the cmplog operand stream --- *)
 
@@ -87,7 +66,7 @@ let test_mode_agreement () =
               prepared
           in
           let cctx = Vm.Interp.create_ctx prepared in
-          let art = Vm.Compile.compile prepared (Vm.Compile.Sfull mode) in
+          let art = Vm.Compile.compile prepared mode in
           let ctrace = Pathcov.Coverage_map.create () in
           Vm.Compile.bind art ~trace:ctrace ~h_cmp:(fun a b ->
               ccmps := (a, b) :: !ccmps);
@@ -136,7 +115,7 @@ let prop_compiled_differential =
             Vm.Interp.create_ctx ~hooks:(feedback_hooks fb) prepared
           in
           let cctx = Vm.Interp.create_ctx prepared in
-          let art = Vm.Compile.compile prepared (Vm.Compile.Sfull mode) in
+          let art = Vm.Compile.compile prepared mode in
           let ctrace = Pathcov.Coverage_map.create () in
           Vm.Compile.bind art ~trace:ctrace ~h_cmp:(fun _ _ -> ());
           fb.reset ();
@@ -162,7 +141,7 @@ let test_compiled_allocation () =
   let prog = Subjects.Subject.compile_fresh s in
   let prepared = Vm.Interp.prepare prog in
   let ctx = Vm.Interp.create_ctx prepared in
-  let art = Vm.Compile.compile prepared (Vm.Compile.Sfull Path) in
+  let art = Vm.Compile.compile prepared Path in
   let trace = Pathcov.Coverage_map.create () in
   Vm.Compile.bind art ~trace ~h_cmp:(fun _ _ -> ());
   let input = List.hd s.seeds in
@@ -186,8 +165,6 @@ let suite =
   [
     ( "compile",
       [
-        Alcotest.test_case "subjects: none spec agrees" `Quick
-          test_none_agreement;
         Alcotest.test_case "subjects: every mode agrees" `Quick
           test_mode_agreement;
         Alcotest.test_case "compiled hot path allocation-free" `Quick

@@ -65,7 +65,7 @@ let prop_fused_differential =
           in
           let cctx = Vm.Interp.create_ctx prepared in
           let art =
-            Vm.Compile.compile prepared (Vm.Compile.Sfull mode)
+            Vm.Compile.compile prepared mode
           in
           let ctrace = Pathcov.Coverage_map.create () in
           Vm.Compile.bind art ~trace:ctrace ~h_cmp:(fun _ _ -> ());
@@ -94,7 +94,7 @@ let prop_fused_fuel_ladder =
       let cctx = Vm.Interp.create_ctx prepared in
       let art =
         Vm.Compile.compile prepared
-          (Vm.Compile.Sfull Pathcov.Feedback.Path)
+          Pathcov.Feedback.Path
       in
       let ctrace = Pathcov.Coverage_map.create () in
       Vm.Compile.bind art ~trace:ctrace ~h_cmp:(fun _ _ -> ());
@@ -122,7 +122,7 @@ let test_batch_agreement () =
       let prog = Subjects.Subject.compile_fresh s in
       let prepared = Vm.Interp.prepare prog in
       let art =
-        Vm.Compile.compile prepared (Vm.Compile.Sfull Pathcov.Feedback.Path)
+        Vm.Compile.compile prepared Pathcov.Feedback.Path
       in
       let trace = Pathcov.Coverage_map.create () in
       Vm.Compile.bind art ~trace ~h_cmp:(fun _ _ -> ());
@@ -170,7 +170,7 @@ let test_batch_allocation () =
   let ctx = Vm.Interp.create_ctx prepared in
   let art =
     Vm.Compile.compile prepared
-      (Vm.Compile.Sfull Pathcov.Feedback.Path)
+      Pathcov.Feedback.Path
   in
   let trace = Pathcov.Coverage_map.create () in
   Vm.Compile.bind art ~trace ~h_cmp:(fun _ _ -> ());

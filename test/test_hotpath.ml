@@ -145,18 +145,19 @@ let test_campaign_allocation () =
 (* Comparison operands are captured on calibration runs only, so a
    cmplog campaign's bulk candidates pay one flag test per comparison.
    Capturing on every execution (a dedupe scan plus a closure per
-   executed comparison) measured ~760 minor words per exec here. A
-   warm-up run keeps artifact compilation out of the measurement. *)
+   executed comparison) measured ~760 minor words per exec here under
+   path; path and edge both measure ~19 now. A warm-up run keeps
+   artifact compilation out of the measurement. *)
 let test_cmplog_campaign_allocation () =
   let s = Subjects.Registry.find_exn "sqlite3" in
   let prog = Subjects.Subject.compile_fresh s in
   let plans = Pathcov.Ball_larus.of_program prog in
   List.iter
-    (fun engine ->
+    (fun (mode, engine) ->
       let config =
         {
           Fuzz.Campaign.default_config with
-          mode = Pathcov.Feedback.Path;
+          mode;
           budget = 20_000;
           rng_seed = 3;
           cmplog = true;
@@ -170,10 +171,15 @@ let test_cmplog_campaign_allocation () =
       let r = Fuzz.Campaign.run ~plans ~config prog ~seeds:s.seeds in
       let per_exec = (Gc.minor_words () -. w0) /. float_of_int r.execs in
       check_bool
-        (Printf.sprintf "%s cmplog campaign minor words per exec bounded (got %.1f)"
-           (Fuzz.Tracer.engine_name engine) per_exec)
+        (Printf.sprintf
+           "%s %s cmplog campaign minor words per exec bounded (got %.1f)"
+           (Pathcov.Feedback.mode_name mode)
+           (Fuzz.Tracer.engine_name engine)
+           per_exec)
         true (per_exec < 32.))
-    [ Fuzz.Tracer.Fused; Fuzz.Tracer.Native ]
+    (List.concat_map
+       (fun mode -> [ (mode, Fuzz.Tracer.Fused); (mode, Fuzz.Tracer.Native) ])
+       [ Pathcov.Feedback.Path; Pathcov.Feedback.Edge ])
 
 (* --- steady-state allocation: retention under pathafl --- *)
 

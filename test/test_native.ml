@@ -60,19 +60,19 @@ let available =
   lazy
     (let prog = Minic.Lower.compile "fn main() { return 0; }" in
      let prepared = Vm.Interp.prepare prog in
-     match Vm.Emit.instance prepared Vm.Compile.Snone with
+     match Vm.Emit.instance prepared Pathcov.Feedback.Block with
      | Ok _ -> true
      | Error reason ->
          Printf.eprintf
            "[test_native] emitter unavailable (%s); suite skipped\n%!" reason;
          false)
 
-let instance_exn ?plans ?cmplog prepared spec =
-  match Vm.Emit.instance ?plans ?cmplog prepared spec with
+let instance_exn ?plans ?cmplog prepared mode =
+  match Vm.Emit.instance ?plans ?cmplog prepared mode with
   | Ok t -> t
   | Error reason -> Alcotest.failf "Emit.instance failed: %s" reason
 
-(* Batch-compile every (curated subject, spec) pair the tests below
+(* Batch-compile every (curated subject, mode) pair the tests below
    need into a few grouped compilation units up front — ~6x fewer
    compiler spawns than letting each [instance] call build its own. *)
 let curated_preloaded =
@@ -85,7 +85,7 @@ let curated_preloaded =
      let triples =
        List.concat_map
          (fun prepared ->
-           List.map (fun m -> (prepared, Vm.Compile.Sfull m, true)) all_modes)
+           List.map (fun m -> (prepared, m, true)) all_modes)
          subs
      in
      ignore (Vm.Emit.preload triples))
@@ -114,7 +114,7 @@ let test_native_mode_agreement () =
                 prepared
             in
             let nctx = Vm.Interp.create_ctx prepared in
-            let art = instance_exn prepared (Vm.Compile.Sfull mode) in
+            let art = instance_exn prepared mode in
             let ntrace = Pathcov.Coverage_map.create () in
             Vm.Emit.bind art ~trace:ntrace ~h_cmp:(fun a b ->
                 ncmps := (a, b) :: !ncmps);
@@ -187,7 +187,7 @@ let test_native_differential () =
     let triples =
       List.mapi
         (fun i (_, prepared, _) ->
-          (prepared, Vm.Compile.Sfull (rotation_mode i), true))
+          (prepared, rotation_mode i, true))
         corpus
     in
     let served = Vm.Emit.preload triples in
@@ -205,7 +205,7 @@ let test_native_differential () =
             prepared
         in
         let nctx = Vm.Interp.create_ctx prepared in
-        let art = instance_exn prepared (Vm.Compile.Sfull mode) in
+        let art = instance_exn prepared mode in
         let ntrace = Pathcov.Coverage_map.create () in
         Vm.Emit.bind art ~trace:ntrace ~h_cmp:(fun a b ->
             ncmps := (a, b) :: !ncmps);
@@ -247,7 +247,7 @@ let test_native_fuel_ladder () =
           let ictx = Vm.Interp.create_ctx ~hooks:(feedback_hooks fb) prepared in
           let nctx = Vm.Interp.create_ctx prepared in
           let art =
-            instance_exn prepared (Vm.Compile.Sfull Pathcov.Feedback.Path)
+            instance_exn prepared Pathcov.Feedback.Path
           in
           let ntrace = Pathcov.Coverage_map.create () in
           Vm.Emit.bind art ~trace:ntrace ~h_cmp:(fun _ _ -> ());
@@ -284,7 +284,7 @@ let test_native_batch_agreement () =
         let prog = Subjects.Subject.compile_fresh s in
         let prepared = Vm.Interp.prepare prog in
         let art =
-          instance_exn prepared (Vm.Compile.Sfull Pathcov.Feedback.Path)
+          instance_exn prepared Pathcov.Feedback.Path
         in
         let trace = Pathcov.Coverage_map.create () in
         Vm.Emit.bind art ~trace ~h_cmp:(fun _ _ -> ());
@@ -328,11 +328,11 @@ let test_native_cache_hit () =
     let prog = Subjects.Subject.compile_fresh s in
     let prepared = Vm.Interp.prepare prog in
     let _ =
-      instance_exn prepared (Vm.Compile.Sfull Pathcov.Feedback.Path)
+      instance_exn prepared Pathcov.Feedback.Path
     in
     let before = Vm.Emit.stats () in
     let _ =
-      instance_exn prepared (Vm.Compile.Sfull Pathcov.Feedback.Path)
+      instance_exn prepared Pathcov.Feedback.Path
     in
     let after = Vm.Emit.stats () in
     check Alcotest.int "second instance is a cache hit"
@@ -348,7 +348,7 @@ let test_native_forced_fail () =
   let prog = Minic.Lower.compile "fn main() { return 0; }" in
   let prepared = Vm.Interp.prepare prog in
   Unix.putenv "PATHFUZZ_EMIT_FAIL" "1";
-  let r = Vm.Emit.instance prepared Vm.Compile.Snone in
+  let r = Vm.Emit.instance prepared Pathcov.Feedback.Block in
   Unix.putenv "PATHFUZZ_EMIT_FAIL" "";
   check_bool "forced failure yields Error" true (Result.is_error r)
 
@@ -388,7 +388,7 @@ let test_native_journal_boundary () =
         let fb = Pathcov.Feedback.make mode prog in
         let ictx = Vm.Interp.create_ctx ~hooks:(feedback_hooks fb) prepared in
         let nctx = Vm.Interp.create_ctx prepared in
-        let art = instance_exn prepared (Vm.Compile.Sfull mode) in
+        let art = instance_exn prepared mode in
         let ntrace = M.create () in
         Vm.Emit.bind art ~trace:ntrace ~h_cmp:(fun _ _ -> ());
         List.iteri
@@ -449,7 +449,7 @@ let test_native_key_tracks_interfaces () =
   List.iter (fun name -> write name "v1") Vm.Emit.linked_interfaces;
   let key () =
     Vm.Emit.key_of ~incs:[ dir ] prepared
-      (Vm.Compile.Sfull Pathcov.Feedback.Path) true
+      Pathcov.Feedback.Path true
   in
   let k0 = key () in
   check Alcotest.string "key is stable" k0 (key ());

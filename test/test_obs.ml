@@ -1,7 +1,7 @@
 (** Observability-layer tests: the zero-perturbation rule (observed and
     unobserved campaigns run byte-identical trajectories), counter
     hot-path allocation, ring-buffer sink semantics, the snapshot-derived
-    legacy views, pool trial events, and the bench trend history. *)
+    legacy views, pool trial events, and feedback mode names. *)
 
 let check = Alcotest.check
 let check_bool msg = Alcotest.(check bool) msg
@@ -483,212 +483,7 @@ let test_cull_events_and_replays () =
       Alcotest.failf "expected exactly one Cull event, got %d" (List.length evs)
 
 (* ------------------------------------------------------------------ *)
-(* Bench trend history *)
-
-let test_bench_history_roundtrip () =
-  let tmp = Filename.temp_file "pathfuzz_hist" ".jsonl" in
-  Sys.remove tmp;
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
-    (fun () ->
-      check Alcotest.int "missing file loads empty" 0
-        (List.length (Experiments.Bench_history.load tmp));
-      let row day v =
-        {
-          Experiments.Bench_history.date = day;
-          source = "campaign";
-          label = "t";
-          machine = "nproc=1 ocaml=test";
-          cells =
-            [
-              { Experiments.Bench_history.subject = "cflow";
-                mode = "path";
-                shards = 0;
-                engine = "interp";
-                execs_per_sec = v;
-              };
-              { Experiments.Bench_history.subject = "gdk";
-                mode = "edge";
-                shards = 0;
-                engine = "interp";
-                execs_per_sec = 2. *. v;
-              };
-            ];
-        }
-      in
-      Experiments.Bench_history.append tmp (row "2026-08-01" 100_000.);
-      Experiments.Bench_history.append tmp (row "2026-08-02" 110_000.);
-      let loaded = Experiments.Bench_history.load tmp in
-      check Alcotest.int "two rows" 2 (List.length loaded);
-      let r0 = List.hd loaded in
-      check Alcotest.string "date" "2026-08-01"
-        r0.Experiments.Bench_history.date;
-      check Alcotest.string "source" "campaign"
-        r0.Experiments.Bench_history.source;
-      check Alcotest.int "cells" 2
-        (List.length r0.Experiments.Bench_history.cells);
-      check (Alcotest.float 0.01) "execs_per_sec" 100_000.
-        (List.hd r0.Experiments.Bench_history.cells)
-          .Experiments.Bench_history.execs_per_sec;
-      (* no regression at parity *)
-      check Alcotest.int "parity: no regressions" 0
-        (List.length
-           (Experiments.Bench_history.check ~threshold_pct:20. loaded
-              (row "2026-08-03" 105_000.)));
-      (* a >20% drop on one cell is flagged *)
-      let regs =
-        Experiments.Bench_history.check ~threshold_pct:20. loaded
-          {
-            Experiments.Bench_history.date = "2026-08-03";
-            source = "campaign";
-            label = "t";
-            machine = "";
-            cells =
-              [
-                { Experiments.Bench_history.subject = "cflow";
-                  mode = "path";
-                  shards = 0;
-                  engine = "interp";
-                  execs_per_sec = 50_000.;
-                };
-                { Experiments.Bench_history.subject = "gdk";
-                  mode = "edge";
-                  shards = 0;
-                  engine = "interp";
-                  execs_per_sec = 205_000.;
-                };
-              ];
-          }
-      in
-      check Alcotest.int "one regression" 1 (List.length regs);
-      let r = List.hd regs in
-      check Alcotest.string "regressed cell" "cflow/path"
-        r.Experiments.Bench_history.key;
-      check_bool "drop beyond threshold" true
-        (r.Experiments.Bench_history.drop_pct > 20.);
-      (* unknown cells and other sources are ignored *)
-      check Alcotest.int "different source: no baseline" 0
-        (List.length
-           (Experiments.Bench_history.check ~threshold_pct:20. loaded
-              {
-                Experiments.Bench_history.date = "d";
-                source = "throughput";
-                label = "";
-                machine = "";
-                cells =
-                  [
-                    { Experiments.Bench_history.subject = "cflow";
-                      mode = "path";
-                      shards = 0;
-                      engine = "interp";
-                      execs_per_sec = 1.;
-                    };
-                  ];
-              }));
-      (* shards partition the baseline: a sharded cell has no history
-         among the unsharded rows above, so it never trips the gate *)
-      check Alcotest.int "sharded cell: separate baseline" 0
-        (List.length
-           (Experiments.Bench_history.check ~threshold_pct:20. loaded
-              {
-                Experiments.Bench_history.date = "d";
-                source = "campaign";
-                label = "";
-                machine = "";
-                cells =
-                  [
-                    { Experiments.Bench_history.subject = "cflow";
-                      mode = "path";
-                      shards = 4;
-                      engine = "interp";
-                      execs_per_sec = 1.;
-                    };
-                  ];
-              }));
-      (* engines partition it too: a compiled cell never compares
-         against the interp rows above *)
-      check Alcotest.int "compiled cell: separate baseline" 0
-        (List.length
-           (Experiments.Bench_history.check ~threshold_pct:20. loaded
-              {
-                Experiments.Bench_history.date = "d";
-                source = "campaign";
-                label = "";
-                machine = "";
-                cells =
-                  [
-                    { Experiments.Bench_history.subject = "cflow";
-                      mode = "path";
-                      shards = 0;
-                      engine = "compiled";
-                      execs_per_sec = 1.;
-                    };
-                  ];
-              })))
-
-(* Pre-sharding history lines carry no "shards" field; they must load
-   with shards = 0, and round-trip lines must carry it explicitly. *)
-let test_bench_history_schema_tolerant () =
-  let tmp = Filename.temp_file "pathfuzz_hist_old" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
-    (fun () ->
-      let oc = open_out tmp in
-      output_string oc
-        ("{\"schema\": \"pathfuzz-history/v1\", \"date\": \"2026-01-01\", "
-       ^ "\"source\": \"campaign\", \"label\": \"legacy\", \"cells\": "
-       ^ "[{\"subject\": \"cflow\", \"mode\": \"path\", "
-       ^ "\"execs_per_sec\": 123456.0}]}\n");
-      close_out oc;
-      Experiments.Bench_history.append tmp
-        {
-          Experiments.Bench_history.date = "2026-01-02";
-          source = "campaign";
-          label = "sharded";
-          machine = "";
-          cells =
-            [
-              { Experiments.Bench_history.subject = "cflow";
-                mode = "path";
-                shards = 4;
-                engine = "interp";
-                execs_per_sec = 200_000.;
-              };
-            ];
-        };
-      match Experiments.Bench_history.load tmp with
-      | [ legacy; sharded ] ->
-          let lc = List.hd legacy.Experiments.Bench_history.cells in
-          check Alcotest.int "legacy line defaults to shards 0" 0
-            lc.Experiments.Bench_history.shards;
-          check Alcotest.string "legacy line defaults to interp engine"
-            "interp" lc.Experiments.Bench_history.engine;
-          check Alcotest.string "legacy line defaults to empty machine" ""
-            legacy.Experiments.Bench_history.machine;
-          check (Alcotest.float 0.01) "legacy execs/sec intact" 123_456.
-            lc.Experiments.Bench_history.execs_per_sec;
-          let sc = List.hd sharded.Experiments.Bench_history.cells in
-          check Alcotest.int "sharded cell round-trips" 4
-            sc.Experiments.Bench_history.shards;
-          check Alcotest.string "machine round-trips" ""
-            sharded.Experiments.Bench_history.machine
-      | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows))
-
-let test_bench_history_parses_bench_files () =
-  (* The checked-in bench baselines must stay ingestible. *)
-  List.iter
-    (fun path ->
-      if Sys.file_exists path then
-        match Experiments.Bench_history.cells_of_bench path with
-        | None -> Alcotest.failf "no cells block in %s" path
-        | Some cells ->
-            check_bool (path ^ " has cells") true (List.length cells > 0);
-            List.iter
-              (fun (c : Experiments.Bench_history.cell) ->
-                check_bool "subject non-empty" true (c.subject <> "");
-                check_bool "positive rate" true (c.execs_per_sec > 0.))
-              cells)
-    [ "../BENCH_throughput.json"; "../BENCH_campaign.json" ]
+(* Feedback mode names *)
 
 let test_mode_of_name () =
   let roundtrip m =
@@ -735,12 +530,6 @@ let suite =
         Alcotest.test_case "pool trial events" `Quick test_pool_trial_events;
         Alcotest.test_case "cull events and replays" `Quick
           test_cull_events_and_replays;
-        Alcotest.test_case "bench history roundtrip" `Quick
-          test_bench_history_roundtrip;
-        Alcotest.test_case "bench history parses bench files" `Quick
-          test_bench_history_parses_bench_files;
-        Alcotest.test_case "bench history shards schema tolerance" `Quick
-          test_bench_history_schema_tolerant;
         Alcotest.test_case "mode of name" `Quick test_mode_of_name;
         Alcotest.test_case "residual rows match a scan" `Quick
           test_residual_rows_sequential;

@@ -89,19 +89,30 @@ let test_differential_shard_counts () =
         [ false; true ])
     [ (Pathcov.Feedback.Edge, "edge"); (Pathcov.Feedback.Pathafl, "pathafl") ]
 
-(* A registry subject with a real block graph: same contract, plus the
-   virgin fingerprint helper used by the bench determinism report. *)
+(* Registry subjects with a real block graph: same contract, plus the
+   virgin fingerprint, on cflow under afl-style edge feedback and on gdk
+   under every campaign feedback mode with cmplog on. *)
 let test_differential_subject () =
-  let s = Subjects.Registry.find_exn "cflow" in
-  let prog = Subjects.Subject.compile_fresh s in
-  let r1 = run_sharded ~budget:1_500 ~shards:1 prog s.seeds in
-  let r2 = run_sharded ~budget:1_500 ~shards:2 prog s.seeds in
-  let r4 = run_sharded ~budget:1_500 ~shards:4 prog s.seeds in
-  check_identical "cflow 1v2" r1 r2;
-  check_identical "cflow 1v4" r1 r4;
-  check Alcotest.int "virgin fingerprints agree"
-    (Pathcov.Coverage_map.bytes_hash r1.virgin)
-    (Pathcov.Coverage_map.bytes_hash r4.virgin)
+  List.iter
+    (fun (name, mode, cmplog, budget) ->
+      let s = Subjects.Registry.find_exn name in
+      let prog = Subjects.Subject.compile_fresh s in
+      let run shards =
+        run_sharded ~budget ~mode ~cmplog ~shards prog s.seeds
+      in
+      let r1 = run 1 and r2 = run 2 and r4 = run 4 in
+      let label =
+        Printf.sprintf "%s %s" name (Pathcov.Feedback.mode_name mode)
+      in
+      check_identical (label ^ " 1v2") r1 r2;
+      check_identical (label ^ " 1v4") r1 r4;
+      check Alcotest.int (label ^ ": virgin fingerprints agree")
+        (Pathcov.Coverage_map.bytes_hash r1.virgin)
+        (Pathcov.Coverage_map.bytes_hash r4.virgin))
+    (("cflow", Pathcov.Feedback.Edge, false, 1_500)
+    :: List.map
+         (fun mode -> ("gdk", mode, true, 1_000))
+         Pathcov.Feedback.[ Block; Edge; Path; Pathafl ])
 
 (* Worker count is a pure wall-clock knob: undersubscribed (2 workers for
    4 shards) and fully inline (1 worker) runs match the one-per-shard

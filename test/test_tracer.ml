@@ -418,7 +418,7 @@ let test_release_unbinds_cached_artifact () =
   let prepared = Vm.Interp.prepare_cached prog in
   let art =
     Vm.Compile.cached ~cmplog:config.cmplog prepared
-      (Vm.Compile.Sfull config.mode)
+      config.mode
   in
   let probe = Weak.create 1 in
   let sink =
