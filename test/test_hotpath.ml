@@ -146,14 +146,26 @@ let test_campaign_allocation () =
    cmplog campaign's bulk candidates pay one flag test per comparison.
    Capturing on every execution (a dedupe scan plus a closure per
    executed comparison) measured ~760 minor words per exec here under
-   path; path and edge both measure ~19 now. A warm-up run keeps
-   artifact compilation out of the measurement. *)
+   path; path and edge both measure ~19 now. The sharded loop is held to
+   the same bound: two shards on one worker, so every lane runs on the
+   calling domain and [Gc.minor_words] sees all of its allocation (~21-26
+   words per exec, merge barriers and planning included). A warm-up run
+   keeps artifact compilation out of the measurement. *)
 let test_cmplog_campaign_allocation () =
   let s = Subjects.Registry.find_exn "sqlite3" in
   let prog = Subjects.Subject.compile_fresh s in
   let plans = Pathcov.Ball_larus.of_program prog in
+  let run ~sharded (config : Fuzz.Campaign.config) =
+    if sharded then
+      (Fuzz.Shard.run ~plans ~workers:1
+         { Fuzz.Shard.base = config; shards = 2;
+           sync_interval = Fuzz.Shard.default_sync_interval }
+         prog ~seeds:s.seeds)
+        .campaign
+    else Fuzz.Campaign.run ~plans ~config prog ~seeds:s.seeds
+  in
   List.iter
-    (fun (mode, engine) ->
+    (fun ((mode, engine), sharded) ->
       let config =
         {
           Fuzz.Campaign.default_config with
@@ -164,22 +176,23 @@ let test_cmplog_campaign_allocation () =
           engine;
         }
       in
-      ignore
-        (Fuzz.Campaign.run ~plans ~config:{ config with budget = 500 } prog
-           ~seeds:s.seeds);
+      ignore (run ~sharded { config with budget = 500 });
       let w0 = Gc.minor_words () in
-      let r = Fuzz.Campaign.run ~plans ~config prog ~seeds:s.seeds in
+      let r = run ~sharded config in
       let per_exec = (Gc.minor_words () -. w0) /. float_of_int r.execs in
       check_bool
         (Printf.sprintf
-           "%s %s cmplog campaign minor words per exec bounded (got %.1f)"
+           "%s %s%s cmplog campaign minor words per exec bounded (got %.1f)"
            (Pathcov.Feedback.mode_name mode)
            (Fuzz.Tracer.engine_name engine)
+           (if sharded then " sharded" else "")
            per_exec)
         true (per_exec < 32.))
     (List.concat_map
-       (fun mode -> [ (mode, Fuzz.Tracer.Fused); (mode, Fuzz.Tracer.Native) ])
-       [ Pathcov.Feedback.Path; Pathcov.Feedback.Edge ])
+       (fun cell -> [ (cell, false); (cell, true) ])
+       (List.concat_map
+          (fun mode -> [ (mode, Fuzz.Tracer.Fused); (mode, Fuzz.Tracer.Native) ])
+          [ Pathcov.Feedback.Path; Pathcov.Feedback.Edge ]))
 
 (* --- steady-state allocation: retention under pathafl --- *)
 
