@@ -310,29 +310,24 @@ let fuzz_cmd =
       if shards > 0 then Some (plain_mode_of_fuzzer ~flag:"--shards" fz)
       else None
     in
+    (* the campaign config of trial [trial_seed]: Strategy.run's Plain
+       path, so a sharded or checkpointed run fuzzes exactly like a plain
+       one *)
+    let config mode ~trial_seed =
+      Fuzz.Strategy.base_config ~engine ~budget ~trial_seed
+        ~cmplog:fz.cmplog mode
+    in
     (* Everything a snapshot identifies this run by; --resume refuses a
-       file whose recorded identity differs (sync_interval 0 marks the
-       sequential loop). *)
+       file whose recorded identity differs. *)
     let expected_id () : Fuzz.Checkpoint.config_id =
       let mode =
         match shard_mode with
         | Some m -> m
         | None -> plain_mode_of_fuzzer ~flag:"--checkpoint/--resume" fz
       in
-      let d = Fuzz.Campaign.default_config in
-      {
-        Fuzz.Checkpoint.subject = s.name;
-        fuzzer = fz.name;
-        mode = Pathcov.Feedback.mode_name mode;
-        cmplog = fz.cmplog;
-        rng_seed = trial;
-        budget;
-        fuel = d.fuel;
-        max_depth = d.max_depth;
-        map_size_log2 = d.map_size_log2;
-        max_queue = d.max_queue;
-        sync_interval = (if shards > 0 then sync_interval else 0);
-      }
+      Fuzz.Campaign.checkpoint_id (config mode ~trial_seed:trial)
+        ~subject:s.name ~fuzzer:fz.name
+        ~sync_interval:(if shards > 0 then sync_interval else 0)
     in
     (* The campaign's observer, exposed so the checkpoint save closure
        can charge write costs to the metrics registry and so the trace/
@@ -452,15 +447,7 @@ let fuzz_cmd =
               let obs = mk_obs ~tracks:(shards + 1) () in
               let cfg =
                 {
-                  Fuzz.Shard.base =
-                    {
-                      Fuzz.Campaign.default_config with
-                      mode;
-                      budget;
-                      rng_seed = trial + i;
-                      cmplog = fz.cmplog;
-                      engine;
-                    };
+                  Fuzz.Shard.base = config mode ~trial_seed:(trial + i);
                   shards;
                   sync_interval;
                 }
@@ -483,16 +470,7 @@ let fuzz_cmd =
              let plans = Pathcov.Ball_larus.of_program prog in
              let obs = mk_obs ~tracks:1 () in
              let mode = plain_mode_of_fuzzer ~flag:"--checkpoint/--resume" fz in
-             let config =
-               {
-                 Fuzz.Campaign.default_config with
-                 mode;
-                 budget;
-                 rng_seed = trial;
-                 cmplog = fz.cmplog;
-                 engine;
-               }
-             in
+             let config = config mode ~trial_seed:trial in
              let r =
                Fuzz.Campaign.run ~plans ?obs ~config ?checkpoint:ck_sink
                  ?resume:resume_ck prog ~seeds:s.seeds
@@ -644,14 +622,8 @@ let profile_cmd =
         let cfg =
           {
             Fuzz.Shard.base =
-              {
-                Fuzz.Campaign.default_config with
-                mode;
-                budget;
-                rng_seed = trial;
-                cmplog = fz.cmplog;
-                engine;
-              };
+              Fuzz.Strategy.base_config ~engine ~budget ~trial_seed:trial
+                ~cmplog:fz.cmplog mode;
             shards;
             sync_interval;
           }

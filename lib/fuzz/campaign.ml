@@ -14,7 +14,10 @@
     paths (retention, crashes, cycle boundaries, calibration). Observers
     obey the zero-perturbation rule — they never consume RNG draws and
     fuzzing decisions never branch on observer state — so observed and
-    unobserved campaigns run byte-identical trajectories (test-enforced). *)
+    unobserved campaigns run byte-identical trajectories (test-enforced).
+
+    {!Shard} runs sharded campaigns on this same state and these stages:
+    its coordinator and its lanes are states built by {!make_state}. *)
 
 type config = {
   mode : Pathcov.Feedback.mode;
@@ -120,8 +123,6 @@ type state = {
   triage : Triage.t;
   rng : Rng.t;
   mutable execs : int;  (** this campaign's executions (budget clock) *)
-  mutable blocks : int;
-  mutable havocs : int;
   mutable sample_every : int;  (** snapshot cadence in executions *)
   cmp_buf : cmp_buf;  (** calibration-run comparison pairs, program order *)
   scratch : Mutator.scratch;  (** pooled mutation buffer, reused per child *)
@@ -133,19 +134,21 @@ type state = {
           the counter block does) *)
   h_batch : Obs.Metrics.hist;  (** cohort sizes ([exec.batch_n]) *)
   h_dirty : Obs.Metrics.hist;  (** context dirty-reset widths *)
+  track : int;  (** trace track: 0, or a shard lane's index + 1 *)
 }
 
-(* Span brackets on the campaign's track (track 0): plain begin/end on
-   the preallocated ring when the observer carries a trace, nothing
-   otherwise. Observation-only — never consults RNG or feedback state. *)
+(* Span brackets on the state's trace track: plain begin/end on the
+   preallocated ring when the observer carries a trace, nothing
+   otherwise. Observation-only — never consults RNG or feedback state.
+   Each track is written by one domain only, so no locking. *)
 let trace_begin (st : state) (k : Obs.Trace.kind) : unit =
   match st.obs.trace with
-  | Some tr -> Obs.Trace.begin_span tr ~track:0 k
+  | Some tr -> Obs.Trace.begin_span tr ~track:st.track k
   | None -> ()
 
 let trace_end ?(arg = 0) (st : state) : unit =
   match st.obs.trace with
-  | Some tr -> Obs.Trace.end_span ~arg tr ~track:0 ()
+  | Some tr -> Obs.Trace.end_span ~arg tr ~track:st.track ()
   | None -> ()
 
 (* The instrumentation hook set installed in the context at state-creation
@@ -201,7 +204,6 @@ let pre_exec (st : state) : unit =
 
 let post_exec (st : state) (out : Vm.Interp.outcome) : unit =
   st.execs <- st.execs + 1;
-  st.blocks <- st.blocks + out.blocks_executed;
   let c = st.obs.counters in
   c.execs <- c.execs + 1;
   c.blocks <- c.blocks + out.blocks_executed;
@@ -235,16 +237,19 @@ let execute (st : state) (input : string) : Vm.Interp.outcome =
   post_exec st out;
   out
 
-(** Both substitution directions per captured pair, in capture order —
-    shared by the sequential calibration path and sharded work items. *)
-let cmps_of_buf (b : cmp_buf) : Mutator.cmp_pair array =
+(* Both substitution directions per captured pair, in capture order. *)
+let current_cmps (st : state) : Mutator.cmp_pair array =
+  let b = st.cmp_buf in
   Array.init (2 * b.n_cmps) (fun k ->
       let i = k lsr 1 in
       if k land 1 = 0 then
         { Mutator.observed = b.ops_a.(i); wanted = b.ops_b.(i) }
       else { Mutator.observed = b.ops_b.(i); wanted = b.ops_a.(i) })
 
-let current_cmps (st : state) : Mutator.cmp_pair array = cmps_of_buf st.cmp_buf
+(* A campaign-local exec anchor on the observer's exec clock, which runs
+   the campaign's plus the observer's count when the campaign started. *)
+let obs_exec (st : state) (at_exec : int) : int =
+  st.obs.counters.execs - st.execs + at_exec
 
 (* Crash/hang bookkeeping shared by every execution site — seed import,
    queue-entry calibration and mutated candidates all triage the same way,
@@ -266,11 +271,11 @@ let triage_outcome (st : state) (out : Vm.Interp.outcome) ~(input : string) : un
       trace_end st
   | Vm.Interp.Finished _ -> ()
 
-(* Queue-capacity bookkeeping for one evaluated finished exec. The
-   capacity check precedes the virgin merge: a full queue must not mark
-   coverage as seen without retaining an input reaching it, or that
-   coverage becomes unreachable for the whole run. *)
-let queue_full (st : state) : bool =
+(* Queue-capacity bookkeeping for one finished exec evaluated at
+   [at_exec]. The capacity check precedes the virgin merge: a full queue
+   must not mark coverage as seen without retaining an input reaching
+   it, or that coverage becomes unreachable for the whole run. *)
+let queue_full (st : state) ~(at_exec : int) : bool =
   Corpus.size st.corpus >= st.cfg.max_queue
   && begin
        (* drop counted per evaluated exec; the event fires once per
@@ -281,29 +286,37 @@ let queue_full (st : state) : bool =
        if c.queue_full_drops = 1 then
          Obs.Observer.event st.obs
            (Obs.Event.Queue_full
-              { at_exec = c.execs; queue = Corpus.size st.corpus });
+              { at_exec = obs_exec st at_exec; queue = Corpus.size st.corpus });
        true
      end
 
 (* Coverage-novelty verdict for the execution just finished. *)
 let novel (st : state) : bool =
-  (not (queue_full st))
+  (not (queue_full st ~at_exec:st.execs))
   && Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace
      <> Pathcov.Coverage_map.Nothing
 
-let retain (st : state) ~depth (out : Vm.Interp.outcome) (data : string) : unit
-    =
-  let indices = Pathcov.Coverage_map.sorted_set st.feedback.trace in
+(* Append an input that passed the novelty verdict to the queue, found
+   at campaign exec [at_exec] with the classified trace [indices]. *)
+let admit (st : state) ~(indices : Pathcov.Index_set.t) ~(data : string)
+    ~(exec_blocks : int) ~(depth : int) ~(at_exec : int) : unit =
   let e =
-    Corpus.add_set st.corpus ~data ~indices
-      ~exec_blocks:(max 1 out.blocks_executed) ~depth ~found_at:st.execs
+    Corpus.add_set st.corpus ~data ~indices ~exec_blocks ~depth
+      ~found_at:at_exec
   in
   Corpus.claim_top_rated st.corpus e;
   let c = st.obs.counters in
   c.retained <- c.retained + 1;
   Obs.Observer.event st.obs
     (Obs.Event.Retain
-       { at_exec = c.execs; id = e.id; len = String.length data; depth })
+       { at_exec = obs_exec st at_exec; id = e.id; len = String.length data;
+         depth })
+
+let retain (st : state) ~depth (out : Vm.Interp.outcome) (data : string) : unit
+    =
+  admit st
+    ~indices:(Pathcov.Coverage_map.sorted_set st.feedback.trace)
+    ~data ~exec_blocks:(max 1 out.blocks_executed) ~depth ~at_exec:st.execs
 
 (* The decision procedure, over the outcome of a run of the candidate
    view [v] that already went through [post_exec]. The candidate's
@@ -352,16 +365,31 @@ let add_seed (st : state) (input : string) : unit =
         (Obs.Event.Seed_import { at_exec = c.execs; len = String.length input });
       retain st ~depth:0 out input
 
+(* Import the seed directory; never start with an empty queue. *)
+let add_seeds (st : state) (seeds : string list) : unit =
+  List.iter (add_seed st) seeds;
+  if Corpus.size st.corpus = 0 then add_seed st "A";
+  if Corpus.size st.corpus = 0 then
+    (* even "A" crashes; fall back to an entry with no coverage *)
+    ignore
+      (Corpus.add st.corpus ~data:"A" ~indices:[||] ~exec_blocks:1 ~depth:0
+         ~found_at:st.execs)
+
 (** One calibration run of a queue entry, capturing cmplog operand pairs
     for input-to-state mutation (the colorization stage of AFL++). The
     outcome flows through the same triage/novelty path as [process]: a
     crash or hang here — possible for the synthetic fallback entry, whose
-    data never executed cleanly — must be recorded, not discarded. *)
-let calibrate (st : state) (e : Corpus.entry) : Mutator.cmp_pair array =
+    data never executed cleanly — must be recorded, not discarded.
+    [on_fault] replaces that triage (a shard lane captures instead). *)
+let calibrate ?on_fault (st : state) (e : Corpus.entry) :
+    Mutator.cmp_pair array =
   trace_begin st Obs.Trace.Calibrate;
   let out = capturing st.tracer st.cmp_buf (fun () -> execute st e.data) in
   (match out.status with
-  | Vm.Interp.Crashed _ | Vm.Interp.Hung -> triage_outcome st out ~input:e.data
+  | Vm.Interp.Crashed _ | Vm.Interp.Hung -> (
+      match on_fault with
+      | Some f -> f out
+      | None -> triage_outcome st out ~input:e.data)
   | Vm.Interp.Finished _ ->
       ignore (Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace));
   let c = st.obs.counters in
@@ -382,9 +410,6 @@ let entry_skip (rng : Rng.t) ~(pending_favored : int) (e : Corpus.entry) : bool
   else if e.times_fuzzed > 0 then Rng.chance rng ~num:95 ~den:100
   else Rng.chance rng ~num:75 ~den:100
 
-let should_skip (st : state) (e : Corpus.entry) : bool =
-  entry_skip st.rng ~pending_favored:st.corpus.pending_favored e
-
 (** Havoc energy for one queue entry (a simplified perf_score) — a pure
     function of the entry and the budget, shared with the shard planner. *)
 let entry_energy ~(budget : int) (e : Corpus.entry) : int =
@@ -393,9 +418,6 @@ let entry_energy ~(budget : int) (e : Corpus.entry) : int =
   let base = if e.times_fuzzed = 0 then base * 2 else base in
   let base = if e.depth > 4 then base * 5 / 4 else base in
   min base (max 8 (budget / 64))
-
-let energy (st : state) (e : Corpus.entry) : int =
-  entry_energy ~budget:st.cfg.budget e
 
 (* O(1) random splice peer. The RNG draw is mapped to the same entry the
    List.nth-over-newest-first walk used to select (draw [k] is the [k]-th
@@ -407,14 +429,27 @@ let random_other (st : state) (e : Corpus.entry) : string option =
     let pick = Corpus.get st.corpus (n - 1 - Rng.int st.rng n) in
     if pick.id = e.id then None else Some pick.data
 
-(** Build a fresh campaign state. Exposed (alongside [execute],
-    [add_seed], [process] and [calibrate]) so tests can drive individual
-    pipeline stages directly. *)
-let make_state ?plans ?obs ?(config = default_config) (prog : Minic.Ir.program)
-    : state =
+(** Build a fresh campaign state, or with [lane] shard lane [lane]: a
+    private artifact (its rebindable state is single-threaded, so never
+    the per-domain cache), trace track [lane + 1], and private counters
+    and metrics behind the null sink — events stay coordinator-only. *)
+let make_state ?plans ?obs ?lane ?(config = default_config)
+    (prog : Minic.Ir.program) : state =
   if config.selective then
     invalid_arg "Campaign: selective tracing was removed";
   let obs = match obs with Some o -> o | None -> Obs.Observer.null () in
+  let track = match lane with Some l -> l + 1 | None -> 0 in
+  let obs =
+    match lane with
+    | None -> obs
+    | Some _ ->
+        let trace =
+          match obs.trace with
+          | Some tr when track < Obs.Trace.n_tracks tr -> Some tr
+          | _ -> None
+        in
+        Obs.Observer.create ?clock:obs.clock ?trace ()
+  in
   let feedback =
     Pathcov.Feedback.make ~size_log2:config.map_size_log2 ?plans config.mode prog
   in
@@ -422,15 +457,15 @@ let make_state ?plans ?obs ?(config = default_config) (prog : Minic.Ir.program)
   let cmp_buf = make_cmp_buf () in
   let hooks = make_hooks config feedback cmp_buf in
   (match obs.trace with
-  | Some tr -> Obs.Trace.begin_span tr ~track:0 Obs.Trace.Compile
+  | Some tr -> Obs.Trace.begin_span tr ~track Obs.Trace.Compile
   | None -> ());
   let tracer =
-    Tracer.make ?plans ?clock:obs.clock ~engine:config.engine
-      ~selective:false ~cmplog:config.cmplog ~mode:config.mode
-      prepared
+    Tracer.make ?plans ?clock:obs.clock ~shared:(lane = None)
+      ~engine:config.engine ~selective:false ~cmplog:config.cmplog
+      ~mode:config.mode prepared
   in
   (match obs.trace with
-  | Some tr -> Obs.Trace.end_span tr ~track:0 ()
+  | Some tr -> Obs.Trace.end_span tr ~track ()
   | None -> ());
   (match Tracer.emit_fallback tracer with
   | Some reason -> Obs.Observer.event obs (Obs.Event.Emit_fallback { reason })
@@ -445,12 +480,14 @@ let make_state ?plans ?obs ?(config = default_config) (prog : Minic.Ir.program)
     virgin = Pathcov.Coverage_map.create_virgin ~size_log2:config.map_size_log2 ();
     crash_virgin =
       Pathcov.Coverage_map.create_virgin ~size_log2:config.map_size_log2 ();
-    corpus = Corpus.create ~map_size_log2:config.map_size_log2 ();
+    corpus =
+      (* a lane's queue stays empty: no top-rated table *)
+      (match lane with
+      | None -> Corpus.create ~map_size_log2:config.map_size_log2 ()
+      | Some _ -> Corpus.create ());
     triage = Triage.create ~obs ();
     rng = Rng.create config.rng_seed;
     execs = 0;
-    blocks = 0;
-    havocs = 0;
     sample_every = max 1 (config.budget / 64);
     cmp_buf;
     scratch = Mutator.create_scratch ();
@@ -458,52 +495,59 @@ let make_state ?plans ?obs ?(config = default_config) (prog : Minic.Ir.program)
     mut_words = [| 0. |];
     h_batch = Obs.Metrics.hist obs.metrics "exec.batch_n";
     h_dirty = Obs.Metrics.hist obs.metrics "vm.dirty_reset_w";
+    track;
   }
 
-(** The snapshot of a sequential campaign at a cycle boundary, under the
-    identity fields carried by the checkpoint sink ([sync_interval = 0]
-    marks the sequential loop). The planner-cursor slots of [progress]
-    are unused here — the whole cursor is the exec clock. *)
-let capture_checkpoint (st : state) ~(subject : string) ~(fuzzer : string) :
-    Checkpoint.t =
+(** The identity a snapshot records and [--resume] checks: every config
+    field that shapes the trajectory (not the engine, so snapshots resume
+    under any), the names, and the merge-barrier interval (0: sequential). *)
+let checkpoint_id (cfg : config) ~(subject : string) ~(fuzzer : string)
+    ~(sync_interval : int) : Checkpoint.config_id =
+  {
+    Checkpoint.subject = subject;
+    fuzzer;
+    mode = Pathcov.Feedback.mode_name cfg.mode;
+    cmplog = cfg.cmplog;
+    rng_seed = cfg.rng_seed;
+    budget = cfg.budget;
+    fuel = cfg.fuel;
+    max_depth = cfg.max_depth;
+    map_size_log2 = cfg.map_size_log2;
+    max_queue = cfg.max_queue;
+    sync_interval;
+  }
+
+(** The snapshot of a campaign at a cycle boundary (sequential loop) or
+    merge barrier (sharded, [sync_interval > 0]). [planner] fills the
+    sharded planner's cursor slots of [progress]; the sequential loop
+    leaves them zero — its whole cursor is the exec clock. *)
+let capture_checkpoint ?(sync_interval = 0) ?(planner = Fun.id) (st : state)
+    ~(subject : string) ~(fuzzer : string) : Checkpoint.t =
   settle_walls st;
+  let c = st.obs.counters in
   Checkpoint.capture
-    ~id:
-      {
-        Checkpoint.subject;
-        fuzzer;
-        mode = Pathcov.Feedback.mode_name st.cfg.mode;
-        cmplog = st.cfg.cmplog;
-        rng_seed = st.cfg.rng_seed;
-        budget = st.cfg.budget;
-        fuel = st.cfg.fuel;
-        max_depth = st.cfg.max_depth;
-        map_size_log2 = st.cfg.map_size_log2;
-        max_queue = st.cfg.max_queue;
-        sync_interval = 0;
-      }
+    ~id:(checkpoint_id st.cfg ~subject ~fuzzer ~sync_interval)
     ~progress:
-      {
-        Checkpoint.execs = st.execs;
-        blocks = st.blocks;
-        havocs = st.havocs;
-        rng_state = Rng.state st.rng;
-        items_total = 0;
-        cycle_len = 0;
-        next_qi = 0;
-        epochs = 0;
-        dup_dropped = 0;
-      }
+      (planner
+         {
+           Checkpoint.execs = st.execs;
+           blocks = c.blocks;
+           havocs = c.havocs;
+           rng_state = Rng.state st.rng;
+           items_total = 0;
+           cycle_len = 0;
+           next_qi = 0;
+           epochs = 0;
+           dup_dropped = 0;
+         })
     ~virgin:st.virgin ~crash_virgin:st.crash_virgin ~corpus:st.corpus
-    ~triage:st.triage ~counters:st.obs.counters
+    ~triage:st.triage ~counters:c
     ~snapshots:(Obs.Observer.snapshots st.obs)
 
-(** Load a cycle-boundary snapshot into freshly built campaign state:
-    queue, triage, both virgin maps, the campaign RNG position, the
-    exec/block/havoc clocks, the counter block and the recorded snapshot
-    rows (preloaded without sink emission). The caller is responsible
-    for config validation ({!Checkpoint.check_compat}); only the map
-    size — which would make the blit fault — is re-checked here. *)
+(** Load a snapshot into freshly built campaign state (snapshot rows are
+    preloaded without sink emission). Config validation is the caller's
+    job; only the map size — which would make the blit fault — is
+    re-checked here. *)
 let restore_checkpoint (st : state) (ck : Checkpoint.t) : unit =
   if ck.Checkpoint.id.map_size_log2 <> st.cfg.map_size_log2 then
     invalid_arg "Campaign.restore_checkpoint: map size disagrees with config";
@@ -513,44 +557,65 @@ let restore_checkpoint (st : state) (ck : Checkpoint.t) : unit =
   Pathcov.Coverage_map.restore_raw st.crash_virgin ck.Checkpoint.crash_virgin;
   Rng.set_state st.rng ck.Checkpoint.progress.rng_state;
   st.execs <- ck.Checkpoint.progress.execs;
-  st.blocks <- ck.Checkpoint.progress.blocks;
-  st.havocs <- ck.Checkpoint.progress.havocs;
   Obs.Counters.add_into ~into:st.obs.counters ck.Checkpoint.counters;
   Obs.Observer.preload_snapshots st.obs (Array.to_list ck.Checkpoint.snapshots)
 
-(* One havoc-mutated candidate built into the scratch, counted and (when
-   the observer carries a clock) timed. *)
-let mutate (st : state) ~cmps ?splice_with (data : string) : unit =
-  st.havocs <- st.havocs + 1;
+(* One havoc-mutated candidate drawn from [rng] into the scratch,
+   counted and (when the observer carries a clock) timed. *)
+let mutate (st : state) ~(rng : Rng.t) ~cmps ?splice_with (data : string) :
+    unit =
   let c = st.obs.counters in
   c.havocs <- c.havocs + 1;
   (match splice_with with Some _ -> c.splices <- c.splices + 1 | None -> ());
   if Array.length cmps > 0 then c.i2s_cands <- c.i2s_cands + 1;
   trace_begin st Obs.Trace.Mutate;
   (match st.obs.clock with
-  | None -> Mutator.havoc_in_place st.scratch ~cmps ?splice_with st.rng data
+  | None -> Mutator.havoc_in_place st.scratch ~cmps ?splice_with rng data
   | Some now ->
       let w0 = Gc.minor_words () in
       let t0 = now () in
-      Mutator.havoc_in_place st.scratch ~cmps ?splice_with st.rng data;
+      Mutator.havoc_in_place st.scratch ~cmps ?splice_with rng data;
       c.mut_s <- c.mut_s +. (now () -. t0);
       let mw = st.mut_words in
       mw.(0) <- mw.(0) +. (Gc.minor_words () -. w0));
   trace_end st
 
-(* Drain the engine-level tallies into the observer's metrics registry.
+(* Start a queue cycle at campaign exec [at_exec]: recompute the favored
+   set and announce it. Returns the cycle's length — entries are
+   append-only, so the queue size at the boundary bounds the pass and
+   entries found mid-cycle wait for the next one. *)
+let start_cycle (st : state) ~(at_exec : int) : int =
+  Corpus.recompute_favored st.corpus;
+  let c = st.obs.counters in
+  c.cycles <- c.cycles + 1;
+  let fav = ref 0 in
+  Corpus.iter (fun e -> if e.favored then incr fav) st.corpus;
+  c.favored <- !fav;
+  c.pending_favored <- st.corpus.pending_favored;
+  Obs.Observer.event st.obs
+    (Obs.Event.Favored_cycle
+       {
+         at_exec = obs_exec st at_exec;
+         queue = Corpus.size st.corpus;
+         favored = !fav;
+         pending = st.corpus.pending_favored;
+       });
+  Corpus.size st.corpus
+
+(* Drain the engine-level tallies of [tracers] (the campaign's, plus a
+   sharded campaign's lanes') into the observer's metrics registry.
    Runs once per campaign at budget exhaustion — a deterministic point —
    so registration order (and hence every dump) is reproducible. Gauges
    use set semantics: the sources are cumulative (per artifact / per
    domain), so the latest reading is the total. *)
-let harvest_metrics (st : state) : unit =
+let harvest_metrics (st : state) (tracers : Tracer.t list) : unit =
   let m = st.obs.metrics in
   let c = st.obs.counters in
   Obs.Metrics.set_wall (Obs.Metrics.wall m "campaign.vm_s") c.vm_s;
   Obs.Metrics.set_wall (Obs.Metrics.wall m "campaign.mut_s") c.mut_s;
   Obs.Metrics.add_wall
     (Obs.Metrics.wall m "engine.compile_s")
-    (Tracer.compile_seconds st.tracer);
+    (List.fold_left (fun a t -> a +. Tracer.compile_seconds t) 0. tracers);
   let hits, misses = Vm.Compile.cache_stats () in
   Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_hits") hits;
   Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_misses") misses;
@@ -565,14 +630,18 @@ let harvest_metrics (st : state) : unit =
       Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_misses") e.cache_misses;
       Obs.Metrics.set (Obs.Metrics.gauge m "emit.fallbacks") e.fallbacks
   | Tracer.Interp | Tracer.Fused -> ());
-  match Tracer.artifact_stats st.tracer with
-  | None -> ()
-  | Some (r, s) ->
-      Obs.Metrics.set (Obs.Metrics.gauge m "engine.rollbacks")
-        r.Vm.Compile.rollbacks;
+  (* rollbacks and careful units add up over the artifacts; the fusion
+     shape is the same for every artifact of one subject *)
+  match List.filter_map Tracer.artifact_stats tracers with
+  | [] -> ()
+  | (_, s) :: _ as all ->
+      let sum f = List.fold_left (fun a (r, _) -> a + f r) 0 all in
+      Obs.Metrics.set
+        (Obs.Metrics.gauge m "engine.rollbacks")
+        (sum (fun r -> r.Vm.Compile.rollbacks));
       Obs.Metrics.set
         (Obs.Metrics.gauge m "engine.careful_units")
-        r.Vm.Compile.careful_units;
+        (sum (fun r -> r.Vm.Compile.careful_units));
       Obs.Metrics.set (Obs.Metrics.gauge m "fusion.chains") s.Vm.Compile.chains;
       Obs.Metrics.set
         (Obs.Metrics.gauge m "fusion.chain_blocks")
@@ -584,31 +653,56 @@ let harvest_metrics (st : state) : unit =
         (Obs.Metrics.gauge m "fusion.dup_instrs")
         s.Vm.Compile.dup_instrs
 
+(* The observer's counters and snapshot count when a run starts: the
+   run reports its own deltas against them, since a shared observer
+   (culling rounds, the opportunistic driver, benches) accumulates
+   across runs. *)
+type baseline = { c0 : Obs.Counters.t; snap0 : int }
+
+let baseline (st : state) : baseline =
+  let c0 = Obs.Counters.create () in
+  Obs.Counters.add_into ~into:c0 st.obs.counters;
+  { c0; snap0 = st.obs.n_snapshots }
+
+(** End a run at budget exhaustion: harvest the engine metrics of
+    [tracers], release the campaign's tracer (a per-domain cached
+    artifact outlives the campaign; unbinding it stops it keeping this
+    campaign's trace map and cmplog buffer alive) and report the run's
+    deltas against [b]. *)
+let finish (st : state) (b : baseline) ~(tracers : Tracer.t list) : result =
+  harvest_metrics st tracers;
+  Tracer.release st.tracer;
+  let c = st.obs.counters in
+  let snapshots = Obs.Observer.snapshots_from st.obs ~from:b.snap0 in
+  {
+    config = st.cfg;
+    corpus = st.corpus;
+    triage = st.triage;
+    execs = st.execs;
+    (* derived view over this run's snapshot rows, in the historical
+       (campaign-local execs, queue size) shape *)
+    queue_series =
+      List.map
+        (fun (r : Obs.Snapshot.row) -> (r.at_exec - b.c0.execs, r.queue))
+        snapshots;
+    sum_exec_blocks = c.blocks - b.c0.blocks;
+    havocs = c.havocs - b.c0.havocs;
+    snapshots;
+    vm_s = c.vm_s -. b.c0.vm_s;
+    mut_s = c.mut_s -. b.c0.mut_s;
+    mut_minor_words = c.mut_minor_words -. b.c0.mut_minor_words;
+  }
+
 (** {!run}'s loop over a state built by {!make_state}; the state's
     tracer is released on return. *)
 let run_state ?(checkpoint : Checkpoint.sink option)
     ?(resume : Checkpoint.t option) (st : state) ~(seeds : string list) :
     result =
   let config = st.cfg in
-  let c = st.obs.counters in
-  (* deltas vs the observer's state at entry: a shared observer (culling
-     rounds, the opportunistic driver, benches) accumulates globally
-     while each run reports its own share *)
-  let exec_base = c.execs in
-  let snap_base = st.obs.n_snapshots in
-  let vm_s0 = c.vm_s and mut_s0 = c.mut_s in
-  let mut_minor_words0 = c.mut_minor_words in
+  let base = baseline st in
   (match resume with
   | Some ck -> restore_checkpoint st ck
-  | None ->
-      List.iter (add_seed st) seeds;
-      (* Never start with an empty queue: synthesise a minimal seed. *)
-      if Corpus.size st.corpus = 0 then add_seed st "A";
-      if Corpus.size st.corpus = 0 then
-        (* even "A" crashes; fall back to an entry with no coverage *)
-        ignore
-          (Corpus.add st.corpus ~data:"A" ~indices:[||] ~exec_blocks:1 ~depth:0
-             ~found_at:st.execs));
+  | None -> add_seeds st seeds);
   (* The snapshot schedule is a pure function of the exec clock
      (Checkpoint.next_mark), so straight and resumed runs write the same
      remaining snapshots at the same boundaries. *)
@@ -624,29 +718,16 @@ let run_state ?(checkpoint : Checkpoint.sink option)
         trace_end st;
         next_mark := Checkpoint.next_mark ~every:sk.every ~execs:st.execs
     | _ -> ());
-    Corpus.recompute_favored st.corpus;
-    c.cycles <- c.cycles + 1;
-    let fav = ref 0 in
-    Corpus.iter (fun e -> if e.favored then incr fav) st.corpus;
-    c.favored <- !fav;
-    c.pending_favored <- st.corpus.pending_favored;
-    Obs.Observer.event st.obs
-      (Obs.Event.Favored_cycle
-         {
-           at_exec = c.execs;
-           queue = Corpus.size st.corpus;
-           favored = !fav;
-           pending = st.corpus.pending_favored;
-         });
-    (* index-preserving snapshot: entries are append-only, so the queue
-       length bounds this cycle's pass and entries found mid-cycle wait
-       for the next one — exactly the semantics of the old list copy *)
-    let cycle_len = Corpus.size st.corpus in
+    let cycle_len = start_cycle st ~at_exec:st.execs in
     for qi = 0 to cycle_len - 1 do
       let e = Corpus.get st.corpus qi in
-      if st.execs < config.budget && not (should_skip st e) then begin
+      if
+        st.execs < config.budget
+        && not
+             (entry_skip st.rng ~pending_favored:st.corpus.pending_favored e)
+      then begin
         let cmps = if config.cmplog then calibrate st e else [||] in
-        let n = energy st e in
+        let n = entry_energy ~budget:config.budget e in
         (* Batched cohort: the whole energy allotment runs back-to-back
            through one [evaluate] call. Each candidate ticks the budget
            clock exactly once (replays don't), so the cohort size is
@@ -657,7 +738,8 @@ let run_state ?(checkpoint : Checkpoint.sink option)
           Obs.Metrics.observe st.h_batch count;
           trace_begin st Obs.Trace.Exec;
           evaluate st ~depth ~n:count ~gen:(fun _ ->
-              mutate st ~cmps ?splice_with:(random_other st e) e.data;
+              mutate st ~rng:st.rng ~cmps ?splice_with:(random_other st e)
+                e.data;
               (st.scratch.buf, st.scratch.len));
           trace_end ~arg:count st
         end;
@@ -670,29 +752,7 @@ let run_state ?(checkpoint : Checkpoint.sink option)
   (* final snapshot row: budget exhausted (kept even when it duplicates a
      cadence row, matching the historical queue_series tail sample) *)
   take_snapshot st;
-  harvest_metrics st;
-  (* a per-domain cached artifact outlives the campaign: unbind it so it
-     stops keeping this campaign's trace map and cmplog buffer alive *)
-  Tracer.release st.tracer;
-  let snapshots = Obs.Observer.snapshots_from st.obs ~from:snap_base in
-  {
-    config;
-    corpus = st.corpus;
-    triage = st.triage;
-    execs = st.execs;
-    (* derived view over this run's snapshot rows, in the historical
-       (campaign-local execs, queue size) shape *)
-    queue_series =
-      List.map
-        (fun (r : Obs.Snapshot.row) -> (r.at_exec - exec_base, r.queue))
-        snapshots;
-    sum_exec_blocks = st.blocks;
-    havocs = st.havocs;
-    snapshots;
-    vm_s = c.vm_s -. vm_s0;
-    mut_s = c.mut_s -. mut_s0;
-    mut_minor_words = c.mut_minor_words -. mut_minor_words0;
-  }
+  finish st base ~tracers:[ st.tracer ]
 
 (** Run a campaign. [plans] shares a precomputed Ball–Larus artifact;
     [obs] supplies the observer (counters, snapshot log, event sink and

@@ -103,15 +103,6 @@ val make_cmp_buf : unit -> cmp_buf
     at all. *)
 val capturing : Tracer.t -> cmp_buf -> (unit -> 'a) -> 'a
 
-(** Both substitution directions per captured pair, in capture order. *)
-val cmps_of_buf : cmp_buf -> Mutator.cmp_pair array
-
-(** The instrumentation hook set a campaign installs in its execution
-    context (the cmplog probe exists only when the config asks for it,
-    and records only inside {!capturing}) — sharded campaigns build one
-    per shard. *)
-val make_hooks : config -> Pathcov.Feedback.t -> cmp_buf -> Vm.Interp.hooks
-
 (** afl-fuzz's fuzz_one skip probabilities over an explicit RNG and
     queue state (the sharded planner draws from its own stream). *)
 val entry_skip : Rng.t -> pending_favored:int -> Corpus.entry -> bool
@@ -136,9 +127,9 @@ type state = {
   triage : Triage.t;
   rng : Rng.t;
   mutable execs : int;  (** this campaign's executions (budget clock) *)
-  mutable blocks : int;
-  mutable havocs : int;
-  mutable sample_every : int;  (** snapshot cadence in executions *)
+  mutable sample_every : int;
+      (** snapshot cadence in executions ([max_int] under {!Shard},
+          which samples at merge barriers) *)
   cmp_buf : cmp_buf;  (** calibration-run comparison pairs, program order *)
   scratch : Mutator.scratch;  (** pooled mutation buffer, reused per child *)
   obs : Obs.Observer.t;
@@ -153,12 +144,17 @@ type state = {
           observer's metrics registry at state creation *)
   h_dirty : Obs.Metrics.hist;
       (** context dirty-reset widths ([vm.dirty_reset_w]) *)
+  track : int;  (** span-trace track: 0, or a shard lane's index + 1 *)
 }
 
-(** Build a fresh campaign state. *)
+(** Build a fresh campaign state. With [lane], shard lane [lane] of a
+    {!Shard} run: a private compiled artifact, trace track [lane + 1] of
+    [obs]'s trace, and a private counter block and metrics registry
+    behind the null sink (events stay coordinator-only). *)
 val make_state :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?obs:Obs.Observer.t ->
+  ?lane:int ->
   ?config:config ->
   Minic.Ir.program ->
   state
@@ -187,22 +183,91 @@ val add_seed : state -> string -> unit
 val process : state -> depth:int -> string -> unit
 
 (** One calibration run of a queue entry — the only run that captures
-    cmplog operand pairs; the outcome is triaged exactly like
-    {!process}'s. *)
-val calibrate : state -> Corpus.entry -> Mutator.cmp_pair array
+    cmplog operand pairs; a crash or hang is triaged like {!process}'s,
+    or handed to [on_fault] instead (a shard lane captures it). *)
+val calibrate :
+  ?on_fault:(Vm.Interp.outcome -> unit) ->
+  state -> Corpus.entry -> Mutator.cmp_pair array
+
+(** {2 Stages shared with {!Shard}}
+
+    A sharded campaign's coordinator and lanes are states built by
+    {!make_state}, and run through these stages. *)
+
+(** Span brackets on the state's trace track (no-ops without a trace). *)
+val trace_begin : state -> Obs.Trace.kind -> unit
+val trace_end : ?arg:int -> state -> unit
+
+(** Reset the listener state and trace map before one VM run. *)
+val pre_exec : state -> unit
+
+(** Account one VM run and classify its trace for novelty checks;
+    samples a snapshot row every [sample_every] executions. *)
+val post_exec : state -> Vm.Interp.outcome -> unit
+
+(** [n] candidates through the state's tracer: [gen k] builds candidate
+    [k], [sink k out] consumes its outcome before [gen (k + 1)] runs. *)
+val cohort : state -> n:int -> gen:(int -> Bytes.t * int) ->
+  sink:(int -> Vm.Interp.outcome -> unit) -> unit
+
+(** One havoc-mutated candidate drawn from [rng] into [scratch]; counted,
+    and timed when the observer has a clock. *)
+val mutate : state -> rng:Rng.t -> cmps:Mutator.cmp_pair array ->
+  ?splice_with:string -> string -> unit
+
+(** Fold the tracer's VM wall and the mutator's minor words into the
+    counter block. *)
+val settle_walls : state -> unit
+
+(** Append one snapshot row (walls settled first). *)
+val take_snapshot : state -> unit
+
+(** {!add_seed} each seed; a queue left empty gets a synthetic entry. *)
+val add_seeds : state -> string list -> unit
+
+(** Start a queue cycle at campaign exec [at_exec]: recompute and
+    announce the favored set. Returns the queue size (the cycle bound). *)
+val start_cycle : state -> at_exec:int -> int
+
+(** Is the queue full for a finished exec at [at_exec]? Counts the drop
+    (announcing the first); checked before any virgin merge. *)
+val queue_full : state -> at_exec:int -> bool
+
+(** Append a coverage-novel input found at campaign exec [at_exec] to
+    the queue, claim its top-rated slots, count and announce it. *)
+val admit : state -> indices:Pathcov.Index_set.t -> data:string ->
+  exec_blocks:int -> depth:int -> at_exec:int -> unit
+
+(** The observer's counters at the start of a run. *)
+type baseline
+
+val baseline : state -> baseline
+
+(** End a run: harvest the engine metrics of [tracers], release the
+    state's tracer, report the run's deltas against the baseline. *)
+val finish : state -> baseline -> tracers:Tracer.t list -> result
 
 (** {2 Checkpoint/resume}
 
     Exposed so tests can capture and restore mid-campaign state without
     going through {!run}'s sink plumbing. *)
 
-(** Snapshot the campaign at a cycle boundary ([sync_interval = 0] in the
-    recorded identity). *)
+(** The identity a snapshot records and [--resume] checks
+    ({!Checkpoint.check_compat}); [sync_interval = 0] marks the
+    sequential loop. The one place a {!Checkpoint.config_id} is built. *)
+val checkpoint_id : config -> subject:string -> fuzzer:string ->
+  sync_interval:int -> Checkpoint.config_id
+
+(** Snapshot the campaign at a cycle boundary, or at a sharded merge
+    barrier: [sync_interval] (default 0) goes into the identity and
+    [planner] fills the planner-cursor slots of the progress record. *)
 val capture_checkpoint :
+  ?sync_interval:int -> ?planner:(Checkpoint.progress -> Checkpoint.progress) ->
   state -> subject:string -> fuzzer:string -> Checkpoint.t
 
 (** Load a snapshot into freshly built state (queue, triage, virgin maps,
-    RNG position, clocks, counters, snapshot rows). Config validation is
-    the caller's job ({!Checkpoint.check_compat}); only the map size is
+    RNG position, exec clock, counters, snapshot rows); a sharded caller
+    reads its planner cursor from the snapshot. Config validation is the
+    caller's job ({!Checkpoint.check_compat}); only the map size is
     re-checked. *)
 val restore_checkpoint : state -> Checkpoint.t -> unit

@@ -2,18 +2,20 @@
     OCaml 5 domains with an execution-count synchronization schedule.
 
     A sharded run is organised as a sequence of {e epochs}. The
-    coordinator plans each epoch deterministically — walking the queue in
-    cycle order with the sequential scheduler's skip/energy rules, one
-    private RNG stream per work item keyed by the item's position in the
-    global schedule — then fans the items out round-robin over the shard
-    pool. Each shard evaluates its items against a private virgin overlay
-    seeded from the epoch-start global map and records discoveries as
-    sparse captures; the barrier replays them against the shared state in
-    global item order. The merged trajectory (queue contents and order,
-    virgin-map bytes, crash set, counters) is therefore a deterministic
-    function of [(seed, sync_interval)] alone — byte-identical across
-    re-runs {e and across shard/worker counts}, which is what the
-    differential suite and the CI determinism smoke check enforce.
+    coordinator — a {!Campaign.state} owning the shared queue, virgin
+    maps, triage and observer — plans each epoch deterministically
+    (walking the queue in cycle order with the sequential scheduler's
+    skip/energy rules, one private RNG stream per work item keyed by the
+    item's position in the global schedule), then fans the items out
+    round-robin over N lanes, each a {!Campaign.state} built with
+    [~lane]. A lane runs its items through the campaign stages against a
+    private virgin overlay seeded from the epoch-start global map and
+    records discoveries as sparse captures; the barrier replays them
+    against the coordinator in global item order. The merged trajectory
+    (queue contents and order, virgin-map bytes, crash set, counters) is
+    therefore a deterministic function of [(seed, sync_interval)] alone
+    — byte-identical across re-runs {e and across shard/worker counts},
+    which the differential suite and the CI determinism smoke enforce.
     DESIGN.md §8 gives the full schedule and determinism argument. *)
 
 type config = {
@@ -44,7 +46,7 @@ type result = {
     (default: one worker per shard); it is purely a wall-clock knob —
     any value yields byte-identical results. [plans] and [obs] behave as
     in {!Campaign.run}; the observer's optional clock enables the same
-    vm/mutator wall split, accumulated per shard and aggregated at each
+    vm/mutator wall split, accumulated per lane and aggregated at each
     barrier under the zero-perturbation rule.
 
     [checkpoint] writes a {!Checkpoint.t} at each merge barrier crossing

@@ -58,6 +58,18 @@ type run_result = {
     sharded CLI path reports a {!Shard.result.campaign} through this). *)
 val of_campaign : string -> Campaign.result -> run_result
 
+(** The campaign config of one plain phase: {!Campaign.default_config}
+    with the given feedback mode, budget, trial seed, cmplog switch,
+    engine (default {!Tracer.matrix_engine}) and map size. *)
+val base_config :
+  ?engine:Tracer.engine ->
+  ?map_size_log2:int ->
+  budget:int ->
+  trial_seed:int ->
+  cmplog:bool ->
+  Pathcov.Feedback.mode ->
+  Campaign.config
+
 (** Run [fuzzer] on a program for [budget] executions. [plans] shares the
     Ball–Larus artifact across configurations of a trial. [obs] is shared
     across every phase of a multi-phase strategy (cull rounds, the two
