@@ -70,6 +70,19 @@ val key_of :
   bool ->
   string
 
+(** The source text of a one-subject unit: the prelude plus the
+    generated code for one [(prepared, mode, cmplog)] triple, registered
+    under the fixed key ["golden"] (a real unit's key embeds the digests
+    of {!linked_interfaces}, which move for reasons unrelated to code
+    generation). [plans] as in {!instance}. Pure: no compiler is
+    involved. *)
+val source :
+  ?plans:Pathcov.Ball_larus.program_plans ->
+  cmplog:bool ->
+  Interp.prepared ->
+  Pathcov.Feedback.mode ->
+  string
+
 (** {2 Instantiation} *)
 
 (** Emit + compile + load (or reuse a cached artifact for) one
