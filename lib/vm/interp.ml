@@ -692,37 +692,38 @@ let[@inline] burn ctx =
   if ctx.fuel <= 0 then raise Out_of_fuel
 
 (* Execute one activation of [fid] in the (already zeroed and
-   argument-filled) frame [fr]. The result lands in the return scratch. *)
+   argument-filled) frame [fr]. The result lands in the return scratch.
+   [run_block] takes the activation as explicit arguments rather than
+   closing over it, so a call allocates nothing. *)
 let rec call ctx (fid : int) (fr : frame) (depth : int) : unit =
   if depth > ctx.max_depth then raise (Crash_exn (Crash.Stack_overflow, -1));
-  let f = Array.unsafe_get ctx.p.rfuncs fid in
   ctx.hooks.h_call fid;
-  let rec run_block label =
-    burn ctx;
-    ctx.blocks <- ctx.blocks + 1;
-    ctx.hooks.h_block fid label;
-    let b = Array.unsafe_get f.rblocks label in
-    let n = Array.length b.rinstrs in
-    for i = 0 to n - 1 do
-      exec_instr ctx fr fid depth (Array.unsafe_get b.rinstrs i)
-    done;
-    match b.rterm with
-    | Rgoto l ->
-        ctx.hooks.h_edge fid label l;
-        run_block l
-    | Rbranch (cond, if_true, if_false, _site) ->
-        let dst = if eval_int ctx fr cond <> 0 then if_true else if_false in
-        ctx.hooks.h_edge fid label dst;
-        run_block dst
-    | Rret (e, _site) ->
-        (match e with
-        | Some e -> eval_ret ctx fr e
-        | None ->
-            ctx.ret_a <- no_arr;
-            ctx.ret_i <- 0);
-        ctx.hooks.h_ret fid label
-  in
-  run_block 0
+  run_block ctx (Array.unsafe_get ctx.p.rfuncs fid) fid fr depth 0
+
+and run_block ctx (f : rfunc) fid (fr : frame) depth label : unit =
+  burn ctx;
+  ctx.blocks <- ctx.blocks + 1;
+  ctx.hooks.h_block fid label;
+  let b = Array.unsafe_get f.rblocks label in
+  let n = Array.length b.rinstrs in
+  for i = 0 to n - 1 do
+    exec_instr ctx fr fid depth (Array.unsafe_get b.rinstrs i)
+  done;
+  match b.rterm with
+  | Rgoto l ->
+      ctx.hooks.h_edge fid label l;
+      run_block ctx f fid fr depth l
+  | Rbranch (cond, if_true, if_false, _site) ->
+      let dst = if eval_int ctx fr cond <> 0 then if_true else if_false in
+      ctx.hooks.h_edge fid label dst;
+      run_block ctx f fid fr depth dst
+  | Rret (e, _site) ->
+      (match e with
+      | Some e -> eval_ret ctx fr e
+      | None ->
+          ctx.ret_a <- no_arr;
+          ctx.ret_i <- 0);
+      ctx.hooks.h_ret fid label
 
 and exec_instr ctx (fr : frame) fid depth (i : rinstr) : unit =
   burn ctx;

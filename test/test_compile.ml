@@ -141,25 +141,29 @@ let test_compiled_allocation () =
   let prog = Subjects.Subject.compile_fresh s in
   let prepared = Vm.Interp.prepare prog in
   let ctx = Vm.Interp.create_ctx prepared in
-  let art = Vm.Compile.compile prepared Path in
-  let trace = Pathcov.Coverage_map.create () in
-  Vm.Compile.bind art ~trace ~h_cmp:(fun _ _ -> ());
   let input = List.hd s.seeds in
-  let one () = ignore (Vm.Compile.run art ctx ~input) in
-  for _ = 1 to 64 do
-    one ()
-  done;
-  let n = 2048 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to n do
-    one ()
-  done;
-  let per_exec = (Gc.minor_words () -. w0) /. float_of_int n in
-  check_bool
-    (Printf.sprintf "compiled minor words per exec bounded (got %.1f)"
-       per_exec)
-    true
-    (per_exec >= 0. && per_exec < 16.)
+  List.iter
+    (fun mode ->
+      let art = Vm.Compile.compile prepared mode in
+      let trace = Pathcov.Coverage_map.create () in
+      Vm.Compile.bind art ~trace ~h_cmp:(fun _ _ -> ());
+      let one () = ignore (Vm.Compile.run art ctx ~input) in
+      for _ = 1 to 64 do
+        one ()
+      done;
+      let n = 2048 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        one ()
+      done;
+      let per_exec = (Gc.minor_words () -. w0) /. float_of_int n in
+      check_bool
+        (Printf.sprintf "%s: compiled minor words per exec bounded (got %.1f)"
+           (Pathcov.Feedback.mode_name mode)
+           per_exec)
+        true
+        (per_exec >= 0. && per_exec < 16.))
+    all_modes
 
 let suite =
   [

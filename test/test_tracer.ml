@@ -90,8 +90,10 @@ let test_sequential_engines () =
             engine_variants)
         [ false; true ])
     [
-      (Pathcov.Feedback.Path, "path");
+      (Pathcov.Feedback.Block, "block");
       (Pathcov.Feedback.Edge, "edge");
+      (Pathcov.Feedback.Ngram 4, "ngram4");
+      (Pathcov.Feedback.Path, "path");
       (Pathcov.Feedback.Pathafl, "pathafl");
     ]
 

@@ -188,40 +188,50 @@ let test_max_depth_configurable () =
 
 let test_steady_state_allocation () =
   (* Guards the pooled execution context against future re-boxing: after
-     warmup, a loop-heavy subject must run with only the outcome record
-     and the program's own array(n) requests allocated per execution. *)
-  let s = Subjects.Registry.find_exn "cflow" in
-  let prog = Subjects.Subject.compile_fresh s in
-  let fb = Pathcov.Feedback.make Pathcov.Feedback.Path prog in
-  let hooks =
-    {
-      Vm.Interp.no_hooks with
-      h_call = fb.Pathcov.Feedback.on_call;
-      h_block = fb.Pathcov.Feedback.on_block;
-      h_edge = fb.Pathcov.Feedback.on_edge;
-      h_ret = fb.Pathcov.Feedback.on_ret;
-    }
-  in
-  let ctx = Vm.Interp.create_ctx ~hooks (Vm.Interp.prepare prog) in
-  let input = List.hd s.seeds in
-  let one () =
-    fb.reset ();
-    Pathcov.Coverage_map.clear fb.trace;
-    ignore (Vm.Interp.run_ctx ctx ~input);
-    Pathcov.Coverage_map.classify fb.trace
-  in
-  for _ = 1 to 64 do
-    one ()
-  done;
-  let n = 512 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to n do
-    one ()
-  done;
-  let per_exec = (Gc.minor_words () -. w0) /. float_of_int n in
-  check Alcotest.bool
-    (Printf.sprintf "minor words per exec bounded (got %.1f)" per_exec)
-    true (per_exec < 256.)
+     warmup, a loop-heavy subject and a call-heavy one (sqlite3 makes
+     over a hundred MiniC calls per seed) must run with only the outcome
+     record allocated per execution, under every feedback mode. *)
+  List.iter
+    (fun name ->
+      let s = Subjects.Registry.find_exn name in
+      let prog = Subjects.Subject.compile_fresh s in
+      List.iter
+        (fun mode ->
+          let fb = Pathcov.Feedback.make mode prog in
+          let hooks =
+            {
+              Vm.Interp.no_hooks with
+              h_call = fb.Pathcov.Feedback.on_call;
+              h_block = fb.Pathcov.Feedback.on_block;
+              h_edge = fb.Pathcov.Feedback.on_edge;
+              h_ret = fb.Pathcov.Feedback.on_ret;
+            }
+          in
+          let ctx = Vm.Interp.create_ctx ~hooks (Vm.Interp.prepare prog) in
+          let input = List.hd s.seeds in
+          let one () =
+            fb.reset ();
+            Pathcov.Coverage_map.clear fb.trace;
+            ignore (Vm.Interp.run_ctx ctx ~input);
+            Pathcov.Coverage_map.classify fb.trace
+          in
+          for _ = 1 to 64 do
+            one ()
+          done;
+          let n = 512 in
+          let w0 = Gc.minor_words () in
+          for _ = 1 to n do
+            one ()
+          done;
+          let per_exec = (Gc.minor_words () -. w0) /. float_of_int n in
+          check Alcotest.bool
+            (Printf.sprintf "%s/%s: minor words per exec bounded (got %.1f)"
+               name
+               (Pathcov.Feedback.mode_name mode)
+               per_exec)
+            true (per_exec < 16.))
+        Pathcov.Feedback.[ Block; Edge; Ngram 4; Path; Pathafl ])
+    [ "cflow"; "sqlite3" ]
 
 let test_hooks_fire () =
   let src = "fn main() { var i = 0; while (i < 3) { i = i + 1; } return i; }" in
