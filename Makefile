@@ -74,6 +74,8 @@ resume-check: build
 # retention heavy: the edge probes and rolling-hash commits of the
 # closure artifact and the native unit) diffs stdout and the event
 # stream under interp, fused and native, sequentially and at 2 shards.
+# Block and pcguard (edge) tiers on gdk diff stdout under the three
+# engines, covering the block and edge probe renderings too.
 engine-check: build
 	@rm -rf _build/engine-check && mkdir -p _build/engine-check
 	./_build/default/bin/pathfuzz.exe fuzz -s cflow -f path -b 6000 \
@@ -139,6 +141,17 @@ engine-check: build
 	      || exit 1; \
 	    diff _build/engine-check/$$r-interp.events \
 	      _build/engine-check/$$r-$$e.events || exit 1; \
+	  done; \
+	done
+	for f in block pcguard; do \
+	  for e in interp fused native; do \
+	    ./_build/default/bin/pathfuzz.exe fuzz -s gdk -f $$f -b 6000 \
+	      --engine $$e --emit-cache _build/engine-check/emit-cache \
+	      > _build/engine-check/$$f-$$e.out || exit 1; \
+	  done; \
+	  for e in fused native; do \
+	    diff _build/engine-check/$$f-interp.out _build/engine-check/$$f-$$e.out \
+	      || exit 1; \
 	  done; \
 	done
 	python3 -c "import json; \

@@ -289,43 +289,6 @@ let on_edge (t : t) ~src ~dst : edge_op option = Hashtbl.find_opt t.edge_ops (sr
 (** Increment to add to the register when committing at return block [b]. *)
 let on_ret (t : t) ~block = t.ret_add.(block)
 
-(* Dense per-transition form of [edge_ops] for the execution hot path:
-   flat arrays indexed by [src * d_stride + dst], so a listener does two
-   loads per edge event instead of a hashtable probe that allocates an
-   option. The stride is [nblocks + 1] because plan keys may in principle
-   mention the EXIT pseudo-node. *)
-type dense = {
-  d_stride : int;
-  d_tag : Bytes.t;  (** ['\000'] no probe, ['\001'] add, ['\002'] commit *)
-  d_add : int array;
-  d_reset : int array;
-}
-
-let dense (t : t) : dense =
-  let stride = t.nblocks + 1 in
-  let n = max 1 (t.nblocks * stride) in
-  let d =
-    {
-      d_stride = stride;
-      d_tag = Bytes.make n '\000';
-      d_add = Array.make n 0;
-      d_reset = Array.make n 0;
-    }
-  in
-  Hashtbl.iter
-    (fun (src, dst) op ->
-      let i = (src * stride) + dst in
-      match op with
-      | Add k ->
-          Bytes.set d.d_tag i '\001';
-          d.d_add.(i) <- k
-      | Commit_back { add; reset } ->
-          Bytes.set d.d_tag i '\002';
-          d.d_add.(i) <- add;
-          d.d_reset.(i) <- reset)
-    t.edge_ops;
-  d
-
 (* ------------------------------------------------------------------ *)
 (* Path regeneration: ID → DAG node sequence (Ball–Larus §3.4). Useful for
    the standalone profiler example and for exhaustiveness tests. *)

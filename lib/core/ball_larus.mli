@@ -18,7 +18,7 @@ type edge_kind =
   | Dummy_exit  (** latch → EXIT, standing in for a back edge *)
 
 type edge = {
-  id : int;  (** dense edge identifier, unique within the function *)
+  id : int;  (** contiguous edge identifier, unique within the function *)
   src : int;
   dst : int;  (** EXIT is node [nblocks] *)
   kind : edge_kind;
@@ -61,19 +61,6 @@ val on_edge : t -> src:int -> dst:int -> edge_op option
 
 (** Increment to add to the register when committing at return block. *)
 val on_ret : t -> block:int -> int
-
-(** Dense per-transition form of the plan for the execution hot path: the
-    op for CFG transition [src→dst] lives at index [src * d_stride + dst],
-    so an edge listener does two array loads per event instead of a
-    hashtable probe that allocates an option. *)
-type dense = {
-  d_stride : int;
-  d_tag : Bytes.t;  (** ['\000'] no probe, ['\001'] add, ['\002'] commit *)
-  d_add : int array;
-  d_reset : int array;
-}
-
-val dense : t -> dense
 
 (** [regenerate t id] is the DAG node sequence of path [id] (Ball–Larus
     §3.4). Raises [Invalid_argument] when [id] is out of range. *)

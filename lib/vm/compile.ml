@@ -9,10 +9,10 @@
     block (forward references resolved through a captured block table
     read at call time), expressions into closure trees with operators,
     slots, sites and constants baked in, and — the point — the feedback
-    listener itself into per-site probe closures generated at compile
-    time from the feedback mode. A probe that a (site, mode) pair cannot
-    fire (an edge that is no Ball–Larus operation, a block probe under
-    [edge]) is simply not emitted: the compiled code for it is a direct
+    probes themselves, placed per site from the mode's
+    [Pathcov.Feedback.table] as [Feedback.closure]s. A site the table
+    leaves empty (an edge that is no Ball–Larus operation, a block under
+    [path]) gets no probe at all: the compiled code for it is a direct
     jump.
 
     Three further things are resolved at compile time that the
@@ -52,21 +52,15 @@
 open Interp
 
 (* Per-campaign (rebindable) listener state. One record per artifact;
-   probes read it through the closure environment, so rebinding [trace]
-   or [h_cmp] retargets every probe at once. [depth] replaces the
-   interpreter's threaded depth argument: block closures are binary
+   probes read it through the closure environment, so rebinding
+   [fb.trace] or [h_cmp] retargets every probe at once. [depth] replaces
+   the interpreter's threaded depth argument: block closures are binary
    (ctx, frame) and only call sites and function entries touch the
    cell. *)
 type cstate = {
-  mutable trace : Pathcov.Coverage_map.t;
+  fb : Pathcov.Feedback.regs;  (** the probes' registers and trace map *)
   mutable h_cmp : int -> int -> unit;
   mutable depth : int;  (** current activation depth *)
-  mutable prev : int;  (** edge / pathafl previous-block register *)
-  hist : int array;  (** ngram history ring (length n, else empty) *)
-  mutable pos : int;
-  mutable regs : int array;  (** Ball–Larus path registers, a stack *)
-  mutable top : int;
-  mutable rolling : int;  (** pathafl whole-program rolling hash *)
   (* introspection tallies — plain stores on paths that never feed back
      into execution, so they are trajectory-invisible *)
   mutable stat_rollbacks : int;
@@ -90,192 +84,6 @@ type t = {
       (** [main]'s definite-assignment residue (entry frames come from
           {!Interp.acquire_raw}, so the residue is zeroed by hand) *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* Probe generation: compile-time per-site closures, or None = the
-   probe is not emitted at all. *)
-
-type probes = {
-  pc : int -> (unit -> unit) option;  (** fid *)
-  pb : int -> int -> (unit -> unit) option;  (** fid block *)
-  pe : int -> int -> int -> (unit -> unit) option;  (** fid src dst *)
-  pr : int -> int -> (unit -> unit) option;  (** fid block (return) *)
-  pe_add : int -> int -> int -> int option;
-      (** Superblock-fusion query: [Some k] means the edge's only effect
-          is adding [k] to the current Ball–Larus register ([k = 0]: no
-          effect at all), so consecutive fused edges may fold their
-          constants into one deferred add; [None] means the probe must
-          fire in place (it reads or commits the register, or emits an
-          event whose stream position is observable). Must agree with
-          {!pe}: an edge reported [Some _] is exactly one whose [pe]
-          either is [None] or only adds to the register. *)
-  padd : (int -> unit) option;
-      (** Apply a folded (nonzero) register add — same top-of-stack guard
-          as the per-edge closures it replaces. [None] when the mode has
-          no register adds to fold (then [pe_add] never reports a nonzero
-          constant). *)
-  emit_cmp : bool;  (** compile [cs.h_cmp] calls into comparisons *)
-}
-
-(* No probe anywhere: the base record every mode's probes extend. *)
-let probes_none =
-  {
-    pc = (fun _ -> None);
-    pb = (fun _ _ -> None);
-    pe = (fun _ _ _ -> None);
-    pr = (fun _ _ -> None);
-    pe_add = (fun _ _ _ -> Some 0);
-    padd = None;
-    emit_cmp = false;
-  }
-
-let probes_block (cs : cstate) =
-  {
-    probes_none with
-    emit_cmp = true;
-    pb =
-      (fun fid b ->
-        let key = Pathcov.Feedback.block_key fid b in
-        Some (fun () -> Pathcov.Coverage_map.hit cs.trace key));
-  }
-
-let probes_edge (cs : cstate) =
-  {
-    probes_none with
-    emit_cmp = true;
-    pb =
-      (fun fid b ->
-        let cur = Pathcov.Feedback.block_key fid b in
-        Some
-          (fun () ->
-            Pathcov.Coverage_map.hit cs.trace (cur lxor cs.prev);
-            cs.prev <- cur lsr 1));
-  }
-
-let probes_ngram (cs : cstate) n =
-  {
-    probes_none with
-    emit_cmp = true;
-    pb =
-      (fun fid b ->
-        let key = Pathcov.Feedback.block_key fid b in
-        Some
-          (fun () ->
-            Array.unsafe_set cs.hist (cs.pos mod n) key;
-            cs.pos <- cs.pos + 1;
-            let h = ref 0 in
-            for i = 0 to n - 1 do
-              h := !h lxor (Array.unsafe_get cs.hist i lsr (i land 15))
-            done;
-            Pathcov.Coverage_map.hit cs.trace !h));
-  }
-
-(* Path probes: the Ball–Larus operation per edge is resolved at compile
-   time — edges carrying no operation compile to direct jumps, register
-   increments bake their constant in, and commits bake (salt, add/reset)
-   in. *)
-let path_salt (f : Minic.Ir.func) = Hashtbl.hash f.Minic.Ir.name * 0x9e3779b1
-
-let probes_path (cs : cstate) (p : prepared)
-    (plans : Pathcov.Ball_larus.program_plans) =
-  let salts = Array.map path_salt p.prog.funcs in
-  {
-    probes_none with
-    emit_cmp = true;
-    pc =
-      (fun _fid ->
-        Some
-          (fun () ->
-            if cs.top = Array.length cs.regs then begin
-              let bigger = Array.make (2 * cs.top) 0 in
-              Array.blit cs.regs 0 bigger 0 cs.top;
-              cs.regs <- bigger
-            end;
-            Array.unsafe_set cs.regs cs.top 0;
-            cs.top <- cs.top + 1));
-    pe =
-      (fun fid src dst ->
-        match Pathcov.Ball_larus.on_edge plans.plans.(fid) ~src ~dst with
-        | None -> None
-        | Some (Pathcov.Ball_larus.Add k) ->
-            Some
-              (fun () ->
-                if cs.top > 0 then begin
-                  let r = cs.regs in
-                  let i = cs.top - 1 in
-                  Array.unsafe_set r i (Array.unsafe_get r i + k)
-                end)
-        | Some (Pathcov.Ball_larus.Commit_back { add; reset }) ->
-            let salt = salts.(fid) in
-            Some
-              (fun () ->
-                if cs.top > 0 then begin
-                  let r = cs.regs in
-                  let i = cs.top - 1 in
-                  Pathcov.Coverage_map.hit cs.trace
-                    (((Array.unsafe_get r i + add) lxor salt) land max_int);
-                  Array.unsafe_set r i reset
-                end));
-    pe_add =
-      (fun fid src dst ->
-        match Pathcov.Ball_larus.on_edge plans.plans.(fid) ~src ~dst with
-        | None -> Some 0
-        | Some (Pathcov.Ball_larus.Add k) -> Some k
-        | Some (Pathcov.Ball_larus.Commit_back _) -> None);
-    padd =
-      Some
-        (fun k ->
-          if cs.top > 0 then begin
-            let r = cs.regs in
-            let i = cs.top - 1 in
-            Array.unsafe_set r i (Array.unsafe_get r i + k)
-          end);
-    pr =
-      (fun fid block ->
-        let ra = plans.plans.(fid).Pathcov.Ball_larus.ret_add.(block) in
-        let salt = salts.(fid) in
-        Some
-          (fun () ->
-            if cs.top > 0 then begin
-              let i = cs.top - 1 in
-              Pathcov.Coverage_map.hit cs.trace
-                (((Array.unsafe_get cs.regs i + ra) lxor salt) land max_int);
-              cs.top <- i
-            end));
-  }
-
-let probes_pathafl (cs : cstate) (p : prepared) =
-  let nsucc fid src =
-    List.length
-      (Minic.Ir.successors p.prog.funcs.(fid).blocks.(src).Minic.Ir.term)
-  in
-  let key_event k =
-    cs.rolling <- (((cs.rolling lsl 13) lor (cs.rolling lsr 49)) lxor k) land max_int;
-    Pathcov.Coverage_map.hit cs.trace cs.rolling
-  in
-  {
-    probes_none with
-    emit_cmp = true;
-    pc =
-      (fun fid ->
-        let k = Pathcov.Feedback.block_key fid 0 + 1 in
-        Some (fun () -> key_event k));
-    pb =
-      (fun fid b ->
-        let cur = Pathcov.Feedback.block_key fid b in
-        Some
-          (fun () ->
-            Pathcov.Coverage_map.hit cs.trace (cur lxor cs.prev);
-            cs.prev <- cur lsr 1));
-    pe =
-      (fun fid src dst ->
-        if nsucc fid src >= 2 then
-          let k = Pathcov.Feedback.block_key fid src lxor (dst * 31) in
-          Some (fun () -> key_event k)
-        else None);
-    pe_add =
-      (fun fid src _dst -> if nsucc fid src >= 2 then None else Some 0);
-  }
 
 (* ------------------------------------------------------------------ *)
 (* May-hold-array analysis.
@@ -490,10 +298,11 @@ let zero_slots_analysis (p : prepared) : int array array =
 type iexp = exec_ctx -> frame -> int
 type aexp = exec_ctx -> frame -> int array
 
-(* Compile-time environment: listener state + the typing views needed by
-   the function being compiled. *)
+(* Compile-time environment: listener state, the mode's probe table and
+   the typing views needed by the function being compiled. *)
 type env = {
   cs : cstate;
+  tb : Pathcov.Feedback.table;
   emit_cmp : bool;
   lmay : bool array array;  (** all functions (for call-arg stores) *)
   ma : bool array;  (** current function's locals (= [lmay.(fid)]) *)
@@ -1422,11 +1231,20 @@ let ccall (env : env) (p : prepared) (fentries : bfn array) (fid : int) ~dst
     store_ret ctx fr;
     rest ctx fr
 
-let cterm (env : env) (probes : probes) (tbl : bfn array) (fid : int)
+(* Per-site probe closures from the mode's table: [None] means the site
+   carries no probe, so the compiled code for it is a direct jump. *)
+let probe (env : env) (op : Pathcov.Feedback.op option) =
+  Option.map (Pathcov.Feedback.closure env.cs.fb) op
+
+let block_probe env fid b = probe env (env.tb.block fid b)
+let edge_probe env fid src dst = probe env (env.tb.edge fid src dst)
+let ret_probe env fid b = probe env (env.tb.ret fid b)
+
+let cterm (env : env) (tbl : bfn array) (fid : int)
     (label : int) (t : rterm) : bfn =
   match t with
   | Rgoto l -> begin
-      match probes.pe fid label l with
+      match edge_probe env fid label l with
       | None -> fun ctx fr -> (Array.unsafe_get tbl l) ctx fr
       | Some p ->
           fun ctx fr ->
@@ -1435,7 +1253,7 @@ let cterm (env : env) (probes : probes) (tbl : bfn array) (fid : int)
     end
   | Rbranch (cond, tl, fl, _site) -> begin
       let fc = ccond env cond in
-      match (probes.pe fid label tl, probes.pe fid label fl) with
+      match (edge_probe env fid label tl, edge_probe env fid label fl) with
       | None, None ->
           fun ctx fr ->
             let d = if fc ctx fr then tl else fl in
@@ -1467,7 +1285,7 @@ let cterm (env : env) (probes : probes) (tbl : bfn array) (fid : int)
     end
   | Rret (e, _site) -> begin
       let f = cret env e in
-      match probes.pr fid label with
+      match ret_probe env fid label with
       | None -> fun ctx fr -> f ctx fr
       | Some p ->
           fun ctx fr ->
@@ -1482,12 +1300,12 @@ let[@inline] fire = function None -> () | Some p -> p ()
    bulk of loop control, and the generic dispatcher would spend an extra
    closure hop on them. Event order matches the interpreter: burn,
    blocks, h_block, condition (h_cmp inside), h_edge/h_ret, jump. *)
-let cblock_empty (env : env) (probes : probes) (tbl : bfn array) (fid : int)
+let cblock_empty (env : env) (tbl : bfn array) (fid : int)
     (label : int) (t : rterm) : bfn =
-  let pb = probes.pb fid label in
+  let pb = block_probe env fid label in
   match t with
   | Rgoto l ->
-      let pe = probes.pe fid label l in
+      let pe = edge_probe env fid label l in
       fun ctx fr ->
         ctx.fuel <- ctx.fuel - 1;
         if ctx.fuel <= 0 then raise Out_of_fuel;
@@ -1496,7 +1314,7 @@ let cblock_empty (env : env) (probes : probes) (tbl : bfn array) (fid : int)
         fire pe;
         (Array.unsafe_get tbl l) ctx fr
   | Rbranch (cond, tl, fl, _site) -> begin
-      let pt = probes.pe fid label tl and pf = probes.pe fid label fl in
+      let pt = edge_probe env fid label tl and pf = edge_probe env fid label fl in
       (* Loop-control blocks with a simple-operand comparison inline the
          test itself — entry, condition and jump in one closure. *)
       let simple_cmp =
@@ -1603,7 +1421,7 @@ let cblock_empty (env : env) (probes : probes) (tbl : bfn array) (fid : int)
     end
   | Rret (e, _site) ->
       let f = cret env e in
-      let pr = probes.pr fid label in
+      let pr = ret_probe env fid label in
       fun ctx fr ->
         ctx.fuel <- ctx.fuel - 1;
         if ctx.fuel <= 0 then raise Out_of_fuel;
@@ -1617,13 +1435,13 @@ let cblock_empty (env : env) (probes : probes) (tbl : bfn array) (fid : int)
    fallback, sharing one continuation), and fold the block-entry burn,
    the [blocks] work counter and the block probe into the first
    segment. *)
-let cblock (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
+let cblock (env : env) (p : prepared) (fentries : bfn array)
     (tbl : bfn array) (fid : int) (label : int) (b : rblock) : bfn =
   let instrs = b.rinstrs in
   let n = Array.length instrs in
-  if n = 0 then cblock_empty env probes tbl fid label b.rterm
+  if n = 0 then cblock_empty env tbl fid label b.rterm
   else begin
-  let term = cterm env probes tbl fid label b.rterm in
+  let term = cterm env tbl fid label b.rterm in
   (* [build i ~first] compiles execution from instruction [i] to the end
      of the block: one dispatcher for the straight-line run starting at
      [i], chained through the call (if any) into the next segment. *)
@@ -1655,7 +1473,7 @@ let cblock (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
       let head_careful : bfn -> bfn =
         if not first then fun body -> body
         else
-          match probes.pb fid label with
+          match block_probe env fid label with
           | None ->
               fun body ctx fr ->
                 ctx.fuel <- ctx.fuel - 1;
@@ -1687,7 +1505,7 @@ let cblock (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
             careful ctx fr
           end
       else
-        match probes.pb fid label with
+        match block_probe env fid label with
         | None ->
             fun ctx fr ->
               ctx.fuel <- ctx.fuel - burn_units;
@@ -1745,8 +1563,8 @@ let cblock (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
    with [ctx.blocks] advanced per block entry) bit-identical to
    block-at-a-time execution. Probe event order is preserved: block probes fire
    per entry in chain order, and only edges whose entire effect is a
-   register increment ([probes.pe_add] = [Some k]) are folded — the
-   folded constant is flushed (via [probes.padd], same top-of-stack
+   register increment ([Feedback.fold_add] = [Some k]) are folded — the
+   folded constant is flushed (as one [Add], same top-of-stack
    guard) before any must-fire edge probe (a commit reads the register)
    and at segment end, and adds commute with everything in between
    (instructions never touch the register; register state after an
@@ -1828,7 +1646,7 @@ let fusion_plan (f : rfunc) : int list option array =
   fusion_plan_of f (fusion_interior f)
 
 (* Compile one fused chain into a single closure. *)
-let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
+let cchain (env : env) (p : prepared) (fentries : bfn array)
     (tbl : bfn array) (fid : int) (f : rfunc) (chain : int list) : bfn =
   let instr_op i = match i with Rcall _ -> Ocall i | _ -> Oinstr i in
   (* Flatten the chain into an op stream; the last block's terminator
@@ -1839,7 +1657,7 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
     | [ last ] ->
         let b = f.rblocks.(last) in
         ( Oentry last :: List.map instr_op (Array.to_list b.rinstrs),
-          cterm env probes tbl fid last b.rterm )
+          cterm env tbl fid last b.rterm )
     | cur :: (next :: _ as rest) ->
         let b = f.rblocks.(cur) in
         let here =
@@ -1871,23 +1689,19 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
               match op with Oentry _ | Oinstr _ -> a + 1 | _ -> a)
             0 seg
         in
-        (* Apply a folded register add ([padd] is the fold target the
-           probe set promised whenever [pe_add] reports nonzero). *)
         let apply_add k (restf : bfn) : bfn =
           if k = 0 then restf
           else
-            match probes.padd with
-            | Some add ->
-                fun ctx fr ->
-                  add k;
-                  restf ctx fr
-            | None -> assert false
+            let add = Pathcov.Feedback.(closure env.cs.fb (Add k)) in
+            fun ctx fr ->
+              add ();
+              restf ctx fr
         in
         let rec fast pending = function
           | [] -> apply_add pending cont
           | Oentry b :: tl -> (
               let restf = fast pending tl in
-              match probes.pb fid b with
+              match block_probe env fid b with
               | None ->
                   fun ctx fr ->
                     ctx.blocks <- ctx.blocks + 1;
@@ -1899,12 +1713,12 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
                     restf ctx fr)
           | Oinstr i :: tl -> cinstr_fast env i (fast pending tl)
           | Oedge (s, d) :: tl -> (
-              match probes.pe_add fid s d with
+              match Pathcov.Feedback.fold_add (env.tb.edge fid s d) with
               | Some k -> fast (pending + k) tl
               | None ->
                   (* Must fire in place: flush the fold first. *)
                   let fire_then =
-                    match probes.pe fid s d with
+                    match edge_probe env fid s d with
                     | None -> fast 0 tl
                     | Some pe ->
                         let restf = fast 0 tl in
@@ -1919,7 +1733,7 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
           | [] -> cont
           | Oentry b :: tl -> (
               let restc = careful tl in
-              match probes.pb fid b with
+              match block_probe env fid b with
               | None ->
                   fun ctx fr ->
                     ctx.fuel <- ctx.fuel - 1;
@@ -1935,7 +1749,7 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
                     restc ctx fr)
           | Oinstr i :: tl -> cinstr_careful env i (careful tl)
           | Oedge (s, d) :: tl -> (
-              match probes.pe fid s d with
+              match edge_probe env fid s d with
               | None -> careful tl
               | Some pe ->
                   let restc = careful tl in
@@ -1955,7 +1769,7 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
           match seg with
           | Oentry b :: tl -> (
               let fastc = fast 0 tl in
-              match probes.pb fid b with
+              match block_probe env fid b with
               | None ->
                   fun ctx fr ->
                     ctx.fuel <- ctx.fuel - burn;
@@ -1997,12 +1811,12 @@ let cchain (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
   in
   compile_ops ops
 
-let cfunc (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
+let cfunc (env : env) (p : prepared) (fentries : bfn array)
     (fid : int) (f : rfunc) : bfn =
   let nb = Array.length f.rblocks in
   let tbl = Array.make nb (fun _ _ -> assert false : bfn) in
   for b = 0 to nb - 1 do
-    tbl.(b) <- cblock env probes p fentries tbl fid b f.rblocks.(b)
+    tbl.(b) <- cblock env p fentries tbl fid b f.rblocks.(b)
   done;
   let interior = fusion_interior f in
   let plan = fusion_plan_of f interior in
@@ -2020,12 +1834,12 @@ let cfunc (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
               cs.stat_dup_instrs <-
                 cs.stat_dup_instrs + Array.length f.rblocks.(l).rinstrs + 1)
           chain;
-        tbl.(b) <- cchain env probes p fentries tbl fid f chain
+        tbl.(b) <- cchain env p fentries tbl fid f chain
     | None -> ()
   done;
   let b0 = tbl.(0) in
   let cs = env.cs in
-  match probes.pc fid with
+  match probe env (env.tb.call fid) with
   | None ->
       fun ctx fr ->
         if cs.depth > ctx.max_depth then
@@ -2044,18 +1858,14 @@ let cfunc (env : env) (probes : probes) (p : prepared) (fentries : bfn array)
 let compile ?plans ?(cmplog = true) (p : prepared)
     (mode : Pathcov.Feedback.mode) : t =
   let nfuncs = Array.length p.rfuncs in
-  let ngram_n = match mode with Ngram n -> n | _ -> 0 in
   let cs =
     {
-      trace = Pathcov.Coverage_map.create ~size_log2:6 ();
+      fb =
+        Pathcov.Feedback.make_regs
+          ~trace:(Pathcov.Coverage_map.create ~size_log2:6 ())
+          mode;
       h_cmp = (fun _ _ -> ());
       depth = 0;
-      prev = 0;
-      hist = Array.make ngram_n 0;
-      pos = 0;
-      regs = Array.make 64 0;
-      top = 0;
-      rolling = 0;
       stat_rollbacks = 0;
       stat_careful_units = 0;
       stat_chains = 0;
@@ -2064,24 +1874,7 @@ let compile ?plans ?(cmplog = true) (p : prepared)
       stat_dup_instrs = 0;
     }
   in
-  let probes =
-    match mode with
-    | Block -> probes_block cs
-    | Edge -> probes_edge cs
-    | Ngram n -> probes_ngram cs n
-    | Path ->
-        let plans =
-          match plans with
-          | Some pl -> pl
-          | None -> Pathcov.Ball_larus.of_program p.prog
-        in
-        probes_path cs p plans
-    | Pathafl -> probes_pathafl cs p
-  in
-  (* A campaign with cmplog off binds a no-op [h_cmp]; eliding the call
-     entirely is then unobservable, so such callers compile (and cache)
-     a cmp-free variant. *)
-  let probes = { probes with emit_cmp = probes.emit_cmp && cmplog } in
+  let tb = Pathcov.Feedback.table ?plans mode p.prog in
   let typing = may_array_analysis p in
   let zeroes = zero_slots_analysis p in
   let fentries = Array.make nfuncs (fun _ _ -> assert false : bfn) in
@@ -2090,14 +1883,18 @@ let compile ?plans ?(cmplog = true) (p : prepared)
       let env =
         {
           cs;
-          emit_cmp = probes.emit_cmp;
+          tb;
+          (* A campaign with cmplog off binds a no-op [h_cmp]; eliding
+             the call entirely is then unobservable, so such callers
+             compile (and cache) a cmp-free variant. *)
+          emit_cmp = cmplog;
           lmay = typing.lmay;
           ma = typing.lmay.(fid);
           gma = typing.gmay;
           zeroes;
         }
       in
-      fentries.(fid) <- cfunc env probes p fentries fid f)
+      fentries.(fid) <- cfunc env p fentries fid f)
     p.rfuncs;
   {
     prepared = p;
@@ -2115,23 +1912,17 @@ let compile ?plans ?(cmplog = true) (p : prepared)
     probe — O(1), so callers may rebind before every execution. *)
 let bind (t : t) ~(trace : Pathcov.Coverage_map.t)
     ~(h_cmp : int -> int -> unit) : unit =
-  t.cs.trace <- trace;
+  t.cs.fb.trace <- trace;
   t.cs.h_cmp <- h_cmp
 
 (** The trace map the probes currently write (tests and diagnostics). *)
-let bound_trace (t : t) : Pathcov.Coverage_map.t = t.cs.trace
+let bound_trace (t : t) : Pathcov.Coverage_map.t = t.cs.fb.trace
 
 (** Reset the baked listener state (the [Feedback.t.reset] analogue);
     {!run} calls this itself before every execution. *)
 let reset (t : t) : unit =
-  let cs = t.cs in
-  cs.depth <- 0;
-  cs.prev <- 0;
-  cs.pos <- 0;
-  let n = Array.length cs.hist in
-  if n > 0 then Array.fill cs.hist 0 n 0;
-  cs.top <- 0;
-  cs.rolling <- 0
+  t.cs.depth <- 0;
+  Pathcov.Feedback.reset_regs t.cs.fb
 
 (* ------------------------------------------------------------------ *)
 (* Introspection (plain ints — this library has no obs dependency; the

@@ -5,11 +5,12 @@
     style: one closure per basic block (forward references resolved
     through a block table read at call time), expression trees folded
     into closure trees with slots/sites/constants baked in, and the
-    feedback listener specialised at compile time into per-site probes.
-    Under [Path] each CFG edge bakes its resolved Ball–Larus operation
-    (or compiles to a direct jump when it carries none), so the per-event
-    dense-table dispatch of the runtime listener disappears along with
-    the interpreter's [rinstr]/[rexpr] match dispatch.
+    mode's {!Pathcov.Feedback.table} placed at its sites as the same
+    {!Pathcov.Feedback.closure}s the interpreter's listener runs. A site
+    with no probe (under [Path], an edge with no Ball–Larus operation)
+    compiles to a direct jump, so the listener's per-event lookup
+    disappears along with the interpreter's [rinstr]/[rexpr] match
+    dispatch.
 
     Staged code executes against the unmodified pooled
     {!Interp.exec_ctx} and replicates the interpreter's observable
@@ -142,9 +143,6 @@ val may_array_analysis : Interp.prepared -> typing
 (** Per function: the local slots to zero at frame entry (the
     definite-assignment residue left over a pooled [acquire_raw]). *)
 val zero_slots_analysis : Interp.prepared -> int array array
-
-(** The per-function salt XOR-folded into every Ball–Larus commit key. *)
-val path_salt : Minic.Ir.func -> int
 
 (** The superblock-fusion plan for one resolved function: [Some chain]
     (length >= 2, head first) at every chain head, [None] elsewhere.
