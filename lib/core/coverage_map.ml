@@ -121,26 +121,80 @@ let merge_into ~(virgin : t) (trace : t) : novelty =
   done;
   !res
 
-(* A virgin map is all-0xFF and is only ever written through [merge_into],
-   [merge_sparse_into], [copy_into] and [restore_raw], each of which keeps
-   the 0xFF count [ff]; its journal is unused. *)
+(* Verdict and count of {!merge_noting}, packed into one immediate int
+   so the merge allocates nothing: the verdict in the low two bits. *)
+let noted_novelty (v : int) : novelty =
+  match v land 3 with 0 -> Nothing | 1 -> New_bucket | _ -> New_tuple
+
+let noted_count (v : int) : int = v lsr 2
+
+(** {!merge_into} that also notes where it wrote: every index whose
+    virgin byte it changes ([trace land virgin <> 0]) goes to [note],
+    from position [at] on, in journal order. Sharded lanes keep these
+    indices as a capture's novelty delta and as their undo log. [note]
+    must have room for {!count_set}[ trace] indices past [at]. *)
+let merge_noting ~(virgin : t) (trace : t) (note : int array) ~(at : int) :
+    int =
+  if Bytes.length virgin.bits <> Bytes.length trace.bits then
+    invalid_arg "Coverage_map.merge_noting";
+  if at < 0 || at + trace.ntouched > Array.length note then
+    invalid_arg "Coverage_map.merge_noting: note too small";
+  let code = ref 0 and n = ref 0 in
+  for k = 0 to trace.ntouched - 1 do
+    let i = Array.unsafe_get trace.touched k in
+    let tr = Char.code (Bytes.unsafe_get trace.bits i) in
+    let vg = Char.code (Bytes.unsafe_get virgin.bits i) in
+    if tr land vg <> 0 then begin
+      if vg = 255 then begin
+        code := 2;
+        virgin.ff <- virgin.ff - 1
+      end
+      else if !code = 0 then code := 1;
+      Bytes.unsafe_set virgin.bits i (Char.unsafe_chr (vg land lnot tr land 255));
+      Array.unsafe_set note (at + !n) i;
+      incr n
+    end
+  done;
+  (!n lsl 2) lor !code
+
+(* A virgin map is all-0xFF and is only ever written through the merges,
+   [copy_into], [restore_at] and [restore_raw], each of which keeps the
+   0xFF count [ff]; its journal is unused. *)
 let create_virgin ?size_log2 () =
   let t = create ?size_log2 () in
   Bytes.fill t.bits 0 (Bytes.length t.bits) '\255';
   t.ff <- Bytes.length t.bits;
   t
 
-(** Overwrite [dst]'s bytes with [src]'s — the per-work-item virgin
-    snapshot primitive of sharded campaigns: one blit re-seeds a shard's
-    scratch virgin map from the epoch-start global map. Journals are not
-    copied (virgin maps never use theirs); [dst]'s is reset so the map
-    behaves like a fresh virgin map. Sizes must match. *)
+(** Overwrite [dst]'s bytes with [src]'s — the per-epoch virgin
+    snapshot primitive of sharded campaigns: one blit seeds a lane's
+    virgin map from the epoch-start global map. Journals are not copied
+    (virgin maps never use theirs); [dst]'s is reset so the map behaves
+    like a fresh virgin map. Sizes must match. *)
 let copy_into ~(dst : t) (src : t) : unit =
   if Bytes.length dst.bits <> Bytes.length src.bits then
     invalid_arg "Coverage_map.copy_into";
   Bytes.blit src.bits 0 dst.bits 0 (Bytes.length src.bits);
   dst.ff <- src.ff;
   dst.ntouched <- 0
+
+(** Put [src]'s bytes back into [dst] at [idxs.(0)] .. [idxs.(n - 1)]
+    (repeats allowed), keeping [dst]'s 0xFF count: the undo half of
+    {!merge_noting}, which returns a lane's map to the epoch-start
+    image in time proportional to what the lane wrote. *)
+let restore_at ~(dst : t) (src : t) (idxs : int array) (n : int) : unit =
+  if Bytes.length dst.bits <> Bytes.length src.bits then
+    invalid_arg "Coverage_map.restore_at";
+  if n < 0 || n > Array.length idxs then invalid_arg "Coverage_map.restore_at";
+  for k = 0 to n - 1 do
+    let i = Array.unsafe_get idxs k land dst.mask in
+    let was = Bytes.unsafe_get dst.bits i and now = Bytes.unsafe_get src.bits i in
+    if was <> now then begin
+      if was = '\255' then dst.ff <- dst.ff - 1
+      else if now = '\255' then dst.ff <- dst.ff + 1;
+      Bytes.unsafe_set dst.bits i now
+    end
+  done
 
 (** A detached copy of the raw map payload — what a campaign snapshot
     records for its virgin/crash-virgin maps. Pairs with {!restore_raw}. *)
@@ -179,10 +233,10 @@ let restore_raw (t : t) (payload : bytes) : unit =
 
 (** The merge half of {!merge_into} over a sparse capture instead of a
     live trace: index [Index_set.get idxs k] carries classified byte
-    [vals.[k]]. Sharded campaigns record each retained candidate's
-    classified trace as such a pair ({!sorted_set}, {!values_of}) in the
-    parallel phase and replay the merges against the shared virgin map,
-    in deterministic order, at the sync barrier. *)
+    [vals.[k]]. Sharded lanes record each discovery's novelty delta
+    (the indices {!merge_noting} noted, with {!values_of}) in the
+    parallel phase and the barrier replays the merges against the
+    shared virgin map, in deterministic order. *)
 let merge_sparse_into ~(virgin : t) ~(idxs : Index_set.t) ~(vals : string) :
     novelty =
   if Index_set.length idxs <> String.length vals then
@@ -207,8 +261,7 @@ let merge_sparse_into ~(virgin : t) ~(idxs : Index_set.t) ~(vals : string) :
   !res
 
 (** Classified bytes of a trace at the indices of [idxs], one byte each
-    (the sparse capture paired with {!sorted_set} on the sharded
-    retention path). *)
+    (the sparse capture of the sharded merge path). *)
 let values_of (t : t) (idxs : Index_set.t) : string =
   let b = Bytes.create (Index_set.length idxs) in
   Index_set.iteri
@@ -320,9 +373,9 @@ let get t idx = Char.code (Bytes.get t.bits (idx land t.mask))
 (** Number of virgin-map indices still fully untouched (byte = 0xFF) —
     the "virgin bits residual" sampled into stats snapshots. O(1): the
     count is kept by the writers of a virgin map's bytes (creation,
-    both merges, {!copy_into}; {!restore_raw} recounts once), because
-    a 64 KB scan per snapshot row is a visible share of a short
-    campaign. *)
+    the merges, {!copy_into}, {!restore_at}; {!restore_raw} recounts
+    once), because a 64 KB scan per snapshot row is a visible share of
+    a short campaign. *)
 let residual t = t.ff
 
 (** {!residual} recounted by scanning the bytes (tests check the kept

@@ -34,7 +34,8 @@ val default_size_log2 : int
 val create : ?size_log2:int -> unit -> t
 
 (** Create an all-0xFF virgin map, written only through {!merge_into},
-    {!merge_sparse_into}, {!copy_into} and {!restore_raw}. *)
+    {!merge_noting}, {!merge_sparse_into}, {!copy_into}, {!restore_at}
+    and {!restore_raw}. *)
 val create_virgin : ?size_log2:int -> unit -> t
 
 val size : t -> int
@@ -58,11 +59,29 @@ val classify : t -> unit
     [trace land virgin <> 0] at some index. *)
 val merge_into : virgin:t -> t -> novelty
 
+(** {!merge_into} that also notes where it wrote: each index whose
+    virgin byte changes ([trace land virgin <> 0] there) is written to
+    [note] from position [at] on, in journal order. Allocates nothing:
+    the verdict and the number of noted indices come back packed in one
+    int, read with {!noted_novelty} and {!noted_count}. Raises
+    [Invalid_argument] unless [note] has room for {!count_set}[ trace]
+    indices past [at]. The verdict is [Nothing] iff the count is 0. *)
+val merge_noting : virgin:t -> t -> int array -> at:int -> int
+
+val noted_novelty : int -> novelty
+val noted_count : int -> int
+
 (** Overwrite [dst]'s bytes with [src]'s (same size required) — the
-    per-work-item virgin snapshot primitive of sharded campaigns: one
-    blit re-seeds a shard's scratch virgin map from the epoch-start
-    global map. *)
+    per-epoch virgin snapshot primitive of sharded campaigns: one blit
+    seeds a lane's virgin map from the epoch-start global map. *)
 val copy_into : dst:t -> t -> unit
+
+(** [restore_at ~dst src idxs n] puts [src]'s bytes back into [dst] at
+    the first [n] indices of [idxs] (repeats allowed; same size
+    required), keeping [dst]'s {!residual}. Over the indices
+    {!merge_noting} noted since [dst] was a copy of [src], it gives
+    back that copy: a lane undoes one work item's merges this way. *)
+val restore_at : dst:t -> t -> int array -> int -> unit
 
 (** A detached copy of the raw map payload (checkpoint capture); pairs
     with {!restore_raw}. *)
@@ -74,13 +93,13 @@ val restore_raw : t -> bytes -> unit
 
 (** The merge half of {!merge_into} over a sparse capture instead of a
     live trace: index [Index_set.get idxs k] carries classified byte
-    [vals.[k]]. Sharded campaigns replay their shards' recorded
-    discoveries against the shared virgin map in deterministic order at
-    the sync barrier. *)
+    [vals.[k]] (any order). Sharded campaigns replay their lanes'
+    recorded discoveries — each one's {!merge_noting} delta — against
+    the shared virgin map in deterministic order at the sync barrier. *)
 val merge_sparse_into : virgin:t -> idxs:Index_set.t -> vals:string -> novelty
 
 (** Classified bytes of a trace at the indices of a set, one byte each
-    (pairs with {!sorted_set} to form the sparse capture above). *)
+    (with the set, the sparse capture above). *)
 val values_of : t -> Index_set.t -> string
 
 (** Byte-for-byte map equality (determinism checks). *)
@@ -117,8 +136,8 @@ val get : t -> int -> int
 (** Number of virgin-map indices still fully untouched (byte = 0xFF) —
     the "virgin bits residual" sampled into stats snapshots. O(1): the
     count is kept by every writer of a virgin map ({!create_virgin},
-    {!merge_into}, {!merge_sparse_into}, {!copy_into}; {!restore_raw}
-    recounts once). [0] on trace maps. *)
+    the merges, {!copy_into}, {!restore_at}; {!restore_raw} recounts
+    once). [0] on trace maps. *)
 val residual : t -> int
 
 (** The byte scan {!residual} replaces — tests only. *)

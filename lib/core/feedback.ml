@@ -230,6 +230,19 @@ type t = {
 
 let no_probe () = ()
 
+(** A trace map and no probes, for engines whose artifacts run the
+    table on registers of their own. *)
+let trace_only ?size_log2 mode : t =
+  {
+    mode;
+    trace = Coverage_map.create ?size_log2 ();
+    reset = ignore;
+    on_call = ignore;
+    on_block = (fun _ _ -> ());
+    on_edge = (fun _ _ _ -> ());
+    on_ret = (fun _ _ -> ());
+  }
+
 (** Instantiate a feedback listener for [prog]: one closure per probed
     site, looked up by array index per event (edges through a dense
     [src * nblocks + dst] array per function), so handlers never hash,

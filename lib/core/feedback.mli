@@ -120,3 +120,9 @@ val make :
   mode ->
   Minic.Ir.program ->
   t
+
+(** A listener with a fresh trace map and no probes: [reset] and every
+    handler are no-ops. For engines whose compiled artifacts run the
+    {!table} on registers of their own and only need the trace map
+    (fused and native campaigns). *)
+val trace_only : ?size_log2:int -> mode -> t

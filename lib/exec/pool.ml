@@ -8,10 +8,10 @@
       and wants one-shot fan-out: results land by task index, so the
       output array is identical for every worker count and schedule;
     - sharded campaigns want a *reusable* barrier: one pool outlives many
-      sync epochs, each epoch submitting a batch of shard tasks and
-      blocking on [wait] until the batch drains ([run_phase]). Spawning
-      domains once per campaign instead of once per epoch keeps the
-      barrier cost at mutex/condvar level.
+      sync epochs, each epoch running a batch of shard tasks — the first
+      on the calling domain — and blocking until the batch drains
+      ([run_phase]). Spawning domains once per campaign instead of once
+      per epoch keeps the barrier cost at mutex/condvar level.
 
     Failure handling is centralised in the workers: a raising task never
     kills its worker domain. The worker captures the exception and its
@@ -156,15 +156,32 @@ let wait (pool : t) : unit =
   Mutex.unlock pool.mutex;
   reraise_failure pool
 
-(** One synchronization phase: submit [n] tasks ([f] receives the task
-    index and the claiming worker's id) and block until all of them have
-    finished. Tasks of one phase run concurrently; phases never overlap.
-    The earliest failure is re-raised after the whole phase has drained,
+(** One synchronization phase: [n] tasks ([f] receives the task index
+    and a worker id), task 0 on the calling domain and the rest queued
+    for the pool's workers; returns once all of them have finished. The
+    caller works through the phase instead of sleeping in it, so [n]
+    concurrent tasks need [n - 1] pool domains and a phase wakes one
+    domain fewer. Task 0's worker id is the pool's width. Tasks of one
+    phase run concurrently; phases never overlap. The earliest failure
+    (task 0's first) is re-raised after the whole phase has drained,
     leaving the pool reusable. *)
 let run_phase (pool : t) (n : int) (f : int -> worker:int -> unit) : unit =
-  for i = 0 to n - 1 do
+  Mutex.lock pool.mutex;
+  let seq0 = pool.next_seq in
+  pool.next_seq <- seq0 + 1;
+  Mutex.unlock pool.mutex;
+  for i = 1 to n - 1 do
     submit pool (fun wid -> f i ~worker:wid)
   done;
+  (if n > 0 then
+     let wid = List.length pool.domains in
+     match f 0 ~worker:wid with
+     | () -> ()
+     | exception e ->
+         let bt = Printexc.get_raw_backtrace () in
+         Mutex.lock pool.mutex;
+         record_failure_locked pool seq0 wid e bt;
+         Mutex.unlock pool.mutex);
   wait pool
 
 (** Close the pool: queued tasks drain, every worker domain exits and is

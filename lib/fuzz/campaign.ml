@@ -297,14 +297,18 @@ let novel (st : state) : bool =
      <> Pathcov.Coverage_map.Nothing
 
 (* Append an input that passed the novelty verdict to the queue, found
-   at campaign exec [at_exec] with the classified trace [indices]. *)
-let admit (st : state) ~(indices : Pathcov.Index_set.t) ~(data : string)
+   at campaign exec [at_exec] with the classified trace [indices]. With
+   [claim] the entry claims only those slots (a superset of the ones it
+   can win: see Corpus.dearer_slots). *)
+let admit ?claim (st : state) ~(indices : Pathcov.Index_set.t) ~(data : string)
     ~(exec_blocks : int) ~(depth : int) ~(at_exec : int) : unit =
   let e =
     Corpus.add_set st.corpus ~data ~indices ~exec_blocks ~depth
       ~found_at:at_exec
   in
-  Corpus.claim_top_rated st.corpus e;
+  (match claim with
+  | None -> Corpus.claim_top_rated st.corpus e
+  | Some slots -> Corpus.claim_top_rated_at st.corpus e slots);
   let c = st.obs.counters in
   c.retained <- c.retained + 1;
   Obs.Observer.event st.obs
@@ -450,8 +454,15 @@ let make_state ?plans ?obs ?lane ?(config = default_config)
         in
         Obs.Observer.create ?clock:obs.clock ?trace ()
   in
+  (* compiled artifacts run their own probes on their own registers and
+     read only the trace map; only the interpreter calls the listener *)
   let feedback =
-    Pathcov.Feedback.make ~size_log2:config.map_size_log2 ?plans config.mode prog
+    match config.engine with
+    | Tracer.Interp ->
+        Pathcov.Feedback.make ~size_log2:config.map_size_log2 ?plans config.mode
+          prog
+    | Tracer.Fused | Tracer.Native ->
+        Pathcov.Feedback.trace_only ~size_log2:config.map_size_log2 config.mode
   in
   let prepared = Vm.Interp.prepare_cached prog in
   let cmp_buf = make_cmp_buf () in

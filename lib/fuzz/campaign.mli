@@ -121,6 +121,9 @@ type state = {
   tracer : Tracer.t;  (** engine dispatch *)
   cfg : config;
   feedback : Pathcov.Feedback.t;
+      (** the interpreter's listener; under fused and native, whose
+          artifacts run their own probes, {!Pathcov.Feedback.trace_only}:
+          just the trace map *)
   virgin : Pathcov.Coverage_map.t;
   crash_virgin : Pathcov.Coverage_map.t;
   corpus : Corpus.t;
@@ -198,7 +201,8 @@ val calibrate :
 val trace_begin : state -> Obs.Trace.kind -> unit
 val trace_end : ?arg:int -> state -> unit
 
-(** Reset the listener state and trace map before one VM run. *)
+(** Reset the listener state (a no-op off the interpreter) and the
+    trace map before one VM run. *)
 val pre_exec : state -> unit
 
 (** Account one VM run and classify its trace for novelty checks;
@@ -234,8 +238,12 @@ val start_cycle : state -> at_exec:int -> int
 val queue_full : state -> at_exec:int -> bool
 
 (** Append a coverage-novel input found at campaign exec [at_exec] to
-    the queue, claim its top-rated slots, count and announce it. *)
-val admit : state -> indices:Pathcov.Index_set.t -> data:string ->
+    the queue, claim its top-rated slots, count and announce it. With
+    [claim], only those slots are tried ({!Corpus.claim_top_rated_at}):
+    the merge barrier passes a capture's {!Corpus.dearer_slots} from
+    the epoch start. *)
+val admit : ?claim:Pathcov.Index_set.t -> state ->
+  indices:Pathcov.Index_set.t -> data:string ->
   exec_blocks:int -> depth:int -> at_exec:int -> unit
 
 (** The observer's counters at the start of a run. *)

@@ -82,6 +82,8 @@ let indices e = Pathcov.Index_set.to_array e.set
 (* afl's fav_factor: exec time * input length (cached at admission). *)
 let fav_factor e = e.fav
 
+let fav_of ~exec_blocks ~len = exec_blocks * (len + 16)
+
 let size t = t.size
 
 (** The [i]-th entry in discovery order, O(1). *)
@@ -119,7 +121,7 @@ let add_set (t : t) ~data ~(indices : Pathcov.Index_set.t) ~exec_blocks ~depth
       exec_blocks;
       depth;
       found_at;
-      fav = exec_blocks * (String.length data + 16);
+      fav = fav_of ~exec_blocks ~len:(String.length data);
       favored = false;
       times_fuzzed = 0;
       slots = 0;
@@ -156,13 +158,15 @@ let cover (t : t) i =
   t.top_rated <- bigger
 
 (** Incremental update_bitmap_score (afl's on-retention half of the
-    favored machinery): the new entry claims every top_rated slot it
-    covers more cheaply — one load and compare per index — moving the
-    slot count from the old holder to it. Favored flags are refreshed at
+    favored machinery): the new entry claims every slot among [slots]
+    (its whole set, or a superset of the slots it can win) it covers
+    more cheaply — one load and compare per slot — moving the slot
+    count from the old holder to it. Favored flags are refreshed at
     cycle boundaries by {!recompute_favored}; until then a claim only
     raises flags: newly-favored never-fuzzed entries bump
     [pending_favored], exactly as the cycle refresh would. *)
-let claim_top_rated (t : t) (e : entry) : unit =
+let claim_top_rated_at (t : t) (e : entry) (slots : Pathcov.Index_set.t) :
+    unit =
   Pathcov.Index_set.iter
     (fun i ->
       if i >= Array.length t.top_rated then cover t i;
@@ -176,7 +180,34 @@ let claim_top_rated (t : t) (e : entry) : unit =
           if e.times_fuzzed = 0 then t.pending_favored <- t.pending_favored + 1
         end
       end)
-    e.set
+    slots
+
+let claim_top_rated (t : t) (e : entry) : unit = claim_top_rated_at t e e.set
+
+(** The slots of [set] whose holder is dearer than [fav] ([unrated]
+    counting as [max_int]), ascending, written to [into]; returns how
+    many. Holders only ever get cheaper, so the slots an entry of cost
+    [fav] covering [set] would claim at any later time are among
+    these. *)
+let dearer_slots (t : t) ~(fav : int) (set : Pathcov.Index_set.t)
+    ~(into : int array) : int =
+  if Array.length into < Pathcov.Index_set.length set then
+    invalid_arg "Corpus.dearer_slots";
+  let n = ref 0 in
+  let rated = Array.length t.top_rated in
+  Pathcov.Index_set.iter
+    (fun i ->
+      if
+        i >= rated
+        ||
+        let best = Array.unsafe_get t.top_rated i in
+        best == unrated || best.fav > fav
+      then begin
+        Array.unsafe_set into !n i;
+        incr n
+      end)
+    set;
+  !n
 
 (** Seat [e] in slot [i] of the top-rated table, displacing the current
     holder — the checkpoint restore primitive. *)

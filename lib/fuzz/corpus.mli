@@ -13,8 +13,10 @@
     Retention costs time in the indices an entry touches: index sets are
     packed, the top-rated table is a flat array indexed by map slot, and
     each entry counts the slots it holds. {b Contract:} every entry is
-    claimed ({!claim_top_rated}) in discovery order, right after it is
-    added; the incremental table then equals a from-scratch rebuild, and
+    claimed ({!claim_top_rated}, or {!claim_top_rated_at} over a
+    superset of the slots it can claim, such as its {!dearer_slots} at
+    any earlier point) in discovery order, right after it is added; the
+    incremental table then equals a from-scratch rebuild, and
     {!recompute_favored} only refreshes flags from the slot counts. *)
 
 type entry = {
@@ -47,6 +49,10 @@ val create : ?map_size_log2:int -> unit -> t
 
 (** afl's fav_factor: execution work x input length (cached per entry). *)
 val fav_factor : entry -> int
+
+(** The fav_factor an entry of [exec_blocks] work and a [len]-byte input
+    gets at admission: [exec_blocks * (len + 16)]. *)
+val fav_of : exec_blocks:int -> len:int -> int
 
 (** The entry's index set, unpacked into a fresh ascending array. *)
 val indices : entry -> int array
@@ -92,6 +98,23 @@ val size : t -> int
     compare per index — bumping [pending_favored] for newly-favored
     never-fuzzed entries. *)
 val claim_top_rated : t -> entry -> unit
+
+(** {!claim_top_rated} over the listed slots only, which must be
+    slots of the entry's set: the same claim, one compare per listed
+    slot. When [slots] holds every slot of the entry's set whose holder
+    is dearer now, the result equals {!claim_top_rated}'s — so it obeys
+    the same contract. *)
+val claim_top_rated_at : t -> entry -> Pathcov.Index_set.t -> unit
+
+(** Claim candidates: the slots of [set] whose current holder is dearer
+    than [fav] (an unrated slot counts as [max_int]), ascending, written
+    to [into] (which must hold [Index_set.length set] ints); returns how
+    many. A holder's fav only ever falls, so for an entry of cost [fav]
+    covering [set], these are a superset of the slots it would claim at
+    any later point: a sharded lane computes them against the
+    epoch-start table, and the merge barrier claims with
+    {!claim_top_rated_at}. Reads the table only. *)
+val dearer_slots : t -> fav:int -> Pathcov.Index_set.t -> into:int array -> int
 
 (** Seat an entry in one top-rated slot, displacing the holder (the
     checkpoint restore primitive). *)

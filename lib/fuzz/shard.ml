@@ -7,13 +7,16 @@
       scheduler and emits {e work items} pinned to (queue entry, private
       RNG stream keyed by schedule position, energy, exec-clock base)
       until [sync_interval] executions are scheduled.
-    - {b The lanes} (parallel phase) run item [i] on lane [i mod shards]
-      against the lane's [virgin] map re-seeded per item from the
-      epoch-start global map, and record retentions and crashes as
-      sparse captures instead of applying them.
+    - {b The lanes} (parallel phase) claim items off a shared cursor.
+      A lane's virgin and crash-virgin maps are copies of the global
+      ones taken at epoch start; each item merges into them, records
+      retentions and crashes as sparse captures instead of applying
+      them, and then undoes its merges from an undo log.
     - {b The merge barrier} (coordinator) folds the lane counters in and
       replays the captures in global item order through the
-      coordinator's admit stages.
+      coordinator's admit stages. A capture carries only the indices
+      that beat the lane's map and, for a retention, the top-rated
+      slots it could still claim; nothing else can change there.
 
     The merged trajectory is thus a function of [(seed, sync_interval)]
     alone, identical for every shard and worker count (DESIGN.md §8). *)
@@ -44,12 +47,24 @@ type item = {
   base_exec : int;  (** campaign execs before this item's first one *)
 }
 
-(* Sparse captures recorded by shards and replayed at the barrier, index
-   sets packed like the queue's. *)
+(* Sparse captures recorded by lanes and replayed at the barrier, index
+   sets packed like the queue's. A capture carries only what can still
+   change at the barrier: its {e delta}, the indices where it beat the
+   lane's map (in journal order, with their classified bytes), and for a
+   retention its claim candidates. The coordinator's map has cleared at
+   least every bit the lane's had when the capture was taken (the lane's
+   map is the epoch-start map plus the item's own earlier captures, each
+   of which the barrier admits, finds already seen, or skips on a full
+   queue and then skips this one too), so outside the delta the capture
+   clears nothing there either: merging the delta gives the full
+   capture's verdict and bytes. *)
 type retained_rec = {
   r_data : string;
   r_idxs : Pathcov.Index_set.t;  (** classified trace indices, ascending *)
-  r_vals : string;  (** classified trace bytes at [r_idxs], one each *)
+  r_delta : Pathcov.Index_set.t;  (** indices that beat the lane's map *)
+  r_dvals : string;  (** classified trace bytes at [r_delta], one each *)
+  r_claim : Pathcov.Index_set.t;
+      (** slots whose epoch-start holder was dearer ({!Corpus.dearer_slots}) *)
   r_exec_blocks : int;
   r_depth : int;
   r_at_exec : int;
@@ -59,8 +74,8 @@ type crash_rec = {
   c_crash : Vm.Crash.t;
   c_input : string;
   c_at_exec : int;
-  c_idxs : Pathcov.Index_set.t;
-  c_vals : string;
+  c_delta : Pathcov.Index_set.t;  (** indices that beat the lane's crash map *)
+  c_dvals : string;
 }
 
 type item_result = {
@@ -74,6 +89,41 @@ type item_result = {
 (* ------------------------------------------------------------------ *)
 (* Lanes *)
 
+(* A lane: a campaign state whose [virgin] and [crash_virgin] hold the
+   epoch-start global maps plus the running item's merges, and the undo
+   log of the bytes the item changed in them. Scratch arrays grow with
+   the largest trace journal seen. *)
+type lane = {
+  st : Campaign.state;
+  mutable undo : int array;  (** indices written since the item began *)
+  mutable nundo : int;
+  mutable cand : int array;  (** claim-candidate scratch *)
+}
+
+(* Room for [n] more undo entries. *)
+let reserve (ln : lane) (n : int) : unit =
+  if ln.nundo + n > Array.length ln.undo then begin
+    let bigger = Array.make (max 256 (2 * (ln.nundo + n))) 0 in
+    Array.blit ln.undo 0 bigger 0 ln.nundo;
+    ln.undo <- bigger
+  end
+
+(* Merge the lane's trace into one of its maps, logging the changed
+   indices for undo; returns them packed (empty when nothing was new). *)
+let merge_delta (ln : lane) (map : Pathcov.Coverage_map.t) : Pathcov.Index_set.t =
+  let tr = ln.st.feedback.trace in
+  reserve ln (Pathcov.Coverage_map.count_set tr);
+  let n =
+    Pathcov.Coverage_map.noted_count
+      (Pathcov.Coverage_map.merge_noting ~virgin:map tr ln.undo ~at:ln.nundo)
+  in
+  if n = 0 then Pathcov.Index_set.empty
+  else begin
+    let delta = Pathcov.Index_set.of_sub ln.undo ~pos:ln.nundo ~len:n in
+    ln.nundo <- ln.nundo + n;
+    delta
+  end
+
 (* O(1) random splice peer over the epoch-start queue snapshot — the
    same draw-to-entry mapping as the sequential loop's, against the view
    so every lane sees the same corpus regardless of merge-time growth. *)
@@ -86,17 +136,20 @@ let random_other_view (rng : Rng.t) (view : Corpus.view) (e : Corpus.entry) :
     if pick.Corpus.id = e.Corpus.id then None else Some pick.Corpus.data
 
 (** The per-lane step loop: evaluate one work item end to end through
-    the campaign stages, against the lane's [virgin] map re-seeded from
-    the epoch-start global map, recording retentions/crashes/hangs as
-    sparse captures for the merge barrier instead of applying them.
-    Touches only lane-private state plus read-only views of the
-    epoch-start corpus and virgin map. *)
-let run_item (lane : Campaign.state) (view : Corpus.view)
-    (global_virgin : Pathcov.Coverage_map.t) (it : item) : item_result =
+    the campaign stages against the lane's maps, recording retentions,
+    crashes and hangs as sparse captures for the merge barrier instead
+    of applying them, then undo the item's merges so the maps hold the
+    epoch-start image again. [co] is the parked coordinator: the lane
+    reads its maps, top-rated table and the epoch-start [view] only. An
+    item's result is thus a function of the item and the epoch-start
+    state, whichever lane runs it. *)
+let run_item (ln : lane) (co : Campaign.state) (view : Corpus.view) (it : item)
+    : item_result =
+  let lane = ln.st in
   let e = Corpus.view_get view it.entry_idx in
-  Pathcov.Coverage_map.copy_into ~dst:lane.virgin global_virgin;
   let res = { execs = 0; n_cmps = 0; retained = []; crashes = []; hangs = [] } in
   let start = lane.execs in
+  ln.nundo <- 0;
   (* The decision procedure over the candidate view just run: the
      candidate's string is materialised only when a crash or a
      retention record needs one. *)
@@ -106,33 +159,42 @@ let run_item (lane : Campaign.state) (view : Corpus.view)
     let at_exec = it.base_exec + lane.execs - start in
     match out.status with
     | Vm.Interp.Crashed crash ->
-        let idxs = Pathcov.Coverage_map.sorted_set tr in
+        let delta = merge_delta ln lane.crash_virgin in
         res.crashes <-
           {
             c_crash = crash;
             c_input = Bytes.sub_string buf 0 len;
             c_at_exec = at_exec;
-            c_idxs = idxs;
-            c_vals = Pathcov.Coverage_map.values_of tr idxs;
+            c_delta = delta;
+            c_dvals = Pathcov.Coverage_map.values_of tr delta;
           }
           :: res.crashes
     | Vm.Interp.Hung -> res.hangs <- at_exec :: res.hangs
     | Vm.Interp.Finished _ ->
-        if
-          Pathcov.Coverage_map.merge_into ~virgin:lane.virgin tr
-          <> Pathcov.Coverage_map.Nothing
-        then
+        let delta = merge_delta ln lane.virgin in
+        if Pathcov.Index_set.length delta > 0 then begin
           let idxs = Pathcov.Coverage_map.sorted_set tr in
+          let exec_blocks = max 1 out.blocks_executed in
+          let nidx = Pathcov.Index_set.length idxs in
+          if Array.length ln.cand < nidx then ln.cand <- Array.make (2 * nidx) 0;
+          let ncand =
+            Corpus.dearer_slots co.corpus
+              ~fav:(Corpus.fav_of ~exec_blocks ~len)
+              idxs ~into:ln.cand
+          in
           res.retained <-
             {
               r_data = Bytes.sub_string buf 0 len;
               r_idxs = idxs;
-              r_vals = Pathcov.Coverage_map.values_of tr idxs;
-              r_exec_blocks = max 1 out.blocks_executed;
+              r_delta = delta;
+              r_dvals = Pathcov.Coverage_map.values_of tr delta;
+              r_claim = Pathcov.Index_set.of_sub ln.cand ~pos:0 ~len:ncand;
+              r_exec_blocks = exec_blocks;
               r_depth = depth;
               r_at_exec = at_exec;
             }
             :: res.retained
+        end
   in
   let cmps =
     if it.calib then begin
@@ -143,6 +205,15 @@ let run_item (lane : Campaign.state) (view : Corpus.view)
               (Bytes.unsafe_of_string data, String.length data)
               ~depth:e.Corpus.depth)
       in
+      (* calibration merges into [virgin] unnoted; an admitted entry's
+         trace was merged at the barrier already, but undo it anyway *)
+      let tr = lane.feedback.trace in
+      reserve ln (Pathcov.Coverage_map.count_set tr);
+      Pathcov.Coverage_map.iteri_set
+        (fun i _ ->
+          ln.undo.(ln.nundo) <- i;
+          ln.nundo <- ln.nundo + 1)
+        tr;
       res.n_cmps <- lane.cmp_buf.n_cmps;
       cmps
     end
@@ -170,6 +241,9 @@ let run_item (lane : Campaign.state) (view : Corpus.view)
       Campaign.post_exec lane out;
       capture_outcome out !cur ~depth);
   if it.energy > 0 then Campaign.trace_end ~arg:it.energy lane;
+  Pathcov.Coverage_map.restore_at ~dst:lane.virgin co.virgin ln.undo ln.nundo;
+  Pathcov.Coverage_map.restore_at ~dst:lane.crash_virgin co.crash_virgin ln.undo
+    ln.nundo;
   res.execs <- lane.execs - start;
   res.retained <- List.rev res.retained;
   res.crashes <- List.rev res.crashes;
@@ -275,7 +349,7 @@ let merge_epoch (t : t) (items : item array) (results : item_result array) :
         (fun (cr : crash_rec) ->
           let coverage_novel =
             Pathcov.Coverage_map.merge_sparse_into ~virgin:co.crash_virgin
-              ~idxs:cr.c_idxs ~vals:cr.c_vals
+              ~idxs:cr.c_delta ~vals:cr.c_dvals
             <> Pathcov.Coverage_map.Nothing
           in
           Triage.record_crash co.triage ~crash:cr.c_crash ~input:cr.c_input
@@ -287,10 +361,10 @@ let merge_epoch (t : t) (items : item array) (results : item_result array) :
           if Campaign.queue_full co ~at_exec:rr.r_at_exec then ()
           else if
             Pathcov.Coverage_map.merge_sparse_into ~virgin:co.virgin
-              ~idxs:rr.r_idxs ~vals:rr.r_vals
+              ~idxs:rr.r_delta ~vals:rr.r_dvals
             <> Pathcov.Coverage_map.Nothing
           then begin
-            Campaign.admit co ~indices:rr.r_idxs ~data:rr.r_data
+            Campaign.admit co ~claim:rr.r_claim ~indices:rr.r_idxs ~data:rr.r_data
               ~exec_blocks:rr.r_exec_blocks ~depth:rr.r_depth
               ~at_exec:rr.r_at_exec;
             incr retained_now
@@ -364,8 +438,9 @@ let restore_checkpoint (t : t) (ck : Checkpoint.t) : unit =
   t.epochs <- p.epochs;
   t.dup_dropped <- p.dup_dropped
 
-(** Run one sharded campaign. [workers] caps the domain-pool width (the
-    default runs one worker per shard; any value yields byte-identical
+(** Run one sharded campaign. [workers] caps how many lanes run at once,
+    the calling domain included (the default runs one per shard, on
+    [shards - 1] pool domains and the caller; any value yields byte-identical
     results — it is purely a wall-clock knob, like [--jobs] for trial
     fan-out). [plans] and [obs] behave as in {!Campaign.run}; the
     observer's clock enables the same vm/mutator wall split, accumulated
@@ -389,11 +464,12 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
   let co = Campaign.make_state ?plans ?obs ~config:base prog in
   let lanes =
     Array.init cfg.shards (fun s ->
-        Campaign.make_state ?plans ~obs:co.obs ~lane:s ~config:base prog)
+        let st = Campaign.make_state ?plans ~obs:co.obs ~lane:s ~config:base prog in
+        { st; undo = [||]; nundo = 0; cand = [||] })
   in
   (* snapshot rows are sampled at barriers only *)
   co.sample_every <- max_int;
-  Array.iter (fun (l : Campaign.state) -> l.sample_every <- max_int) lanes;
+  Array.iter (fun ln -> ln.st.sample_every <- max_int) lanes;
   (* the coordinator's stream is the planning stream; items draw from
      substreams [1..] *)
   Rng.set_state co.rng (Rng.state (Rng.substream ~seed:base.rng_seed 0));
@@ -416,8 +492,13 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
   let workers =
     min cfg.shards (match workers with Some w -> max 1 w | None -> cfg.shards)
   in
-  let pool = if workers > 1 then Some (Exec.Pool.create ~jobs:workers) else None in
+  (* the calling domain runs one lane of every phase itself *)
+  let pool =
+    if workers > 1 then Some (Exec.Pool.create ~jobs:(workers - 1)) else None
+  in
   let walls = Array.make cfg.shards 0. in
+  (* the next unclaimed item of the running epoch *)
+  let cursor = Atomic.make 0 in
   Fun.protect
     ~finally:(fun () ->
       match pool with Some p -> Exec.Pool.shutdown p | None -> ())
@@ -429,16 +510,23 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
         Campaign.trace_end ~arg:n co;
         let results = Array.make n None in
         let view = Corpus.view co.corpus ~limit:(Corpus.size co.corpus) in
+        Atomic.set cursor 0;
+        (* lanes claim items as they free up; each lane's maps start the
+           epoch as copies of the global ones and every item hands them
+           back unchanged, so no result depends on which lane ran it *)
         let slice s ~worker:_ =
-          let lane = lanes.(s) in
+          let ln = lanes.(s) in
+          let lane = ln.st in
           let t0 = match obs.clock with Some now -> now () | None -> 0. in
           Campaign.trace_begin lane Obs.Trace.Epoch;
+          Pathcov.Coverage_map.copy_into ~dst:lane.virgin co.virgin;
+          Pathcov.Coverage_map.copy_into ~dst:lane.crash_virgin co.crash_virgin;
           let mine = ref 0 in
-          let k = ref s in
+          let k = ref (Atomic.fetch_and_add cursor 1) in
           while !k < n do
-            results.(!k) <- Some (run_item lane view co.virgin items.(!k));
+            results.(!k) <- Some (run_item ln co view items.(!k));
             incr mine;
-            k := !k + cfg.shards
+            k := Atomic.fetch_and_add cursor 1
           done;
           Campaign.trace_end ~arg:!mine lane;
           walls.(s) <- (match obs.clock with Some now -> now () -. t0 | None -> 0.)
@@ -460,7 +548,8 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
            coordinator's is race-free; the epoch's executions reach both
            exec clocks before the merge replays them *)
         Array.iter
-          (fun (l : Campaign.state) ->
+          (fun ln ->
+            let l = ln.st in
             Campaign.settle_walls l;
             Obs.Counters.add_into ~into:c l.obs.counters;
             Obs.Counters.reset l.obs.counters;
@@ -528,7 +617,7 @@ let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
       Campaign.finish co baseline
         ~tracers:
           (co.tracer
-          :: Array.to_list (Array.map (fun (l : Campaign.state) -> l.tracer) lanes));
+          :: Array.to_list (Array.map (fun ln -> ln.st.tracer) lanes));
     shards = cfg.shards;
     sync_interval = cfg.sync_interval;
     epochs = t.epochs;

@@ -6,12 +6,14 @@
     maps, triage and observer — plans each epoch deterministically
     (walking the queue in cycle order with the sequential scheduler's
     skip/energy rules, one private RNG stream per work item keyed by the
-    item's position in the global schedule), then fans the items out
-    round-robin over N lanes, each a {!Campaign.state} built with
-    [~lane]. A lane runs its items through the campaign stages against a
-    private virgin overlay seeded from the epoch-start global map and
-    records discoveries as sparse captures; the barrier replays them
-    against the coordinator in global item order. The merged trajectory
+    item's position in the global schedule), then lets N lanes, each a
+    {!Campaign.state} built with [~lane], claim the items as they free
+    up. A lane runs each item through the campaign stages against
+    private copies of the epoch-start virgin maps, records discoveries
+    as sparse captures (the indices that beat its map, and the
+    top-rated slots a retention could still claim), and undoes the
+    item's merges; the barrier replays the captures against the
+    coordinator in global item order. The merged trajectory
     (queue contents and order, virgin-map bytes, crash set, counters) is
     therefore a deterministic function of [(seed, sync_interval)] alone
     — byte-identical across re-runs {e and across shard/worker counts},
@@ -42,8 +44,9 @@ type result = {
   crash_virgin : Pathcov.Coverage_map.t;
 }
 
-(** Run one sharded campaign. [workers] caps the domain-pool width
-    (default: one worker per shard); it is purely a wall-clock knob —
+(** Run one sharded campaign. [workers] caps how many lanes run at
+    once, the calling domain included (default: one per shard); it is
+    purely a wall-clock knob —
     any value yields byte-identical results. [plans] and [obs] behave as
     in {!Campaign.run}; the observer's optional clock enables the same
     vm/mutator wall split, accumulated per lane and aggregated at each

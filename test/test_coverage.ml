@@ -159,6 +159,48 @@ let prop_residual_matches_scan =
              agree ())
            ops)
 
+(* [merge_noting] is [merge_into] plus a note of every index it wrote,
+   and [restore_at] over those notes undoes it. Virgin maps are aged by
+   a few random merges first (64 slots, so bytes are partly cleared and
+   traces overlap them), then one classified trace merges both ways. *)
+let prop_merge_noting_undo =
+  let hits = QCheck.Gen.(list_size (int_range 0 24) (pair (int_bound 63) (int_range 1 300))) in
+  QCheck.Test.make ~count:300
+    ~name:"merge_noting equals merge_into; restore_at undoes it"
+    (QCheck.make QCheck.Gen.(pair (list_size (int_range 0 6) hits) hits))
+    (fun (history, fresh) ->
+      let trace_of hs =
+        let tr = Cm.create ~size_log2:6 () in
+        List.iter (fun (i, n) -> for _ = 1 to n do Cm.hit tr i done) hs;
+        Cm.classify tr;
+        tr
+      in
+      let orig = Cm.create_virgin ~size_log2:6 () in
+      List.iter (fun hs -> ignore (Cm.merge_into ~virgin:orig (trace_of hs))) history;
+      let tr = trace_of fresh in
+      let plain = Cm.copy orig and noted = Cm.copy orig in
+      let verdict = Cm.merge_into ~virgin:plain tr in
+      let note = Array.make (Cm.count_set tr) (-1) in
+      let v = Cm.merge_noting ~virgin:noted tr note ~at:0 in
+      let n = Cm.noted_count v in
+      let changed =
+        List.filter (fun i -> Cm.get orig i <> Cm.get noted i) (List.init 64 Fun.id)
+      in
+      let same_verdict = Cm.noted_novelty v = verdict in
+      let same_map =
+        Cm.equal plain noted && Cm.residual plain = Cm.residual noted
+      in
+      let exact_notes =
+        List.sort compare (Array.to_list (Array.sub note 0 n)) = changed
+      in
+      Cm.restore_at ~dst:noted orig note n;
+      let undone =
+        Cm.equal noted orig && Cm.residual noted = Cm.residual orig
+        && Cm.residual noted = Cm.residual_scan noted
+      in
+      same_verdict && same_map && exact_notes && undone
+      && (n = 0) = (verdict = Cm.Nothing))
+
 (* --- feedback listeners --- *)
 
 let run_with_feedback fb prog input =
@@ -288,5 +330,6 @@ let suite =
           prop_journal_matches_bytes;
           prop_feedback_deterministic;
           prop_residual_matches_scan;
+          prop_merge_noting_undo;
         ] );
   ]

@@ -102,8 +102,9 @@ let test_earliest_failure_wins () =
   | exception Failure m -> check Alcotest.string "lowest index" "task-2" m
 
 (* run_phase is a reusable barrier: phases never overlap, the pool
-   survives many phases, and a failing phase re-raises from wait while
-   leaving the pool usable for the next phase. *)
+   survives many phases, and a failing phase — in a pool task or in the
+   task the caller runs — re-raises once the phase drains while leaving
+   the pool usable for the next phase. *)
 let test_run_phase_reuse () =
   let pool = Exec.Pool.create ~jobs:3 in
   let acc = Array.make 12 (-1) in
@@ -120,6 +121,13 @@ let test_run_phase_reuse () =
   (match Exec.Pool.run_phase pool 6 (fun i ~worker:_ -> if i = 3 then failwith "mid") with
   | () -> Alcotest.fail "expected phase failure"
   | exception Failure m -> check Alcotest.string "phase failure" "mid" m);
+  (* task 0 runs on the calling domain; its failure is the earliest *)
+  (match
+     Exec.Pool.run_phase pool 6 (fun i ~worker:_ ->
+         if i = 0 || i = 4 then failwith (Printf.sprintf "task-%d" i))
+   with
+  | () -> Alcotest.fail "expected phase failure"
+  | exception Failure m -> check Alcotest.string "caller's task first" "task-0" m);
   (* wait cleared the failure; the pool is still usable *)
   let ok = Atomic.make 0 in
   Exec.Pool.run_phase pool 8 (fun _ ~worker:_ -> Atomic.incr ok);

@@ -194,6 +194,46 @@ let test_cmplog_campaign_allocation () =
           (fun mode -> [ (mode, Fuzz.Tracer.Fused); (mode, Fuzz.Tracer.Native) ])
           [ Pathcov.Feedback.Path; Pathcov.Feedback.Edge ]))
 
+(* The sharded capture path under retention-heavy feedback: pathafl on
+   sqlite3 keeps thousands of entries, so most of the allocation is
+   captures (the input, its packed set, its novelty delta and claim
+   candidates) and the entries the barrier admits. Deltas and candidates
+   are packed, never a word per index; a lane's undo log and candidate
+   scratch grow to the largest journal once. Two shards on one worker,
+   so [Gc.minor_words] sees every lane; the 500-exec warm-up keeps
+   artifact compilation out. *)
+let test_pathafl_shard_allocation () =
+  let s = Subjects.Registry.find_exn "sqlite3" in
+  let prog = Subjects.Subject.compile_fresh s in
+  let run (config : Fuzz.Campaign.config) =
+    (Fuzz.Shard.run ~workers:1
+       { Fuzz.Shard.base = config; shards = 2;
+         sync_interval = Fuzz.Shard.default_sync_interval }
+       prog ~seeds:s.seeds)
+      .campaign
+  in
+  List.iter
+    (fun engine ->
+      let config =
+        {
+          Fuzz.Campaign.default_config with
+          mode = Pathcov.Feedback.Pathafl;
+          budget = 20_000;
+          rng_seed = 3;
+          engine;
+        }
+      in
+      ignore (run { config with budget = 500 });
+      let w0 = Gc.minor_words () in
+      let r = run config in
+      let per_exec = (Gc.minor_words () -. w0) /. float_of_int r.execs in
+      check_bool
+        (Printf.sprintf
+           "pathafl %s sharded minor words per exec bounded (got %.1f)"
+           (Fuzz.Tracer.engine_name engine) per_exec)
+        true (per_exec < 112.))
+    [ Fuzz.Tracer.Fused; Fuzz.Tracer.Native ]
+
 (* --- steady-state allocation: retention under pathafl --- *)
 
 (* Words a closure allocates, minor and major (large arrays skip the
@@ -344,6 +384,8 @@ let suite =
           test_campaign_allocation;
         test_case "cmplog campaign steady-state allocation" `Quick
           test_cmplog_campaign_allocation;
+        test_case "pathafl sharded capture allocation" `Quick
+          test_pathafl_shard_allocation;
         test_case "retention steady-state allocation" `Quick
           test_retention_allocation;
         test_case "campaign allocates one top-rated table" `Quick

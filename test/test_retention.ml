@@ -185,6 +185,60 @@ let test_restore_equals_oracle () =
     check_against_oracle (label ^ " + 20 (restored)") r
   done
 
+(* A claim over the slots that were dearer at some earlier point equals
+   the full claim: holders only get cheaper, so the later claim can only
+   win among those slots. Two corpora share one random history; the new
+   entry's candidates are taken from one of them mid-history, then more
+   entries are retained in both before the new entry is claimed, by
+   [claim_top_rated_at] over the candidates in one and by
+   [claim_top_rated] in the other. *)
+let prop_claim_at_candidates =
+  QCheck.Test.make ~count:200 ~name:"claim over earlier dearer slots equals full claim"
+    QCheck.(pair small_nat bool)
+    (fun (seed, small) ->
+      let universe = if small then 64 else 70_000 in
+      let history c =
+        let rng = Fuzz.Rng.create seed in
+        for _ = 1 to 30 do
+          random_add rng c ~universe;
+          if Fuzz.Rng.chance rng ~num:1 ~den:3 then random_fuzz rng c
+        done;
+        rng
+      in
+      let part = Corpus.create () and full = Corpus.create () in
+      let rng_p = history part and rng_f = history full in
+      (* the would-be entry, and its candidates against the snapshot *)
+      let pick = Fuzz.Rng.create (1000 + seed) in
+      let idxs =
+        Array.of_list
+          (List.sort_uniq compare
+             (List.init (1 + Fuzz.Rng.int pick 16) (fun _ -> Fuzz.Rng.int pick universe)))
+      in
+      let data = String.make (Fuzz.Rng.int pick 3) 'y' in
+      let exec_blocks = 1 + Fuzz.Rng.int pick 3 in
+      let set = Iset.of_array idxs in
+      let into = Array.make (Array.length idxs) 0 in
+      let fav = Corpus.fav_of ~exec_blocks ~len:(String.length data) in
+      let n = Corpus.dearer_slots part ~fav set ~into in
+      let cands = Iset.of_sub into ~pos:0 ~len:n in
+      for _ = 1 to 10 do
+        random_add rng_p part ~universe;
+        random_add rng_f full ~universe
+      done;
+      let add c =
+        Corpus.add c ~data ~indices:idxs ~exec_blocks ~depth:0
+          ~found_at:(Corpus.size c)
+      in
+      let e_p = add part and e_f = add full in
+      Corpus.claim_top_rated_at part e_p cands;
+      Corpus.claim_top_rated full e_f;
+      let state c =
+        ( Corpus.top_rated_pairs c,
+          List.map (fun (e : Corpus.entry) -> (e.slots, e.favored)) (Corpus.to_list c),
+          c.pending_favored )
+      in
+      e_p.fav = fav && state part = state full)
+
 (* ------------------------------------------------------------------ *)
 (* Radix-sorted journal                                                *)
 (* ------------------------------------------------------------------ *)
@@ -284,5 +338,6 @@ let suite =
           test_radix_matches_sort;
         Alcotest.test_case "packed index sets round trip" `Quick
           test_packed_roundtrip;
+        QCheck_alcotest.to_alcotest prop_claim_at_candidates;
       ] );
   ]

@@ -125,6 +125,37 @@ let test_workers_irrelevant () =
   check_identical "workers 1" r_def r_w1;
   check_identical "workers 2" r_def r_w2
 
+(* Lanes claim items dynamically, so which lane runs which item changes
+   from run to run once lanes run on their own domains. Each item undoes
+   its merges into its lane's maps, so no result may depend on that
+   assignment: retention- and crash-heavy pathafl campaigns at 2 and 4
+   shards, one worker per shard, three runs each, all match 1 shard. *)
+let test_schedule_independent () =
+  List.iter
+    (fun (name, budget) ->
+      let s = Subjects.Registry.find_exn name in
+      let prog = Subjects.Subject.compile_fresh s in
+      let run shards =
+        run_sharded ~budget ~mode:Pathcov.Feedback.Pathafl ~cmplog:true
+          ~workers:shards ~shards prog s.seeds
+      in
+      let r1 = run 1 in
+      List.iter
+        (fun shards ->
+          for k = 1 to 3 do
+            let r = run shards in
+            let label = Printf.sprintf "%s pathafl %d shards, run %d" name shards k in
+            check_identical label r1 r;
+            check Alcotest.int (label ^ ": virgin fingerprint")
+              (Pathcov.Coverage_map.bytes_hash r1.virgin)
+              (Pathcov.Coverage_map.bytes_hash r.virgin);
+            check Alcotest.int (label ^ ": crash-virgin fingerprint")
+              (Pathcov.Coverage_map.bytes_hash r1.crash_virgin)
+              (Pathcov.Coverage_map.bytes_hash r.crash_virgin)
+          done)
+        [ 2; 4 ])
+    [ ("gdk", 3_000); ("sqlite3", 3_000) ]
+
 (* Re-running the same configuration is trivially byte-identical. *)
 let test_rerun_identical () =
   let prog = Minic.Lower.compile easy_bug_src in
@@ -198,6 +229,8 @@ let suite =
           test_differential_subject;
         Alcotest.test_case "worker count is wall-clock only" `Quick
           test_workers_irrelevant;
+        Alcotest.test_case "item-to-lane assignment is invisible" `Quick
+          test_schedule_independent;
         Alcotest.test_case "re-run identical" `Quick test_rerun_identical;
         Alcotest.test_case "sync interval is part of the identity" `Quick
           test_sync_interval_changes_trajectory;
