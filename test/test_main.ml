@@ -11,4 +11,4 @@ let () =
    @ Test_shard.suite
    @ Test_checkpoint.suite @ Test_subjects.suite
    @ Test_experiments.suite @ Test_obs.suite @ Test_introspect.suite
-   @ Test_misc.suite)
+   @ Test_misc.suite @ Contract.suite)

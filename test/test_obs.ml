@@ -1,106 +1,14 @@
-(** Observability-layer tests: the zero-perturbation rule (observed and
-    unobserved campaigns run byte-identical trajectories), counter
-    hot-path allocation, ring-buffer sink semantics, the snapshot-derived
-    legacy views, pool trial events, and feedback mode names. *)
+(** Observability-layer tests: the zero-perturbation rule across the
+    phases of a multi-phase strategy (single campaigns are the contract
+    suite's), counter hot-path allocation, ring-buffer sink semantics,
+    the snapshot-derived legacy views, pool trial events, and feedback
+    mode names. *)
 
 let check = Alcotest.check
 let check_bool msg = Alcotest.(check bool) msg
 
 (* ------------------------------------------------------------------ *)
-(* Zero perturbation: byte-identical trajectories under any observer *)
-
-(* Everything the fuzzing loop decided, folded into one comparable
-   summary: final queue bytes + discovery metadata, triage tallies,
-   exec/havoc counts. Wall floats are excluded (they are observer-clock
-   artifacts, identically 0 here). *)
-let trajectory (r : Fuzz.Campaign.result) : string =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (e : Fuzz.Corpus.entry) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d:%d:%d:%b:%S;" e.id e.depth e.found_at e.favored
-           e.data))
-    (Fuzz.Corpus.to_list r.corpus);
-  Buffer.add_string buf
-    (Printf.sprintf "|execs=%d havocs=%d blocks=%d" r.execs r.havocs
-       r.sum_exec_blocks);
-  Buffer.add_string buf
-    (Printf.sprintf "|crashes=%d/%d/%d hangs=%d bugs=%d"
-       r.triage.total_crashes
-       (Fuzz.Triage.unique_crashes r.triage)
-       (Fuzz.Triage.afl_unique_crashes r.triage)
-       r.triage.total_hangs
-       (Fuzz.Triage.unique_bugs r.triage));
-  List.iter
-    (fun (x, q) -> Buffer.add_string buf (Printf.sprintf "|%d,%d" x q))
-    r.queue_series;
-  Buffer.contents buf
-
-let run_with ?obs config prog seeds = Fuzz.Campaign.run ?obs ~config prog ~seeds
-
-let test_byte_identical_trajectories () =
-  let s = Subjects.Registry.find_exn "cflow" in
-  let prog = Subjects.Subject.compile_fresh s in
-  let configs =
-    [
-      ("path+cmplog", { Fuzz.Campaign.default_config with budget = 3_000 });
-      ( "edge no cmplog",
-        {
-          Fuzz.Campaign.default_config with
-          mode = Pathcov.Feedback.Edge;
-          budget = 3_000;
-          cmplog = false;
-          rng_seed = 5;
-        } );
-      ( "pathafl",
-        {
-          Fuzz.Campaign.default_config with
-          mode = Pathcov.Feedback.Pathafl;
-          budget = 2_000;
-          cmplog = false;
-          rng_seed = 9;
-        } );
-    ]
-  in
-  let tmp = Filename.temp_file "pathfuzz_obs" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tmp)
-    (fun () ->
-      List.iter
-        (fun (name, config) ->
-          let bare = trajectory (run_with config prog s.seeds) in
-          (* null sink *)
-          let null_obs = Obs.Observer.create () in
-          check Alcotest.string (name ^ ": null sink")
-            bare
-            (trajectory (run_with ~obs:null_obs config prog s.seeds));
-          (* memory ring sink *)
-          let ring = Obs.Sink.create_ring ~capacity:64 () in
-          let ring_obs = Obs.Observer.create ~sink:(Obs.Sink.ring ring) () in
-          check Alcotest.string (name ^ ": ring sink")
-            bare
-            (trajectory (run_with ~obs:ring_obs config prog s.seeds));
-          check_bool (name ^ ": ring saw events") true
-            (Obs.Sink.ring_total ring > 0);
-          (* JSONL writer sink *)
-          let oc = open_out tmp in
-          let jsonl_obs = Obs.Observer.create ~sink:(Obs.Sink.jsonl oc) () in
-          let tj = trajectory (run_with ~obs:jsonl_obs config prog s.seeds) in
-          close_out oc;
-          check Alcotest.string (name ^ ": jsonl sink") bare tj;
-          (* the clock changes only wall floats, never the trajectory *)
-          let t = ref 0. in
-          let clocked =
-            Obs.Observer.create
-              ~clock:(fun () ->
-                t := !t +. 0.001;
-                !t)
-              ()
-          in
-          check Alcotest.string (name ^ ": with clock")
-            bare
-            (trajectory (run_with ~obs:clocked config prog s.seeds)))
-        configs)
+(* Zero perturbation across strategy phases *)
 
 let test_shared_observer_identical () =
   (* A multi-phase strategy must fuzz identically whether or not one
@@ -512,8 +420,7 @@ let suite =
   [
     ( "obs",
       [
-        Alcotest.test_case "byte-identical trajectories" `Quick
-          test_byte_identical_trajectories;
+        Contract.claim "byte-identical trajectories" Contract.cflow_modes;
         Alcotest.test_case "shared observer identical" `Quick
           test_shared_observer_identical;
         Alcotest.test_case "counter bumps allocation-free" `Quick

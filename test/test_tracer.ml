@@ -1,238 +1,10 @@
-(* Engine guarantees (DESIGN.md §12): campaign trajectories — queue
-   contents and order, exec/block clocks, triage, snapshot rows — are
-   byte-identical across execution engines (interpreter, fused closures,
-   native units), shard counts, and checkpoint/resume under any
-   engine. *)
+(* Tracer guarantees besides trajectory identity (which the contract
+   suite checks across engines, DESIGN.md §12): retired compatibility
+   fields are refused, comparison operands are captured on calibration
+   runs only, and a finished campaign releases its artifact. *)
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
-
-let row =
-  Alcotest.testable
-    (fun fmt (r : Obs.Snapshot.row) ->
-      Fmt.pf fmt "row@%d queue=%d blocks=%d" r.at_exec r.queue r.blocks)
-    ( = )
-
-(* The seed "hi" triggers bug 5 immediately, so seed import, calibration
-   and a dense neighborhood of mutated candidates all exercise every
-   engine's crash path. *)
-let easy_bug_src =
-  "fn main() { if (in(0) == 104) { if (in(1) == 105) { bug(5); } } return 0; }"
-
-(* Trajectory facts only: everything here is decision-determined. *)
-let check_traj label (a : Fuzz.Campaign.result) (b : Fuzz.Campaign.result) =
-  check Alcotest.int (label ^ ": execs") a.execs b.execs;
-  check Alcotest.int (label ^ ": blocks") a.sum_exec_blocks b.sum_exec_blocks;
-  check Alcotest.int (label ^ ": havocs") a.havocs b.havocs;
-  check
-    (Alcotest.list Alcotest.string)
-    (label ^ ": queue inputs")
-    (Fuzz.Campaign.queue_inputs a)
-    (Fuzz.Campaign.queue_inputs b);
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    (label ^ ": queue series") a.queue_series b.queue_series;
-  check (Alcotest.list row) (label ^ ": snapshot rows") a.snapshots b.snapshots;
-  check Alcotest.int (label ^ ": total crashes") a.triage.total_crashes
-    b.triage.total_crashes;
-  check Alcotest.int (label ^ ": total hangs") a.triage.total_hangs
-    b.triage.total_hangs;
-  check Alcotest.int
-    (label ^ ": stack-unique crashes")
-    (Fuzz.Triage.unique_crashes a.triage)
-    (Fuzz.Triage.unique_crashes b.triage);
-  check Alcotest.int
-    (label ^ ": coverage-novel crashes")
-    (Fuzz.Triage.afl_unique_crashes a.triage)
-    (Fuzz.Triage.afl_unique_crashes b.triage);
-  check_bool
-    (label ^ ": ground-truth bugs")
-    true
-    (Fuzz.Triage.bugs a.triage = Fuzz.Triage.bugs b.triage)
-
-let run_one ?(budget = 4_000) ?(seed = 7) ~engine ~mode ~cmplog prog seeds =
-  let config =
-    {
-      Fuzz.Campaign.default_config with
-      mode;
-      budget;
-      rng_seed = seed;
-      cmplog;
-      engine;
-    }
-  in
-  Fuzz.Campaign.run ~obs:(Obs.Observer.create ()) ~config prog ~seeds
-
-(* Every engine must replay the interpreter's reference trajectory, per
-   feedback mode and cmplog setting. Native degrades to fused when the
-   emitter is unavailable, so its variant holds on every host: with a
-   toolchain it pins the generated units to the reference trajectory,
-   without one it pins the fallback path. *)
-let engine_variants =
-  [ (Fuzz.Tracer.Fused, "fused"); (Fuzz.Tracer.Native, "native") ]
-
-let test_sequential_engines () =
-  let s = Subjects.Registry.find_exn "cflow" in
-  let prog = Subjects.Subject.compile_fresh s in
-  List.iter
-    (fun (mode, mname) ->
-      List.iter
-        (fun cmplog ->
-          let base =
-            run_one ~engine:Fuzz.Tracer.Interp ~mode ~cmplog prog s.seeds
-          in
-          List.iter
-            (fun (engine, ename) ->
-              let r = run_one ~engine ~mode ~cmplog prog s.seeds in
-              check_traj
-                (Printf.sprintf "cflow/%s cmplog=%b %s" mname cmplog ename)
-                base r)
-            engine_variants)
-        [ false; true ])
-    [
-      (Pathcov.Feedback.Block, "block");
-      (Pathcov.Feedback.Edge, "edge");
-      (Pathcov.Feedback.Ngram 4, "ngram4");
-      (Pathcov.Feedback.Path, "path");
-      (Pathcov.Feedback.Pathafl, "pathafl");
-    ]
-
-let test_sequential_engines_crashy () =
-  let prog = Minic.Lower.compile easy_bug_src in
-  let base =
-    run_one ~budget:3_000 ~seed:5 ~engine:Fuzz.Tracer.Interp
-      ~mode:Pathcov.Feedback.Path ~cmplog:true prog [ "hi" ]
-  in
-  check_bool "crash-dense subject actually crashes" true
-    (base.triage.total_crashes > 0);
-  List.iter
-    (fun (engine, ename) ->
-      let r =
-        run_one ~budget:3_000 ~seed:5 ~engine ~mode:Pathcov.Feedback.Path
-          ~cmplog:true prog [ "hi" ]
-      in
-      check_traj ("easy-bug path " ^ ename) base r)
-    engine_variants
-
-(* ------------------------------------------------------------------ *)
-(* Sharded campaigns                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let run_shd ~engine ~shards prog seeds =
-  let cfg =
-    {
-      Fuzz.Shard.base =
-        {
-          Fuzz.Campaign.default_config with
-          mode = Pathcov.Feedback.Path;
-          budget = 2_500;
-          rng_seed = 11;
-          cmplog = true;
-          engine;
-        };
-      shards;
-      sync_interval = 512;
-    }
-  in
-  Fuzz.Shard.run ~obs:(Obs.Observer.create ()) cfg prog ~seeds
-
-let check_shard_traj label (a : Fuzz.Shard.result) (b : Fuzz.Shard.result) =
-  check_traj label a.campaign b.campaign;
-  check_bool
-    (label ^ ": virgin map bytes")
-    true
-    (Pathcov.Coverage_map.equal a.virgin b.virgin);
-  check_bool
-    (label ^ ": crash-virgin map bytes")
-    true
-    (Pathcov.Coverage_map.equal a.crash_virgin b.crash_virgin);
-  check Alcotest.int (label ^ ": items planned") a.items b.items;
-  check Alcotest.int (label ^ ": epochs") a.epochs b.epochs;
-  check Alcotest.int (label ^ ": dup_dropped") a.dup_dropped b.dup_dropped
-
-(* Every engine runs the same sharded trajectory (and the same barrier
-   duplicate-drop count) at every shard count. *)
-let test_sharded_engines () =
-  let s = Subjects.Registry.find_exn "cflow" in
-  let prog = Subjects.Subject.compile_fresh s in
-  let base = run_shd ~engine:Fuzz.Tracer.Interp ~shards:1 prog s.seeds in
-  List.iter
-    (fun shards ->
-      List.iter
-        (fun (engine, ename) ->
-          check_shard_traj
-            (Printf.sprintf "sharded %s shards=%d" ename shards)
-            base
-            (run_shd ~engine ~shards prog s.seeds))
-        [
-          (Fuzz.Tracer.Fused, "fused");
-          (Fuzz.Tracer.Interp, "interp");
-          (Fuzz.Tracer.Native, "native");
-        ])
-    [ 1; 2 ]
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint/resume across engines                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Checkpoints exclude the engine axis, so a snapshot written under one
-   engine must resume identically under another — including Native,
-   whose resumes cross the Dynlink'd generated units (or the fallback
-   path on toolchain-less hosts). *)
-let test_cross_engine_resume () =
-  let s = Subjects.Registry.find_exn "cflow" in
-  let prog = Subjects.Subject.compile_fresh s in
-  let config_for engine =
-    {
-      Fuzz.Campaign.default_config with
-      mode = Pathcov.Feedback.Path;
-      budget = 6_000;
-      rng_seed = 3;
-      cmplog = true;
-      engine;
-    }
-  in
-  let acc = ref [] in
-  let sink =
-    {
-      Fuzz.Checkpoint.every = 2_000;
-      subject = "cflow";
-      fuzzer = "test";
-      save = (fun ck -> acc := ck :: !acc);
-    }
-  in
-  let straight =
-    Fuzz.Campaign.run
-      ~config:(config_for Fuzz.Tracer.Fused)
-      ~checkpoint:sink prog ~seeds:s.seeds
-  in
-  check_bool "wrote at least one checkpoint" true (!acc <> []);
-  List.iter
-    (fun (engine, ename) ->
-      let config = config_for engine in
-      List.iter
-        (fun ck ->
-          let resumed = Fuzz.Campaign.run ~config ~resume:ck prog ~seeds:[] in
-          let label =
-            Printf.sprintf "resume@%d (%s)"
-              ck.Fuzz.Checkpoint.progress.execs ename
-          in
-          check Alcotest.int (label ^ ": execs") straight.execs resumed.execs;
-          check
-            (Alcotest.list Alcotest.string)
-            (label ^ ": queue inputs")
-            (Fuzz.Campaign.queue_inputs straight)
-            (Fuzz.Campaign.queue_inputs resumed);
-          check Alcotest.int (label ^ ": blocks") straight.sum_exec_blocks
-            resumed.sum_exec_blocks;
-          check Alcotest.int (label ^ ": total crashes")
-            straight.triage.total_crashes resumed.triage.total_crashes;
-          check_bool
-            (label ^ ": ground-truth bugs")
-            true
-            (Fuzz.Triage.bugs straight.triage = Fuzz.Triage.bugs resumed.triage))
-        !acc)
-    [ (Fuzz.Tracer.Fused, "fused"); (Fuzz.Tracer.Native, "native") ]
 
 (* ------------------------------------------------------------------ *)
 (* Compatibility fields                                               *)
@@ -532,14 +304,11 @@ let suite =
   [
     ( "tracer",
       [
-        Alcotest.test_case "sequential engine identity" `Slow
-          test_sequential_engines;
-        Alcotest.test_case "crash-dense engine identity" `Quick
-          test_sequential_engines_crashy;
-        Alcotest.test_case "sharded engine identity" `Slow
-          test_sharded_engines;
-        Alcotest.test_case "cross-engine checkpoint/resume identity" `Quick
-          test_cross_engine_resume;
+        Contract.claim "sequential engine identity" Contract.cflow_modes;
+        Contract.claim "crash-dense engine identity" [ Contract.easy_bug_path ];
+        Contract.claim "sharded engine identity" [ Contract.cflow_path_3000 ];
+        Contract.claim "cross-engine checkpoint/resume identity"
+          [ Contract.cflow_path_6000 ];
         Alcotest.test_case "selective compatibility fields rejected" `Quick
           test_selective_rejected;
         Alcotest.test_case "calibration-only cmplog capture oracle" `Quick
