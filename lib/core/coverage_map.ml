@@ -19,7 +19,7 @@ type t = {
   mutable touched : int array;  (** indices with non-zero count, first-hit order *)
   mutable ntouched : int;
   passes : int;  (** 8-bit radix digits per index: ceil(size_log2 / 8) *)
-  counts : int array;  (** [passes] digit histograms of 256 slots each *)
+  counts : int array;  (** the radix sort's 256-slot digit histogram *)
   mutable sort_a : int array;  (** radix ping-pong scratch, journal-sized *)
   mutable sort_b : int array;
   mutable ff : int;
@@ -44,7 +44,7 @@ let create ?(size_log2 = default_size_log2) () =
     touched = Array.make 256 0;
     ntouched = 0;
     passes;
-    counts = Array.make (256 * passes) 0;
+    counts = Array.make 256 0;
     sort_a = [||];
     sort_b = [||];
     ff = 0;
@@ -290,45 +290,40 @@ let count_set t = t.ntouched
 
 (* LSD radix sort of the journal into the map's scratch, returning the
    buffer that holds the ascending result (valid until the next sort).
-   One read of the journal fills every digit histogram; a pass whose
-   digit is the same for every index is skipped. The journal itself is
-   never reordered. *)
+   Each pass counts its own digit into one 256-slot histogram, then
+   prefix-sums and scatters; a pass whose digit is the same for every
+   index is skipped. The journal itself is never reordered. *)
 let radix_sorted t : int array =
   let n = t.ntouched in
   if Array.length t.sort_a < n then begin
     t.sort_a <- Array.make (Array.length t.touched) 0;
     t.sort_b <- Array.make (Array.length t.touched) 0
   end;
-  let counts = t.counts and passes = t.passes in
-  Array.fill counts 0 (256 * passes) 0;
-  for k = 0 to n - 1 do
-    let v = Array.unsafe_get t.touched k in
-    for p = 0 to passes - 1 do
-      let c = (p lsl 8) lor ((v lsr (p lsl 3)) land 255) in
-      Array.unsafe_set counts c (Array.unsafe_get counts c + 1)
-    done
-  done;
+  let counts = t.counts in
   let src = ref t.touched in
-  for p = 0 to passes - 1 do
-    let base = p lsl 8 in
+  for p = 0 to t.passes - 1 do
+    let s = !src and shift = p lsl 3 in
+    Array.fill counts 0 256 0;
+    for k = 0 to n - 1 do
+      let d = (Array.unsafe_get s k lsr shift) land 255 in
+      Array.unsafe_set counts d (Array.unsafe_get counts d + 1)
+    done;
     (* exclusive prefix sums, noting a digit every index shares *)
     let sum = ref 0 and trivial = ref false in
     for d = 0 to 255 do
-      let c = Array.unsafe_get counts (base + d) in
+      let c = Array.unsafe_get counts d in
       if c = n then trivial := true;
-      Array.unsafe_set counts (base + d) !sum;
+      Array.unsafe_set counts d !sum;
       sum := !sum + c
     done;
     if not !trivial then begin
-      let s = !src in
       let dst = if s == t.sort_a then t.sort_b else t.sort_a in
-      let shift = p lsl 3 in
       for k = 0 to n - 1 do
         let v = Array.unsafe_get s k in
-        let c = base + ((v lsr shift) land 255) in
-        let at = Array.unsafe_get counts c in
+        let d = (v lsr shift) land 255 in
+        let at = Array.unsafe_get counts d in
         Array.unsafe_set dst at v;
-        Array.unsafe_set counts c (at + 1)
+        Array.unsafe_set counts d (at + 1)
       done;
       src := dst
     end

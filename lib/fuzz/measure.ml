@@ -31,15 +31,6 @@ let replay ?(fuel = Vm.Interp.default_fuel) ?obs ctx fb input =
   let idxs = Pathcov.Coverage_map.sorted_indices fb.trace in
   (idxs, out.blocks_executed * (String.length input + 16))
 
-let set_of_array a = Array.fold_left (fun acc i -> Int_set.add i acc) Int_set.empty a
-
-(** Edge-coverage indices hit by one input under the pcguard-style
-    listener (raw tuple identities; bucketing is irrelevant here). *)
-let edges_of_input ?fuel prog (input : string) : Int_set.t =
-  let fb = Pathcov.Feedback.make Pathcov.Feedback.Edge prog in
-  let ctx = make_ctx (Vm.Interp.prepare_cached prog) fb in
-  set_of_array (fst (replay ?fuel ctx fb input))
-
 (** Union of edge coverage over a corpus — "afl-showmap over the queue". *)
 let edge_union ?fuel ?obs prog (inputs : string list) : Int_set.t =
   let fb = Pathcov.Feedback.make Pathcov.Feedback.Edge prog in

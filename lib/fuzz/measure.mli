@@ -4,10 +4,6 @@
 
 module Int_set : Set.S with type elt = int
 
-(** Edge-coverage indices hit by one input under the pcguard-style
-    listener (raw tuple identities; bucketing is irrelevant here). *)
-val edges_of_input : ?fuel:int -> Minic.Ir.program -> string -> Int_set.t
-
 (** Union of edge coverage over a corpus — "afl-showmap over the queue".
     [obs] counts the replays (off-budget executions) without affecting
     the result. *)

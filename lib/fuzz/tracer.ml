@@ -162,8 +162,6 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
     released = false;
   }
 
-let engine_of (t : t) : engine = t.engine
-
 (** [Some reason] when a [Native] tracer failed to emit and degraded to
     the fused closure engine; [None] otherwise. *)
 let emit_fallback (t : t) : string option = t.emit_fallback

@@ -54,8 +54,6 @@ val make :
   Vm.Interp.prepared ->
   t
 
-val engine_of : t -> engine
-
 (** [Some reason] when a [Native] tracer failed to emit (no compiler,
     compile error, Dynlink refusal, forced [PATHFUZZ_EMIT_FAIL]) and
     degraded to the fused closure engine; [None] otherwise. *)

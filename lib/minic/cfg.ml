@@ -54,5 +54,3 @@ let edges (t : t) : (int * int) list =
     List.iter (fun w -> acc := (v, w) :: !acc) (List.rev t.succ.(v))
   done;
   !acc
-
-let num_edges t = List.length (edges t)

@@ -24,5 +24,3 @@ val exits : t -> int list
 (** All edges (src, dst), terminator order per source block. The order is
     significant for Ball–Larus edge numbering. *)
 val edges : t -> (int * int) list
-
-val num_edges : t -> int

@@ -23,7 +23,6 @@ type t = {
     exact notion the paper approximates by manual deduplication. *)
 type identity = Id of int | At_site of int
 
-val faulting_site : t -> int
 val bug_identity : t -> identity
 val kind_name : kind -> string
 

@@ -212,8 +212,6 @@ val site_function : Minic.Ir.program -> int -> string
     it) — engines writing globals directly must call it first. *)
 val touch_global : exec_ctx -> int -> unit
 
-val read_int : exec_ctx -> frame -> int -> slot -> int
-val read_arr : exec_ctx -> frame -> int -> slot -> int array
 val write_int : exec_ctx -> frame -> slot -> int -> unit
 val write_arr : exec_ctx -> frame -> slot -> int array -> unit
 val copy_slot : exec_ctx -> frame -> slot -> frame -> slot -> unit
