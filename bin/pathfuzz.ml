@@ -420,8 +420,8 @@ let fuzz_cmd =
        a wall clock and, for --trace, a span trace with one track per
        shard (track 0 = coordinator / sequential loop). Both are
        observation-only under the zero-perturbation rule, so stdout
-       still diffs clean against an uninstrumented run (make
-       profile-check holds this). *)
+       still diffs clean against an uninstrumented run (test/dune
+       holds this). *)
     let mk_obs ~tracks () : Obs.Observer.t option =
       if not introspect then
         Option.map (fun sink -> Obs.Observer.create ~sink ()) base_sink

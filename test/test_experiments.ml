@@ -33,20 +33,6 @@ let test_parallel_matrix_identical () =
   check Alcotest.bool "matrix wall clock aggregates" true
     (Experiments.Runner.total_wall_s m4 >= c.wall_s)
 
-(* The matrix runs on [Fuzz.Tracer.matrix_engine] unless told
-   otherwise; the engine is trajectory-invisible, so the interpreter
-   reference renders the same tables byte for byte. *)
-let test_engine_default_identical () =
-  check Alcotest.string "matrix engine" "fused"
-    (Fuzz.Tracer.engine_name Fuzz.Tracer.matrix_engine);
-  let interp =
-    Experiments.Runner.run ~quiet:true ~engine:Fuzz.Tracer.Interp
-      ~subjects:(tiny_subjects ()) tiny_config
-  in
-  check Alcotest.string "tables byte-identical under interp and the default"
-    (Experiments.Tables.all interp)
-    (Experiments.Tables.all (Lazy.force matrix))
-
 (* [Config.map_size_log2] reaches every campaign of every strategy
    (cull rounds and both opportunistic phases included): no snapshot
    row can count more untouched virgin indices than a 2^10 map has. *)
@@ -149,8 +135,8 @@ let suite =
         Alcotest.test_case "figure 1 renders" `Quick test_fig1_renders;
         Alcotest.test_case "config from env" `Quick test_config_env;
         Alcotest.test_case "aggregations" `Quick test_aggregations;
-        Alcotest.test_case "engine default renders identical tables" `Quick
-          test_engine_default_identical;
+        Contract.claim ~tables:true "engine default renders identical tables"
+          [];
         Alcotest.test_case "map size reaches every campaign" `Quick
           test_map_size_threaded;
       ] );
