@@ -1,4 +1,4 @@
-.PHONY: all build test micro tables clean
+.PHONY: all build test tables clean
 
 all: build
 
@@ -7,10 +7,6 @@ build:
 
 test:
 	dune runtest
-
-# Bechamel micro-benchmarks (one per table/figure of the paper).
-micro: build
-	dune exec bench/main.exe
 
 # The paper's result tables (fast profile).
 tables: build

@@ -12,7 +12,8 @@
                            profiling use of the encoding);
     - [cfg]                print a function's CFG (optionally Graphviz)
                            with path increments;
-    - [tables]             regenerate every table and figure of the paper;
+    - [tables]             regenerate every table and figure of the paper,
+                           then the ablation studies;
     - [stats]              run one observed campaign and render its
                            counter block, snapshot trajectory and event
                            log (the fuzzer_stats / plot_data analogue). *)
@@ -229,9 +230,10 @@ let fuzz_cmd =
       & info [ "checkpoint" ] ~docv:"FILE"
           ~doc:
             "Write a versioned campaign snapshot (pathfuzz-checkpoint/v2) \
-             to FILE, atomically, at each deterministic boundary (cycle \
-             boundary, or shard merge barrier with $(b,--shards)) that \
-             crosses a multiple of $(b,--checkpoint-every) executions. \
+             to FILE, atomically, at the first deterministic boundary \
+             (between two queue entries, or a shard merge barrier with \
+             $(b,--shards)) after each multiple of \
+             $(b,--checkpoint-every) executions. \
              Plain fuzzers, single trial.")
   in
   let checkpoint_every =
@@ -772,10 +774,14 @@ let tables_cmd =
     let m = Experiments.Runner.run ~jobs:cfg.jobs ~engine cfg in
     Fmt.epr "[matrix] %.1fs of fuzzing wall-clock across all cells@."
       (Experiments.Runner.total_wall_s m);
-    print_string (Experiments.Tables.all m)
+    print_string (Experiments.Tables.all m);
+    print_string (Experiments.Ablations.all ~jobs:cfg.jobs ~engine cfg)
   in
   Cmd.v
-    (Cmd.info "tables" ~doc:"Regenerate every table and figure of the paper")
+    (Cmd.info "tables"
+       ~doc:
+         "Regenerate every table and figure of the paper, then the ablation \
+          studies")
     Term.(const run $ fast $ jobs_arg $ engine_arg_of Fuzz.Tracer.matrix_engine)
 
 (* --- stats --- *)

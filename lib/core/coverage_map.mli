@@ -28,9 +28,8 @@ type novelty =
   | New_bucket  (** a known tuple reached a new hit-count bucket *)
   | New_tuple  (** a never-seen map index was hit *)
 
-val default_size_log2 : int
-
-(** Create an all-zero trace map of [2^size_log2] entries (4 ≤ n ≤ 24). *)
+(** Create an all-zero trace map of [2^size_log2] entries (4 ≤ n ≤ 24,
+    default 16). *)
 val create : ?size_log2:int -> unit -> t
 
 (** Create an all-0xFF virgin map, written only through {!merge_into},

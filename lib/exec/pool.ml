@@ -48,10 +48,6 @@ type t = {
           failure since the last [wait]/[shutdown] *)
 }
 
-(** Worker count used when the caller does not pick one: one worker per
-    core the runtime recommends. *)
-let default_jobs () = max 1 (Domain.recommended_domain_count ())
-
 (* Keep the failure with the smallest submission index: tasks are claimed
    in submission order, so the surfaced exception is stable across
    schedules and worker counts. Caller holds the mutex. *)

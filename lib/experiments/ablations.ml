@@ -6,141 +6,87 @@
     - the *culling criterion* (edge-preserving vs path-preserving vs
       random — the §III-B1 footnote says edges win);
     - the culling *round count* (the paper's footnote 2 sensitivity study
-      on round duration: too-long rounds are detrimental). *)
+      on round duration: too-long rounds are detrimental).
 
-let run_set (cfg : Config.t) ~budget ~trials subjects fuzzers =
-  let cells = Hashtbl.create 32 in
-  List.iter
-    (fun name ->
-      let s = Subjects.Registry.find_exn name in
-      let prog = Subjects.Subject.program s in
-      let plans = Pathcov.Ball_larus.of_program prog in
-      List.iter
-        (fun (fz : Fuzz.Strategy.fuzzer) ->
-          let runs =
-            List.init trials (fun t ->
-                Fuzz.Strategy.run ~plans ~budget
-                  ~trial_seed:(cfg.base_seed + (t * 3571))
-                  fz prog ~seeds:s.seeds)
-          in
-          Hashtbl.replace cells (name, fz.name) runs)
-        fuzzers)
-    subjects;
-  cells
+    Each study is one {!Runner.run} over its subjects and fuzzers at half
+    the matrix budget and two trials fewer, so it fans out over the same
+    worker domains and engine as the paper's matrix. *)
 
-let bugs_of runs =
-  Fuzz.Stats.Bug_set.cardinal
-    (List.fold_left
-       (fun acc (r : Fuzz.Strategy.run_result) ->
-         Fuzz.Stats.Bug_set.union acc (Fuzz.Stats.bug_set (Fuzz.Triage.bugs r.triage)))
-       Fuzz.Stats.Bug_set.empty runs)
+type study = {
+  title : string;
+  subjects : string list;
+  columns : (string * Fuzz.Strategy.fuzzer) list;  (** header, fuzzer *)
+}
 
-let queue_of runs =
-  Fuzz.Stats.median_int
-    (List.map (fun (r : Fuzz.Strategy.run_result) -> r.queue_size) runs)
+let studies (cfg : Config.t) : study list =
+  let open Fuzz.Strategy in
+  let rounds = cfg.cull_rounds in
+  [
+    {
+      title = "Ablation A1: feedback sensitivity ladder";
+      subjects = [ "gdk"; "jq"; "mp3gain"; "tiffsplit" ];
+      columns =
+        [
+          ("block", block);
+          ("edge", pcguard);
+          ("ngram2", ngram 2);
+          ("ngram4", ngram 4);
+          ("path", path);
+        ];
+    };
+    {
+      title = "Ablation A2: culling criterion (edges vs paths vs random)";
+      subjects = [ "gdk"; "pdftotext"; "infotocap" ];
+      columns =
+        [
+          ("cull", cull ~rounds ());
+          ("cull_p", cull_p ~rounds ());
+          ("cull_r", cull_r ~rounds ());
+        ];
+    };
+    {
+      title = "Ablation A3: culling round count";
+      subjects = [ "gdk"; "pdftotext" ];
+      columns =
+        List.map
+          (fun r ->
+            ( Printf.sprintf "%d rounds" r,
+              { (cull ~rounds:r ()) with name = Printf.sprintf "cull%d" r } ))
+          [ 2; 4; 8 ];
+    };
+  ]
 
-(** Sensitivity ladder: block / edge / 2-gram / 4-gram / path. *)
-let sensitivity_ladder (cfg : Config.t) : string =
-  let subjects = [ "gdk"; "jq"; "mp3gain"; "tiffsplit" ] in
-  let fuzzers =
-    [
-      Fuzz.Strategy.block;
-      Fuzz.Strategy.pcguard;
-      Fuzz.Strategy.ngram 2;
-      Fuzz.Strategy.ngram 4;
-      Fuzz.Strategy.path;
-    ]
+(* One row per subject: cumulative bugs and median queue per fuzzer. *)
+let render ?quiet ?jobs ?engine (cfg : Config.t) (s : study) : string =
+  let m =
+    Runner.run ?quiet ?jobs ?engine
+      ~fuzzers:(List.map snd s.columns)
+      ~subjects:(List.map Subjects.Registry.find_exn s.subjects)
+      cfg
   in
-  let budget = max 1000 (cfg.budget / 2) and trials = max 1 (cfg.trials - 2) in
-  let cells = run_set cfg ~budget ~trials subjects fuzzers in
   let rows =
     List.map
-      (fun s ->
-        s
+      (fun subject ->
+        subject
         :: List.concat_map
-             (fun (fz : Fuzz.Strategy.fuzzer) ->
-               let runs = Hashtbl.find cells (s, fz.name) in
-               [ Render.i (bugs_of runs); Render.f1 (queue_of runs) ])
-             fuzzers)
-      subjects
+             (fun (_, (fz : Fuzz.Strategy.fuzzer)) ->
+               let c = Runner.cell m ~subject ~fuzzer:fz.name in
+               [
+                 Render.i (Fuzz.Stats.Bug_set.cardinal (Runner.cumulative_bugs c));
+                 Render.f1 (Runner.median_queue c);
+               ])
+             s.columns)
+      s.subjects
   in
   Render.table
     ~title:
-      (Printf.sprintf
-         "Ablation A1: feedback sensitivity ladder — bugs / median queue \
-          (%d execs, %d trials)"
-         budget trials)
-    ~header:
-      [
-        "Benchmark"; "block"; "q"; "edge"; "q"; "ngram2"; "q"; "ngram4"; "q";
-        "path"; "q";
-      ]
+      (Printf.sprintf "%s — bugs / median queue (%d execs, %d trials)" s.title
+         cfg.budget cfg.trials)
+    ~header:("Benchmark" :: List.concat_map (fun (h, _) -> [ h; "q" ]) s.columns)
     ~rows
 
-(** Culling criterion: preserve edges vs preserve paths vs random trim. *)
-let culling_criterion (cfg : Config.t) : string =
-  let subjects = [ "gdk"; "pdftotext"; "infotocap" ] in
-  let fuzzers =
-    [
-      Fuzz.Strategy.cull ~rounds:cfg.cull_rounds ();
-      Fuzz.Strategy.cull_p ~rounds:cfg.cull_rounds ();
-      Fuzz.Strategy.cull_r ~rounds:cfg.cull_rounds ();
-    ]
+let all ?quiet ?jobs ?engine (cfg : Config.t) : string =
+  let cfg =
+    { cfg with budget = max 1000 (cfg.budget / 2); trials = max 1 (cfg.trials - 2) }
   in
-  let budget = max 1000 (cfg.budget / 2) and trials = max 1 (cfg.trials - 2) in
-  let cells = run_set cfg ~budget ~trials subjects fuzzers in
-  let rows =
-    List.map
-      (fun s ->
-        s
-        :: List.concat_map
-             (fun (fz : Fuzz.Strategy.fuzzer) ->
-               let runs = Hashtbl.find cells (s, fz.name) in
-               [ Render.i (bugs_of runs); Render.f1 (queue_of runs) ])
-             fuzzers)
-      subjects
-  in
-  Render.table
-    ~title:
-      (Printf.sprintf
-         "Ablation A2: culling criterion (edges vs paths vs random) — bugs \
-          / median queue (%d execs, %d trials)"
-         budget trials)
-    ~header:[ "Benchmark"; "cull"; "q"; "cull_p"; "q"; "cull_r"; "q" ]
-    ~rows
-
-(** Round-count sensitivity for the culling driver. *)
-let culling_rounds (cfg : Config.t) : string =
-  let subjects = [ "gdk"; "pdftotext" ] in
-  let rounds_options = [ 2; 4; 8 ] in
-  let budget = max 1000 (cfg.budget / 2) and trials = max 1 (cfg.trials - 2) in
-  let fuzzers =
-    List.map
-      (fun r ->
-        { (Fuzz.Strategy.cull ~rounds:r ()) with name = Printf.sprintf "cull%d" r })
-      rounds_options
-  in
-  let cells = run_set cfg ~budget ~trials subjects fuzzers in
-  let rows =
-    List.map
-      (fun s ->
-        s
-        :: List.concat_map
-             (fun (fz : Fuzz.Strategy.fuzzer) ->
-               let runs = Hashtbl.find cells (s, fz.name) in
-               [ Render.i (bugs_of runs); Render.f1 (queue_of runs) ])
-             fuzzers)
-      subjects
-  in
-  Render.table
-    ~title:
-      (Printf.sprintf
-         "Ablation A3: culling round count — bugs / median queue (%d execs, \
-          %d trials)"
-         budget trials)
-    ~header:[ "Benchmark"; "2 rounds"; "q"; "4 rounds"; "q"; "8 rounds"; "q" ]
-    ~rows
-
-let all (cfg : Config.t) : string =
-  String.concat "\n"
-    [ sensitivity_ladder cfg; culling_criterion cfg; culling_rounds cfg ]
+  String.concat "\n" (List.map (render ?quiet ?jobs ?engine cfg) (studies cfg))

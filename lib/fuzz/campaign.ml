@@ -528,10 +528,11 @@ let checkpoint_id (cfg : config) ~(subject : string) ~(fuzzer : string)
     sync_interval;
   }
 
-(** The snapshot of a campaign at a cycle boundary (sequential loop) or
-    merge barrier (sharded, [sync_interval > 0]). [planner] fills the
-    sharded planner's cursor slots of [progress]; the sequential loop
-    leaves them zero — its whole cursor is the exec clock. *)
+(** The snapshot of a campaign between queue entries (sequential loop)
+    or at a merge barrier (sharded, [sync_interval > 0]). [planner] fills
+    the cursor slots of [progress]: the sequential loop's queue cursor,
+    or the sharded planner's. Left zero, the snapshot sits at a cycle
+    boundary. *)
 let capture_checkpoint ?(sync_interval = 0) ?(planner = Fun.id) (st : state)
     ~(subject : string) ~(fuzzer : string) : Checkpoint.t =
   settle_walls st;
@@ -711,26 +712,43 @@ let run_state ?(checkpoint : Checkpoint.sink option)
     result =
   let config = st.cfg in
   let base = baseline st in
-  (match resume with
-  | Some ck -> restore_checkpoint st ck
-  | None -> add_seeds st seeds);
+  (* A snapshot taken inside a cycle records the queue cursor
+     ([cycle_len > 0]); the resumed run finishes that cycle first. *)
+  let len, first =
+    match resume with
+    | Some ck ->
+        restore_checkpoint st ck;
+        (ref ck.Checkpoint.progress.cycle_len, ref ck.Checkpoint.progress.next_qi)
+    | None ->
+        add_seeds st seeds;
+        (ref 0, ref 0)
+  in
   (* The snapshot schedule is a pure function of the exec clock
-     (Checkpoint.next_mark), so straight and resumed runs write the same
-     remaining snapshots at the same boundaries. *)
+     (Checkpoint.next_mark), checked between queue entries, so straight
+     and resumed runs write the same remaining snapshots at the same
+     points. *)
   let next_mark = ref max_int in
   (match checkpoint with
   | Some sk -> next_mark := Checkpoint.next_mark ~every:sk.every ~execs:st.execs
   | None -> ());
-  while st.execs < config.budget do
-    (match checkpoint with
-    | Some sk when st.execs >= !next_mark ->
+  let save ~cycle_len ~next_qi =
+    match checkpoint with
+    | Some sk when st.execs < config.budget ->
         trace_begin st Obs.Trace.Checkpoint;
-        sk.save (capture_checkpoint st ~subject:sk.subject ~fuzzer:sk.fuzzer);
+        sk.save
+          (capture_checkpoint st ~subject:sk.subject ~fuzzer:sk.fuzzer
+             ~planner:(fun p -> { p with Checkpoint.cycle_len; next_qi }));
         trace_end st;
         next_mark := Checkpoint.next_mark ~every:sk.every ~execs:st.execs
-    | _ -> ());
-    let cycle_len = start_cycle st ~at_exec:st.execs in
-    for qi = 0 to cycle_len - 1 do
+    | _ -> ()
+  in
+  while st.execs < config.budget do
+    if !first = 0 then begin
+      if st.execs >= !next_mark then save ~cycle_len:0 ~next_qi:0;
+      len := start_cycle st ~at_exec:st.execs
+    end;
+    for qi = !first to !len - 1 do
+      if st.execs >= !next_mark then save ~cycle_len:!len ~next_qi:qi;
       let e = Corpus.get st.corpus qi in
       if
         st.execs < config.budget
@@ -758,7 +776,8 @@ let run_state ?(checkpoint : Checkpoint.sink option)
         if e.favored && e.times_fuzzed = 1 then
           st.corpus.pending_favored <- max 0 (st.corpus.pending_favored - 1)
       end
-    done
+    done;
+    first := 0
   done;
   (* final snapshot row: budget exhausted (kept even when it duplicates a
      cadence row, matching the historical queue_series tail sample) *)
@@ -771,10 +790,12 @@ let run_state ?(checkpoint : Checkpoint.sink option)
     [pathfuzz profile] reports). Fuzzing behaviour is identical with or
     without it.
 
-    [checkpoint] writes a snapshot at each cycle boundary that crosses a
-    multiple of [sink.every] executions (mid-budget only). [resume]
-    restores one such snapshot instead of importing [seeds]; the resumed
-    run replays the uninterrupted run's trajectory byte for byte. Both
+    [checkpoint] writes a snapshot before the first queue entry (or
+    cycle start) at which the exec clock has crossed a multiple of
+    [sink.every] executions (mid-budget only). [resume] restores one
+    such snapshot instead of importing [seeds], finishing the cycle it
+    was taken in; the resumed run replays the uninterrupted run's
+    trajectory byte for byte. Both
     assume the campaign owns its observer — a checkpointed counter block
     is restored wholesale, so resuming into a shared observer would
     double-count other phases' work. *)

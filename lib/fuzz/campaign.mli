@@ -59,10 +59,13 @@ val queue_inputs : result -> string list
     benches); each run's [result] reports its own deltas. Fuzzing
     behaviour is identical with or without an observer.
 
-    [checkpoint] writes a {!Checkpoint.t} through the sink at each cycle
-    boundary crossing a multiple of [sink.every] executions (mid-budget
-    only). [resume] restores one such snapshot instead of importing
-    [seeds]: the resumed run replays the uninterrupted run's remaining
+    [checkpoint] writes a {!Checkpoint.t} through the sink before the
+    first queue entry (or cycle start) at which the exec clock has
+    crossed a multiple of [sink.every] executions (mid-budget only); a
+    snapshot taken inside a cycle records the queue cursor in its
+    [cycle_len]/[next_qi] progress fields. [resume] restores one such
+    snapshot instead of importing [seeds] and finishes the cycle it was
+    taken in: the resumed run replays the uninterrupted run's remaining
     trajectory byte for byte (test-enforced differentially). Both
     require the campaign to own its observer — the checkpointed counter
     block is restored wholesale. *)
@@ -266,9 +269,10 @@ val finish : state -> baseline -> tracers:Tracer.t list -> result
 val checkpoint_id : config -> subject:string -> fuzzer:string ->
   sync_interval:int -> Checkpoint.config_id
 
-(** Snapshot the campaign at a cycle boundary, or at a sharded merge
+(** Snapshot the campaign between queue entries, or at a sharded merge
     barrier: [sync_interval] (default 0) goes into the identity and
-    [planner] fills the planner-cursor slots of the progress record. *)
+    [planner] fills the cursor slots of the progress record (left zero:
+    a cycle boundary). *)
 val capture_checkpoint :
   ?sync_interval:int -> ?planner:(Checkpoint.progress -> Checkpoint.progress) ->
   state -> subject:string -> fuzzer:string -> Checkpoint.t

@@ -79,9 +79,6 @@ let create ?map_size_log2 () =
 (** The entry's index set, unpacked into a fresh ascending array. *)
 let indices e = Pathcov.Index_set.to_array e.set
 
-(* afl's fav_factor: exec time * input length (cached at admission). *)
-let fav_factor e = e.fav
-
 let fav_of ~exec_blocks ~len = exec_blocks * (len + 16)
 
 let size t = t.size

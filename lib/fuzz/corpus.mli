@@ -47,11 +47,8 @@ type t = {
     the table grows on demand. *)
 val create : ?map_size_log2:int -> unit -> t
 
-(** afl's fav_factor: execution work x input length (cached per entry). *)
-val fav_factor : entry -> int
-
-(** The fav_factor an entry of [exec_blocks] work and a [len]-byte input
-    gets at admission: [exec_blocks * (len + 16)]. *)
+(** afl's fav_factor: the [fav] an entry of [exec_blocks] work and a
+    [len]-byte input gets at admission: [exec_blocks * (len + 16)]. *)
 val fav_of : exec_blocks:int -> len:int -> int
 
 (** The entry's index set, unpacked into a fresh ascending array. *)
@@ -146,7 +143,7 @@ val view_size : view -> int
 val view_get : view -> int -> entry
 
 (** Entries whose union of indices equals the whole queue's union, chosen
-    greedily by {!fav_factor} — the "minimal coverage-preserving queue"
+    greedily by [fav] — the "minimal coverage-preserving queue"
     the culling strategy retains. *)
 val favored_subset : t -> entry list
 

@@ -40,9 +40,8 @@ let matrix_engine = Fused
 (* The VM-wall bracket, preallocated once per tracer so that timing a
    run allocates nothing but its two clock reads: the running batch's
    clock, charge, [gen] and [sink] sit in mutable slots read by two fixed
-   wrappers, saved and restored around every timed batch so that a
-   batch run from inside another batch's sink leaves the outer bracket
-   intact. [walls] holds the start stamp and the accumulated VM wall in
+   wrappers; every timed batch sets all four (batches never nest).
+   [walls] holds the start stamp and the accumulated VM wall in
    a float array, whose stores do not box. *)
 type bracket = {
   mutable now : unit -> float;
@@ -218,25 +217,18 @@ let full_batch (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
 
 (* Run the batch inside the VM-wall bracket when a clock is in scope (the
    call's, else the tracer's), charging each run's wall to [vm_s] when
-   given, else to the tracer's accumulator. The enclosing batch's slots
-   are restored afterwards. *)
+   given, else to the tracer's accumulator. *)
 let run_full_batch ?clock ?vm_s (t : t) ctx ~fuel ~max_depth ~n ~gen ~sink =
   if t.released then invalid_arg "Tracer: run after release";
   match (match clock with None -> t.clock | c -> c) with
   | None -> full_batch t ctx ~fuel ~max_depth ~n ~gen ~sink
   | Some now ->
       let b = t.bracket in
-      let now0 = b.now and charge0 = b.charge in
-      let gen0 = b.gen and sink0 = b.sink in
       b.now <- now;
       b.charge <- vm_s;
       b.gen <- gen;
       b.sink <- sink;
-      full_batch t ctx ~fuel ~max_depth ~n ~gen:t.timed_gen ~sink:t.timed_sink;
-      b.now <- now0;
-      b.charge <- charge0;
-      b.gen <- gen0;
-      b.sink <- sink0
+      full_batch t ctx ~fuel ~max_depth ~n ~gen:t.timed_gen ~sink:t.timed_sink
 
 (** The VM wall accumulated since the last call by runs timed without a
     [vm_s] charge; resets the accumulator. *)

@@ -8,16 +8,13 @@ type loop = {
   body : int list;  (** blocks of the natural loop, ascending, incl. header *)
 }
 
-(** Retreating edges of a depth-first traversal from the entry. *)
-val retreating_edges : Cfg.t -> (int * int) list
-
 (** Back edges (latch, header) where the header dominates the latch. *)
 val back_edges : Cfg.t -> (int * int) list
 
 (** A CFG is reducible when every retreating edge is a back edge. *)
 val reducible : Cfg.t -> bool
 
-val natural_loop : Cfg.t -> int * int -> loop
+(** Natural loops, one per back edge. *)
 val loops : Cfg.t -> loop list
 
 (** Loop nesting depth per block (0 = not in any loop); drives the

@@ -37,9 +37,6 @@ type t
     first use. *)
 val set_cache_dir : string -> unit
 
-(** The cache directory currently in effect. *)
-val cache_dir : unit -> string
-
 (** Remove the scratch directories ([tmp-PID-*]) that builds by dead
     processes left in [dir]: a PID for which [kill pid 0] fails with
     [ESRCH]. Returns how many were removed. The cache directory is

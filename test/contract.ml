@@ -425,23 +425,24 @@ let cflow_afl_3000 =
 let cflow_path_3000 =
   tier "cflow" S.path 3_000 ~every:1_000 ~widths:[ 1; 2; 4 ] ~sync_interval:512
 
-(* Every feedback mode, cmplog off and on, sequentially (pathafl ends
-   one queue cycle only, so it writes one snapshot). *)
+(* Every feedback mode, cmplog off and on, sequentially. Snapshots fall
+   between queue entries, so each mode writes nine, mostly mid-cycle
+   (every snapshot costs each cell a serialization). *)
 let cflow_modes =
   List.map
     (fun (fz : S.fuzzer) ->
-      tier "cflow" fz 4_000 ~seed:7 ~every:100 ~widths:[ 0 ]
-        ~min_snapshots:(if fz.name = "pathafl" then 1 else 2))
+      tier "cflow" fz 4_000 ~seed:7 ~every:400 ~widths:[ 0 ])
     (cmplog_off_and_on [ S.block; S.pcguard; S.ngram 4; S.path; S.pathafl ])
 
 (* Retention heavy: thousands of entries, engines rotated over the
-   snapshots. A sequential pathafl campaign ends its first cycle only,
-   so it writes one snapshot; so does a 10,000 schedule of 20,000. *)
+   snapshots. The sequential pathafl campaign spends most of its budget
+   in its second cycle, where every 500 executions still writes a
+   snapshot; a 10,000 schedule of 20,000 writes one. *)
 let sqlite3_20000 =
   List.map
     (fun (every, widths, sync_interval) ->
       tier "sqlite3" S.pathafl 20_000 ~every ~widths ~sync_interval
-        ~min_snapshots:(if every = 5_000 then 2 else 1)
+        ~min_snapshots:(match every with 500 -> 30 | 5_000 -> 2 | _ -> 1)
         ~engines:[ interp; fused; native ] ~observers:[ Ring ] ~cross:false)
     (let default = Fuzz.Shard.default_sync_interval in
      [ (500, [ 0 ], default); (5_000, [ 2 ], 512); (10_000, [ 2 ], default) ])
@@ -499,20 +500,33 @@ let matrix =
   @ cflow_modes @ sqlite3_20000 @ gdk_6000 @ claim_heavy @ gdk_modes
   @ easy_bug @ [ easy_bug_path; wide_map ]
 
-(* The paper's tables do not depend on the engine: the fast matrix
-   renders the same text under the interpreter and the matrix engine. *)
+(* The paper's output does not depend on the engine: the fast matrix
+   and the ablations render the same text under the interpreter and the
+   matrix engine. The interpreter's text is pinned by tables.golden, the
+   stdout of
+     PATHCOV_BUDGET=2400 PATHCOV_TRIALS=2 pathfuzz tables --engine interp
+   without its first line. [dune runtest] runs in this directory,
+   [dune exec] at the root. *)
 let check_tables () =
   if Fuzz.Tracer.matrix_engine <> Fused then
     fail "the matrix engine is not fused";
   let cfg = { Experiments.Config.fast with budget = 2_400; trials = 2 } in
-  let tables engine =
+  let text engine =
     String.split_on_char '\n'
       (Experiments.Tables.all
-         (Experiments.Runner.run ~quiet:true ~jobs:2 ~engine cfg))
+         (Experiments.Runner.run ~quiet:true ~jobs:2 ~engine cfg)
+      ^ Experiments.Ablations.all ~quiet:true ~jobs:2 ~engine cfg)
   in
-  compare_lines ~cell:"tables" ~what:"text"
-    (tables Fuzz.Tracer.Interp)
-    (tables Fuzz.Tracer.matrix_engine)
+  let golden =
+    List.find Sys.file_exists [ "tables.golden"; "test/tables.golden" ]
+  in
+  let interp = text Fuzz.Tracer.Interp in
+  compare_lines ~cell:"tables" ~what:"golden"
+    (String.split_on_char '\n'
+       (In_channel.with_open_bin golden In_channel.input_all))
+    interp;
+  compare_lines ~cell:"tables" ~what:"text" interp
+    (text Fuzz.Tracer.matrix_engine)
 
 (* Each check runs once per process, however many tests name it. *)
 let outcomes = Hashtbl.create 64
