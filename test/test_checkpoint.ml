@@ -233,6 +233,11 @@ let test_rejects_inconsistent_payload () =
     (with_top_rated (fun a ->
          a.(0) <- (fst a.(0), ck.next_entry_id + 7);
          a));
+  let n = Array.length ck.entries in
+  reencoded "queue cursor past the queue"
+    { ck with progress = { ck.progress with cycle_len = n + 1; next_qi = 1 } };
+  reencoded "queue cursor past its cycle"
+    { ck with progress = { ck.progress with cycle_len = n; next_qi = n + 1 } };
   (* the unmodified snapshot still decodes *)
   match Fuzz.Checkpoint.of_string (Fuzz.Checkpoint.to_string ck) with
   | Ok _ -> ()
