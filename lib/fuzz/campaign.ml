@@ -17,7 +17,10 @@
     unobserved campaigns run byte-identical trajectories (test-enforced).
 
     {!Shard} runs sharded campaigns on this same state and these stages:
-    its coordinator and its lanes are states built by {!make_state}. *)
+    its coordinator and its lanes are states built by {!make_state}, and
+    every queue entry of either loop goes through {!fuzz_entry} and one
+    decision procedure — applied at once, or captured by a lane for the
+    merge barrier to {!replay}. *)
 
 type config = {
   mode : Pathcov.Feedback.mode;
@@ -111,6 +114,29 @@ let capturing (tracer : Tracer.t) (b : cmp_buf) (run : unit -> 'a) : 'a =
   b.capture <- false;
   r
 
+(* A shard lane's record of one decision, for the merge barrier to
+   replay; why replaying only its delta is exact: see the interface. *)
+type capture =
+  | Retained of {
+      data : string;
+      set : Pathcov.Index_set.t;  (** classified trace indices, ascending *)
+      delta : Pathcov.Index_set.t;  (** indices that beat the lane's map *)
+      dvals : string;  (** classified trace bytes at [delta], one each *)
+      claim : Pathcov.Index_set.t;
+          (** slots whose epoch-start holder was dearer ({!Corpus.dearer_slots}) *)
+      exec_blocks : int;
+      depth : int;
+      at_exec : int;
+    }
+  | Crashed of {
+      crash : Vm.Crash.t;
+      input : string;
+      delta : Pathcov.Index_set.t;  (** indices that beat the lane's crash map *)
+      dvals : string;
+      at_exec : int;
+    }
+  | Hung of { at_exec : int }
+
 type state = {
   prepared : Vm.Interp.prepared;
   ctx : Vm.Interp.exec_ctx;  (** pooled execution context, reused per exec *)
@@ -119,9 +145,15 @@ type state = {
   feedback : Pathcov.Feedback.t;
   virgin : Pathcov.Coverage_map.t;
   crash_virgin : Pathcov.Coverage_map.t;
-  corpus : Corpus.t;
+  corpus : Corpus.t;  (** the queue; a lane reads its coordinator's *)
   triage : Triage.t;
   rng : Rng.t;
+  lane : bool;  (** a shard lane: decisions are captured, not applied *)
+  mutable note : int array;
+      (** the note log: indices the merges changed, from [0] to [nnote] *)
+  mutable nnote : int;
+  mutable cand : int array;  (** claim-candidate scratch *)
+  mutable captures : capture list;  (** a lane's captures, newest first *)
   mutable execs : int;  (** this campaign's executions (budget clock) *)
   mutable sample_every : int;  (** snapshot cadence in executions *)
   cmp_buf : cmp_buf;  (** calibration-run comparison pairs, program order *)
@@ -251,19 +283,51 @@ let current_cmps (st : state) : Mutator.cmp_pair array =
 let obs_exec (st : state) (at_exec : int) : int =
   st.obs.counters.execs - st.execs + at_exec
 
+(* Merge the live trace into [map] (the virgin or the crash-virgin map)
+   through the note log, growing it to the largest journal seen; returns
+   how many indices the merge changed (0: nothing new). A lane keeps
+   every note until its work item is undone ({!Shard}); a state that
+   applies its decisions at once reuses the log from its start. *)
+let merge_noted (st : state) (map : Pathcov.Coverage_map.t) : int =
+  let tr = st.feedback.trace in
+  if not st.lane then st.nnote <- 0;
+  let room = st.nnote + Pathcov.Coverage_map.count_set tr in
+  if room > Array.length st.note then begin
+    let bigger = Array.make (max 256 (2 * room)) 0 in
+    Array.blit st.note 0 bigger 0 st.nnote;
+    st.note <- bigger
+  end;
+  let n =
+    Pathcov.Coverage_map.noted_count
+      (Pathcov.Coverage_map.merge_noting ~virgin:map tr st.note ~at:st.nnote)
+  in
+  st.nnote <- st.nnote + n;
+  n
+
+(* The [n] indices the last merge noted, packed: a capture's delta. *)
+let last_delta (st : state) (n : int) : Pathcov.Index_set.t =
+  Pathcov.Index_set.of_sub st.note ~pos:(st.nnote - n) ~len:n
+
 (* Crash/hang bookkeeping shared by every execution site — seed import,
-   queue-entry calibration and mutated candidates all triage the same way,
-   so no outcome can be dropped on the floor. Counter bumps and Crash/Hang
-   events ride on the triage record (see Triage). *)
-let triage_outcome (st : state) (out : Vm.Interp.outcome) ~(input : string) : unit =
+   queue-entry calibration and mutated candidates — of the run of [v]
+   just finished, so no outcome can be dropped on the floor: triaged at
+   once, or captured by a lane. Counter bumps and Crash/Hang events ride
+   on the triage record (see Triage). *)
+let fault (st : state) (v : Bytes.t * int) (out : Vm.Interp.outcome) : unit =
   match out.status with
+  | Vm.Interp.Crashed crash when st.lane ->
+      let delta = last_delta st (merge_noted st st.crash_virgin) in
+      let dvals = Pathcov.Coverage_map.values_of st.feedback.trace delta in
+      st.captures <-
+        Crashed { crash; input = input_of v; delta; dvals; at_exec = st.execs }
+        :: st.captures
+  | Vm.Interp.Hung when st.lane ->
+      st.captures <- Hung { at_exec = st.execs } :: st.captures
   | Vm.Interp.Crashed crash ->
       trace_begin st Obs.Trace.Triage;
-      let coverage_novel =
-        Pathcov.Coverage_map.merge_into ~virgin:st.crash_virgin st.feedback.trace
-        <> Pathcov.Coverage_map.Nothing
-      in
-      Triage.record_crash st.triage ~crash ~input ~at_exec:st.execs ~coverage_novel;
+      let coverage_novel = merge_noted st st.crash_virgin > 0 in
+      Triage.record_crash st.triage ~crash ~input:(input_of v)
+        ~at_exec:st.execs ~coverage_novel;
       trace_end st
   | Vm.Interp.Hung ->
       trace_begin st Obs.Trace.Triage;
@@ -289,12 +353,6 @@ let queue_full (st : state) ~(at_exec : int) : bool =
               { at_exec = obs_exec st at_exec; queue = Corpus.size st.corpus });
        true
      end
-
-(* Coverage-novelty verdict for the execution just finished. *)
-let novel (st : state) : bool =
-  (not (queue_full st ~at_exec:st.execs))
-  && Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace
-     <> Pathcov.Coverage_map.Nothing
 
 (* Append an input that passed the novelty verdict to the queue, found
    at campaign exec [at_exec] with the classified trace [indices]. With
@@ -322,17 +380,53 @@ let retain (st : state) ~depth (out : Vm.Interp.outcome) (data : string) : unit
     ~indices:(Pathcov.Coverage_map.sorted_set st.feedback.trace)
     ~data ~exec_blocks:(max 1 out.blocks_executed) ~depth ~at_exec:st.execs
 
+(* A lane's capture of the novel run of [v] whose merge noted [n]
+   indices: the full set for the queue entry, the delta, and the claim
+   candidates against the coordinator's epoch-start top-rated table. *)
+let capture_retained (st : state) ~depth ~(n : int) (v : Bytes.t * int)
+    (out : Vm.Interp.outcome) : unit =
+  let delta = last_delta st n in
+  let set = Pathcov.Coverage_map.sorted_set st.feedback.trace in
+  let exec_blocks = max 1 out.blocks_executed in
+  let nset = Pathcov.Index_set.length set in
+  if Array.length st.cand < nset then st.cand <- Array.make (2 * nset) 0;
+  let ncand =
+    Corpus.dearer_slots st.corpus
+      ~fav:(Corpus.fav_of ~exec_blocks ~len:(snd v))
+      set ~into:st.cand
+  in
+  st.captures <-
+    Retained
+      {
+        data = input_of v;
+        set;
+        delta;
+        dvals = Pathcov.Coverage_map.values_of st.feedback.trace delta;
+        claim = Pathcov.Index_set.of_sub st.cand ~pos:0 ~len:ncand;
+        exec_blocks;
+        depth;
+        at_exec = st.execs;
+      }
+    :: st.captures
+
 (* The decision procedure, over the outcome of a run of the candidate
-   view [v] that already went through [post_exec]. The candidate's
+   view [v]: triage or retain on coverage novelty at once, checking the
+   queue cap before the merge, or, on a lane, capture. The candidate's
    string is materialised only when triage or retention needs one — the
    common (boring) candidate allocates nothing beyond the VM's own
    requests. *)
-let decide (st : state) ~depth (v : Bytes.t * int)
-    (out : Vm.Interp.outcome) : unit =
+let decide (st : state) ~depth (v : Bytes.t * int) (out : Vm.Interp.outcome) :
+    unit =
   match out.status with
-  | Vm.Interp.Crashed _ | Vm.Interp.Hung ->
-      triage_outcome st out ~input:(input_of v)
-  | Vm.Interp.Finished _ -> if novel st then retain st ~depth out (input_of v)
+  | Vm.Interp.Crashed _ | Vm.Interp.Hung -> fault st v out
+  | Vm.Interp.Finished _ when st.lane ->
+      let n = merge_noted st st.virgin in
+      if n > 0 then capture_retained st ~depth ~n v out
+  | Vm.Interp.Finished _ ->
+      if
+        (not (queue_full st ~at_exec:st.execs))
+        && merge_noted st st.virgin > 0
+      then retain st ~depth out (input_of v)
 
 (* Evaluate a cohort of [n] candidates end to end: [gen k] builds
    candidate [k] as a view valid until the next [gen]; each runs, is
@@ -359,10 +453,9 @@ let process (st : state) ~depth (input : string) : unit =
 let add_seed (st : state) (input : string) : unit =
   let out = execute st input in
   match out.status with
-  | Vm.Interp.Crashed _ | Vm.Interp.Hung -> triage_outcome st out ~input
+  | Vm.Interp.Crashed _ | Vm.Interp.Hung -> fault st (view input) out
   | Vm.Interp.Finished _ ->
-      ignore
-        (Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace);
+      ignore (merge_noted st st.virgin);
       let c = st.obs.counters in
       c.seeds_imported <- c.seeds_imported + 1;
       Obs.Observer.event st.obs
@@ -383,19 +476,13 @@ let add_seeds (st : state) (seeds : string list) : unit =
     for input-to-state mutation (the colorization stage of AFL++). The
     outcome flows through the same triage/novelty path as [process]: a
     crash or hang here — possible for the synthetic fallback entry, whose
-    data never executed cleanly — must be recorded, not discarded.
-    [on_fault] replaces that triage (a shard lane captures instead). *)
-let calibrate ?on_fault (st : state) (e : Corpus.entry) :
-    Mutator.cmp_pair array =
+    data never executed cleanly — must be recorded, not discarded. *)
+let calibrate (st : state) (e : Corpus.entry) : Mutator.cmp_pair array =
   trace_begin st Obs.Trace.Calibrate;
   let out = capturing st.tracer st.cmp_buf (fun () -> execute st e.data) in
   (match out.status with
-  | Vm.Interp.Crashed _ | Vm.Interp.Hung -> (
-      match on_fault with
-      | Some f -> f out
-      | None -> triage_outcome st out ~input:e.data)
-  | Vm.Interp.Finished _ ->
-      ignore (Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace));
+  | Vm.Interp.Crashed _ | Vm.Interp.Hung -> fault st (view e.data) out
+  | Vm.Interp.Finished _ -> ignore (merge_noted st st.virgin));
   let c = st.obs.counters in
   c.calibrations <- c.calibrations + 1;
   Obs.Observer.event st.obs
@@ -403,6 +490,39 @@ let calibrate ?on_fault (st : state) (e : Corpus.entry) :
        { at_exec = c.execs; entry = e.id; cmps = st.cmp_buf.n_cmps });
   trace_end st;
   current_cmps st
+
+(** Replay one lane capture against a state that applies its decisions
+    (a sharded campaign's coordinator, at the merge barrier): a crash
+    delta is triaged against the crash-virgin map, a hang counted, and
+    a retention checked against the queue cap, its delta re-tested
+    against the virgin map, and admitted with its claim candidates if
+    still novel — or dropped as a duplicate of an earlier capture. *)
+let replay (st : state) (cap : capture) : [ `Admitted | `Duplicate | `Other ] =
+  match cap with
+  | Crashed c ->
+      let coverage_novel =
+        Pathcov.Coverage_map.merge_sparse_into ~virgin:st.crash_virgin
+          ~idxs:c.delta ~vals:c.dvals
+        <> Pathcov.Coverage_map.Nothing
+      in
+      Triage.record_crash st.triage ~crash:c.crash ~input:c.input
+        ~at_exec:c.at_exec ~coverage_novel;
+      `Other
+  | Hung h ->
+      Triage.record_hang ~at_exec:h.at_exec st.triage;
+      `Other
+  | Retained r ->
+      if queue_full st ~at_exec:r.at_exec then `Other
+      else if
+        Pathcov.Coverage_map.merge_sparse_into ~virgin:st.virgin ~idxs:r.delta
+          ~vals:r.dvals
+        <> Pathcov.Coverage_map.Nothing
+      then begin
+        admit st ~claim:r.claim ~indices:r.set ~data:r.data
+          ~exec_blocks:r.exec_blocks ~depth:r.depth ~at_exec:r.at_exec;
+        `Admitted
+      end
+      else `Duplicate
 
 (** afl-fuzz's skip probabilities in fuzz_one, over an explicit RNG and
     queue state — the sequential scheduler draws from the campaign
@@ -414,45 +534,97 @@ let entry_skip (rng : Rng.t) ~(pending_favored : int) (e : Corpus.entry) : bool
   else if e.times_fuzzed > 0 then Rng.chance rng ~num:95 ~den:100
   else Rng.chance rng ~num:75 ~den:100
 
-(** Havoc energy for one queue entry (a simplified perf_score) — a pure
-    function of the entry and the budget, shared with the shard planner. *)
-let entry_energy ~(budget : int) (e : Corpus.entry) : int =
+(** Havoc energy for one queue entry (a simplified perf_score) with
+    [left] executions of the budget left: a pure function of the entry
+    and the budget, cut to what is left after the entry's calibration
+    run under cmplog. The sequential loop and the shard planner share
+    it. *)
+let entry_energy (cfg : config) ~(left : int) (e : Corpus.entry) : int =
   let base = 48 in
   let base = if e.favored then base * 2 else base in
   let base = if e.times_fuzzed = 0 then base * 2 else base in
   let base = if e.depth > 4 then base * 5 / 4 else base in
-  min base (max 8 (budget / 64))
+  min (min base (max 8 (cfg.budget / 64)))
+    (max 0 (left - if cfg.cmplog then 1 else 0))
+
+type peers = Live of Corpus.t | Frozen of Corpus.view
 
 (* O(1) random splice peer. The RNG draw is mapped to the same entry the
    List.nth-over-newest-first walk used to select (draw [k] is the [k]-th
    newest), so campaign trajectories are unchanged. *)
-let random_other (st : state) (e : Corpus.entry) : string option =
-  let n = Corpus.size st.corpus in
+let random_other (rng : Rng.t) (peers : peers) (e : Corpus.entry) :
+    string option =
+  let n =
+    match peers with Live q -> Corpus.size q | Frozen v -> Corpus.view_size v
+  in
   if n <= 1 then None
   else
-    let pick = Corpus.get st.corpus (n - 1 - Rng.int st.rng n) in
+    let k = n - 1 - Rng.int rng n in
+    let pick =
+      match peers with Live q -> Corpus.get q k | Frozen v -> Corpus.view_get v k
+    in
     if pick.id = e.id then None else Some pick.data
 
-(** Build a fresh campaign state, or with [lane] shard lane [lane]: a
-    private artifact (its rebindable state is single-threaded, so never
-    the per-domain cache), trace track [lane + 1], and private counters
-    and metrics behind the null sink — events stay coordinator-only. *)
+(* One havoc-mutated candidate drawn from [rng] into the scratch,
+   counted and (when the observer carries a clock) timed. *)
+let mutate (st : state) ~(rng : Rng.t) ~cmps ?splice_with (data : string) :
+    unit =
+  let c = st.obs.counters in
+  c.havocs <- c.havocs + 1;
+  (match splice_with with Some _ -> c.splices <- c.splices + 1 | None -> ());
+  if Array.length cmps > 0 then c.i2s_cands <- c.i2s_cands + 1;
+  trace_begin st Obs.Trace.Mutate;
+  (match st.obs.clock with
+  | None -> Mutator.havoc_in_place st.scratch ~cmps ?splice_with rng data
+  | Some now ->
+      let w0 = Gc.minor_words () in
+      let t0 = now () in
+      Mutator.havoc_in_place st.scratch ~cmps ?splice_with rng data;
+      c.mut_s <- c.mut_s +. (now () -. t0);
+      let mw = st.mut_words in
+      mw.(0) <- mw.(0) +. (Gc.minor_words () -. w0));
+  trace_end st
+
+(** The queue-entry stage both loops run: the entry's calibration run
+    under cmplog, then a batched cohort of [energy] havoc candidates
+    through one tracer call, each candidate's splice draw from [peers]
+    ahead of its mutation draws from [rng], and each outcome through the
+    decision procedure. The note log and a lane's captures start empty. *)
+let fuzz_entry (st : state) ~(rng : Rng.t) ~(peers : peers) ~(energy : int)
+    (e : Corpus.entry) : unit =
+  st.nnote <- 0;
+  st.captures <- [];
+  let cmps = if st.cfg.cmplog then calibrate st e else [||] in
+  if energy > 0 then begin
+    Obs.Metrics.observe st.h_batch energy;
+    trace_begin st Obs.Trace.Exec;
+    evaluate st ~depth:(e.depth + 1) ~n:energy ~gen:(fun _ ->
+        mutate st ~rng ~cmps ?splice_with:(random_other rng peers e) e.data;
+        (st.scratch.buf, st.scratch.len));
+    trace_end ~arg:energy st
+  end
+
+(** Build a fresh campaign state, or with [lane = (l, co)] lane [l] of
+    the sharded campaign coordinated by [co]: a private artifact (its
+    rebindable state is single-threaded, so never the per-domain cache),
+    trace track [l + 1] of [co]'s trace, private counters and metrics
+    behind the null sink (events stay coordinator-only), and [co]'s
+    queue, read for claim candidates. *)
 let make_state ?plans ?obs ?lane ?(config = default_config)
     (prog : Minic.Ir.program) : state =
   if config.selective then
     invalid_arg "Campaign: selective tracing was removed";
-  let obs = match obs with Some o -> o | None -> Obs.Observer.null () in
-  let track = match lane with Some l -> l + 1 | None -> 0 in
+  let track = match lane with Some (l, _) -> l + 1 | None -> 0 in
   let obs =
     match lane with
-    | None -> obs
-    | Some _ ->
+    | None -> ( match obs with Some o -> o | None -> Obs.Observer.null ())
+    | Some (_, co) ->
         let trace =
-          match obs.trace with
+          match co.obs.trace with
           | Some tr when track < Obs.Trace.n_tracks tr -> Some tr
           | _ -> None
         in
-        Obs.Observer.create ?clock:obs.clock ?trace ()
+        Obs.Observer.create ?clock:co.obs.clock ?trace ()
   in
   (* compiled artifacts run their own probes on their own registers and
      read only the trace map; only the interpreter calls the listener *)
@@ -471,7 +643,7 @@ let make_state ?plans ?obs ?lane ?(config = default_config)
   | Some tr -> Obs.Trace.begin_span tr ~track Obs.Trace.Compile
   | None -> ());
   let tracer =
-    Tracer.make ?plans ?clock:obs.clock ~shared:(lane = None)
+    Tracer.make ?plans ?clock:obs.clock ~shared:(Option.is_none lane)
       ~engine:config.engine ~selective:false ~cmplog:config.cmplog
       ~mode:config.mode prepared
   in
@@ -492,12 +664,16 @@ let make_state ?plans ?obs ?lane ?(config = default_config)
     crash_virgin =
       Pathcov.Coverage_map.create_virgin ~size_log2:config.map_size_log2 ();
     corpus =
-      (* a lane's queue stays empty: no top-rated table *)
       (match lane with
       | None -> Corpus.create ~map_size_log2:config.map_size_log2 ()
-      | Some _ -> Corpus.create ());
+      | Some (_, co) -> co.corpus);
     triage = Triage.create ~obs ();
     rng = Rng.create config.rng_seed;
+    lane = Option.is_some lane;
+    note = [||];
+    nnote = 0;
+    cand = [||];
+    captures = [];
     execs = 0;
     sample_every = max 1 (config.budget / 64);
     cmp_buf;
@@ -528,12 +704,12 @@ let checkpoint_id (cfg : config) ~(subject : string) ~(fuzzer : string)
     sync_interval;
   }
 
-(** The snapshot of a campaign between queue entries (sequential loop)
-    or at a merge barrier (sharded, [sync_interval > 0]). [planner] fills
-    the cursor slots of [progress]: the sequential loop's queue cursor,
-    or the sharded planner's. Left zero, the snapshot sits at a cycle
-    boundary. *)
-let capture_checkpoint ?(sync_interval = 0) ?(planner = Fun.id) (st : state)
+(* The snapshot of a campaign between queue entries (sequential loop)
+   or at a merge barrier (sharded, [sync_interval > 0]). [planner] fills
+   the cursor slots of [progress]: the sequential loop's queue cursor,
+   or the sharded planner's. Left zero, the snapshot sits at a cycle
+   boundary. *)
+let capture_checkpoint ~sync_interval ~planner (st : state)
     ~(subject : string) ~(fuzzer : string) : Checkpoint.t =
   settle_walls st;
   let c = st.obs.counters in
@@ -556,6 +732,32 @@ let capture_checkpoint ?(sync_interval = 0) ?(planner = Fun.id) (st : state)
     ~triage:st.triage ~counters:c
     ~snapshots:(Obs.Observer.snapshots st.obs)
 
+(** The snapshot schedule of one loop over [st], as the check the loop
+    calls between queue entries or merge barriers: it writes a snapshot
+    through [sink] when the exec clock has crossed the next multiple of
+    [sink.every] executions, mid-budget only (resuming the final state
+    would be a no-op). A pure function of the exec clock
+    ({!Checkpoint.next_mark}), so straight and resumed runs write the
+    same remaining snapshots at the same points. *)
+let checkpoint_schedule ?(sync_interval = 0) ?(planner = Fun.id)
+    (sink : Checkpoint.sink option) (st : state) : unit -> unit =
+  let next_mark =
+    ref
+      (match sink with
+      | Some sk -> Checkpoint.next_mark ~every:sk.every ~execs:st.execs
+      | None -> max_int)
+  in
+  fun () ->
+    match sink with
+    | Some sk when st.execs >= !next_mark && st.execs < st.cfg.budget ->
+        trace_begin st Obs.Trace.Checkpoint;
+        sk.save
+          (capture_checkpoint st ~subject:sk.subject ~fuzzer:sk.fuzzer
+             ~sync_interval ~planner);
+        trace_end st;
+        next_mark := Checkpoint.next_mark ~every:sk.every ~execs:st.execs
+    | _ -> ()
+
 (** Load a snapshot into freshly built campaign state (snapshot rows are
     preloaded without sink emission). Config validation is the caller's
     job; only the map size — which would make the blit fault — is
@@ -571,26 +773,6 @@ let restore_checkpoint (st : state) (ck : Checkpoint.t) : unit =
   st.execs <- ck.Checkpoint.progress.execs;
   Obs.Counters.add_into ~into:st.obs.counters ck.Checkpoint.counters;
   Obs.Observer.preload_snapshots st.obs (Array.to_list ck.Checkpoint.snapshots)
-
-(* One havoc-mutated candidate drawn from [rng] into the scratch,
-   counted and (when the observer carries a clock) timed. *)
-let mutate (st : state) ~(rng : Rng.t) ~cmps ?splice_with (data : string) :
-    unit =
-  let c = st.obs.counters in
-  c.havocs <- c.havocs + 1;
-  (match splice_with with Some _ -> c.splices <- c.splices + 1 | None -> ());
-  if Array.length cmps > 0 then c.i2s_cands <- c.i2s_cands + 1;
-  trace_begin st Obs.Trace.Mutate;
-  (match st.obs.clock with
-  | None -> Mutator.havoc_in_place st.scratch ~cmps ?splice_with rng data
-  | Some now ->
-      let w0 = Gc.minor_words () in
-      let t0 = now () in
-      Mutator.havoc_in_place st.scratch ~cmps ?splice_with rng data;
-      c.mut_s <- c.mut_s +. (now () -. t0);
-      let mw = st.mut_words in
-      mw.(0) <- mw.(0) +. (Gc.minor_words () -. w0));
-  trace_end st
 
 (* Start a queue cycle at campaign exec [at_exec]: recompute the favored
    set and announce it. Returns the cycle's length — entries are
@@ -712,72 +894,40 @@ let run_state ?(checkpoint : Checkpoint.sink option)
     result =
   let config = st.cfg in
   let base = baseline st in
-  (* A snapshot taken inside a cycle records the queue cursor
-     ([cycle_len > 0]); the resumed run finishes that cycle first. *)
-  let len, first =
-    match resume with
-    | Some ck ->
-        restore_checkpoint st ck;
-        (ref ck.Checkpoint.progress.cycle_len, ref ck.Checkpoint.progress.next_qi)
-    | None ->
-        add_seeds st seeds;
-        (ref 0, ref 0)
+  (* The queue cursor: the cycle's length and the next entry. A snapshot
+     taken inside a cycle records it ([cycle_len > 0]); the resumed run
+     finishes that cycle first. *)
+  let len = ref 0 and qi = ref 0 in
+  (match resume with
+  | Some ck ->
+      restore_checkpoint st ck;
+      len := ck.Checkpoint.progress.cycle_len;
+      qi := ck.Checkpoint.progress.next_qi
+  | None -> add_seeds st seeds);
+  let at_mark =
+    checkpoint_schedule checkpoint st ~planner:(fun p ->
+        { p with Checkpoint.cycle_len = !len; next_qi = !qi })
   in
-  (* The snapshot schedule is a pure function of the exec clock
-     (Checkpoint.next_mark), checked between queue entries, so straight
-     and resumed runs write the same remaining snapshots at the same
-     points. *)
-  let next_mark = ref max_int in
-  (match checkpoint with
-  | Some sk -> next_mark := Checkpoint.next_mark ~every:sk.every ~execs:st.execs
-  | None -> ());
-  let save ~cycle_len ~next_qi =
-    match checkpoint with
-    | Some sk when st.execs < config.budget ->
-        trace_begin st Obs.Trace.Checkpoint;
-        sk.save
-          (capture_checkpoint st ~subject:sk.subject ~fuzzer:sk.fuzzer
-             ~planner:(fun p -> { p with Checkpoint.cycle_len; next_qi }));
-        trace_end st;
-        next_mark := Checkpoint.next_mark ~every:sk.every ~execs:st.execs
-    | _ -> ()
-  in
+  let peers = Live st.corpus in
   while st.execs < config.budget do
-    if !first = 0 then begin
-      if st.execs >= !next_mark then save ~cycle_len:0 ~next_qi:0;
+    if !qi >= !len then begin
+      len := 0;
+      qi := 0;
+      at_mark ();
       len := start_cycle st ~at_exec:st.execs
     end;
-    for qi = !first to !len - 1 do
-      if st.execs >= !next_mark then save ~cycle_len:!len ~next_qi:qi;
-      let e = Corpus.get st.corpus qi in
-      if
-        st.execs < config.budget
-        && not
-             (entry_skip st.rng ~pending_favored:st.corpus.pending_favored e)
-      then begin
-        let cmps = if config.cmplog then calibrate st e else [||] in
-        let n = entry_energy ~budget:config.budget e in
-        (* Batched cohort: the whole energy allotment runs back-to-back
-           through one [evaluate] call. Each candidate ticks the budget
-           clock exactly once (replays don't), so the cohort size is
-           exactly what a per-candidate loop would have run. *)
-        let count = max 0 (min n (config.budget - st.execs)) in
-        if count > 0 then begin
-          let depth = e.depth + 1 in
-          Obs.Metrics.observe st.h_batch count;
-          trace_begin st Obs.Trace.Exec;
-          evaluate st ~depth ~n:count ~gen:(fun _ ->
-              mutate st ~rng:st.rng ~cmps ?splice_with:(random_other st e)
-                e.data;
-              (st.scratch.buf, st.scratch.len));
-          trace_end ~arg:count st
-        end;
-        e.times_fuzzed <- e.times_fuzzed + 1;
-        if e.favored && e.times_fuzzed = 1 then
-          st.corpus.pending_favored <- max 0 (st.corpus.pending_favored - 1)
-      end
-    done;
-    first := 0
+    at_mark ();
+    let e = Corpus.get st.corpus !qi in
+    if not (entry_skip st.rng ~pending_favored:st.corpus.pending_favored e)
+    then begin
+      fuzz_entry st ~rng:st.rng ~peers
+        ~energy:(entry_energy config ~left:(config.budget - st.execs) e)
+        e;
+      e.times_fuzzed <- e.times_fuzzed + 1;
+      if e.favored && e.times_fuzzed = 1 then
+        st.corpus.pending_favored <- max 0 (st.corpus.pending_favored - 1)
+    end;
+    incr qi
   done;
   (* final snapshot row: budget exhausted (kept even when it duplicates a
      cadence row, matching the historical queue_series tail sample) *)

@@ -8,7 +8,13 @@
     counter block, periodic snapshot rows and structured events. The
     observer obeys the zero-perturbation rule (no RNG draws, no fuzzing
     decision reads observer state), so observed and unobserved runs are
-    byte-identical — see DESIGN.md §7. *)
+    byte-identical — see DESIGN.md §7.
+
+    {!Shard} runs on these states too, and every queue entry of either
+    loop goes through one stage ({!fuzz_entry}) and one decision
+    procedure: a sequential state applies each decision at once, a
+    shard lane records it as a {!capture} that the merge barrier
+    {!replay}s. *)
 
 type config = {
   mode : Pathcov.Feedback.mode;
@@ -110,9 +116,49 @@ val capturing : Tracer.t -> cmp_buf -> (unit -> 'a) -> 'a
     queue state (the sharded planner draws from its own stream). *)
 val entry_skip : Rng.t -> pending_favored:int -> Corpus.entry -> bool
 
-(** Havoc energy for one queue entry (simplified perf_score): a pure
-    function of the entry and the budget. *)
-val entry_energy : budget:int -> Corpus.entry -> int
+(** Havoc energy for one queue entry (simplified perf_score) with
+    [left] executions of the budget left: a pure function of the entry
+    and the budget, cut to what is left after the entry's calibration
+    run under cmplog. *)
+val entry_energy : config -> left:int -> Corpus.entry -> int
+
+(** What a shard lane records instead of applying a decision, replayed
+    by the merge barrier ({!replay}); index sets are packed like the
+    queue's. A capture carries only what can still change at the
+    barrier: its {e delta}, the indices where it beat the lane's map (in
+    journal order, with their classified bytes), and for a retention its
+    claim candidates. The coordinator's map has cleared at least every
+    bit the lane's had when the capture was taken (the lane's map is the
+    epoch-start map plus the item's own earlier captures, each of which
+    the barrier admits, finds already seen, or skips on a full queue and
+    then skips this one too), so outside the delta the capture clears
+    nothing there either: merging the delta gives the full capture's
+    verdict and bytes. A lane's crash map also keeps the crash captures
+    of the lane's earlier items of the epoch; lanes claim items in
+    increasing order and the barrier replays every crash capture, so
+    those are cleared in the coordinator's map first as well. A
+    top-rated holder only gets cheaper, so the claim candidates hold
+    every slot the entry can still claim (DESIGN.md §8). *)
+type capture =
+  | Retained of {
+      data : string;
+      set : Pathcov.Index_set.t;  (** classified trace indices, ascending *)
+      delta : Pathcov.Index_set.t;  (** indices that beat the lane's map *)
+      dvals : string;  (** classified trace bytes at [delta], one each *)
+      claim : Pathcov.Index_set.t;
+          (** slots whose epoch-start holder was dearer ({!Corpus.dearer_slots}) *)
+      exec_blocks : int;
+      depth : int;
+      at_exec : int;
+    }
+  | Crashed of {
+      crash : Vm.Crash.t;
+      input : string;
+      delta : Pathcov.Index_set.t;  (** indices that beat the lane's crash map *)
+      dvals : string;
+      at_exec : int;
+    }
+  | Hung of { at_exec : int }
 
 (** Live campaign state. Fields are exposed read-mostly for tests and
     diagnostics; mutate only through the stage functions below. The
@@ -129,10 +175,20 @@ type state = {
           just the trace map *)
   virgin : Pathcov.Coverage_map.t;
   crash_virgin : Pathcov.Coverage_map.t;
-  corpus : Corpus.t;
+  corpus : Corpus.t;  (** the queue; a lane reads its coordinator's *)
   triage : Triage.t;
   rng : Rng.t;
-  mutable execs : int;  (** this campaign's executions (budget clock) *)
+  lane : bool;  (** a shard lane: decisions are captured, not applied *)
+  mutable note : int array;
+      (** the note log, [[0, nnote)]: indices the merges into the virgin
+          maps changed — a lane's, since its work item began; otherwise
+          the last merge's only *)
+  mutable nnote : int;
+  mutable cand : int array;  (** claim-candidate scratch *)
+  mutable captures : capture list;  (** a lane's, newest first *)
+  mutable execs : int;
+      (** this campaign's executions (budget clock); a lane's runs on
+          the campaign clock from its work item's base *)
   mutable sample_every : int;
       (** snapshot cadence in executions ([max_int] under {!Shard},
           which samples at merge barriers) *)
@@ -153,14 +209,16 @@ type state = {
   track : int;  (** span-trace track: 0, or a shard lane's index + 1 *)
 }
 
-(** Build a fresh campaign state. With [lane], shard lane [lane] of a
-    {!Shard} run: a private compiled artifact, trace track [lane + 1] of
-    [obs]'s trace, and a private counter block and metrics registry
-    behind the null sink (events stay coordinator-only). *)
+(** Build a fresh campaign state. With [lane = (l, co)], lane [l] of
+    the {!Shard} run coordinated by [co]: a private compiled artifact,
+    trace track [l + 1] of [co]'s trace, a private counter block and
+    metrics registry behind the null sink (events stay
+    coordinator-only; [obs] is ignored), and [co]'s queue, read for
+    claim candidates. *)
 val make_state :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?obs:Obs.Observer.t ->
-  ?lane:int ->
+  ?lane:int * state ->
   ?config:config ->
   Minic.Ir.program ->
   state
@@ -189,11 +247,9 @@ val add_seed : state -> string -> unit
 val process : state -> depth:int -> string -> unit
 
 (** One calibration run of a queue entry — the only run that captures
-    cmplog operand pairs; a crash or hang is triaged like {!process}'s,
-    or handed to [on_fault] instead (a shard lane captures it). *)
-val calibrate :
-  ?on_fault:(Vm.Interp.outcome -> unit) ->
-  state -> Corpus.entry -> Mutator.cmp_pair array
+    cmplog operand pairs; a crash or hang goes through the decision
+    procedure like {!process}'s. *)
+val calibrate : state -> Corpus.entry -> Mutator.cmp_pair array
 
 (** {2 Stages shared with {!Shard}}
 
@@ -204,23 +260,27 @@ val calibrate :
 val trace_begin : state -> Obs.Trace.kind -> unit
 val trace_end : ?arg:int -> state -> unit
 
-(** Reset the listener state (a no-op off the interpreter) and the
-    trace map before one VM run. *)
-val pre_exec : state -> unit
+(** Where a queue entry's splice peers come from: the live queue (the
+    sequential loop, where entries retained mid-cohort are eligible) or
+    a fixed epoch-start view (a shard lane). *)
+type peers = Live of Corpus.t | Frozen of Corpus.view
 
-(** Account one VM run and classify its trace for novelty checks;
-    samples a snapshot row every [sample_every] executions. *)
-val post_exec : state -> Vm.Interp.outcome -> unit
+(** The queue-entry stage both loops run: the entry's calibration run
+    under cmplog, then a cohort of [energy] havoc candidates, each with
+    its splice draw from [peers] ahead of its mutation draws from [rng],
+    and each outcome through the one decision procedure: triaged or
+    retained at once, the queue cap checked before every merge, or on a
+    lane (which never consults the cap) captured. The note log and the
+    captures start empty. *)
+val fuzz_entry :
+  state -> rng:Rng.t -> peers:peers -> energy:int -> Corpus.entry -> unit
 
-(** [n] candidates through the state's tracer: [gen k] builds candidate
-    [k], [sink k out] consumes its outcome before [gen (k + 1)] runs. *)
-val cohort : state -> n:int -> gen:(int -> Bytes.t * int) ->
-  sink:(int -> Vm.Interp.outcome -> unit) -> unit
-
-(** One havoc-mutated candidate drawn from [rng] into [scratch]; counted,
-    and timed when the observer has a clock. *)
-val mutate : state -> rng:Rng.t -> cmps:Mutator.cmp_pair array ->
-  ?splice_with:string -> string -> unit
+(** Replay one lane capture on the coordinator at the merge barrier: a
+    crash is triaged, a hang counted; a retention is checked against
+    the queue cap (counting the drop), its delta merged and, still
+    novel, admitted with its claim candidates ([`Admitted]), else
+    dropped as a duplicate of an earlier capture ([`Duplicate]). *)
+val replay : state -> capture -> [ `Admitted | `Duplicate | `Other ]
 
 (** Fold the tracer's VM wall and the mutator's minor words into the
     counter block. *)
@@ -236,19 +296,6 @@ val add_seeds : state -> string list -> unit
     announce the favored set. Returns the queue size (the cycle bound). *)
 val start_cycle : state -> at_exec:int -> int
 
-(** Is the queue full for a finished exec at [at_exec]? Counts the drop
-    (announcing the first); checked before any virgin merge. *)
-val queue_full : state -> at_exec:int -> bool
-
-(** Append a coverage-novel input found at campaign exec [at_exec] to
-    the queue, claim its top-rated slots, count and announce it. With
-    [claim], only those slots are tried ({!Corpus.claim_top_rated_at}):
-    the merge barrier passes a capture's {!Corpus.dearer_slots} from
-    the epoch start. *)
-val admit : ?claim:Pathcov.Index_set.t -> state ->
-  indices:Pathcov.Index_set.t -> data:string ->
-  exec_blocks:int -> depth:int -> at_exec:int -> unit
-
 (** The observer's counters at the start of a run. *)
 type baseline
 
@@ -258,10 +305,7 @@ val baseline : state -> baseline
     state's tracer, report the run's deltas against the baseline. *)
 val finish : state -> baseline -> tracers:Tracer.t list -> result
 
-(** {2 Checkpoint/resume}
-
-    Exposed so tests can capture and restore mid-campaign state without
-    going through {!run}'s sink plumbing. *)
+(** {2 Checkpoint/resume} *)
 
 (** The identity a snapshot records and [--resume] checks
     ({!Checkpoint.check_compat}); [sync_interval = 0] marks the
@@ -269,13 +313,15 @@ val finish : state -> baseline -> tracers:Tracer.t list -> result
 val checkpoint_id : config -> subject:string -> fuzzer:string ->
   sync_interval:int -> Checkpoint.config_id
 
-(** Snapshot the campaign between queue entries, or at a sharded merge
-    barrier: [sync_interval] (default 0) goes into the identity and
-    [planner] fills the cursor slots of the progress record (left zero:
-    a cycle boundary). *)
-val capture_checkpoint :
+(** The snapshot schedule of one loop over a state, as the check the
+    loop calls between queue entries or merge barriers: a snapshot once
+    the exec clock has crossed the next multiple of [sink.every]
+    executions, mid-budget only. [sync_interval] (default 0: the
+    sequential loop) goes into the identity, and [planner] fills the
+    progress record's cursor slots (left zero: a cycle boundary). *)
+val checkpoint_schedule :
   ?sync_interval:int -> ?planner:(Checkpoint.progress -> Checkpoint.progress) ->
-  state -> subject:string -> fuzzer:string -> Checkpoint.t
+  Checkpoint.sink option -> state -> unit -> unit
 
 (** Load a snapshot into freshly built state (queue, triage, virgin maps,
     RNG position, exec clock, counters, snapshot rows); a sharded caller

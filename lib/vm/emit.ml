@@ -1013,6 +1013,32 @@ type t = { prepared : prepared; raw : raw }
 
 let locked f = Mutex.protect lock f
 
+(* Load unit [gkey] holding [entries] from the cache, or build and load
+   it. A failure is remembered per (cache dir, unit key) for the life of
+   the process and returned again, so a toolchain that cannot build a
+   unit is tried once, not once per campaign. Caller holds [lock]. *)
+let failed : (string * string, string) Hashtbl.t = Hashtbl.create 8
+
+let load_or_build ~(gkey : string) entries : (unit, string) result =
+  let k = (cache_dir (), gkey) in
+  match Hashtbl.find_opt failed k with
+  | Some e -> Error e
+  | None ->
+      let art = artifact_path gkey in
+      let r =
+        if Sys.file_exists art then begin
+          let r = load_and_drain art in
+          if Result.is_ok r then Atomic.incr hits;
+          r
+        end
+        else begin
+          Atomic.incr misses;
+          Result.bind (build_unit ~gkey entries) load_and_drain
+        end
+      in
+      Result.iter_error (Hashtbl.replace failed k) r;
+      r
+
 let maker_for ?plans ~cmplog (p : prepared) (mode : Pathcov.Feedback.mode) :
     ((unit -> raw), string) result =
   let key = key_of p mode cmplog in
@@ -1020,29 +1046,13 @@ let maker_for ?plans ~cmplog (p : prepared) (mode : Pathcov.Feedback.mode) :
   | Some mk ->
       Atomic.incr hits;
       Ok mk
-  | None -> (
-      let finish () =
-        match Hashtbl.find_opt makers key with
-        | Some mk -> Ok mk
-        | None -> Error ("emit artifact did not register key " ^ key)
-      in
-      let art = artifact_path key in
-      if Sys.file_exists art then begin
-        match load_and_drain art with
-        | Ok () ->
-            Atomic.incr hits;
-            finish ()
-        | Error e -> Error e
-      end
-      else begin
-        Atomic.incr misses;
-        match build_unit ~gkey:key [ (key, p, mode, cmplog, plans) ] with
-        | Ok art -> (
-            match load_and_drain art with
-            | Ok () -> finish ()
-            | Error e -> Error e)
-        | Error e -> Error e
-      end)
+  | None ->
+      Result.bind
+        (load_or_build ~gkey:key [ (key, p, mode, cmplog, plans) ])
+        (fun () ->
+          match Hashtbl.find_opt makers key with
+          | Some mk -> Ok mk
+          | None -> Error ("emit artifact did not register key " ^ key))
 
 let instance ?plans ?(cmplog = true) (p : prepared)
     (mode : Pathcov.Feedback.mode) : (t, string) result =
@@ -1092,22 +1102,11 @@ let preload (entries : (prepared * Pathcov.Feedback.mode * bool) list) : int =
                 (Digest.string
                    (String.concat "" (List.map (fun (k, _, _, _) -> k) chunk)))
             in
-            let art = artifact_path gkey in
-            if Sys.file_exists art then (
-              match load_and_drain art with
-              | Ok () -> Atomic.incr hits
-              | Error _ -> ())
-            else begin
-              Atomic.incr misses;
-              match
-                build_unit ~gkey
-                  (List.map
-                     (fun (k, p, mode, cmplog) -> (k, p, mode, cmplog, None))
-                     chunk)
-              with
-              | Ok art -> ignore (load_and_drain art)
-              | Error _ -> ()
-            end)
+            ignore
+              (load_or_build ~gkey
+                 (List.map
+                    (fun (k, p, mode, cmplog) -> (k, p, mode, cmplog, None))
+                    chunk)))
           (chunks 48 missing);
         List.length
           (List.filter (fun (k, _, _, _) -> Hashtbl.mem makers k) keyed))

@@ -101,6 +101,7 @@ type tier = {
   seed : int;
   sync_interval : int;
   map_size_log2 : int;
+  max_queue : int;  (** the campaign's queue cap *)
   every : int;  (** checkpoint schedule of every cell *)
   widths : int list;  (** shard counts; 0 = the sequential loop *)
   engines : engine list;
@@ -114,9 +115,11 @@ type tier = {
 }
 
 let tier_name t =
-  Printf.sprintf "%s/%s%s b%d %s%s" t.subject t.fuzzer.name
+  Printf.sprintf "%s/%s%s b%d%s %s%s" t.subject t.fuzzer.name
     (if t.fuzzer.cmplog then "+cmplog" else "")
     t.budget
+    (if t.max_queue = Fuzz.Campaign.default_config.max_queue then ""
+     else Printf.sprintf " cap%d" t.max_queue)
     (if t.widths = [ 0 ] then "seq"
      else Printf.sprintf "sync%d" t.sync_interval)
     (if t.map_size_log2 = 16 then ""
@@ -162,9 +165,10 @@ let config t (engine : engine) =
   let mode =
     match t.fuzzer.spec with Plain m -> m | _ -> invalid_arg "not plain"
   in
-  Fuzz.Strategy.base_config ~engine:engine.engine
-    ~map_size_log2:t.map_size_log2 ~budget:t.budget ~trial_seed:t.seed
-    ~cmplog:t.fuzzer.cmplog mode
+  { (Fuzz.Strategy.base_config ~engine:engine.engine
+       ~map_size_log2:t.map_size_log2 ~budget:t.budget ~trial_seed:t.seed
+       ~cmplog:t.fuzzer.cmplog mode)
+    with max_queue = t.max_queue }
 
 (* The cell's observer, the count of decision events so far, and the
    decision stream. *)
@@ -300,8 +304,9 @@ let check_against t ~(reference : fingerprint) c (fp : fingerprint) =
 
 (* The reference cell must exercise what its cells are compared on: a
    reference that wrote too few snapshots, emitted no events, never
-   calibrated under cmplog or never crashed on the crash-dense program
-   would match every cell just as well. *)
+   calibrated under cmplog, never crashed on the crash-dense program or
+   never dropped a candidate on a capped queue would match every cell
+   just as well. *)
 let check_reference t (fp : fingerprint) =
   let guard ok what =
     if not ok then fail "%s: the reference %s" (tier_name t) what
@@ -315,7 +320,11 @@ let check_reference t (fp : fingerprint) =
     "never calibrated";
   guard
     (t.subject <> "easy_bug" || not (line "crashes 0 " fp.facts))
-    "never crashed"
+    "never crashed";
+  guard
+    (t.max_queue = Fuzz.Campaign.default_config.max_queue
+    || not (line "counter queue_full_drops 0" fp.facts))
+    "never filled its queue"
 
 (* Evenly spaced, at most [n], the first and last always kept. *)
 let sample n l =
@@ -397,10 +406,11 @@ let check_tier t =
 
 let tier ?seeds ?(seed = 1)
     ?(sync_interval = Fuzz.Shard.default_sync_interval) ?(map_size_log2 = 16)
+    ?(max_queue = Fuzz.Campaign.default_config.max_queue)
     ?(engines = all_engines) ?(observers = [ Bare; Ring; Full ]) ?(runs = 1)
     ?(min_snapshots = 2) ?(cross = true) ~every ~widths subject fuzzer budget =
   { subject; seeds; fuzzer; budget; seed; sync_interval; map_size_log2;
-    every; widths; engines; observers; runs; min_snapshots; cross }
+    max_queue; every; widths; engines; observers; runs; min_snapshots; cross }
 
 module S = Fuzz.Strategy
 
@@ -495,8 +505,16 @@ let wide_map =
     ~widths:[ 1; 2 ]
     ~engines:[ interp; native ] ~observers:[ Ring ]
 
+(* A queue cap that fills within the first epochs: the sequential loop
+   checks it before every merge, the merge barrier once per replayed
+   retention. *)
+let capped_queue =
+  tier "cflow" S.afl 3_000 ~max_queue:40 ~every:1_000 ~widths:[ 0; 1; 2; 4 ]
+    ~sync_interval:512 ~observers:[ Ring ]
+
 let matrix =
-  [ cflow_path_6000; cflow_afl_4000; cflow_afl_3000; cflow_path_3000 ]
+  [ cflow_path_6000; cflow_afl_4000; cflow_afl_3000; cflow_path_3000;
+    capped_queue ]
   @ cflow_modes @ sqlite3_20000 @ gdk_6000 @ claim_heavy @ gdk_modes
   @ easy_bug @ [ easy_bug_path; wide_map ]
 

@@ -196,13 +196,20 @@ let prop_residual_matches_scan =
 (* [merge_noting] is [merge_into] plus a note of every index it wrote,
    and [restore_at] over those notes undoes it. Virgin maps are aged by
    a few random merges first (64 slots, so bytes are partly cleared and
-   traces overlap them), then one classified trace merges both ways. *)
+   traces overlap them), then one classified trace merges both ways.
+   Then the pattern a shard lane's work item follows: several traces
+   merged into one note log at increasing [~at], each appending its
+   notes after the last, and one [restore_at] over the whole log gives
+   back the original map and residual. *)
 let prop_merge_noting_undo =
   let hits = QCheck.Gen.(list_size (int_range 0 24) (pair (int_bound 63) (int_range 1 300))) in
   QCheck.Test.make ~count:300
     ~name:"merge_noting equals merge_into; restore_at undoes it"
-    (QCheck.make QCheck.Gen.(pair (list_size (int_range 0 6) hits) hits))
-    (fun (history, fresh) ->
+    (QCheck.make
+       QCheck.Gen.(
+         triple (list_size (int_range 0 6) hits) hits
+           (list_size (int_range 0 4) hits)))
+    (fun (history, fresh, more) ->
       let trace_of hs =
         let tr = Cm.create ~size_log2:6 () in
         List.iter (fun (i, n) -> for _ = 1 to n do Cm.hit tr i done) hs;
@@ -227,13 +234,32 @@ let prop_merge_noting_undo =
       let exact_notes =
         List.sort compare (Array.to_list (Array.sub note 0 n)) = changed
       in
-      Cm.restore_at ~dst:noted orig note n;
-      let undone =
-        Cm.equal noted orig && Cm.residual noted = Cm.residual orig
-        && Cm.residual noted = Cm.residual_scan noted
+      let restored dst =
+        Cm.equal dst orig && Cm.residual dst = Cm.residual orig
+        && Cm.residual dst = Cm.residual_scan dst
       in
+      Cm.restore_at ~dst:noted orig note n;
+      let undone = restored noted in
+      let traces = List.map trace_of (fresh :: more) in
+      let item = Cm.copy orig and plain = Cm.copy orig in
+      let log =
+        Array.make (List.fold_left (fun a t -> a + Cm.count_set t) 0 traces) (-1)
+      in
+      let same_verdicts = ref true in
+      let at =
+        List.fold_left
+          (fun at t ->
+            let verdict = Cm.merge_into ~virgin:plain t in
+            let v = Cm.merge_noting ~virgin:item t log ~at in
+            if Cm.noted_novelty v <> verdict then same_verdicts := false;
+            at + Cm.noted_count v)
+          0 traces
+      in
+      let logged = !same_verdicts && Cm.equal item plain in
+      Cm.restore_at ~dst:item orig log at;
       same_verdict && same_map && exact_notes && undone
-      && (n = 0) = (verdict = Cm.Nothing))
+      && (n = 0) = (verdict = Cm.Nothing)
+      && logged && restored item)
 
 (* --- feedback listeners --- *)
 

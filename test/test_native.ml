@@ -496,6 +496,34 @@ let test_native_collects_stale_tmp () =
   Sys.rmdir live;
   Sys.rmdir dir
 
+(* --- fail-safe build: a unit that cannot be built (here: its cache
+   directory cannot be created) is tried once per process, and every
+   later instantiation returns the same error without a rebuild --- *)
+
+let test_native_failed_build_remembered () =
+  let file = Filename.temp_file "pf_emit_nodir" "" in
+  let before = Sys.getenv_opt "PATHFUZZ_EMIT_CACHE" in
+  Unix.putenv "PATHFUZZ_EMIT_CACHE" (Filename.concat file "cache");
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "PATHFUZZ_EMIT_CACHE" (Option.value before ~default:"");
+      Sys.remove file)
+    (fun () ->
+      let prepared =
+        Vm.Interp.prepare
+          (Minic.Lower.compile "fn main() { return in(0) + 4711; }")
+      in
+      let misses () = (Vm.Emit.stats ()).cache_misses in
+      let m0 = misses () in
+      let attempt () =
+        match Vm.Emit.instance prepared Pathcov.Feedback.Edge with
+        | Ok _ -> Alcotest.fail "built a unit in an uncreatable cache dir"
+        | Error e -> e
+      in
+      let first = attempt () in
+      check Alcotest.string "the same error again" first (attempt ());
+      check Alcotest.int "one build attempted" 1 (misses () - m0))
+
 let suite =
   [
     ( "native",
@@ -518,5 +546,7 @@ let suite =
           test_native_key_tracks_interfaces;
         Alcotest.test_case "stale build directories collected" `Quick
           test_native_collects_stale_tmp;
+        Alcotest.test_case "failed build tried once per process" `Quick
+          test_native_failed_build_remembered;
       ] );
   ]
