@@ -157,11 +157,11 @@ let engine_arg_of default =
               into OCaml closures with the feedback probes baked in and \
               superblock fusion: single-predecessor chains collapsed into \
               one closure with coalesced fuel burns and folded path \
-              increments) or $(b,native) (the \
-              fused plan emitted as per-subject OCaml source, compiled \
-              out-of-process with ocamlopt, loaded via Dynlink and cached \
-              on disk; silently degrades to fused when no toolchain is \
-              available). The fuzzing trajectory — queue, coverage, \
+              increments) or $(b,native) (the fused plan emitted as \
+              per-subject OCaml source, compiled out-of-process, Dynlink'd \
+              and cached on disk (in $(b,PATHFUZZ_EMIT_CACHE) if set); \
+              degrades to fused, with one stderr line, when no toolchain \
+              is available). The fuzzing trajectory — queue, coverage, \
               crashes, stdout — is engine-invariant; only throughput \
               changes."
              (String.concat ", " Fuzz.Tracer.engine_names)))
@@ -175,19 +175,6 @@ let engine_of_flag engine =
       Fmt.epr "pathfuzz: unknown --engine %s (expected %s)@." engine
         (String.concat ", " Fuzz.Tracer.engine_names);
       exit 2
-
-let emit_cache_arg =
-  Arg.(
-    value
-    & opt string ""
-    & info [ "emit-cache" ] ~docv:"DIR"
-        ~doc:
-          "Directory for the native engine's on-disk artifact cache \
-           (compiled per-subject units, keyed by content hash). Overrides \
-           $(b,PATHFUZZ_EMIT_CACHE); default is a per-user cache dir. \
-           Only meaningful with $(b,--engine) native.")
-
-let apply_emit_cache dir = if dir <> "" then Vm.Emit.set_cache_dir dir
 
 let fuzz_cmd =
   let fuzzer = fuzzer_arg in
@@ -278,12 +265,11 @@ let fuzz_cmd =
              barrier waits, checkpoint costs) to FILE as one JSON object \
              (\"-\" for stderr). Observation-only; single trial.")
   in
-  let run subject fuzzer budget trial trials rounds engine emit_cache jobs shards sync_interval stats jsonl checkpoint
+  let run subject fuzzer budget trial trials rounds engine jobs shards sync_interval stats jsonl checkpoint
       checkpoint_every resume trace_file metrics_file =
     let s = lookup_subject subject in
     let fz = fuzzer_of_name rounds fuzzer in
     let engine = engine_of_flag engine in
-    apply_emit_cache emit_cache;
     let trials = max 1 trials in
     let jobs = resolve_jobs jobs in
     if shards < 0 then begin
@@ -559,7 +545,7 @@ let fuzz_cmd =
   Cmd.v (Cmd.info "fuzz" ~doc:"Run one or more fuzzing campaigns")
     Term.(
       const run $ subject_arg $ fuzzer $ budget $ trial $ trials $ rounds
-      $ engine $ emit_cache_arg $ jobs_arg $ shards_arg
+      $ engine $ jobs_arg $ shards_arg
       $ sync_interval_arg $ stats $ jsonl $ checkpoint $ checkpoint_every
       $ resume $ trace_file $ metrics_file)
 
@@ -585,12 +571,11 @@ let profile_cmd =
              Sequential loop only — ticks are not meaningful across \
              domains.")
   in
-  let run subject fuzzer budget trial rounds engine emit_cache shards
+  let run subject fuzzer budget trial rounds engine shards
       sync_interval deterministic =
     let s = lookup_subject subject in
     let fz = fuzzer_of_name rounds fuzzer in
     let engine = engine_of_flag engine in
-    apply_emit_cache emit_cache;
     if shards < 0 then begin
       Fmt.epr "pathfuzz: --shards must be >= 0, got %d@." shards;
       exit 2
@@ -648,7 +633,7 @@ let profile_cmd =
           walls, shard utilization, engine metrics, counters)")
     Term.(
       const run $ subject_arg $ fuzzer_arg $ budget $ trial_arg $ rounds_arg
-      $ engine_arg $ emit_cache_arg $ shards_arg
+      $ engine_arg $ shards_arg
       $ sync_interval_arg $ deterministic)
 
 (* --- path-profile --- *)

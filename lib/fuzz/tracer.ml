@@ -12,9 +12,10 @@
     - [Native]: the {!Vm.Emit} per-subject generated OCaml unit — the
       fused plan plus out-of-process [ocamlopt] and a Dynlink load,
       cached on disk. When emission fails for any reason (no toolchain,
-      compile error, forced [PATHFUZZ_EMIT_FAIL]) the tracer silently
-      degrades to [Fused] and records why ({!emit_fallback}), so
-      campaigns behave identically on toolchain-less machines.
+      compile error, forced [PATHFUZZ_EMIT_FAIL]) the tracer degrades
+      to [Fused], records why ({!emit_fallback}) and says so in one
+      stderr line per process, so campaigns behave identically on
+      toolchain-less machines.
 
     All produce byte-identical traces, outcomes and fuel accounting
     (test-enforced differentially), so the engine choice is invisible to
@@ -36,6 +37,10 @@ let engine_of_name = function
 let engine_names = [ "interp"; "fused"; "native" ]
 
 let matrix_engine = Fused
+
+(* Set by the first native fallback of the process, on whichever domain
+   it happens, so the stderr line is printed once. *)
+let fallback_reported = Atomic.make false
 
 (* The VM-wall bracket, preallocated once per tracer so that timing a
    run allocates nothing but its two clock reads: the running batch's
@@ -107,11 +112,8 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
     | None -> ());
     r
   in
-  (* [Native]: emit + load the unit up front. Any failure — no
-     compiler on PATH, compile error, Dynlink refusal, forced
-     [PATHFUZZ_EMIT_FAIL] — degrades the tracer to the fused closure
-     engine (recording why), so campaigns behave identically on
-     toolchain-less machines. *)
+  (* [Native]: emit + load the unit up front, or degrade to fused (see
+     the header). *)
   let full_emit, emit_fallback =
     match engine with
     | Interp | Fused -> (None, None)
@@ -123,6 +125,10 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
         | Ok full -> (Some full, None)
         | Error reason ->
             Vm.Emit.note_fallback ();
+            if not (Atomic.exchange fallback_reported true) then
+              Printf.eprintf
+                "pathfuzz: native engine unavailable (%s); continuing on fused\n%!"
+                reason;
             (None, Some reason))
   in
   let closures =

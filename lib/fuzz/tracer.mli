@@ -54,9 +54,12 @@ val make :
   Vm.Interp.prepared ->
   t
 
-(** [Some reason] when a [Native] tracer failed to emit (no compiler,
+(** [Some reason] when a [Native] tracer failed to emit (no toolchain,
     compile error, Dynlink refusal, forced [PATHFUZZ_EMIT_FAIL]) and
-    degraded to the fused closure engine; [None] otherwise. *)
+    degraded to the fused closure engine; [None] otherwise. The first
+    such tracer of the process prints
+    [pathfuzz: native engine unavailable (REASON); continuing on fused]
+    to stderr. *)
 val emit_fallback : t -> string option
 
 (** Retarget the compiled artifact's probes at the campaign's trace map

@@ -774,116 +774,135 @@ let source ?plans ~cmplog (p : prepared) (mode : Pathcov.Feedback.mode) :
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Out-of-process compilation *)
+(* Child processes *)
 
-let read_tail path n =
-  try
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let ofs = max 0 (len - n) in
-    seek_in ic ofs;
-    let s = really_input_string ic (len - ofs) in
-    close_in ic;
-    s
-  with _ -> ""
+(* The wall bound of every child process: the slowest build measured,
+   a 48-unit [preload] group of the native tests, took 43 s on 2 vCPU. *)
+let spawn_bound_s = 300.
 
-(* The cmi search path: the dune build tree that produced the running
-   executable (walk up to the [_build/default] ancestor), plus fmt's
-   findlib dir (vm's interfaces may surface its types). Overridable
-   with a colon-separated [PATHFUZZ_EMIT_INC]. [tree_incs] spawns no
-   process, so computing a cache key stays cheap; the fmt query runs
-   only when a unit is actually compiled. *)
-let inc_override () =
-  match Sys.getenv_opt "PATHFUZZ_EMIT_INC" with
-  | Some s when s <> "" -> Some (String.split_on_char ':' s)
-  | _ -> None
-
-let tree_incs =
-  lazy
-    (match inc_override () with
-    | Some incs -> incs
-    | None ->
-        let marker root =
-          Sys.file_exists
-            (Filename.concat root "lib/vm/.vm.objs/byte/vm.cmi")
-        in
-        let rec up d n =
-          if n > 16 then None
-          else if marker d then Some d
-          else
-            let parent = Filename.dirname d in
-            if parent = d then None else up parent (n + 1)
-        in
-        let root =
-          match up (Filename.dirname Sys.executable_name) 0 with
-          | Some r -> Some r
-          | None -> up (Sys.getcwd ()) 0
-        in
-        let tree =
-          match root with
-          | None -> []
-          | Some root ->
-              List.concat_map
-                (fun (sub, name) ->
-                  let objs =
-                    Filename.concat root
-                      (Printf.sprintf "lib/%s/.%s.objs" sub name)
-                  in
-                  [ Filename.concat objs "byte"; Filename.concat objs "native" ])
-                [ ("vm", "vm"); ("core", "pathcov"); ("minic", "minic") ]
-        in
-        List.filter Sys.file_exists tree)
-
-let discovered_incs =
-  lazy
-    (match inc_override () with
-    | Some incs -> incs
-    | None ->
-        let fmt_dir =
-          let tmp = Filename.temp_file "pfemit" ".out" in
-          let rc =
-            Sys.command
-              (Printf.sprintf "ocamlfind query fmt > %s 2> /dev/null"
-                 (Filename.quote tmp))
-          in
-          let r =
-            if rc = 0 then (
-              try
-                let ic = open_in tmp in
-                let line = input_line ic in
-                close_in ic;
-                if line <> "" then [ line ] else []
-              with _ -> [])
-            else []
-          in
-          (try Sys.remove tmp with _ -> ());
-          r
-        in
-        Lazy.force tree_incs @ List.filter Sys.file_exists fmt_dir)
+let spawn ?(bound = spawn_bound_s) ~(log : string) (argv : string list) :
+    (string, string) result =
+  let prog = List.hd argv in
+  match
+    let fd =
+      Unix.openfile log [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644
+    in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> Unix.create_process prog (Array.of_list argv) Unix.stdin fd fd)
+  with
+  | exception Unix.Unix_error (e, _, _) ->
+      Error (Printf.sprintf "%s: %s" prog (Unix.error_message e))
+  | pid -> (
+      let deadline = Unix.gettimeofday () +. bound in
+      let rec wait () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Unix.gettimeofday () < deadline ->
+            Unix.sleepf 0.002;
+            wait ()
+        | 0, _ ->
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            None
+        | _, st -> Some st
+      in
+      let st = wait () in
+      let out =
+        try In_channel.with_open_bin log In_channel.input_all
+        with Sys_error _ -> ""
+      in
+      let n = String.length out in
+      match st with
+      | Some (Unix.WEXITED 0) -> Ok out
+      | None -> Error (Printf.sprintf "%s: timed out after %g s" prog bound)
+      | Some _ ->
+          Error (prog ^ " failed: " ^ String.trim (String.sub out (max 0 (n - 400)) (min n 400))))
 
 (* ------------------------------------------------------------------ *)
-(* Cache key: resolved IR fingerprint × mode × cmplog × compiler
-   version × emitter version × linking model × linked interfaces. *)
+(* The toolchain, resolved once per process, and the cache key *)
 
 let linked_interfaces =
   [ "vm__Interp.cmi"; "vm__Crash.cmi"; "vm__Emit.cmi"; "pathcov__Coverage_map.cmi" ]
 
-(* Each linked interface's digest as found first on [incs] ("-" when
-   absent: such a unit cannot compile anyway). *)
-let interfaces_digest (incs : string list) : string =
-  String.concat ","
-    (List.map
-       (fun name ->
-         match
-           List.find_opt (fun d -> Sys.file_exists (Filename.concat d name)) incs
-         with
-         | Some d -> Digest.to_hex (Digest.file (Filename.concat d name))
-         | None -> "-")
-       linked_interfaces)
+type toolchain = {
+  incs : string list;
+  interfaces : string;  (** the linked interfaces' digests *)
+  mutable compiler : (string, string) result option;  (** by the first build *)
+}
 
-let linked_digest = lazy (interfaces_digest (Lazy.force tree_incs))
+let toolchain (incs : string list) : (toolchain, string) result =
+  let digest name =
+    match
+      List.find_opt (fun d -> Sys.file_exists (Filename.concat d name)) incs
+    with
+    | Some d -> Digest.to_hex (Digest.file (Filename.concat d name))
+    | None ->
+        failwith
+          (Printf.sprintf "no %s on the include path [%s]" name
+             (String.concat ":" incs))
+  in
+  match List.map digest linked_interfaces with
+  | ds -> Ok { incs; interfaces = String.concat "," ds; compiler = None }
+  | exception (Failure e | Sys_error e) -> Error e
 
-let key_of ?incs (p : prepared) (mode : Pathcov.Feedback.mode)
+(* [PATHFUZZ_EMIT_INC], else the dune build tree's library objects. *)
+let include_path () : (string list, string) result =
+  match Sys.getenv_opt "PATHFUZZ_EMIT_INC" with
+  | Some s when s <> "" -> Ok (String.split_on_char ':' s)
+  | _ -> (
+      let rec up d n =
+        if n > 16 then None
+        else if Sys.file_exists (Filename.concat d "lib/vm/.vm.objs/byte/vm.cmi")
+        then Some d
+        else
+          let parent = Filename.dirname d in
+          if parent = d then None else up parent (n + 1)
+      in
+      let exe_dir = Filename.dirname Sys.executable_name in
+      let cwd = Sys.getcwd () in
+      match match up exe_dir 0 with None -> up cwd 0 | r -> r with
+      | None ->
+          Error
+            (Printf.sprintf
+               "no dune build tree above %s or %s; set PATHFUZZ_EMIT_INC"
+               exe_dir cwd)
+      | Some root ->
+          Ok
+            (List.concat_map
+               (fun (sub, name) ->
+                 let objs =
+                   Filename.concat root (Printf.sprintf "lib/%s/.%s.objs" sub name)
+                 in
+                 [ Filename.concat objs "byte"; Filename.concat objs "native" ])
+               [ ("vm", "vm"); ("core", "pathcov"); ("minic", "minic") ]
+            |> List.filter Sys.file_exists))
+
+(* Forced under [lock] only. *)
+let process_toolchain = lazy (Result.bind (include_path ()) toolchain)
+
+(* The first candidate whose [-version] is the running OCaml's, probed
+   from the first unit's build directory [dir]. *)
+let compiler (tc : toolchain) ~(dir : string) : (string, string) result =
+  let rec probe found = function
+    | [] ->
+        Error
+          (Printf.sprintf "no OCaml %s compiler (%s)" Sys.ocaml_version
+             (String.concat "; " (List.rev found)))
+    | c :: rest -> (
+        match spawn ~log:(Filename.concat dir (c ^ ".version")) [ c; "-version" ] with
+        | Ok v when String.trim v = Sys.ocaml_version -> Ok c
+        | Ok v -> probe (Printf.sprintf "%s is %s" c (String.trim v) :: found) rest
+        | Error e -> probe (e :: found) rest)
+  in
+  if tc.compiler = None then
+    tc.compiler <-
+      Some
+        (probe []
+           (if Dynlink.is_native then [ "ocamlopt.opt"; "ocamlopt" ]
+            else [ "ocamlc.opt"; "ocamlc" ]));
+  Option.get tc.compiler
+
+let key_of (tc : toolchain) (p : prepared) (mode : Pathcov.Feedback.mode)
     (cmplog : bool) : string =
   let b = Buffer.create 4096 in
   Buffer.add_string b (Marshal.to_string p.prog []);
@@ -895,53 +914,31 @@ let key_of ?incs (p : prepared) (mode : Pathcov.Feedback.mode)
   Buffer.add_string b Sys.ocaml_version;
   Buffer.add_string b (string_of_int emitter_version);
   Buffer.add_string b (if Dynlink.is_native then "n" else "b");
-  Buffer.add_string b
-    (match incs with
-    | Some incs -> interfaces_digest incs
-    | None -> Lazy.force linked_digest);
+  Buffer.add_string b tc.interfaces;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let compile_source ~(tmp : string) ~(modbase : string) : (string, string) result
-    =
+(* ------------------------------------------------------------------ *)
+(* Out-of-process compilation *)
+
+let compile_source (tc : toolchain) ~(tmp : string) ~(modbase : string) :
+    (string, string) result =
   let src = Filename.concat tmp (modbase ^ ".ml") in
-  let logf = Filename.concat tmp (modbase ^ ".log") in
-  let incs =
-    String.concat " "
-      (List.map
-         (fun d -> "-I " ^ Filename.quote d)
-         (Lazy.force discovered_incs))
-  in
   let out = Filename.concat tmp (modbase ^ artifact_ext) in
-  let attempts =
-    if Dynlink.is_native then
-      List.map
-        (fun comp ->
-          Printf.sprintf
-            "%s %s -no-alias-deps -shared -w -a -o %s %s > %s 2>&1" comp incs
-            (Filename.quote out) (Filename.quote src) (Filename.quote logf))
-        [ "ocamlfind ocamlopt"; "ocamlopt.opt"; "ocamlopt" ]
-    else
-      List.map
-        (fun comp ->
-          Printf.sprintf "%s %s -no-alias-deps -c -w -a %s > %s 2>&1" comp incs
-            (Filename.quote src) (Filename.quote logf))
-        [ "ocamlfind ocamlc"; "ocamlc" ]
-  in
-  let rec try_all = function
-    | [] ->
-        Error
-          (Printf.sprintf "emit compile failed: %s"
-             (String.trim (read_tail logf 400)))
-    | cmd :: rest ->
-        let rc = try Sys.command cmd with Sys_error e -> failwith e in
-        if rc = 0 && Sys.file_exists out then Ok out else try_all rest
-  in
-  try try_all attempts with Failure e -> Error e
+  Result.bind (compiler tc ~dir:tmp) (fun comp ->
+      let argv =
+        (comp :: List.concat_map (fun d -> [ "-I"; d ]) tc.incs)
+        @ [ "-no-alias-deps"; "-w"; "-a" ]
+        @ (if Dynlink.is_native then [ "-shared"; "-o"; out ] else [ "-c" ])
+        @ [ src ]
+      in
+      spawn ~log:(Filename.concat tmp (modbase ^ ".log")) argv
+      |> Result.map (fun _ -> out)
+      |> Result.map_error (( ^ ) "emit compile failed: "))
 
 (* Generate + compile one compilation unit holding [entries]; publish
    the artifact at [artifact_path gkey] with an atomic rename. Caller
    holds [lock]. *)
-let build_unit ~(gkey : string)
+let build_unit (tc : toolchain) ~(gkey : string)
     (entries :
       (string * prepared * Pathcov.Feedback.mode * bool
       * Pathcov.Ball_larus.program_plans option)
@@ -961,28 +958,19 @@ let build_unit ~(gkey : string)
       (fun (key, p, mode, cmplog, plans) ->
         gen_subject buf ~key ?plans ~cmplog p mode)
       entries;
-    let src = Filename.concat tmp (modbase ^ ".ml") in
+    let final = artifact_path gkey in
     let res =
       try
-        let oc = open_out_bin src in
-        output_string oc (Buffer.contents buf);
-        close_out oc;
+        Out_channel.with_open_bin (Filename.concat tmp (modbase ^ ".ml"))
+          (fun oc -> Buffer.output_buffer oc buf);
         let t0 = Unix.gettimeofday () in
-        let r = compile_source ~tmp ~modbase in
+        let r = compile_source tc ~tmp ~modbase in
         add_compile_s (Unix.gettimeofday () -. t0);
-        r
+        Result.map (fun art -> Sys.rename art final; final) r
       with Sys_error e -> Error e
     in
-    match res with
-    | Ok art_tmp ->
-        let final = artifact_path gkey in
-        let ok = try Sys.rename art_tmp final; true with Sys_error _ -> false in
-        cleanup_dir tmp;
-        if ok && Sys.file_exists final then Ok final
-        else Error "emit artifact publish failed"
-    | Error e ->
-        cleanup_dir tmp;
-        Error e
+    cleanup_dir tmp;
+    res
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1015,11 +1003,13 @@ let locked f = Mutex.protect lock f
 
 (* Load unit [gkey] holding [entries] from the cache, or build and load
    it. A failure is remembered per (cache dir, unit key) for the life of
-   the process and returned again, so a toolchain that cannot build a
-   unit is tried once, not once per campaign. Caller holds [lock]. *)
+   the process and returned again, so a unit the toolchain cannot build
+   is tried once, not once per campaign; once no compiler was found, no
+   unit is built at all. Caller holds [lock]. *)
 let failed : (string * string, string) Hashtbl.t = Hashtbl.create 8
 
-let load_or_build ~(gkey : string) entries : (unit, string) result =
+let load_or_build (tc : toolchain) ~(gkey : string) entries :
+    (unit, string) result =
   let k = (cache_dir (), gkey) in
   match Hashtbl.find_opt failed k with
   | Some e -> Error e
@@ -1031,24 +1021,26 @@ let load_or_build ~(gkey : string) entries : (unit, string) result =
           if Result.is_ok r then Atomic.incr hits;
           r
         end
-        else begin
-          Atomic.incr misses;
-          Result.bind (build_unit ~gkey entries) load_and_drain
-        end
+        else
+          match tc.compiler with
+          | Some (Error e) -> Error e
+          | _ ->
+              Atomic.incr misses;
+              Result.bind (build_unit tc ~gkey entries) load_and_drain
       in
       Result.iter_error (Hashtbl.replace failed k) r;
       r
 
-let maker_for ?plans ~cmplog (p : prepared) (mode : Pathcov.Feedback.mode) :
-    ((unit -> raw), string) result =
-  let key = key_of p mode cmplog in
+let maker_for tc ?plans ~cmplog (p : prepared) (mode : Pathcov.Feedback.mode)
+    : (unit -> raw, string) result =
+  let key = key_of tc p mode cmplog in
   match Hashtbl.find_opt makers key with
   | Some mk ->
       Atomic.incr hits;
       Ok mk
   | None ->
       Result.bind
-        (load_or_build ~gkey:key [ (key, p, mode, cmplog, plans) ])
+        (load_or_build tc ~gkey:key [ (key, p, mode, cmplog, plans) ])
         (fun () ->
           match Hashtbl.find_opt makers key with
           | Some mk -> Ok mk
@@ -1059,57 +1051,51 @@ let instance ?plans ?(cmplog = true) (p : prepared)
   if forced_fail () then Error "disabled by PATHFUZZ_EMIT_FAIL"
   else
     locked (fun () ->
-        match maker_for ?plans ~cmplog p mode with
-        | Ok mk -> Ok { prepared = p; raw = mk () }
-        | Error e -> Error e)
+        Result.bind (Lazy.force process_toolchain) (fun tc ->
+            Result.map
+              (fun mk -> { prepared = p; raw = mk () })
+              (maker_for tc ?plans ~cmplog p mode)))
+
+(* Build the distinct keys not yet registered, 48 to a unit, in
+   first-occurrence order. Caller holds [lock]. *)
+let preload_with (tc : toolchain)
+    (entries : (prepared * Pathcov.Feedback.mode * bool) list) : int =
+  let keyed =
+    List.map
+      (fun (p, mode, cmplog) -> (key_of tc p mode cmplog, p, mode, cmplog, None))
+      entries
+  in
+  let seen = Hashtbl.create 64 in
+  let missing =
+    List.filter
+      (fun (k, _, _, _, _) ->
+        (not (Hashtbl.mem makers k || Hashtbl.mem seen k))
+        && (Hashtbl.add seen k (); true))
+      keyed
+  in
+  let rec build = function
+    | [] -> ()
+    | l ->
+        let chunk = List.filteri (fun i _ -> i < 48) l in
+        let gkey =
+          Digest.to_hex
+            (Digest.string
+               (String.concat "" (List.map (fun (k, _, _, _, _) -> k) chunk)))
+        in
+        ignore (load_or_build tc ~gkey chunk);
+        build (List.filteri (fun i _ -> i >= 48) l)
+  in
+  build missing;
+  List.length
+    (List.filter (fun (k, _, _, _, _) -> Hashtbl.mem makers k) keyed)
 
 let preload (entries : (prepared * Pathcov.Feedback.mode * bool) list) : int =
   if forced_fail () then 0
   else
     locked (fun () ->
-        let keyed =
-          List.map (fun (p, mode, cmplog) -> (key_of p mode cmplog, p, mode, cmplog)) entries
-        in
-        (* Dedup by key, keep first occurrence. *)
-        let seen = Hashtbl.create 64 in
-        let uniq =
-          List.filter
-            (fun (k, _, _, _) ->
-              if Hashtbl.mem seen k then false
-              else begin
-                Hashtbl.add seen k ();
-                true
-              end)
-            keyed
-        in
-        let missing =
-          List.filter (fun (k, _, _, _) -> not (Hashtbl.mem makers k)) uniq
-        in
-        let rec chunks n = function
-          | [] -> []
-          | l ->
-              let rec take acc k = function
-                | x :: rest when k > 0 -> take (x :: acc) (k - 1) rest
-                | rest -> (List.rev acc, rest)
-              in
-              let c, rest = take [] n l in
-              c :: chunks n rest
-        in
-        List.iter
-          (fun chunk ->
-            let gkey =
-              Digest.to_hex
-                (Digest.string
-                   (String.concat "" (List.map (fun (k, _, _, _) -> k) chunk)))
-            in
-            ignore
-              (load_or_build ~gkey
-                 (List.map
-                    (fun (k, p, mode, cmplog) -> (k, p, mode, cmplog, None))
-                    chunk)))
-          (chunks 48 missing);
-        List.length
-          (List.filter (fun (k, _, _, _) -> Hashtbl.mem makers k) keyed))
+        match Lazy.force process_toolchain with
+        | Error _ -> 0
+        | Ok tc -> preload_with tc entries)
 
 (* ------------------------------------------------------------------ *)
 (* Campaign binding + execution (mirrors of the [Compile] runners) *)

@@ -4,9 +4,8 @@
     a closure tree at runtime, this module prints it as straight-line
     OCaml source — superblock chains, inlined comparisons, baked
     feedback probes per {!Pathcov.Feedback.mode}, folded Ball–Larus
-    adds, cmplog taps — compiles the source out-of-process ([ocamlfind
-    ocamlopt -shared], falling back to [ocamlc] bytecode where native
-    Dynlink is unavailable), and loads the artifact via {!Dynlink} through a
+    adds, cmplog taps — compiles it out-of-process with the process's
+    {!toolchain}, and loads the artifact via {!Dynlink} through a
     registration side-channel. Generated code runs against the
     unmodified pooled {!Interp.exec_ctx} and replicates the
     interpreter's observable semantics exactly — fuel burn placement,
@@ -22,9 +21,9 @@
     subject. Every fallible step ({!instance}, {!preload}) returns
     [Error reason] rather than raising: callers degrade to the fused
     closure engine and surface the reason through their own telemetry
-    (the fuzz layer's [emit.fallbacks] metric and [emit_fallback]
-    event). Setting [PATHFUZZ_EMIT_FAIL=1] in the environment forces
-    every instantiation to fail — the fallback path's test hook. *)
+    (the fuzz layer's stderr line, [emit.fallbacks] metric and
+    [emit_fallback] event). [PATHFUZZ_EMIT_FAIL=1], read on every call,
+    forces every instantiation to fail — the fallback's test hook. *)
 
 type t
 
@@ -50,22 +49,40 @@ val collect_stale_tmp : string -> int
 val emitter_version : int
 
 (** The compiled interfaces ([.cmi] file names) every generated unit
-    links against. {!key_of} digests each one, read from the include
-    path the compile uses, so changing any of them invalidates cached
-    artifacts. *)
+    links against. A {!toolchain} digests each one, read from the
+    include path the compile uses, so changing any of them invalidates
+    cached artifacts. *)
 val linked_interfaces : string list
+
+(** {2 Toolchain}
+
+    An include path holding {!linked_interfaces} and a compiler, resolved
+    once per process (DESIGN §15): the include path, spawning nothing,
+    from [$PATHFUZZ_EMIT_INC] or the dune build tree above the
+    executable or working directory; the compiler, the first
+    [ocamlopt.opt]/[ocamlopt] whose [-version] is [Sys.ocaml_version],
+    by the first unit to compile. Without either, {!instance} and
+    {!preload} fail at once. *)
+
+type toolchain
+
+(** The toolchain over an explicit include path; [Error] names the
+    first of {!linked_interfaces} it lacks. *)
+val toolchain : string list -> (toolchain, string) result
 
 (** The cache key of one [(prepared, mode, cmplog)] triple: a digest of
     the resolved IR, the mode, the cmplog flag, the compiler and emitter
-    versions, the linking model and the contents of
-    {!linked_interfaces} as found in [incs] (default: the discovered
-    include path). *)
+    versions, the linking model and the toolchain's digests of
+    {!linked_interfaces}. *)
 val key_of :
-  ?incs:string list ->
-  Interp.prepared ->
-  Pathcov.Feedback.mode ->
-  bool ->
-  string
+  toolchain -> Interp.prepared -> Pathcov.Feedback.mode -> bool -> string
+
+(** Every child process of this module runs through [spawn ?bound ~log
+    argv]: [argv] looked up on [PATH], no shell, its output written to
+    the file [log] and returned. After [bound] seconds (default 300, far
+    above the slowest build) the child is killed and reaped: [Error
+    "PROG: timed out after N s"]. *)
+val spawn : ?bound:float -> log:string -> string list -> (string, string) result
 
 (** The source text of a one-subject unit: the prelude plus the
     generated code for one [(prepared, mode, cmplog)] triple, registered
@@ -87,9 +104,9 @@ val source :
     [plans] as in {!Compile.compile} — consulted only under
     [Path], defaulting to [Ball_larus.of_program]. Each call
     returns an instance with private mutable probe state, so distinct
-    shards/domains each take their own. All failures (no compiler,
-    compile error, Dynlink refusal, forced [PATHFUZZ_EMIT_FAIL]) come
-    back as [Error reason]. *)
+    shards/domains each take their own. All failures (no toolchain,
+    compile error or timeout, Dynlink refusal, forced
+    [PATHFUZZ_EMIT_FAIL]) come back as [Error reason]. *)
 val instance :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?cmplog:bool ->

@@ -436,8 +436,8 @@ let test_native_journal_boundary () =
 
 (* --- fail-safe cache key: changing any interface a generated unit
    links against changes the key, so a stale plugin is never loaded ---
-   (no toolchain needed: the digests are read from a scratch include
-   directory) *)
+   (no compiler needed: the toolchain's digests are read from a scratch
+   include directory) *)
 
 let test_native_key_tracks_interfaces () =
   let prepared = Vm.Interp.prepare (Minic.Lower.compile "fn main() { return 0; }") in
@@ -448,8 +448,9 @@ let test_native_key_tracks_interfaces () =
   in
   List.iter (fun name -> write name "v1") Vm.Emit.linked_interfaces;
   let key () =
-    Vm.Emit.key_of ~incs:[ dir ] prepared
-      Pathcov.Feedback.Path true
+    match Vm.Emit.toolchain [ dir ] with
+    | Ok tc -> Vm.Emit.key_of tc prepared Pathcov.Feedback.Path true
+    | Error e -> Alcotest.failf "scratch toolchain refused: %s" e
   in
   let k0 = key () in
   check Alcotest.string "key is stable" k0 (key ());
@@ -460,9 +461,44 @@ let test_native_key_tracks_interfaces () =
       write name "v1")
     Vm.Emit.linked_interfaces;
   check Alcotest.string "restored interfaces restore the key" k0 (key ());
+  let missing = List.hd Vm.Emit.linked_interfaces in
+  Sys.remove (Filename.concat dir missing);
+  check_bool "a missing interface is no toolchain" true
+    (Result.is_error (Vm.Emit.toolchain [ dir ]));
   List.iter
     (fun name -> Sys.remove (Filename.concat dir name))
-    Vm.Emit.linked_interfaces;
+    (List.tl Vm.Emit.linked_interfaces);
+  Sys.rmdir dir
+
+(* --- bounded children: a child still running at the bound is killed
+   and reaped, and the caller gets an Error well before the child would
+   have exited --- *)
+
+let test_native_spawn_bounded () =
+  let dir = Filename.temp_dir "pf_emit_spawn" "" in
+  let log = Filename.concat dir "sleep.log" in
+  let t0 = Unix.gettimeofday () in
+  (* the shell prints its PID, then becomes [sleep 5] under it *)
+  let r =
+    Vm.Emit.spawn ~bound:0.2 ~log [ "sh"; "-c"; "echo $$; exec sleep 5" ]
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  (match r with
+  | Ok _ -> Alcotest.fail "a 5 s child finished under a 0.2 s bound"
+  | Error e ->
+      check_bool ("timed out: " ^ e) true
+        (String.ends_with ~suffix:"timed out after 0.2 s" e));
+  check_bool (Printf.sprintf "returned within 1 s (%.3f s)" dt) true (dt < 1.);
+  let pid = int_of_string (String.trim (In_channel.with_open_bin log In_channel.input_all)) in
+  check_bool "the child is reaped" true
+    (match Unix.kill pid 0 with
+    | () -> false
+    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true);
+  check_bool "a finished child's output comes back" true
+    (Vm.Emit.spawn ~log [ "echo"; "hi" ] = Ok "hi\n");
+  check_bool "an unknown program is an Error" true
+    (Result.is_error (Vm.Emit.spawn ~log [ "pf-no-such-program" ]));
+  Sys.remove log;
   Sys.rmdir dir
 
 (* --- fail-safe cache directory: scratch directories left by builds
@@ -548,5 +584,7 @@ let suite =
           test_native_collects_stale_tmp;
         Alcotest.test_case "failed build tried once per process" `Quick
           test_native_failed_build_remembered;
+        Alcotest.test_case "child processes are bounded" `Quick
+          test_native_spawn_bounded;
       ] );
   ]
