@@ -49,10 +49,12 @@ let () =
               regs := rest);
     }
   in
-  let prepared = Vm.Interp.prepare prog in
-  List.iter
-    (fun input -> ignore (Vm.Interp.run_prepared ~hooks prepared ~input))
-    workload;
+  let docs = Array.of_list workload in
+  Vm.Interp.run_batch
+    (Vm.Interp.create_ctx ~hooks (Vm.Interp.prepare prog))
+    ~n:(Array.length docs)
+    ~gen:(fun k -> Vm.Interp.view docs.(k))
+    ~sink:(fun _ _ -> ());
 
   Fmt.pr "path profile over %d documents:@.@." (List.length workload);
   Array.iteri

@@ -228,9 +228,10 @@ let table5 (m : Runner.matrix) : string =
         let prepared = Vm.Interp.prepare prog in
         let cell = Runner.cell m ~subject:s.name ~fuzzer:"pcguard" in
         let corpus =
-          match cell.runs with
-          | r :: _ -> s.seeds @ r.final_queue
-          | [] -> s.seeds
+          Array.of_list
+            (match cell.runs with
+            | r :: _ -> s.seeds @ r.final_queue
+            | [] -> s.seeds)
         in
         let blocks = ref 0 and edges = ref 0 and acts = ref 0 in
         let hooks =
@@ -242,9 +243,11 @@ let table5 (m : Runner.matrix) : string =
             h_ret = (fun _ _ -> incr acts);
           }
         in
-        List.iter
-          (fun input -> ignore (Vm.Interp.run_prepared ~hooks prepared ~input))
-          corpus;
+        Vm.Interp.run_batch
+          (Vm.Interp.create_ctx ~hooks prepared)
+          ~n:(Array.length corpus)
+          ~gen:(fun k -> Vm.Interp.view corpus.(k))
+          ~sink:(fun _ _ -> ());
         let c_edge = !blocks in
         let c_path = !edges + !acts in
         let ratio =

@@ -251,10 +251,6 @@ let cohort (st : state) ~(n : int) ~(gen : int -> Bytes.t * int)
   Tracer.run_full_batch st.tracer st.ctx ~fuel:st.cfg.fuel
     ~max_depth:st.cfg.max_depth ~n ~gen ~sink
 
-(* Zero-copy view of a string input: the VM never writes its input. *)
-let view (s : string) : Bytes.t * int =
-  (Bytes.unsafe_of_string s, String.length s)
-
 let input_of ((buf, len) : Bytes.t * int) : string = Bytes.sub_string buf 0 len
 
 (* Run one input (a seed or a calibration run) as a cohort of one. *)
@@ -263,7 +259,7 @@ let execute (st : state) (input : string) : Vm.Interp.outcome =
   cohort st ~n:1
     ~gen:(fun _ ->
       pre_exec st;
-      view input)
+      Vm.Interp.view input)
     ~sink:(fun _ out -> res := Some out);
   let out = Option.get !res in
   post_exec st out;
@@ -447,13 +443,14 @@ let evaluate (st : state) ~depth ~(n : int) ~(gen : int -> Bytes.t * int) :
 (* Evaluate one candidate input end to end: execute, triage crashes and
    hangs, retain on coverage novelty. *)
 let process (st : state) ~depth (input : string) : unit =
-  evaluate st ~depth ~n:1 ~gen:(fun _ -> view input)
+  evaluate st ~depth ~n:1 ~gen:(fun _ -> Vm.Interp.view input)
 
 (* Seeds are always retained (afl imports the full seed directory). *)
 let add_seed (st : state) (input : string) : unit =
   let out = execute st input in
   match out.status with
-  | Vm.Interp.Crashed _ | Vm.Interp.Hung -> fault st (view input) out
+  | Vm.Interp.Crashed _ | Vm.Interp.Hung ->
+      fault st (Vm.Interp.view input) out
   | Vm.Interp.Finished _ ->
       ignore (merge_noted st st.virgin);
       let c = st.obs.counters in
@@ -481,7 +478,8 @@ let calibrate (st : state) (e : Corpus.entry) : Mutator.cmp_pair array =
   trace_begin st Obs.Trace.Calibrate;
   let out = capturing st.tracer st.cmp_buf (fun () -> execute st e.data) in
   (match out.status with
-  | Vm.Interp.Crashed _ | Vm.Interp.Hung -> fault st (view e.data) out
+  | Vm.Interp.Crashed _ | Vm.Interp.Hung ->
+      fault st (Vm.Interp.view e.data) out
   | Vm.Interp.Finished _ -> ignore (merge_noted st st.virgin));
   let c = st.obs.counters in
   c.calibrations <- c.calibrations + 1;

@@ -18,30 +18,34 @@ let make_hooks (fb : Pathcov.Feedback.t) : Vm.Interp.hooks =
 let make_ctx prepared fb =
   Vm.Interp.create_ctx ~hooks:(make_hooks fb) prepared
 
-(* Replay [input] under [fb] through [ctx], returning the raw trace
-   indices it hits (ascending array) and an afl-style cost (work x size).
-   Replays are off-budget executions; [obs] only counts them. *)
-let replay ?(fuel = Vm.Interp.default_fuel) ?obs ctx fb input =
-  (match obs with
-  | Some (o : Obs.Observer.t) -> o.counters.replays <- o.counters.replays + 1
-  | None -> ());
-  fb.Pathcov.Feedback.reset ();
-  Pathcov.Coverage_map.clear fb.trace;
-  let out = Vm.Interp.run_ctx ~fuel ctx ~input in
-  let idxs = Pathcov.Coverage_map.sorted_indices fb.trace in
-  (idxs, out.blocks_executed * (String.length input + 16))
+(* Replay [inputs] under [fb] as one cohort through [ctx]: [f k idxs
+   cost] receives input [k]'s raw trace indices (ascending array) and an
+   afl-style cost (work x size). Replays are off-budget executions;
+   [obs] only counts them. *)
+let replay ?(fuel = Vm.Interp.default_fuel) ?obs ctx fb (inputs : string array)
+    (f : int -> int array -> int -> unit) : unit =
+  Vm.Interp.run_batch ~fuel ctx ~n:(Array.length inputs)
+    ~gen:(fun k ->
+      (match obs with
+      | Some (o : Obs.Observer.t) ->
+          o.counters.replays <- o.counters.replays + 1
+      | None -> ());
+      fb.Pathcov.Feedback.reset ();
+      Pathcov.Coverage_map.clear fb.trace;
+      Vm.Interp.view inputs.(k))
+    ~sink:(fun k out ->
+      f k
+        (Pathcov.Coverage_map.sorted_indices fb.trace)
+        (out.blocks_executed * (String.length inputs.(k) + 16)))
 
 (** Union of edge coverage over a corpus — "afl-showmap over the queue". *)
 let edge_union ?fuel ?obs prog (inputs : string list) : Int_set.t =
   let fb = Pathcov.Feedback.make Pathcov.Feedback.Edge prog in
   let ctx = make_ctx (Vm.Interp.prepare_cached prog) fb in
-  List.fold_left
-    (fun acc input ->
-      Array.fold_left
-        (fun acc i -> Int_set.add i acc)
-        acc
-        (fst (replay ?fuel ?obs ctx fb input)))
-    Int_set.empty inputs
+  let acc = ref Int_set.empty in
+  replay ?fuel ?obs ctx fb (Array.of_list inputs) (fun _ idxs _ ->
+      Array.iter (fun i -> acc := Int_set.add i !acc) idxs);
+  !acc
 
 (* Greedy favored-corpus construction over an arbitrary feedback: keep,
    for every covered index, the cheapest input covering it. Order-stable. *)
@@ -59,23 +63,15 @@ let preserving_cull ?fuel ?obs prog fb (inputs : string list) : string list =
         end)
       inputs
   in
-  let scored =
-    List.map
-      (fun input ->
-        let idxs, cost = replay ?fuel ?obs ctx fb input in
-        (input, idxs, cost))
-      inputs
-  in
   let top : (int, string * int) Hashtbl.t = Hashtbl.create 1024 in
-  List.iter
-    (fun (input, idxs, cost) ->
+  let inputs_a = Array.of_list inputs in
+  replay ?fuel ?obs ctx fb inputs_a (fun k idxs cost ->
       Array.iter
         (fun idx ->
           match Hashtbl.find_opt top idx with
           | Some (_, best) when best <= cost -> ()
-          | _ -> Hashtbl.replace top idx (input, cost))
-        idxs)
-    scored;
+          | _ -> Hashtbl.replace top idx (inputs_a.(k), cost))
+        idxs);
   let keep = Hashtbl.create 256 in
   Hashtbl.iter (fun _ (input, _) -> Hashtbl.replace keep input ()) top;
   let kept = List.filter (fun i -> Hashtbl.mem keep i) inputs in

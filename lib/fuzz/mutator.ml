@@ -7,8 +7,9 @@
 
     The havoc stack mutates a pooled {!scratch} buffer in place — one
     growable [Bytes.t] plus a length cursor per campaign, mirroring the
-    VM's [exec_ctx] design — and materialises exactly one string per
-    child ([Bytes.sub_string] at the end). Every operator draws from the
+    VM's [exec_ctx] design; the campaign runs the child straight out of
+    the buffer and materialises a string only for a child it retains.
+    Every operator draws from the
     RNG in the same order, with the same bounds, as the historical
     string-round-trip implementation (kept as the differential oracle in
     [test/mutator_ref.ml]), so campaign trajectories are byte-identical
@@ -394,17 +395,6 @@ let havoc_in_place (sc : scratch) ?(cmps = [||]) ?splice_with rng (s : string)
         | None -> ()
       end
   done
-
-(** {!havoc_in_place} plus one [Bytes.sub_string] for the child. *)
-let havoc_into (sc : scratch) ?cmps ?splice_with rng (s : string) : string =
-  havoc_in_place sc ?cmps ?splice_with rng s;
-  Bytes.sub_string sc.buf 0 sc.len
-
-(** Convenience wrapper allocating a fresh scratch per call — cold paths
-    and tests only; campaigns hold one scratch and use {!havoc_in_place}
-    or {!havoc_into}. *)
-let havoc ?cmps ?splice_with rng (s : string) : string =
-  havoc_into (create_scratch ()) ?cmps ?splice_with rng s
 
 (** The deterministic stage (walking bit flips and interesting bytes) used
     by tests and the classic-AFL profile; returns all children. *)

@@ -24,8 +24,7 @@ val i2s_apply : Rng.t -> cmp_pair -> string -> string
 
 (** Reusable per-campaign mutation buffer: the child under construction
     lives in [buf] up to [len] (plus a staging area for chunk
-    duplication). Create once, thread through {!havoc_in_place} /
-    {!havoc_into}; treat the fields as read-only outside this module. *)
+    duplication). Create once, thread through {!havoc_in_place}; treat the fields as read-only outside this module. *)
 type scratch = {
   mutable buf : Bytes.t;
   mutable len : int;
@@ -42,14 +41,6 @@ val create_scratch : unit -> scratch
     call on the same scratch. Allocation-free in steady state. *)
 val havoc_in_place :
   scratch -> ?cmps:cmp_pair array -> ?splice_with:string -> Rng.t -> string -> unit
-
-(** {!havoc_in_place} plus one [Bytes.sub_string] for the child. *)
-val havoc_into :
-  scratch -> ?cmps:cmp_pair array -> ?splice_with:string -> Rng.t -> string -> string
-
-(** {!havoc_into} with a throwaway scratch — cold paths and tests only. *)
-val havoc :
-  ?cmps:cmp_pair array -> ?splice_with:string -> Rng.t -> string -> string
 
 (** The deterministic stage (walking bit flips and interesting bytes),
     used by tests and the classic-AFL profile; returns all children. *)

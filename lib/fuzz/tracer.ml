@@ -76,6 +76,9 @@ type t = {
   engine : engine;
   full_art : Vm.Compile.t option;  (** [Fused]: the closure artifact *)
   full_emit : Vm.Emit.t option;  (** [Native]: the emitted unit *)
+  entry : Vm.Interp.entry option;
+      (** the compiled engine's way into the run harness, chosen once
+          here; [None] runs the interpreter *)
   emit_fallback : string option;
       (** [Native] only: why emission failed and the tracer degraded to
           the fused closure engine ([None] when native is live) *)
@@ -154,10 +157,17 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
       walls = [| 0.; 0. |];
     }
   in
+  let entry =
+    match (full_emit, full_art) with
+    | Some e, _ -> Some (Vm.Emit.entry e)
+    | None, Some art -> Some (Vm.Compile.entry art)
+    | None, None -> None
+  in
   {
     engine;
     full_art;
     full_emit;
+    entry;
     emit_fallback;
     compile_s = !compile_s;
     clock;
@@ -208,18 +218,10 @@ let release (t : t) : unit =
     ~h_cmp:(fun _ _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Execution: batched cohorts only. The per-candidate engine dispatch
-   (and, compiled, the prepared-identity check) is hoisted out of the
-   loop, and back-to-back runs take the context's journaled fast-reset
-   path; a one-off run is a cohort of one. *)
-
-let full_batch (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
-    ~(max_depth : int) ~(n : int) ~(gen : int -> Bytes.t * int)
-    ~(sink : int -> Vm.Interp.outcome -> unit) : unit =
-  match (t.full_emit, t.full_art) with
-  | Some e, _ -> Vm.Emit.run_batch ~fuel ~max_depth e ctx ~n ~gen ~sink
-  | None, Some art -> Vm.Compile.run_batch ~fuel ~max_depth art ctx ~n ~gen ~sink
-  | None, None -> Vm.Interp.run_batch ~fuel ~max_depth ctx ~n ~gen ~sink
+(* Execution: batched cohorts only, through the VM's one run harness with
+   the entry chosen in [make], so the prepared-identity check runs once
+   per cohort and back-to-back runs take the context's journaled
+   fast-reset path; a one-off run is a cohort of one. *)
 
 (* Run the batch inside the VM-wall bracket when a clock is in scope (the
    call's, else the tracer's), charging each run's wall to [vm_s] when
@@ -227,14 +229,15 @@ let full_batch (t : t) (ctx : Vm.Interp.exec_ctx) ~(fuel : int)
 let run_full_batch ?clock ?vm_s (t : t) ctx ~fuel ~max_depth ~n ~gen ~sink =
   if t.released then invalid_arg "Tracer: run after release";
   match (match clock with None -> t.clock | c -> c) with
-  | None -> full_batch t ctx ~fuel ~max_depth ~n ~gen ~sink
+  | None -> Vm.Interp.run_batch ~fuel ~max_depth ?entry:t.entry ctx ~n ~gen ~sink
   | Some now ->
       let b = t.bracket in
       b.now <- now;
       b.charge <- vm_s;
       b.gen <- gen;
       b.sink <- sink;
-      full_batch t ctx ~fuel ~max_depth ~n ~gen:t.timed_gen ~sink:t.timed_sink
+      Vm.Interp.run_batch ~fuel ~max_depth ?entry:t.entry ctx ~n
+        ~gen:t.timed_gen ~sink:t.timed_sink
 
 (** The VM wall accumulated since the last call by runs timed without a
     [vm_s] charge; resets the accumulator. *)

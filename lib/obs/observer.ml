@@ -81,8 +81,6 @@ let preload_snapshots (o : t) (rows : Snapshot.row list) : unit =
       o.n_snapshots <- o.n_snapshots + 1)
     rows
 
-let flush (o : t) : unit = o.sink.flush ()
-
 (** Snapshot rows recorded so far, oldest first. *)
 let snapshots (o : t) : Snapshot.row list =
   List.init o.n_snapshots (fun i -> o.snapshots.(i))

@@ -52,8 +52,6 @@ val snapshot : t -> Snapshot.row -> unit
     checkpoint-restore half of {!snapshot}. *)
 val preload_snapshots : t -> Snapshot.row list -> unit
 
-val flush : t -> unit
-
 (** Snapshot rows recorded so far, oldest first. *)
 val snapshots : t -> Snapshot.row list
 

@@ -1,6 +1,6 @@
 (** Pluggable event sinks.
 
-    A sink is just an [emit]/[flush] pair. The stock sinks:
+    A sink is just an [emit] function in a record. The stock sinks:
 
     - {!null}: drops everything (the default observer — campaigns pay
       only counter stores);
@@ -13,11 +13,11 @@
     - {!locked}: mutex-wrap a sink so multiple domains can share it
       (the {!Exec.Pool} trial events). *)
 
-type t = { emit : Event.t -> unit; flush : unit -> unit }
+type t = { emit : Event.t -> unit }
 
-let null : t = { emit = ignore; flush = ignore }
+let null : t = { emit = ignore }
 
-let make ?(flush = ignore) emit : t = { emit; flush }
+let make emit : t = { emit }
 
 (* ------------------------------------------------------------------ *)
 (* Ring buffer *)
@@ -39,7 +39,6 @@ let ring (r : ring) : t =
         r.buf.(r.next) <- Some e;
         r.next <- (r.next + 1) mod Array.length r.buf;
         r.total <- r.total + 1);
-    flush = ignore;
   }
 
 (** Retained events, oldest first. *)
@@ -61,14 +60,13 @@ let ring_dropped (r : ring) : int = max 0 (r.total - Array.length r.buf)
 (* ------------------------------------------------------------------ *)
 (* Writers *)
 
-(** JSONL writer. The channel is the caller's to close; [flush] flushes. *)
+(** JSONL writer. The channel is the caller's to flush and close. *)
 let jsonl (oc : out_channel) : t =
   {
     emit =
       (fun e ->
         output_string oc (Event.to_jsonl e);
         output_char oc '\n');
-    flush = (fun () -> flush oc);
   }
 
 (** Status-line writer: renders snapshot events through [print] (e.g.
@@ -81,7 +79,6 @@ let status (print : string -> unit) : t =
         match e with
         | Event.Snapshot row -> print ("[stats] " ^ Snapshot.to_status row)
         | _ -> ());
-    flush = ignore;
   }
 
 let tee (a : t) (b : t) : t =
@@ -90,10 +87,6 @@ let tee (a : t) (b : t) : t =
       (fun e ->
         a.emit e;
         b.emit e);
-    flush =
-      (fun () ->
-        a.flush ();
-        b.flush ());
   }
 
 (** Serialize a sink shared across domains. *)
@@ -103,4 +96,4 @@ let locked (s : t) : t =
     Mutex.lock m;
     Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> f x)
   in
-  { emit = guard s.emit; flush = guard s.flush }
+  { emit = guard s.emit }

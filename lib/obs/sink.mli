@@ -1,17 +1,17 @@
 (** Pluggable event sinks.
 
-    A sink is just an [emit]/[flush] pair, concrete so callers can wrap
+    A sink is just an [emit] function in a record, concrete so callers can wrap
     and compose them without this module's help. The stock sinks:
     {!null} (drop everything), {!ring} (last-N in memory), {!jsonl}
     (one JSON object per line), {!status} (human snapshot lines),
     {!tee} (fan-out), {!locked} (mutex-wrap for cross-domain use). *)
 
-type t = { emit : Event.t -> unit; flush : unit -> unit }
+type t = { emit : Event.t -> unit }
 
 (** Drops everything — the default observer sink. *)
 val null : t
 
-val make : ?flush:(unit -> unit) -> (Event.t -> unit) -> t
+val make : (Event.t -> unit) -> t
 
 (** {2 Ring buffer} *)
 
@@ -35,8 +35,7 @@ val ring_dropped : ring -> int
 
 (** {2 Writers and combinators} *)
 
-(** JSONL writer. The channel is the caller's to close; [flush]
-    flushes. *)
+(** JSONL writer. The channel is the caller's to flush and close. *)
 val jsonl : out_channel -> t
 
 (** Status-line writer: renders snapshot events through the callback

@@ -80,21 +80,15 @@ let num_functions (t : t) : int = Array.length (program t).funcs
 
 let bug_ids (t : t) : int list = List.map (fun b -> b.id) t.bugs
 
-(** Check one witness: run it and return the crash identity observed. *)
-let witness_identity (t : t) (b : bug) : Vm.Crash.identity option =
-  match Vm.Interp.crash_of (program t) ~input:b.witness with
-  | Some crash -> Some (Vm.Crash.bug_identity crash)
-  | None -> None
-
 (** Witness self-check used by subject modules that assert their own
     ground truth: the identity a witness input actually triggers. A
     witness that no longer crashes fails with the subject name and the
     witness bytes in the message, so a registry-wide sweep pinpoints
     which subject's bug table went stale without a debugger. *)
 let witness_identity_exn (t : t) ~(witness : string) : Vm.Crash.identity =
-  match Vm.Interp.crash_of (program t) ~input:witness with
-  | Some crash -> Vm.Crash.bug_identity crash
-  | None ->
+  match (Vm.Interp.run (program t) ~input:witness).status with
+  | Vm.Interp.Crashed crash -> Vm.Crash.bug_identity crash
+  | Finished _ | Hung ->
       failwith
         (Printf.sprintf "subject %s: witness %S no longer crashes" t.name
            witness)

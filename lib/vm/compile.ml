@@ -1919,7 +1919,7 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t)
 let bound_trace (t : t) : Pathcov.Coverage_map.t = t.cs.fb.trace
 
 (** Reset the baked listener state (the [Feedback.t.reset] analogue);
-    {!run} calls this itself before every execution. *)
+    {!entry} calls this itself before every execution. *)
 let reset (t : t) : unit =
   t.cs.depth <- 0;
   Pathcov.Feedback.reset_regs t.cs.fb
@@ -1955,66 +1955,21 @@ let static_stats (t : t) : static_stats =
     dup_instrs = t.cs.stat_dup_instrs;
   }
 
-(* Mirror of [Interp.run_current] over the compiled entry points: same
-   reset, same exception fences, same outcome construction. *)
-let run_current (t : t) (ctx : exec_ctx) ~fuel ~max_depth : outcome =
-  reset t;
-  reset_ctx ctx;
-  ctx.fuel <- fuel;
-  ctx.max_depth <- max_depth;
-  let status =
-    try
-      let fr = acquire_raw ctx t.prepared.main_id in
-      let zs = t.main_zero in
-      for k = 0 to Array.length zs - 1 do
-        Array.unsafe_set fr.f_ints (Array.unsafe_get zs k) 0
-      done;
-      (Array.unsafe_get t.fentries t.prepared.main_id) ctx fr;
-      if ctx.ret_a != no_arr then Finished None else Finished (Some ctx.ret_i)
-    with
-    | Crash_exn (kind, site) ->
-        ctx.unwound <- true;
-        let top = { Crash.fn = site_function t.prepared.prog site; site } in
-        Crashed { Crash.kind; stack = top :: materialize_stack ctx }
-    | Out_of_fuel ->
-        ctx.unwound <- true;
-        Hung
-    | Stack_overflow ->
-        ctx.unwound <- true;
-        Crashed
-          { Crash.kind = Crash.Stack_overflow; stack = materialize_stack ctx }
+(** The artifact's entry into the run harness ({!Interp.run_batch}):
+    reset the baked listener registers, take [main]'s frame raw, zero
+    the slots definite assignment leaves open, and call the compiled
+    [main]. *)
+let entry (t : t) : entry =
+  let main = t.prepared.main_id and zs = t.main_zero in
+  let enter (ctx : exec_ctx) =
+    reset t;
+    let fr = acquire_raw ctx main in
+    for k = 0 to Array.length zs - 1 do
+      Array.unsafe_set fr.f_ints (Array.unsafe_get zs k) 0
+    done;
+    (Array.unsafe_get t.fentries main) ctx fr
   in
-  { status; blocks_executed = ctx.blocks }
-
-(** Execute the compiled program on [input] through [ctx]. The context
-    must have been created over the same [prepared] the artifact was
-    compiled from (its pools are indexed by the program's function
-    ids). *)
-let run ?(fuel = default_fuel) ?(max_depth = default_max_depth) (t : t)
-    (ctx : exec_ctx) ~(input : string) : outcome =
-  if ctx.p != t.prepared then
-    invalid_arg "Compile.run: context belongs to a different prepared program";
-  ctx.input <- input;
-  ctx.input_len <- String.length input;
-  run_current t ctx ~fuel ~max_depth
-
-(** Execute a cohort of [n] candidates back-to-back on one context (see
-    {!Interp.run_batch}): [gen k] produces the [k]-th candidate as a
-    [(buf, len)] scratch view, [sink k outcome] consumes its result
-    before [gen (k+1)] runs. *)
-let run_batch ?(fuel = default_fuel) ?(max_depth = default_max_depth) (t : t)
-    (ctx : exec_ctx) ~(n : int) ~(gen : int -> Bytes.t * int)
-    ~(sink : int -> outcome -> unit) : unit =
-  if n > 0 && ctx.p != t.prepared then
-    invalid_arg
-      "Compile.run_batch: context belongs to a different prepared program";
-  for k = 0 to n - 1 do
-    let buf, len = gen k in
-    if len < 0 || len > Bytes.length buf then invalid_arg "Compile.run_batch";
-    ctx.input <- Bytes.unsafe_to_string buf;
-    ctx.input_len <- len;
-    sink k (run_current t ctx ~fuel ~max_depth)
-  done
+  { e_prepared = t.prepared; e_enter = enter }
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain artifact cache *)

@@ -70,30 +70,16 @@ val bind :
 (** The trace map the probes currently write (tests and diagnostics). *)
 val bound_trace : t -> Pathcov.Coverage_map.t
 
-(** {2 Execution}
+(** {2 Execution} *)
 
-    Both runners mirror {!Interp.run_ctx} / {!Interp.run_batch}: same
-    defaults, same outcome construction, same crash materialisation.
-    The context must have been created over the same [prepared] value
-    the artifact was compiled from ([Invalid_argument] otherwise); the
-    context's own hooks are ignored — probes are already compiled in. *)
-
-val run : ?fuel:int -> ?max_depth:int -> t -> Interp.exec_ctx -> input:string -> Interp.outcome
-
-(** Batched mirror of {!Interp.run_batch} over the compiled entry: run
-    [n] candidates back-to-back on one context, [gen k] producing the
-    [k]-th [(buf, len)] scratch view and [sink k outcome] consuming its
-    result before the next [gen]. The prepared-program identity check
-    happens once per cohort instead of once per exec. *)
-val run_batch :
-  ?fuel:int ->
-  ?max_depth:int ->
-  t ->
-  Interp.exec_ctx ->
-  n:int ->
-  gen:(int -> Bytes.t * int) ->
-  sink:(int -> Interp.outcome -> unit) ->
-  unit
+(** The artifact's entry into the run harness: pass it to
+    {!Interp.run_batch} to execute the compiled program, with the same
+    defaults, fences, outcome construction and crash materialisation as
+    the interpreter. Build it once per campaign, not per cohort. The
+    context must have been created over the same [prepared] value the
+    artifact was compiled from ([Invalid_argument] otherwise); its hooks
+    are ignored — probes are already compiled in. *)
+val entry : t -> Interp.entry
 
 (** {2 Introspection}
 

@@ -1098,7 +1098,7 @@ let preload (entries : (prepared * Pathcov.Feedback.mode * bool) list) : int =
         | Ok tc -> preload_with tc entries)
 
 (* ------------------------------------------------------------------ *)
-(* Campaign binding + execution (mirrors of the [Compile] runners) *)
+(* Campaign binding + the entry into the run harness *)
 
 let bind (t : t) ~(trace : Pathcov.Coverage_map.t)
     ~(h_cmp : int -> int -> unit) : unit =
@@ -1108,48 +1108,12 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t)
 let arm (t : t) (on : bool) : unit = t.raw.r_armed := on
 let armed (t : t) : bool = !(t.raw.r_armed)
 
-let run_current (t : t) (ctx : exec_ctx) ~fuel ~max_depth : outcome =
-  t.raw.r_reset ();
-  reset_ctx ctx;
-  ctx.fuel <- fuel;
-  ctx.max_depth <- max_depth;
-  let status =
-    try
-      t.raw.r_enter ctx;
-      if ctx.ret_a != no_arr then Finished None else Finished (Some ctx.ret_i)
-    with
-    | Crash_exn (kind, site) ->
-        ctx.unwound <- true;
-        let top = { Crash.fn = site_function t.prepared.prog site; site } in
-        Crashed { Crash.kind; stack = top :: materialize_stack ctx }
-    | Out_of_fuel ->
-        ctx.unwound <- true;
-        Hung
-    | Stack_overflow ->
-        ctx.unwound <- true;
-        Crashed
-          { Crash.kind = Crash.Stack_overflow; stack = materialize_stack ctx }
-  in
-  { status; blocks_executed = ctx.blocks }
-
-let run ?(fuel = default_fuel) ?(max_depth = default_max_depth) (t : t)
-    (ctx : exec_ctx) ~(input : string) : outcome =
-  if ctx.p != t.prepared then
-    invalid_arg "Emit.run: context belongs to a different prepared program";
-  ctx.input <- input;
-  ctx.input_len <- String.length input;
-  run_current t ctx ~fuel ~max_depth
-
-let run_batch ?(fuel = default_fuel) ?(max_depth = default_max_depth) (t : t)
-    (ctx : exec_ctx) ~(n : int) ~(gen : int -> Bytes.t * int)
-    ~(sink : int -> outcome -> unit) : unit =
-  if n > 0 && ctx.p != t.prepared then
-    invalid_arg
-      "Emit.run_batch: context belongs to a different prepared program";
-  for k = 0 to n - 1 do
-    let buf, len = gen k in
-    if len < 0 || len > Bytes.length buf then invalid_arg "Emit.run_batch";
-    ctx.input <- Bytes.unsafe_to_string buf;
-    ctx.input_len <- len;
-    sink k (run_current t ctx ~fuel ~max_depth)
-  done
+let entry (t : t) : entry =
+  let raw = t.raw in
+  {
+    e_prepared = t.prepared;
+    e_enter =
+      (fun ctx ->
+        raw.r_reset ();
+        raw.r_enter ctx);
+  }

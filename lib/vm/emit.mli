@@ -1,4 +1,4 @@
-(** Per-subject native code emission — the fourth execution engine.
+(** Per-subject native code emission — the third execution engine.
 
     Where {!Compile} partially evaluates a {!Interp.prepared} CFG into
     a closure tree at runtime, this module prints it as straight-line
@@ -124,7 +124,7 @@ val preload : (Interp.prepared * Pathcov.Feedback.mode * bool) list -> int
 
 (** {2 Campaign binding + execution}
 
-    Mirrors of the {!Compile} equivalents; see there for semantics. *)
+    {!bind} mirrors {!Compile.bind}; see there for semantics. *)
 
 val bind :
   t -> trace:Pathcov.Coverage_map.t -> h_cmp:(int -> int -> unit) -> unit
@@ -138,18 +138,10 @@ val arm : t -> bool -> unit
 
 val armed : t -> bool
 
-val run :
-  ?fuel:int -> ?max_depth:int -> t -> Interp.exec_ctx -> input:string -> Interp.outcome
-
-val run_batch :
-  ?fuel:int ->
-  ?max_depth:int ->
-  t ->
-  Interp.exec_ctx ->
-  n:int ->
-  gen:(int -> Bytes.t * int) ->
-  sink:(int -> Interp.outcome -> unit) ->
-  unit
+(** The unit's entry into the run harness ({!Interp.run_batch}):
+    reset the probe state, then run the generated [main]. Same contract
+    as {!Compile.entry}. *)
+val entry : t -> Interp.entry
 
 (** {2 Plugin side-channel}
 

@@ -16,7 +16,7 @@
     table, pooled global cells reset through a touched-slot journal, and
     a preallocated [(fid, site)] call stack that only materialises
     [Crash.frame] records when a crash actually happens. Steady-state
-    execution through [run_ctx] allocates nothing beyond the program's
+    execution through [run_batch] allocates nothing beyond the program's
     own [array(n)] requests and the small per-run [outcome] record.
     MiniC locals are zero-initialised at function entry (as if the
     target were built with [-ftrivial-auto-var-init=zero]). *)
@@ -370,7 +370,7 @@ let make_frame nlocals =
 
 (** Build a reusable execution context. One context serves one campaign:
     frames, globals and the call stack are pooled here and reused by
-    every [run_ctx] call. Contexts are single-threaded; use one per
+    every run. Contexts are single-threaded; use one per
     worker domain. *)
 let create_ctx ?(hooks = no_hooks) (p : prepared) : exec_ctx =
   let ng = Array.length p.global_sizes in
@@ -762,15 +762,29 @@ let site_function (prog : Minic.Ir.program) site =
   if site >= 0 && site < Array.length prog.sites then prog.sites.(site).sfunc
   else "?"
 
-(* Run [main] on whatever input registers are already set. *)
-let run_current (ctx : exec_ctx) ~fuel ~max_depth : outcome =
+(** An execution engine's way into a prepared program: [e_enter ctx]
+    runs [main] of [e_prepared] on a context the harness has already
+    reset, fuelled and loaded with the input, leaving the result in the
+    return scratch and raising {!Crash_exn}, {!Out_of_fuel} or
+    [Stack_overflow] exactly where the interpreter would. *)
+type entry = { e_prepared : prepared; e_enter : exec_ctx -> unit }
+
+(* The interpreter's own entry: a zeroed frame for [main], then [call]. *)
+let interp_enter (ctx : exec_ctx) : unit =
+  let main = ctx.p.main_id in
+  call ctx main (acquire ctx main) 0
+
+(* The one run of the VM: reset, fuel and depth, the engine's entry,
+   the exception fences and the outcome, on whatever input registers
+   are already set. *)
+let run_current (ctx : exec_ctx) (enter : exec_ctx -> unit) ~fuel ~max_depth :
+    outcome =
   reset_ctx ctx;
   ctx.fuel <- fuel;
   ctx.max_depth <- max_depth;
   let status =
     try
-      let fr = acquire ctx ctx.p.main_id in
-      call ctx ctx.p.main_id fr 0;
+      enter ctx;
       if ctx.ret_a != no_arr then Finished None else Finished (Some ctx.ret_i)
     with
     | Crash_exn (kind, site) ->
@@ -786,51 +800,54 @@ let run_current (ctx : exec_ctx) ~fuel ~max_depth : outcome =
   in
   { status; blocks_executed = ctx.blocks }
 
-(** Execute the context's program from [main] on [input]. Never raises
-    for program-under-test misbehaviour — crashes, hangs and type
-    confusion all come back as [status]. Steady-state this allocates only
-    the [outcome] record and whatever [array(n)] the program requests. *)
-let run_ctx ?(fuel = default_fuel) ?(max_depth = default_max_depth)
-    (ctx : exec_ctx) ~(input : string) : outcome =
-  ctx.input <- input;
-  ctx.input_len <- String.length input;
-  run_current ctx ~fuel ~max_depth
-
-(** Execute a cohort of [n] candidates back-to-back on one context.
-    [gen k] produces candidate [k] as a [(buf, len)] scratch view of the
-    first [len] bytes of [buf], run without copying them into a string
-    (the VM never writes to its input, so viewing the buffer as a string
-    is safe; the caller must not mutate [buf] during the run); [sink k
-    outcome] consumes its result before [gen (k + 1)] is called, so a
-    single scratch buffer may back the whole cohort. The point of the
-    batched entry is reset amortisation: back-to-back runs take the
-    journaled fast path of [reset_ctx] (clean runs skip the frame-pool
-    sweep entirely), and callers hoist their own per-candidate dispatch
-    out of the loop. *)
-let run_batch ?(fuel = default_fuel) ?(max_depth = default_max_depth)
+(** Execute a cohort of [n] candidates back-to-back on one context,
+    through [entry] (default: the interpreter itself, driving the
+    context's hooks). [gen k] produces candidate [k] as a [(buf, len)]
+    scratch view of the first [len] bytes of [buf], run without copying
+    them into a string (the VM never writes to its input, so viewing the
+    buffer as a string is safe; the caller must not mutate [buf] during
+    the run); [sink k outcome] consumes its result before [gen (k + 1)]
+    is called, so a single scratch buffer may back the whole cohort.
+    Back-to-back runs take the journaled fast path of [reset_ctx] (clean
+    runs skip the frame-pool sweep entirely), and the entry's
+    prepared-program check runs once per cohort. *)
+let run_batch ?(fuel = default_fuel) ?(max_depth = default_max_depth) ?entry
     (ctx : exec_ctx) ~(n : int) ~(gen : int -> Bytes.t * int)
     ~(sink : int -> outcome -> unit) : unit =
+  let enter =
+    match entry with
+    | None -> interp_enter
+    | Some e ->
+        if n > 0 && ctx.p != e.e_prepared then
+          invalid_arg
+            "Interp.run_batch: context belongs to a different prepared program";
+        e.e_enter
+  in
   for k = 0 to n - 1 do
     let buf, len = gen k in
     if len < 0 || len > Bytes.length buf then invalid_arg "Interp.run_batch";
     ctx.input <- Bytes.unsafe_to_string buf;
     ctx.input_len <- len;
-    sink k (run_current ctx ~fuel ~max_depth)
+    sink k (run_current ctx enter ~fuel ~max_depth)
   done
 
-(** Execute a prepared program from [main] on [input] through a fresh
-    context (use [create_ctx] + [run_ctx] in loops to reuse the pools). *)
-let run_prepared ?fuel ?hooks ?max_depth (p : prepared) ~(input : string) :
+(** Zero-copy [(buf, len)] view of a string input, for [run_batch]'s
+    [gen]: the VM never writes its input. *)
+let view (s : string) : Bytes.t * int =
+  (Bytes.unsafe_of_string s, String.length s)
+
+(** Run [input] on [ctx] through [entry] as a cohort of one. *)
+let run_one ?fuel ?max_depth ?entry (ctx : exec_ctx) ~(input : string) :
     outcome =
-  run_ctx ?fuel ?max_depth (create_ctx ?hooks p) ~input
+  let out = ref None in
+  run_batch ?fuel ?max_depth ?entry ctx ~n:1
+    ~gen:(fun _ -> view input)
+    ~sink:(fun _ o -> out := Some o);
+  Option.get !out
 
-(** One-shot convenience (prepares on each call; use [prepare] +
-    [create_ctx] + [run_ctx] in loops). *)
-let run ?fuel ?hooks ?max_depth (prog : Minic.Ir.program) ~input : outcome =
-  run_prepared ?fuel ?hooks ?max_depth (prepare prog) ~input
-
-(** Convenience: run and return the crash, if any. *)
-let crash_of ?fuel ?hooks ?max_depth prog ~input : Crash.t option =
-  match (run ?fuel ?hooks ?max_depth prog ~input).status with
-  | Crashed c -> Some c
-  | Finished _ | Hung -> None
+(** One-shot convenience: prepare [prog] and run [input] on a fresh
+    context over [hooks] (use [prepare] + [create_ctx] + [run_batch] in
+    loops). *)
+let run ?fuel ?hooks ?max_depth (prog : Minic.Ir.program) ~(input : string) :
+    outcome =
+  run_one ?fuel ?max_depth (create_ctx ?hooks (prepare prog)) ~input

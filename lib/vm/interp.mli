@@ -7,12 +7,12 @@
     limit. MiniC locals are zero-initialised at function entry.
 
     The resolved representation and the pooled execution context are
-    exposed concretely (not abstract) because {!Compile} — the staged
-    compiler that partially evaluates a prepared program into OCaml
-    closures — is a second execution engine over exactly this state:
-    compiled code runs against the same frames, pools, globals journal,
-    call stack and return scratch, so crash materialisation, fuel and
-    outcome construction stay byte-identical between engines. Treat every
+    exposed concretely (not abstract) because {!Compile} and {!Emit} are
+    execution engines over exactly this state: their code runs against
+    the same frames, pools, globals journal, call stack and return
+    scratch, entered through the one run harness ({!run_batch}), so
+    crash materialisation, fuel and outcome construction are shared by
+    every engine. Treat every
     exposed field as read-only unless you are an execution engine. *)
 
 (** Instrumentation hooks, invoked during execution. *)
@@ -118,12 +118,6 @@ val prepare : Minic.Ir.program -> prepared
     artifact is immutable, so sharing it across domains is safe. *)
 val prepare_cached : Minic.Ir.program -> prepared
 
-(** Execute a prepared program from [main] on [input] through a fresh
-    context. Never raises for program-under-test misbehaviour — crashes,
-    hangs and type confusion all come back as [status]. *)
-val run_prepared :
-  ?fuel:int -> ?hooks:hooks -> ?max_depth:int -> prepared -> input:string -> outcome
-
 (** {2 Execution context}
 
     Pooled frames, globals and call stack, reused across executions so
@@ -132,7 +126,7 @@ val run_prepared :
 
 (** Raised internally (and by compiled code) for program-under-test
     crashes: kind plus the crash site. Converted to {!Crash.t} with the
-    materialised stack by the run harness — never escapes [run_ctx]. *)
+    materialised stack by the run harness — never escapes {!run_batch}. *)
 exception Crash_exn of Crash.kind * int
 
 (** Raised internally when the fuel budget is exhausted. *)
@@ -200,13 +194,7 @@ val acquire_raw : exec_ctx -> int -> frame
 
 val push_call : exec_ctx -> int -> int -> unit
 
-(** Materialise the [Crash.frame] list (innermost first) from the int
-    stacks — only reached when a crash actually happened. *)
-val materialize_stack : exec_ctx -> Crash.frame list
-
-val site_function : Minic.Ir.program -> int -> string
-
-(** {2 Slot access} (shared by both engines) *)
+(** {2 Slot access} (shared by every engine) *)
 
 (** Record a global index in the write journal (so {!reset_ctx} can undo
     it) — engines writing globals directly must call it first. *)
@@ -216,30 +204,54 @@ val write_int : exec_ctx -> frame -> slot -> int -> unit
 val write_arr : exec_ctx -> frame -> slot -> int array -> unit
 val copy_slot : exec_ctx -> frame -> slot -> frame -> slot -> unit
 
-val run_ctx : ?fuel:int -> ?max_depth:int -> exec_ctx -> input:string -> outcome
+(** {2 The run harness}
 
-(** Execute a cohort of [n] candidates back-to-back on one context.
-    [gen k] produces candidate [k] as a [(buf, len)] scratch view: the
-    first [len] bytes of [buf], run without copying them into a string
-    (the caller must not mutate [buf] during the run; [Invalid_argument]
-    if [len] exceeds the buffer). [sink k outcome] consumes its result
-    before [gen (k + 1)] is called, so one scratch buffer may back the
-    whole cohort. Back-to-back runs take the journaled fast-reset path
-    (clean runs skip the frame-pool sweep). *)
+    The VM's one run loop, shared by every engine: reset, fuel and
+    depth, the exception fences that turn {!Crash_exn}, {!Out_of_fuel}
+    and [Stack_overflow] into a [status] (materialising the crash stack
+    and marking the context unwound), and the [outcome] record. An
+    engine differs only in its {!entry}. *)
+
+(** An engine's way into a prepared program: [e_enter ctx] runs [main]
+    of [e_prepared] on a context the harness has reset, fuelled and
+    loaded with the input, leaving the result in the return scratch. *)
+type entry = { e_prepared : prepared; e_enter : exec_ctx -> unit }
+
+(** Execute a cohort of [n] candidates back-to-back on one context,
+    through [entry] — by default the interpreter itself, driving the
+    context's hooks; a compiled engine's entry ignores them, its probes
+    being compiled in. [gen k] produces candidate [k] as a [(buf, len)]
+    scratch view: the first [len] bytes of [buf], run without copying
+    them into a string (the caller must not mutate [buf] during the run;
+    [Invalid_argument] if [len] exceeds the buffer). [sink k outcome]
+    consumes its result before [gen (k + 1)] is called, so one scratch
+    buffer may back the whole cohort. Back-to-back runs take the
+    journaled fast-reset path (clean runs skip the frame-pool sweep).
+    Raises [Invalid_argument], once per non-empty cohort, when [ctx] was
+    created over another prepared program than [entry]'s. Never raises
+    for program-under-test misbehaviour — crashes, hangs and type
+    confusion all come back as [status]. *)
 val run_batch :
   ?fuel:int ->
   ?max_depth:int ->
+  ?entry:entry ->
   exec_ctx ->
   n:int ->
   gen:(int -> Bytes.t * int) ->
   sink:(int -> outcome -> unit) ->
   unit
 
-(** One-shot convenience (prepares on each call; use {!prepare} +
-    {!create_ctx} + {!run_ctx} in loops). *)
+(** Zero-copy [(buf, len)] view of a string input, for {!run_batch}'s
+    [gen]: the VM never writes its input. *)
+val view : string -> Bytes.t * int
+
+(** Run [input] on [ctx] through [entry] (default: the interpreter) as a
+    cohort of one of {!run_batch}. *)
+val run_one :
+  ?fuel:int -> ?max_depth:int -> ?entry:entry -> exec_ctx -> input:string -> outcome
+
+(** One-shot convenience: prepare the program and run [input] on a fresh
+    context over [hooks] (use {!prepare} + {!create_ctx} + {!run_batch}
+    in loops). *)
 val run :
   ?fuel:int -> ?hooks:hooks -> ?max_depth:int -> Minic.Ir.program -> input:string -> outcome
-
-(** Run and return the crash, if any. *)
-val crash_of :
-  ?fuel:int -> ?hooks:hooks -> ?max_depth:int -> Minic.Ir.program -> input:string -> Crash.t option

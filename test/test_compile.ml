@@ -67,6 +67,7 @@ let test_mode_agreement () =
           in
           let cctx = Vm.Interp.create_ctx prepared in
           let art = Vm.Compile.compile prepared mode in
+          let entry = Vm.Compile.entry art in
           let ctrace = Pathcov.Coverage_map.create () in
           Vm.Compile.bind art ~trace:ctrace ~h_cmp:(fun a b ->
               ccmps := (a, b) :: !ccmps);
@@ -77,8 +78,8 @@ let test_mode_agreement () =
               Pathcov.Coverage_map.clear ctrace;
               icmps := [];
               ccmps := [];
-              let i = Vm.Interp.run_ctx ictx ~input in
-              let c = Vm.Compile.run art cctx ~input in
+              let i = Vm.Interp.run_one ictx ~input in
+              let c = Vm.Interp.run_one ~entry cctx ~input in
               let where =
                 Printf.sprintf "%s/%s %S" s.name
                   (Pathcov.Feedback.mode_name mode)
@@ -120,8 +121,11 @@ let prop_compiled_differential =
           Vm.Compile.bind art ~trace:ctrace ~h_cmp:(fun _ _ -> ());
           fb.reset ();
           Pathcov.Coverage_map.clear fb.trace;
-          let i = Vm.Interp.run_ctx ~fuel:50_000 ictx ~input in
-          let c = Vm.Compile.run ~fuel:50_000 art cctx ~input in
+          let i = Vm.Interp.run_one ~fuel:50_000 ictx ~input in
+          let c =
+            Vm.Interp.run_one ~fuel:50_000 ~entry:(Vm.Compile.entry art) cctx
+              ~input
+          in
           Pathcov.Coverage_map.classify fb.trace;
           Pathcov.Coverage_map.classify ctrace;
           i.status = c.status
@@ -141,13 +145,16 @@ let test_compiled_allocation () =
   let prog = Subjects.Subject.compile_fresh s in
   let prepared = Vm.Interp.prepare prog in
   let ctx = Vm.Interp.create_ctx prepared in
-  let input = List.hd s.seeds in
+  let input = Bytes.of_string (List.hd s.seeds) in
+  let view = (input, Bytes.length input) in
   List.iter
     (fun mode ->
       let art = Vm.Compile.compile prepared mode in
       let trace = Pathcov.Coverage_map.create () in
       Vm.Compile.bind art ~trace ~h_cmp:(fun _ _ -> ());
-      let one () = ignore (Vm.Compile.run art ctx ~input) in
+      let entry = Vm.Compile.entry art in
+      let gen _ = view and sink _ (_ : Vm.Interp.outcome) = () in
+      let one () = Vm.Interp.run_batch ~entry ctx ~n:1 ~gen ~sink in
       for _ = 1 to 64 do
         one ()
       done;

@@ -43,7 +43,7 @@ let test_plain_agreement () =
       let ctx = Vm.Interp.create_ctx (Vm.Interp.prepare prog) in
       List.iter
         (fun input ->
-          let fast = Vm.Interp.run_ctx ctx ~input in
+          let fast = Vm.Interp.run_one ctx ~input in
           let ref_ = Interp_ref.run prog ~input in
           let where = Printf.sprintf "%s %S" s.name input in
           check status_t (where ^ " status") ref_.status fast.status;
@@ -82,7 +82,7 @@ let test_trace_agreement () =
               Pathcov.Coverage_map.clear fb_fast.trace;
               fb_ref.reset ();
               Pathcov.Coverage_map.clear fb_ref.trace;
-              let fast = Vm.Interp.run_ctx ctx ~input in
+              let fast = Vm.Interp.run_one ctx ~input in
               let ref_ =
                 Interp_ref.run ~hooks:(feedback_hooks fb_ref) prog ~input
               in

@@ -71,8 +71,11 @@ let prop_fused_differential =
           Vm.Compile.bind art ~trace:ctrace ~h_cmp:(fun _ _ -> ());
           fb.reset ();
           Pathcov.Coverage_map.clear fb.trace;
-          let i = Vm.Interp.run_ctx ~fuel:50_000 ictx ~input in
-          let c = Vm.Compile.run ~fuel:50_000 art cctx ~input in
+          let i = Vm.Interp.run_one ~fuel:50_000 ictx ~input in
+          let c =
+            Vm.Interp.run_one ~fuel:50_000 ~entry:(Vm.Compile.entry art) cctx
+              ~input
+          in
           Pathcov.Coverage_map.classify fb.trace;
           Pathcov.Coverage_map.classify ctrace;
           i.status = c.status
@@ -98,13 +101,14 @@ let prop_fused_fuel_ladder =
       in
       let ctrace = Pathcov.Coverage_map.create () in
       Vm.Compile.bind art ~trace:ctrace ~h_cmp:(fun _ _ -> ());
+      let entry = Vm.Compile.entry art in
       List.for_all
         (fun fuel ->
           fb.reset ();
           Pathcov.Coverage_map.clear fb.trace;
           Pathcov.Coverage_map.clear ctrace;
-          let i = Vm.Interp.run_ctx ~fuel ictx ~input in
-          let c = Vm.Compile.run ~fuel art cctx ~input in
+          let i = Vm.Interp.run_one ~fuel ictx ~input in
+          let c = Vm.Interp.run_one ~fuel ~entry cctx ~input in
           Pathcov.Coverage_map.classify fb.trace;
           Pathcov.Coverage_map.classify ctrace;
           i.status = c.status
@@ -114,7 +118,8 @@ let prop_fused_fuel_ladder =
 
 (* --- batch entries: one run_batch call over a subject's inputs must
    reproduce the one-shot runs candidate for candidate, including the
-   post-crash context sweep between candidates --- *)
+   post-crash context sweep between candidates; a context over another
+   prepared program is refused --- *)
 
 let test_batch_agreement () =
   List.iter
@@ -126,6 +131,7 @@ let test_batch_agreement () =
       in
       let trace = Pathcov.Coverage_map.create () in
       Vm.Compile.bind art ~trace ~h_cmp:(fun _ _ -> ());
+      let entry = Vm.Compile.entry art in
       let inputs = Array.of_list (subject_inputs s) in
       let n = Array.length inputs in
       (* one-shot reference results on a fresh context *)
@@ -134,14 +140,14 @@ let test_batch_agreement () =
         Array.map
           (fun input ->
             Pathcov.Coverage_map.clear trace;
-            let out = Vm.Compile.run art ctx1 ~input in
+            let out = Vm.Interp.run_one ~entry ctx1 ~input in
             Pathcov.Coverage_map.classify trace;
             (out.Vm.Interp.status, out.blocks_executed, trace_contents trace))
           inputs
       in
       let ctx2 = Vm.Interp.create_ctx prepared in
       let bufs = Array.map Bytes.of_string inputs in
-      Vm.Compile.run_batch art ctx2 ~n
+      Vm.Interp.run_batch ~entry ctx2 ~n
         ~gen:(fun k ->
           Pathcov.Coverage_map.clear trace;
           (bufs.(k), Bytes.length bufs.(k)))
@@ -153,7 +159,20 @@ let test_batch_agreement () =
           check Alcotest.int (where ^ " blocks") bl out.blocks_executed;
           check
             Alcotest.(list (pair int int))
-            (where ^ " trace") tr (trace_contents trace)))
+            (where ^ " trace") tr (trace_contents trace));
+      (* a context over another prepared program of the same source is
+         refused before anything runs *)
+      let foreign = Vm.Interp.create_ctx (Vm.Interp.prepare prog) in
+      check_bool
+        (s.name ^ ": foreign context refused")
+        true
+        (match
+           Vm.Interp.run_batch ~entry foreign ~n
+             ~gen:(fun _ -> assert false)
+             ~sink:(fun _ _ -> ())
+         with
+        | () -> false
+        | exception Invalid_argument _ -> true))
     Subjects.Registry.all
 
 (* --- steady-state allocation: the batched cohort loop ---
@@ -178,10 +197,11 @@ let test_batch_allocation () =
   let len = Bytes.length buf in
   let gen _ = (buf, len) in
   let sink _ (_ : Vm.Interp.outcome) = () in
-  Vm.Compile.run_batch art ctx ~n:64 ~gen ~sink;
+  let entry = Vm.Compile.entry art in
+  Vm.Interp.run_batch ~entry ctx ~n:64 ~gen ~sink;
   let n = 2048 in
   let w0 = Gc.minor_words () in
-  Vm.Compile.run_batch art ctx ~n ~gen ~sink;
+  Vm.Interp.run_batch ~entry ctx ~n ~gen ~sink;
   let per_exec = (Gc.minor_words () -. w0) /. float_of_int n in
   check_bool
     (Printf.sprintf "batched minor words per exec bounded (got %.1f)"

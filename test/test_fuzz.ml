@@ -39,10 +39,16 @@ let test_rng_split_independent () =
 
 (* --- mutators --- *)
 
+(* One havoc child as a string, through a throwaway scratch. *)
+let havoc ?cmps ?splice_with rng s =
+  let sc = Fuzz.Mutator.create_scratch () in
+  Fuzz.Mutator.havoc_in_place sc ?cmps ?splice_with rng s;
+  Bytes.sub_string sc.buf 0 sc.len
+
 let test_havoc_bounds () =
   let rng = Fuzz.Rng.create 3 in
   for _ = 1 to 500 do
-    let child = Fuzz.Mutator.havoc rng (String.make 10 'a') in
+    let child = havoc rng (String.make 10 'a') in
     check Alcotest.bool "non-empty" true (String.length child > 0);
     check Alcotest.bool "bounded" true (String.length child <= Fuzz.Mutator.max_len)
   done
@@ -50,14 +56,14 @@ let test_havoc_bounds () =
 let test_havoc_deterministic () =
   let run seed =
     let rng = Fuzz.Rng.create seed in
-    List.init 20 (fun _ -> Fuzz.Mutator.havoc rng "hello world")
+    List.init 20 (fun _ -> havoc rng "hello world")
   in
   check (Alcotest.list Alcotest.string) "same seed same children" (run 9) (run 9);
   check Alcotest.bool "different seed different children" true (run 9 <> run 10)
 
 let test_havoc_empty_input () =
   let rng = Fuzz.Rng.create 4 in
-  let child = Fuzz.Mutator.havoc rng "" in
+  let child = havoc rng "" in
   check Alcotest.bool "synthesises a byte" true (String.length child >= 1)
 
 let test_i2s_le_substitution () =
@@ -139,14 +145,14 @@ let test_fav_factor_prefers_cheap () =
 
 (* --- triage --- *)
 
-let crash_of src input =
-  match Vm.Interp.crash_of (Minic.Lower.compile src) ~input with
-  | Some c -> c
-  | None -> fail "expected crash"
+let crash_on src input =
+  match (Vm.Interp.run (Minic.Lower.compile src) ~input).status with
+  | Vm.Interp.Crashed c -> c
+  | Finished _ | Hung -> fail "expected crash"
 
 let test_triage_dedup () =
   let t = Fuzz.Triage.create () in
-  let c1 = crash_of "fn main() { bug(1); }" "" in
+  let c1 = crash_on "fn main() { bug(1); }" "" in
   Fuzz.Triage.record_crash t ~crash:c1 ~input:"a" ~at_exec:1 ~coverage_novel:true;
   Fuzz.Triage.record_crash t ~crash:c1 ~input:"b" ~at_exec:2 ~coverage_novel:false;
   check Alcotest.int "total" 2 t.total_crashes;
@@ -161,10 +167,10 @@ let test_triage_dedup () =
 let test_triage_merge () =
   let a = Fuzz.Triage.create () and b = Fuzz.Triage.create () in
   Fuzz.Triage.record_crash a
-    ~crash:(crash_of "fn main() { bug(1); }" "")
+    ~crash:(crash_on "fn main() { bug(1); }" "")
     ~input:"x" ~at_exec:1 ~coverage_novel:true;
   Fuzz.Triage.record_crash b
-    ~crash:(crash_of "fn main() { bug(2); }" "")
+    ~crash:(crash_on "fn main() { bug(2); }" "")
     ~input:"y" ~at_exec:1 ~coverage_novel:true;
   Fuzz.Triage.merge ~into:a b;
   check Alcotest.int "merged bugs" 2 (Fuzz.Triage.unique_bugs a);
@@ -387,7 +393,7 @@ let prop_havoc_valid =
     (fun (seed, input) ->
       let rng = Fuzz.Rng.create seed in
       let child =
-        Fuzz.Mutator.havoc
+        havoc
           ~cmps:[| { observed = 65; wanted = 66 } |]
           ~splice_with:"other input" rng input
       in

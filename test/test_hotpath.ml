@@ -70,9 +70,9 @@ let test_differential () =
                 let s_ref = ref input and s_new = ref input in
                 for round = 1 to 3 do
                   s_ref := Mutator_ref.havoc ~cmps ?splice_with r_ref !s_ref;
-                  s_new :=
-                    Fuzz.Mutator.havoc_into sc ~cmps:cmps_arr ?splice_with
-                      r_new !s_new;
+                  Fuzz.Mutator.havoc_in_place sc ~cmps:cmps_arr ?splice_with
+                    r_new !s_new;
+                  s_new := Bytes.sub_string sc.buf 0 sc.len;
                   if !s_ref <> !s_new then
                     failf
                       "child mismatch: input %d, cmps %d, splice %d, seed %d, \
@@ -97,7 +97,8 @@ let test_mutator_allocation () =
   let input = String.init 256 (fun i -> Char.chr (i land 255)) in
   let cmps = [| { Fuzz.Mutator.observed = 65; wanted = 90 } |] in
   let one () =
-    ignore (Fuzz.Mutator.havoc_into sc ~cmps ~splice_with:"peer data" rng input)
+    Fuzz.Mutator.havoc_in_place sc ~cmps ~splice_with:"peer data" rng input;
+    ignore (Bytes.sub_string sc.buf 0 sc.len)
   in
   for _ = 1 to 64 do
     one ()
@@ -108,7 +109,8 @@ let test_mutator_allocation () =
     one ()
   done;
   let per_child = (Gc.minor_words () -. w0) /. float_of_int n in
-  (* a 256-byte input yields children of at most ~320 bytes (insert adds
+  (* each child is materialised as a string, as a retained child is; a
+     256-byte input yields children of at most ~320 bytes (insert adds
      <= 8 bytes per op, stacks are <= 8 deep), i.e. <= ~41 words for the
      one child string the engine is allowed to allocate *)
   check_bool

@@ -130,7 +130,7 @@ let test_mutator_length_clamp () =
   let rng = Fuzz.Rng.create 2 in
   let big = String.make Fuzz.Mutator.max_len 'z' in
   for _ = 1 to 100 do
-    let child = Fuzz.Mutator.havoc rng big in
+    let child = Test_fuzz.havoc rng big in
     check Alcotest.bool "never exceeds max_len" true
       (String.length child <= Fuzz.Mutator.max_len)
   done

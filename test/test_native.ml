@@ -115,6 +115,7 @@ let test_native_mode_agreement () =
             in
             let nctx = Vm.Interp.create_ctx prepared in
             let art = instance_exn prepared mode in
+            let entry = Vm.Emit.entry art in
             let ntrace = Pathcov.Coverage_map.create () in
             Vm.Emit.bind art ~trace:ntrace ~h_cmp:(fun a b ->
                 ncmps := (a, b) :: !ncmps);
@@ -126,8 +127,8 @@ let test_native_mode_agreement () =
                 Pathcov.Coverage_map.clear ntrace;
                 icmps := [];
                 ncmps := [];
-                let i = Vm.Interp.run_ctx ictx ~input in
-                let n = Vm.Emit.run art nctx ~input in
+                let i = Vm.Interp.run_one ictx ~input in
+                let n = Vm.Interp.run_one ~entry nctx ~input in
                 let where =
                   Printf.sprintf "%s/%s %S" s.name
                     (Pathcov.Feedback.mode_name mode)
@@ -150,7 +151,7 @@ let test_native_mode_agreement () =
             Vm.Emit.arm art false;
             ncmps := [];
             List.iter
-              (fun input -> ignore (Vm.Emit.run art nctx ~input))
+              (fun input -> ignore (Vm.Interp.run_one ~entry nctx ~input))
               (subject_inputs s);
             check
               Alcotest.(list (pair int int))
@@ -206,14 +207,15 @@ let test_native_differential () =
         in
         let nctx = Vm.Interp.create_ctx prepared in
         let art = instance_exn prepared mode in
+        let entry = Vm.Emit.entry art in
         let ntrace = Pathcov.Coverage_map.create () in
         Vm.Emit.bind art ~trace:ntrace ~h_cmp:(fun a b ->
             ncmps := (a, b) :: !ncmps);
         Vm.Emit.arm art true;
         fb.reset ();
         Pathcov.Coverage_map.clear fb.trace;
-        let i_out = Vm.Interp.run_ctx ~fuel:50_000 ictx ~input in
-        let n_out = Vm.Emit.run ~fuel:50_000 art nctx ~input in
+        let i_out = Vm.Interp.run_one ~fuel:50_000 ictx ~input in
+        let n_out = Vm.Interp.run_one ~fuel:50_000 ~entry nctx ~input in
         let where =
           Printf.sprintf "cfg[%d]/%s" i (Pathcov.Feedback.mode_name mode)
         in
@@ -249,6 +251,7 @@ let test_native_fuel_ladder () =
           let art =
             instance_exn prepared Pathcov.Feedback.Path
           in
+          let entry = Vm.Emit.entry art in
           let ntrace = Pathcov.Coverage_map.create () in
           Vm.Emit.bind art ~trace:ntrace ~h_cmp:(fun _ _ -> ());
           List.iter
@@ -256,8 +259,8 @@ let test_native_fuel_ladder () =
               fb.reset ();
               Pathcov.Coverage_map.clear fb.trace;
               Pathcov.Coverage_map.clear ntrace;
-              let i_out = Vm.Interp.run_ctx ~fuel ictx ~input in
-              let n_out = Vm.Emit.run ~fuel art nctx ~input in
+              let i_out = Vm.Interp.run_one ~fuel ictx ~input in
+              let n_out = Vm.Interp.run_one ~fuel ~entry nctx ~input in
               let where = Printf.sprintf "cfg[%d] fuel=%d" i fuel in
               check status_t (where ^ " status") i_out.status n_out.status;
               check Alcotest.int (where ^ " blocks") i_out.blocks_executed
@@ -273,7 +276,8 @@ let test_native_fuel_ladder () =
       (Lazy.force differential_corpus)
 
 (* --- batch entry: one run_batch call over a subject's inputs must
-   reproduce the one-shot runs candidate for candidate --- *)
+   reproduce the one-shot runs candidate for candidate; a context over
+   another prepared program is refused --- *)
 
 let test_native_batch_agreement () =
   if not (Lazy.force available) then ()
@@ -286,6 +290,7 @@ let test_native_batch_agreement () =
         let art =
           instance_exn prepared Pathcov.Feedback.Path
         in
+        let entry = Vm.Emit.entry art in
         let trace = Pathcov.Coverage_map.create () in
         Vm.Emit.bind art ~trace ~h_cmp:(fun _ _ -> ());
         let inputs = Array.of_list (subject_inputs s) in
@@ -295,14 +300,14 @@ let test_native_batch_agreement () =
           Array.map
             (fun input ->
               Pathcov.Coverage_map.clear trace;
-              let out = Vm.Emit.run art ctx1 ~input in
+              let out = Vm.Interp.run_one ~entry ctx1 ~input in
               Pathcov.Coverage_map.classify trace;
               (out.Vm.Interp.status, out.blocks_executed, trace_contents trace))
             inputs
         in
         let ctx2 = Vm.Interp.create_ctx prepared in
         let bufs = Array.map Bytes.of_string inputs in
-        Vm.Emit.run_batch art ctx2 ~n
+        Vm.Interp.run_batch ~entry ctx2 ~n
           ~gen:(fun k ->
             Pathcov.Coverage_map.clear trace;
             (bufs.(k), Bytes.length bufs.(k)))
@@ -314,7 +319,20 @@ let test_native_batch_agreement () =
             check Alcotest.int (where ^ " blocks") bl out.blocks_executed;
             check
               Alcotest.(list (pair int int))
-              (where ^ " trace") tr (trace_contents trace)))
+              (where ^ " trace") tr (trace_contents trace));
+        (* a context over another prepared program of the same source is
+           refused before anything runs *)
+        let foreign = Vm.Interp.create_ctx (Vm.Interp.prepare prog) in
+        check_bool
+          (s.name ^ ": foreign context refused")
+          true
+          (match
+             Vm.Interp.run_batch ~entry foreign ~n
+               ~gen:(fun _ -> assert false)
+               ~sink:(fun _ _ -> ())
+           with
+          | () -> false
+          | exception Invalid_argument _ -> true))
       Subjects.Registry.all
   end
 
@@ -389,6 +407,7 @@ let test_native_journal_boundary () =
         let ictx = Vm.Interp.create_ctx ~hooks:(feedback_hooks fb) prepared in
         let nctx = Vm.Interp.create_ctx prepared in
         let art = instance_exn prepared mode in
+        let entry = Vm.Emit.entry art in
         let ntrace = M.create () in
         Vm.Emit.bind art ~trace:ntrace ~h_cmp:(fun _ _ -> ());
         List.iteri
@@ -396,8 +415,8 @@ let test_native_journal_boundary () =
             fb.reset ();
             M.clear fb.trace;
             M.clear ntrace;
-            let i = Vm.Interp.run_ctx ictx ~input in
-            let n = Vm.Emit.run art nctx ~input in
+            let i = Vm.Interp.run_one ictx ~input in
+            let n = Vm.Interp.run_one ~entry nctx ~input in
             let where =
               Printf.sprintf "%s run %d" (Pathcov.Feedback.mode_name mode) run
             in

@@ -9,7 +9,7 @@ let fail = Alcotest.fail
 let subject_case (s : Subjects.Subject.t) =
   Alcotest.test_case s.name `Quick (fun () ->
       let prog = Subjects.Subject.program s in
-      let prep = Vm.Interp.prepare prog in
+      let ctx = Vm.Interp.create_ctx (Vm.Interp.prepare prog) in
       (* structural sanity *)
       check Alcotest.bool "has functions" true (Array.length prog.funcs >= 3);
       Array.iter
@@ -24,7 +24,7 @@ let subject_case (s : Subjects.Subject.t) =
       (* seeds run clean *)
       List.iter
         (fun seed ->
-          match (Vm.Interp.run_prepared prep ~input:seed).status with
+          match (Vm.Interp.run_one ctx ~input:seed).status with
           | Vm.Interp.Finished _ -> ()
           | Vm.Interp.Crashed c ->
               fail (Fmt.str "seed crashes: %a" Vm.Crash.pp c)
@@ -33,7 +33,7 @@ let subject_case (s : Subjects.Subject.t) =
       (* each witness triggers exactly its bug *)
       List.iter
         (fun (bug : Subjects.Subject.bug) ->
-          match (Vm.Interp.run_prepared prep ~input:bug.witness).status with
+          match (Vm.Interp.run_one ctx ~input:bug.witness).status with
           | Vm.Interp.Crashed c
             when Vm.Crash.bug_identity c = Vm.Crash.Id bug.id ->
               ()
@@ -53,11 +53,11 @@ let subject_case (s : Subjects.Subject.t) =
 let random_input_oracle (s : Subjects.Subject.t) =
   Alcotest.test_case (s.name ^ " oracle") `Quick (fun () ->
       let prog = Subjects.Subject.program s in
-      let prep = Vm.Interp.prepare prog in
+      let ctx = Vm.Interp.create_ctx (Vm.Interp.prepare prog) in
       let known = Subjects.Subject.bug_ids s in
       let rng = Fuzz.Rng.create 1234 in
       let try_input input =
-        match (Vm.Interp.run_prepared prep ~input).status with
+        match (Vm.Interp.run_one ctx ~input).status with
         | Vm.Interp.Crashed c -> begin
             match Vm.Crash.bug_identity c with
             | Vm.Crash.Id id ->
@@ -76,7 +76,7 @@ let random_input_oracle (s : Subjects.Subject.t) =
       List.iter
         (fun seed ->
           for _ = 1 to 50 do
-            try_input (Fuzz.Mutator.havoc rng seed)
+            try_input (Test_fuzz.havoc rng seed)
           done)
         s.seeds)
 

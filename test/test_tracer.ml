@@ -57,12 +57,10 @@ let reference_pairs prepared (config : Fuzz.Campaign.config) input =
       incr n
     end
   in
-  let ctx =
-    Vm.Interp.create_ctx ~hooks:{ Vm.Interp.no_hooks with h_cmp } prepared
-  in
   ignore
-    (Vm.Interp.run_ctx ~fuel:config.fuel ~max_depth:config.max_depth ctx
-       ~input);
+    (Vm.Interp.run ~fuel:config.fuel ~max_depth:config.max_depth
+       ~hooks:{ Vm.Interp.no_hooks with h_cmp }
+       prepared.Vm.Interp.prog ~input);
   List.rev !pairs
 
 (* What [calibrate] hands the mutator for the reference pairs: both

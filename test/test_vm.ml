@@ -71,9 +71,9 @@ let test_globals () =
   check Alcotest.int "global state" 22 (ret src "");
   (* globals reset between runs *)
   let prog = Minic.Lower.compile src in
-  let prep = Vm.Interp.prepare prog in
-  let r1 = Vm.Interp.run_prepared prep ~input:"" in
-  let r2 = Vm.Interp.run_prepared prep ~input:"" in
+  let ctx = Vm.Interp.create_ctx (Vm.Interp.prepare prog) in
+  let r1 = Vm.Interp.run_one ctx ~input:"" in
+  let r2 = Vm.Interp.run_one ctx ~input:"" in
   (match (r1.status, r2.status) with
   | Vm.Interp.Finished (Some a), Vm.Interp.Finished (Some b) ->
       check Alcotest.int "deterministic across runs" a b
@@ -208,13 +208,17 @@ let test_steady_state_allocation () =
             }
           in
           let ctx = Vm.Interp.create_ctx ~hooks (Vm.Interp.prepare prog) in
-          let input = List.hd s.seeds in
-          let one () =
+          let input = Bytes.of_string (List.hd s.seeds) in
+          let view = (input, Bytes.length input) in
+          let gen _ =
             fb.reset ();
             Pathcov.Coverage_map.clear fb.trace;
-            ignore (Vm.Interp.run_ctx ctx ~input);
+            view
+          in
+          let sink _ (_ : Vm.Interp.outcome) =
             Pathcov.Coverage_map.classify fb.trace
           in
+          let one () = Vm.Interp.run_batch ctx ~n:1 ~gen ~sink in
           for _ = 1 to 64 do
             one ()
           done;
@@ -278,9 +282,9 @@ let prop_vm_deterministic =
   QCheck.Test.make ~count:100 ~name:"VM runs are deterministic"
     (QCheck.pair Gen.arbitrary_ir Gen.arbitrary_input)
     (fun (prog, input) ->
-      let prep = Vm.Interp.prepare prog in
-      let a = Vm.Interp.run_prepared prep ~input in
-      let b = Vm.Interp.run_prepared prep ~input in
+      let ctx = Vm.Interp.create_ctx (Vm.Interp.prepare prog) in
+      let a = Vm.Interp.run_one ctx ~input in
+      let b = Vm.Interp.run_one ctx ~input in
       a.status = b.status && a.blocks_executed = b.blocks_executed)
 
 let suite =
