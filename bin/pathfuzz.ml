@@ -216,7 +216,7 @@ let fuzz_cmd =
       & opt string ""
       & info [ "checkpoint" ] ~docv:"FILE"
           ~doc:
-            "Write a versioned campaign snapshot (pathfuzz-checkpoint/v2) \
+            "Write a versioned campaign snapshot (pathfuzz-checkpoint/v3) \
              to FILE, atomically, at the first deterministic boundary \
              (between two queue entries, or a shard merge barrier with \
              $(b,--shards)) after each multiple of \
@@ -237,7 +237,8 @@ let fuzz_cmd =
       & info [ "resume" ] ~docv:"FILE"
           ~doc:
             "Resume from a snapshot written by $(b,--checkpoint) instead of \
-             importing seeds. The run's subject, fuzzer, seed, budget and \
+             importing seeds (format v3, or v2). The run's subject, \
+             fuzzer, seed, budget and \
              sync schedule must match the snapshot's; the resumed \
              trajectory is byte-identical to the uninterrupted run's.")
   in

@@ -288,6 +288,11 @@ let bytes_hash (t : t) : int =
 (** Number of indices hit in a trace (AFL's [count_bytes]). *)
 let count_set t = t.ntouched
 
+(** The journal itself: [journal t].(k) for [k < count_set t] are the
+    indices hit, in first-hit order. No copy — valid until the next
+    {!hit} or {!clear}. *)
+let journal t = t.touched
+
 (* LSD radix sort of the journal into the map's scratch, returning the
    buffer that holds the ascending result (valid until the next sort).
    Each pass counts its own digit into one 256-slot histogram, then
@@ -335,11 +340,6 @@ let radix_sorted t : int array =
     through scratch owned by the map, so maps on different domains sort
     independently. *)
 let sorted_indices t = Array.sub (radix_sorted t) 0 t.ntouched
-
-(** Indices hit in a trace, ascending, packed — the retention path's
-    form: the sorted scratch is packed directly, with no intermediate
-    [int array]. *)
-let sorted_set t = Index_set.of_sub (radix_sorted t) ~pos:0 ~len:t.ntouched
 
 (** Indices hit in a trace, ascending (list wrapper over
     {!sorted_indices}, kept for renderers and tests). *)

@@ -111,14 +111,17 @@ val bytes_hash : t -> int
 (** Number of indices hit (AFL's [count_bytes]). *)
 val count_set : t -> int
 
+(** The touched-index journal, not a copy: its first {!count_set}
+    slots are the indices hit, each once, in first-hit order. Valid
+    until the next {!hit} or {!clear}. Readers whose result does not
+    depend on order (the top-rated claim, coverage unions) use it in
+    place of {!sorted_indices}. *)
+val journal : t -> int array
+
 (** Indices hit, ascending, as a fresh array: an LSD radix sort of the
     journal (8-bit digits, [ceil(size_log2 / 8)] passes) through scratch
     owned by the map, so maps on different domains sort independently. *)
 val sorted_indices : t -> int array
-
-(** Indices hit, ascending, packed straight from the sort scratch — the
-    form the retention path stores. *)
-val sorted_set : t -> Index_set.t
 
 (** Indices hit, ascending (list wrapper over {!sorted_indices}, kept
     for renderers and tests). *)

@@ -20,7 +20,9 @@
     its coordinator and its lanes are states built by {!make_state}, and
     every queue entry of either loop goes through {!fuzz_entry} and one
     decision procedure — applied at once, or captured by a lane for the
-    merge barrier to {!replay}. *)
+    merge barrier to {!replay}. Retention claims top-rated slots from the
+    trace map's journal and keeps no index set, in the queue or in a
+    capture. *)
 
 type config = {
   mode : Pathcov.Feedback.mode;
@@ -119,7 +121,6 @@ let capturing (tracer : Tracer.t) (b : cmp_buf) (run : unit -> 'a) : 'a =
 type capture =
   | Retained of {
       data : string;
-      set : Pathcov.Index_set.t;  (** classified trace indices, ascending *)
       delta : Pathcov.Index_set.t;  (** indices that beat the lane's map *)
       dvals : string;  (** classified trace bytes at [delta], one each *)
       claim : Pathcov.Index_set.t;
@@ -351,17 +352,18 @@ let queue_full (st : state) ~(at_exec : int) : bool =
      end
 
 (* Append an input that passed the novelty verdict to the queue, found
-   at campaign exec [at_exec] with the classified trace [indices]. With
-   [claim] the entry claims only those slots (a superset of the ones it
-   can win: see Corpus.dearer_slots). *)
-let admit ?claim (st : state) ~(indices : Pathcov.Index_set.t) ~(data : string)
-    ~(exec_blocks : int) ~(depth : int) ~(at_exec : int) : unit =
-  let e =
-    Corpus.add_set st.corpus ~data ~indices ~exec_blocks ~depth
-      ~found_at:at_exec
-  in
+   at campaign exec [at_exec]. The entry claims its top-rated slots from
+   the live trace's journal, or with [claim] only those slots (a
+   superset of the ones it can win: see Corpus.dearer_slots). *)
+let admit ?claim (st : state) ~(data : string) ~(exec_blocks : int)
+    ~(depth : int) ~(at_exec : int) : unit =
+  let e = Corpus.append st.corpus ~data ~exec_blocks ~depth ~found_at:at_exec in
   (match claim with
-  | None -> Corpus.claim_top_rated st.corpus e
+  | None ->
+      let tr = st.feedback.trace in
+      Corpus.claim_slots st.corpus e
+        (Pathcov.Coverage_map.journal tr)
+        ~len:(Pathcov.Coverage_map.count_set tr)
   | Some slots -> Corpus.claim_top_rated_at st.corpus e slots);
   let c = st.obs.counters in
   c.retained <- c.retained + 1;
@@ -372,30 +374,28 @@ let admit ?claim (st : state) ~(indices : Pathcov.Index_set.t) ~(data : string)
 
 let retain (st : state) ~depth (out : Vm.Interp.outcome) (data : string) : unit
     =
-  admit st
-    ~indices:(Pathcov.Coverage_map.sorted_set st.feedback.trace)
-    ~data ~exec_blocks:(max 1 out.blocks_executed) ~depth ~at_exec:st.execs
+  admit st ~data ~exec_blocks:(max 1 out.blocks_executed) ~depth
+    ~at_exec:st.execs
 
 (* A lane's capture of the novel run of [v] whose merge noted [n]
-   indices: the full set for the queue entry, the delta, and the claim
-   candidates against the coordinator's epoch-start top-rated table. *)
+   indices: the delta, and the claim candidates, taken from the trace's
+   journal, against the coordinator's epoch-start top-rated table. *)
 let capture_retained (st : state) ~depth ~(n : int) (v : Bytes.t * int)
     (out : Vm.Interp.outcome) : unit =
   let delta = last_delta st n in
-  let set = Pathcov.Coverage_map.sorted_set st.feedback.trace in
+  let tr = st.feedback.trace in
   let exec_blocks = max 1 out.blocks_executed in
-  let nset = Pathcov.Index_set.length set in
-  if Array.length st.cand < nset then st.cand <- Array.make (2 * nset) 0;
+  let len = Pathcov.Coverage_map.count_set tr in
+  if Array.length st.cand < len then st.cand <- Array.make (2 * len) 0;
   let ncand =
     Corpus.dearer_slots st.corpus
       ~fav:(Corpus.fav_of ~exec_blocks ~len:(snd v))
-      set ~into:st.cand
+      (Pathcov.Coverage_map.journal tr) ~len ~into:st.cand
   in
   st.captures <-
     Retained
       {
         data = input_of v;
-        set;
         delta;
         dvals = Pathcov.Coverage_map.values_of st.feedback.trace delta;
         claim = Pathcov.Index_set.of_sub st.cand ~pos:0 ~len:ncand;
@@ -466,7 +466,7 @@ let add_seeds (st : state) (seeds : string list) : unit =
   if Corpus.size st.corpus = 0 then
     (* even "A" crashes; fall back to an entry with no coverage *)
     ignore
-      (Corpus.add st.corpus ~data:"A" ~indices:[||] ~exec_blocks:1 ~depth:0
+      (Corpus.append st.corpus ~data:"A" ~exec_blocks:1 ~depth:0
          ~found_at:st.execs)
 
 (** One calibration run of a queue entry, capturing cmplog operand pairs
@@ -516,7 +516,7 @@ let replay (st : state) (cap : capture) : [ `Admitted | `Duplicate | `Other ] =
           ~vals:r.dvals
         <> Pathcov.Coverage_map.Nothing
       then begin
-        admit st ~claim:r.claim ~indices:r.set ~data:r.data
+        admit st ~claim:r.claim ~data:r.data
           ~exec_blocks:r.exec_blocks ~depth:r.depth ~at_exec:r.at_exec;
         `Admitted
       end

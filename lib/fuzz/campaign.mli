@@ -14,7 +14,11 @@
     loop goes through one stage ({!fuzz_entry}) and one decision
     procedure: a sequential state applies each decision at once, a
     shard lane records it as a {!capture} that the merge barrier
-    {!replay}s. *)
+    {!replay}s. A retention costs time in the indices its run touched
+    and keeps none of them: the sequential loop claims top-rated slots
+    straight from the trace map's journal, a lane computes its claim
+    candidates from it, and neither the queue entry nor the capture
+    holds the set. *)
 
 type config = {
   mode : Pathcov.Feedback.mode;
@@ -123,11 +127,12 @@ val entry_skip : Rng.t -> pending_favored:int -> Corpus.entry -> bool
 val entry_energy : config -> left:int -> Corpus.entry -> int
 
 (** What a shard lane records instead of applying a decision, replayed
-    by the merge barrier ({!replay}); index sets are packed like the
-    queue's. A capture carries only what can still change at the
-    barrier: its {e delta}, the indices where it beat the lane's map (in
-    journal order, with their classified bytes), and for a retention its
-    claim candidates. The coordinator's map has cleared at least every
+    by the merge barrier ({!replay}); index sets are packed
+    ({!Pathcov.Index_set}), in journal order. A capture carries only
+    what can still change at the barrier: its {e delta}, the indices
+    where it beat the lane's map (with their classified bytes), and for
+    a retention its claim candidates — no set of every index the run
+    touched, which nothing reads once the entry is claimed. The coordinator's map has cleared at least every
     bit the lane's had when the capture was taken (the lane's map is the
     epoch-start map plus the item's own earlier captures, each of which
     the barrier admits, finds already seen, or skips on a full queue and
@@ -142,11 +147,11 @@ val entry_energy : config -> left:int -> Corpus.entry -> int
 type capture =
   | Retained of {
       data : string;
-      set : Pathcov.Index_set.t;  (** classified trace indices, ascending *)
       delta : Pathcov.Index_set.t;  (** indices that beat the lane's map *)
       dvals : string;  (** classified trace bytes at [delta], one each *)
       claim : Pathcov.Index_set.t;
-          (** slots whose epoch-start holder was dearer ({!Corpus.dearer_slots}) *)
+          (** trace indices whose epoch-start holder was dearer
+              ({!Corpus.dearer_slots}) *)
       exec_blocks : int;
       depth : int;
       at_exec : int;

@@ -20,27 +20,30 @@
     - {!progress}: exec/block/havoc clocks, the planner cursor of a
       sharded run, and every live RNG stream position ({!Rng.state});
     - the virgin and crash-virgin coverage maps, raw bytes;
-    - the indexed corpus: entries with their sparse coverage indices and
+    - the indexed corpus: entries with their inputs, costs and
       [found_at]/[times_fuzzed]/favored metadata, plus the top-rated
-      table and pending-favored count;
+      table and pending-favored count (entries keep no index sets: the
+      table is the only per-index state a resumed run reads);
     - the {!Obs.Counters.t} block and the snapshot rows recorded so far
       (wall-clock floats ride along but are excluded from
       {!fingerprint}, the deterministic identity);
     - the triage record: every crash cluster with its witness input.
 
-    On-disk format ([pathfuzz-checkpoint/v2]): an ASCII magic+version
+    On-disk format ([pathfuzz-checkpoint/v3]): an ASCII magic+version
     header, a length-prefixed little-endian binary payload, and a
-    trailing FNV-1a checksum over everything before it. Entry index sets
-    are stored in their packed form ({!Pathcov.Index_set.encoding}), and
-    the whole file is written into one buffer whose checksum is folded
-    in as it grows. {!of_string} rejects truncated, corrupted, foreign,
-    older and future-versioned files, and payloads whose index sets or
-    top-rated pairs do not fit the recorded map size, with a diagnostic
-    [Error] — never an exception — so the CLI can turn any bad snapshot
-    into a clean nonzero exit. *)
+    trailing FNV-1a checksum over everything before it. The whole file
+    is written into one buffer whose checksum is folded in as it grows.
+    Format v2 differs only in a packed index set
+    ({!Pathcov.Index_set.encoding}) after each entry's data; {!of_string}
+    still reads it, validating each set and dropping it. {!of_string}
+    rejects truncated, corrupted, foreign, v1 and future-versioned
+    files, and payloads whose top-rated pairs (or v2 index sets) do not
+    fit the recorded map size, with a diagnostic [Error] — never an
+    exception — so the CLI can turn any bad snapshot into a clean
+    nonzero exit. *)
 
 let magic_prefix = "pathfuzz-checkpoint/"
-let version = 2
+let version = 3
 let header = Printf.sprintf "%sv%d\n" magic_prefix version
 
 (** The identity of the run that wrote a snapshot. Resume validates the
@@ -85,7 +88,6 @@ type progress = {
 type entry_rec = {
   e_id : int;
   e_data : string;
-  e_indices : Pathcov.Index_set.t;  (** packed, ascending *)
   e_exec_blocks : int;
   e_depth : int;
   e_found_at : int;
@@ -147,7 +149,6 @@ let capture ~(id : config_id) ~(progress : progress)
         {
           e_id = e.Corpus.id;
           e_data = e.Corpus.data;
-          e_indices = e.Corpus.set;
           e_exec_blocks = e.Corpus.exec_blocks;
           e_depth = e.Corpus.depth;
           e_found_at = e.Corpus.found_at;
@@ -204,9 +205,8 @@ let restore_corpus_into (ck : t) (corpus : Corpus.t) : unit =
     (fun (er : entry_rec) ->
       corpus.Corpus.next_id <- er.e_id;
       let e =
-        Corpus.add_set corpus ~data:er.e_data ~indices:er.e_indices
-          ~exec_blocks:er.e_exec_blocks ~depth:er.e_depth
-          ~found_at:er.e_found_at
+        Corpus.append corpus ~data:er.e_data ~exec_blocks:er.e_exec_blocks
+          ~depth:er.e_depth ~found_at:er.e_found_at
       in
       e.Corpus.favored <- er.e_favored;
       e.Corpus.times_fuzzed <- er.e_times_fuzzed;
@@ -437,7 +437,6 @@ let w_payload ~zero buf (ck : t) : unit =
     (fun (e : entry_rec) ->
       w_int buf e.e_id;
       w_str buf e.e_data;
-      w_str buf (Pathcov.Index_set.encoding e.e_indices);
       w_int buf e.e_exec_blocks;
       w_int buf e.e_depth;
       w_int buf e.e_found_at;
@@ -466,12 +465,10 @@ let w_payload ~zero buf (ck : t) : unit =
   Array.iter (w_crash_rec buf) tr.tr_afl_unique
 
 (* A capacity that holds most snapshots without regrowing: the two maps
-   and the queue's data and index sets dominate. *)
+   and the queue's data dominate. *)
 let size_hint (ck : t) : int =
   Array.fold_left
-    (fun a (e : entry_rec) ->
-      a + 64 + String.length e.e_data
-      + String.length (Pathcov.Index_set.encoding e.e_indices))
+    (fun a (e : entry_rec) -> a + 64 + String.length e.e_data)
     (4096 + Bytes.length ck.virgin + Bytes.length ck.crash_virgin
     + (16 * Array.length ck.top_rated))
     ck.entries
@@ -542,6 +539,15 @@ let r_set (r : reader) : Pathcov.Index_set.t =
   match Pathcov.Index_set.of_encoding (r_str r) with
   | Some s -> s
   | None -> raise (Corrupt "malformed packed index set")
+
+(* A format-v2 entry's index set, which this format no longer keeps:
+   read and checked, then dropped. *)
+let skip_v2_set (r : reader) ~map_len ~e_id : unit =
+  if not (Pathcov.Index_set.ascending_below ~bound:map_len (r_set r)) then
+    raise
+      (Corrupt
+         (Printf.sprintf
+            "entry %d index set is not strictly ascending within the map" e_id))
 
 let r_crash (r : reader) : Vm.Crash.t =
   let kind =
@@ -641,7 +647,7 @@ let r_snapshot (r : reader) : Obs.Snapshot.row =
     mut_minor_words;
   }
 
-let parse_payload (src : string) ~pos ~limit : t =
+let parse_payload ~(version : int) (src : string) ~pos ~limit : t =
   let r = { src; limit; pos } in
   let subject = r_str r in
   let fuzzer = r_str r in
@@ -654,6 +660,11 @@ let parse_payload (src : string) ~pos ~limit : t =
   let map_size_log2 = r_int r in
   let max_queue = r_int r in
   let sync_interval = r_int r in
+  (* referential sanity: the restore path must never fault — every index
+     lands in a table of [2^map_size_log2] slots *)
+  if map_size_log2 < 4 || map_size_log2 > 24 then
+    raise (Corrupt (Printf.sprintf "bad map_size_log2 %d" map_size_log2));
+  let map_len = 1 lsl map_size_log2 in
   let id =
     {
       subject;
@@ -698,7 +709,7 @@ let parse_payload (src : string) ~pos ~limit : t =
     Array.init n_entries (fun _ ->
         let e_id = r_int r in
         let e_data = r_str r in
-        let e_indices = r_set r in
+        if version = 2 then skip_v2_set r ~map_len ~e_id;
         let e_exec_blocks = r_int r in
         let e_depth = r_int r in
         let e_found_at = r_int r in
@@ -707,7 +718,6 @@ let parse_payload (src : string) ~pos ~limit : t =
         {
           e_id;
           e_data;
-          e_indices;
           e_exec_blocks;
           e_depth;
           e_found_at;
@@ -736,26 +746,12 @@ let parse_payload (src : string) ~pos ~limit : t =
   let n_afl = r_count r "afl-crash" in
   let tr_afl_unique = Array.init n_afl (fun _ -> r_crash_rec r) in
   if r.pos <> limit then raise (Corrupt "trailing bytes after payload");
-  (* referential sanity: the restore path must never fault — every index
-     lands in a table of [2^map_size_log2] slots *)
-  if map_size_log2 < 4 || map_size_log2 > 24 then
-    raise (Corrupt (Printf.sprintf "bad map_size_log2 %d" map_size_log2));
-  let map_len = 1 lsl map_size_log2 in
   if Bytes.length virgin <> map_len then
     raise (Corrupt "virgin map length disagrees with map_size_log2");
   if Bytes.length crash_virgin <> map_len then
     raise (Corrupt "crash-virgin map length disagrees with map_size_log2");
   let ids = Hashtbl.create (max 16 n_entries) in
-  Array.iter
-    (fun (e : entry_rec) ->
-      if not (Pathcov.Index_set.ascending_below ~bound:map_len e.e_indices) then
-        raise
-          (Corrupt
-             (Printf.sprintf
-                "entry %d index set is not strictly ascending within the map"
-                e.e_id));
-      Hashtbl.replace ids e.e_id ())
-    entries;
+  Array.iter (fun (e : entry_rec) -> Hashtbl.replace ids e.e_id ()) entries;
   Array.iteri
     (fun k (idx, eid) ->
       if idx < 0 || idx >= map_len then
@@ -785,11 +781,11 @@ let parse_payload (src : string) ~pos ~limit : t =
       { tr_total_crashes; tr_total_hangs; tr_by_stack; tr_by_bug; tr_afl_unique };
   }
 
-(** Decode a serialized snapshot. Every failure mode — foreign file,
-    older or future format version, truncation, bit corruption, malformed
-    or inconsistent payload (an index set or top-rated pair outside the
-    recorded map, out of order, or naming no entry; a queue cursor past
-    the queue) — comes back as
+(** Decode a serialized snapshot, format v3 or v2. Every failure mode —
+    foreign file, v1 or future format version, truncation, bit
+    corruption, malformed or inconsistent payload (a top-rated pair or
+    v2 index set outside the recorded map, out of order, or naming no
+    entry; a queue cursor past the queue) — comes back as
     [Error diagnostic], never an exception. *)
 let of_string (s : string) : (t, string) result =
   let len = String.length s in
@@ -805,10 +801,17 @@ let of_string (s : string) : (t, string) result =
           String.sub s (String.length magic_prefix)
             (nl - String.length magic_prefix)
         in
-        if v <> Printf.sprintf "v%d" version then
+        (* 0: a version this build cannot read *)
+        let format =
+          if v = Printf.sprintf "v%d" version then version
+          else if v = "v2" then 2
+          else 0
+        in
+        if format = 0 then
           Error
             (Printf.sprintf
-               "unsupported checkpoint format version %S (this build reads v%d)"
+               "unsupported checkpoint format version %S (this build reads \
+                v2 and v%d)"
                v version)
         else if len < nl + 1 + 8 then
           Error "checkpoint truncated (missing checksum)"
@@ -824,7 +827,9 @@ let of_string (s : string) : (t, string) result =
           then
             Error "checkpoint checksum mismatch (truncated or corrupt file)"
           else begin
-            match parse_payload s ~pos:(nl + 1) ~limit:body_len with
+            match
+              parse_payload ~version:format s ~pos:(nl + 1) ~limit:body_len
+            with
             | ck -> Ok ck
             | exception Corrupt msg ->
                 Error (Printf.sprintf "corrupt checkpoint: %s" msg)

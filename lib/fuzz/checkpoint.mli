@@ -1,14 +1,16 @@
-(** Versioned campaign snapshots ([pathfuzz-checkpoint/v2]): capture a
+(** Versioned campaign snapshots ([pathfuzz-checkpoint/v3]): capture a
     campaign's full state at a deterministic boundary, write it to a
     checksummed binary file, and later resume a run whose remaining
     trajectory is byte-identical to the uninterrupted one.
 
     The format is an ASCII magic+version header, a length-prefixed
-    little-endian payload with packed entry index sets, and a trailing
-    FNV-1a checksum; {!of_string} turns every failure mode (foreign
-    file, older or future version, truncation, corruption, inconsistent
-    payload) into [Error diagnostic] — never an exception. See DESIGN.md
-    §9. *)
+    little-endian payload, and a trailing FNV-1a checksum. Queue entries
+    carry no index sets: the top-rated pairs are the only per-index
+    state a resumed run reads. {!of_string} also reads format v2, whose
+    entries carry packed index sets, checking and dropping them; it
+    turns every failure mode (foreign file, v1 or future version,
+    truncation, corruption, inconsistent payload) into
+    [Error diagnostic] — never an exception. See DESIGN.md §9. *)
 
 (** The identity of the run that wrote a snapshot; resume must validate
     the whole block ({!check_compat}). [sync_interval = 0] marks a
@@ -48,7 +50,6 @@ type progress = {
 type entry_rec = {
   e_id : int;
   e_data : string;
-  e_indices : Pathcov.Index_set.t;  (** packed, ascending *)
   e_exec_blocks : int;
   e_depth : int;
   e_found_at : int;
@@ -131,11 +132,11 @@ val fingerprint : t -> int
 
 val to_string : t -> string
 
-(** Decode a serialized snapshot; all failures come back as [Error],
-    including a v1 file, an index set that is not strictly ascending
-    below [2^map_size_log2], a top-rated pair outside the map, out of
-    order, or naming no entry, and a queue cursor ([next_qi] ≤
-    [cycle_len] ≤ entries) outside the queue. *)
+(** Decode a serialized snapshot of format v3 or v2; all failures come
+    back as [Error], including a v1 file, a v2 entry index set that is
+    not strictly ascending below [2^map_size_log2], a top-rated pair
+    outside the map, out of order, or naming no entry, and a queue
+    cursor ([next_qi] ≤ [cycle_len] ≤ entries) outside the queue. *)
 val of_string : string -> (t, string) result
 
 (** Serialize to [path] atomically (write to [path ^ ".tmp"], rename);

@@ -1,8 +1,8 @@
 (** The fuzzer queue and AFL's favored-corpus machinery.
 
-    Each interesting test case is retained as an [entry] with the sparse
-    set of coverage-map indices it touches. The top-rated table maps
-    every map index to the cheapest entry covering it (afl-fuzz's
+    Each interesting test case is retained as an [entry]: the input, its
+    cost and its scheduling state. The top-rated table maps every map
+    index to the cheapest entry covering it (afl-fuzz's
     [update_bitmap_score]), and an entry is *favored* if it is top-rated
     for at least one index ([cull_queue]'s greedy set-cover
     approximation). The paper's culling strategy (§III-B1) and the
@@ -16,18 +16,19 @@
     queue by remembering its length. [fav_factor] is cached per entry at
     admission — data and cost never change.
 
-    Retention costs time in the indices an entry touches, nothing more:
-    index sets are packed ({!Pathcov.Index_set}), the top-rated table is
-    a flat array indexed by map slot, and each entry counts the slots it
-    holds. Entries are claimed in discovery order as they are retained,
-    under the same [best.fav <= e.fav] tie rule a from-scratch rebuild
-    uses, so the incremental table always equals the rebuilt one and the
-    cycle-start refresh only re-reads the slot counts. *)
+    Retention costs time in the indices an entry touches, nothing more,
+    and keeps no word per index: the top-rated table is a flat array
+    indexed by map slot, an entry claims its slots straight from the
+    indices its run touched (the trace map's journal, in any order: each
+    slot's claim is independent of the others) and then only counts the
+    slots it holds. Entries are claimed in discovery order as they are
+    retained, under the same [best.fav <= e.fav] tie rule a from-scratch
+    rebuild uses, so the incremental table always equals the rebuilt one
+    and the cycle-start refresh only re-reads the slot counts. *)
 
 type entry = {
   id : int;
   data : string;
-  set : Pathcov.Index_set.t;  (** classified trace indices hit, ascending *)
   exec_blocks : int;  (** work proxy standing in for execution time *)
   depth : int;  (** mutation chain length from the seed *)
   found_at : int;  (** global execution counter at discovery *)
@@ -46,6 +47,8 @@ type t = {
           allocated once at the map size when {!create} is given one,
           else grown on demand to cover the largest index claimed *)
   mutable pending_favored : int;
+  mutable staged : int array;  (** {!add}'s indices, until claimed *)
+  mutable staged_for : entry;  (** their entry, or {!unrated} *)
 }
 
 (* The holder of every slot no entry covers. Never mutated: claims
@@ -54,7 +57,6 @@ let unrated =
   {
     id = -1;
     data = "";
-    set = Pathcov.Index_set.empty;
     exec_blocks = 0;
     depth = 0;
     found_at = 0;
@@ -74,10 +76,15 @@ let create ?map_size_log2 () =
     | Some n -> Array.make (1 lsl n) unrated
     | None -> [||]
   in
-  { arr = [||]; size = 0; next_id = 0; top_rated; pending_favored = 0 }
-
-(** The entry's index set, unpacked into a fresh ascending array. *)
-let indices e = Pathcov.Index_set.to_array e.set
+  {
+    arr = [||];
+    size = 0;
+    next_id = 0;
+    top_rated;
+    pending_favored = 0;
+    staged = [||];
+    staged_for = unrated;
+  }
 
 let fav_of ~exec_blocks ~len = exec_blocks * (len + 16)
 
@@ -108,13 +115,11 @@ let recompute_favored (t : t) : unit =
     t;
   t.pending_favored <- !pending
 
-let add_set (t : t) ~data ~(indices : Pathcov.Index_set.t) ~exec_blocks ~depth
-    ~found_at : entry =
+let append (t : t) ~data ~exec_blocks ~depth ~found_at : entry =
   let e =
     {
       id = t.next_id;
       data;
-      set = indices;
       exec_blocks;
       depth;
       found_at;
@@ -136,8 +141,10 @@ let add_set (t : t) ~data ~(indices : Pathcov.Index_set.t) ~exec_blocks ~depth
 
 let add (t : t) ~data ~(indices : int array) ~exec_blocks ~depth ~found_at :
     entry =
-  add_set t ~data ~indices:(Pathcov.Index_set.of_array indices) ~exec_blocks
-    ~depth ~found_at
+  let e = append t ~data ~exec_blocks ~depth ~found_at in
+  t.staged <- indices;
+  t.staged_for <- e;
+  e
 
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.arr.(i) :: acc) in
@@ -155,55 +162,70 @@ let cover (t : t) i =
   t.top_rated <- bigger
 
 (** Incremental update_bitmap_score (afl's on-retention half of the
-    favored machinery): the new entry claims every slot among [slots]
-    (its whole set, or a superset of the slots it can win) it covers
-    more cheaply — one load and compare per slot — moving the slot
+    favored machinery), for one slot: the new entry claims it if it
+    covers it more cheaply — one load and compare — moving the slot
     count from the old holder to it. Favored flags are refreshed at
     cycle boundaries by {!recompute_favored}; until then a claim only
     raises flags: newly-favored never-fuzzed entries bump
-    [pending_favored], exactly as the cycle refresh would. *)
+    [pending_favored], exactly as the cycle refresh would. A slot's
+    claim reads and writes that slot and the entry's own state only, so
+    an entry's slots may be claimed in any order. *)
+let claim_slot (t : t) (e : entry) (i : int) : unit =
+  if i < 0 then invalid_arg "Corpus: negative slot";
+  if i >= Array.length t.top_rated then cover t i;
+  let best = Array.unsafe_get t.top_rated i in
+  if best == unrated || best.fav > e.fav then begin
+    if best != unrated then best.slots <- best.slots - 1;
+    Array.unsafe_set t.top_rated i e;
+    e.slots <- e.slots + 1;
+    if not e.favored then begin
+      e.favored <- true;
+      if e.times_fuzzed = 0 then t.pending_favored <- t.pending_favored + 1
+    end
+  end
+
+let claim_slots (t : t) (e : entry) (slots : int array) ~(len : int) : unit =
+  if len < 0 || len > Array.length slots then invalid_arg "Corpus.claim_slots";
+  for k = 0 to len - 1 do
+    claim_slot t e (Array.unsafe_get slots k)
+  done
+
 let claim_top_rated_at (t : t) (e : entry) (slots : Pathcov.Index_set.t) :
     unit =
-  Pathcov.Index_set.iter
-    (fun i ->
-      if i >= Array.length t.top_rated then cover t i;
-      let best = Array.unsafe_get t.top_rated i in
-      if best == unrated || best.fav > e.fav then begin
-        if best != unrated then best.slots <- best.slots - 1;
-        Array.unsafe_set t.top_rated i e;
-        e.slots <- e.slots + 1;
-        if not e.favored then begin
-          e.favored <- true;
-          if e.times_fuzzed = 0 then t.pending_favored <- t.pending_favored + 1
-        end
-      end)
-    slots
+  Pathcov.Index_set.iter (claim_slot t e) slots
 
-let claim_top_rated (t : t) (e : entry) : unit = claim_top_rated_at t e e.set
+let claim_top_rated (t : t) (e : entry) : unit =
+  if t.staged_for != e then
+    invalid_arg "Corpus.claim_top_rated: not the entry Corpus.add last staged";
+  let slots = t.staged in
+  t.staged <- [||];
+  t.staged_for <- unrated;
+  claim_slots t e slots ~len:(Array.length slots)
 
-(** The slots of [set] whose holder is dearer than [fav] ([unrated]
-    counting as [max_int]), ascending, written to [into]; returns how
-    many. Holders only ever get cheaper, so the slots an entry of cost
-    [fav] covering [set] would claim at any later time are among
-    these. *)
-let dearer_slots (t : t) ~(fav : int) (set : Pathcov.Index_set.t)
+(** The slots among [slots.(0 .. len - 1)] whose holder is dearer than
+    [fav] ([unrated] counting as [max_int]), in the order given, written
+    to [into]; returns how many. Holders only ever get cheaper, so the
+    slots an entry of cost [fav] covering those indices would claim at
+    any later time are among these. *)
+let dearer_slots (t : t) ~(fav : int) (slots : int array) ~(len : int)
     ~(into : int array) : int =
-  if Array.length into < Pathcov.Index_set.length set then
+  if len < 0 || len > Array.length slots || Array.length into < len then
     invalid_arg "Corpus.dearer_slots";
   let n = ref 0 in
   let rated = Array.length t.top_rated in
-  Pathcov.Index_set.iter
-    (fun i ->
-      if
-        i >= rated
-        ||
-        let best = Array.unsafe_get t.top_rated i in
-        best == unrated || best.fav > fav
-      then begin
-        Array.unsafe_set into !n i;
-        incr n
-      end)
-    set;
+  for k = 0 to len - 1 do
+    let i = Array.unsafe_get slots k in
+    if i < 0 then invalid_arg "Corpus.dearer_slots";
+    if
+      i >= rated
+      ||
+      let best = Array.unsafe_get t.top_rated i in
+      best == unrated || best.fav > fav
+    then begin
+      Array.unsafe_set into !n i;
+      incr n
+    end
+  done;
   !n
 
 (** Seat [e] in slot [i] of the top-rated table, displacing the current
@@ -232,7 +254,9 @@ let clear (t : t) : unit =
   t.size <- 0;
   t.next_id <- 0;
   Array.fill t.top_rated 0 (Array.length t.top_rated) unrated;
-  t.pending_favored <- 0
+  t.pending_favored <- 0;
+  t.staged <- [||];
+  t.staged_for <- unrated
 
 (* ------------------------------------------------------------------ *)
 (* Shard views *)
@@ -260,20 +284,3 @@ let view_get (v : view) i =
 let favored_subset (t : t) : entry list =
   recompute_favored t;
   List.filter (fun e -> e.favored) (to_list t)
-
-(** Union of all covered indices across the queue, ascending. *)
-let covered_indices_arr (t : t) : int array =
-  let tbl = Hashtbl.create 1024 in
-  iter (fun e -> Pathcov.Index_set.iter (fun i -> Hashtbl.replace tbl i ()) e.set) t;
-  let out = Array.make (Hashtbl.length tbl) 0 in
-  let k = ref 0 in
-  Hashtbl.iter
-    (fun i () ->
-      out.(!k) <- i;
-      incr k)
-    tbl;
-  Array.sort Int.compare out;
-  out
-
-(** List wrapper over {!covered_indices_arr} (renderer convenience). *)
-let covered_indices (t : t) : int list = Array.to_list (covered_indices_arr t)

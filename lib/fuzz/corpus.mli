@@ -10,19 +10,20 @@
     scheduler snapshots a cycle by remembering the queue length and the
     splice stage picks random peers without list walks.
 
-    Retention costs time in the indices an entry touches: index sets are
-    packed, the top-rated table is a flat array indexed by map slot, and
-    each entry counts the slots it holds. {b Contract:} every entry is
-    claimed ({!claim_top_rated}, or {!claim_top_rated_at} over a
+    Retention costs time in the indices an entry touches and keeps no
+    word per index: the top-rated table is a flat array indexed by map
+    slot, an entry claims its slots from the indices its run touched, in
+    any order, and then only counts the slots it holds. {b Contract:}
+    every entry is claimed ({!claim_slots} over the indices it covers,
+    {!claim_top_rated} after {!add}, or {!claim_top_rated_at} over a
     superset of the slots it can claim, such as its {!dearer_slots} at
-    any earlier point) in discovery order, right after it is added; the
-    incremental table then equals a from-scratch rebuild, and
+    any earlier point) in discovery order, right after it is appended;
+    the incremental table then equals a from-scratch rebuild, and
     {!recompute_favored} only refreshes flags from the slot counts. *)
 
 type entry = {
   id : int;
   data : string;
-  set : Pathcov.Index_set.t;  (** classified trace indices hit, ascending *)
   exec_blocks : int;  (** work proxy standing in for execution time *)
   depth : int;  (** mutation chain length from the seed *)
   found_at : int;  (** global execution counter at discovery *)
@@ -40,6 +41,10 @@ type t = {
       (** map index -> cheapest entry; slots no entry covers hold a
           sentinel with id [-1] *)
   mutable pending_favored : int;
+  mutable staged : int array;
+      (** the indices {!add} was given, until {!claim_top_rated} claims
+          them ([[||]] otherwise) *)
+  mutable staged_for : entry;  (** their entry (the sentinel otherwise) *)
 }
 
 (** A fresh, empty corpus. [map_size_log2] allocates the top-rated
@@ -51,29 +56,23 @@ val create : ?map_size_log2:int -> unit -> t
     [len]-byte input gets at admission: [exec_blocks * (len + 16)]. *)
 val fav_of : exec_blocks:int -> len:int -> int
 
-(** The entry's index set, unpacked into a fresh ascending array. *)
-val indices : entry -> int array
-
 (** Favored refresh at a cycle start (afl's cull_queue): [favored] is set
     iff the entry holds a top-rated slot, and [pending_favored] is
     recounted. Time in the queue length. *)
 val recompute_favored : t -> unit
 
-(** Append an entry; [indices] are packed. *)
+(** Append an entry holding no slot yet; the caller claims it at once
+    ({!claim_slots}, {!claim_top_rated_at}), unless it covers nothing. *)
+val append :
+  t -> data:string -> exec_blocks:int -> depth:int -> found_at:int -> entry
+
+(** {!append}, keeping [indices] (not copied) for the next
+    {!claim_top_rated} of this entry, which consumes them: the entry
+    itself never holds them. *)
 val add :
   t ->
   data:string ->
   indices:int array ->
-  exec_blocks:int ->
-  depth:int ->
-  found_at:int ->
-  entry
-
-(** {!add} for an already packed index set (the retention path). *)
-val add_set :
-  t ->
-  data:string ->
-  indices:Pathcov.Index_set.t ->
   exec_blocks:int ->
   depth:int ->
   found_at:int ->
@@ -90,28 +89,37 @@ val to_list : t -> entry list
 
 val size : t -> int
 
-(** Incremental update_bitmap_score: the (just-retained) entry claims
-    every top_rated slot it covers more cheaply — one array load and
-    compare per index — bumping [pending_favored] for newly-favored
-    never-fuzzed entries. *)
+(** Incremental update_bitmap_score: the (just-appended) entry claims
+    every slot among [slots.(0 .. len - 1)] (distinct map indices, any
+    order — a trace map's journal) that it covers more cheaply than its
+    holder — one array load and compare per slot — bumping
+    [pending_favored] for newly-favored never-fuzzed entries. Raises
+    [Invalid_argument] on a negative slot. *)
+val claim_slots : t -> entry -> int array -> len:int -> unit
+
+(** {!claim_slots} over the indices {!add} was given for this entry,
+    which it then drops. Raises [Invalid_argument] for any entry but the
+    one the last {!add} returned, unclaimed. *)
 val claim_top_rated : t -> entry -> unit
 
-(** {!claim_top_rated} over the listed slots only, which must be
-    slots of the entry's set: the same claim, one compare per listed
-    slot. When [slots] holds every slot of the entry's set whose holder
-    is dearer now, the result equals {!claim_top_rated}'s — so it obeys
-    the same contract. *)
+(** {!claim_slots} over packed slots, which must be among the indices
+    the entry covers. When [slots] holds every one of them whose holder
+    is dearer now, the result equals the claim over all of them — so it
+    obeys the same contract. *)
 val claim_top_rated_at : t -> entry -> Pathcov.Index_set.t -> unit
 
-(** Claim candidates: the slots of [set] whose current holder is dearer
-    than [fav] (an unrated slot counts as [max_int]), ascending, written
-    to [into] (which must hold [Index_set.length set] ints); returns how
-    many. A holder's fav only ever falls, so for an entry of cost [fav]
-    covering [set], these are a superset of the slots it would claim at
-    any later point: a sharded lane computes them against the
-    epoch-start table, and the merge barrier claims with
-    {!claim_top_rated_at}. Reads the table only. *)
-val dearer_slots : t -> fav:int -> Pathcov.Index_set.t -> into:int array -> int
+(** Claim candidates: the slots among [slots.(0 .. len - 1)] whose
+    current holder is dearer than [fav] (an unrated slot counts as
+    [max_int]), in the order given, written to [into] (which must hold
+    [len] ints); returns how many. A holder's fav only ever falls, so
+    for an entry of cost [fav] covering those indices, these are a
+    superset of the slots it would claim at any later point: a sharded
+    lane computes them from its trace journal against the epoch-start
+    table, and the merge barrier claims with {!claim_top_rated_at}.
+    Reads the table only; raises [Invalid_argument] on a negative slot
+    or a short [into]. *)
+val dearer_slots :
+  t -> fav:int -> int array -> len:int -> into:int array -> int
 
 (** Seat an entry in one top-rated slot, displacing the holder (the
     checkpoint restore primitive). *)
@@ -146,9 +154,3 @@ val view_get : view -> int -> entry
     greedily by [fav] — the "minimal coverage-preserving queue"
     the culling strategy retains. *)
 val favored_subset : t -> entry list
-
-(** Union of all covered indices across the queue, ascending. *)
-val covered_indices_arr : t -> int array
-
-(** List wrapper over {!covered_indices_arr} (renderer convenience). *)
-val covered_indices : t -> int list

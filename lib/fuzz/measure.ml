@@ -18,12 +18,13 @@ let make_hooks (fb : Pathcov.Feedback.t) : Vm.Interp.hooks =
 let make_ctx prepared fb =
   Vm.Interp.create_ctx ~hooks:(make_hooks fb) prepared
 
-(* Replay [inputs] under [fb] as one cohort through [ctx]: [f k idxs
-   cost] receives input [k]'s raw trace indices (ascending array) and an
-   afl-style cost (work x size). Replays are off-budget executions;
-   [obs] only counts them. *)
+(* Replay [inputs] under [fb] as one cohort through [ctx]: [f k idx
+   cost] is called for every trace index [idx] input [k] hit, in
+   first-hit order, with the input's afl-style cost (work x size). Both
+   callers are order-insensitive, so nothing is sorted. Replays are
+   off-budget executions; [obs] only counts them. *)
 let replay ?(fuel = Vm.Interp.default_fuel) ?obs ctx fb (inputs : string array)
-    (f : int -> int array -> int -> unit) : unit =
+    (f : int -> int -> int -> unit) : unit =
   Vm.Interp.run_batch ~fuel ctx ~n:(Array.length inputs)
     ~gen:(fun k ->
       (match obs with
@@ -34,17 +35,19 @@ let replay ?(fuel = Vm.Interp.default_fuel) ?obs ctx fb (inputs : string array)
       Pathcov.Coverage_map.clear fb.trace;
       Vm.Interp.view inputs.(k))
     ~sink:(fun k out ->
-      f k
-        (Pathcov.Coverage_map.sorted_indices fb.trace)
-        (out.blocks_executed * (String.length inputs.(k) + 16)))
+      let cost = out.blocks_executed * (String.length inputs.(k) + 16) in
+      let journal = Pathcov.Coverage_map.journal fb.trace in
+      for j = 0 to Pathcov.Coverage_map.count_set fb.trace - 1 do
+        f k journal.(j) cost
+      done)
 
 (** Union of edge coverage over a corpus — "afl-showmap over the queue". *)
 let edge_union ?fuel ?obs prog (inputs : string list) : Int_set.t =
   let fb = Pathcov.Feedback.make Pathcov.Feedback.Edge prog in
   let ctx = make_ctx (Vm.Interp.prepare_cached prog) fb in
   let acc = ref Int_set.empty in
-  replay ?fuel ?obs ctx fb (Array.of_list inputs) (fun _ idxs _ ->
-      Array.iter (fun i -> acc := Int_set.add i !acc) idxs);
+  replay ?fuel ?obs ctx fb (Array.of_list inputs) (fun _ idx _ ->
+      acc := Int_set.add idx !acc);
   !acc
 
 (* Greedy favored-corpus construction over an arbitrary feedback: keep,
@@ -65,13 +68,10 @@ let preserving_cull ?fuel ?obs prog fb (inputs : string list) : string list =
   in
   let top : (int, string * int) Hashtbl.t = Hashtbl.create 1024 in
   let inputs_a = Array.of_list inputs in
-  replay ?fuel ?obs ctx fb inputs_a (fun k idxs cost ->
-      Array.iter
-        (fun idx ->
-          match Hashtbl.find_opt top idx with
-          | Some (_, best) when best <= cost -> ()
-          | _ -> Hashtbl.replace top idx (inputs_a.(k), cost))
-        idxs);
+  replay ?fuel ?obs ctx fb inputs_a (fun k idx cost ->
+      match Hashtbl.find_opt top idx with
+      | Some (_, best) when best <= cost -> ()
+      | _ -> Hashtbl.replace top idx (inputs_a.(k), cost));
   let keep = Hashtbl.create 256 in
   Hashtbl.iter (fun _ (input, _) -> Hashtbl.replace keep input ()) top;
   let kept = List.filter (fun i -> Hashtbl.mem keep i) inputs in

@@ -498,7 +498,7 @@ let easy_bug_path =
   tier "easy_bug" S.path 3_000 ~seeds:[ "hi" ] ~seed:5 ~every:250
     ~widths:[ 0; 1; 2 ] ~sync_interval:256
 
-(* A 2^18 map: snapshots pack 4-byte indices. *)
+(* A 2^18 map: snapshots carry top-rated slots above 65,535. *)
 let wide_map =
   tier "cflow" { S.pathafl with cmplog = true } 3_000 ~seed:5
     ~map_size_log2:18 ~sync_interval:512 ~every:1 ~min_snapshots:3

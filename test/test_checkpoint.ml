@@ -1,9 +1,10 @@
 (* Checkpoint guarantees (DESIGN.md §9) besides resume identity (which
    the contract suite checks from every sampled snapshot): the
-   serialized format round-trips exactly, packs wide maps' indices, and
-   rejects every damaged input with a clean [Error]. Also pins the RNG
-   stream (the checkpoint format records raw stream positions, so the
-   stream itself is part of the on-disk contract). *)
+   serialized format round-trips exactly, wide maps' top-rated slots
+   included, format-v2 files still read, and every damaged input is
+   rejected with a clean [Error]. Also pins the RNG stream (the
+   checkpoint format records raw stream positions, so the stream itself
+   is part of the on-disk contract). *)
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -89,29 +90,53 @@ let mem_sink acc =
     save = (fun ck -> acc := ck :: !acc);
   }
 
-(* A sharded pathafl campaign over a 2^18 map keeps index sets that
-   need the 4-byte packing (the contract resumes this run from bytes). *)
-let test_wide_map_packing () =
+(* A sharded pathafl campaign over a 2^18 map rates slots above 65,535:
+   the last snapshot's table survives the bytes, restores into a corpus
+   slot for slot, and the run resumed from the decoded snapshot ends on
+   the straight run's queue and table. *)
+let test_wide_map_slots () =
   let s = Subjects.Registry.find_exn "cflow" in
-  let base =
+  let prog = Subjects.Subject.compile_fresh s in
+  let config =
     {
-      Fuzz.Campaign.default_config with
-      mode = Pathcov.Feedback.Pathafl;
-      budget = 3_000;
-      rng_seed = 5;
-      map_size_log2 = 18;
+      Fuzz.Shard.base =
+        {
+          Fuzz.Campaign.default_config with
+          mode = Pathcov.Feedback.Pathafl;
+          budget = 3_000;
+          rng_seed = 5;
+          map_size_log2 = 18;
+        };
+      shards = 2;
+      sync_interval = 512;
     }
   in
   let acc = ref [] in
-  ignore
-    (Fuzz.Shard.run ~checkpoint:(mem_sink acc)
-       { Fuzz.Shard.base; shards = 2; sync_interval = 512 }
-       (Subjects.Subject.compile_fresh s) ~seeds:s.seeds);
-  check_bool "some index set is 4 bytes wide" true
-    (Array.exists
-       (fun (e : Fuzz.Checkpoint.entry_rec) ->
-         Pathcov.Index_set.width e.e_indices = 4)
-       (List.hd !acc).entries)
+  let straight =
+    Fuzz.Shard.run ~checkpoint:(mem_sink acc) config prog ~seeds:s.seeds
+  in
+  let ck = List.hd !acc in
+  check_bool "some top-rated slot is above 65,535" true
+    (Array.exists (fun (i, _) -> i > 0xFFFF) ck.top_rated);
+  let ck2 =
+    match Fuzz.Checkpoint.(of_string (to_string ck)) with
+    | Ok ck2 -> ck2
+    | Error e -> Alcotest.fail ("round trip failed: " ^ e)
+  in
+  let pairs_t = Alcotest.(array (pair int int)) in
+  check pairs_t "top-rated pairs survive the bytes" ck.top_rated ck2.top_rated;
+  let c = Fuzz.Corpus.create () in
+  Fuzz.Checkpoint.restore_corpus_into ck2 c;
+  check pairs_t "restored table" ck.top_rated (Fuzz.Corpus.top_rated_pairs c);
+  let resumed = Fuzz.Shard.run ~resume:ck2 config prog ~seeds:s.seeds in
+  check
+    Alcotest.(list string)
+    "resumed queue"
+    (Fuzz.Campaign.queue_inputs straight.campaign)
+    (Fuzz.Campaign.queue_inputs resumed.campaign);
+  check pairs_t "resumed table"
+    (Fuzz.Corpus.top_rated_pairs straight.campaign.corpus)
+    (Fuzz.Corpus.top_rated_pairs resumed.campaign.corpus)
 
 (* ------------------------------------------------------------------ *)
 (* Serialization round trip and robustness                             *)
@@ -155,6 +180,53 @@ let test_roundtrip () =
       check Alcotest.int "queue survives"
         (Array.length ck.entries)
         (Array.length ck2.entries)
+
+(* FNV-1a folded into 63 bits: the checkpoint checksum. *)
+let fnv (s : string) : int =
+  let h = ref 0x3bf29ce484222325 in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) s;
+  !h land max_int
+
+(* The format-v2 file of a snapshot: its v3 bytes with the packed index
+   set [set k] after entry [k]'s data, under a v2 header and a
+   recomputed checksum. *)
+let v2_of (ck : Fuzz.Checkpoint.t) ~(set : int -> int array) : string =
+  let s = Fuzz.Checkpoint.to_string ck in
+  let out = Buffer.create (String.length s) in
+  Buffer.add_string out "pathfuzz-checkpoint/v2\n";
+  let pos = ref (String.index s '\n' + 1) in
+  let copy n =
+    Buffer.add_string out (String.sub s !pos n);
+    pos := !pos + n
+  in
+  let copy_int () =
+    let v = Int64.to_int (String.get_int64_le s !pos) in
+    copy 8;
+    v
+  in
+  let copy_str () = copy (copy_int ()) in
+  (* identity: three strings and eight ints; progress: nine ints; the
+     two maps *)
+  for _ = 1 to 3 do
+    copy_str ()
+  done;
+  copy (8 * (8 + 9));
+  copy_str ();
+  copy_str ();
+  for k = 0 to copy_int () - 1 do
+    ignore (copy_int ());
+    copy_str ();
+    let enc = Pathcov.Index_set.(encoding (of_array (set k))) in
+    Buffer.add_int64_le out (Int64.of_int (String.length enc));
+    Buffer.add_string out enc;
+    (* exec_blocks, depth, found_at, favored, times_fuzzed *)
+    copy (8 * 5)
+  done;
+  copy (String.length s - 8 - !pos);
+  let body = Buffer.contents out in
+  let sum = Bytes.create 8 in
+  Bytes.set_int64_le sum 0 (Int64.of_int (fnv body));
+  body ^ Bytes.to_string sum
 
 let expect_error label = function
   | Ok (_ : Fuzz.Checkpoint.t) ->
@@ -203,16 +275,17 @@ let test_rejects_inconsistent_payload () =
     expect_error label
       (Fuzz.Checkpoint.of_string (Fuzz.Checkpoint.to_string ck'))
   in
-  let with_entry0_indices a =
-    let entries = Array.copy ck.entries in
-    entries.(0) <- { entries.(0) with e_indices = Pathcov.Index_set.of_array a };
-    { ck with entries }
-  in
   check_bool "snapshot has entries and top-rated slots" true
     (Array.length ck.entries > 0 && Array.length ck.top_rated > 1);
-  reencoded "entry index at the map size" (with_entry0_indices [| 1; map_len |]);
-  reencoded "entry index set not ascending" (with_entry0_indices [| 5; 3 |]);
-  reencoded "entry index set with a repeat" (with_entry0_indices [| 3; 3 |]);
+  (* a format-v2 file's entry sets are checked before they are dropped *)
+  let v2_entry0 label a =
+    expect_error label
+      (Fuzz.Checkpoint.of_string
+         (v2_of ck ~set:(fun k -> if k = 0 then a else [||])))
+  in
+  v2_entry0 "v2 entry index at the map size" [| 1; map_len |];
+  v2_entry0 "v2 entry index set not ascending" [| 5; 3 |];
+  v2_entry0 "v2 entry index set with a repeat" [| 3; 3 |];
   let with_top_rated f = { ck with top_rated = f (Array.copy ck.top_rated) } in
   reencoded "top-rated index at the map size"
     (with_top_rated (fun a ->
@@ -243,12 +316,12 @@ let test_rejects_inconsistent_payload () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("pristine snapshot rejected: " ^ e)
 
-(* Format v1 stored every index as an int64; this build reads only v2,
-   and says so. *)
+(* Format v1 stored every index as an int64; this build reads only v2
+   and v3, and says so. *)
 let test_rejects_v1 () =
   let s = Fuzz.Checkpoint.to_string (some_checkpoint ()) in
   let vpos = String.length "pathfuzz-checkpoint/v" in
-  check Alcotest.char "this build writes v2" '2' s.[vpos];
+  check Alcotest.char "this build writes v3" '3' s.[vpos];
   let v1 = Bytes.of_string s in
   Bytes.set v1 vpos '1';
   match Fuzz.Checkpoint.of_string (Bytes.to_string v1) with
@@ -259,6 +332,25 @@ let test_rejects_v1 () =
         true
         (String.starts_with ~prefix:"unsupported checkpoint format version \"v1\""
            msg)
+
+(* A format-v2 file reads as the v3 snapshot it carries: each entry's
+   set (here the slots the entry holds, a subset of a real set) is
+   checked and dropped. *)
+let test_reads_v2 () =
+  let ck = some_checkpoint () in
+  let held k =
+    let id = ck.entries.(k).e_id in
+    Array.of_list
+      (List.filter_map
+         (fun (i, eid) -> if eid = id then Some i else None)
+         (Array.to_list ck.top_rated))
+  in
+  match Fuzz.Checkpoint.of_string (v2_of ck ~set:held) with
+  | Error e -> Alcotest.fail ("v2 snapshot rejected: " ^ e)
+  | Ok ck2 ->
+      check Alcotest.string "v2 decodes to the v3 snapshot"
+        (Fuzz.Checkpoint.to_string ck)
+        (Fuzz.Checkpoint.to_string ck2)
 
 let test_compat_check () =
   let ck = some_checkpoint () in
@@ -364,13 +456,15 @@ let suite =
         Alcotest.test_case "serialization round trip" `Quick test_roundtrip;
         Contract.claim "sharded pathafl resume at map 2^18"
           [ Contract.wide_map ];
-        Alcotest.test_case "map 2^18 snapshots pack wide indices" `Quick
-          test_wide_map_packing;
+        Alcotest.test_case "map 2^18 top-rated slots round-trip and resume"
+          `Quick test_wide_map_slots;
         Alcotest.test_case "damaged snapshots rejected" `Quick
           test_rejects_damage;
         Alcotest.test_case "inconsistent payloads rejected" `Quick
           test_rejects_inconsistent_payload;
         Alcotest.test_case "v1 snapshots rejected" `Quick test_rejects_v1;
+        Alcotest.test_case "v2 snapshots read without their sets" `Quick
+          test_reads_v2;
         Alcotest.test_case "config compatibility check" `Quick
           test_compat_check;
         Alcotest.test_case "atomic file round trip" `Quick test_file_io;

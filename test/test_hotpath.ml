@@ -198,12 +198,15 @@ let test_cmplog_campaign_allocation () =
 
 (* The sharded capture path under retention-heavy feedback: pathafl on
    sqlite3 keeps thousands of entries, so most of the allocation is
-   captures (the input, its packed set, its novelty delta and claim
-   candidates) and the entries the barrier admits. Deltas and candidates
-   are packed, never a word per index; a lane's undo log and candidate
-   scratch grow to the largest journal once. Two shards on one worker,
-   so [Gc.minor_words] sees every lane; the 500-exec warm-up keeps
-   artifact compilation out. *)
+   captures (the input, its novelty delta and claim candidates) and the
+   entries the barrier admits. Deltas and candidates are packed, never a
+   word per index, and no capture keeps a set of every index its run
+   touched; a lane's undo log and candidate scratch grow to the largest
+   journal once. Two shards on one worker, so [Gc.minor_words] sees
+   every lane; the 500-exec warm-up keeps artifact compilation out.
+
+   The queue that run leaves holds no index words at all: each entry
+   reaches only its own record and its input string. *)
 let test_pathafl_shard_allocation () =
   let s = Subjects.Registry.find_exn "sqlite3" in
   let prog = Subjects.Subject.compile_fresh s in
@@ -233,7 +236,23 @@ let test_pathafl_shard_allocation () =
         (Printf.sprintf
            "pathafl %s sharded minor words per exec bounded (got %.1f)"
            (Fuzz.Tracer.engine_name engine) per_exec)
-        true (per_exec < 112.))
+        true (per_exec < 66.);
+      let reached = ref 0 and own = ref 0 in
+      Fuzz.Corpus.iter
+        (fun e ->
+          let words v = Obj.reachable_words (Obj.repr v) in
+          reached := !reached + words e;
+          own := !own + 1 + Obj.size (Obj.repr e) + words e.data)
+        r.corpus;
+      let n = float_of_int (Fuzz.Corpus.size r.corpus) in
+      check_bool
+        (Printf.sprintf
+           "pathafl %s queue entries reach only record and input (%.1f words \
+            per entry, %.1f of them their own)"
+           (Fuzz.Tracer.engine_name engine)
+           (float_of_int !reached /. n) (float_of_int !own /. n))
+        true
+        (Fuzz.Corpus.size r.corpus > 1_000 && !reached <= !own))
     [ Fuzz.Tracer.Fused; Fuzz.Tracer.Native ]
 
 (* --- steady-state allocation: retention under pathafl --- *)
@@ -247,12 +266,12 @@ let allocated_words f =
   minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
 
 (* Replaying a pathafl campaign's queue into a fresh campaign retains
-   most of it, so nearly every evaluation takes the retention path:
-   radix sort of the journal, packing, the entry itself, the top-rated
-   claims. The subject's own allocations are measured by executing the
+   most of it, so nearly every evaluation takes the retention path: the
+   entry itself and the top-rated claims straight from the trace
+   journal. The subject's own allocations are measured by executing the
    same inputs again and subtracted. Per retained entry the rest may
-   allocate the packed set (2 bytes per index), the input string and a
-   few fixed-size records — never a word per index. *)
+   allocate the input string and a few fixed-size records — nothing per
+   index: no sort, no index set. *)
 let test_retention_allocation () =
   let s = Subjects.Registry.find_exn "sqlite3" in
   let prog = Subjects.Subject.compile_fresh s in
@@ -272,7 +291,7 @@ let test_retention_allocation () =
   List.iter (Fuzz.Campaign.process st ~depth:1) warm;
   let c = st.obs.counters in
   let r0 = c.retained in
-  let indices = ref 0 and bytes = ref 0 in
+  let data = ref 0 in
   let words =
     allocated_words (fun () ->
         List.iter (Fuzz.Campaign.process st ~depth:1) steady)
@@ -283,23 +302,18 @@ let test_retention_allocation () =
   in
   let retained = c.retained - r0 in
   for i = Fuzz.Corpus.size st.corpus - retained to Fuzz.Corpus.size st.corpus - 1 do
-    let e = Fuzz.Corpus.get st.corpus i in
-    indices := !indices + Pathcov.Index_set.length e.set;
-    bytes := !bytes + String.length e.data
+    data := !data + Obj.reachable_words (Obj.repr (Fuzz.Corpus.get st.corpus i).data)
   done;
   check_bool "steady phase retained entries" true (retained > 200);
   let per_entry = (words -. vm_words) /. float_of_int retained in
-  let per_index = float_of_int !indices /. float_of_int retained in
-  let data_words = float_of_int !bytes /. 8. /. float_of_int retained in
-  (* packed set: a quarter word per index; input string: data/8 words;
-     entry, event and headers: a few dozen words. An [int array] set
-     alone would be a word per index (the Hashtbl-backed table measured
-     ~7 words per index here). *)
-  let bound = 64. +. data_words +. per_index in
+  let data_words = float_of_int !data /. float_of_int retained in
+  (* the input string's heap words; entry, event and headers: a few
+     dozen words. A packed set would add a quarter word per index, an
+     [int array] set a word per index. *)
+  let bound = 64. +. data_words in
   check_bool
-    (Printf.sprintf
-       "words per retained entry bounded (got %.1f, %.0f indices/entry, bound %.1f)"
-       per_entry per_index bound)
+    (Printf.sprintf "words per retained entry bounded (got %.1f, bound %.1f)"
+       per_entry bound)
     true (per_entry < bound)
 
 (* --- per-campaign fixed cost: one top-rated table --- *)
@@ -345,11 +359,13 @@ let test_campaign_fixed_allocation () =
 let test_corpus_indexing () =
   let c = Fuzz.Corpus.create () in
   for i = 0 to 40 do
-    ignore
-      (Fuzz.Corpus.add c
-         ~data:(String.make (1 + (i mod 5)) 'a')
-         ~indices:[| i; i + 100 |]
-         ~exec_blocks:(1 + i) ~depth:0 ~found_at:i)
+    let e =
+      Fuzz.Corpus.add c
+        ~data:(String.make (1 + (i mod 5)) 'a')
+        ~indices:[| i; i + 100 |]
+        ~exec_blocks:(1 + i) ~depth:0 ~found_at:i
+    in
+    Fuzz.Corpus.claim_top_rated c e
   done;
   check Alcotest.int "size" 41 (Fuzz.Corpus.size c);
   List.iteri
@@ -360,14 +376,19 @@ let test_corpus_indexing () =
   let seen = ref 0 in
   Fuzz.Corpus.iter (fun _ -> incr seen) c;
   check Alcotest.int "iter visits all" 41 !seen;
-  let arr = Fuzz.Corpus.covered_indices_arr c in
-  check
-    (Alcotest.list Alcotest.int)
-    "array/list agree" (Fuzz.Corpus.covered_indices c) (Array.to_list arr);
+  let arr = Array.map fst (Fuzz.Corpus.top_rated_pairs c) in
   check Alcotest.int "covered union" 82 (Array.length arr);
   Array.iteri
     (fun i v -> if i > 0 then check_bool "ascending" true (arr.(i - 1) < v))
     arr;
+  check_bool "a claim consumes the staged indices" true
+    (match Fuzz.Corpus.claim_top_rated c (Fuzz.Corpus.get c 40) with
+    | exception Invalid_argument _ -> true
+    | () -> false);
+  check_bool "a negative slot is refused" true
+    (match Fuzz.Corpus.claim_slots c (Fuzz.Corpus.get c 40) [| 3; -1 |] ~len:2 with
+    | exception Invalid_argument _ -> true
+    | () -> false);
   check_bool "out-of-range get raises" true
     (match Fuzz.Corpus.get c 41 with
     | exception Invalid_argument _ -> true

@@ -1,7 +1,8 @@
 (* The retention path at touched-index cost (DESIGN.md §6, "Retention
-   path"): the incremental flat top-rated table equals a from-scratch
-   cull_queue rebuild, the radix-sorted journal equals a comparison
-   sort, and packed index sets round-trip at both widths. *)
+   path"): the incremental flat top-rated table, claimed in any index
+   order, equals a from-scratch cull_queue rebuild, the radix-sorted
+   journal equals a comparison sort, and packed index sets round-trip at
+   both widths. *)
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -14,13 +15,20 @@ module Corpus = Fuzz.Corpus
 (* The from-scratch oracle                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A corpus and the indices each of its entries was added with, by
+   entry id: entries keep no index sets, so the oracle rebuilds from
+   these. *)
+type tracked = { c : Corpus.t; sets : (int, int array) Hashtbl.t }
+
+let tracked () = { c = Corpus.create (); sets = Hashtbl.create 64 }
+
 (* afl's cull_queue as the corpus ran it before the table became
    incremental: rebuild top_rated over the queue in discovery order under
    the [best.fav <= e.fav] tie rule, favor every holder, count the
    never-fuzzed favored. Returns the table as ascending (index, entry
    id) pairs, each entry's favored flag in discovery order, and the
    pending count. *)
-let oracle (c : Corpus.t) =
+let oracle { c; sets } =
   let tbl = Hashtbl.create 1024 in
   Corpus.iter
     (fun e ->
@@ -29,7 +37,7 @@ let oracle (c : Corpus.t) =
           match Hashtbl.find_opt tbl idx with
           | Some (best : Corpus.entry) when best.fav <= e.fav -> ()
           | _ -> Hashtbl.replace tbl idx e)
-        (Corpus.indices e))
+        (Hashtbl.find sets e.id))
     c;
   let holders = Hashtbl.create 64 in
   Hashtbl.iter (fun _ (e : Corpus.entry) -> Hashtbl.replace holders e.id ()) tbl;
@@ -53,8 +61,9 @@ let pairs_t = Alcotest.(list (pair int int))
 (* The incremental state must match the oracle: the table at any time,
    and the flags, pending count and slot counts after a cycle-start
    refresh. *)
-let check_against_oracle label (c : Corpus.t) =
-  let pairs, flags, pending = oracle c in
+let check_against_oracle label (t : tracked) =
+  let c = t.c in
+  let pairs, flags, pending = oracle t in
   check pairs_t (label ^ ": top-rated table") pairs
     (Array.to_list (Corpus.top_rated_pairs c));
   Corpus.recompute_favored c;
@@ -75,20 +84,33 @@ let check_against_oracle label (c : Corpus.t) =
     (List.map (fun (e : Corpus.entry) -> e.id) (Corpus.favored_subset c))
 
 (* A random retention: few distinct costs so fav ties are common, index
-   sets drawn from a small universe so entries contend for slots. *)
-let random_add rng (c : Corpus.t) ~universe =
+   sets drawn from a small universe so entries contend for slots. Every
+   other entry claims its indices in descending order straight from an
+   array, as the retention path claims from a trace journal in
+   first-hit order; the rest go through [add] and [claim_top_rated]. *)
+let random_add rng { c; sets } ~universe =
   let n = Fuzz.Rng.int rng 12 in
   let idxs =
-    List.sort_uniq compare (List.init n (fun _ -> Fuzz.Rng.int rng universe))
+    Array.of_list
+      (List.sort_uniq compare (List.init n (fun _ -> Fuzz.Rng.int rng universe)))
   in
+  let data = String.make (Fuzz.Rng.int rng 3) 'x' in
+  let exec_blocks = 1 + Fuzz.Rng.int rng 3 in
+  let found_at = Corpus.size c in
   let e =
-    Corpus.add c
-      ~data:(String.make (Fuzz.Rng.int rng 3) 'x')
-      ~indices:(Array.of_list idxs)
-      ~exec_blocks:(1 + Fuzz.Rng.int rng 3)
-      ~depth:0 ~found_at:(Corpus.size c)
+    if found_at land 1 = 0 then begin
+      let e = Corpus.add c ~data ~indices:idxs ~exec_blocks ~depth:0 ~found_at in
+      Corpus.claim_top_rated c e;
+      e
+    end
+    else begin
+      let e = Corpus.append c ~data ~exec_blocks ~depth:0 ~found_at in
+      let journal = Array.of_list (List.rev (Array.to_list idxs)) in
+      Corpus.claim_slots c e journal ~len:(Array.length journal);
+      e
+    end
   in
-  Corpus.claim_top_rated c e
+  Hashtbl.replace sets e.id idxs
 
 (* The scheduler's side: fuzz a random entry, as a cycle would. *)
 let random_fuzz rng (c : Corpus.t) =
@@ -102,11 +124,11 @@ let random_fuzz rng (c : Corpus.t) =
 let test_incremental_equals_oracle () =
   for seed = 1 to 40 do
     let rng = Fuzz.Rng.create seed in
-    let c = Corpus.create () in
+    let c = tracked () in
     let universe = if seed mod 2 = 0 then 64 else 70_000 in
     for step = 1 to 60 do
       random_add rng c ~universe;
-      if Fuzz.Rng.chance rng ~num:1 ~den:3 then random_fuzz rng c;
+      if Fuzz.Rng.chance rng ~num:1 ~den:3 then random_fuzz rng c.c;
       if step mod 15 = 0 then
         check_against_oracle (Printf.sprintf "seed %d step %d" seed step) c
     done
@@ -145,11 +167,12 @@ let dummy_progress =
 let test_restore_equals_oracle () =
   for seed = 1 to 10 do
     let rng = Fuzz.Rng.create (100 + seed) in
-    let c = Corpus.create () in
+    let t = tracked () in
     for _ = 1 to 40 do
-      random_add rng c ~universe:100_000;
-      if Fuzz.Rng.chance rng ~num:1 ~den:3 then random_fuzz rng c
+      random_add rng t ~universe:100_000;
+      if Fuzz.Rng.chance rng ~num:1 ~den:3 then random_fuzz rng t.c
     done;
+    let c = t.c in
     let ck =
       Fuzz.Checkpoint.capture ~id:dummy_id ~progress:dummy_progress
         ~virgin:(Cm.create_virgin ~size_log2:17 ())
@@ -162,7 +185,8 @@ let test_restore_equals_oracle () =
       | Ok ck -> ck
       | Error e -> Alcotest.fail e
     in
-    let r = Corpus.create () in
+    let rt = { c = Corpus.create (); sets = Hashtbl.copy t.sets } in
+    let r = rt.c in
     Fuzz.Checkpoint.restore_corpus_into ck r;
     let label = Printf.sprintf "restore seed %d" seed in
     check pairs_t (label ^ ": table")
@@ -178,19 +202,20 @@ let test_restore_equals_oracle () =
     (* continue both with the same retention stream *)
     let rng_a = Fuzz.Rng.create seed and rng_b = Fuzz.Rng.create seed in
     for _ = 1 to 20 do
-      random_add rng_a c ~universe:100_000;
-      random_add rng_b r ~universe:100_000
+      random_add rng_a t ~universe:100_000;
+      random_add rng_b rt ~universe:100_000
     done;
-    check_against_oracle (label ^ " + 20 (original)") c;
-    check_against_oracle (label ^ " + 20 (restored)") r
+    check_against_oracle (label ^ " + 20 (original)") t;
+    check_against_oracle (label ^ " + 20 (restored)") rt
   done
 
 (* A claim over the slots that were dearer at some earlier point equals
    the full claim: holders only get cheaper, so the later claim can only
    win among those slots. Two corpora share one random history; the new
-   entry's candidates are taken from one of them mid-history, then more
-   entries are retained in both before the new entry is claimed, by
-   [claim_top_rated_at] over the candidates in one and by
+   entry's candidates are taken from one of them mid-history, from its
+   indices in descending order (a journal's order is not ascending),
+   then more entries are retained in both before the new entry is
+   claimed, by [claim_top_rated_at] over the candidates in one and by
    [claim_top_rated] in the other. *)
 let prop_claim_at_candidates =
   QCheck.Test.make ~count:200 ~name:"claim over earlier dearer slots equals full claim"
@@ -201,11 +226,11 @@ let prop_claim_at_candidates =
         let rng = Fuzz.Rng.create seed in
         for _ = 1 to 30 do
           random_add rng c ~universe;
-          if Fuzz.Rng.chance rng ~num:1 ~den:3 then random_fuzz rng c
+          if Fuzz.Rng.chance rng ~num:1 ~den:3 then random_fuzz rng c.c
         done;
         rng
       in
-      let part = Corpus.create () and full = Corpus.create () in
+      let part = tracked () and full = tracked () in
       let rng_p = history part and rng_f = history full in
       (* the would-be entry, and its candidates against the snapshot *)
       let pick = Fuzz.Rng.create (1000 + seed) in
@@ -216,28 +241,33 @@ let prop_claim_at_candidates =
       in
       let data = String.make (Fuzz.Rng.int pick 3) 'y' in
       let exec_blocks = 1 + Fuzz.Rng.int pick 3 in
-      let set = Iset.of_array idxs in
+      let journal = Array.of_list (List.rev (Array.to_list idxs)) in
       let into = Array.make (Array.length idxs) 0 in
       let fav = Corpus.fav_of ~exec_blocks ~len:(String.length data) in
-      let n = Corpus.dearer_slots part ~fav set ~into in
+      let n =
+        Corpus.dearer_slots part.c ~fav journal ~len:(Array.length journal)
+          ~into
+      in
       let cands = Iset.of_sub into ~pos:0 ~len:n in
       for _ = 1 to 10 do
         random_add rng_p part ~universe;
         random_add rng_f full ~universe
       done;
-      let add c =
-        Corpus.add c ~data ~indices:idxs ~exec_blocks ~depth:0
-          ~found_at:(Corpus.size c)
+      let e_p =
+        Corpus.append part.c ~data ~exec_blocks ~depth:0
+          ~found_at:(Corpus.size part.c)
+      and e_f =
+        Corpus.add full.c ~data ~indices:idxs ~exec_blocks ~depth:0
+          ~found_at:(Corpus.size full.c)
       in
-      let e_p = add part and e_f = add full in
-      Corpus.claim_top_rated_at part e_p cands;
-      Corpus.claim_top_rated full e_f;
+      Corpus.claim_top_rated_at part.c e_p cands;
+      Corpus.claim_top_rated full.c e_f;
       let state c =
         ( Corpus.top_rated_pairs c,
           List.map (fun (e : Corpus.entry) -> (e.slots, e.favored)) (Corpus.to_list c),
           c.pending_favored )
       in
-      e_p.fav = fav && state part = state full)
+      e_p.fav = fav && state part.c = state full.c)
 
 (* ------------------------------------------------------------------ *)
 (* Radix-sorted journal                                                *)
@@ -264,8 +294,6 @@ let test_radix_matches_sort () =
           let label = Printf.sprintf "log2 %d, %d indices" log2 (Cm.count_set m) in
           check Alcotest.(array int) (label ^ ": sorted_indices") expected
             (Cm.sorted_indices m);
-          check Alcotest.(array int) (label ^ ": sorted_set") expected
-            (Iset.to_array (Cm.sorted_set m));
           (* the journal itself is left in discovery order *)
           let after = ref [] in
           Cm.iteri_set (fun i _ -> after := i :: !after) m;
