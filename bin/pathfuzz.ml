@@ -24,14 +24,20 @@ let subject_arg =
   let doc = "Benchmark subject name (see `pathfuzz subjects`)." in
   Arg.(value & opt string "motivating" & info [ "s"; "subject" ] ~docv:"NAME" ~doc)
 
+(* A configuration error: one stderr line and exit 2. *)
+let die fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "pathfuzz: %s@." msg;
+      exit 2)
+    fmt
+
 let lookup_subject name =
   if name = "motivating" then Subjects.Motivating.subject
   else
     match Subjects.Registry.find name with
     | Some s -> s
-    | None ->
-        Fmt.epr "unknown subject %s; try `pathfuzz subjects`@." name;
-        exit 2
+    | None -> die "unknown subject %s; try `pathfuzz subjects`" name
 
 (* --- subjects --- *)
 
@@ -50,21 +56,14 @@ let subjects_cmd =
 
 (* --- fuzz --- *)
 
-let fuzzer_of_name rounds = function
-  | "path" -> Fuzz.Strategy.path
-  | "pcguard" -> Fuzz.Strategy.pcguard
-  | "cull" -> Fuzz.Strategy.cull ~rounds ()
-  | "cull_r" -> Fuzz.Strategy.cull_r ~rounds ()
-  | "cull_p" -> Fuzz.Strategy.cull_p ~rounds ()
-  | "opp" -> Fuzz.Strategy.opp
-  | "pathafl" -> Fuzz.Strategy.pathafl
-  | "afl" -> Fuzz.Strategy.afl
-  | "block" -> Fuzz.Strategy.block
-  | "ngram2" -> Fuzz.Strategy.ngram 2
-  | "ngram4" -> Fuzz.Strategy.ngram 4
-  | other ->
-      Fmt.epr "unknown fuzzer %s@." other;
-      exit 2
+let fuzzer_of_name rounds name =
+  match
+    List.find_opt
+      (fun (f : Fuzz.Strategy.fuzzer) -> f.name = name)
+      (Fuzz.Strategy.all ~rounds ())
+  with
+  | Some f -> f
+  | None -> die "unknown fuzzer %s" name
 
 let jobs_arg =
   Arg.(
@@ -81,9 +80,7 @@ let jobs_arg =
 let resolve_jobs = function
   | None -> (Experiments.Config.of_env ()).jobs
   | Some n when n > 0 -> n
-  | Some n ->
-      Fmt.epr "pathfuzz: --jobs must be a positive integer, got %d@." n;
-      exit 2
+  | Some n -> die "--jobs must be a positive integer, got %d" n
 
 let shards_arg =
   Arg.(
@@ -105,45 +102,34 @@ let sync_interval_arg =
           "Executions scheduled between shard sync barriers. Part of the \
            sharded trajectory's identity (independent of wall-clock).")
 
-(* Sharding and checkpointing reuse the plain single-phase campaign
-   loop; multi-phase strategies (cull*, opp) re-seed corpora between
-   phases and have neither a sharded nor a snapshottable equivalent. *)
-let plain_mode_of_fuzzer ~flag (fz : Fuzz.Strategy.fuzzer) :
-    Pathcov.Feedback.mode =
-  match fz.spec with
-  | Fuzz.Strategy.Plain mode -> mode
-  | _ ->
-      Fmt.epr
-        "pathfuzz: %s supports plain fuzzers only (path, pcguard, pathafl, \
-         afl, block, ngram*), not %s@."
-        flag fz.name;
-      exit 2
-
-(* A non-positive --sync-interval used to sail past the CLI and die with
-   an uncaught Invalid_argument from the sharded runner's own guard; an
-   execution-count flag that must be >= 1 is a configuration error and
-   gets the same clean stderr + exit 2 treatment as --jobs. *)
-let check_positive ~flag n =
-  if n < 1 then begin
-    Fmt.epr "pathfuzz: %s must be a positive execution count, got %d@." flag n;
-    exit 2
-  end
-
-(* shared by `fuzz` and `profile` *)
+(* shared by `fuzz`, `profile` and `stats` *)
 let fuzzer_arg =
   Arg.(
     value
     & opt string "path"
     & info [ "f"; "fuzzer" ] ~docv:"FUZZER"
         ~doc:
-          "One of path, pcguard, cull, cull_r, cull_p, opp, pathafl, afl, \
-           block, ngram2, ngram4.")
+          ("One of "
+          ^ String.concat ", "
+              (List.map
+                 (fun (f : Fuzz.Strategy.fuzzer) -> f.name)
+                 (Fuzz.Strategy.all ()))
+          ^ "."))
+
+let budget_arg default =
+  Arg.(
+    value
+    & opt int default
+    & info [ "b"; "budget" ] ~docv:"EXECS" ~doc:"Execution budget.")
 
 let trial_arg =
   Arg.(value & opt int 1 & info [ "t"; "trial" ] ~docv:"N" ~doc:"Trial seed.")
 
 let rounds_arg =
   Arg.(value & opt int 4 & info [ "rounds" ] ~doc:"Culling rounds.")
+
+(* The engine `fuzz`, `profile` and `stats` run without --engine. *)
+let default_engine = Fuzz.Tracer.Interp
 
 let engine_arg_of default =
   Arg.(
@@ -166,22 +152,29 @@ let engine_arg_of default =
               changes."
              (String.concat ", " Fuzz.Tracer.engine_names)))
 
-let engine_arg = engine_arg_of Fuzz.Tracer.Interp
+let engine_arg = engine_arg_of default_engine
 
 let engine_of_flag engine =
   match Fuzz.Tracer.engine_of_name engine with
   | Some e -> e
   | None ->
-      Fmt.epr "pathfuzz: unknown --engine %s (expected %s)@." engine
-        (String.concat ", " Fuzz.Tracer.engine_names);
-      exit 2
+      die "unknown --engine %s (expected %s)" engine
+        (String.concat ", " Fuzz.Tracer.engine_names)
+
+(* Run [spec] on subject [s] (one program and plans, shared by every
+   trial); a refused spec is a configuration error. *)
+let exec (s : Subjects.Subject.t) (spec : Fuzz.Strategy.spec) :
+    Fuzz.Strategy.trial array =
+  let prog = Subjects.Subject.compile_fresh s in
+  let plans = Pathcov.Ball_larus.of_program prog in
+  match
+    Fuzz.Strategy.exec ~plans { spec with subject = s.name } prog
+      ~seeds:s.seeds
+  with
+  | Ok trials -> trials
+  | Error msg -> die "%s" msg
 
 let fuzz_cmd =
-  let fuzzer = fuzzer_arg in
-  let budget =
-    Arg.(value & opt int 24_000 & info [ "b"; "budget" ] ~docv:"EXECS" ~doc:"Execution budget.")
-  in
-  let trial = trial_arg in
   let trials =
     Arg.(
       value
@@ -189,8 +182,6 @@ let fuzz_cmd =
       & info [ "n"; "trials" ] ~docv:"N"
           ~doc:"Number of trials (seeds $(b,--trial), $(b,--trial)+1, ...).")
   in
-  let rounds = rounds_arg in
-  let engine = engine_arg in
   let stats =
     Arg.(
       value
@@ -271,121 +262,44 @@ let fuzz_cmd =
     let s = lookup_subject subject in
     let fz = fuzzer_of_name rounds fuzzer in
     let engine = engine_of_flag engine in
-    let trials = max 1 trials in
     let jobs = resolve_jobs jobs in
-    if shards < 0 then begin
-      Fmt.epr "pathfuzz: --shards must be >= 0, got %d@." shards;
-      exit 2
-    end;
-    check_positive ~flag:"--sync-interval" sync_interval;
-    check_positive ~flag:"--checkpoint-every" checkpoint_every;
-    let use_ck = checkpoint <> "" || resume <> "" in
-    if use_ck && trials > 1 then begin
-      Fmt.epr
-        "pathfuzz: --checkpoint/--resume snapshot a single campaign; run \
-         one trial per invocation (got --trials %d)@."
-        trials;
-      exit 2
-    end;
-    let introspect = trace_file <> "" || metrics_file <> "" in
-    if introspect && trials > 1 then begin
-      Fmt.epr
-        "pathfuzz: --trace/--metrics record a single campaign; run one \
-         trial per invocation (got --trials %d)@."
-        trials;
-      exit 2
-    end;
-    let shard_mode =
-      if shards > 0 then Some (plain_mode_of_fuzzer ~flag:"--shards" fz)
-      else None
-    in
-    (* the campaign config of trial [trial_seed]: Strategy.run's Plain
-       path, so a sharded or checkpointed run fuzzes exactly like a plain
-       one *)
-    let config mode ~trial_seed =
-      Fuzz.Strategy.base_config ~engine ~budget ~trial_seed
-        ~cmplog:fz.cmplog mode
-    in
-    (* Everything a snapshot identifies this run by; --resume refuses a
-       file whose recorded identity differs. *)
-    let expected_id () : Fuzz.Checkpoint.config_id =
-      let mode =
-        match shard_mode with
-        | Some m -> m
-        | None -> plain_mode_of_fuzzer ~flag:"--checkpoint/--resume" fz
-      in
-      Fuzz.Campaign.checkpoint_id (config mode ~trial_seed:trial)
-        ~subject:s.name ~fuzzer:fz.name
-        ~sync_interval:(if shards > 0 then sync_interval else 0)
-    in
-    (* The campaign's observer, exposed so the checkpoint save closure
-       can charge write costs to the metrics registry and so the trace/
-       metrics files can be written after the run. Only set when
-       introspection is on (single trial, so a single cell suffices). *)
-    let obs_out : Obs.Observer.t option ref = ref None in
-    let ck_sink =
+    (* checked even without --checkpoint, like every other schedule knob *)
+    if checkpoint_every < 1 then
+      die "--checkpoint-every must be a positive execution count, got %d"
+        checkpoint_every;
+    let checkpoint =
       if checkpoint = "" then None
       else
         Some
           {
-            Fuzz.Checkpoint.every = checkpoint_every;
-            subject = s.name;
-            fuzzer = fz.name;
-            save =
+            Fuzz.Strategy.every = checkpoint_every;
+            write =
               (fun ck ->
-                let t0 = Unix.gettimeofday () in
                 let bytes = Fuzz.Checkpoint.write_file ~path:checkpoint ck in
-                (match !obs_out with
-                | Some obs ->
-                    let m = obs.Obs.Observer.metrics in
-                    Obs.Metrics.bump
-                      (Obs.Metrics.counter m "checkpoint.writes");
-                    Obs.Metrics.observe
-                      (Obs.Metrics.hist m "checkpoint.bytes")
-                      bytes;
-                    Obs.Metrics.add_wall
-                      (Obs.Metrics.wall m "checkpoint.write_s")
-                      (Unix.gettimeofday () -. t0)
-                | None -> ());
                 Fmt.epr "[checkpoint] wrote %s (%d bytes) at %d execs@."
-                  checkpoint bytes ck.Fuzz.Checkpoint.progress.execs);
+                  checkpoint bytes ck.Fuzz.Checkpoint.progress.execs;
+                bytes);
           }
     in
-    let resume_ck =
+    let resume =
       if resume = "" then None
       else
         match Fuzz.Checkpoint.read_file resume with
-        | Error msg ->
-            Fmt.epr "pathfuzz: cannot resume from %s: %s@." resume msg;
-            exit 2
-        | Ok ck -> (
-            match Fuzz.Checkpoint.check_compat ~expected:(expected_id ()) ck with
-            | Ok () ->
-                Fmt.epr "[checkpoint] resuming %s at %d execs@." resume
-                  ck.Fuzz.Checkpoint.progress.execs;
-                Some ck
-            | Error msg ->
-                Fmt.epr
-                  "pathfuzz: --resume %s does not match this run's config: \
-                   %s@."
-                  resume msg;
-                exit 2)
+        | Error msg -> die "cannot resume from %s: %s" resume msg
+        | Ok ck ->
+            Fmt.epr "[checkpoint] read %s, taken at %d execs@." resume
+              ck.Fuzz.Checkpoint.progress.execs;
+            Some ck
     in
-    (* force the plain-fuzzer check even when only --checkpoint is given *)
-    if use_ck && shard_mode = None then ignore (expected_id ());
     (* worker/shard counts go to stderr: stdout must be identical at any
        --jobs or --shards value so runs can be diffed *)
-    Fmt.pr "fuzzing %s with %s for %d execs (%d trial%s from seed %d)...@."
-      s.name fz.name budget trials
-      (if trials = 1 then "" else "s")
-      trial;
     if jobs > 1 then Fmt.epr "[fuzz] %d worker domains@." jobs;
     if shards > 0 then
       Fmt.epr "[fuzz] %d shards, sync every %d execs@." shards sync_interval;
     (* the engine is trajectory-invisible, so it stays off stdout (runs
        must diff clean across engines) and out of the checkpoint identity
        (snapshots resume under any engine) *)
-    if engine <> Fuzz.Tracer.Interp then
+    if engine <> default_engine then
       Fmt.epr "[fuzz] engine=%s@." (Fuzz.Tracer.engine_name engine);
     (* Observability: status/JSONL sinks never touch stdout, so observed
        and unobserved runs produce the same diffable report. The sink is
@@ -396,7 +310,7 @@ let fuzz_cmd =
       | "-" -> Some stderr
       | path -> Some (open_out path)
     in
-    let base_sink =
+    let sink =
       let sinks =
         (if stats then [ Obs.Sink.status prerr_endline ] else [])
         @ match jsonl_oc with Some oc -> [ Obs.Sink.jsonl oc ] | None -> []
@@ -411,105 +325,58 @@ let fuzz_cmd =
        observation-only under the zero-perturbation rule, so stdout
        still diffs clean against an uninstrumented run (test/dune
        holds this). *)
-    let mk_obs ~tracks () : Obs.Observer.t option =
-      if not introspect then
-        Option.map (fun sink -> Obs.Observer.create ~sink ()) base_sink
-      else begin
-        let clock = Unix.gettimeofday in
-        let trace =
-          if trace_file = "" then None
-          else Some (Obs.Trace.create ~clock ~tracks ())
-        in
-        let obs = Obs.Observer.create ~clock ?trace ?sink:base_sink () in
-        obs_out := Some obs;
-        Some obs
-      end
+    let introspect = trace_file <> "" || metrics_file <> "" in
+    let clock = if introspect then Some Unix.gettimeofday else None in
+    let observer () =
+      let trace =
+        if trace_file = "" then None
+        else
+          Some
+            (Obs.Trace.create ~clock:Unix.gettimeofday ~tracks:(shards + 1) ())
+      in
+      Some (Obs.Observer.create ?clock ?trace ?sink ())
     in
     let results =
-      match shard_mode with
-      | Some mode ->
-          (* sharded campaigns parallelise inside each trial, so trials
-             run sequentially; the worker width comes from --shards *)
-          Array.init trials (fun i ->
-              let prog = Subjects.Subject.compile_fresh s in
-              let plans = Pathcov.Ball_larus.of_program prog in
-              let obs = mk_obs ~tracks:(shards + 1) () in
-              let cfg =
-                {
-                  Fuzz.Shard.base = config mode ~trial_seed:(trial + i);
-                  shards;
-                  sync_interval;
-                }
-              in
-              let r =
-                Fuzz.Shard.run ~plans ?obs ?checkpoint:ck_sink
-                  ?resume:resume_ck cfg prog ~seeds:s.seeds
-              in
-              Fmt.epr
-                "[shard] trial %d: %d epochs, %d items, %d duplicates \
-                 dropped at barriers@."
-                (trial + i) r.epochs r.items r.dup_dropped;
-              Fuzz.Strategy.of_campaign fz.name r.campaign)
-      | None when use_ck ->
-          (* snapshot plumbing needs Campaign.run directly; the config is
-             exactly Strategy.run's Plain path, so the trajectory — and
-             stdout — match a run without these flags byte for byte *)
-          [|
-            (let prog = Subjects.Subject.compile_fresh s in
-             let plans = Pathcov.Ball_larus.of_program prog in
-             let obs = mk_obs ~tracks:1 () in
-             let mode = plain_mode_of_fuzzer ~flag:"--checkpoint/--resume" fz in
-             let config = config mode ~trial_seed:trial in
-             let r =
-               Fuzz.Campaign.run ~plans ?obs ~config ?checkpoint:ck_sink
-                 ?resume:resume_ck prog ~seeds:s.seeds
-             in
-             Fuzz.Strategy.of_campaign fz.name r);
-          |]
-      | None ->
-          Exec.Pool.map ~jobs ?sink:base_sink trials (fun i ->
-              (* per-worker program and plans: see lib/exec *)
-              let prog = Subjects.Subject.compile_fresh s in
-              let plans = Pathcov.Ball_larus.of_program prog in
-              let obs = mk_obs ~tracks:1 () in
-              Fuzz.Strategy.run ~plans ?obs ~engine ~budget
-                ~trial_seed:(trial + i) fz prog ~seeds:s.seeds)
+      exec s
+        { (Fuzz.Strategy.spec ~engine ~budget ~trial_seed:trial fz) with
+          trials; jobs; shards; sync_interval; checkpoint; resume; observer;
+          trial_sink = sink }
     in
-    (match jsonl_oc with
-    | Some oc ->
-        flush oc;
-        if jsonl <> "-" then close_out oc
-    | None -> ());
+    Option.iter (if jsonl = "-" then flush else close_out) jsonl_oc;
     (* introspection artifacts go to their own files (stderr notes only):
        stdout stays diffable against a run without these flags *)
-    (match !obs_out with
-    | None -> ()
-    | Some obs ->
-        (match (trace_file, obs.Obs.Observer.trace) with
-        | "", _ | _, None -> ()
-        | path, Some tr ->
-            let oc = open_out path in
+    (match results with
+    | [| { obs = Some obs; _ } |] ->
+        Option.iter
+          (fun tr ->
             let track_names i =
-              if i = 0 then
-                Some (if shards > 0 then "coordinator" else "campaign")
-              else Some (Printf.sprintf "shard %d" (i - 1))
+              if i > 0 then Some (Printf.sprintf "shard %d" (i - 1))
+              else Some (if shards > 0 then "coordinator" else "campaign")
             in
-            Obs.Trace.to_chrome ~track_names tr oc;
-            close_out oc;
-            Fmt.epr "[fuzz] wrote span trace %s@." path);
-        if metrics_file <> "" then begin
-          let json = Obs.Metrics.to_json obs.Obs.Observer.metrics in
-          if metrics_file = "-" then Fmt.epr "%s@." json
-          else begin
-            let oc = open_out metrics_file in
-            output_string oc json;
-            output_char oc '\n';
-            close_out oc;
-            Fmt.epr "[fuzz] wrote metrics %s@." metrics_file
-          end
-        end);
+            Out_channel.with_open_text trace_file
+              (Obs.Trace.to_chrome ~track_names tr);
+            Fmt.epr "[fuzz] wrote span trace %s@." trace_file)
+          obs.trace;
+        (match metrics_file with
+        | "" -> ()
+        | "-" -> Fmt.epr "%s@." (Obs.Metrics.to_json obs.metrics)
+        | path ->
+            Out_channel.with_open_text path (fun oc ->
+                output_string oc (Obs.Metrics.to_json obs.metrics ^ "\n"));
+            Fmt.epr "[fuzz] wrote metrics %s@." path)
+    | _ -> ());
+    Fmt.pr "fuzzing %s with %s for %d execs (%d trial%s from seed %d)...@."
+      s.name fz.name budget trials
+      (if trials = 1 then "" else "s")
+      trial;
     Array.iteri
-      (fun i (r : Fuzz.Strategy.run_result) ->
+      (fun i (t : Fuzz.Strategy.trial) ->
+        let r = t.result in
+        if shards > 0 then
+          Fmt.epr
+            "[shard] trial %d: %d epochs, %d items, %d duplicates dropped \
+             at barriers@."
+            (trial + i) t.epochs t.items t.dup_dropped;
         if trials > 1 then Fmt.pr "@.-- trial %d --@." (trial + i);
         Fmt.pr "executions:      %d@." r.execs;
         Fmt.pr "queue size:      %d@." r.queue_size;
@@ -545,20 +412,14 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc:"Run one or more fuzzing campaigns")
     Term.(
-      const run $ subject_arg $ fuzzer $ budget $ trial $ trials $ rounds
-      $ engine $ jobs_arg $ shards_arg
+      const run $ subject_arg $ fuzzer_arg $ budget_arg 24_000 $ trial_arg
+      $ trials $ rounds_arg $ engine_arg $ jobs_arg $ shards_arg
       $ sync_interval_arg $ stats $ jsonl $ checkpoint $ checkpoint_every
       $ resume $ trace_file $ metrics_file)
 
 (* --- profile (deep campaign introspection) --- *)
 
 let profile_cmd =
-  let budget =
-    Arg.(
-      value
-      & opt int 8_000
-      & info [ "b"; "budget" ] ~docv:"EXECS" ~doc:"Execution budget.")
-  in
   let deterministic =
     Arg.(
       value
@@ -577,17 +438,10 @@ let profile_cmd =
     let s = lookup_subject subject in
     let fz = fuzzer_of_name rounds fuzzer in
     let engine = engine_of_flag engine in
-    if shards < 0 then begin
-      Fmt.epr "pathfuzz: --shards must be >= 0, got %d@." shards;
-      exit 2
-    end;
-    check_positive ~flag:"--sync-interval" sync_interval;
-    if deterministic && shards > 0 then begin
-      Fmt.epr
-        "pathfuzz: --deterministic profiles the sequential loop (the \
-         virtual tick clock is single-domain); drop --shards@.";
-      exit 2
-    end;
+    if deterministic && shards > 0 then
+      die
+        "--deterministic profiles the sequential loop (the virtual tick \
+         clock is single-domain); drop --shards";
     let clock =
       if deterministic then (
         let t = ref 0. in
@@ -596,27 +450,15 @@ let profile_cmd =
           !t)
       else Unix.gettimeofday
     in
-    let trace = Obs.Trace.create ~clock ~tracks:(shards + 1) () in
-    let obs = Obs.Observer.create ~clock ~trace () in
-    let prog = Subjects.Subject.compile_fresh s in
-    let plans = Pathcov.Ball_larus.of_program prog in
-    (match shards with
-    | 0 ->
-        ignore
-          (Fuzz.Strategy.run ~plans ~obs ~engine ~budget
-             ~trial_seed:trial fz prog ~seeds:s.seeds)
-    | _ ->
-        let mode = plain_mode_of_fuzzer ~flag:"--shards" fz in
-        let cfg =
-          {
-            Fuzz.Shard.base =
-              Fuzz.Strategy.base_config ~engine ~budget ~trial_seed:trial
-                ~cmplog:fz.cmplog mode;
-            shards;
-            sync_interval;
-          }
-        in
-        ignore (Fuzz.Shard.run ~plans ~obs cfg prog ~seeds:s.seeds));
+    let observer () =
+      let trace = Obs.Trace.create ~clock ~tracks:(shards + 1) () in
+      Some (Obs.Observer.create ~clock ~trace ())
+    in
+    let trials =
+      exec s
+        { (Fuzz.Strategy.spec ~engine ~budget ~trial_seed:trial fz) with
+          shards; sync_interval; observer }
+    in
     let title =
       Printf.sprintf "pathfuzz profile: %s / %s, budget %d, trial %d%s%s"
         s.name fz.name budget trial
@@ -624,7 +466,8 @@ let profile_cmd =
         (if deterministic then ", virtual clock" else "")
     in
     print_string
-      (Experiments.Profile_report.render ~title ~with_wall:true ~shards obs)
+      (Experiments.Profile_report.render ~title ~with_wall:true ~shards
+         (Option.get trials.(0).obs))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -633,9 +476,9 @@ let profile_cmd =
           registry and render the deep introspection report (phase \
           walls, shard utilization, engine metrics, counters)")
     Term.(
-      const run $ subject_arg $ fuzzer_arg $ budget $ trial_arg $ rounds_arg
-      $ engine_arg $ shards_arg
-      $ sync_interval_arg $ deterministic)
+      const run $ subject_arg $ fuzzer_arg $ budget_arg 8_000 $ trial_arg
+      $ rounds_arg $ engine_arg $ shards_arg $ sync_interval_arg
+      $ deterministic)
 
 (* --- path-profile --- *)
 
@@ -773,25 +616,6 @@ let tables_cmd =
 (* --- stats --- *)
 
 let stats_cmd =
-  let fuzzer =
-    Arg.(
-      value
-      & opt string "path"
-      & info [ "f"; "fuzzer" ] ~docv:"FUZZER"
-          ~doc:"Fuzzer configuration (see `pathfuzz fuzz`).")
-  in
-  let budget =
-    Arg.(
-      value
-      & opt int 8_000
-      & info [ "b"; "budget" ] ~docv:"EXECS" ~doc:"Execution budget.")
-  in
-  let trial =
-    Arg.(value & opt int 1 & info [ "t"; "trial" ] ~docv:"N" ~doc:"Trial seed.")
-  in
-  let rounds =
-    Arg.(value & opt int 4 & info [ "rounds" ] ~doc:"Culling rounds.")
-  in
   let events =
     Arg.(
       value
@@ -810,18 +634,16 @@ let stats_cmd =
   let run subject fuzzer budget trial rounds events jsonl =
     let s = lookup_subject subject in
     let fz = fuzzer_of_name rounds fuzzer in
-    let prog = Subjects.Subject.compile_fresh s in
-    let plans = Pathcov.Ball_larus.of_program prog in
     (* A ring sink retains the event log in memory; no clock, so the
        report is deterministic for (subject, fuzzer, budget, trial). *)
     let ring = Obs.Sink.create_ring ~capacity:8192 () in
     let obs = Obs.Observer.create ~sink:(Obs.Sink.ring ring) () in
     Fmt.pr "stats: %s / %s, budget %d, trial seed %d@." s.name fz.name budget
       trial;
-    let r =
-      Fuzz.Strategy.run ~plans ~obs ~engine:Fuzz.Tracer.Interp ~budget
-        ~trial_seed:trial fz prog ~seeds:s.seeds
+    let spec =
+      Fuzz.Strategy.spec ~engine:default_engine ~budget ~trial_seed:trial fz
     in
+    let r = (exec s { spec with observer = (fun () -> Some obs) }).(0).result in
     print_string (Experiments.Obs_render.counters_table obs.counters);
     print_string
       (Experiments.Obs_render.snapshots_table (Obs.Observer.snapshots obs));
@@ -850,8 +672,8 @@ let stats_cmd =
          "Run one observed campaign and render its counters, snapshot \
           trajectory and event log")
     Term.(
-      const run $ subject_arg $ fuzzer $ budget $ trial $ rounds $ events
-      $ jsonl)
+      const run $ subject_arg $ fuzzer_arg $ budget_arg 8_000 $ trial_arg
+      $ rounds_arg $ events $ jsonl)
 
 let () =
   let doc = "path-aware coverage-guided fuzzing (CGO 2026 reproduction)" in

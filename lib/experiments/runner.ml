@@ -51,28 +51,32 @@ let subject_plans (subject : Subjects.Subject.t) (prog : Minic.Ir.program) :
           Hashtbl.add plans_memo subject.Subjects.Subject.name p;
           p)
 
-(** Run one (subject, fuzzer, trial) task. Subject preparation is hoisted
+(** Run one (subject, fuzzer, trial) task through {!Fuzz.Strategy.exec}.
+    Subject preparation is hoisted
     out of the per-trial loop: the program ({!Subjects.Subject.program},
-    memoized), its Ball–Larus plans (memo above) and — inside
-    [Campaign.run], via [Vm.Interp.prepare_cached] — the prepared CFG are
+    memoized), its Ball–Larus plans (memo above) and — inside the
+    campaign, via [Vm.Interp.prepare_cached] — the prepared CFG are
     all built once per subject and shared read-only across trials and
     worker domains. Campaigns are pure functions of
     (program, seeds, config) and the shared artifacts are immutable, so
     the matrix stays bit-identical at any worker count. [engine] is
-    trajectory-invisible; every campaign's maps take [cfg]'s size. *)
+    trajectory-invisible; every campaign's maps take [cfg]'s size. Only
+    the trial's {!Fuzz.Strategy.run_result} is kept, not its queue. *)
 let run_trial ?engine (cfg : Config.t) (subject : Subjects.Subject.t)
     (fuzzer : Fuzz.Strategy.fuzzer) (trial : int) :
     Fuzz.Strategy.run_result * float =
   let prog = Subjects.Subject.program subject in
   let plans = subject_plans subject prog in
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Fuzz.Strategy.run ~plans ?engine ~map_size_log2:cfg.map_size_log2
+  let spec =
+    Fuzz.Strategy.spec ?engine ~map_size_log2:cfg.map_size_log2
       ~budget:cfg.budget
       ~trial_seed:(cfg.base_seed + (trial * 7919))
-      fuzzer prog ~seeds:subject.seeds
+      fuzzer
   in
-  (r, Unix.gettimeofday () -. t0)
+  let t0 = Unix.gettimeofday () in
+  match Fuzz.Strategy.exec ~plans spec prog ~seeds:subject.seeds with
+  | Ok trials -> (trials.(0).result, Unix.gettimeofday () -. t0)
+  | Error msg -> invalid_arg ("Runner.run_trial: " ^ msg)
 
 (** Run the full matrix, fanning the (subject x fuzzer x trial) task list
     out over [jobs] worker domains. Results are collected keyed by task

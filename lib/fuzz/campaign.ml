@@ -60,6 +60,8 @@ type result = {
   sum_exec_blocks : int;  (** total VM blocks executed, throughput proxy *)
   havocs : int;  (** mutated candidates generated *)
   snapshots : Obs.Snapshot.row list;  (** this run's periodic stats rows *)
+  virgin : Pathcov.Coverage_map.t;
+  crash_virgin : Pathcov.Coverage_map.t;
   vm_s : float;  (** wall inside the VM (0 unless the observer has a clock) *)
   mut_s : float;  (** wall inside the mutator (0 unless clocked) *)
   mut_minor_words : float;  (** GC minor words allocated by the mutator *)
@@ -880,6 +882,8 @@ let finish (st : state) (b : baseline) ~(tracers : Tracer.t list) : result =
     sum_exec_blocks = c.blocks - b.c0.blocks;
     havocs = c.havocs - b.c0.havocs;
     snapshots;
+    virgin = st.virgin;
+    crash_virgin = st.crash_virgin;
     vm_s = c.vm_s -. b.c0.vm_s;
     mut_s = c.mut_s -. b.c0.mut_s;
     mut_minor_words = c.mut_minor_words -. b.c0.mut_minor_words;
@@ -932,21 +936,6 @@ let run_state ?(checkpoint : Checkpoint.sink option)
   take_snapshot st;
   finish st base ~tracers:[ st.tracer ]
 
-(** Run a campaign. [plans] shares a precomputed Ball–Larus artifact;
-    [obs] supplies the observer (counters, snapshot log, event sink and
-    the optional wall clock that enables the mutation-vs-VM split
-    [pathfuzz profile] reports). Fuzzing behaviour is identical with or
-    without it.
-
-    [checkpoint] writes a snapshot before the first queue entry (or
-    cycle start) at which the exec clock has crossed a multiple of
-    [sink.every] executions (mid-budget only). [resume] restores one
-    such snapshot instead of importing [seeds], finishing the cycle it
-    was taken in; the resumed run replays the uninterrupted run's
-    trajectory byte for byte. Both
-    assume the campaign owns its observer — a checkpointed counter block
-    is restored wholesale, so resuming into a shared observer would
-    double-count other phases' work. *)
 let run ?plans ?obs ?(config = default_config) ?checkpoint ?resume
     (prog : Minic.Ir.program) ~(seeds : string list) : result =
   run_state ?checkpoint ?resume (make_state ?plans ?obs ~config prog) ~seeds

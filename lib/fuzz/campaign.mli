@@ -53,6 +53,8 @@ type result = {
   havocs : int;  (** mutated candidates generated *)
   snapshots : Obs.Snapshot.row list;
       (** this run's periodic stats rows (the [plot_data] analogue) *)
+  virgin : Pathcov.Coverage_map.t;  (** the final virgin map *)
+  crash_virgin : Pathcov.Coverage_map.t;
   vm_s : float;  (** wall inside the VM (0 unless the observer has a clock) *)
   mut_s : float;  (** wall inside the mutator (0 unless clocked) *)
   mut_minor_words : float;  (** GC minor words allocated by the mutator *)
@@ -61,13 +63,14 @@ type result = {
 (** Final queue inputs, in discovery order. *)
 val queue_inputs : result -> string list
 
-(** Run a campaign. [plans] shares a precomputed Ball–Larus artifact
-    across campaigns on the same program. [obs] supplies the observer —
-    counters, snapshot log, event sink, and the optional wall clock that
-    enables the mutation-vs-VM split [pathfuzz profile] reports.
-    A shared observer accumulates across runs (multi-phase strategies,
-    benches); each run's [result] reports its own deltas. Fuzzing
-    behaviour is identical with or without an observer.
+(** Run one campaign on the sequential loop, the one {!Strategy.exec}
+    picks for a spec without shards. [plans] shares a precomputed Ball–Larus artifact across campaigns
+    on the same program. [obs] supplies the observer: counters, snapshot
+    log, event sink, and the optional wall clock that enables the
+    mutation-vs-VM split [pathfuzz profile] reports. A shared observer
+    accumulates across runs (multi-phase strategies, benches); each
+    run's [result] reports its own deltas. Fuzzing behaviour is
+    identical with or without an observer.
 
     [checkpoint] writes a {!Checkpoint.t} through the sink before the
     first queue entry (or cycle start) at which the exec clock has
@@ -78,7 +81,8 @@ val queue_inputs : result -> string list
     taken in: the resumed run replays the uninterrupted run's remaining
     trajectory byte for byte (test-enforced differentially). Both
     require the campaign to own its observer — the checkpointed counter
-    block is restored wholesale. *)
+    block is restored wholesale. Neither checks the snapshot's identity;
+    {!Strategy.exec} does. *)
 val run :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?obs:Obs.Observer.t ->

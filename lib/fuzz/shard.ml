@@ -246,22 +246,9 @@ let restore_checkpoint (t : t) (ck : Checkpoint.t) : unit =
   t.epochs <- p.epochs;
   t.dup_dropped <- p.dup_dropped
 
-(** Run one sharded campaign. [workers] caps how many lanes run at once,
-    the calling domain included (the default runs one per shard, on
-    [shards - 1] pool domains and the caller; any value yields byte-identical
-    results — it is purely a wall-clock knob, like [--jobs] for trial
-    fan-out). [plans] and [obs] behave as in {!Campaign.run}; the
-    observer's clock enables the same vm/mutator wall split, accumulated
-    per lane and aggregated at each barrier.
-
-    [checkpoint] writes a snapshot at each merge barrier that crosses a
-    multiple of [sink.every] executions (mid-budget only); [resume]
-    restores one instead of importing [seeds]. Because barriers — and
-    therefore checkpoints — are functions of [(seed, sync_interval)]
-    alone, a snapshot taken at any shard/worker count resumes at any
-    other with a byte-identical remaining trajectory. Both assume the
-    campaign owns its observer (the counter block is restored
-    wholesale). *)
+(* One sharded campaign (see shard.mli). The calling domain runs one
+   lane of every epoch itself, so [workers] lanes need [workers - 1]
+   pool domains. *)
 let run ?plans ?obs ?workers ?(checkpoint : Checkpoint.sink option)
     ?(resume : Checkpoint.t option) (cfg : config) (prog : Minic.Ir.program)
     ~(seeds : string list) : result =

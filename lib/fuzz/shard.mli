@@ -40,13 +40,14 @@ type result = {
   crash_virgin : Pathcov.Coverage_map.t;
 }
 
-(** Run one sharded campaign. [workers] caps how many lanes run at
-    once, the calling domain included (default: one per shard); it is
-    purely a wall-clock knob —
-    any value yields byte-identical results. [plans] and [obs] behave as
-    in {!Campaign.run}; the observer's optional clock enables the same
-    vm/mutator wall split, accumulated per lane and aggregated at each
-    barrier under the zero-perturbation rule.
+(** Run one sharded campaign, the loop {!Strategy.exec} picks for a
+    spec with shards. [workers] caps how
+    many lanes run at once, the calling domain included (default: one
+    per shard); it is purely a wall-clock knob — any value yields
+    byte-identical results. [plans] and [obs] behave as on the
+    sequential loop ({!Campaign.run}); the observer's optional clock
+    enables the same vm/mutator wall split, accumulated per lane and
+    aggregated at each barrier under the zero-perturbation rule.
 
     [checkpoint] writes a {!Checkpoint.t} at each merge barrier crossing
     a multiple of [sink.every] executions (mid-budget only); [resume]

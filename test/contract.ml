@@ -34,7 +34,7 @@ type fingerprint = {
           {!Fuzz.Checkpoint.fingerprint}, the decision events before it *)
 }
 
-let facts ?shard (r : Fuzz.Campaign.result) ~counters ~virgin ~crash_virgin =
+let facts ?shard (r : Fuzz.Campaign.result) ~counters =
   let lines = ref [] in
   let add fmt = Printf.ksprintf (fun l -> lines := l :: !lines) fmt in
   Fuzz.Corpus.iter
@@ -63,8 +63,8 @@ let facts ?shard (r : Fuzz.Campaign.result) ~counters ~virgin ~crash_virgin =
         (Option.value ~default:"" (Fuzz.Triage.bug_witness t id)))
     (Fuzz.Triage.bugs t);
   add "virgin %d crash-virgin %d"
-    (Pathcov.Coverage_map.bytes_hash virgin)
-    (Pathcov.Coverage_map.bytes_hash crash_virgin);
+    (Pathcov.Coverage_map.bytes_hash r.virgin)
+    (Pathcov.Coverage_map.bytes_hash r.crash_virgin);
   Option.iter
     (fun (items, epochs, dups) ->
       add "items %d epochs %d dup-dropped %d" items epochs dups)
@@ -160,16 +160,6 @@ let program t =
       Hashtbl.replace programs t.subject p;
       p
 
-(* The campaign config [fuzz -f NAME] builds, on the cell's engine. *)
-let config t (engine : engine) =
-  let mode =
-    match t.fuzzer.spec with Plain m -> m | _ -> invalid_arg "not plain"
-  in
-  { (Fuzz.Strategy.base_config ~engine:engine.engine
-       ~map_size_log2:t.map_size_log2 ~budget:t.budget ~trial_seed:t.seed
-       ~cmplog:t.fuzzer.cmplog mode)
-    with max_queue = t.max_queue }
-
 (* The cell's observer, the count of decision events so far, and the
    decision stream. *)
 let make_observer kind ~tracks =
@@ -195,63 +185,61 @@ let make_observer kind ~tracks =
       in
       (obs, (fun () -> List.length (events ())), fun () -> Some (events ()))
 
-(* Run one cell; also returns the snapshots it wrote, for resuming. *)
+(* Run one cell through the run entry point, as [fuzz -f NAME] does;
+   also returns the snapshots it wrote, for resuming. *)
 let run_cell t c : fingerprint * Fuzz.Checkpoint.t list =
   let prog, plans, default_seeds = program t in
   let seeds = Option.value t.seeds ~default:default_seeds in
-  let config = config t c.engine in
   let obs, n_events, events = make_observer c.observer ~tracks:(c.shards + 1) in
   let written = ref [] in
-  let save (ck : Fuzz.Checkpoint.t) =
+  let write (ck : Fuzz.Checkpoint.t) =
     let fp = Fuzz.Checkpoint.fingerprint ck in
-    written := (ck, (ck.progress.execs, fp, n_events ())) :: !written
+    written := (ck, (ck.progress.execs, fp, n_events ())) :: !written;
+    0
   in
-  let checkpoint =
-    { Fuzz.Checkpoint.every = t.every; subject = t.subject;
-      fuzzer = t.fuzzer.name; save }
-  in
-  (* a resumed cell reads its snapshot back from bytes and checks its
+  (* a resumed cell reads its snapshot back from bytes; [exec] checks its
      identity, as [--resume] does *)
   let resume =
     Option.map
       (fun ck ->
-        let id =
-          Fuzz.Campaign.checkpoint_id config ~subject:t.subject
-            ~fuzzer:t.fuzzer.name
-            ~sync_interval:(if c.shards = 0 then 0 else t.sync_interval)
-        in
         match Fuzz.Checkpoint.(of_string (to_string ck)) with
+        | Ok ck -> ck
         | Error e ->
-            fail "%s: snapshot does not read back: %s" (cell_name t c) e
-        | Ok ck -> (
-            match Fuzz.Checkpoint.check_compat ~expected:id ck with
-            | Ok () -> ck
-            | Error e -> fail "%s: snapshot refused: %s" (cell_name t c) e))
+            fail "%s: snapshot does not read back: %s" (cell_name t c) e)
       c.resume
+  in
+  let base =
+    Fuzz.Strategy.spec ~engine:c.engine.engine ~map_size_log2:t.map_size_log2
+      ~budget:t.budget ~trial_seed:t.seed t.fuzzer
+  in
+  let spec =
+    {
+      base with
+      config = { base.config with max_queue = t.max_queue };
+      shards = c.shards;
+      sync_interval = t.sync_interval;
+      workers = (if c.shards = 0 then None else Some c.workers);
+      subject = t.subject;
+      checkpoint = Some { every = t.every; write };
+      resume;
+      observer = (fun () -> Some obs);
+    }
   in
   let fallbacks () = (Vm.Emit.stats ()).fallbacks in
   let before = fallbacks () in
   if c.engine.emit_fail then Unix.putenv "PATHFUZZ_EMIT_FAIL" "1";
-  let facts =
+  let trial =
     Fun.protect ~finally:(fun () -> Unix.putenv "PATHFUZZ_EMIT_FAIL" "")
       (fun () ->
-        if c.shards = 0 then
-          let st = Fuzz.Campaign.make_state ~plans ~obs ~config prog in
-          let r = Fuzz.Campaign.run_state ~checkpoint ?resume st ~seeds in
-          facts r ~counters:obs.counters ~virgin:st.virgin
-            ~crash_virgin:st.crash_virgin
-        else
-          let cfg =
-            { Fuzz.Shard.base = config; shards = c.shards;
-              sync_interval = t.sync_interval }
-          in
-          let r =
-            Fuzz.Shard.run ~plans ~obs ~workers:c.workers ~checkpoint ?resume
-              cfg prog ~seeds
-          in
-          facts r.campaign ~counters:obs.counters ~virgin:r.virgin
-            ~crash_virgin:r.crash_virgin
-            ~shard:(r.items, r.epochs, r.dup_dropped))
+        match Fuzz.Strategy.exec ~plans spec prog ~seeds with
+        | Ok trials -> trials.(0)
+        | Error e -> fail "%s: refused: %s" (cell_name t c) e)
+  in
+  let facts =
+    facts trial.campaign ~counters:obs.counters
+      ?shard:
+        (if c.shards = 0 then None
+         else Some (trial.items, trial.epochs, trial.dup_dropped))
   in
   let fell_back = fallbacks () > before in
   if c.engine.emit_fail && not fell_back then
