@@ -491,53 +491,15 @@ let path_profile_cmd =
     let s = lookup_subject subject in
     let prog = Subjects.Subject.program s in
     let plans = Pathcov.Ball_larus.of_program prog in
-    (* count committed paths per function: a classic path profile *)
-    let counts : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-    let regs = ref [] in
-    let bump fid pid =
-      let k = (fid, pid) in
-      Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
-    in
-    let hooks =
-      {
-        Vm.Interp.no_hooks with
-        h_call = (fun _ -> regs := 0 :: !regs);
-        h_edge =
-          (fun fid src dst ->
-            match Pathcov.Ball_larus.on_edge plans.plans.(fid) ~src ~dst with
-            | None -> ()
-            | Some (Pathcov.Ball_larus.Add k) -> begin
-                match !regs with [] -> () | r :: rest -> regs := (r + k) :: rest
-              end
-            | Some (Pathcov.Ball_larus.Commit_back { add; reset }) -> begin
-                match !regs with
-                | [] -> ()
-                | r :: rest ->
-                    bump fid (r + add);
-                    regs := reset :: rest
-              end);
-        h_ret =
-          (fun fid block ->
-            match !regs with
-            | [] -> ()
-            | r :: rest ->
-                bump fid (r + Pathcov.Ball_larus.on_ret plans.plans.(fid) ~block);
-                regs := rest);
-      }
-    in
-    let out = Vm.Interp.run ~hooks prog ~input in
-    (match out.status with
-    | Vm.Interp.Finished v -> Fmt.pr "finished, main returned %a@." Fmt.(option int) v
-    | Vm.Interp.Crashed c -> Fmt.pr "crashed: %a@." Vm.Crash.pp c
-    | Vm.Interp.Hung -> Fmt.pr "hung@.");
+    let status, counts = Fuzz.Measure.path_counts plans prog [ input ] in
+    (match status with
+    | [ Vm.Interp.Finished v ] ->
+        Fmt.pr "finished, main returned %a@." Fmt.(option int) v
+    | [ Vm.Interp.Crashed c ] -> Fmt.pr "crashed: %a@." Vm.Crash.pp c
+    | _ -> Fmt.pr "hung@.");
     Array.iteri
       (fun fid (f : Minic.Ir.func) ->
-        let here =
-          Hashtbl.fold
-            (fun (fid', pid) n acc -> if fid' = fid then (pid, n) :: acc else acc)
-            counts []
-          |> List.sort (fun (_, a) (_, b) -> compare b a)
-        in
+        let here = counts.(fid) in
         if here <> [] then begin
           Fmt.pr "@[<v 2>%s (%d acyclic paths):@," f.name
             plans.plans.(fid).num_paths;

@@ -16,56 +16,14 @@ let () =
   let subject = Subjects.Registry.find_exn "jq" in
   let prog = Subjects.Subject.program subject in
   let plans = Pathcov.Ball_larus.of_program prog in
-  let counts : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let regs = ref [] in
-  let bump fid pid =
-    let k = (fid, pid) in
-    Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
-  in
-  let hooks =
-    {
-      Vm.Interp.no_hooks with
-      h_call = (fun _ -> regs := 0 :: !regs);
-      h_edge =
-        (fun fid src dst ->
-          match Pathcov.Ball_larus.on_edge plans.plans.(fid) ~src ~dst with
-          | None -> ()
-          | Some (Pathcov.Ball_larus.Add k) -> begin
-              match !regs with [] -> () | r :: rest -> regs := (r + k) :: rest
-            end
-          | Some (Pathcov.Ball_larus.Commit_back { add; reset }) -> begin
-              match !regs with
-              | [] -> ()
-              | r :: rest ->
-                  bump fid (r + add);
-                  regs := reset :: rest
-            end);
-      h_ret =
-        (fun fid block ->
-          match !regs with
-          | [] -> ()
-          | r :: rest ->
-              bump fid (r + Pathcov.Ball_larus.on_ret plans.plans.(fid) ~block);
-              regs := rest);
-    }
-  in
-  let docs = Array.of_list workload in
-  Vm.Interp.run_batch
-    (Vm.Interp.create_ctx ~hooks (Vm.Interp.prepare prog))
-    ~n:(Array.length docs)
-    ~gen:(fun k -> Vm.Interp.view docs.(k))
-    ~sink:(fun _ _ -> ());
-
+  (* the table size shapes how ties are listed; 256 keeps this
+     example's historical listing *)
+  let _, counts = Fuzz.Measure.path_counts ~buckets:256 plans prog workload in
   Fmt.pr "path profile over %d documents:@.@." (List.length workload);
   Array.iteri
     (fun fid (f : Minic.Ir.func) ->
       let plan = plans.plans.(fid) in
-      let here =
-        Hashtbl.fold
-          (fun (fid', pid) n acc -> if fid' = fid then (pid, n) :: acc else acc)
-          counts []
-        |> List.sort (fun (_, a) (_, b) -> compare b a)
-      in
+      let here = counts.(fid) in
       let total = List.fold_left (fun a (_, n) -> a + n) 0 here in
       if total > 0 then begin
         Fmt.pr "@[<v 2>%s: %d activations over %d distinct paths (of %d possible)@,"

@@ -11,7 +11,10 @@
     Unlike AFL's memset-and-scan loops (which vectorise in C), the map
     keeps a journal of touched indices so that clearing, classifying and
     merging cost O(indices actually hit) — the OCaml-appropriate way to
-    keep per-execution overhead proportional to the program's work. *)
+    keep per-execution overhead proportional to the program's work.
+    Campaigns go further and walk the journal once per run: {!settle}
+    classifies, merges, notes and zeroes in one pass, and the next
+    {!clear} only rewinds the journal. *)
 
 type t = {
   bits : Bytes.t;
@@ -25,6 +28,9 @@ type t = {
   mutable ff : int;
       (** virgin maps: bytes still 0xFF, kept by every writer of [bits]
           ([0] on trace maps) *)
+  mutable settled : bool;
+      (** trace maps: {!settle} zeroed the journal's bytes, so {!clear}
+          only rewinds the journal *)
 }
 
 type novelty =
@@ -48,14 +54,17 @@ let create ?(size_log2 = default_size_log2) () =
     sort_a = [||];
     sort_b = [||];
     ff = 0;
+    settled = false;
   }
 
 let size t = Bytes.length t.bits
 
 let clear t =
-  for k = 0 to t.ntouched - 1 do
-    Bytes.unsafe_set t.bits (Array.unsafe_get t.touched k) '\000'
-  done;
+  if t.settled then t.settled <- false
+  else
+    for k = 0 to t.ntouched - 1 do
+      Bytes.unsafe_set t.bits (Array.unsafe_get t.touched k) '\000'
+    done;
   t.ntouched <- 0
 
 let record_touch t i =
@@ -87,14 +96,14 @@ let bucket_of_count = function
   | n when n < 128 -> 64
   | _ -> 128
 
-let classify_lookup = Array.init 256 (fun c -> Char.chr (bucket_of_count c))
+let classify_lookup = String.init 256 (fun c -> Char.chr (bucket_of_count c))
 
 (** Replace raw counts by their bucket representative, in place. *)
 let classify t =
   for k = 0 to t.ntouched - 1 do
     let i = Array.unsafe_get t.touched k in
     let c = Char.code (Bytes.unsafe_get t.bits i) in
-    Bytes.unsafe_set t.bits i (Array.unsafe_get classify_lookup c)
+    Bytes.unsafe_set t.bits i (String.unsafe_get classify_lookup c)
   done
 
 (** Compare a classified trace against the virgin map, folding any novelty
@@ -155,6 +164,48 @@ let merge_noting ~(virgin : t) (trace : t) (note : int array) ~(at : int) :
       incr n
     end
   done;
+  (!n lsl 2) lor !code
+
+(** The one pass a campaign makes over a live trace's journal: per
+    touched index, classify the raw count, merge it into [virgin] as
+    {!merge_noting} does (noting the index in [note] and its classified
+    byte in [vals], both from [at] on, where the merge changed the virgin
+    byte), and zero the trace byte. The journal stays readable until the
+    next {!clear}, which then only rewinds it. Classification is not
+    idempotent (a count of 4 buckets to 8, and 8 to 16), so a trace is
+    settled at most once per run. *)
+let settle ~(virgin : t) (trace : t) (note : int array) (vals : Bytes.t)
+    ~(at : int) : int =
+  if Bytes.length virgin.bits <> Bytes.length trace.bits then
+    invalid_arg "Coverage_map.settle";
+  if trace.settled then invalid_arg "Coverage_map.settle: trace already settled";
+  if
+    at < 0
+    || at + trace.ntouched > Array.length note
+    || at + trace.ntouched > Bytes.length vals
+  then invalid_arg "Coverage_map.settle: note too small";
+  let code = ref 0 and n = ref 0 in
+  for k = 0 to trace.ntouched - 1 do
+    let i = Array.unsafe_get trace.touched k in
+    let tr =
+      String.unsafe_get classify_lookup (Char.code (Bytes.unsafe_get trace.bits i))
+    in
+    Bytes.unsafe_set trace.bits i '\000';
+    let tr = Char.code tr in
+    let vg = Char.code (Bytes.unsafe_get virgin.bits i) in
+    if tr land vg <> 0 then begin
+      if vg = 255 then begin
+        code := 2;
+        virgin.ff <- virgin.ff - 1
+      end
+      else if !code = 0 then code := 1;
+      Bytes.unsafe_set virgin.bits i (Char.unsafe_chr (vg land lnot tr land 255));
+      Array.unsafe_set note (at + !n) i;
+      Bytes.unsafe_set vals (at + !n) (Char.unsafe_chr tr);
+      incr n
+    end
+  done;
+  trace.settled <- true;
   (!n lsl 2) lor !code
 
 (* A virgin map is all-0xFF and is only ever written through the merges,
@@ -234,30 +285,35 @@ let restore_raw (t : t) (payload : bytes) : unit =
 (** The merge half of {!merge_into} over a sparse capture instead of a
     live trace: index [Index_set.get idxs k] carries classified byte
     [vals.[k]]. Sharded lanes record each discovery's novelty delta
-    (the indices {!merge_noting} noted, with {!values_of}) in the
-    parallel phase and the barrier replays the merges against the
-    shared virgin map, in deterministic order. *)
+    (the indices and bytes {!settle} noted) in the parallel phase and
+    the barrier replays the merges against the shared virgin map, in
+    deterministic order. The set is read straight from its encoding,
+    one load per index and no call. *)
 let merge_sparse_into ~(virgin : t) ~(idxs : Index_set.t) ~(vals : string) :
     novelty =
-  if Index_set.length idxs <> String.length vals then
-    invalid_arg "Coverage_map.merge_sparse_into";
+  let n = Index_set.length idxs in
+  if n <> String.length vals then invalid_arg "Coverage_map.merge_sparse_into";
+  let enc = Index_set.encoding idxs and w = Index_set.width idxs in
   let res = ref Nothing in
-  Index_set.iteri
-    (fun k idx ->
-      let i = idx land virgin.mask in
-      let tr = Char.code (String.unsafe_get vals k) in
-      if tr <> 0 then begin
-        let vg = Char.code (Bytes.unsafe_get virgin.bits i) in
-        if tr land vg <> 0 then begin
-          if vg = 255 then begin
-            res := New_tuple;
-            virgin.ff <- virgin.ff - 1
-          end
-          else if !res = Nothing then res := New_bucket;
-          Bytes.unsafe_set virgin.bits i (Char.unsafe_chr (vg land lnot tr land 255))
+  for k = 0 to n - 1 do
+    let idx =
+      if w = 2 then String.get_uint16_le enc (1 + (2 * k))
+      else Int32.to_int (String.get_int32_le enc (1 + (4 * k))) land 0xFFFF_FFFF
+    in
+    let i = idx land virgin.mask in
+    let tr = Char.code (String.unsafe_get vals k) in
+    if tr <> 0 then begin
+      let vg = Char.code (Bytes.unsafe_get virgin.bits i) in
+      if tr land vg <> 0 then begin
+        if vg = 255 then begin
+          res := New_tuple;
+          virgin.ff <- virgin.ff - 1
         end
-      end)
-    idxs;
+        else if !res = Nothing then res := New_bucket;
+        Bytes.unsafe_set virgin.bits i (Char.unsafe_chr (vg land lnot tr land 255))
+      end
+    end
+  done;
   !res
 
 (** Classified bytes of a trace at the indices of [idxs], one byte each

@@ -1,6 +1,14 @@
 (** AFL-style fixed-size coverage bitmap with hit-count bucketing and a
     touched-index journal (clear/classify/merge cost is proportional to
-    the indices actually hit, not to the map size). *)
+    the indices actually hit, not to the map size).
+
+    A campaign makes one pass over a live trace's journal per run:
+    {!settle} classifies each touched byte, merges it into a virgin map,
+    notes what changed and zeroes the byte, and the next {!clear} only
+    rewinds the journal. {!classify} followed by {!merge_noting} or
+    {!merge_into} is the same verdict in two passes (plus a third to
+    {!clear}); only the benchmark, the tests and post-campaign
+    measurement still take that route. *)
 
 (** The map's representation is exposed so that generated native code
     can inline {!hit} instead of calling it across a module boundary
@@ -11,7 +19,7 @@ type t = {
   bits : Bytes.t;  (** one saturating count (or virgin byte) per index *)
   mask : int;  (** [size - 1] *)
   mutable touched : int array;
-      (** journal: indices with a non-zero count, in first-hit order *)
+      (** journal: indices hit since the last {!clear}, in first-hit order *)
   mutable ntouched : int;  (** live prefix of [touched] *)
   passes : int;  (** 8-bit radix digits per index: ceil(size_log2 / 8) *)
   counts : int array;  (** [passes] digit histograms of 256 slots each *)
@@ -20,6 +28,9 @@ type t = {
   mutable ff : int;
       (** virgin maps: bytes still 0xFF, kept by every writer of [bits]
           ([0] on trace maps) *)
+  mutable settled : bool;
+      (** trace maps: {!settle} zeroed the journal's bytes since the last
+          {!clear} *)
 }
 
 (** Novelty verdict of {!merge_into}. *)
@@ -39,7 +50,9 @@ val create_virgin : ?size_log2:int -> unit -> t
 
 val size : t -> int
 
-(** Reset all touched counts to zero. *)
+(** Reset all touched counts to zero and empty the journal. After
+    {!settle} the counts are zero already, so this only rewinds the
+    journal. *)
 val clear : t -> unit
 
 (** Record one hit at an index (wrapped into range, saturating at 255);
@@ -70,6 +83,21 @@ val merge_noting : virgin:t -> t -> int array -> at:int -> int
 val noted_novelty : int -> novelty
 val noted_count : int -> int
 
+(** The one pass over a raw (unclassified) trace a campaign makes per
+    run: for each journal index, in journal order, classify the count,
+    merge it into [virgin] as {!merge_noting} does, and where the virgin
+    byte changes write the index to [note] and the classified byte to
+    [vals], both from position [at] on; then zero the trace byte. The
+    packed result reads like {!merge_noting}'s, and equals
+    {!classify} + {!merge_noting} + {!clear} on the same maps. The
+    journal ({!journal}, {!count_set}) stays readable until the next
+    {!clear}, which then only rewinds it; the trace's bytes read 0.
+    Allocates nothing. Raises [Invalid_argument] on a trace settled
+    since its last {!clear} (classification is not idempotent: 4 goes
+    to 8, and 8 to 16), on a size mismatch, or unless [note] and [vals]
+    have room for {!count_set}[ trace] entries past [at]. *)
+val settle : virgin:t -> t -> int array -> Bytes.t -> at:int -> int
+
 (** Overwrite [dst]'s bytes with [src]'s (same size required) — the
     per-epoch virgin snapshot primitive of sharded campaigns: one blit
     seeds a lane's virgin map from the epoch-start global map. *)
@@ -93,12 +121,13 @@ val restore_raw : t -> bytes -> unit
 (** The merge half of {!merge_into} over a sparse capture instead of a
     live trace: index [Index_set.get idxs k] carries classified byte
     [vals.[k]] (any order). Sharded campaigns replay their lanes'
-    recorded discoveries — each one's {!merge_noting} delta — against
-    the shared virgin map in deterministic order at the sync barrier. *)
+    recorded discoveries — the indices and bytes each one's {!settle}
+    noted — against the shared virgin map in deterministic order at the
+    sync barrier. *)
 val merge_sparse_into : virgin:t -> idxs:Index_set.t -> vals:string -> novelty
 
 (** Classified bytes of a trace at the indices of a set, one byte each
-    (with the set, the sparse capture above). *)
+    (tests; campaigns take a capture's bytes from {!settle}'s notes). *)
 val values_of : t -> Index_set.t -> string
 
 (** Byte-for-byte map equality (determinism checks). *)

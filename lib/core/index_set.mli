@@ -44,7 +44,10 @@ val to_array : t -> int array
     table indexed by map slot. *)
 val ascending_below : bound:int -> t -> bool
 
-(** The packed bytes, width tag first — what a checkpoint stores. *)
+(** The packed bytes, width tag first — what a checkpoint stores. Index
+    [k] of a set of {!width} [w] is the unsigned little-endian [w]-byte
+    integer at byte [1 + w * k]: a loop that reads a set per element
+    (the merge barrier's) reads it there, with no call per index. *)
 val encoding : t -> string
 
 (** Inverse of {!encoding}: [None] unless the string is a width tag (2

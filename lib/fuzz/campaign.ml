@@ -22,7 +22,12 @@
     decision procedure — applied at once, or captured by a lane for the
     merge barrier to {!replay}. Retention claims top-rated slots from the
     trace map's journal and keeps no index set, in the queue or in a
-    capture. *)
+    capture.
+
+    A run's trace is walked once after the VM: the merge that decides
+    novelty is {!Pathcov.Coverage_map.settle}, which classifies, merges,
+    notes and zeroes in one pass, and the next run's [pre_exec] then only
+    rewinds the journal. *)
 
 type config = {
   mode : Pathcov.Feedback.mode;
@@ -154,6 +159,8 @@ type state = {
   lane : bool;  (** a shard lane: decisions are captured, not applied *)
   mutable note : int array;
       (** the note log: indices the merges changed, from [0] to [nnote] *)
+  mutable note_vals : Bytes.t;
+      (** their classified trace bytes, position for position *)
   mutable nnote : int;
   mutable cand : int array;  (** claim-candidate scratch *)
   mutable captures : capture list;  (** a lane's captures, newest first *)
@@ -230,9 +237,11 @@ let take_snapshot (st : state) : unit =
        ~virgin_residual:(Pathcov.Coverage_map.residual st.virgin))
 
 (* Pre/post brackets around one VM run: [pre_exec] resets the listener
-   state and trace map (the cmplog buffer is cleared by {!capturing}
-   instead), [post_exec] leaves the trace classified for novelty
-   checks. *)
+   state and the trace map — it only rewinds the journal of a trace the
+   last run's merge settled, and zeroes one that no merge read (a hang,
+   a full queue) — and the cmplog buffer is cleared by {!capturing}
+   instead; [post_exec] accounts the run and leaves the trace raw for
+   the one merge ({!merge_noted}) that settles it. *)
 let pre_exec (st : state) : unit =
   st.feedback.reset ();
   Pathcov.Coverage_map.clear st.feedback.trace
@@ -243,7 +252,6 @@ let post_exec (st : state) (out : Vm.Interp.outcome) : unit =
   c.execs <- c.execs + 1;
   c.blocks <- c.blocks + out.blocks_executed;
   Obs.Metrics.observe st.h_dirty st.ctx.last_reset_width;
-  Pathcov.Coverage_map.classify st.feedback.trace;
   if st.execs mod st.sample_every = 0 then take_snapshot st
 
 (* The campaign's one cohort entry: [n] candidates through the tracer.
@@ -282,30 +290,37 @@ let current_cmps (st : state) : Mutator.cmp_pair array =
 let obs_exec (st : state) (at_exec : int) : int =
   st.obs.counters.execs - st.execs + at_exec
 
-(* Merge the live trace into [map] (the virgin or the crash-virgin map)
+(* Settle the live trace into [map] (the virgin or the crash-virgin map)
    through the note log, growing it to the largest journal seen; returns
-   how many indices the merge changed (0: nothing new). A lane keeps
-   every note until its work item is undone ({!Shard}); a state that
-   applies its decisions at once reuses the log from its start. *)
+   how many indices the merge changed (0: nothing new). The only merge
+   of a live trace, at most one per run. A lane keeps every note until
+   its work item is undone ({!Shard}); a state that applies its
+   decisions at once reuses the log from its start. *)
 let merge_noted (st : state) (map : Pathcov.Coverage_map.t) : int =
   let tr = st.feedback.trace in
   if not st.lane then st.nnote <- 0;
   let room = st.nnote + Pathcov.Coverage_map.count_set tr in
   if room > Array.length st.note then begin
-    let bigger = Array.make (max 256 (2 * room)) 0 in
+    let cap = max 256 (2 * room) in
+    let bigger = Array.make cap 0 and vals = Bytes.create cap in
     Array.blit st.note 0 bigger 0 st.nnote;
-    st.note <- bigger
+    Bytes.blit st.note_vals 0 vals 0 st.nnote;
+    st.note <- bigger;
+    st.note_vals <- vals
   end;
   let n =
     Pathcov.Coverage_map.noted_count
-      (Pathcov.Coverage_map.merge_noting ~virgin:map tr st.note ~at:st.nnote)
+      (Pathcov.Coverage_map.settle ~virgin:map tr st.note st.note_vals
+         ~at:st.nnote)
   in
   st.nnote <- st.nnote + n;
   n
 
-(* The [n] indices the last merge noted, packed: a capture's delta. *)
-let last_delta (st : state) (n : int) : Pathcov.Index_set.t =
-  Pathcov.Index_set.of_sub st.note ~pos:(st.nnote - n) ~len:n
+(* The [n] indices the last merge noted, packed, and their classified
+   bytes: a capture's delta and values. *)
+let last_delta (st : state) (n : int) : Pathcov.Index_set.t * string =
+  ( Pathcov.Index_set.of_sub st.note ~pos:(st.nnote - n) ~len:n,
+    Bytes.sub_string st.note_vals (st.nnote - n) n )
 
 (* Crash/hang bookkeeping shared by every execution site — seed import,
    queue-entry calibration and mutated candidates — of the run of [v]
@@ -315,8 +330,7 @@ let last_delta (st : state) (n : int) : Pathcov.Index_set.t =
 let fault (st : state) (v : Bytes.t * int) (out : Vm.Interp.outcome) : unit =
   match out.status with
   | Vm.Interp.Crashed crash when st.lane ->
-      let delta = last_delta st (merge_noted st st.crash_virgin) in
-      let dvals = Pathcov.Coverage_map.values_of st.feedback.trace delta in
+      let delta, dvals = last_delta st (merge_noted st st.crash_virgin) in
       st.captures <-
         Crashed { crash; input = input_of v; delta; dvals; at_exec = st.execs }
         :: st.captures
@@ -384,7 +398,7 @@ let retain (st : state) ~depth (out : Vm.Interp.outcome) (data : string) : unit
    journal, against the coordinator's epoch-start top-rated table. *)
 let capture_retained (st : state) ~depth ~(n : int) (v : Bytes.t * int)
     (out : Vm.Interp.outcome) : unit =
-  let delta = last_delta st n in
+  let delta, dvals = last_delta st n in
   let tr = st.feedback.trace in
   let exec_blocks = max 1 out.blocks_executed in
   let len = Pathcov.Coverage_map.count_set tr in
@@ -399,7 +413,7 @@ let capture_retained (st : state) ~depth ~(n : int) (v : Bytes.t * int)
       {
         data = input_of v;
         delta;
-        dvals = Pathcov.Coverage_map.values_of st.feedback.trace delta;
+        dvals;
         claim = Pathcov.Index_set.of_sub st.cand ~pos:0 ~len:ncand;
         exec_blocks;
         depth;
@@ -604,6 +618,26 @@ let fuzz_entry (st : state) ~(rng : Rng.t) ~(peers : peers) ~(energy : int)
     trace_end ~arg:energy st
   end
 
+(** Why [cfg] cannot run, if it cannot. An entry costs at most [fuel]
+    blocks times its length plus 16, and mutated inputs are at most
+    {!Mutator.max_len} bytes, so a fuel past
+    [Corpus.max_cost / (Mutator.max_len + 16)] (66,847,736) could cost
+    more than the top-rated table stores; a queue cap must leave the
+    table's positions room for the seeds, which bypass the cap. *)
+let config_refusal (cfg : config) : string option =
+  let max_fuel = Corpus.max_cost / (Mutator.max_len + 16) in
+  if cfg.fuel > max_fuel then
+    Some
+      (Printf.sprintf
+         "fuel %d is above %d: an entry's cost (blocks x (length + 16)) \
+          must fit the top-rated table"
+         cfg.fuel max_fuel)
+  else if cfg.max_queue > Corpus.max_entries / 2 then
+    Some
+      (Printf.sprintf "the queue cap %d is above %d" cfg.max_queue
+         (Corpus.max_entries / 2))
+  else None
+
 (** Build a fresh campaign state, or with [lane = (l, co)] lane [l] of
     the sharded campaign coordinated by [co]: a private artifact (its
     rebindable state is single-threaded, so never the per-domain cache),
@@ -614,6 +648,7 @@ let make_state ?plans ?obs ?lane ?(config = default_config)
     (prog : Minic.Ir.program) : state =
   if config.selective then
     invalid_arg "Campaign: selective tracing was removed";
+  Option.iter (fun m -> invalid_arg ("Campaign: " ^ m)) (config_refusal config);
   let track = match lane with Some (l, _) -> l + 1 | None -> 0 in
   let obs =
     match lane with
@@ -671,6 +706,7 @@ let make_state ?plans ?obs ?lane ?(config = default_config)
     rng = Rng.create config.rng_seed;
     lane = Option.is_some lane;
     note = [||];
+    note_vals = Bytes.empty;
     nnote = 0;
     cand = [||];
     captures = [];

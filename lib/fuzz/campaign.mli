@@ -18,7 +18,15 @@
     and keeps none of them: the sequential loop claims top-rated slots
     straight from the trace map's journal, a lane computes its claim
     candidates from it, and neither the queue entry nor the capture
-    holds the set. *)
+    holds the set.
+
+    Each run's trace is walked once after the VM: the merge that gives
+    the novelty verdict ({!Pathcov.Coverage_map.settle}, for the
+    decision procedure, triage, calibration and seed import alike)
+    classifies, merges, notes and zeroes in one pass, and the next run
+    only rewinds the journal of a trace so settled (a trace no merge
+    read, after a hang or with a full queue, is still cleared). A lane's
+    capture takes its bytes from the notes. *)
 
 type config = {
   mode : Pathcov.Feedback.mode;
@@ -192,6 +200,9 @@ type state = {
       (** the note log, [[0, nnote)]: indices the merges into the virgin
           maps changed — a lane's, since its work item began; otherwise
           the last merge's only *)
+  mutable note_vals : Bytes.t;
+      (** the classified trace byte each noted index merged, position
+          for position with [note]: a capture's [dvals] *)
   mutable nnote : int;
   mutable cand : int array;  (** claim-candidate scratch *)
   mutable captures : capture list;  (** a lane's, newest first *)
@@ -218,6 +229,15 @@ type state = {
   track : int;  (** span-trace track: 0, or a shard lane's index + 1 *)
 }
 
+(** Why a config cannot run, if it cannot: a [fuel] above
+    [Corpus.max_cost / (Mutator.max_len + 16)] (an entry could cost more
+    than the top-rated table stores) or a [max_queue] above
+    [Corpus.max_entries / 2] (seeds bypass the cap, so the table's
+    positions keep room for them). {!make_state} raises
+    [Invalid_argument] with this message, and {!Strategy.exec} returns
+    it as an [Error]. *)
+val config_refusal : config -> string option
+
 (** Build a fresh campaign state. With [lane = (l, co)], lane [l] of
     the {!Shard} run coordinated by [co]: a private compiled artifact,
     trace track [l + 1] of [co]'s trace, a private counter block and
@@ -242,7 +262,9 @@ val run_state :
   seeds:string list ->
   result
 
-(** Run one input; the trace map is left classified for novelty checks. *)
+(** Run one input and account it; the trace map is left raw
+    (unclassified) for the one merge that settles it
+    ({!Pathcov.Coverage_map.settle}). *)
 val execute : state -> string -> Vm.Interp.outcome
 
 (** Execute a seed and retain it unconditionally (afl imports the full

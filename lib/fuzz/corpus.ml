@@ -24,7 +24,15 @@
     slots it holds. Entries are claimed in discovery order as they are
     retained, under the same [best.fav <= e.fav] tie rule a from-scratch
     rebuild uses, so the incremental table always equals the rebuilt one
-    and the cycle-start refresh only re-reads the slot counts. *)
+    and the cycle-start refresh only re-reads the slot counts.
+
+    The table holds no pointers. Each slot is one 64-bit word packing
+    its holder's cost above the holder's queue position, so a claim
+    decides with one integer compare per slot and touches a holder's
+    record only to move its slot count when it is displaced. The words
+    live in a [Bytes.t]: the same 8 bytes per slot as a pointer array,
+    in a block the major GC never scans (a pointer array of 65,536 slots
+    is 65,536 fields to mark on every major cycle). *)
 
 type entry = {
   id : int;
@@ -42,18 +50,54 @@ type t = {
   mutable arr : entry array;  (** slots [0, size), discovery order *)
   mutable size : int;
   mutable next_id : int;
-  mutable top_rated : entry array;
-      (** map index -> cheapest entry, {!unrated} where none covers it;
-          allocated once at the map size when {!create} is given one,
-          else grown on demand to cover the largest index claimed *)
+  mutable top_rated : Bytes.t;
+      (** map index -> the cheapest entry's {!rank}, 8 bytes per slot,
+          {!unrated} where none covers it; allocated once at the map
+          size when {!create} is given one, else grown on demand to
+          cover the largest index claimed *)
   mutable pending_favored : int;
   mutable staged : int array;  (** {!add}'s indices, until claimed *)
-  mutable staged_for : entry;  (** their entry, or {!unrated} *)
+  mutable staged_for : entry;  (** their entry, or {!nobody} *)
 }
 
-(* The holder of every slot no entry covers. Never mutated: claims
-   compare against it physically before touching a holder. *)
-let unrated =
+(* A slot's word: the holder's cost in the high bits, its queue position
+   in the low [pos_bits], so words order by cost first. Both fit a
+   non-negative OCaml int (62 bits): positions below [max_entries],
+   costs up to [max_cost]. The all-ones word [unrated] marks an empty
+   slot and compares above every holder. *)
+let pos_bits = 24
+let max_entries = 1 lsl pos_bits
+let pos_mask = max_entries - 1
+let max_cost = (1 lsl (62 - pos_bits)) - 2
+let unrated = max_int
+
+let rank ~(fav : int) ~(pos : int) = (fav lsl pos_bits) lor pos
+
+(* The least word of any holder dearer than [fav]: slot [i] is claimable
+   by an entry of cost [fav] iff its word exceeds [bar fav]. *)
+let bar (fav : int) = (fav lsl pos_bits) lor pos_mask
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] word tbl i = Int64.to_int (get64u tbl (i lsl 3))
+let[@inline] set_word tbl i w = set64u tbl (i lsl 3) (Int64.of_int w)
+
+let slots_in (tbl : Bytes.t) = Bytes.length tbl lsr 3
+
+let fill_unrated (tbl : Bytes.t) =
+  for i = 0 to slots_in tbl - 1 do
+    set_word tbl i unrated
+  done
+
+(* A table of [n] empty slots. *)
+let table (n : int) : Bytes.t =
+  let tbl = Bytes.create (n lsl 3) in
+  fill_unrated tbl;
+  tbl
+
+(* The [staged_for] of a corpus with nothing staged. *)
+let nobody =
   {
     id = -1;
     data = "";
@@ -73,8 +117,8 @@ let unrated =
 let create ?map_size_log2 () =
   let top_rated =
     match map_size_log2 with
-    | Some n -> Array.make (1 lsl n) unrated
-    | None -> [||]
+    | Some n -> table (1 lsl n)
+    | None -> Bytes.empty
   in
   {
     arr = [||];
@@ -83,7 +127,7 @@ let create ?map_size_log2 () =
     top_rated;
     pending_favored = 0;
     staged = [||];
-    staged_for = unrated;
+    staged_for = nobody;
   }
 
 let fav_of ~exec_blocks ~len = exec_blocks * (len + 16)
@@ -116,6 +160,9 @@ let recompute_favored (t : t) : unit =
   t.pending_favored <- !pending
 
 let append (t : t) ~data ~exec_blocks ~depth ~found_at : entry =
+  if t.size >= max_entries then invalid_arg "Corpus.append: queue full";
+  if exec_blocks < 0 || exec_blocks > max_cost / (String.length data + 16)
+  then invalid_arg "Corpus.append: cost above Corpus.max_cost";
   let e =
     {
       id = t.next_id;
@@ -153,30 +200,47 @@ let to_list t =
 (* Grow the flat table to cover slot [i]: the next power of two, at
    least 1024 slots. *)
 let cover (t : t) i =
-  let n = ref (max 1024 (Array.length t.top_rated)) in
+  let n = ref (max 1024 (slots_in t.top_rated)) in
   while !n <= i do
     n := 2 * !n
   done;
-  let bigger = Array.make !n unrated in
-  Array.blit t.top_rated 0 bigger 0 (Array.length t.top_rated);
+  let bigger = table !n in
+  Bytes.blit t.top_rated 0 bigger 0 (Bytes.length t.top_rated);
   t.top_rated <- bigger
 
+(* The queue position of [e]: its id when ids are positions (always,
+   but after a restore of a queue whose ids skip), else found from the
+   newest entry back — the entry a claim names is the newest. *)
+let position (t : t) (e : entry) : int =
+  if e.id >= 0 && e.id < t.size && Array.unsafe_get t.arr e.id == e then e.id
+  else
+    let rec find k =
+      if k < 0 then invalid_arg "Corpus: entry not in this queue"
+      else if Array.unsafe_get t.arr k == e then k
+      else find (k - 1)
+    in
+    find (t.size - 1)
+
 (** Incremental update_bitmap_score (afl's on-retention half of the
-    favored machinery), for one slot: the new entry claims it if it
-    covers it more cheaply — one load and compare — moving the slot
-    count from the old holder to it. Favored flags are refreshed at
-    cycle boundaries by {!recompute_favored}; until then a claim only
-    raises flags: newly-favored never-fuzzed entries bump
+    favored machinery), for one slot: the entry of word [w] claims it if
+    it covers it more cheaply — one load and one integer compare —
+    moving the slot count from the old holder to it. Favored flags are
+    refreshed at cycle boundaries by {!recompute_favored}; until then a
+    claim only raises flags: newly-favored never-fuzzed entries bump
     [pending_favored], exactly as the cycle refresh would. A slot's
     claim reads and writes that slot and the entry's own state only, so
     an entry's slots may be claimed in any order. *)
-let claim_slot (t : t) (e : entry) (i : int) : unit =
+let claim_slot (t : t) (e : entry) ~(w : int) (i : int) : unit =
   if i < 0 then invalid_arg "Corpus: negative slot";
-  if i >= Array.length t.top_rated then cover t i;
-  let best = Array.unsafe_get t.top_rated i in
-  if best == unrated || best.fav > e.fav then begin
-    if best != unrated then best.slots <- best.slots - 1;
-    Array.unsafe_set t.top_rated i e;
+  if i >= slots_in t.top_rated then cover t i;
+  let tbl = t.top_rated in
+  let best = word tbl i in
+  if best > w lor pos_mask then begin
+    if best <> unrated then begin
+      let holder = Array.unsafe_get t.arr (best land pos_mask) in
+      holder.slots <- holder.slots - 1
+    end;
+    set_word tbl i w;
     e.slots <- e.slots + 1;
     if not e.favored then begin
       e.favored <- true;
@@ -186,42 +250,51 @@ let claim_slot (t : t) (e : entry) (i : int) : unit =
 
 let claim_slots (t : t) (e : entry) (slots : int array) ~(len : int) : unit =
   if len < 0 || len > Array.length slots then invalid_arg "Corpus.claim_slots";
+  let w = rank ~fav:e.fav ~pos:(position t e) in
   for k = 0 to len - 1 do
-    claim_slot t e (Array.unsafe_get slots k)
+    claim_slot t e ~w (Array.unsafe_get slots k)
   done
 
+(* Read straight from the set's encoding (see {!Pathcov.Index_set.encoding}):
+   one load per slot, no call. *)
 let claim_top_rated_at (t : t) (e : entry) (slots : Pathcov.Index_set.t) :
     unit =
-  Pathcov.Index_set.iter (claim_slot t e) slots
+  let w = rank ~fav:e.fav ~pos:(position t e) in
+  let enc = Pathcov.Index_set.encoding slots
+  and width = Pathcov.Index_set.width slots in
+  for k = 0 to Pathcov.Index_set.length slots - 1 do
+    let i =
+      if width = 2 then String.get_uint16_le enc (1 + (2 * k))
+      else Int32.to_int (String.get_int32_le enc (1 + (4 * k))) land 0xFFFF_FFFF
+    in
+    claim_slot t e ~w i
+  done
 
 let claim_top_rated (t : t) (e : entry) : unit =
   if t.staged_for != e then
     invalid_arg "Corpus.claim_top_rated: not the entry Corpus.add last staged";
   let slots = t.staged in
   t.staged <- [||];
-  t.staged_for <- unrated;
+  t.staged_for <- nobody;
   claim_slots t e slots ~len:(Array.length slots)
 
 (** The slots among [slots.(0 .. len - 1)] whose holder is dearer than
-    [fav] ([unrated] counting as [max_int]), in the order given, written
-    to [into]; returns how many. Holders only ever get cheaper, so the
-    slots an entry of cost [fav] covering those indices would claim at
-    any later time are among these. *)
+    [fav] (an empty slot counting as dearer than any cost), in the order
+    given, written to [into]; returns how many. Holders only ever get
+    cheaper, so the slots an entry of cost [fav] covering those indices
+    would claim at any later time are among these. *)
 let dearer_slots (t : t) ~(fav : int) (slots : int array) ~(len : int)
     ~(into : int array) : int =
   if len < 0 || len > Array.length slots || Array.length into < len then
     invalid_arg "Corpus.dearer_slots";
+  if fav < 0 || fav > max_cost then invalid_arg "Corpus.dearer_slots: cost";
   let n = ref 0 in
-  let rated = Array.length t.top_rated in
+  let tbl = t.top_rated in
+  let rated = slots_in tbl and bar = bar fav in
   for k = 0 to len - 1 do
     let i = Array.unsafe_get slots k in
     if i < 0 then invalid_arg "Corpus.dearer_slots";
-    if
-      i >= rated
-      ||
-      let best = Array.unsafe_get t.top_rated i in
-      best == unrated || best.fav > fav
-    then begin
+    if i >= rated || word tbl i > bar then begin
       Array.unsafe_set into !n i;
       incr n
     end
@@ -232,18 +305,21 @@ let dearer_slots (t : t) ~(fav : int) (slots : int array) ~(len : int)
     holder — the checkpoint restore primitive. *)
 let rate (t : t) ~(slot : int) (e : entry) : unit =
   if slot < 0 then invalid_arg "Corpus.rate";
-  if slot >= Array.length t.top_rated then cover t slot;
-  let best = t.top_rated.(slot) in
-  if best != unrated then best.slots <- best.slots - 1;
-  t.top_rated.(slot) <- e;
+  if slot >= slots_in t.top_rated then cover t slot;
+  let best = word t.top_rated slot in
+  if best <> unrated then begin
+    let holder = t.arr.(best land pos_mask) in
+    holder.slots <- holder.slots - 1
+  end;
+  set_word t.top_rated slot (rank ~fav:e.fav ~pos:(position t e));
   e.slots <- e.slots + 1
 
 (** Top-rated slots in ascending order with their holders' ids. *)
 let top_rated_pairs (t : t) : (int * int) array =
   let out = ref [] in
-  for i = Array.length t.top_rated - 1 downto 0 do
-    let e = Array.unsafe_get t.top_rated i in
-    if e != unrated then out := (i, e.id) :: !out
+  for i = slots_in t.top_rated - 1 downto 0 do
+    let w = word t.top_rated i in
+    if w <> unrated then out := (i, t.arr.(w land pos_mask).id) :: !out
   done;
   Array.of_list !out
 
@@ -253,10 +329,10 @@ let clear (t : t) : unit =
   t.arr <- [||];
   t.size <- 0;
   t.next_id <- 0;
-  Array.fill t.top_rated 0 (Array.length t.top_rated) unrated;
+  fill_unrated t.top_rated;
   t.pending_favored <- 0;
   t.staged <- [||];
-  t.staged_for <- unrated
+  t.staged_for <- nobody
 
 (* ------------------------------------------------------------------ *)
 (* Shard views *)

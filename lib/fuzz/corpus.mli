@@ -19,7 +19,16 @@
     superset of the slots it can claim, such as its {!dearer_slots} at
     any earlier point) in discovery order, right after it is appended;
     the incremental table then equals a from-scratch rebuild, and
-    {!recompute_favored} only refreshes flags from the slot counts. *)
+    {!recompute_favored} only refreshes flags from the slot counts.
+
+    The table holds no pointers: each slot is one 64-bit word with the
+    holder's cost above its queue position, in a [Bytes.t] the major GC
+    does not scan (8 bytes per slot, as a pointer array would take). A
+    claim compares one integer per slot and touches a holder's record
+    only to move its slot count when it is displaced. Costs and
+    positions share the word's 62 usable bits, so an entry must cost at
+    most {!max_cost} and the queue hold fewer than {!max_entries}
+    entries; {!append} refuses anything past either bound. *)
 
 type entry = {
   id : int;
@@ -37,9 +46,11 @@ type t = {
   mutable arr : entry array;  (** slots [0, size), discovery order *)
   mutable size : int;
   mutable next_id : int;
-  mutable top_rated : entry array;
-      (** map index -> cheapest entry; slots no entry covers hold a
-          sentinel with id [-1] *)
+  mutable top_rated : Bytes.t;
+      (** map index -> the cheapest entry's cost and queue position,
+          packed in one native-endian 64-bit word per slot (all ones
+          where no entry covers the slot); read it through
+          {!top_rated_pairs} *)
   mutable pending_favored : int;
   mutable staged : int array;
       (** the indices {!add} was given, until {!claim_top_rated} claims
@@ -56,13 +67,23 @@ val create : ?map_size_log2:int -> unit -> t
     [len]-byte input gets at admission: [exec_blocks * (len + 16)]. *)
 val fav_of : exec_blocks:int -> len:int -> int
 
+(** The largest [fav] the table stores: [2^38 - 2] (about 2.7e11). A
+    campaign's entries cost at most its fuel times the longest input
+    plus 16, so {!Campaign} refuses a fuel that could exceed it. *)
+val max_cost : int
+
+(** The queue holds fewer entries than this: [2^24]. *)
+val max_entries : int
+
 (** Favored refresh at a cycle start (afl's cull_queue): [favored] is set
     iff the entry holds a top-rated slot, and [pending_favored] is
     recounted. Time in the queue length. *)
 val recompute_favored : t -> unit
 
 (** Append an entry holding no slot yet; the caller claims it at once
-    ({!claim_slots}, {!claim_top_rated_at}), unless it covers nothing. *)
+    ({!claim_slots}, {!claim_top_rated_at}), unless it covers nothing.
+    Raises [Invalid_argument] if its [fav] would exceed {!max_cost} or
+    the queue already holds {!max_entries} entries. *)
 val append :
   t -> data:string -> exec_blocks:int -> depth:int -> found_at:int -> entry
 
@@ -116,8 +137,8 @@ val claim_top_rated_at : t -> entry -> Pathcov.Index_set.t -> unit
     superset of the slots it would claim at any later point: a sharded
     lane computes them from its trace journal against the epoch-start
     table, and the merge barrier claims with {!claim_top_rated_at}.
-    Reads the table only; raises [Invalid_argument] on a negative slot
-    or a short [into]. *)
+    Reads the table only; raises [Invalid_argument] on a negative slot,
+    a short [into] or a [fav] above {!max_cost}. *)
 val dearer_slots :
   t -> fav:int -> int array -> len:int -> into:int array -> int
 

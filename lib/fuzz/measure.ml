@@ -102,3 +102,59 @@ let path_preserving_cull ?fuel ?plans ?obs prog (inputs : string list) : string 
   preserving_cull ?fuel ?obs prog
     (Pathcov.Feedback.make ?plans Pathcov.Feedback.Path prog)
     inputs
+
+(** A classic Ball–Larus path profile: every committed acyclic path,
+    counted per function by its id, over [inputs] run in order. Ties in
+    a function's listing keep the count table's fold order, which its
+    bucket count shapes. *)
+let path_counts ?(buckets = 64) (plans : Pathcov.Ball_larus.program_plans)
+    (prog : Minic.Ir.program) (inputs : string list) :
+    Vm.Interp.status list * (int * int) list array =
+  let counts : (int * int, int) Hashtbl.t = Hashtbl.create buckets in
+  let regs = ref [] in
+  let bump fid pid =
+    let k = (fid, pid) in
+    Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
+  in
+  let hooks =
+    {
+      Vm.Interp.no_hooks with
+      h_call = (fun _ -> regs := 0 :: !regs);
+      h_edge =
+        (fun fid src dst ->
+          match Pathcov.Ball_larus.on_edge plans.plans.(fid) ~src ~dst with
+          | None -> ()
+          | Some (Pathcov.Ball_larus.Add k) -> begin
+              match !regs with [] -> () | r :: rest -> regs := (r + k) :: rest
+            end
+          | Some (Pathcov.Ball_larus.Commit_back { add; reset }) -> begin
+              match !regs with
+              | [] -> ()
+              | r :: rest ->
+                  bump fid (r + add);
+                  regs := reset :: rest
+            end);
+      h_ret =
+        (fun fid block ->
+          match !regs with
+          | [] -> ()
+          | r :: rest ->
+              bump fid (r + Pathcov.Ball_larus.on_ret plans.plans.(fid) ~block);
+              regs := rest);
+    }
+  in
+  let docs = Array.of_list inputs in
+  let statuses = Array.make (Array.length docs) Vm.Interp.Hung in
+  Vm.Interp.run_batch
+    (Vm.Interp.create_ctx ~hooks (Vm.Interp.prepare prog))
+    ~n:(Array.length docs)
+    ~gen:(fun k -> Vm.Interp.view docs.(k))
+    ~sink:(fun k out -> statuses.(k) <- out.status);
+  ( Array.to_list statuses,
+    Array.mapi
+      (fun fid _ ->
+        Hashtbl.fold
+          (fun (fid', pid) n acc -> if fid' = fid then (pid, n) :: acc else acc)
+          counts []
+        |> List.sort (fun (_, a) (_, b) -> compare b a))
+      prog.funcs )

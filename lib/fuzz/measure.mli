@@ -28,3 +28,17 @@ val path_preserving_cull :
   Minic.Ir.program ->
   string list ->
   string list
+
+(** A classic Ball–Larus path profile (the encoding's original use):
+    run [inputs] in order through the interpreter with hooks that count
+    every acyclic path a function commits, by path id. Returns each
+    run's status and, per function id, its [(path id, count)] pairs,
+    most frequent first. Ties keep the fold order of the count table,
+    whose initial bucket count [buckets] (default 64) therefore shapes
+    the listing. *)
+val path_counts :
+  ?buckets:int ->
+  Pathcov.Ball_larus.program_plans ->
+  Minic.Ir.program ->
+  string list ->
+  Vm.Interp.status list * (int * int) list array

@@ -268,6 +268,8 @@ let refusal (s : spec) : string option =
   in
   match (List.find_opt fst checks, s.fuzzer.spec, s.resume) with
   | Some (_, msg), _, _ -> Some msg
+  | None, _, _ when Campaign.config_refusal s.config <> None ->
+      Campaign.config_refusal s.config
   | None, Plain mode, Some ck -> (
       let expected =
         Campaign.checkpoint_id

@@ -128,6 +128,8 @@ type trial = {
       non-positive sync interval, worker count or checkpoint cadence;
     - a multi-phase fuzzer ([cull*], [opp]) with shards, a checkpoint
       or a resume;
+    - a base config {!Campaign.config_refusal} refuses (a fuel or a
+      queue cap past the top-rated table's bounds);
     - a checkpoint, a resume, or an observer with a clock or a span
       trace, with more than one trial;
     - a resume snapshot whose identity ({!Campaign.checkpoint_id})

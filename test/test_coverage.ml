@@ -261,6 +261,76 @@ let prop_merge_noting_undo =
       && (n = 0) = (verdict = Cm.Nothing)
       && logged && restored item)
 
+(* [settle], the one journal pass campaigns make per run, equals the
+   three passes it replaces: [classify], [merge_noting] and [clear].
+   Virgin maps are aged by a few random merges first (64 slots, so bytes
+   are partly cleared and traces overlap them); the trace is raw, with
+   counts up to 300 (saturating at 255) so every bucket shows up. The
+   notes go past a random offset [at], as a lane's do. Checked: the
+   packed verdict and count, the noted indices in journal order, the
+   noted bytes (equal to [values_of] of the classified trace), the
+   virgin bytes and residual, the zeroed trace with its journal still
+   readable, the rewind, and the refusal to settle twice. *)
+let prop_settle_equals_three_passes =
+  let hits = QCheck.Gen.(list_size (int_range 0 24) (pair (int_bound 63) (int_range 1 300))) in
+  QCheck.Test.make ~count:300
+    ~name:"settle equals classify + merge_noting + clear"
+    (QCheck.make
+       QCheck.Gen.(triple (list_size (int_range 0 6) hits) hits (int_bound 5)))
+    (fun (history, fresh, at) ->
+      let raw_trace hs =
+        let tr = Cm.create ~size_log2:6 () in
+        List.iter (fun (i, n) -> for _ = 1 to n do Cm.hit tr i done) hs;
+        tr
+      in
+      let orig = Cm.create_virgin ~size_log2:6 () in
+      List.iter
+        (fun hs ->
+          let tr = raw_trace hs in
+          Cm.classify tr;
+          ignore (Cm.merge_into ~virgin:orig tr))
+        history;
+      let three = raw_trace fresh and one = raw_trace fresh in
+      let journal = Array.sub (Cm.journal one) 0 (Cm.count_set one) in
+      let room = at + Cm.count_set one in
+      (* the three passes *)
+      let v3 = Cm.copy orig in
+      Cm.classify three;
+      let note3 = Array.make room (-1) in
+      let p3 = Cm.merge_noting ~virgin:v3 three note3 ~at in
+      let n3 = Cm.noted_count p3 in
+      let bytes3 =
+        Cm.values_of three (Pathcov.Index_set.of_sub note3 ~pos:at ~len:n3)
+      in
+      Cm.clear three;
+      (* the one pass *)
+      let v1 = Cm.copy orig in
+      let note1 = Array.make room (-1) and vals1 = Bytes.make room '\000' in
+      let p1 = Cm.settle ~virgin:v1 one note1 vals1 ~at in
+      let n1 = Cm.noted_count p1 in
+      let journal_kept =
+        Cm.count_set one = Array.length journal
+        && Array.sub (Cm.journal one) 0 (Cm.count_set one) = journal
+      in
+      let twice =
+        match Cm.settle ~virgin:(Cm.copy orig) one note1 vals1 ~at with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Cm.clear one;
+      let rewound = Cm.count_set one = 0 && Cm.equal one three in
+      (* a rewound trace runs like a fresh one *)
+      List.iter (fun (i, n) -> for _ = 1 to n do Cm.hit one i done) fresh;
+      let reused = Cm.equal one (raw_trace fresh) in
+      p1 = p3
+      && Cm.noted_novelty p1 = Cm.noted_novelty p3
+      && Array.sub note1 at n1 = Array.sub note3 at n3
+      && Bytes.sub_string vals1 at n1 = bytes3
+      && Cm.equal v1 v3
+      && Cm.residual v1 = Cm.residual v3
+      && Cm.residual v1 = Cm.residual_scan v1
+      && journal_kept && twice && rewound && reused)
+
 (* --- feedback listeners --- *)
 
 let run_with_feedback fb prog input =
@@ -392,5 +462,6 @@ let suite =
           prop_feedback_deterministic;
           prop_residual_matches_scan;
           prop_merge_noting_undo;
+          prop_settle_equals_three_passes;
         ] );
   ]

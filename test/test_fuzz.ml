@@ -288,6 +288,92 @@ let test_full_queue_preserves_virgin () =
     (Pathcov.Coverage_map.merge_into ~virgin:st.virgin st.feedback.trace
     <> Pathcov.Coverage_map.Nothing)
 
+let test_unsettled_trace_cleared () =
+  (* Runs the merge never reads (a hang) leave their trace unsettled,
+     and the next run must zero it, not just rewind its journal: one
+     state alternating hung and finished runs sees the same traces as
+     fresh states, and the same virgin map as a state that only ran the
+     finished ones. [execute] leaves its trace raw too, so it checks
+     both kinds of leftover. *)
+  let prog =
+    Minic.Lower.compile
+      "fn main() { var i = 0; if (in(0) == 104) { while (1) { i = i + 1; } } \
+       if (in(1) == 105) { return 1; } while (i < in(2)) { i = i + 1; } \
+       return 0; }"
+  in
+  let config = { Fuzz.Campaign.default_config with fuel = 4_000 } in
+  let inputs = [ "ab"; "h"; "ai\010"; "hx"; "zz\003"; "h"; "ai\200"; "ab" ] in
+  let trace_of (st : Fuzz.Campaign.state) =
+    let tr = st.feedback.trace in
+    List.map (fun i -> (i, Pathcov.Coverage_map.get tr i)) (Pathcov.Coverage_map.set_indices tr)
+  in
+  let st = Fuzz.Campaign.make_state ~config prog in
+  let only_finished = Fuzz.Campaign.make_state ~config prog in
+  let hangs = ref 0 in
+  List.iter
+    (fun input ->
+      Fuzz.Campaign.process st ~depth:1 input;
+      let out = Fuzz.Campaign.execute st input in
+      let fresh = Fuzz.Campaign.make_state ~config prog in
+      ignore (Fuzz.Campaign.execute fresh input);
+      check
+        Alcotest.(list (pair int int))
+        (Printf.sprintf "trace of %S after a reused state's runs" input)
+        (trace_of fresh) (trace_of st);
+      match out.status with
+      | Vm.Interp.Hung -> incr hangs
+      | _ -> Fuzz.Campaign.process only_finished ~depth:1 input)
+    inputs;
+  check Alcotest.int "three hangs" 3 !hangs;
+  check Alcotest.bool "virgin map as without the hangs" true
+    (Pathcov.Coverage_map.equal st.virgin only_finished.virgin)
+
+let test_cost_bound_refused () =
+  (* The top-rated table packs costs into 38 bits: a fuel whose costliest
+     entry could exceed that is refused before anything runs, and an
+     entry past the bound is refused at admission. *)
+  let prog = Minic.Lower.compile Contract.easy_bug_src in
+  let max_fuel = Fuzz.Corpus.max_cost / (Fuzz.Mutator.max_len + 16) in
+  let refused config =
+    match Fuzz.Campaign.make_state ~config prog with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let base = Fuzz.Campaign.default_config in
+  check Alcotest.bool "fuel at the bound runs" false
+    (refused { base with fuel = max_fuel });
+  check Alcotest.bool "fuel past the bound refused" true
+    (refused { base with fuel = max_fuel + 1 });
+  check Alcotest.bool "queue cap past the positions refused" true
+    (refused { base with max_queue = Fuzz.Corpus.max_entries });
+  let s =
+    Fuzz.Strategy.spec ~engine:Fuzz.Tracer.Interp ~budget:100 ~trial_seed:1
+      Fuzz.Strategy.path
+  in
+  (match
+     Fuzz.Strategy.exec
+       { s with config = { s.config with fuel = max_fuel + 1 } }
+       prog ~seeds:[ "a" ]
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "Strategy.exec ran a fuel past the bound");
+  let c = Fuzz.Corpus.create () in
+  (match
+     Fuzz.Corpus.append c ~data:"" ~exec_blocks:(Fuzz.Corpus.max_cost / 16 + 1)
+       ~depth:0 ~found_at:0
+   with
+  | _ -> Alcotest.fail "an entry past max_cost was admitted"
+  | exception Invalid_argument _ -> ());
+  let e =
+    Fuzz.Corpus.append c ~data:"" ~exec_blocks:(Fuzz.Corpus.max_cost / 16)
+      ~depth:0 ~found_at:0
+  in
+  Fuzz.Corpus.claim_slots c e [| 3 |] ~len:1;
+  check
+    Alcotest.(array (pair int int))
+    "an entry at the bound is rated" [| (3, e.id) |]
+    (Fuzz.Corpus.top_rated_pairs c)
+
 (* --- measure & strategies --- *)
 
 let test_edge_union_and_cull () =
@@ -451,6 +537,9 @@ let suite =
           test_full_queue_preserves_virgin;
         Alcotest.test_case "max_depth plumbed through config" `Quick
           test_campaign_max_depth;
+        Alcotest.test_case "unsettled trace cleared" `Quick
+          test_unsettled_trace_cleared;
+        Alcotest.test_case "cost bound refused" `Quick test_cost_bound_refused;
       ] );
     ( "measure-strategy",
       [

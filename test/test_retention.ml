@@ -354,6 +354,149 @@ let test_packed_roundtrip () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* The unboxed table against a table of entries                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference the packed table replaced: one [entry] per slot, with
+   claims, displacements, seats and clears applied to a slot-count
+   array of its own. *)
+type reference = {
+  mutable holders : Corpus.entry option array;
+  slots : (int, int) Hashtbl.t;  (** entry id -> slots it holds *)
+  mutable pending : int;
+}
+
+let ref_slots r (e : Corpus.entry) =
+  Option.value ~default:0 (Hashtbl.find_opt r.slots e.id)
+
+let ref_move r (e : Corpus.entry) d =
+  Hashtbl.replace r.slots e.id (ref_slots r e + d)
+
+let ref_cover r i =
+  if i >= Array.length r.holders then begin
+    let bigger = Array.make (2 * (i + 1)) None in
+    Array.blit r.holders 0 bigger 0 (Array.length r.holders);
+    r.holders <- bigger
+  end
+
+let ref_claim r ~favored (e : Corpus.entry) i =
+  ref_cover r i;
+  match r.holders.(i) with
+  | Some best when best.fav <= e.fav -> ()
+  | prev ->
+      Option.iter (fun b -> ref_move r b (-1)) prev;
+      r.holders.(i) <- Some e;
+      ref_move r e 1;
+      if not (Hashtbl.mem favored e.id) then begin
+        Hashtbl.replace favored e.id ();
+        if e.times_fuzzed = 0 then r.pending <- r.pending + 1
+      end
+
+let ref_rate r (e : Corpus.entry) i =
+  ref_cover r i;
+  Option.iter (fun b -> ref_move r b (-1)) r.holders.(i);
+  r.holders.(i) <- Some e;
+  ref_move r e 1
+
+let ref_pairs r =
+  List.filter_map Fun.id
+    (List.mapi
+       (fun i h -> Option.map (fun (e : Corpus.entry) -> (i, e.id)) h)
+       (Array.to_list r.holders))
+
+type table_op =
+  | Claim of int * int * int list * int  (** blocks, length, slots, how *)
+  | Seat of int * int  (** slot, entry pick *)
+  | Clear
+
+let gen_table_op ~universe =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 8,
+          map
+            (fun (b, l, s, how) -> Claim (b, l, s, how))
+            (quad (int_range 1 3) (int_bound 2)
+               (list_size (int_bound 10) (int_bound (universe - 1)))
+               (int_bound 2)) );
+        (2, map2 (fun s p -> Seat (s, p)) (int_bound (universe - 1)) nat);
+        (1, return Clear);
+      ])
+
+(* Random claims with few distinct costs (so ties are common), each
+   entry claiming its slots through one of the three claim calls,
+   displacements, checkpoint-style seats and clears, on a table sized
+   from the start (64 slots) or grown on demand (up to 3,000 slots);
+   after every step the table, every entry's slot count and favored
+   flag, and the pending count match the reference. *)
+let prop_table_equals_reference =
+  QCheck.Test.make ~count:200 ~name:"unboxed top-rated table equals an entry table"
+    (QCheck.make
+       QCheck.Gen.(
+         bool >>= fun sized ->
+         let universe = if sized then 64 else 3_000 in
+         map
+           (fun ops -> (sized, ops))
+           (list_size (int_range 1 40) (gen_table_op ~universe))))
+    (fun (sized, ops) ->
+      let c =
+        if sized then Corpus.create ~map_size_log2:6 () else Corpus.create ()
+      in
+      let fresh () =
+        { holders = [||]; slots = Hashtbl.create 16; pending = 0 }
+      in
+      let r = ref (fresh ()) and favored = Hashtbl.create 16 in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          (match op with
+          | Claim (exec_blocks, len, slots, how) ->
+              let data = String.make len 'x' in
+              let slots = List.sort_uniq compare slots in
+              let found_at = Corpus.size c in
+              let e =
+                match how with
+                | 0 ->
+                    let e =
+                      Corpus.add c ~data ~indices:(Array.of_list slots)
+                        ~exec_blocks ~depth:0 ~found_at
+                    in
+                    Corpus.claim_top_rated c e;
+                    e
+                | 1 ->
+                    let e = Corpus.append c ~data ~exec_blocks ~depth:0 ~found_at in
+                    let journal = Array.of_list (List.rev slots) in
+                    Corpus.claim_slots c e journal ~len:(Array.length journal);
+                    e
+                | _ ->
+                    let e = Corpus.append c ~data ~exec_blocks ~depth:0 ~found_at in
+                    Corpus.claim_top_rated_at c e (Iset.of_array (Array.of_list slots));
+                    e
+              in
+              (* claimed in any order, so the reference in its own *)
+              List.iter (ref_claim !r ~favored e) slots
+          | Seat (slot, pick) ->
+              if Corpus.size c > 0 then begin
+                let e = Corpus.get c (pick mod Corpus.size c) in
+                Corpus.rate c ~slot e;
+                ref_rate !r e slot
+              end
+          | Clear ->
+              Corpus.clear c;
+              Hashtbl.reset favored;
+              r := fresh ());
+          let pairs = ref_pairs !r in
+          if Array.to_list (Corpus.top_rated_pairs c) <> pairs then ok := false;
+          if c.pending_favored <> !r.pending then ok := false;
+          Corpus.iter
+            (fun e ->
+              if e.slots <> ref_slots !r e then ok := false;
+              if e.favored <> Hashtbl.mem favored e.id then ok := false)
+            c)
+        ops;
+      !ok)
+
 let suite =
   [
     ( "retention",
@@ -367,5 +510,6 @@ let suite =
         Alcotest.test_case "packed index sets round trip" `Quick
           test_packed_roundtrip;
         QCheck_alcotest.to_alcotest prop_claim_at_candidates;
+        QCheck_alcotest.to_alcotest prop_table_equals_reference;
       ] );
   ]
