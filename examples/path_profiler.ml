@@ -16,9 +16,7 @@ let () =
   let subject = Subjects.Registry.find_exn "jq" in
   let prog = Subjects.Subject.program subject in
   let plans = Pathcov.Ball_larus.of_program prog in
-  (* the table size shapes how ties are listed; 256 keeps this
-     example's historical listing *)
-  let _, counts = Fuzz.Measure.path_counts ~buckets:256 plans prog workload in
+  let _, counts = Fuzz.Measure.path_counts plans prog workload in
   Fmt.pr "path profile over %d documents:@.@." (List.length workload);
   Array.iteri
     (fun fid (f : Minic.Ir.func) ->

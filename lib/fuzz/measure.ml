@@ -104,13 +104,13 @@ let path_preserving_cull ?fuel ?plans ?obs prog (inputs : string list) : string 
     inputs
 
 (** A classic Ball–Larus path profile: every committed acyclic path,
-    counted per function by its id, over [inputs] run in order. Ties in
-    a function's listing keep the count table's fold order, which its
-    bucket count shapes. *)
-let path_counts ?(buckets = 64) (plans : Pathcov.Ball_larus.program_plans)
+    counted per function by its id, over [inputs] run in order. A
+    function's listing is sorted by count, then path id, so it does not
+    depend on the count table's layout. *)
+let path_counts (plans : Pathcov.Ball_larus.program_plans)
     (prog : Minic.Ir.program) (inputs : string list) :
     Vm.Interp.status list * (int * int) list array =
-  let counts : (int * int, int) Hashtbl.t = Hashtbl.create buckets in
+  let counts : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let regs = ref [] in
   let bump fid pid =
     let k = (fid, pid) in
@@ -156,5 +156,6 @@ let path_counts ?(buckets = 64) (plans : Pathcov.Ball_larus.program_plans)
         Hashtbl.fold
           (fun (fid', pid) n acc -> if fid' = fid then (pid, n) :: acc else acc)
           counts []
-        |> List.sort (fun (_, a) (_, b) -> compare b a))
+        |> List.sort (fun (p, a) (q, b) ->
+               if a <> b then compare b a else compare p q))
       prog.funcs )

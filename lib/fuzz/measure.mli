@@ -33,11 +33,8 @@ val path_preserving_cull :
     run [inputs] in order through the interpreter with hooks that count
     every acyclic path a function commits, by path id. Returns each
     run's status and, per function id, its [(path id, count)] pairs,
-    most frequent first. Ties keep the fold order of the count table,
-    whose initial bucket count [buckets] (default 64) therefore shapes
-    the listing. *)
+    most frequent first; paths with equal counts list by ascending id. *)
 val path_counts :
-  ?buckets:int ->
   Pathcov.Ball_larus.program_plans ->
   Minic.Ir.program ->
   string list ->

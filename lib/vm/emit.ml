@@ -6,11 +6,18 @@
    fuel discipline (bulk burn + careful replay over the same fusion
    plan), the same probe ops ([Pathcov.Feedback.table], printed by
    [op_text]) — so the differential suite can hold it
-   to the boxed reference interpreter bit for bit (DESIGN §15). *)
+   to the boxed reference interpreter bit for bit (DESIGN §15).
+
+   Each fused block group is one function: its segments run in line,
+   their calls in between, and only the terminator jumps (a tail call).
+   A unit whose table uses the Ball–Larus register passes it to every
+   block function as an [int] argument held in a local [ref], which
+   ocamlopt keeps in a machine register; an int return writes [ret_a]
+   only when it holds an array, skipping [caml_modify]. *)
 
 open Interp
 
-let emitter_version = 6
+let emitter_version = 7
 
 (* ------------------------------------------------------------------ *)
 (* Plugin side-channel *)
@@ -149,46 +156,76 @@ let artifact_path key =
 let lit n = if n < 0 then Printf.sprintf "(%d)" n else string_of_int n
 
 (* One probe op as a unit statement over the unit's registers ([trace],
-   [prev], [hist]/[pos], [regs]/[top], [rolling]): the text form of
-   [Pathcov.Feedback.closure]. *)
-let op_text (op : Pathcov.Feedback.op) : string =
+   [prev], [hist]/[pos], [rolling]) and the block function's path
+   register [pr]: the text form of [Pathcov.Feedback.closure]. [Push]
+   prints nothing: a callee's register starts as the [0] its entry
+   passes to block 0, and dies with the activation, so [Commit_ret] only
+   hits the map. *)
+let op_text (op : Pathcov.Feedback.op) : string option =
   match op with
-  | Hit key -> Printf.sprintf "hit !trace %s" (lit key)
+  | Hit key -> Some (Printf.sprintf "hit !trace %s" (lit key))
   | Hit_edge cur ->
-      Printf.sprintf "hit !trace (%s lxor !prev); prev := %s" (lit cur)
-        (lit (cur lsr 1))
+      Some
+        (Printf.sprintf "hit !trace (%s lxor !prev); prev := %s" (lit cur)
+           (lit (cur lsr 1)))
   | Hit_ngram { key; n } ->
-      Printf.sprintf
-        "Array.unsafe_set hist (!pos mod %d) %s; pos := !pos + 1; let h = \
-         ref 0 in for i = 0 to %d do h := !h lxor (Array.unsafe_get hist i \
-         lsr (i land 15)) done; hit !trace !h"
-        n (lit key) (n - 1)
-  | Push ->
-      "if !top = Array.length !regs then begin let bigger = Array.make (2 * \
-       !top) 0 in Array.blit !regs 0 bigger 0 !top; regs := bigger end; \
-       Array.unsafe_set !regs !top 0; top := !top + 1"
-  | Add k ->
-      Printf.sprintf
-        "if !top > 0 then begin let r = !regs in let i = !top - 1 in \
-         Array.unsafe_set r i (Array.unsafe_get r i + %s) end"
-        (lit k)
+      Some
+        (Printf.sprintf
+           "Array.unsafe_set hist (!pos mod %d) %s; pos := !pos + 1; let h = \
+            ref 0 in for i = 0 to %d do h := !h lxor (Array.unsafe_get hist i \
+            lsr (i land 15)) done; hit !trace !h"
+           n (lit key) (n - 1))
+  | Push -> None
+  | Add k -> Some (Printf.sprintf "pr := !pr + %s" (lit k))
   | Commit_back { add; salt; reset } ->
-      Printf.sprintf
-        "if !top > 0 then begin let r = !regs in let i = !top - 1 in hit \
-         !trace (((Array.unsafe_get r i + %s) lxor %s) land max_int); \
-         Array.unsafe_set r i %s end"
-        (lit add) (lit salt) (lit reset)
+      Some
+        (Printf.sprintf
+           "hit !trace (((!pr + %s) lxor %s) land max_int); pr := %s" (lit add)
+           (lit salt) (lit reset))
   | Commit_ret { add; salt } ->
-      Printf.sprintf
-        "if !top > 0 then begin let i = !top - 1 in hit !trace \
-         (((Array.unsafe_get !regs i + %s) lxor %s) land max_int); top := i \
-         end"
-        (lit add) (lit salt)
+      Some
+        (Printf.sprintf "hit !trace (((!pr + %s) lxor %s) land max_int)"
+           (lit add) (lit salt))
   | Roll k ->
-      Printf.sprintf
-        "rolling := (((!rolling lsl 13) lor (!rolling lsr 49)) lxor %s) land \
-         max_int; hit !trace !rolling"
-        (lit k)
+      Some
+        (Printf.sprintf
+           "rolling := (((!rolling lsl 13) lor (!rolling lsr 49)) lxor %s) \
+            land max_int; hit !trace !rolling"
+           (lit k))
+
+(* A site's probe as a statement of a block function's sequence. *)
+let probe_stmt (op : Pathcov.Feedback.op option) : string =
+  match Option.bind op op_text with None -> "" | Some t -> "(" ^ t ^ ");\n"
+
+(* Whether [tb] uses the Ball–Larus path register anywhere in [p]. If
+   so, every block function takes it as an argument, which needs a
+   fresh register per activation: every call site must [Push]. *)
+let threads_register (tb : Pathcov.Feedback.table) (p : prepared) : bool =
+  let reg = function
+    | Some Pathcov.Feedback.(Push | Add _ | Commit_back _ | Commit_ret _) -> true
+    | _ -> false
+  in
+  let term fid b = function
+    | Rgoto l -> reg (tb.edge fid b l)
+    | Rbranch (_, t, f, _) -> reg (tb.edge fid b t) || reg (tb.edge fid b f)
+    | Rret _ -> reg (tb.ret fid b)
+  in
+  let fids = List.init (Array.length p.rfuncs) Fun.id in
+  let used =
+    List.exists
+      (fun fid ->
+        reg (tb.call fid)
+        || Array.exists Fun.id
+             (Array.mapi
+                (fun b (blk : rblock) ->
+                  reg (tb.block fid b) || term fid b blk.rterm)
+                p.rfuncs.(fid).rblocks))
+      fids
+  in
+  let pushes fid = tb.call fid = Some Pathcov.Feedback.Push in
+  if used && not (List.for_all pushes fids) then
+    invalid_arg "Emit: a mode using the path register must Push at every call";
+  used
 
 (* ------------------------------------------------------------------ *)
 (* Source generation: one subject *)
@@ -210,7 +247,12 @@ let rel_of = function
 let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
     (p : prepared) (mode : Pathcov.Feedback.mode) : unit =
   let tb = Pathcov.Feedback.table ?plans mode p.prog in
-  let probe = Option.map op_text in
+  let threaded = threads_register tb p in
+  (* A jump to block [l] of function [fid], passing the path register
+     when the unit threads it. *)
+  let jump fid l =
+    Printf.sprintf "b_%d_%d ctx fr%s" fid l (if threaded then " !pr" else "")
+  in
   let typing = Compile.may_array_analysis p in
   let zeroes = Compile.zero_slots_analysis p in
   let gma = typing.Compile.gmay in
@@ -221,7 +263,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
     Printf.sprintf "v%d" !nextv
   in
   let parts : (string * string) list ref = ref [] in
-  let push name body = parts := (name, body) :: !parts in
+  let push head body = parts := (head, body) :: !parts in
   (* One function's bodies: expression/statement printers close over
      the function's may-array row. *)
   let gen_fn fid (f : rfunc) =
@@ -408,37 +450,35 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
             v (exp n) v v v (lit site) dstv (slot_lit dst) v
       | _ -> store_int (exp e)
     in
+    (* An int return stores [ret_a] only when it holds an array: the
+       store is a [caml_modify], the test a load. *)
+    let ret_int = "if ctx.I.ret_a != I.no_arr then ctx.I.ret_a <- I.no_arr" in
     let ret_stmt (e : rexpr option) : string =
       match e with
-      | None -> "(ctx.I.ret_a <- I.no_arr; ctx.I.ret_i <- 0)"
+      | None -> Printf.sprintf "(%s; ctx.I.ret_i <- 0)" ret_int
       | Some (Rload (Local i, _)) ->
           if ma.(i) then
             let a = fresh () in
             Printf.sprintf
               "(let %s = if fr.I.f_arrs_live then Array.unsafe_get \
                fr.I.f_arrs %d else I.no_arr in if %s != I.no_arr then \
-               ctx.I.ret_a <- %s else begin ctx.I.ret_a <- I.no_arr; \
-               ctx.I.ret_i <- Array.unsafe_get fr.I.f_ints %d end)"
-              a i a a i
+               ctx.I.ret_a <- %s else begin %s; ctx.I.ret_i <- \
+               Array.unsafe_get fr.I.f_ints %d end)"
+              a i a a ret_int i
           else
-            Printf.sprintf
-              "(ctx.I.ret_a <- I.no_arr; ctx.I.ret_i <- Array.unsafe_get \
-               fr.I.f_ints %d)"
-              i
+            Printf.sprintf "(%s; ctx.I.ret_i <- Array.unsafe_get fr.I.f_ints %d)"
+              ret_int i
       | Some (Rload (Global g, _)) ->
           if gma.(g) then
             let a = fresh () in
             Printf.sprintf
               "(let %s = Array.unsafe_get ctx.I.garrs %d in if %s != \
-               I.no_arr then ctx.I.ret_a <- %s else begin ctx.I.ret_a <- \
-               I.no_arr; ctx.I.ret_i <- Array.unsafe_get ctx.I.gints %d \
-               end)"
-              a g a a g
+               I.no_arr then ctx.I.ret_a <- %s else begin %s; ctx.I.ret_i \
+               <- Array.unsafe_get ctx.I.gints %d end)"
+              a g a a ret_int g
           else
-            Printf.sprintf
-              "(ctx.I.ret_a <- I.no_arr; ctx.I.ret_i <- Array.unsafe_get \
-               ctx.I.gints %d)"
-              g
+            Printf.sprintf "(%s; ctx.I.ret_i <- Array.unsafe_get ctx.I.gints %d)"
+              ret_int g
       | Some (Rarray_make (n, site)) ->
           let v = fresh () in
           Printf.sprintf
@@ -446,9 +486,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
              (I.Crash_exn (C.Bad_alloc %s, %s)) else ctx.I.ret_a <- \
              Array.make %s 0)"
             v (exp n) v v v (lit site) v
-      | Some e ->
-          Printf.sprintf "(ctx.I.ret_a <- I.no_arr; ctx.I.ret_i <- %s)"
-            (exp e)
+      | Some e -> Printf.sprintf "(%s; ctx.I.ret_i <- %s)" ret_int (exp e)
     in
     let instr_stmt (ins : rinstr) : string =
       match ins with
@@ -508,27 +546,18 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
       Buffer.contents bb
     in
     let term_code (label : int) (t : rterm) : string =
+      let arm target = probe_stmt (tb.edge fid label target) ^ jump fid target in
       match t with
-      | Rgoto l ->
-          (match probe (tb.edge fid label l) with
-          | None -> ""
-          | Some pr -> "(" ^ pr ^ ");\n")
-          ^ Printf.sprintf "b_%d_%d ctx fr" fid l
+      | Rgoto l -> arm l
       | Rbranch (c, tl, fl, _site) ->
-          let arm target =
-            (match probe (tb.edge fid label target) with
-            | None -> ""
-            | Some pr -> "(" ^ pr ^ ");\n")
-            ^ Printf.sprintf "b_%d_%d ctx fr" fid target
-          in
           Printf.sprintf "if %s then begin\n%s\nend\nelse begin\n%s\nend"
             (cond c) (arm tl) (arm fl)
       | Rret (e, _site) -> (
           ret_stmt e
           ^
-          match probe (tb.ret fid label) with
+          match Option.bind (tb.ret fid label) op_text with
           | None -> ""
-          | Some pr -> ";\n(" ^ pr ^ ")")
+          | Some t -> ";\n(" ^ t ^ ")")
     in
     let fast_text seg =
       let bb = Buffer.create 256 in
@@ -536,7 +565,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
       let flush () =
         if !pending_add <> 0 then begin
           Buffer.add_string bb
-            ("(" ^ op_text (Pathcov.Feedback.Add !pending_add) ^ ");\n");
+            (probe_stmt (Some (Pathcov.Feedback.Add !pending_add)));
           pending_add := 0
         end
       in
@@ -544,18 +573,14 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
         (function
           | Eentry b ->
               Buffer.add_string bb "ctx.I.blocks <- ctx.I.blocks + 1;\n";
-              (match probe (tb.block fid b) with
-              | None -> ()
-              | Some pr -> Buffer.add_string bb ("(" ^ pr ^ ");\n"))
+              Buffer.add_string bb (probe_stmt (tb.block fid b))
           | Einstr i -> Buffer.add_string bb (instr_stmt i ^ ";\n")
           | Eedge (s, d) -> (
               match Pathcov.Feedback.fold_add (tb.edge fid s d) with
               | Some k -> pending_add := !pending_add + k
-              | None -> (
+              | None ->
                   flush ();
-                  match probe (tb.edge fid s d) with
-                  | None -> ()
-                  | Some pr -> Buffer.add_string bb ("(" ^ pr ^ ");\n")))
+                  Buffer.add_string bb (probe_stmt (tb.edge fid s d)))
           | Ecall _ -> assert false)
         seg;
       flush ();
@@ -570,18 +595,13 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
                 "ctx.I.fuel <- ctx.I.fuel - 1;\n\
                  if ctx.I.fuel <= 0 then raise I.Out_of_fuel;\n\
                  ctx.I.blocks <- ctx.I.blocks + 1;\n";
-              (match probe (tb.block fid b) with
-              | None -> ()
-              | Some pr -> Buffer.add_string bb ("(" ^ pr ^ ");\n"))
+              Buffer.add_string bb (probe_stmt (tb.block fid b))
           | Einstr i ->
               Buffer.add_string bb
                 "ctx.I.fuel <- ctx.I.fuel - 1;\n\
                  if ctx.I.fuel <= 0 then raise I.Out_of_fuel;\n";
               Buffer.add_string bb (instr_stmt i ^ ";\n")
-          | Eedge (s, d) -> (
-              match probe (tb.edge fid s d) with
-              | None -> ()
-              | Some pr -> Buffer.add_string bb ("(" ^ pr ^ ");\n"))
+          | Eedge (s, d) -> Buffer.add_string bb (probe_stmt (tb.edge fid s d))
           | Ecall _ -> assert false)
         seg;
       Buffer.contents bb
@@ -605,66 +625,59 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
       in
       go chain
     in
+    (* One function per block group: each segment between calls burns
+       its fuel in bulk and runs fast, or gives it back and replays
+       carefully; then come its calls, in order, and the group ends in
+       the terminator's tail jump. *)
     let gen_block_group ~head ~chain =
       let ops, last_label, term = ops_of chain in
-      let kcount = ref 0 in
-      let base = Printf.sprintf "b_%d_%d" fid head in
-      let rec build name ops =
-        let bb = Buffer.create 256 in
-        let rec eat = function
-          | Ecall (Rcall { dst; callee; args; site }) :: rest ->
-              Buffer.add_string bb (call_text ~dst ~callee ~args ~site);
-              eat rest
-          | ops -> ops
-        in
-        let ops = eat ops in
-        if ops = [] then begin
-          Buffer.add_string bb (term_code last_label term);
-          push name (Buffer.contents bb)
-        end
-        else begin
-          let rec split acc = function
-            | (Ecall _ :: _ | []) as rest -> (List.rev acc, rest)
-            | op :: more -> split (op :: acc) more
-          in
-          let seg, rest = split [] ops in
-          incr kcount;
-          let cont = Printf.sprintf "%s_k%d" base !kcount in
-          let burn =
-            List.fold_left
-              (fun a op -> match op with Eentry _ | Einstr _ -> a + 1 | _ -> a)
-              0 seg
-          in
-          let fast = fast_text seg in
-          if burn = 0 then
-            Buffer.add_string bb (fast ^ Printf.sprintf "%s ctx fr" cont)
-          else
-            Buffer.add_string bb
-              (Printf.sprintf
-                 "ctx.I.fuel <- ctx.I.fuel - %d;\n\
-                  if ctx.I.fuel > 0 then begin\n\
-                  %s%s ctx fr\n\
-                  end\n\
-                  else begin\n\
-                  ctx.I.fuel <- ctx.I.fuel + %d;\n\
-                  %s%s ctx fr\n\
-                  end"
-                 burn fast cont burn (careful_text seg) cont);
-          push name (Buffer.contents bb);
-          build cont rest
-        end
+      let bb = Buffer.create 1024 in
+      if threaded then Buffer.add_string bb "let pr = ref r in\n";
+      let rec split acc = function
+        | (Ecall _ :: _ | []) as rest -> (List.rev acc, rest)
+        | op :: more -> split (op :: acc) more
       in
-      build base ops
+      let rec build = function
+        | [] -> Buffer.add_string bb (term_code last_label term)
+        | Ecall (Rcall { dst; callee; args; site }) :: rest ->
+            Buffer.add_string bb (call_text ~dst ~callee ~args ~site);
+            build rest
+        | ops ->
+            let seg, rest = split [] ops in
+            let burn =
+              List.fold_left
+                (fun a op -> match op with Eentry _ | Einstr _ -> a + 1 | _ -> a)
+                0 seg
+            in
+            let fast = fast_text seg in
+            if burn = 0 then Buffer.add_string bb fast
+            else
+              Printf.bprintf bb
+                "ctx.I.fuel <- ctx.I.fuel - %d;\n\
+                 if ctx.I.fuel > 0 then begin\n\
+                 %send\n\
+                 else begin\n\
+                 ctx.I.fuel <- ctx.I.fuel + %d;\n\
+                 %send;\n"
+                burn fast burn (careful_text seg);
+            build rest
+      in
+      build ops;
+      push
+        (Printf.sprintf "b_%d_%d (ctx : I.exec_ctx) (fr : I.frame)%s" fid head
+           (if threaded then " (r : int)" else ""))
+        (Buffer.contents bb)
     in
-    (* Entry: depth fence, call probe, jump to block 0. *)
+    (* Entry: depth fence, call probe, jump to block 0 with a zero path
+       register. *)
     push
-      (Printf.sprintf "f_%d" fid)
+      (Printf.sprintf "f_%d (ctx : I.exec_ctx) (fr : I.frame)" fid)
       (Printf.sprintf
          "if !depth > ctx.I.max_depth then raise (I.Crash_exn \
           (C.Stack_overflow, (-1)));\n\
-          %sb_%d_0 ctx fr"
-         (match probe (tb.call fid) with None -> "" | Some pr -> "(" ^ pr ^ ");\n")
-         fid);
+          %sb_%d_0 ctx fr%s"
+         (probe_stmt (tb.call fid)) fid
+         (if threaded then " 0" else ""));
     let plan = Compile.fusion_plan f in
     Array.iteri
       (fun lb _ ->
@@ -682,14 +695,12 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
   Printf.bprintf buf "let prev = ref 0 in\n";
   Printf.bprintf buf "let hist = Array.make %d 0 in\n" ngram_n;
   Printf.bprintf buf "let pos = ref 0 in\n";
-  Printf.bprintf buf "let regs = ref (Array.make 64 0) in\n";
-  Printf.bprintf buf "let top = ref 0 in\n";
   Printf.bprintf buf "let rolling = ref 0 in\n";
   List.iteri
-    (fun i (name, body) ->
-      Printf.bprintf buf "%s %s (ctx : I.exec_ctx) (fr : I.frame) =\n%s\n"
+    (fun i (head, body) ->
+      Printf.bprintf buf "%s %s =\n%s\n"
         (if i = 0 then "let rec" else "and")
-        name body)
+        head body)
     (List.rev !parts);
   Printf.bprintf buf "in\n";
   let zero_main =
@@ -701,8 +712,8 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
     "{ Vm.Emit.r_set_trace = (fun m -> trace := m);\n\
     \  Vm.Emit.r_set_cmp = (fun f -> hcmp := f);\n\
     \  Vm.Emit.r_armed = armed;\n\
-    \  Vm.Emit.r_reset = (fun () -> depth := 0; prev := 0; pos := 0; %stop \
-     := 0; rolling := 0);\n\
+    \  Vm.Emit.r_reset = (fun () -> depth := 0; prev := 0; pos := 0; \
+     %srolling := 0);\n\
     \  Vm.Emit.r_enter = (fun ctx -> let fr = I.acquire_raw ctx %d in \
      %sf_%d ctx fr) })\n\n"
     (if ngram_n > 0 then Printf.sprintf "Array.fill hist 0 %d 0; " ngram_n

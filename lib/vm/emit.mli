@@ -2,9 +2,11 @@
 
     Where {!Compile} partially evaluates a {!Interp.prepared} CFG into
     a closure tree at runtime, this module prints it as straight-line
-    OCaml source — superblock chains, inlined comparisons, baked
-    feedback probes per {!Pathcov.Feedback.mode}, folded Ball–Larus
-    adds, cmplog taps — compiles it out-of-process with the process's
+    OCaml source — one function per superblock chain, inlined
+    comparisons, baked feedback probes per {!Pathcov.Feedback.mode},
+    folded Ball–Larus adds on a path register passed between block
+    functions as an [int] argument, cmplog taps, int returns that skip
+    the write barrier — compiles it out-of-process with the process's
     {!toolchain}, and loads the artifact via {!Dynlink} through a
     registration side-channel. Generated code runs against the
     unmodified pooled {!Interp.exec_ctx} and replicates the

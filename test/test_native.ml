@@ -453,6 +453,111 @@ let test_native_journal_boundary () =
       ]
   end
 
+(* --- the path register across activations: [down] recurses 100 deep
+   (past the 64 registers a heap register stack would start with),
+   commits a loop's back edges in every activation before and after its
+   recursive call, and commits its return after each callee returns.
+   Byte 0 picks the depth whose store indexes out of bounds; a small
+   fuel budget runs out mid-descent. Each abort is followed by clean
+   runs on the same instance and contexts, which must agree with the
+   interpreter as if nothing had happened. Path mode, cmplog on and
+   off. --- *)
+
+let recursion_src =
+  {|
+fn down(n) {
+  var acc = 0;
+  var a = array(2);
+  var i = 0;
+  while (i < 3) {
+    if (in(i + 1) > 64) { acc = acc + 1; } else { acc = acc - 1; }
+    i = i + 1;
+  }
+  if (n == in(0)) { a[n] = acc; }
+  if (n > 0) { acc = acc + down(n - 1); }
+  var j = 0;
+  while (j < 2) {
+    if ((in(4) >> j) & 1) { acc = acc + 3; }
+    j = j + 1;
+  }
+  return acc;
+}
+fn main() { return down(100); }
+|}
+
+let test_native_deep_recursion () =
+  if not (Lazy.force available) then ()
+  else begin
+    let prog = Minic.Lower.compile recursion_src in
+    let prepared = Vm.Interp.prepare prog in
+    let clean1 = "\200\010\100\070\005"
+    and clean2 = "\255\090\003\066\002"
+    and crash = "\050\010\100\070\005" in
+    let runs =
+      [
+        ("clean", clean1, None, `Finished);
+        ("crash at n = 50", crash, None, `Crashed);
+        ("clean after crash", clean2, None, `Finished);
+        ("clean after crash, again", clean1, None, `Finished);
+        ("fuel out mid-descent", clean1, Some 1_500, `Hung);
+        ("clean after hang", clean2, None, `Finished);
+        ("clean after hang, again", clean1, None, `Finished);
+      ]
+    in
+    List.iter
+      (fun cmplog ->
+        let fb = Pathcov.Feedback.make Pathcov.Feedback.Path prog in
+        let icmps = ref [] and ncmps = ref [] in
+        let ictx =
+          Vm.Interp.create_ctx
+            ~hooks:
+              (feedback_hooks ~h_cmp:(fun a b -> icmps := (a, b) :: !icmps) fb)
+            prepared
+        in
+        let nctx = Vm.Interp.create_ctx prepared in
+        let art = instance_exn ~cmplog prepared Pathcov.Feedback.Path in
+        let entry = Vm.Emit.entry art in
+        let ntrace = Pathcov.Coverage_map.create () in
+        Vm.Emit.bind art ~trace:ntrace ~h_cmp:(fun a b ->
+            ncmps := (a, b) :: !ncmps);
+        Vm.Emit.arm art true;
+        List.iter
+          (fun (name, input, fuel, ends) ->
+            fb.reset ();
+            Pathcov.Coverage_map.clear fb.trace;
+            Pathcov.Coverage_map.clear ntrace;
+            icmps := [];
+            ncmps := [];
+            let i = Vm.Interp.run_one ?fuel ictx ~input in
+            let n = Vm.Interp.run_one ?fuel ~entry nctx ~input in
+            let where =
+              Printf.sprintf "%s %s" (if cmplog then "cmplog" else "plain") name
+            in
+            check_bool (where ^ " ends as intended") true
+              (match (i.status, ends) with
+              | Vm.Interp.Crashed _, `Crashed
+              | Vm.Interp.Hung, `Hung
+              | Vm.Interp.Finished (Some _), `Finished ->
+                  true
+              | _ -> false);
+            check status_t (where ^ " status") i.status n.status;
+            check Alcotest.int (where ^ " blocks") i.blocks_executed
+              n.blocks_executed;
+            check
+              Alcotest.(list (pair int int))
+              (where ^ " cmp stream")
+              (if cmplog then List.rev !icmps else [])
+              (List.rev !ncmps);
+            Pathcov.Coverage_map.classify fb.trace;
+            Pathcov.Coverage_map.classify ntrace;
+            check
+              Alcotest.(list (pair int int))
+              (where ^ " classified trace")
+              (trace_contents fb.trace) (trace_contents ntrace))
+          runs)
+      [ true; false ]
+  end
+
 (* --- fail-safe cache key: changing any interface a generated unit
    links against changes the key, so a stale plugin is never loaded ---
    (no compiler needed: the toolchain's digests are read from a scratch
@@ -597,6 +702,8 @@ let suite =
           test_native_forced_fail;
         Alcotest.test_case "journal growth and saturation agree" `Quick
           test_native_journal_boundary;
+        Alcotest.test_case "path register across deep recursion and aborts"
+          `Quick test_native_deep_recursion;
         Alcotest.test_case "cache key tracks linked interfaces" `Quick
           test_native_key_tracks_interfaces;
         Alcotest.test_case "stale build directories collected" `Quick
