@@ -872,16 +872,16 @@ let harvest_metrics (st : state) (tracers : Tracer.t list) : unit =
       Obs.Metrics.set
         (Obs.Metrics.gauge m "engine.careful_units")
         (sum (fun r -> r.Vm.Compile.careful_units));
-      Obs.Metrics.set (Obs.Metrics.gauge m "fusion.chains") s.Vm.Compile.chains;
+      Obs.Metrics.set (Obs.Metrics.gauge m "fusion.chains") s.Vm.Plan.chains;
       Obs.Metrics.set
         (Obs.Metrics.gauge m "fusion.chain_blocks")
-        s.Vm.Compile.chain_blocks;
+        s.Vm.Plan.chain_blocks;
       Obs.Metrics.set
         (Obs.Metrics.gauge m "fusion.chain_max")
-        s.Vm.Compile.chain_max;
+        s.Vm.Plan.chain_max;
       Obs.Metrics.set
         (Obs.Metrics.gauge m "fusion.dup_instrs")
-        s.Vm.Compile.dup_instrs
+        s.Vm.Plan.dup_instrs
 
 (* The observer's counters and snapshot count when a run starts: the
    run reports its own deltas against them, since a shared observer

@@ -255,7 +255,7 @@ let compile_seconds (t : t) : float = t.compile_s
 (** Engine-level tallies from the closure artifact. [None] for the
     interpreter engine and for a live native unit. *)
 let artifact_stats (t : t) :
-    (Vm.Compile.runtime_stats * Vm.Compile.static_stats) option =
+    (Vm.Compile.runtime_stats * Vm.Plan.shape) option =
   Option.map
     (fun a -> (Vm.Compile.runtime_stats a, Vm.Compile.static_stats a))
     t.full_art

@@ -137,4 +137,4 @@ val compile_seconds : t -> float
     counts and fusion shape. [None] for the interpreter engine and for
     a live native unit. *)
 val artifact_stats :
-  t -> (Vm.Compile.runtime_stats * Vm.Compile.static_stats) option
+  t -> (Vm.Compile.runtime_stats * Vm.Plan.shape) option

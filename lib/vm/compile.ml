@@ -5,11 +5,11 @@
     re-matches its constructor, every instruction re-dispatches, and
     every block/edge/return event goes through a devirtualised hook call
     whether or not the feedback mode cares. [compile] pays all of that
-    once: it partially evaluates the CFG into one closure per basic
-    block (forward references resolved through a captured block table
-    read at call time), expressions into closure trees with operators,
-    slots, sites and constants baked in, and — the point — the feedback
-    probes themselves, placed per site from the mode's
+    once: it partially evaluates the CFG into one closure per block
+    group of {!Plan} (jumps between groups resolved through a captured
+    table read at call time), expressions into closure trees with
+    operators, slots, sites and constants baked in, and — the point —
+    the feedback probes themselves, placed per site from the mode's
     [Pathcov.Feedback.table] as [Feedback.closure]s. A site the table
     leaves empty (an edge that is no Ball–Larus operation, a block under
     [path]) gets no probe at all: the compiled code for it is a direct
@@ -18,7 +18,8 @@
     Three further things are resolved at compile time that the
     interpreter re-derives per event:
 
-    - {b slot typing}: a whole-program may-hold-array fixpoint proves
+    - {b slot typing}: a whole-program may-hold-array fixpoint
+      ([Plan.may_array_analysis]) proves
       most locals and globals int-only, so their loads/stores compile to
       single unchecked table accesses instead of the tagged two-table
       probe (sound over-approximation: a slot the analysis calls
@@ -67,11 +68,6 @@ type cstate = {
       (** bulk-burn fast paths abandoned for a careful replay *)
   mutable stat_careful_units : int;
       (** fuel units re-burned one at a time by those replays *)
-  (* static superblock-fusion shape, filled once at compile time *)
-  mutable stat_chains : int;  (** fused chains emitted *)
-  mutable stat_chain_blocks : int;  (** blocks covered by fused chains *)
-  mutable stat_chain_max : int;  (** longest fused chain (blocks) *)
-  mutable stat_dup_instrs : int;  (** instructions copied by tail duplication *)
 }
 
 type t = {
@@ -84,207 +80,6 @@ type t = {
       (** [main]'s definite-assignment residue (entry frames come from
           {!Interp.acquire_raw}, so the residue is zeroed by hand) *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* May-hold-array analysis.
-
-   MiniC slots are dynamically typed: the interpreter keeps an int and
-   an array table per frame and checks, per access, which one is live.
-   Statically, though, almost every slot is int-only. A whole-program
-   fixpoint over "may this slot ever hold an array" lets the compiler
-   emit single unchecked loads/stores for int-only slots. Sources of
-   array-ness: [array(n)] literals, loads from may-array slots, calls
-   returning may-array, and array-declared globals; arrays propagate
-   through assignment, argument passing, returns and global writes
-   (globals are NOT statically typed — an int-declared global may be
-   overwritten with an array). Everything else (arithmetic, comparisons,
-   input reads) is int-valued, so the analysis is a sound
-   over-approximation: a slot it calls int-only never holds an array. *)
-
-type typing = {
-  lmay : bool array array;  (** per (fid, local slot) *)
-  gmay : bool array;  (** per global *)
-}
-
-let may_array_analysis (p : prepared) : typing =
-  let lmay =
-    Array.map (fun (f : rfunc) -> Array.make f.nlocals false) p.rfuncs
-  in
-  let gmay = Array.map (fun n -> n > 0) p.global_sizes in
-  let rmay = Array.make (Array.length p.rfuncs) false in
-  let changed = ref true in
-  let expr_may fid (e : rexpr) =
-    match e with
-    | Rload (Local i, _) -> lmay.(fid).(i)
-    | Rload (Global g, _) -> gmay.(g)
-    | Rarray_make _ -> true
-    | _ -> false
-  in
-  let set_slot fid (s : slot) =
-    match s with
-    | Local i ->
-        if not lmay.(fid).(i) then begin
-          lmay.(fid).(i) <- true;
-          changed := true
-        end
-    | Global g ->
-        if not gmay.(g) then begin
-          gmay.(g) <- true;
-          changed := true
-        end
-  in
-  while !changed do
-    changed := false;
-    Array.iteri
-      (fun fid (f : rfunc) ->
-        Array.iter
-          (fun (b : rblock) ->
-            Array.iter
-              (fun ins ->
-                match ins with
-                | Rassign (dst, e) -> if expr_may fid e then set_slot fid dst
-                | Rcall { dst; callee; args; _ } ->
-                    Array.iteri
-                      (fun k a ->
-                        if expr_may fid a then
-                          set_slot callee p.rfuncs.(callee).param_slots.(k))
-                      args;
-                    (match dst with
-                    | Some d when rmay.(callee) -> set_slot fid d
-                    | _ -> ())
-                | Rstore _ | Rbug _ | Rcheck _ -> ())
-              b.rinstrs;
-            match b.rterm with
-            | Rret (Some e, _) when expr_may fid e && not rmay.(fid) ->
-                rmay.(fid) <- true;
-                changed := true
-            | _ -> ())
-          f.rblocks)
-      p.rfuncs
-  done;
-  { lmay; gmay }
-
-(* ------------------------------------------------------------------ *)
-(* Definite-assignment analysis.
-
-   MiniC locals are zero-initialised, which the interpreter implements
-   as a whole-frame [Array.fill] per activation ([Interp.acquire]).
-   Per function, a must-assign forward dataflow proves which locals are
-   written before every possible read; only the residue needs zeroing,
-   so compiled call sites use [Interp.acquire_raw] plus a (usually
-   empty) per-callee slot list. Sound over all paths: a slot outside
-   the list can never be read before it is written, so the stale value
-   a reused pooled frame carries is unobservable — including by crashes
-   (the analysis covers every expression position, and frames are never
-   reflected into outcomes). *)
-
-let zero_slots_analysis (p : prepared) : int array array =
-  Array.map
-    (fun (f : rfunc) ->
-      let n = f.nlocals in
-      if n = 0 then [||]
-      else begin
-        let nb = Array.length f.rblocks in
-        (* per block: [gen] = slots assigned; [ue] = slots read before
-           any in-block assignment (upward-exposed reads) *)
-        let gen = Array.init nb (fun _ -> Array.make n false) in
-        let ue = Array.init nb (fun _ -> Array.make n false) in
-        let preds = Array.make nb [] in
-        let succs = function
-          | Rgoto l -> [ l ]
-          | Rbranch (_, tl, fl, _) -> if tl = fl then [ tl ] else [ tl; fl ]
-          | Rret _ -> []
-        in
-        Array.iteri
-          (fun b (blk : rblock) ->
-            List.iter (fun s -> preds.(s) <- b :: preds.(s)) (succs blk.rterm))
-          f.rblocks;
-        Array.iteri
-          (fun b (blk : rblock) ->
-            let g = gen.(b) and u = ue.(b) in
-            let rec reads (e : rexpr) =
-              match e with
-              | Rconst _ | Rlen -> ()
-              | Rload (Local i, _) -> if not g.(i) then u.(i) <- true
-              | Rload (Global _, _) -> ()
-              | Rindex (a, i, _) ->
-                  reads a;
-                  reads i
-              | Rarith (_, a, b', _) | Rcmp (_, a, b') ->
-                  reads a;
-                  reads b'
-              | Rneg a | Rnot a | Rbnot a | Rin a | Rabs a
-              | Rarray_make (a, _)
-              | Rarray_len (a, _) ->
-                  reads a
-            in
-            let def = function Local i -> g.(i) <- true | Global _ -> () in
-            Array.iter
-              (fun ins ->
-                match ins with
-                | Rassign (dst, e) ->
-                    reads e;
-                    def dst
-                | Rstore (a, i, v, _) ->
-                    reads a;
-                    reads i;
-                    reads v
-                | Rcall { dst; args; _ } ->
-                    Array.iter reads args;
-                    (match dst with Some d -> def d | None -> ())
-                | Rbug _ -> ()
-                | Rcheck (c, _, _) -> reads c)
-              blk.rinstrs;
-            match blk.rterm with
-            | Rgoto _ | Rret (None, _) -> ()
-            | Rbranch (c, _, _, _) -> reads c
-            | Rret (Some e, _) -> reads e)
-          f.rblocks;
-        (* Must-assign fixpoint: IN(b) = meet over incoming edges of
-           IN(pred) ∪ gen(pred); the function-entry edge contributes
-           exactly the parameter slots, so IN(0) starts there and only
-           shrinks. Unreachable blocks keep ⊤ and contribute nothing. *)
-        let inb =
-          Array.init nb (fun b ->
-              if b = 0 then begin
-                let a = Array.make n false in
-                Array.iter
-                  (function Local i -> a.(i) <- true | Global _ -> ())
-                  f.param_slots;
-                a
-              end
-              else Array.make n true)
-        in
-        let changed = ref true in
-        while !changed do
-          changed := false;
-          for b = 0 to nb - 1 do
-            let cur = inb.(b) in
-            List.iter
-              (fun pb ->
-                let pin = inb.(pb) and pg = gen.(pb) in
-                for i = 0 to n - 1 do
-                  if cur.(i) && not (pin.(i) || pg.(i)) then begin
-                    cur.(i) <- false;
-                    changed := true
-                  end
-                done)
-              preds.(b)
-          done
-        done;
-        let need = Array.make n false in
-        for b = 0 to nb - 1 do
-          for i = 0 to n - 1 do
-            if ue.(b).(i) && not inb.(b).(i) then need.(i) <- true
-          done
-        done;
-        let out = ref [] in
-        for i = n - 1 downto 0 do
-          if need.(i) then out := i :: !out
-        done;
-        Array.of_list !out
-      end)
-    p.rfuncs
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation. Closure trees mirror [Interp.eval_int] /
@@ -1029,9 +824,10 @@ let cret (env : env) (e : rexpr option) : exec_ctx -> frame -> unit =
         ctx.ret_i <- f ctx fr
 
 (* ------------------------------------------------------------------ *)
-(* Instruction / block / function compilation.
+(* Instruction / group / function compilation.
 
-   Straight-line instruction runs between calls ("segments") pre-pay
+   Each block group of the [Plan] renders as one closure. Its
+   straight-line runs between calls ("segments") pre-pay
    their fuel in one subtraction: the dispatcher takes the fast body
    (no per-instruction accounting) whenever the budget strictly covers
    the whole segment — in which case the interpreter could not have
@@ -1430,413 +1226,127 @@ let cblock_empty (env : env) (tbl : bfn array) (fid : int)
         f ctx fr;
         fire pr
 
-(* Compile a block: segment the instruction array at call boundaries,
-   emit a bulk-burn dispatcher per non-empty segment (fast body vs exact
-   fallback, sharing one continuation), and fold the block-entry burn,
-   the [blocks] work counter and the block probe into the first
-   segment. *)
-let cblock (env : env) (p : prepared) (fentries : bfn array)
-    (tbl : bfn array) (fid : int) (label : int) (b : rblock) : bfn =
-  let instrs = b.rinstrs in
-  let n = Array.length instrs in
-  if n = 0 then cblock_empty env tbl fid label b.rterm
-  else begin
-  let term = cterm env tbl fid label b.rterm in
-  (* [build i ~first] compiles execution from instruction [i] to the end
-     of the block: one dispatcher for the straight-line run starting at
-     [i], chained through the call (if any) into the next segment. *)
-  let rec build (i : int) ~(first : bool) : bfn =
-    let j = ref i in
-    while !j < n && (match instrs.(!j) with Rcall _ -> false | _ -> true) do
-      incr j
-    done;
-    let j = !j in
-    let cont : bfn =
-      if j >= n then term
-      else
-        match instrs.(j) with
-        | Rcall { dst; callee; args; site } ->
-            let rest = build (j + 1) ~first:false in
-            ccall env p fentries fid ~dst ~callee ~args ~site rest
-        | _ -> assert false
-    in
-    let burn_units = j - i + if first then 1 else 0 in
-    if burn_units = 0 then cont
-    else begin
-      let rec fast_chain k =
-        if k >= j then cont else cinstr_fast env instrs.(k) (fast_chain (k + 1))
-      in
-      let rec careful_chain k =
-        if k >= j then cont
-        else cinstr_careful env instrs.(k) (careful_chain (k + 1))
-      in
-      let head_careful : bfn -> bfn =
-        if not first then fun body -> body
-        else
-          match block_probe env fid label with
-          | None ->
-              fun body ctx fr ->
-                ctx.fuel <- ctx.fuel - 1;
-                if ctx.fuel <= 0 then raise Out_of_fuel;
-                ctx.blocks <- ctx.blocks + 1;
-                body ctx fr
-          | Some pb ->
-              fun body ctx fr ->
-                ctx.fuel <- ctx.fuel - 1;
-                if ctx.fuel <= 0 then raise Out_of_fuel;
-                ctx.blocks <- ctx.blocks + 1;
-                pb ();
-                body ctx fr
-      in
-      let fast = fast_chain i in
-      let careful = head_careful (careful_chain i) in
-      let cs = env.cs in
-      (* The head work of the first segment (entry burn already counted
-         in [burn_units], the work counter, the block probe) is inlined
-         into the dispatcher itself — no extra closure hop. *)
-      if not first then
+(* One call-free segment of a group, continuing into [cont]: a bulk-burn
+   dispatcher over its fast and careful steps ([Plan]'s equivalence
+   argument). The first segment of a group inlines its head's entry
+   work (counter, block probe) into the dispatcher itself — an extra
+   closure hop there made fused chains measurably slower. *)
+let cseg (env : env) (fid : int) ~(first : bool) (s : Plan.segment)
+    (cont : bfn) : bfn =
+  (* The fast steps, or the careful ones with a burn per unit. *)
+  let rec steps ~careful : Plan.step list -> bfn = function
+    | [] -> cont
+    | Enter b :: tl -> (
+        let rest = steps ~careful tl in
+        match (careful, block_probe env fid b) with
+        | false, None ->
+            fun ctx fr ->
+              ctx.blocks <- ctx.blocks + 1;
+              rest ctx fr
+        | false, Some pb ->
+            fun ctx fr ->
+              ctx.blocks <- ctx.blocks + 1;
+              pb ();
+              rest ctx fr
+        | true, None ->
+            fun ctx fr ->
+              ctx.fuel <- ctx.fuel - 1;
+              if ctx.fuel <= 0 then raise Out_of_fuel;
+              ctx.blocks <- ctx.blocks + 1;
+              rest ctx fr
+        | true, Some pb ->
+            fun ctx fr ->
+              ctx.fuel <- ctx.fuel - 1;
+              if ctx.fuel <= 0 then raise Out_of_fuel;
+              ctx.blocks <- ctx.blocks + 1;
+              pb ();
+              rest ctx fr)
+    | Instr i :: tl ->
+        (if careful then cinstr_careful else cinstr_fast)
+          env i (steps ~careful tl)
+    | Probe op :: tl ->
+        let pe = Pathcov.Feedback.closure env.cs.fb op in
+        let rest = steps ~careful tl in
         fun ctx fr ->
-          ctx.fuel <- ctx.fuel - burn_units;
-          if ctx.fuel > 0 then fast ctx fr
-          else begin
-            ctx.fuel <- ctx.fuel + burn_units;
-            cs.stat_rollbacks <- cs.stat_rollbacks + 1;
-            cs.stat_careful_units <- cs.stat_careful_units + burn_units;
-            careful ctx fr
-          end
-      else
-        match block_probe env fid label with
-        | None ->
-            fun ctx fr ->
-              ctx.fuel <- ctx.fuel - burn_units;
-              if ctx.fuel > 0 then begin
-                ctx.blocks <- ctx.blocks + 1;
-                fast ctx fr
-              end
-              else begin
-                ctx.fuel <- ctx.fuel + burn_units;
-                cs.stat_rollbacks <- cs.stat_rollbacks + 1;
-                cs.stat_careful_units <- cs.stat_careful_units + burn_units;
-                careful ctx fr
-              end
-        | Some pb ->
-            fun ctx fr ->
-              ctx.fuel <- ctx.fuel - burn_units;
-              if ctx.fuel > 0 then begin
-                ctx.blocks <- ctx.blocks + 1;
-                pb ();
-                fast ctx fr
-              end
-              else begin
-                ctx.fuel <- ctx.fuel + burn_units;
-                cs.stat_rollbacks <- cs.stat_rollbacks + 1;
-                cs.stat_careful_units <- cs.stat_careful_units + burn_units;
-                careful ctx fr
-              end
-    end
+          pe ();
+          rest ctx fr
   in
-  build 0 ~first:true
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Superblock fusion.
-
-   A chain of blocks linked by unconditional gotos where every interior
-   block has exactly one predecessor executes as one straight line: no
-   input-dependent branch can enter or leave it except at the head and
-   the final terminator. Fusing the chain into one closure elides the
-   interior dispatch (the [tbl] jumps), coalesces the interior fuel
-   burns into the bulk-burn dispatcher the intra-block segments already
-   use — lifted here from intra-block to inter-block — and folds
-   consecutive Ball–Larus register increments into one deferred
-   constant-add.
-
-   Equivalence argument (the inter-block extension of the intra-block
-   one at [cblock]): the fast chain runs only when [fuel > burn_units]
-   where [burn_units] counts one unit per block entry and per non-call
-   instruction in the segment, exactly what the careful chain burns one
-   at a time. Under that guard no interior burn can hit zero, so
-   [Out_of_fuel] is impossible inside the fast chain and the end-of-
-   segment fuel is identical; otherwise the careful chain replays the
-   per-op burn order exactly, making mid-chain hang points and crash
-   sites (each instruction's own crash raises from its compiled body,
-   with [ctx.blocks] advanced per block entry) bit-identical to
-   block-at-a-time execution. Probe event order is preserved: block probes fire
-   per entry in chain order, and only edges whose entire effect is a
-   register increment ([Feedback.fold_add] = [Some k]) are folded — the
-   folded constant is flushed (as one [Add], same top-of-stack
-   guard) before any must-fire edge probe (a commit reads the register)
-   and at segment end, and adds commute with everything in between
-   (instructions never touch the register; register state after an
-   aborted run is dead — [reset] clears it before the next one). *)
-
-type cop =
-  | Oentry of int  (** fused block entry: burn 1, work counter, pb *)
-  | Oinstr of rinstr  (** non-call instruction: burn 1 *)
-  | Ocall of rinstr  (** [Rcall]: burns exactly, bounds segments *)
-  | Oedge of int * int  (** fused goto edge (src, dst): burn 0 *)
-
-let max_chain_blocks = 24
-let max_dup_instrs = 32
-
-(* Grow the fused region headed at [head]: follow unconditional gotos
-   through single-predecessor interior blocks, and through multi-
-   predecessor join blocks by tail duplication (the join keeps its own
-   [tbl] entry for the other predecessors) within a copied-instruction
-   budget. Stops on branches, returns, self-loops/cycles and the caps. *)
-let grow_chain (f : rfunc) (interior : bool array) (head : int) : int list =
-  let dup = ref 0 in
-  let rec go acc len cur =
-    let acc = cur :: acc in
-    match f.rblocks.(cur).rterm with
-    | Rgoto l when (not (List.mem l acc)) && len < max_chain_blocks ->
-        if interior.(l) then go acc (len + 1) l
+  let fast = steps ~careful:false in
+  let carefulc = steps ~careful:true s.careful in
+  let burn = s.burn in
+  let cs = env.cs in
+  match s.fast with
+  | Enter b :: tl when first -> (
+      let fastc = fast tl in
+      match block_probe env fid b with
+      | None ->
+          fun ctx fr ->
+            ctx.fuel <- ctx.fuel - burn;
+            if ctx.fuel > 0 then begin
+              ctx.blocks <- ctx.blocks + 1;
+              fastc ctx fr
+            end
+            else begin
+              ctx.fuel <- ctx.fuel + burn;
+              cs.stat_rollbacks <- cs.stat_rollbacks + 1;
+              cs.stat_careful_units <- cs.stat_careful_units + burn;
+              carefulc ctx fr
+            end
+      | Some pb ->
+          fun ctx fr ->
+            ctx.fuel <- ctx.fuel - burn;
+            if ctx.fuel > 0 then begin
+              ctx.blocks <- ctx.blocks + 1;
+              pb ();
+              fastc ctx fr
+            end
+            else begin
+              ctx.fuel <- ctx.fuel + burn;
+              cs.stat_rollbacks <- cs.stat_rollbacks + 1;
+              cs.stat_careful_units <- cs.stat_careful_units + burn;
+              carefulc ctx fr
+            end)
+  | fsteps ->
+      let fastc = fast fsteps in
+      fun ctx fr ->
+        ctx.fuel <- ctx.fuel - burn;
+        if ctx.fuel > 0 then fastc ctx fr
         else begin
-          let cost = Array.length f.rblocks.(l).rinstrs + 1 in
-          if !dup + cost <= max_dup_instrs then begin
-            dup := !dup + cost;
-            go acc (len + 1) l
-          end
-          else List.rev acc
+          ctx.fuel <- ctx.fuel + burn;
+          cs.stat_rollbacks <- cs.stat_rollbacks + 1;
+          cs.stat_careful_units <- cs.stat_careful_units + burn;
+          carefulc ctx fr
         end
-    | _ -> List.rev acc
-  in
-  go [] 1 head
 
-(* Interior marking for superblock fusion: a block reached only by one
-   unconditional goto (the entry block keeps a pseudo-predecessor so it
-   is never fused away). Interior blocks keep their standalone [tbl]
-   entries — a budget-capped chain can still end with a goto into
-   one. *)
-let fusion_interior (f : rfunc) : bool array =
-  let nb = Array.length f.rblocks in
-  let npreds = Array.make nb 0 in
-  npreds.(0) <- 1;
-  let succs = function
-    | Rgoto l -> [ l ]
-    | Rbranch (_, tl, fl, _) -> if tl = fl then [ tl ] else [ tl; fl ]
-    | Rret _ -> []
-  in
-  Array.iter
-    (fun (b : rblock) ->
-      List.iter (fun s -> npreds.(s) <- npreds.(s) + 1) (succs b.rterm))
-    f.rblocks;
-  let interior = Array.make nb false in
-  Array.iteri
-    (fun bi (b : rblock) ->
-      match b.rterm with
-      | Rgoto l when l <> bi && npreds.(l) = 1 -> interior.(l) <- true
-      | _ -> ())
-    f.rblocks;
-  interior
+(* One block group as one closure: its segments and calls in order,
+   then the last block's terminator. A lone instruction-free block is
+   loop control and takes the [cblock_empty] fast path. *)
+let cgroup (env : env) (p : prepared) (fentries : bfn array)
+    (tbl : bfn array) (fid : int) (f : rfunc) (g : Plan.group) : bfn =
+  match g.blocks with
+  | [ b ] when Array.length f.rblocks.(b).rinstrs = 0 ->
+      cblock_empty env tbl fid b g.term
+  | _ ->
+      let final = cterm env tbl fid g.last g.term in
+      let rec render ~first : Plan.piece list -> bfn = function
+        | [] -> final
+        | Call { dst; callee; args; site } :: rest ->
+            ccall env p fentries fid ~dst ~callee ~args ~site
+              (render ~first:false rest)
+        | Seg s :: rest -> cseg env fid ~first s (render ~first:false rest)
+      in
+      render ~first:true g.pieces
 
-let fusion_plan_of (f : rfunc) (interior : bool array) :
-    int list option array =
-  Array.init (Array.length f.rblocks) (fun b ->
-      if interior.(b) then None
-      else
-        match grow_chain f interior b with
-        | _ :: _ :: _ as chain -> Some chain
-        | _ -> None)
-
-(** The per-function fusion plan: [Some chain] (length >= 2) at every
-    chain head, [None] elsewhere. Shared with the native emitter, which
-    must fuse exactly the regions the closure engine does. *)
-let fusion_plan (f : rfunc) : int list option array =
-  fusion_plan_of f (fusion_interior f)
-
-(* Compile one fused chain into a single closure. *)
-let cchain (env : env) (p : prepared) (fentries : bfn array)
-    (tbl : bfn array) (fid : int) (f : rfunc) (chain : int list) : bfn =
-  let instr_op i = match i with Rcall _ -> Ocall i | _ -> Oinstr i in
-  (* Flatten the chain into an op stream; the last block's terminator
-     compiles through the ordinary [cterm] (its edge/return probes and
-     jumps through [tbl] are unchanged). *)
-  let rec ops_of = function
-    | [] -> assert false
-    | [ last ] ->
-        let b = f.rblocks.(last) in
-        ( Oentry last :: List.map instr_op (Array.to_list b.rinstrs),
-          cterm env tbl fid last b.rterm )
-    | cur :: (next :: _ as rest) ->
-        let b = f.rblocks.(cur) in
-        let here =
-          Oentry cur
-          :: List.map instr_op (Array.to_list b.rinstrs)
-          @ [ Oedge (cur, next) ]
-        in
-        let more, final = ops_of rest in
-        (here @ more, final)
-  in
-  let ops, final = ops_of chain in
-  let rec compile_ops (ops : cop list) : bfn =
-    match ops with
-    | [] -> final
-    | Ocall (Rcall { dst; callee; args; site }) :: rest ->
-        ccall env p fentries fid ~dst ~callee ~args ~site (compile_ops rest)
-    | Ocall _ :: _ -> assert false
-    | _ ->
-        (* Maximal call-free segment: one bulk-burn dispatcher. *)
-        let rec split acc = function
-          | (Ocall _ :: _ | []) as rest -> (List.rev acc, rest)
-          | op :: more -> split (op :: acc) more
-        in
-        let seg, rest = split [] ops in
-        let cont = compile_ops rest in
-        let burn =
-          List.fold_left
-            (fun a op ->
-              match op with Oentry _ | Oinstr _ -> a + 1 | _ -> a)
-            0 seg
-        in
-        let apply_add k (restf : bfn) : bfn =
-          if k = 0 then restf
-          else
-            let add = Pathcov.Feedback.(closure env.cs.fb (Add k)) in
-            fun ctx fr ->
-              add ();
-              restf ctx fr
-        in
-        let rec fast pending = function
-          | [] -> apply_add pending cont
-          | Oentry b :: tl -> (
-              let restf = fast pending tl in
-              match block_probe env fid b with
-              | None ->
-                  fun ctx fr ->
-                    ctx.blocks <- ctx.blocks + 1;
-                    restf ctx fr
-              | Some pb ->
-                  fun ctx fr ->
-                    ctx.blocks <- ctx.blocks + 1;
-                    pb ();
-                    restf ctx fr)
-          | Oinstr i :: tl -> cinstr_fast env i (fast pending tl)
-          | Oedge (s, d) :: tl -> (
-              match Pathcov.Feedback.fold_add (env.tb.edge fid s d) with
-              | Some k -> fast (pending + k) tl
-              | None ->
-                  (* Must fire in place: flush the fold first. *)
-                  let fire_then =
-                    match edge_probe env fid s d with
-                    | None -> fast 0 tl
-                    | Some pe ->
-                        let restf = fast 0 tl in
-                        fun ctx fr ->
-                          pe ();
-                          restf ctx fr
-                  in
-                  apply_add pending fire_then)
-          | Ocall _ :: _ -> assert false
-        in
-        let rec careful = function
-          | [] -> cont
-          | Oentry b :: tl -> (
-              let restc = careful tl in
-              match block_probe env fid b with
-              | None ->
-                  fun ctx fr ->
-                    ctx.fuel <- ctx.fuel - 1;
-                    if ctx.fuel <= 0 then raise Out_of_fuel;
-                    ctx.blocks <- ctx.blocks + 1;
-                    restc ctx fr
-              | Some pb ->
-                  fun ctx fr ->
-                    ctx.fuel <- ctx.fuel - 1;
-                    if ctx.fuel <= 0 then raise Out_of_fuel;
-                    ctx.blocks <- ctx.blocks + 1;
-                    pb ();
-                    restc ctx fr)
-          | Oinstr i :: tl -> cinstr_careful env i (careful tl)
-          | Oedge (s, d) :: tl -> (
-              match edge_probe env fid s d with
-              | None -> careful tl
-              | Some pe ->
-                  let restc = careful tl in
-                  fun ctx fr ->
-                    pe ();
-                    restc ctx fr)
-          | Ocall _ :: _ -> assert false
-        in
-        let carefulc = careful seg in
-        let cs = env.cs in
-        if burn = 0 then fast 0 seg
-        else
-          (* The leading block entry's work (counter, block probe) is
-             inlined into the dispatcher itself, as in [cblock] — the
-             fused fast path must not pay a closure hop the standalone
-             one doesn't. *)
-          match seg with
-          | Oentry b :: tl -> (
-              let fastc = fast 0 tl in
-              match block_probe env fid b with
-              | None ->
-                  fun ctx fr ->
-                    ctx.fuel <- ctx.fuel - burn;
-                    if ctx.fuel > 0 then begin
-                      ctx.blocks <- ctx.blocks + 1;
-                      fastc ctx fr
-                    end
-                    else begin
-                      ctx.fuel <- ctx.fuel + burn;
-                      cs.stat_rollbacks <- cs.stat_rollbacks + 1;
-                      cs.stat_careful_units <- cs.stat_careful_units + burn;
-                      carefulc ctx fr
-                    end
-              | Some pb ->
-                  fun ctx fr ->
-                    ctx.fuel <- ctx.fuel - burn;
-                    if ctx.fuel > 0 then begin
-                      ctx.blocks <- ctx.blocks + 1;
-                      pb ();
-                      fastc ctx fr
-                    end
-                    else begin
-                      ctx.fuel <- ctx.fuel + burn;
-                      cs.stat_rollbacks <- cs.stat_rollbacks + 1;
-                      cs.stat_careful_units <- cs.stat_careful_units + burn;
-                      carefulc ctx fr
-                    end)
-          | _ ->
-              let fastc = fast 0 seg in
-              fun ctx fr ->
-                ctx.fuel <- ctx.fuel - burn;
-                if ctx.fuel > 0 then fastc ctx fr
-                else begin
-                  ctx.fuel <- ctx.fuel + burn;
-                  cs.stat_rollbacks <- cs.stat_rollbacks + 1;
-                  cs.stat_careful_units <- cs.stat_careful_units + burn;
-                  carefulc ctx fr
-                end
-  in
-  compile_ops ops
-
+(* A function's entry: the depth fence and call probe, then the group at
+   label 0. Only the groups [Plan.func] reaches get a table entry. *)
 let cfunc (env : env) (p : prepared) (fentries : bfn array)
     (fid : int) (f : rfunc) : bfn =
-  let nb = Array.length f.rblocks in
-  let tbl = Array.make nb (fun _ _ -> assert false : bfn) in
-  for b = 0 to nb - 1 do
-    tbl.(b) <- cblock env p fentries tbl fid b f.rblocks.(b)
-  done;
-  let interior = fusion_interior f in
-  let plan = fusion_plan_of f interior in
-  for b = 0 to nb - 1 do
-    match plan.(b) with
-    | Some chain ->
-        let cs = env.cs in
-        let len = List.length chain in
-        cs.stat_chains <- cs.stat_chains + 1;
-        cs.stat_chain_blocks <- cs.stat_chain_blocks + len;
-        if len > cs.stat_chain_max then cs.stat_chain_max <- len;
-        List.iteri
-          (fun i l ->
-            if i > 0 && not interior.(l) then
-              cs.stat_dup_instrs <-
-                cs.stat_dup_instrs + Array.length f.rblocks.(l).rinstrs + 1)
-          chain;
-        tbl.(b) <- cchain env p fentries tbl fid f chain
-    | None -> ()
-  done;
+  let tbl =
+    Array.make (Array.length f.rblocks) (fun _ _ -> assert false : bfn)
+  in
+  List.iter
+    (fun (g : Plan.group) -> tbl.(g.head) <- cgroup env p fentries tbl fid f g)
+    (Plan.func env.tb fid f);
   let b0 = tbl.(0) in
   let cs = env.cs in
   match probe env (env.tb.call fid) with
@@ -1868,15 +1378,11 @@ let compile ?plans ?(cmplog = true) (p : prepared)
       depth = 0;
       stat_rollbacks = 0;
       stat_careful_units = 0;
-      stat_chains = 0;
-      stat_chain_blocks = 0;
-      stat_chain_max = 0;
-      stat_dup_instrs = 0;
     }
   in
   let tb = Pathcov.Feedback.table ?plans mode p.prog in
-  let typing = may_array_analysis p in
-  let zeroes = zero_slots_analysis p in
+  let typing = Plan.may_array_analysis p in
+  let zeroes = Plan.zero_slots_analysis p in
   let fentries = Array.make nfuncs (fun _ _ -> assert false : bfn) in
   Array.iteri
     (fun fid f ->
@@ -1934,26 +1440,12 @@ type runtime_stats = {
   careful_units : int;  (** fuel units re-burned by those replays *)
 }
 
-type static_stats = {
-  chains : int;  (** fused superblock chains emitted *)
-  chain_blocks : int;  (** blocks covered by fused chains *)
-  chain_max : int;  (** longest fused chain (blocks) *)
-  dup_instrs : int;  (** instructions copied by tail duplication *)
-}
-
 (** Bulk-burn rollback tallies accumulated since compilation. *)
 let runtime_stats (t : t) : runtime_stats =
   { rollbacks = t.cs.stat_rollbacks; careful_units = t.cs.stat_careful_units }
 
-(** Superblock-fusion shape fixed at compilation (all zero when no
-    chain qualifies). *)
-let static_stats (t : t) : static_stats =
-  {
-    chains = t.cs.stat_chains;
-    chain_blocks = t.cs.stat_chain_blocks;
-    chain_max = t.cs.stat_chain_max;
-    dup_instrs = t.cs.stat_dup_instrs;
-  }
+(** The program's superblock-fusion shape ({!Plan.shape}). *)
+let static_stats (t : t) : Plan.shape = Plan.shape t.prepared
 
 (** The artifact's entry into the run harness ({!Interp.run_batch}):
     reset the baked listener registers, take [main]'s frame raw, zero

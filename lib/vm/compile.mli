@@ -2,15 +2,16 @@
     the second execution engine.
 
     [compile] partially evaluates a {!Interp.prepared} CFG, threaded-code
-    style: one closure per basic block (forward references resolved
-    through a block table read at call time), expression trees folded
-    into closure trees with slots/sites/constants baked in, and the
-    mode's {!Pathcov.Feedback.table} placed at its sites as the same
-    {!Pathcov.Feedback.closure}s the interpreter's listener runs. A site
-    with no probe (under [Path], an edge with no Ball–Larus operation)
-    compiles to a direct jump, so the listener's per-event lookup
-    disappears along with the interpreter's [rinstr]/[rexpr] match
-    dispatch.
+    style: one closure per block group of the {!Plan} (a superblock
+    chain or a lone block, and only the groups control can enter), jumps
+    between groups resolved through a table read at call time,
+    expression trees folded into closure trees with slots/sites/constants
+    baked in, and the mode's {!Pathcov.Feedback.table} placed at its
+    sites as the same {!Pathcov.Feedback.closure}s the interpreter's
+    listener runs. A site with no probe (under [Path], an edge with no
+    Ball–Larus operation) compiles to a direct jump, so the listener's
+    per-event lookup disappears along with the interpreter's
+    [rinstr]/[rexpr] match dispatch.
 
     Staged code executes against the unmodified pooled
     {!Interp.exec_ctx} and replicates the interpreter's observable
@@ -32,16 +33,16 @@ type t
     binds a no-op probe, so such callers pass [~cmplog:false] to compile
     the calls out entirely — unobservable by construction.
 
-    Every artifact applies superblock fusion: chains of blocks linked by
-    unconditional gotos whose interior blocks have a single predecessor
-    (plus rejoining diamond tails within a tail-duplication budget)
-    collapse into one closure — interior dispatch elided, interior fuel
-    burns coalesced into one bulk burn with exact per-op replay on the
-    crash/hang path, and consecutive Ball–Larus register increments
-    folded into one constant-add. Observably equivalent to block-at-a-
-    time execution (same outcomes, crash sites, fuel accounting,
-    [blocks_executed], probe event order); enforced by the differential
-    suite. *)
+    Every artifact applies superblock fusion ({!Plan}): chains of
+    blocks linked by unconditional gotos whose interior blocks have a
+    single predecessor (plus rejoining diamond tails within a
+    tail-duplication budget) collapse into one closure — interior
+    dispatch elided, interior fuel burns coalesced into one bulk burn
+    with exact per-op replay on the crash/hang path, and consecutive
+    Ball–Larus register increments folded into one constant-add.
+    Observably equivalent to block-at-a-time execution (same outcomes,
+    crash sites, fuel accounting, [blocks_executed], probe event order);
+    enforced by the differential suite. *)
 val compile :
   ?plans:Pathcov.Ball_larus.program_plans ->
   ?cmplog:bool ->
@@ -92,46 +93,12 @@ type runtime_stats = {
   careful_units : int;  (** fuel units re-burned by those replays *)
 }
 
-type static_stats = {
-  chains : int;  (** fused superblock chains emitted *)
-  chain_blocks : int;  (** blocks covered by fused chains *)
-  chain_max : int;  (** longest fused chain (blocks) *)
-  dup_instrs : int;  (** instructions copied by tail duplication *)
-}
-
 (** Bulk-burn rollback tallies accumulated since compilation. *)
 val runtime_stats : t -> runtime_stats
 
-(** Superblock-fusion shape fixed at compilation (all zero when no
-    chain qualifies). *)
-val static_stats : t -> static_stats
+(** The program's superblock-fusion shape, {!Plan.shape} (all zero
+    when no chain qualifies). *)
+val static_stats : t -> Plan.shape
 
 (** [(hits, misses)] of {!cached} on the calling domain. *)
 val cache_stats : unit -> int * int
-
-(** {2 Shared planning} (consumed by {!Emit})
-
-    The analyses and constants the closure engine bakes into its
-    probes, exposed so the native source emitter specialises over
-    exactly the same plan — any drift between the two engines is a
-    trajectory divergence the differential suite would catch. *)
-
-(** Per-slot may-hold-array verdicts of the whole-program fixpoint: a
-    slot outside the tables never holds an array, so loads/stores on it
-    compile to single unchecked int-table accesses. *)
-type typing = {
-  lmay : bool array array;  (** per (fid, local slot) *)
-  gmay : bool array;  (** per global *)
-}
-
-val may_array_analysis : Interp.prepared -> typing
-
-(** Per function: the local slots to zero at frame entry (the
-    definite-assignment residue left over a pooled [acquire_raw]). *)
-val zero_slots_analysis : Interp.prepared -> int array array
-
-(** The superblock-fusion plan for one resolved function: [Some chain]
-    (length >= 2, head first) at every chain head, [None] elsewhere.
-    Interior chain blocks still require standalone bodies — a
-    budget-capped chain can end with a goto into one. *)
-val fusion_plan : Interp.rfunc -> int list option array

@@ -1,15 +1,16 @@
 (* Per-subject native code emission: print a prepared subject as
    straight-line OCaml over the pooled [Interp.exec_ctx] API, compile
    it out-of-process, Dynlink the artifact, and hand back a runnable
-   instance. The generated code mirrors [Compile]'s observable
-   semantics op for op — same evaluation order, same crash sites, same
-   fuel discipline (bulk burn + careful replay over the same fusion
-   plan), the same probe ops ([Pathcov.Feedback.table], printed by
-   [op_text]) — so the differential suite can hold it
-   to the boxed reference interpreter bit for bit (DESIGN §15).
+   instance. The generated code renders the same [Plan] as the closure
+   engine, op for op — same evaluation order, same crash sites, same
+   fuel discipline (bulk burn + careful replay over the same segments),
+   the same probe ops ([Pathcov.Feedback.table], printed by [op_text])
+   — so the differential suite can hold it to the boxed reference
+   interpreter bit for bit (DESIGN §15).
 
-   Each fused block group is one function: its segments run in line,
-   their calls in between, and only the terminator jumps (a tail call).
+   Each block group the plan reaches is one function: its segments run
+   in line, their calls in between, and only the terminator jumps (a
+   tail call). A label that heads no reached group gets no function.
    A unit whose table uses the Ball–Larus register passes it to every
    block function as an [int] argument held in a local [ref], which
    ocamlopt keeps in a machine register; an int return writes [ret_a]
@@ -17,7 +18,7 @@
 
 open Interp
 
-let emitter_version = 7
+let emitter_version = 8
 
 (* ------------------------------------------------------------------ *)
 (* Plugin side-channel *)
@@ -230,8 +231,6 @@ let threads_register (tb : Pathcov.Feedback.table) (p : prepared) : bool =
 (* ------------------------------------------------------------------ *)
 (* Source generation: one subject *)
 
-type eop = Eentry of int | Einstr of rinstr | Ecall of rinstr | Eedge of int * int
-
 let slot_lit = function
   | Local i -> Printf.sprintf "(I.Local %d)" i
   | Global g -> Printf.sprintf "(I.Global %d)" g
@@ -253,9 +252,9 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
   let jump fid l =
     Printf.sprintf "b_%d_%d ctx fr%s" fid l (if threaded then " !pr" else "")
   in
-  let typing = Compile.may_array_analysis p in
-  let zeroes = Compile.zero_slots_analysis p in
-  let gma = typing.Compile.gmay in
+  let typing = Plan.may_array_analysis p in
+  let zeroes = Plan.zero_slots_analysis p in
+  let gma = typing.Plan.gmay in
   let ngram_n = match mode with Pathcov.Feedback.Ngram n -> n | _ -> 0 in
   let nextv = ref 0 in
   let fresh () =
@@ -267,7 +266,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
   (* One function's bodies: expression/statement printers close over
      the function's may-array row. *)
   let gen_fn fid (f : rfunc) =
-    let ma = typing.Compile.lmay.(fid) in
+    let ma = typing.Plan.lmay.(fid) in
     let rec exp (e : rexpr) : string =
       match e with
       | Rconst n -> lit n
@@ -524,7 +523,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
       Array.iteri
         (fun k a ->
           Printf.bprintf bb "%s;\n"
-            (into ~dstma:typing.Compile.lmay.(callee) ~dstv:cf params.(k) a))
+            (into ~dstma:typing.Plan.lmay.(callee) ~dstv:cf params.(k) a))
         args;
       Printf.bprintf bb "push ctx %d %s;\n" fid (lit site);
       Printf.bprintf bb "depth := !depth + 1;\n";
@@ -559,99 +558,42 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
           | None -> ""
           | Some t -> ";\n(" ^ t ^ ")")
     in
-    let fast_text seg =
+    (* A segment's steps: the fast run, or the careful replay with a
+       burn per unit. *)
+    let steps_text ~careful (steps : Plan.step list) =
       let bb = Buffer.create 256 in
-      let pending_add = ref 0 in
-      let flush () =
-        if !pending_add <> 0 then begin
-          Buffer.add_string bb
-            (probe_stmt (Some (Pathcov.Feedback.Add !pending_add)));
-          pending_add := 0
-        end
+      let burn =
+        "ctx.I.fuel <- ctx.I.fuel - 1;\n\
+         if ctx.I.fuel <= 0 then raise I.Out_of_fuel;\n"
       in
       List.iter
-        (function
-          | Eentry b ->
+        (fun (st : Plan.step) ->
+          match st with
+          | Enter b ->
+              if careful then Buffer.add_string bb burn;
               Buffer.add_string bb "ctx.I.blocks <- ctx.I.blocks + 1;\n";
               Buffer.add_string bb (probe_stmt (tb.block fid b))
-          | Einstr i -> Buffer.add_string bb (instr_stmt i ^ ";\n")
-          | Eedge (s, d) -> (
-              match Pathcov.Feedback.fold_add (tb.edge fid s d) with
-              | Some k -> pending_add := !pending_add + k
-              | None ->
-                  flush ();
-                  Buffer.add_string bb (probe_stmt (tb.edge fid s d)))
-          | Ecall _ -> assert false)
-        seg;
-      flush ();
-      Buffer.contents bb
-    in
-    let careful_text seg =
-      let bb = Buffer.create 256 in
-      List.iter
-        (function
-          | Eentry b ->
-              Buffer.add_string bb
-                "ctx.I.fuel <- ctx.I.fuel - 1;\n\
-                 if ctx.I.fuel <= 0 then raise I.Out_of_fuel;\n\
-                 ctx.I.blocks <- ctx.I.blocks + 1;\n";
-              Buffer.add_string bb (probe_stmt (tb.block fid b))
-          | Einstr i ->
-              Buffer.add_string bb
-                "ctx.I.fuel <- ctx.I.fuel - 1;\n\
-                 if ctx.I.fuel <= 0 then raise I.Out_of_fuel;\n";
+          | Instr i ->
+              if careful then Buffer.add_string bb burn;
               Buffer.add_string bb (instr_stmt i ^ ";\n")
-          | Eedge (s, d) -> Buffer.add_string bb (probe_stmt (tb.edge fid s d))
-          | Ecall _ -> assert false)
-        seg;
+          | Probe op -> Buffer.add_string bb (probe_stmt (Some op)))
+        steps;
       Buffer.contents bb
-    in
-    let ops_of (chain : int list) : eop list * int * rterm =
-      let instr_op i = match i with Rcall _ -> Ecall i | _ -> Einstr i in
-      let rec go = function
-        | [] -> assert false
-        | [ last ] ->
-            let b = f.rblocks.(last) in
-            ( Eentry last :: List.map instr_op (Array.to_list b.rinstrs),
-              last,
-              b.rterm )
-        | cur :: (next :: _ as rest) ->
-            let b = f.rblocks.(cur) in
-            let more, ll, tt = go rest in
-            ( (Eentry cur :: List.map instr_op (Array.to_list b.rinstrs))
-              @ (Eedge (cur, next) :: more),
-              ll,
-              tt )
-      in
-      go chain
     in
     (* One function per block group: each segment between calls burns
        its fuel in bulk and runs fast, or gives it back and replays
        carefully; then come its calls, in order, and the group ends in
        the terminator's tail jump. *)
-    let gen_block_group ~head ~chain =
-      let ops, last_label, term = ops_of chain in
+    let gen_block_group (g : Plan.group) =
       let bb = Buffer.create 1024 in
       if threaded then Buffer.add_string bb "let pr = ref r in\n";
-      let rec split acc = function
-        | (Ecall _ :: _ | []) as rest -> (List.rev acc, rest)
-        | op :: more -> split (op :: acc) more
-      in
-      let rec build = function
-        | [] -> Buffer.add_string bb (term_code last_label term)
-        | Ecall (Rcall { dst; callee; args; site }) :: rest ->
-            Buffer.add_string bb (call_text ~dst ~callee ~args ~site);
-            build rest
-        | ops ->
-            let seg, rest = split [] ops in
-            let burn =
-              List.fold_left
-                (fun a op -> match op with Eentry _ | Einstr _ -> a + 1 | _ -> a)
-                0 seg
-            in
-            let fast = fast_text seg in
-            if burn = 0 then Buffer.add_string bb fast
-            else
+      List.iter
+        (fun (pc : Plan.piece) ->
+          match pc with
+          | Call { dst; callee; args; site } ->
+              Buffer.add_string bb (call_text ~dst ~callee ~args ~site)
+          | Seg s ->
+              let fast = steps_text ~careful:false s.fast in
               Printf.bprintf bb
                 "ctx.I.fuel <- ctx.I.fuel - %d;\n\
                  if ctx.I.fuel > 0 then begin\n\
@@ -659,12 +601,12 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
                  else begin\n\
                  ctx.I.fuel <- ctx.I.fuel + %d;\n\
                  %send;\n"
-                burn fast burn (careful_text seg);
-            build rest
-      in
-      build ops;
+                s.burn fast s.burn
+                (steps_text ~careful:true s.careful))
+        g.pieces;
+      Buffer.add_string bb (term_code g.last g.term);
       push
-        (Printf.sprintf "b_%d_%d (ctx : I.exec_ctx) (fr : I.frame)%s" fid head
+        (Printf.sprintf "b_%d_%d (ctx : I.exec_ctx) (fr : I.frame)%s" fid g.head
            (if threaded then " (r : int)" else ""))
         (Buffer.contents bb)
     in
@@ -678,12 +620,7 @@ let gen_subject (buf : Buffer.t) ~(key : string) ?plans ~(cmplog : bool)
           %sb_%d_0 ctx fr%s"
          (probe_stmt (tb.call fid)) fid
          (if threaded then " 0" else ""));
-    let plan = Compile.fusion_plan f in
-    Array.iteri
-      (fun lb _ ->
-        let chain = match plan.(lb) with Some c -> c | None -> [ lb ] in
-        gen_block_group ~head:lb ~chain)
-      f.rblocks
+    List.iter gen_block_group (Plan.func tb fid f)
   in
   Array.iteri gen_fn p.rfuncs;
   (* Assemble the registration block. *)

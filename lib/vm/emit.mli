@@ -1,8 +1,9 @@
 (** Per-subject native code emission — the third execution engine.
 
-    Where {!Compile} partially evaluates a {!Interp.prepared} CFG into
-    a closure tree at runtime, this module prints it as straight-line
-    OCaml source — one function per superblock chain, inlined
+    Where {!Compile} renders a {!Interp.prepared} CFG's {!Plan} as a
+    closure tree at runtime, this module prints the same plan as
+    straight-line OCaml source — one function per block group control
+    can enter, inlined
     comparisons, baked feedback probes per {!Pathcov.Feedback.mode},
     folded Ball–Larus adds on a path register passed between block
     functions as an [int] argument, cmplog taps, int returns that skip

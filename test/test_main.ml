@@ -31,7 +31,8 @@ let print_slowest n =
 let () =
   let suites =
     Test_frontend.suite @ Test_ballarus.suite @ Test_vm.suite
-    @ Test_differential.suite @ Test_compile.suite @ Test_fused.suite
+    @ Test_differential.suite @ Test_compile.suite @ Test_plan.suite
+    @ Test_fused.suite
     @ Test_native.suite
     @ Test_coverage.suite
     @ Test_exec.suite
