@@ -30,18 +30,9 @@ let () =
      separately, a new combination of already-covered edges appears. *)
   let replay mode virgin input =
     let fb = Pathcov.Feedback.make mode prog in
-    let hooks =
-      {
-        Vm.Interp.no_hooks with
-        h_call = fb.on_call;
-        h_block = fb.on_block;
-        h_edge = fb.on_edge;
-        h_ret = fb.on_ret;
-      }
-    in
     fb.reset ();
     Pathcov.Coverage_map.clear fb.trace;
-    ignore (Vm.Interp.run ~hooks prog ~input);
+    ignore (Vm.Interp.run ~hooks:(Vm.Interp.hooks_of fb) prog ~input);
     Pathcov.Coverage_map.classify fb.trace;
     Pathcov.Coverage_map.merge_into ~virgin fb.trace
   in

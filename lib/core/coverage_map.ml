@@ -21,10 +21,6 @@ type t = {
   mask : int;
   mutable touched : int array;  (** indices with non-zero count, first-hit order *)
   mutable ntouched : int;
-  passes : int;  (** 8-bit radix digits per index: ceil(size_log2 / 8) *)
-  counts : int array;  (** the radix sort's 256-slot digit histogram *)
-  mutable sort_a : int array;  (** radix ping-pong scratch, journal-sized *)
-  mutable sort_b : int array;
   mutable ff : int;
       (** virgin maps: bytes still 0xFF, kept by every writer of [bits]
           ([0] on trace maps) *)
@@ -43,16 +39,11 @@ let default_size_log2 = 16
 let create ?(size_log2 = default_size_log2) () =
   if size_log2 < 4 || size_log2 > 24 then invalid_arg "Coverage_map.create";
   let size = 1 lsl size_log2 in
-  let passes = (size_log2 + 7) / 8 in
   {
     bits = Bytes.make size '\000';
     mask = size - 1;
     touched = Array.make 256 0;
     ntouched = 0;
-    passes;
-    counts = Array.make 256 0;
-    sort_a = [||];
-    sort_b = [||];
     ff = 0;
     settled = false;
   }
@@ -349,53 +340,12 @@ let count_set t = t.ntouched
     {!hit} or {!clear}. *)
 let journal t = t.touched
 
-(* LSD radix sort of the journal into the map's scratch, returning the
-   buffer that holds the ascending result (valid until the next sort).
-   Each pass counts its own digit into one 256-slot histogram, then
-   prefix-sums and scatters; a pass whose digit is the same for every
-   index is skipped. The journal itself is never reordered. *)
-let radix_sorted t : int array =
-  let n = t.ntouched in
-  if Array.length t.sort_a < n then begin
-    t.sort_a <- Array.make (Array.length t.touched) 0;
-    t.sort_b <- Array.make (Array.length t.touched) 0
-  end;
-  let counts = t.counts in
-  let src = ref t.touched in
-  for p = 0 to t.passes - 1 do
-    let s = !src and shift = p lsl 3 in
-    Array.fill counts 0 256 0;
-    for k = 0 to n - 1 do
-      let d = (Array.unsafe_get s k lsr shift) land 255 in
-      Array.unsafe_set counts d (Array.unsafe_get counts d + 1)
-    done;
-    (* exclusive prefix sums, noting a digit every index shares *)
-    let sum = ref 0 and trivial = ref false in
-    for d = 0 to 255 do
-      let c = Array.unsafe_get counts d in
-      if c = n then trivial := true;
-      Array.unsafe_set counts d !sum;
-      sum := !sum + c
-    done;
-    if not !trivial then begin
-      let dst = if s == t.sort_a then t.sort_b else t.sort_a in
-      for k = 0 to n - 1 do
-        let v = Array.unsafe_get s k in
-        let d = (v lsr shift) land 255 in
-        let at = Array.unsafe_get counts d in
-        Array.unsafe_set dst at v;
-        Array.unsafe_set counts d (at + 1)
-      done;
-      src := dst
-    end
-  done;
-  !src
-
-(** Indices hit in a trace, ascending, as a fresh array: an LSD radix
-    sort of the journal (8-bit digits, [ceil(size_log2 / 8)] passes)
-    through scratch owned by the map, so maps on different domains sort
-    independently. *)
-let sorted_indices t = Array.sub (radix_sorted t) 0 t.ntouched
+(** Indices hit in a trace, ascending, as a fresh array: a sorted copy
+    of the journal. *)
+let sorted_indices t =
+  let a = Array.sub t.touched 0 t.ntouched in
+  Array.sort Int.compare a;
+  a
 
 (** Indices hit in a trace, ascending (list wrapper over
     {!sorted_indices}, kept for renderers and tests). *)
@@ -409,14 +359,7 @@ let iteri_set f t =
   done
 
 let copy t =
-  {
-    t with
-    bits = Bytes.copy t.bits;
-    touched = Array.copy t.touched;
-    counts = Array.copy t.counts;
-    sort_a = [||];
-    sort_b = [||];
-  }
+  { t with bits = Bytes.copy t.bits; touched = Array.copy t.touched }
 
 (** Read the raw byte at a map index (tests and diagnostics). *)
 let get t idx = Char.code (Bytes.get t.bits (idx land t.mask))

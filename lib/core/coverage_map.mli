@@ -21,10 +21,6 @@ type t = {
   mutable touched : int array;
       (** journal: indices hit since the last {!clear}, in first-hit order *)
   mutable ntouched : int;  (** live prefix of [touched] *)
-  passes : int;  (** 8-bit radix digits per index: ceil(size_log2 / 8) *)
-  counts : int array;  (** [passes] digit histograms of 256 slots each *)
-  mutable sort_a : int array;  (** radix ping-pong scratch, journal-sized *)
-  mutable sort_b : int array;
   mutable ff : int;
       (** virgin maps: bytes still 0xFF, kept by every writer of [bits]
           ([0] on trace maps) *)
@@ -147,9 +143,9 @@ val count_set : t -> int
     place of {!sorted_indices}. *)
 val journal : t -> int array
 
-(** Indices hit, ascending, as a fresh array: an LSD radix sort of the
-    journal (8-bit digits, [ceil(size_log2 / 8)] passes) through scratch
-    owned by the map, so maps on different domains sort independently. *)
+(** Indices hit, ascending, as a fresh array (a sorted copy of the
+    journal). No campaign sorts: tests, {!hash} and {!set_indices}
+    do. *)
 val sorted_indices : t -> int array
 
 (** Indices hit, ascending (list wrapper over {!sorted_indices}, kept

@@ -83,29 +83,21 @@ let queue_inputs (r : result) : string list =
     [Hashtbl.fold] order, an implementation detail of the hash function;
     program order is the deterministic contract.
 
-    The probe records only while [capture] is set, and only
-    {!capturing} sets it, around a calibration run: no other run's pairs
-    are ever read (AFL++ likewise captures operands in a separate
-    per-entry cmplog run), so every other comparison costs one flag
-    test. {!capturing} also arms the tracer: a native unit calls the
-    probe only inside the window, so there a comparison outside it costs
-    one inline load and branch instead of a closure call. *)
+    The probe {!record_cmp} is reached only inside the tracer's capture
+    window, which {!capturing} opens around a calibration run: no other
+    run's pairs are ever read (AFL++ likewise captures operands in a
+    separate per-entry cmplog run), and on every engine a comparison
+    outside the window costs one flag test instead of a probe call. *)
 type cmp_buf = {
   ops_a : int array;
   ops_b : int array;
   mutable n_cmps : int;
-  mutable capture : bool;
 }
 
 let cmp_capacity = 64
 
 let make_cmp_buf () =
-  {
-    ops_a = Array.make cmp_capacity 0;
-    ops_b = Array.make cmp_capacity 0;
-    n_cmps = 0;
-    capture = false;
-  }
+  { ops_a = Array.make cmp_capacity 0; ops_b = Array.make cmp_capacity 0; n_cmps = 0 }
 
 (* Is the pair among slots [i, n_cmps)? Top-level, so a probe hit
    allocates no closure. *)
@@ -114,13 +106,18 @@ let rec cmp_seen (b : cmp_buf) a bv i =
   && ((Array.unsafe_get b.ops_a i = a && Array.unsafe_get b.ops_b i = bv)
      || cmp_seen b a bv (i + 1))
 
+let record_cmp (b : cmp_buf) a bv =
+  if a <> bv && b.n_cmps < cmp_capacity && not (cmp_seen b a bv 0) then begin
+    Array.unsafe_set b.ops_a b.n_cmps a;
+    Array.unsafe_set b.ops_b b.n_cmps bv;
+    b.n_cmps <- b.n_cmps + 1
+  end
+
 let capturing (tracer : Tracer.t) (b : cmp_buf) (run : unit -> 'a) : 'a =
   b.n_cmps <- 0;
-  b.capture <- true;
   Tracer.arm_cmp tracer true;
   let r = run () in
   Tracer.arm_cmp tracer false;
-  b.capture <- false;
   r
 
 (* A shard lane's record of one decision, for the merge barrier to
@@ -192,30 +189,6 @@ let trace_end ?(arg = 0) (st : state) : unit =
   match st.obs.trace with
   | Some tr -> Obs.Trace.end_span ~arg tr ~track:st.track ()
   | None -> ()
-
-(* The instrumentation hook set installed in the context at state-creation
-   time. The cmplog probe exists only when the config asks for it, and
-   records only while a calibration run has the buffer armed. *)
-let make_hooks (cfg : config) (fb : Pathcov.Feedback.t) (cmp_buf : cmp_buf) :
-    Vm.Interp.hooks =
-  {
-    Vm.Interp.h_call = fb.on_call;
-    h_block = fb.on_block;
-    h_edge = fb.on_edge;
-    h_ret = fb.on_ret;
-    h_cmp =
-      (if cfg.cmplog then (fun a b ->
-         if
-           cmp_buf.capture && a <> b
-           && cmp_buf.n_cmps < cmp_capacity
-           && not (cmp_seen cmp_buf a b 0)
-         then begin
-           Array.unsafe_set cmp_buf.ops_a cmp_buf.n_cmps a;
-           Array.unsafe_set cmp_buf.ops_b cmp_buf.n_cmps b;
-           cmp_buf.n_cmps <- cmp_buf.n_cmps + 1
-         end)
-       else fun _ _ -> ());
-  }
 
 (* Fold the VM wall the tracer accumulated and the minor words [mutate]
    counted into the counter block; runs before anything reads the
@@ -661,19 +634,8 @@ let make_state ?plans ?obs ?lane ?(config = default_config)
         in
         Obs.Observer.create ?clock:co.obs.clock ?trace ()
   in
-  (* compiled artifacts run their own probes on their own registers and
-     read only the trace map; only the interpreter calls the listener *)
-  let feedback =
-    match config.engine with
-    | Tracer.Interp ->
-        Pathcov.Feedback.make ~size_log2:config.map_size_log2 ?plans config.mode
-          prog
-    | Tracer.Fused | Tracer.Native ->
-        Pathcov.Feedback.trace_only ~size_log2:config.map_size_log2 config.mode
-  in
   let prepared = Vm.Interp.prepare_cached prog in
   let cmp_buf = make_cmp_buf () in
-  let hooks = make_hooks config feedback cmp_buf in
   (match obs.trace with
   | Some tr -> Obs.Trace.begin_span tr ~track Obs.Trace.Compile
   | None -> ());
@@ -688,10 +650,13 @@ let make_state ?plans ?obs ?lane ?(config = default_config)
   (match Tracer.emit_fallback tracer with
   | Some reason -> Obs.Observer.event obs (Obs.Event.Emit_fallback { reason })
   | None -> ());
-  Tracer.bind tracer ~trace:feedback.trace ~h_cmp:hooks.Vm.Interp.h_cmp;
+  let feedback, ctx =
+    Tracer.attach ~size_log2:config.map_size_log2 ~h_cmp:(record_cmp cmp_buf)
+      tracer
+  in
   {
     prepared;
-    ctx = Vm.Interp.create_ctx ~hooks prepared;
+    ctx;
     tracer;
     cfg = config;
     feedback;
@@ -832,56 +797,17 @@ let start_cycle (st : state) ~(at_exec : int) : int =
        });
   Corpus.size st.corpus
 
-(* Drain the engine-level tallies of [tracers] (the campaign's, plus a
-   sharded campaign's lanes') into the observer's metrics registry.
-   Runs once per campaign at budget exhaustion — a deterministic point —
-   so registration order (and hence every dump) is reproducible. Gauges
-   use set semantics: the sources are cumulative (per artifact / per
-   domain), so the latest reading is the total. *)
+(* Drain the campaign walls and the engine-level tallies of [tracers]
+   (the campaign's, plus a sharded campaign's lanes') into the
+   observer's metrics registry. Runs once per campaign at budget
+   exhaustion — a deterministic point — so registration order (and
+   hence every dump) is reproducible. *)
 let harvest_metrics (st : state) (tracers : Tracer.t list) : unit =
   let m = st.obs.metrics in
   let c = st.obs.counters in
   Obs.Metrics.set_wall (Obs.Metrics.wall m "campaign.vm_s") c.vm_s;
   Obs.Metrics.set_wall (Obs.Metrics.wall m "campaign.mut_s") c.mut_s;
-  Obs.Metrics.add_wall
-    (Obs.Metrics.wall m "engine.compile_s")
-    (List.fold_left (fun a t -> a +. Tracer.compile_seconds t) 0. tracers);
-  let hits, misses = Vm.Compile.cache_stats () in
-  Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_hits") hits;
-  Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_misses") misses;
-  (* Emitter tallies only exist on native campaigns — process-global
-     cumulative sources, so set semantics; gated to keep every other
-     engine's metric dump (and the golden reports) untouched. *)
-  (match st.cfg.engine with
-  | Tracer.Native ->
-      let e = Vm.Emit.stats () in
-      Obs.Metrics.set_wall (Obs.Metrics.wall m "emit.compile_s") e.compile_s;
-      Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_hits") e.cache_hits;
-      Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_misses") e.cache_misses;
-      Obs.Metrics.set (Obs.Metrics.gauge m "emit.fallbacks") e.fallbacks
-  | Tracer.Interp | Tracer.Fused -> ());
-  (* rollbacks and careful units add up over the artifacts; the fusion
-     shape is the same for every artifact of one subject *)
-  match List.filter_map Tracer.artifact_stats tracers with
-  | [] -> ()
-  | (_, s) :: _ as all ->
-      let sum f = List.fold_left (fun a (r, _) -> a + f r) 0 all in
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "engine.rollbacks")
-        (sum (fun r -> r.Vm.Compile.rollbacks));
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "engine.careful_units")
-        (sum (fun r -> r.Vm.Compile.careful_units));
-      Obs.Metrics.set (Obs.Metrics.gauge m "fusion.chains") s.Vm.Plan.chains;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "fusion.chain_blocks")
-        s.Vm.Plan.chain_blocks;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "fusion.chain_max")
-        s.Vm.Plan.chain_max;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge m "fusion.dup_instrs")
-        s.Vm.Plan.dup_instrs
+  Tracer.harvest_metrics m tracers
 
 (* The observer's counters and snapshot count when a run starts: the
    run reports its own deltas against them, since a shared observer

@@ -109,23 +109,24 @@ val run :
 
 (** Comparison-operand capture: flat, insertion-ordered, deduplicated,
     bounded — pairs reach the mutator in program order rather than
-    [Hashtbl.fold] order. The probe records only while [capture] is set,
-    i.e. during a {!capturing} (calibration) run. *)
+    [Hashtbl.fold] order. *)
 type cmp_buf = {
   ops_a : int array;
   ops_b : int array;
   mutable n_cmps : int;
-  mutable capture : bool;
 }
 
 val make_cmp_buf : unit -> cmp_buf
 
-(** [capturing tracer b run] empties [b] and arms the probe — both [b]'s
-    [capture] flag and the tracer's comparison probes
-    ({!Tracer.arm_cmp}) — for the duration of [run] (one calibration
-    execution): the only window in which pairs are recorded. Under the
-    native engine it is also the only window in which [h_cmp] is called
-    at all. *)
+(** The campaign's cmplog probe ({!Tracer.attach}'s [h_cmp]): record the
+    pair unless its operands are equal, it is already held, or the
+    buffer is full. *)
+val record_cmp : cmp_buf -> int -> int -> unit
+
+(** [capturing tracer b run] empties [b] and opens the tracer's capture
+    window ({!Tracer.arm_cmp}) for the duration of [run] (one
+    calibration execution). On every engine it is the only window in
+    which the probe is called, hence in which pairs are recorded. *)
 val capturing : Tracer.t -> cmp_buf -> (unit -> 'a) -> 'a
 
 (** afl-fuzz's fuzz_one skip probabilities over an explicit RNG and
@@ -179,17 +180,18 @@ type capture =
 
 (** Live campaign state. Fields are exposed read-mostly for tests and
     diagnostics; mutate only through the stage functions below. The
-    state owns a pooled {!Vm.Interp.exec_ctx} with the instrumentation
-    hooks preinstalled, so every stage executes allocation-free. *)
+    state owns a pooled {!Vm.Interp.exec_ctx} and the feedback listener
+    its tracer wired ({!Tracer.attach}), so every stage executes
+    allocation-free. *)
 type state = {
   prepared : Vm.Interp.prepared;
   ctx : Vm.Interp.exec_ctx;  (** pooled execution context, reused per exec *)
   tracer : Tracer.t;  (** engine dispatch *)
   cfg : config;
   feedback : Pathcov.Feedback.t;
-      (** the interpreter's listener; under fused and native, whose
-          artifacts run their own probes, {!Pathcov.Feedback.trace_only}:
-          just the trace map *)
+      (** the listener {!Tracer.attach} wired: the interpreter's, or
+          under the compiled engines just the trace map their probes
+          write *)
   virgin : Pathcov.Coverage_map.t;
   crash_virgin : Pathcov.Coverage_map.t;
   corpus : Corpus.t;  (** the queue; a lane reads its coordinator's *)

@@ -1,29 +1,24 @@
 (** Post-campaign measurement utilities: the afl-showmap analogue used by
     the coverage study (Table IV) and the queue-trimming primitives shared
-    by the culling and opportunistic strategies. Each helper builds one
-    pooled execution context and replays every input through it. *)
+    by the culling and opportunistic strategies. Each helper wires one
+    interpreter tracer ({!Tracer.attach}) and replays every input through
+    its pooled context; {!path_counts} alone runs hooks of its own. *)
 
 module Int_set = Set.Make (Int)
 
-let make_hooks (fb : Pathcov.Feedback.t) : Vm.Interp.hooks =
-  {
-    Vm.Interp.no_hooks with
-    h_call = fb.on_call;
-    h_block = fb.on_block;
-    h_edge = fb.on_edge;
-    h_ret = fb.on_ret;
-  }
-
-(* One reusable replay context per (prepared program, feedback) pair. *)
-let make_ctx prepared fb =
-  Vm.Interp.create_ctx ~hooks:(make_hooks fb) prepared
+(* The listener of [mode] over [prog] and one reusable interpreter
+   context driving it, wired by a tracer. *)
+let replayer ?plans mode prog =
+  Tracer.attach
+    (Tracer.make ?plans ~engine:Tracer.Interp ~selective:false ~cmplog:false
+       ~mode (Vm.Interp.prepare_cached prog))
 
 (* Replay [inputs] under [fb] as one cohort through [ctx]: [f k idx
    cost] is called for every trace index [idx] input [k] hit, in
    first-hit order, with the input's afl-style cost (work x size). Both
    callers are order-insensitive, so nothing is sorted. Replays are
    off-budget executions; [obs] only counts them. *)
-let replay ?(fuel = Vm.Interp.default_fuel) ?obs ctx fb (inputs : string array)
+let replay ?(fuel = Vm.Interp.default_fuel) ?obs (fb, ctx) (inputs : string array)
     (f : int -> int -> int -> unit) : unit =
   Vm.Interp.run_batch ~fuel ctx ~n:(Array.length inputs)
     ~gen:(fun k ->
@@ -43,17 +38,17 @@ let replay ?(fuel = Vm.Interp.default_fuel) ?obs ctx fb (inputs : string array)
 
 (** Union of edge coverage over a corpus — "afl-showmap over the queue". *)
 let edge_union ?fuel ?obs prog (inputs : string list) : Int_set.t =
-  let fb = Pathcov.Feedback.make Pathcov.Feedback.Edge prog in
-  let ctx = make_ctx (Vm.Interp.prepare_cached prog) fb in
   let acc = ref Int_set.empty in
-  replay ?fuel ?obs ctx fb (Array.of_list inputs) (fun _ idx _ ->
+  replay ?fuel ?obs (replayer Pathcov.Feedback.Edge prog) (Array.of_list inputs)
+    (fun _ idx _ ->
       acc := Int_set.add idx !acc);
   !acc
 
 (* Greedy favored-corpus construction over an arbitrary feedback: keep,
    for every covered index, the cheapest input covering it. Order-stable. *)
-let preserving_cull ?fuel ?obs prog fb (inputs : string list) : string list =
-  let ctx = make_ctx (Vm.Interp.prepare_cached prog) fb in
+let preserving_cull ?fuel ?plans ?obs mode prog (inputs : string list) :
+    string list =
+  let wired = replayer ?plans mode prog in
   (* order-stable dedup: queue semantics never hold duplicates *)
   let seen = Hashtbl.create 64 in
   let inputs =
@@ -68,7 +63,7 @@ let preserving_cull ?fuel ?obs prog fb (inputs : string list) : string list =
   in
   let top : (int, string * int) Hashtbl.t = Hashtbl.create 1024 in
   let inputs_a = Array.of_list inputs in
-  replay ?fuel ?obs ctx fb inputs_a (fun k idx cost ->
+  replay ?fuel ?obs wired inputs_a (fun k idx cost ->
       match Hashtbl.find_opt top idx with
       | Some (_, best) when best <= cost -> ()
       | _ -> Hashtbl.replace top idx (inputs_a.(k), cost));
@@ -91,17 +86,13 @@ let preserving_cull ?fuel ?obs prog fb (inputs : string list) : string list =
     the paper uses as its culling criterion, §III-B1, and as the
     opportunistic queue pre-processing, §III-B2). *)
 let edge_preserving_cull ?fuel ?obs prog (inputs : string list) : string list =
-  preserving_cull ?fuel ?obs prog
-    (Pathcov.Feedback.make Pathcov.Feedback.Edge prog)
-    inputs
+  preserving_cull ?fuel ?obs Pathcov.Feedback.Edge prog inputs
 
 (** Same trim but preserving *path* coverage — the alternative culling
     criterion the paper tested and rejected (§III-B1 footnote). Exposed
     for the ablation bench. *)
 let path_preserving_cull ?fuel ?plans ?obs prog (inputs : string list) : string list =
-  preserving_cull ?fuel ?obs prog
-    (Pathcov.Feedback.make ?plans Pathcov.Feedback.Path prog)
-    inputs
+  preserving_cull ?fuel ?plans ?obs Pathcov.Feedback.Path prog inputs
 
 (** A classic Ball–Larus path profile: every committed acyclic path,
     counted per function by its id, over [inputs] run in order. A

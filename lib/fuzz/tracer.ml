@@ -1,10 +1,11 @@
-(** Execution-engine selection for campaigns.
+(** Execution-engine selection for campaigns, and the only module that
+    knows which engine runs.
 
     A campaign executes candidates through one of three engines over the
     same pooled {!Vm.Interp.exec_ctx}:
 
     - [Interp]: the reference CFG interpreter driving the runtime
-      feedback listeners through hooks;
+      feedback listener through hooks;
     - [Fused]: the {!Vm.Compile} staged artifact — the listener probes
       partially evaluated into the block closures, single-predecessor
       goto chains collapsed into one closure with coalesced fuel burns
@@ -17,7 +18,10 @@
       stderr line per process, so campaigns behave identically on
       toolchain-less machines.
 
-    All produce byte-identical traces, outcomes and fuel accounting
+    The tracer wires the probes ({!attach}), opens and closes the one
+    cmplog capture window ({!arm_cmp}) and harvests the engine metrics
+    ({!harvest_metrics}), so no caller matches on the engine. All
+    engines produce byte-identical traces, outcomes and fuel accounting
     (test-enforced differentially), so the engine choice is invisible to
     the fuzzing trajectory. Every execution runs fully instrumented. *)
 
@@ -74,6 +78,10 @@ let bracket_sink (b : bracket) k out =
 
 type t = {
   engine : engine;
+  prepared : Vm.Interp.prepared;
+  mode : Pathcov.Feedback.mode;
+  plans : Pathcov.Ball_larus.program_plans option;
+  cmplog : bool;  (** were comparison probes asked for? *)
   full_art : Vm.Compile.t option;  (** [Fused]: the closure artifact *)
   full_emit : Vm.Emit.t option;  (** [Native]: the emitted unit *)
   entry : Vm.Interp.entry option;
@@ -87,16 +95,20 @@ type t = {
   bracket : bracket;
   timed_gen : int -> Bytes.t * int;  (** [bracket_gen bracket] *)
   timed_sink : int -> Vm.Interp.outcome -> unit;  (** [bracket_sink bracket] *)
+  mutable cmp_on : bool;
+      (** [Interp]: the capture window its [h_cmp] hook tests (the
+          compiled engines keep theirs in the artifact) *)
   mutable released : bool;  (** {!release}d: every run entry refuses *)
 }
 
 (** Build a tracer over a prepared subject. [shared] (default [true])
     memoises compiled artifacts per domain ({!Vm.Compile.cached});
     sharded campaigns pass [~shared:false] to compile fresh per shard —
-    the artifact's rebindable state is single-threaded. [cmplog] elides
-    the comparison probes from compiled code when the campaign binds a
-    no-op [h_cmp] anyway. [clock] (optional, observation-only) times the
-    artifact compilations into {!compile_seconds} and is the default
+    the artifact's rebindable state is single-threaded. [cmplog = false]
+    leaves the comparison probes out (compiled code has none, the
+    interpreter's hook does nothing), so {!attach}'s [h_cmp] is never
+    called. [clock] (optional, observation-only) times the
+    artifact compilations into [engine.compile_s] and is the default
     clock of every batch, whose VM walls accumulate until {!take_vm_s}.
     [selective] survives only because the benchmark harness still names
     it: [true] raises [Invalid_argument]. Drop it with the next
@@ -165,6 +177,10 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
   in
   {
     engine;
+    prepared;
+    mode;
+    plans;
+    cmplog;
     full_art;
     full_emit;
     entry;
@@ -174,6 +190,7 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
     bracket;
     timed_gen = bracket_gen bracket;
     timed_sink = bracket_sink bracket;
+    cmp_on = false;
     released = false;
   }
 
@@ -181,9 +198,9 @@ let make ?plans ?clock ?(shared = true) ~(engine : engine)
     the fused closure engine; [None] otherwise. *)
 let emit_fallback (t : t) : string option = t.emit_fallback
 
-(** Retarget the compiled artifact's probes at the campaign's trace map
-    and cmplog probe (no-op for the interpreter engine, whose hooks are
-    installed in the campaign context directly). *)
+(* Retarget the compiled artifact's probes at a trace map and cmplog
+   probe (nothing to retarget under the interpreter, whose hooks
+   {!attach} builds). *)
 let bind (t : t) ~(trace : Pathcov.Coverage_map.t) ~(h_cmp : int -> int -> unit)
     : unit =
   match t.full_emit with
@@ -193,15 +210,42 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t) ~(h_cmp : int -> int -> unit)
       | Some art -> Vm.Compile.bind art ~trace ~h_cmp
       | None -> ())
 
-(** Open or close a comparison-capture window. The native unit's
-    comparison probes call [h_cmp] only while armed; the interpreter and
-    fused engines call it on every comparison and leave the filtering to
-    the probe itself, so this is a no-op for them. *)
+(** The campaign's probe wiring: under [Interp] the mode's listener and
+    a context over its hooks, whose [h_cmp] calls [h_cmp] only inside
+    the tracer's capture window; under [Fused] and [Native] a trace-only
+    listener whose map, with [h_cmp], is bound into the artifact, and a
+    plain context (compiled probes ignore its hooks). *)
+let attach ?size_log2 ?(h_cmp = fun _ _ -> ()) (t : t) :
+    Pathcov.Feedback.t * Vm.Interp.exec_ctx =
+  match t.entry with
+  | None ->
+      let fb =
+        Pathcov.Feedback.make ?size_log2 ?plans:t.plans t.mode t.prepared.prog
+      in
+      let hooks =
+        if t.cmplog then
+          Vm.Interp.hooks_of ~h_cmp:(fun a b -> if t.cmp_on then h_cmp a b) fb
+        else Vm.Interp.hooks_of fb
+      in
+      (fb, Vm.Interp.create_ctx ~hooks t.prepared)
+  | Some _ ->
+      let fb = Pathcov.Feedback.trace_only ?size_log2 t.mode in
+      bind t ~trace:fb.trace ~h_cmp;
+      (fb, Vm.Interp.create_ctx t.prepared)
+
+(** Open or close the comparison-capture window: every engine's
+    comparison probes call [h_cmp] only while it is open. *)
 let arm_cmp (t : t) (on : bool) : unit =
-  match t.full_emit with Some e -> Vm.Emit.arm e on | None -> ()
+  match (t.full_emit, t.full_art) with
+  | Some e, _ -> Vm.Emit.arm e on
+  | None, Some art -> Vm.Compile.arm art on
+  | None, None -> t.cmp_on <- on
 
 let cmp_armed (t : t) : bool =
-  match t.full_emit with Some e -> Vm.Emit.armed e | None -> false
+  match (t.full_emit, t.full_art) with
+  | Some e, _ -> Vm.Emit.armed e
+  | None, Some art -> Vm.Compile.armed art
+  | None, None -> t.cmp_on
 
 (** Retire the tracer at the end of its campaign: point the artifact's
     probes at a fresh private map and a no-op cmplog probe, so a
@@ -247,15 +291,49 @@ let take_vm_s (t : t) : float =
   w
 
 (* ------------------------------------------------------------------ *)
-(* Introspection — read-only tallies for the metrics registry. *)
+(* Metrics harvest *)
 
-(** Wall spent compiling this tracer's artifacts ([0.] unclocked). *)
-let compile_seconds (t : t) : float = t.compile_s
-
-(** Engine-level tallies from the closure artifact. [None] for the
-    interpreter engine and for a live native unit. *)
-let artifact_stats (t : t) :
-    (Vm.Compile.runtime_stats * Vm.Plan.shape) option =
-  Option.map
-    (fun a -> (Vm.Compile.runtime_stats a, Vm.Compile.static_stats a))
-    t.full_art
+(** Drain the engine-level tallies of [tracers] (one campaign's, plus a
+    sharded campaign's lanes') into [m], in a fixed registration order:
+    the compile wall, the closure-cache gauges, the emitter's tallies
+    when the campaign asked for [Native] (process-global cumulative
+    sources, so set semantics; left out elsewhere to keep every other
+    engine's dump, and the golden reports, untouched), then the closure
+    artifacts' rollbacks and fusion shape. *)
+let harvest_metrics (m : Obs.Metrics.t) (tracers : t list) : unit =
+  Obs.Metrics.add_wall
+    (Obs.Metrics.wall m "engine.compile_s")
+    (List.fold_left (fun a t -> a +. t.compile_s) 0. tracers);
+  let hits, misses = Vm.Compile.cache_stats () in
+  Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_hits") hits;
+  Obs.Metrics.set (Obs.Metrics.gauge m "engine.cache_misses") misses;
+  if List.exists (fun t -> t.engine = Native) tracers then begin
+    let e = Vm.Emit.stats () in
+    Obs.Metrics.set_wall (Obs.Metrics.wall m "emit.compile_s") e.compile_s;
+    Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_hits") e.cache_hits;
+    Obs.Metrics.set (Obs.Metrics.gauge m "emit.cache_misses") e.cache_misses;
+    Obs.Metrics.set (Obs.Metrics.gauge m "emit.fallbacks") e.fallbacks
+  end;
+  (* rollbacks and careful units add up over the artifacts; the fusion
+     shape is the same for every artifact of one subject *)
+  match List.filter_map (fun t -> t.full_art) tracers with
+  | [] -> ()
+  | art :: _ as arts ->
+      let sum f =
+        List.fold_left (fun a art -> a + f (Vm.Compile.runtime_stats art)) 0 arts
+      in
+      let s = Vm.Compile.static_stats art in
+      Obs.Metrics.set
+        (Obs.Metrics.gauge m "engine.rollbacks")
+        (sum (fun r -> r.Vm.Compile.rollbacks));
+      Obs.Metrics.set
+        (Obs.Metrics.gauge m "engine.careful_units")
+        (sum (fun r -> r.Vm.Compile.careful_units));
+      Obs.Metrics.set (Obs.Metrics.gauge m "fusion.chains") s.Vm.Plan.chains;
+      Obs.Metrics.set
+        (Obs.Metrics.gauge m "fusion.chain_blocks")
+        s.Vm.Plan.chain_blocks;
+      Obs.Metrics.set (Obs.Metrics.gauge m "fusion.chain_max") s.Vm.Plan.chain_max;
+      Obs.Metrics.set
+        (Obs.Metrics.gauge m "fusion.dup_instrs")
+        s.Vm.Plan.dup_instrs

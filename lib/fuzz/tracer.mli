@@ -1,10 +1,15 @@
-(** Execution-engine selection for campaigns.
+(** Execution-engine selection for campaigns, and the only module that
+    knows which engine runs.
 
     A tracer wraps one prepared subject with a choice of execution
     engine — the reference CFG interpreter, the {!Vm.Compile} staged
     artifact with superblock fusion, or the {!Vm.Emit} per-subject
     generated-and-Dynlink'd native unit (degrading to fused, with
-    {!emit_fallback} recording why, when emission fails). Every
+    {!emit_fallback} recording why, when emission fails). It wires a
+    campaign's probes ({!attach}), opens and closes the one cmplog
+    capture window every engine honours ({!arm_cmp}), runs the cohorts
+    ({!run_full_batch}) and harvests the engine metrics
+    ({!harvest_metrics}): callers never match on the engine. Every
     execution runs fully instrumented, and campaign trajectories are
     byte-identical across engines; the differential suite enforces
     it. *)
@@ -33,11 +38,13 @@ type t
 (** Build a tracer over a prepared subject. [shared] (default [true])
     memoises compiled artifacts per domain ({!Vm.Compile.cached});
     sharded campaigns pass [~shared:false] to compile fresh per shard —
-    the artifact's rebindable state is single-threaded. [cmplog] elides
-    comparison probes from compiled code when the campaign binds a no-op
-    [h_cmp] anyway. [clock] (observation-only) times artifact
-    compilation into {!compile_seconds}, and is the default clock of
-    every batch, whose VM walls accumulate until {!take_vm_s}.
+    the artifact's rebindable state is single-threaded. [cmplog = false]
+    leaves the comparison probes out (compiled code has none, the
+    interpreter's hook does nothing), so {!attach}'s [h_cmp] is never
+    called. [clock] (observation-only) times artifact compilation into
+    [engine.compile_s], and is the default clock of every batch, whose
+    VM walls accumulate until {!take_vm_s}. [make] only compiles: the
+    listener, the trace map and the context come from {!attach}.
 
     [selective] is kept only for source compatibility with the
     benchmark harness, which names it: selective tracing was removed
@@ -62,23 +69,33 @@ val make :
     to stderr. *)
 val emit_fallback : t -> string option
 
-(** Retarget the compiled artifact's probes at the campaign's trace map
-    and cmplog probe (no-op for the interpreter engine, whose hooks are
-    installed in the campaign context directly). *)
-val bind :
-  t -> trace:Pathcov.Coverage_map.t -> h_cmp:(int -> int -> unit) -> unit
+(** A campaign's probe wiring: its feedback listener and the execution
+    context to run it on. Under [Interp], the mode's listener
+    ({!Pathcov.Feedback.make}, over the [plans] given to {!make}) and a
+    context over its hooks ({!Vm.Interp.hooks_of}); under [Fused] and
+    [Native], whose artifacts run the probes themselves, a trace-only
+    listener ({!Pathcov.Feedback.trace_only}) whose map is bound into
+    the artifact, and a context whose hooks the compiled entry ignores.
+    [size_log2] sizes the trace map. [h_cmp] (default: none) receives
+    comparison operands, on every engine only inside the capture window
+    ({!arm_cmp}). Attaching again rebinds the artifact to the new
+    listener. *)
+val attach :
+  ?size_log2:int ->
+  ?h_cmp:(int -> int -> unit) ->
+  t ->
+  Pathcov.Feedback.t * Vm.Interp.exec_ctx
 
-(** Open ([true]) or close a comparison-capture window. The native
-    unit's comparison probes call the bound [h_cmp] only while armed, so
-    a comparison outside the window costs one load and branch; the
-    interpreter and fused engines call [h_cmp] on every comparison and
-    leave the filtering to the probe, so for them this is a no-op. The
-    flag belongs to this tracer's own unit instance, so shards arm
-    independently. {!Campaign.capturing} is the only caller. *)
+(** Open ([true]) or close the comparison-capture window. On every
+    engine a comparison calls the attached [h_cmp] only while the window
+    is open, so outside it a comparison costs one flag test: the
+    interpreter's hook tests the tracer's flag, compiled comparisons the
+    flag of this tracer's artifact instance ({!Vm.Compile.arm},
+    {!Vm.Emit.arm}), so shards arm independently. {!Campaign.capturing}
+    is the only caller. *)
 val arm_cmp : t -> bool -> unit
 
-(** Is the native unit's capture window open? Always [false] for the
-    other engines. *)
+(** Is the capture window open? *)
 val cmp_armed : t -> bool
 
 (** Retire the tracer when its campaign ends: the artifact's probes are
@@ -124,17 +141,17 @@ val run_full_batch :
     counter block before anything reads [vm_s]. *)
 val take_vm_s : t -> float
 
-(** {2 Introspection}
+(** {2 Metrics}
 
-    Read-only tallies the campaign drains into its metrics registry at
-    deterministic points; reading them never perturbs execution. *)
+    Engine-level tallies, drained at deterministic points; reading them
+    never perturbs execution. *)
 
-(** Wall spent compiling this tracer's artifacts ([0.] when [make] was
-    given no clock). *)
-val compile_seconds : t -> float
-
-(** Engine-level tallies from the closure artifact: bulk-burn rollback
-    counts and fusion shape. [None] for the interpreter engine and for
-    a live native unit. *)
-val artifact_stats :
-  t -> (Vm.Compile.runtime_stats * Vm.Plan.shape) option
+(** Register the engine rows of [tracers] (one campaign's, plus a
+    sharded campaign's lanes') in [m], in this order: [engine.compile_s]
+    (the compile walls [make] clocked), [engine.cache_hits] and
+    [engine.cache_misses] ({!Vm.Compile.cache_stats}), the [emit.*]
+    tallies ({!Vm.Emit.stats}) when the tracers were asked for [Native],
+    then, when a closure artifact ran, [engine.rollbacks],
+    [engine.careful_units] and the [fusion.*] shape ({!Vm.Plan.shape}).
+    Gauges take the latest reading of cumulative sources. *)
+val harvest_metrics : Obs.Metrics.t -> t list -> unit

@@ -30,8 +30,8 @@
       the hang point and everything a mid-segment crash can observe stay
       bit-identical;
     - {b branches}: comparison and negation conditions fuse into the
-      branch, skipping the 1/0 materialisation ([h_cmp] still fires
-      between operand evaluation and the jump).
+      branch, skipping the 1/0 materialisation ([h_cmp], while armed,
+      still fires between operand evaluation and the jump).
 
     Staged code runs against the unmodified pooled {!Interp.exec_ctx}
     — frames, pools, the touched-globals journal, fuel, the int call
@@ -43,8 +43,8 @@
     seed/witness, per mode.
 
     Artifacts are cacheable: all per-campaign state (the bound trace
-    map, the cmplog probe, listener registers, the activation depth)
-    lives in a mutable {!cstate} rebound via
+    map, the cmplog probe and the flag arming it, listener registers,
+    the activation depth) lives in a mutable {!cstate} rebound via
     {!bind}, so one compiled artifact per [(prepared, mode)] serves
     every campaign on a domain — {!cached} memoises per domain via
     [Domain.DLS]. Sharded campaigns must {!compile} fresh per shard
@@ -61,6 +61,8 @@ open Interp
 type cstate = {
   fb : Pathcov.Feedback.regs;  (** the probes' registers and trace map *)
   mutable h_cmp : int -> int -> unit;
+  mutable armed : bool;
+      (** comparison probes call [h_cmp] only while set ({!arm}) *)
   mutable depth : int;  (** current activation depth *)
   (* introspection tallies — plain stores on paths that never feed back
      into execution, so they are trajectory-invisible *)
@@ -340,51 +342,51 @@ let rec cexp (env : env) (e : rexpr) : iexp =
           match (s1, s2) with
           | Sconst a, Sconst b ->
               fun _ _ ->
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 if apply_cmp op a b then 1 else 0
           | Sloc i, Sconst k ->
               fun _ fr ->
                 let a = Array.unsafe_get fr.f_ints i in
-                if emit then cs.h_cmp a k;
+                if emit && cs.armed then cs.h_cmp a k;
                 if apply_cmp op a k then 1 else 0
           | Sconst k, Sloc i ->
               fun _ fr ->
                 let b = Array.unsafe_get fr.f_ints i in
-                if emit then cs.h_cmp k b;
+                if emit && cs.armed then cs.h_cmp k b;
                 if apply_cmp op k b then 1 else 0
           | Sloc i, Sloc j ->
               fun _ fr ->
                 let a = Array.unsafe_get fr.f_ints i in
                 let b = Array.unsafe_get fr.f_ints j in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 if apply_cmp op a b then 1 else 0
           | Sglob g, Sconst k ->
               fun ctx _ ->
                 let a = Array.unsafe_get ctx.gints g in
-                if emit then cs.h_cmp a k;
+                if emit && cs.armed then cs.h_cmp a k;
                 if apply_cmp op a k then 1 else 0
           | Sconst k, Sglob g ->
               fun ctx _ ->
                 let b = Array.unsafe_get ctx.gints g in
-                if emit then cs.h_cmp k b;
+                if emit && cs.armed then cs.h_cmp k b;
                 if apply_cmp op k b then 1 else 0
           | Sglob g, Sloc i ->
               fun ctx fr ->
                 let a = Array.unsafe_get ctx.gints g in
                 let b = Array.unsafe_get fr.f_ints i in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 if apply_cmp op a b then 1 else 0
           | Sloc i, Sglob g ->
               fun ctx fr ->
                 let a = Array.unsafe_get fr.f_ints i in
                 let b = Array.unsafe_get ctx.gints g in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 if apply_cmp op a b then 1 else 0
           | Sglob g, Sglob h ->
               fun ctx _ ->
                 let a = Array.unsafe_get ctx.gints g in
                 let b = Array.unsafe_get ctx.gints h in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 if apply_cmp op a b then 1 else 0
         end
       | _ -> (
@@ -397,37 +399,37 @@ let rec cexp (env : env) (e : rexpr) : iexp =
             fun ctx fr ->
               let a = f1 ctx fr in
               let b = f2 ctx fr in
-              cs.h_cmp a b;
+              if cs.armed then cs.h_cmp a b;
               if a = b then 1 else 0
         | Cne ->
             fun ctx fr ->
               let a = f1 ctx fr in
               let b = f2 ctx fr in
-              cs.h_cmp a b;
+              if cs.armed then cs.h_cmp a b;
               if a <> b then 1 else 0
         | Clt ->
             fun ctx fr ->
               let a = f1 ctx fr in
               let b = f2 ctx fr in
-              cs.h_cmp a b;
+              if cs.armed then cs.h_cmp a b;
               if a < b then 1 else 0
         | Cle ->
             fun ctx fr ->
               let a = f1 ctx fr in
               let b = f2 ctx fr in
-              cs.h_cmp a b;
+              if cs.armed then cs.h_cmp a b;
               if a <= b then 1 else 0
         | Cgt ->
             fun ctx fr ->
               let a = f1 ctx fr in
               let b = f2 ctx fr in
-              cs.h_cmp a b;
+              if cs.armed then cs.h_cmp a b;
               if a > b then 1 else 0
         | Cge ->
             fun ctx fr ->
               let a = f1 ctx fr in
               let b = f2 ctx fr in
-              cs.h_cmp a b;
+              if cs.armed then cs.h_cmp a b;
               if a >= b then 1 else 0
       else
         match op with
@@ -541,51 +543,51 @@ let ccond (env : env) (e : rexpr) : exec_ctx -> frame -> bool =
           match (s1, s2) with
           | Sconst a, Sconst b ->
               fun _ _ ->
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 apply_cmp op a b
           | Sloc i, Sconst k ->
               fun _ fr ->
                 let a = Array.unsafe_get fr.f_ints i in
-                if emit then cs.h_cmp a k;
+                if emit && cs.armed then cs.h_cmp a k;
                 apply_cmp op a k
           | Sconst k, Sloc i ->
               fun _ fr ->
                 let b = Array.unsafe_get fr.f_ints i in
-                if emit then cs.h_cmp k b;
+                if emit && cs.armed then cs.h_cmp k b;
                 apply_cmp op k b
           | Sloc i, Sloc j ->
               fun _ fr ->
                 let a = Array.unsafe_get fr.f_ints i in
                 let b = Array.unsafe_get fr.f_ints j in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 apply_cmp op a b
           | Sglob g, Sconst k ->
               fun ctx _ ->
                 let a = Array.unsafe_get ctx.gints g in
-                if emit then cs.h_cmp a k;
+                if emit && cs.armed then cs.h_cmp a k;
                 apply_cmp op a k
           | Sconst k, Sglob g ->
               fun ctx _ ->
                 let b = Array.unsafe_get ctx.gints g in
-                if emit then cs.h_cmp k b;
+                if emit && cs.armed then cs.h_cmp k b;
                 apply_cmp op k b
           | Sglob g, Sloc i ->
               fun ctx fr ->
                 let a = Array.unsafe_get ctx.gints g in
                 let b = Array.unsafe_get fr.f_ints i in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 apply_cmp op a b
           | Sloc i, Sglob g ->
               fun ctx fr ->
                 let a = Array.unsafe_get fr.f_ints i in
                 let b = Array.unsafe_get ctx.gints g in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 apply_cmp op a b
           | Sglob g, Sglob h ->
               fun ctx _ ->
                 let a = Array.unsafe_get ctx.gints g in
                 let b = Array.unsafe_get ctx.gints h in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 apply_cmp op a b
         end
       | Some s1, None -> begin
@@ -596,19 +598,19 @@ let ccond (env : env) (e : rexpr) : exec_ctx -> frame -> bool =
           | Sconst k ->
               fun ctx fr ->
                 let b = f2 ctx fr in
-                if emit then cs.h_cmp k b;
+                if emit && cs.armed then cs.h_cmp k b;
                 apply_cmp op k b
           | Sloc i ->
               fun ctx fr ->
                 let a = Array.unsafe_get fr.f_ints i in
                 let b = f2 ctx fr in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 apply_cmp op a b
           | Sglob g ->
               fun ctx fr ->
                 let a = Array.unsafe_get ctx.gints g in
                 let b = f2 ctx fr in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 apply_cmp op a b
         end
       | None, Some s2 -> begin
@@ -619,19 +621,19 @@ let ccond (env : env) (e : rexpr) : exec_ctx -> frame -> bool =
           | Sconst k ->
               fun ctx fr ->
                 let a = f1 ctx fr in
-                if emit then cs.h_cmp a k;
+                if emit && cs.armed then cs.h_cmp a k;
                 apply_cmp op a k
           | Sloc i ->
               fun ctx fr ->
                 let a = f1 ctx fr in
                 let b = Array.unsafe_get fr.f_ints i in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 apply_cmp op a b
           | Sglob g ->
               fun ctx fr ->
                 let a = f1 ctx fr in
                 let b = Array.unsafe_get ctx.gints g in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 apply_cmp op a b
         end
       | None, None -> (
@@ -644,37 +646,37 @@ let ccond (env : env) (e : rexpr) : exec_ctx -> frame -> bool =
             fun ctx fr ->
               let a = f1 ctx fr in
               let b = f2 ctx fr in
-              cs.h_cmp a b;
+              if cs.armed then cs.h_cmp a b;
               a = b
         | Cne ->
             fun ctx fr ->
               let a = f1 ctx fr in
               let b = f2 ctx fr in
-              cs.h_cmp a b;
+              if cs.armed then cs.h_cmp a b;
               a <> b
         | Clt ->
             fun ctx fr ->
               let a = f1 ctx fr in
               let b = f2 ctx fr in
-              cs.h_cmp a b;
+              if cs.armed then cs.h_cmp a b;
               a < b
         | Cle ->
             fun ctx fr ->
               let a = f1 ctx fr in
               let b = f2 ctx fr in
-              cs.h_cmp a b;
+              if cs.armed then cs.h_cmp a b;
               a <= b
         | Cgt ->
             fun ctx fr ->
               let a = f1 ctx fr in
               let b = f2 ctx fr in
-              cs.h_cmp a b;
+              if cs.armed then cs.h_cmp a b;
               a > b
         | Cge ->
             fun ctx fr ->
               let a = f1 ctx fr in
               let b = f2 ctx fr in
-              cs.h_cmp a b;
+              if cs.armed then cs.h_cmp a b;
               a >= b
       else
         match op with
@@ -1145,59 +1147,59 @@ let cblock_empty (env : env) (tbl : bfn array) (fid : int)
           | Sconst a, Sconst b ->
               fun ctx fr ->
                 entry ctx;
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 finish (apply_cmp op a b) ctx fr
           | Sloc i, Sconst k ->
               fun ctx fr ->
                 entry ctx;
                 let a = Array.unsafe_get fr.f_ints i in
-                if emit then cs.h_cmp a k;
+                if emit && cs.armed then cs.h_cmp a k;
                 finish (apply_cmp op a k) ctx fr
           | Sconst k, Sloc i ->
               fun ctx fr ->
                 entry ctx;
                 let b = Array.unsafe_get fr.f_ints i in
-                if emit then cs.h_cmp k b;
+                if emit && cs.armed then cs.h_cmp k b;
                 finish (apply_cmp op k b) ctx fr
           | Sloc i, Sloc j ->
               fun ctx fr ->
                 entry ctx;
                 let a = Array.unsafe_get fr.f_ints i in
                 let b = Array.unsafe_get fr.f_ints j in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 finish (apply_cmp op a b) ctx fr
           | Sglob g, Sconst k ->
               fun ctx fr ->
                 entry ctx;
                 let a = Array.unsafe_get ctx.gints g in
-                if emit then cs.h_cmp a k;
+                if emit && cs.armed then cs.h_cmp a k;
                 finish (apply_cmp op a k) ctx fr
           | Sconst k, Sglob g ->
               fun ctx fr ->
                 entry ctx;
                 let b = Array.unsafe_get ctx.gints g in
-                if emit then cs.h_cmp k b;
+                if emit && cs.armed then cs.h_cmp k b;
                 finish (apply_cmp op k b) ctx fr
           | Sglob g, Sloc i ->
               fun ctx fr ->
                 entry ctx;
                 let a = Array.unsafe_get ctx.gints g in
                 let b = Array.unsafe_get fr.f_ints i in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 finish (apply_cmp op a b) ctx fr
           | Sloc i, Sglob g ->
               fun ctx fr ->
                 entry ctx;
                 let a = Array.unsafe_get fr.f_ints i in
                 let b = Array.unsafe_get ctx.gints g in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 finish (apply_cmp op a b) ctx fr
           | Sglob g, Sglob h ->
               fun ctx fr ->
                 entry ctx;
                 let a = Array.unsafe_get ctx.gints g in
                 let b = Array.unsafe_get ctx.gints h in
-                if emit then cs.h_cmp a b;
+                if emit && cs.armed then cs.h_cmp a b;
                 finish (apply_cmp op a b) ctx fr)
       | None ->
           let fc = ccond env cond in
@@ -1375,6 +1377,7 @@ let compile ?plans ?(cmplog = true) (p : prepared)
           ~trace:(Pathcov.Coverage_map.create ~size_log2:6 ())
           mode;
       h_cmp = (fun _ _ -> ());
+      armed = false;
       depth = 0;
       stat_rollbacks = 0;
       stat_careful_units = 0;
@@ -1420,6 +1423,12 @@ let bind (t : t) ~(trace : Pathcov.Coverage_map.t)
     ~(h_cmp : int -> int -> unit) : unit =
   t.cs.fb.trace <- trace;
   t.cs.h_cmp <- h_cmp
+
+(** Open or close the comparison-capture window: a comparison calls the
+    bound [h_cmp] only while armed. *)
+let arm (t : t) (on : bool) : unit = t.cs.armed <- on
+
+let armed (t : t) : bool = t.cs.armed
 
 (** The trace map the probes currently write (tests and diagnostics). *)
 let bound_trace (t : t) : Pathcov.Coverage_map.t = t.cs.fb.trace

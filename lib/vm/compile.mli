@@ -16,11 +16,12 @@
     Staged code executes against the unmodified pooled
     {!Interp.exec_ctx} and replicates the interpreter's observable
     semantics exactly — fuel burn placement, evaluation order, crash
-    kinds/sites/stacks, [h_cmp] timing, [blocks_executed] — which the
-    differential suite enforces against the boxed reference interpreter.
+    kinds/sites/stacks, [h_cmp] timing (while {!arm}ed),
+    [blocks_executed] — which the differential suite enforces against
+    the boxed reference interpreter.
 
     Artifacts are immutable modulo a small rebindable {!cstate} (trace
-    map, cmplog probe, listener registers), so one
+    map, cmplog probe and its arm flag, listener registers), so one
     artifact per [(prepared, mode)] serves every campaign on a domain;
     {!cached} memoises exactly that. The state is single-threaded:
     sharded campaigns compile one artifact per shard via {!compile}. *)
@@ -67,6 +68,13 @@ val cached :
     two field writes, so callers may rebind before every execution. *)
 val bind :
   t -> trace:Pathcov.Coverage_map.t -> h_cmp:(int -> int -> unit) -> unit
+
+(** Open ([true]) or close the comparison-capture window. A compiled
+    comparison calls the bound [h_cmp] only while armed, so outside the
+    window it costs one load and branch; a fresh artifact is disarmed. *)
+val arm : t -> bool -> unit
+
+val armed : t -> bool
 
 (** The trace map the probes currently write (tests and diagnostics). *)
 val bound_trace : t -> Pathcov.Coverage_map.t

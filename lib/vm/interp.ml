@@ -38,6 +38,15 @@ let no_hooks =
     h_cmp = (fun _ _ -> ());
   }
 
+let hooks_of ?(h_cmp = no_hooks.h_cmp) (fb : Pathcov.Feedback.t) : hooks =
+  {
+    h_call = fb.on_call;
+    h_block = fb.on_block;
+    h_edge = fb.on_edge;
+    h_ret = fb.on_ret;
+    h_cmp;
+  }
+
 type status =
   | Finished of int option  (** [main] returned normally *)
   | Crashed of Crash.t

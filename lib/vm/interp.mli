@@ -26,6 +26,10 @@ type hooks = {
 
 val no_hooks : hooks
 
+(** The hooks that drive a feedback listener: its four handlers, plus
+    [h_cmp] (default: none) for comparison operands. *)
+val hooks_of : ?h_cmp:(int -> int -> unit) -> Pathcov.Feedback.t -> hooks
+
 type status =
   | Finished of int option  (** [main] returned normally *)
   | Crashed of Crash.t

@@ -369,10 +369,10 @@ let pieces_of (tb : Pathcov.Feedback.table) fid (f : rfunc) (chain : int list)
   close ();
   List.rev !out
 
-let func (tb : Pathcov.Feedback.table) (fid : int) (f : rfunc) : group list =
-  let nb = Array.length f.rblocks in
-  let interior = fusion_interior f in
-  let chains = Array.make nb [] in
+(* The reach walk from label 0: per label, the chain of the group it
+   heads, [[]] where control enters no group. *)
+let reached_chains (f : rfunc) (interior : bool array) : int list array =
+  let chains = Array.make (Array.length f.rblocks) [] in
   let rec reach = function
     | [] -> ()
     | l :: todo when chains.(l) <> [] -> reach todo
@@ -382,6 +382,10 @@ let func (tb : Pathcov.Feedback.table) (fid : int) (f : rfunc) : group list =
         reach (succs f.rblocks.(last_of chain).rterm @ todo)
   in
   reach [ 0 ];
+  chains
+
+let func (tb : Pathcov.Feedback.table) (fid : int) (f : rfunc) : group list =
+  let chains = reached_chains f (fusion_interior f) in
   List.filter_map
     (fun head ->
       match chains.(head) with
@@ -396,7 +400,7 @@ let func (tb : Pathcov.Feedback.table) (fid : int) (f : rfunc) : group list =
               last;
               term = f.rblocks.(last).rterm;
             })
-    (List.init nb Fun.id)
+    (List.init (Array.length chains) Fun.id)
 
 (* ------------------------------------------------------------------ *)
 (* Fusion shape *)
@@ -413,9 +417,8 @@ let shape (p : prepared) : shape =
   Array.iter
     (fun (f : rfunc) ->
       let interior = fusion_interior f in
-      Array.iteri
-        (fun b _ ->
-          match chain_at f interior b with
+      Array.iter
+        (function
           | _ :: (_ :: _ as tail) as chain ->
               let len = List.length chain in
               incr chains;
@@ -427,7 +430,7 @@ let shape (p : prepared) : shape =
                     dup := !dup + Array.length f.rblocks.(l).rinstrs + 1)
                 tail
           | _ -> ())
-        f.rblocks)
+        (reached_chains f interior))
     p.rfuncs;
   {
     chains = !chains;

@@ -79,7 +79,7 @@ type shape = {
   dup_instrs : int;  (** instructions copied by tail duplication *)
 }
 
-(** The chains the fusion rule forms at every label that is not
-    interior to a chain, reached or not: a property of the rule over the
-    program, not of the reached groups. *)
+(** The chains of two or more blocks among the groups {!func} returns:
+    what the compiled engines run, not every chain the fusion rule
+    could form at a label no jump reaches. *)
 val shape : Interp.prepared -> shape

@@ -76,17 +76,8 @@ let test_probe_reduction () =
 let committed_paths ~optimize prog input =
   let plans = Pathcov.Ball_larus.of_program ~optimize prog in
   let fb = Pathcov.Feedback.make ~plans Pathcov.Feedback.Path prog in
-  let hooks =
-    {
-      Vm.Interp.no_hooks with
-      h_call = fb.on_call;
-      h_block = fb.on_block;
-      h_edge = fb.on_edge;
-      h_ret = fb.on_ret;
-    }
-  in
   fb.reset ();
-  ignore (Vm.Interp.run ~hooks prog ~input);
+  ignore (Vm.Interp.run ~hooks:(Vm.Interp.hooks_of fb) prog ~input);
   Pathcov.Coverage_map.classify fb.trace;
   List.map (fun i -> (i, Pathcov.Coverage_map.get fb.trace i))
     (Pathcov.Coverage_map.set_indices fb.trace)

@@ -17,16 +17,6 @@ let all_modes =
     Pathcov.Feedback.Pathafl;
   ]
 
-let feedback_hooks ?(h_cmp = fun _ _ -> ()) (fb : Pathcov.Feedback.t) :
-    Vm.Interp.hooks =
-  {
-    Vm.Interp.h_call = fb.on_call;
-    h_block = fb.on_block;
-    h_edge = fb.on_edge;
-    h_ret = fb.on_ret;
-    h_cmp;
-  }
-
 let pp_status fmt (s : Vm.Interp.status) =
   match s with
   | Vm.Interp.Finished None -> Fmt.string fmt "finished(array)"
@@ -60,7 +50,7 @@ let test_mode_agreement () =
           let ictx =
             Vm.Interp.create_ctx
               ~hooks:
-                (feedback_hooks
+                (Vm.Interp.hooks_of
                    ~h_cmp:(fun a b -> icmps := (a, b) :: !icmps)
                    fb)
               prepared
@@ -71,6 +61,7 @@ let test_mode_agreement () =
           let ctrace = Pathcov.Coverage_map.create () in
           Vm.Compile.bind art ~trace:ctrace ~h_cmp:(fun a b ->
               ccmps := (a, b) :: !ccmps);
+          Vm.Compile.arm art true;
           List.iter
             (fun input ->
               fb.reset ();
@@ -97,7 +88,18 @@ let test_mode_agreement () =
                 Alcotest.(list (pair int int))
                 (where ^ " classified trace")
                 (trace_contents fb.trace) (trace_contents ctrace))
-            (subject_inputs s))
+            (subject_inputs s);
+          (* disarmed, the artifact's comparisons never reach [h_cmp] *)
+          Vm.Compile.arm art false;
+          ccmps := [];
+          List.iter
+            (fun input -> ignore (Vm.Interp.run_one ~entry cctx ~input))
+            (subject_inputs s);
+          check
+            Alcotest.(list (pair int int))
+            (Printf.sprintf "%s/%s disarmed cmp stream" s.name
+               (Pathcov.Feedback.mode_name mode))
+            [] !ccmps)
         all_modes)
     Subjects.Registry.all
 
@@ -113,7 +115,7 @@ let prop_compiled_differential =
         (fun mode ->
           let fb = Pathcov.Feedback.make mode prog in
           let ictx =
-            Vm.Interp.create_ctx ~hooks:(feedback_hooks fb) prepared
+            Vm.Interp.create_ctx ~hooks:(Vm.Interp.hooks_of fb) prepared
           in
           let cctx = Vm.Interp.create_ctx prepared in
           let art = Vm.Compile.compile prepared mode in

@@ -100,9 +100,9 @@ let prop_journal_matches_bytes =
       && Array.to_list (Cm.sorted_indices m) = expected
       && Cm.count_set m = List.length expected)
 
-(* The radix sort against [List.sort] at 2^16 and 2^18 maps: empty,
-   single and random journals, and journals whose indices share a digit
-   (the passes the sort skips), each sorted after a stale journal. *)
+(* [sorted_indices] against [List.sort] at 2^16 and 2^18 maps: empty,
+   single and random journals, and journals whose indices share a byte,
+   each sorted after a stale journal. *)
 let prop_sorted_indices =
   let open QCheck.Gen in
   let journal log2 =
@@ -334,18 +334,9 @@ let prop_settle_equals_three_passes =
 (* --- feedback listeners --- *)
 
 let run_with_feedback fb prog input =
-  let hooks =
-    {
-      Vm.Interp.no_hooks with
-      h_call = fb.Pathcov.Feedback.on_call;
-      h_block = fb.Pathcov.Feedback.on_block;
-      h_edge = fb.Pathcov.Feedback.on_edge;
-      h_ret = fb.Pathcov.Feedback.on_ret;
-    }
-  in
   fb.Pathcov.Feedback.reset ();
   Cm.clear fb.trace;
-  ignore (Vm.Interp.run ~hooks prog ~input);
+  ignore (Vm.Interp.run ~hooks:(Vm.Interp.hooks_of fb) prog ~input);
   Cm.classify fb.trace;
   List.map (fun i -> (i, Cm.get fb.trace i)) (Cm.set_indices fb.trace)
 

@@ -6,15 +6,6 @@
 
 let check = Alcotest.check
 
-let feedback_hooks (fb : Pathcov.Feedback.t) : Vm.Interp.hooks =
-  {
-    Vm.Interp.no_hooks with
-    h_call = fb.on_call;
-    h_block = fb.on_block;
-    h_edge = fb.on_edge;
-    h_ret = fb.on_ret;
-  }
-
 let pp_status fmt (s : Vm.Interp.status) =
   match s with
   | Vm.Interp.Finished None -> Fmt.string fmt "finished(array)"
@@ -74,7 +65,7 @@ let test_trace_agreement () =
           let fb_fast = Pathcov.Feedback.make mode prog in
           let fb_ref = Pathcov.Feedback.make mode prog in
           let ctx =
-            Vm.Interp.create_ctx ~hooks:(feedback_hooks fb_fast) prepared
+            Vm.Interp.create_ctx ~hooks:(Vm.Interp.hooks_of fb_fast) prepared
           in
           List.iter
             (fun input ->
@@ -84,7 +75,7 @@ let test_trace_agreement () =
               Pathcov.Coverage_map.clear fb_ref.trace;
               let fast = Vm.Interp.run_one ctx ~input in
               let ref_ =
-                Interp_ref.run ~hooks:(feedback_hooks fb_ref) prog ~input
+                Interp_ref.run ~hooks:(Vm.Interp.hooks_of fb_ref) prog ~input
               in
               let where =
                 Printf.sprintf "%s/%s %S" s.name

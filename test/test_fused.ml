@@ -22,15 +22,6 @@ let all_modes =
     Pathcov.Feedback.Pathafl;
   ]
 
-let feedback_hooks (fb : Pathcov.Feedback.t) : Vm.Interp.hooks =
-  {
-    Vm.Interp.h_call = fb.on_call;
-    h_block = fb.on_block;
-    h_edge = fb.on_edge;
-    h_ret = fb.on_ret;
-    h_cmp = (fun _ _ -> ());
-  }
-
 let pp_status fmt (s : Vm.Interp.status) =
   match s with
   | Vm.Interp.Finished None -> Fmt.string fmt "finished(array)"
@@ -61,7 +52,7 @@ let prop_fused_differential =
         (fun mode ->
           let fb = Pathcov.Feedback.make mode prog in
           let ictx =
-            Vm.Interp.create_ctx ~hooks:(feedback_hooks fb) prepared
+            Vm.Interp.create_ctx ~hooks:(Vm.Interp.hooks_of fb) prepared
           in
           let cctx = Vm.Interp.create_ctx prepared in
           let art =
@@ -93,7 +84,7 @@ let prop_fused_fuel_ladder =
     (fun (prog, input) ->
       let prepared = Vm.Interp.prepare prog in
       let fb = Pathcov.Feedback.make Pathcov.Feedback.Path prog in
-      let ictx = Vm.Interp.create_ctx ~hooks:(feedback_hooks fb) prepared in
+      let ictx = Vm.Interp.create_ctx ~hooks:(Vm.Interp.hooks_of fb) prepared in
       let cctx = Vm.Interp.create_ctx prepared in
       let art =
         Vm.Compile.compile prepared

@@ -170,17 +170,8 @@ let test_pathafl_differs_from_edge () =
   let prog = Subjects.Subject.program subject in
   let run mode =
     let fb = Pathcov.Feedback.make mode prog in
-    let hooks =
-      {
-        Vm.Interp.no_hooks with
-        h_call = fb.Pathcov.Feedback.on_call;
-        h_block = fb.Pathcov.Feedback.on_block;
-        h_edge = fb.Pathcov.Feedback.on_edge;
-        h_ret = fb.Pathcov.Feedback.on_ret;
-      }
-    in
     fb.Pathcov.Feedback.reset ();
-    ignore (Vm.Interp.run ~hooks prog ~input:(List.hd subject.seeds));
+    ignore (Vm.Interp.run ~hooks:(Vm.Interp.hooks_of fb) prog ~input:(List.hd subject.seeds));
     Pathcov.Coverage_map.count_set fb.trace
   in
   (* the PathAFL sketch layers key-edge hashes on top of edge coverage *)

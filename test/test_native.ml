@@ -25,16 +25,6 @@ let all_modes =
     Pathcov.Feedback.Pathafl;
   ]
 
-let feedback_hooks ?(h_cmp = fun _ _ -> ()) (fb : Pathcov.Feedback.t) :
-    Vm.Interp.hooks =
-  {
-    Vm.Interp.h_call = fb.on_call;
-    h_block = fb.on_block;
-    h_edge = fb.on_edge;
-    h_ret = fb.on_ret;
-    h_cmp;
-  }
-
 let pp_status fmt (s : Vm.Interp.status) =
   match s with
   | Vm.Interp.Finished None -> Fmt.string fmt "finished(array)"
@@ -108,7 +98,7 @@ let test_native_mode_agreement () =
             let ictx =
               Vm.Interp.create_ctx
                 ~hooks:
-                  (feedback_hooks
+                  (Vm.Interp.hooks_of
                      ~h_cmp:(fun a b -> icmps := (a, b) :: !icmps)
                      fb)
                 prepared
@@ -202,7 +192,7 @@ let test_native_differential () =
         let ictx =
           Vm.Interp.create_ctx
             ~hooks:
-              (feedback_hooks ~h_cmp:(fun a b -> icmps := (a, b) :: !icmps) fb)
+              (Vm.Interp.hooks_of ~h_cmp:(fun a b -> icmps := (a, b) :: !icmps) fb)
             prepared
         in
         let nctx = Vm.Interp.create_ctx prepared in
@@ -246,7 +236,7 @@ let test_native_fuel_ladder () =
         if i mod List.length all_modes = 3 (* the Path rotation slots *)
         then begin
           let fb = Pathcov.Feedback.make Pathcov.Feedback.Path prog in
-          let ictx = Vm.Interp.create_ctx ~hooks:(feedback_hooks fb) prepared in
+          let ictx = Vm.Interp.create_ctx ~hooks:(Vm.Interp.hooks_of fb) prepared in
           let nctx = Vm.Interp.create_ctx prepared in
           let art =
             instance_exn prepared Pathcov.Feedback.Path
@@ -404,7 +394,7 @@ let test_native_journal_boundary () =
     List.iter
       (fun mode ->
         let fb = Pathcov.Feedback.make mode prog in
-        let ictx = Vm.Interp.create_ctx ~hooks:(feedback_hooks fb) prepared in
+        let ictx = Vm.Interp.create_ctx ~hooks:(Vm.Interp.hooks_of fb) prepared in
         let nctx = Vm.Interp.create_ctx prepared in
         let art = instance_exn prepared mode in
         let entry = Vm.Emit.entry art in
@@ -511,7 +501,7 @@ let test_native_deep_recursion () =
         let ictx =
           Vm.Interp.create_ctx
             ~hooks:
-              (feedback_hooks ~h_cmp:(fun a b -> icmps := (a, b) :: !icmps) fb)
+              (Vm.Interp.hooks_of ~h_cmp:(fun a b -> icmps := (a, b) :: !icmps) fb)
             prepared
         in
         let nctx = Vm.Interp.create_ctx prepared in

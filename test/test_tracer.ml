@@ -219,15 +219,22 @@ let test_release_unbinds_cached_artifact () =
   check_bool "finished campaign's trace map collected" false
     (Weak.check probe 0)
 
-(* Under the native engine a comparison reaches [h_cmp] only inside a
-   [Campaign.capturing] window: the unit's probes are armed there and
-   nowhere else. A counting wrapper around each campaign's own probe
-   sees every call; calls outside a window must be zero, while the
-   calibrations still hand the mutator the always-on reference pairs.
-   The same holds with one and with two campaigns running at once on
-   their own domains (the arm flag is per unit instance). A released
-   tracer is left disarmed. *)
-let test_native_cmp_armed_only_while_capturing () =
+(* On every engine a comparison reaches [h_cmp] only inside a
+   [Campaign.capturing] window, and [Tracer.cmp_armed] holds exactly
+   there. The test re-attaches each campaign's tracer with a counting
+   wrapper around the campaign's own probe, which notes the observer's
+   exec clock at every call (a run's calls see the clock before the run
+   is counted) and whether the window was armed. It drives the stages
+   by hand — [calibrate], the one window, then the candidate stages
+   [process] and [execute] — and then the campaign loop itself. Every
+   call must fall in a run that a [Calibration] event reports, and be
+   armed; the window must be closed between stages and at every event
+   but a snapshot row (the calibration run's own accounting may take
+   one); and the calibrations still hand the mutator the always-on
+   reference pairs. Under native the same holds with two campaigns
+   running at once on their own domains (the arm flag is per unit
+   instance). A released tracer is left disarmed. *)
+let test_cmp_armed_only_while_capturing () =
   let s = Subjects.Registry.find_exn "cflow" in
   let prog = Subjects.Subject.compile_fresh s in
   let prepared = Vm.Interp.prepare prog in
@@ -244,16 +251,41 @@ let test_native_cmp_armed_only_while_capturing () =
     Array.of_list
       (Fuzz.Campaign.queue_inputs (Fuzz.Campaign.run ~config:base prog ~seeds:s.seeds))
   in
-  let config = { base with engine = Fuzz.Tracer.Native } in
-  (* one campaign: (native live, calls inside, calls outside, pair
-     mismatches, armed after) *)
-  let campaign () =
-    let st = Fuzz.Campaign.make_state ~config prog in
-    let inside = ref 0 and outside = ref 0 and mismatches = ref 0 in
-    let probe = st.ctx.Vm.Interp.hooks.h_cmp in
-    Fuzz.Tracer.bind st.tracer ~trace:st.feedback.trace ~h_cmp:(fun a b ->
-        if st.cmp_buf.capture then incr inside else incr outside;
-        probe a b);
+  (* one campaign: (calls inside, calls outside, unarmed calls, pair
+     mismatches, armed between stages or at events, armed after) *)
+  let campaign engine () =
+    let config = { base with engine } in
+    let tracer = ref None and armed_seen = ref 0 in
+    let armed () =
+      match !tracer with
+      | Some t when Fuzz.Tracer.cmp_armed t -> incr armed_seen
+      | _ -> ()
+    in
+    let calibration_runs = Hashtbl.create 256 in
+    let sink =
+      Obs.Sink.make (function
+        | Obs.Event.Snapshot _ -> ()
+        | Obs.Event.Calibration { at_exec; _ } ->
+            armed ();
+            Hashtbl.replace calibration_runs (at_exec - 1) ()
+        | _ -> armed ())
+    in
+    let st =
+      Fuzz.Campaign.make_state ~obs:(Obs.Observer.create ~sink ()) ~config prog
+    in
+    tracer := Some st.tracer;
+    let calls = ref [] and unarmed = ref 0 in
+    let probe = Fuzz.Campaign.record_cmp st.cmp_buf in
+    let feedback, ctx =
+      Fuzz.Tracer.attach ~size_log2:config.map_size_log2
+        ~h_cmp:(fun a b ->
+          calls := st.obs.counters.execs :: !calls;
+          if not (Fuzz.Tracer.cmp_armed st.tracer) then incr unarmed;
+          probe a b)
+        st.tracer
+    in
+    let st = { st with feedback; ctx } in
+    let mismatches = ref 0 in
     Array.iter (Fuzz.Campaign.add_seed st) queue;
     for i = 0 to Fuzz.Corpus.size st.corpus - 1 do
       let e = Fuzz.Corpus.get st.corpus i in
@@ -261,42 +293,56 @@ let test_native_cmp_armed_only_while_capturing () =
         Fuzz.Campaign.calibrate st e
         <> both_directions (reference_pairs prepared config e.data)
       then incr mismatches;
+      armed ();
       let other = queue.((i + 1) mod Array.length queue) in
       Fuzz.Campaign.process st ~depth:1 other;
-      ignore (Fuzz.Campaign.execute st other)
+      ignore (Fuzz.Campaign.execute st other);
+      armed ()
     done;
-    let armed_after = Fuzz.Tracer.cmp_armed st.tracer in
-    ( Fuzz.Tracer.emit_fallback st.tracer = None,
-      !inside,
-      !outside,
+    ignore (Fuzz.Campaign.run_state st ~seeds:[]);
+    let inside = List.filter (Hashtbl.mem calibration_runs) !calls in
+    ( List.length inside,
+      List.length !calls - List.length inside,
+      !unarmed,
       !mismatches,
-      armed_after )
+      !armed_seen,
+      Fuzz.Tracer.cmp_armed st.tracer )
   in
   List.iter
-    (fun domains ->
-      List.init domains (fun _ -> Domain.spawn campaign)
+    (fun (engine, ename, domains) ->
+      List.init domains (fun _ -> Domain.spawn (campaign engine))
       |> List.map Domain.join
-      |> List.iteri (fun d (live, inside, outside, mismatches, armed_after) ->
-             let where = Printf.sprintf "domains=%d #%d" domains d in
+      |> List.iteri
+           (fun d (inside, outside, unarmed, mismatches, armed_seen, armed_after) ->
+             let where = Printf.sprintf "%s domains=%d #%d" ename domains d in
              check Alcotest.int (where ^ ": calibration pairs") 0 mismatches;
+             check_bool (where ^ ": h_cmp called while capturing") true
+               (inside > 0);
+             check Alcotest.int (where ^ ": h_cmp calls outside windows") 0
+               outside;
+             check Alcotest.int (where ^ ": h_cmp calls while disarmed") 0
+               unarmed;
+             check Alcotest.int (where ^ ": armed outside a window") 0
+               armed_seen;
              check_bool (where ^ ": window closed after the campaign") false
-               armed_after;
-             if live then begin
-               check_bool (where ^ ": h_cmp called while capturing") true
-                 (inside > 0);
-               check Alcotest.int (where ^ ": h_cmp calls outside windows") 0
-                 outside
-             end))
-    [ 1; 2 ];
-  let tracer =
-    Fuzz.Tracer.make ~engine:Fuzz.Tracer.Native ~selective:false ~cmplog:true
-      ~mode:Pathcov.Feedback.Path prepared
-  in
-  Fuzz.Tracer.arm_cmp tracer true;
-  check_bool "arming reaches a live native unit" true
-    (Fuzz.Tracer.cmp_armed tracer = (Fuzz.Tracer.emit_fallback tracer = None));
-  Fuzz.Tracer.release tracer;
-  check_bool "released tracer disarmed" false (Fuzz.Tracer.cmp_armed tracer)
+               armed_after))
+    [
+      (Fuzz.Tracer.Interp, "interp", 1);
+      (Fuzz.Tracer.Fused, "fused", 1);
+      (Fuzz.Tracer.Native, "native", 1);
+      (Fuzz.Tracer.Native, "native", 2);
+    ];
+  List.iter
+    (fun (engine, _) ->
+      let tracer =
+        Fuzz.Tracer.make ~engine ~selective:false ~cmplog:true
+          ~mode:Pathcov.Feedback.Path prepared
+      in
+      Fuzz.Tracer.arm_cmp tracer true;
+      check_bool "arming reaches the engine" true (Fuzz.Tracer.cmp_armed tracer);
+      Fuzz.Tracer.release tracer;
+      check_bool "released tracer disarmed" false (Fuzz.Tracer.cmp_armed tracer))
+    capture_variants
 
 let suite =
   [
@@ -313,7 +359,7 @@ let suite =
           test_calibration_capture_oracle;
         Alcotest.test_case "finished campaign releases its artifact" `Quick
           test_release_unbinds_cached_artifact;
-        Alcotest.test_case "native cmplog armed only while capturing" `Quick
-          test_native_cmp_armed_only_while_capturing;
+        Alcotest.test_case "cmplog armed only while capturing" `Quick
+          test_cmp_armed_only_while_capturing;
       ] );
   ]

@@ -198,16 +198,10 @@ let test_steady_state_allocation () =
       List.iter
         (fun mode ->
           let fb = Pathcov.Feedback.make mode prog in
-          let hooks =
-            {
-              Vm.Interp.no_hooks with
-              h_call = fb.Pathcov.Feedback.on_call;
-              h_block = fb.Pathcov.Feedback.on_block;
-              h_edge = fb.Pathcov.Feedback.on_edge;
-              h_ret = fb.Pathcov.Feedback.on_ret;
-            }
+          let ctx =
+            Vm.Interp.create_ctx ~hooks:(Vm.Interp.hooks_of fb)
+              (Vm.Interp.prepare prog)
           in
-          let ctx = Vm.Interp.create_ctx ~hooks (Vm.Interp.prepare prog) in
           let input = Bytes.of_string (List.hd s.seeds) in
           let view = (input, Bytes.length input) in
           let gen _ =
