@@ -22,72 +22,11 @@ let interesting16 =
 
 let max_len = 4096
 
-let clamp_len s = if String.length s > max_len then String.sub s 0 max_len else s
-
 (* --- input-to-state substitution (cmplog) --- *)
 
 (** A comparison observed at run time: the program compared [observed]
     (an input-derived value, hopefully) against [wanted]. *)
 type cmp_pair = { observed : int; wanted : int }
-
-let encode_le width v = String.init width (fun i -> Char.chr ((v asr (8 * i)) land 255))
-
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  if m = 0 then None else go 0
-
-let replace_at s pos repl =
-  let n = String.length s and m = String.length repl in
-  if pos + m > n then s
-  else String.sub s 0 pos ^ repl ^ String.sub s (pos + m) (n - pos - m)
-
-(** Try to rewrite [s] so that the observed operand becomes the wanted
-    one: search for little-endian (1/2/4-byte) and ASCII-decimal encodings
-    of [observed] and substitute the encoding of [wanted]. Negative
-    [wanted] values are emitted too — as truncated two's-complement bytes
-    on the little-endian paths and as the signed decimal form on the
-    ASCII path — so comparisons against negative constants stay solvable.
-    Returns [s] unchanged when no encoding is found. *)
-let i2s_apply rng (p : cmp_pair) (s : string) : string =
-  let try_width w =
-    if p.observed < 0 || (w < 8 && p.observed >= 1 lsl (8 * w)) then None
-    else
-      let pat = encode_le w p.observed in
-      match find_sub s pat with
-      | Some pos -> Some (replace_at s pos (encode_le w p.wanted))
-      | None -> None
-  in
-  let try_ascii () =
-    if p.observed < 0 then None
-    else
-      let pat = string_of_int p.observed in
-      if String.length pat = 0 then None
-      else
-        match find_sub s pat with
-        | Some pos ->
-            let n = String.length s in
-            let repl = string_of_int p.wanted in
-            Some
-              (clamp_len
-                 (String.sub s 0 pos ^ repl
-                 ^ String.sub s (pos + String.length pat)
-                     (n - pos - String.length pat)))
-        | None -> None
-  in
-  let candidates = List.filter_map (fun f -> f ()) [
-    (fun () -> try_width 1);
-    (fun () -> try_width 2);
-    (fun () -> try_width 4);
-    try_ascii;
-  ]
-  in
-  match candidates with
-  | [] -> s
-  | l -> Rng.choose_list rng l
 
 (* --- the pooled mutation buffer --- *)
 
@@ -214,37 +153,12 @@ let splice sc rng (other : string) =
     sc.len <- total
   end
 
-(* In-place input-to-state: locate candidate encodings of [observed]
-   (little-endian w=1/2/4, then ASCII decimal — the same fixed probe
-   order as the string engine), draw among the hits, rewrite in place. *)
-
-(* The search loops carry all state as parameters: inner [let rec]
-   helpers would capture their environment and allocate a closure per
-   probe, which dominated the i2s hot path. *)
-let rec le_eq b pos v width j =
-  j = width
-  || Char.code (Bytes.unsafe_get b (pos + j)) = (v asr (8 * j)) land 255
-     && le_eq b pos v width (j + 1)
-
-let rec find_le_from b n v width pos =
-  if pos + width > n then -1
-  else if le_eq b pos v width 0 then pos
-  else find_le_from b n v width (pos + 1)
-
-let find_le b n ~width v = find_le_from b n v width 0
+(* --- input-to-state, in place --- *)
 
 let rec bytes_eq buf pos pat poff m j =
   j = m
   || Bytes.unsafe_get buf (pos + j) = Bytes.unsafe_get pat (poff + j)
      && bytes_eq buf pos pat poff m (j + 1)
-
-let rec find_bytes_from buf n pat poff m pos =
-  if pos + m > n then -1
-  else if bytes_eq buf pos pat poff m 0 then pos
-  else find_bytes_from buf n pat poff m (pos + 1)
-
-let find_bytes buf n pat poff m =
-  if m = 0 then -1 else find_bytes_from buf n pat poff m 0
 
 let write_le b pos width v =
   for j = 0 to width - 1 do
@@ -279,68 +193,102 @@ let write_decimal (b : Bytes.t) off (v : int) : int =
     sign + nd
   end
 
-let le_candidate buf n observed w =
-  if observed < 0 || (w < 8 && observed >= 1 lsl (8 * w)) then -1
-  else find_le buf n ~width:w observed
-
+(* Finds the lowest position of each candidate encoding of [observed] —
+   little-endian at widths 1, 2 and 4 (width w only when observed <
+   2^(8w)) and the ASCII decimal — in one left-to-right pass that stops
+   once every valid candidate is found. Every little-endian encoding
+   starts with the low byte, and the decimal with its first digit, so
+   only positions holding one of those two bytes are probed further.
+   Then one draw picks among the hits in the order 1, 2, 4, ASCII (the
+   draw [Rng.choose_list] made over the string engine's candidate list)
+   and rewrites the pick with the same-width encoding of [wanted]: a
+   negative [wanted] becomes truncated two's-complement bytes or its
+   signed decimal. Negative [observed] has no candidates. *)
 let i2s_in_place sc rng (p : cmp_pair) =
-  let n = sc.len in
-  let c1 = le_candidate sc.buf n p.observed 1 in
-  let c2 = le_candidate sc.buf n p.observed 2 in
-  let c4 = le_candidate sc.buf n p.observed 4 in
-  (* decimal pattern of [observed] staged at tmp[0, m); tmp is never
-     live across operators, so sharing it with duplicate-chunk is fine *)
-  ensure_tmp sc 64;
-  let m = if p.observed < 0 then 0 else write_decimal sc.tmp 0 p.observed in
-  let ca = find_bytes sc.buf n sc.tmp 0 m in
-  let ncand =
-    (if c1 >= 0 then 1 else 0)
-    + (if c2 >= 0 then 1 else 0)
-    + (if c4 >= 0 then 1 else 0)
-    + if ca >= 0 then 1 else 0
-  in
-  if ncand > 0 then begin
-    (* the single draw Rng.choose_list made over the candidate list,
-       which was built in this width-then-ascii order *)
-    let k = Rng.int rng ncand in
-    let k =
-      if c1 >= 0 then
-        if k = 0 then begin
-          write_le sc.buf c1 1 p.wanted;
-          -1
-        end
-        else k - 1
-      else k
+  let v = p.observed in
+  if v >= 0 then begin
+    let n = sc.len and b = sc.buf in
+    (* decimal pattern of [observed] staged at tmp[0, m); tmp is never
+       live across operators, so sharing it with duplicate-chunk is fine *)
+    ensure_tmp sc 64;
+    let m = write_decimal sc.tmp 0 v in
+    let lo = Char.unsafe_chr (v land 255)
+    and b1 = Char.unsafe_chr ((v lsr 8) land 255)
+    and b2 = Char.unsafe_chr ((v lsr 16) land 255)
+    and b3 = Char.unsafe_chr ((v lsr 24) land 255)
+    and d0 = Bytes.unsafe_get sc.tmp 0 in
+    let w1 = v < 0x100 and w2 = v < 0x10000 and w4 = v < 0x1_0000_0000 in
+    let c1 = ref (-1) and c2 = ref (-1) and c4 = ref (-1) and ca = ref (-1) in
+    let todo =
+      ref (1 + Bool.to_int w1 + Bool.to_int w2 + Bool.to_int w4)
     in
-    let k =
-      if k >= 0 && c2 >= 0 then
-        if k = 0 then begin
-          write_le sc.buf c2 2 p.wanted;
-          -1
+    let i = ref 0 in
+    while !todo > 0 && !i < n do
+      let pos = !i in
+      let c = Bytes.unsafe_get b pos in
+      if c = lo then begin
+        if w1 && !c1 < 0 then begin
+          c1 := pos;
+          decr todo
+        end;
+        if w2 && !c2 < 0 && pos + 2 <= n
+           && Bytes.unsafe_get b (pos + 1) = b1
+        then begin
+          c2 := pos;
+          decr todo
+        end;
+        if w4 && !c4 < 0 && pos + 4 <= n
+           && Bytes.unsafe_get b (pos + 1) = b1
+           && Bytes.unsafe_get b (pos + 2) = b2
+           && Bytes.unsafe_get b (pos + 3) = b3
+        then begin
+          c4 := pos;
+          decr todo
         end
-        else k - 1
-      else k
+      end;
+      if c = d0 && !ca < 0 && pos + m <= n && bytes_eq b pos sc.tmp 0 m 0
+      then begin
+        ca := pos;
+        decr todo
+      end;
+      incr i
+    done;
+    let c1 = !c1 and c2 = !c2 and c4 = !c4 and ca = !ca in
+    let ncand =
+      Bool.to_int (c1 >= 0) + Bool.to_int (c2 >= 0) + Bool.to_int (c4 >= 0)
+      + Bool.to_int (ca >= 0)
     in
-    let k =
-      if k >= 0 && c4 >= 0 then
-        if k = 0 then begin
-          write_le sc.buf c4 4 p.wanted;
-          -1
-        end
-        else k - 1
-      else k
-    in
-    if k >= 0 && ca >= 0 then begin
-      (* replace the pattern at [ca] by the decimal of [wanted], staged
-         at tmp[32, 32 + r) *)
-      let r = write_decimal sc.tmp 32 p.wanted in
-      let new_n = n - m + r in
-      ensure_buf sc new_n;
-      Bytes.blit sc.buf (ca + m) sc.buf (ca + r) (n - ca - m);
-      Bytes.blit sc.tmp 32 sc.buf ca r;
-      sc.len <- min new_n max_len
+    if ncand > 0 then begin
+      (* skip the draw past each earlier hit *)
+      let k = Rng.int rng ncand in
+      let k2 = if c1 >= 0 then k - 1 else k in
+      let k4 = if c2 >= 0 then k2 - 1 else k2 in
+      if c1 >= 0 && k = 0 then write_le b c1 1 p.wanted
+      else if c2 >= 0 && k2 = 0 then write_le b c2 2 p.wanted
+      else if c4 >= 0 && k4 = 0 then write_le b c4 4 p.wanted
+      else begin
+        (* replace the pattern at [ca] by the decimal of [wanted], staged
+           at tmp[32, 32 + r) *)
+        let r = write_decimal sc.tmp 32 p.wanted in
+        let new_n = n - m + r in
+        ensure_buf sc new_n;
+        Bytes.blit sc.buf (ca + m) sc.buf (ca + r) (n - ca - m);
+        Bytes.blit sc.tmp 32 sc.buf ca r;
+        sc.len <- min new_n max_len
+      end
     end
   end
+
+(** Test seam over {!i2s_in_place}: loads [s] into a fresh scratch,
+    applies one input-to-state substitution and returns the child. *)
+let i2s_apply rng (p : cmp_pair) (s : string) : string =
+  let sc = create_scratch () in
+  let n = String.length s in
+  ensure_buf sc n;
+  Bytes.blit_string s 0 sc.buf 0 n;
+  sc.len <- n;
+  i2s_in_place sc rng p;
+  Bytes.sub_string sc.buf 0 sc.len
 
 (* --- havoc --- *)
 
@@ -395,23 +343,3 @@ let havoc_in_place (sc : scratch) ?(cmps = [||]) ?splice_with rng (s : string)
         | None -> ()
       end
   done
-
-(** The deterministic stage (walking bit flips and interesting bytes) used
-    by tests and the classic-AFL profile; returns all children. *)
-let deterministic (s : string) : string list =
-  let out = ref [] in
-  let n = String.length s in
-  for i = 0 to n - 1 do
-    for bit = 0 to 7 do
-      let b = Bytes.of_string s in
-      Bytes.set b i (Char.chr (Char.code s.[i] lxor (1 lsl bit)));
-      out := Bytes.to_string b :: !out
-    done;
-    Array.iter
-      (fun v ->
-        let b = Bytes.of_string s in
-        Bytes.set b i (Char.chr (v land 255));
-        out := Bytes.to_string b :: !out)
-      interesting8
-  done;
-  List.rev !out

@@ -16,10 +16,12 @@ val max_len : int
     (hopefully an input-derived value) against [wanted]. *)
 type cmp_pair = { observed : int; wanted : int }
 
-(** Try to rewrite the input so the observed operand becomes the wanted
-    one: searches for little-endian (1/2/4-byte) and ASCII-decimal
-    encodings of [observed] and substitutes the encoding of [wanted];
-    returns the input unchanged when no encoding is found. *)
+(** Test seam over the production input-to-state search: loads the
+    input into a fresh scratch, rewrites it as {!havoc_in_place}'s
+    input-to-state operator would — the first little-endian (1/2/4-byte)
+    or ASCII-decimal encoding of [observed], one drawn among those found,
+    replaced by the encoding of [wanted] — and returns the child (the
+    input unchanged when no encoding is found). Campaigns never call it. *)
 val i2s_apply : Rng.t -> cmp_pair -> string -> string
 
 (** Reusable per-campaign mutation buffer: the child under construction
@@ -41,7 +43,3 @@ val create_scratch : unit -> scratch
     call on the same scratch. Allocation-free in steady state. *)
 val havoc_in_place :
   scratch -> ?cmps:cmp_pair array -> ?splice_with:string -> Rng.t -> string -> unit
-
-(** The deterministic stage (walking bit flips and interesting bytes),
-    used by tests and the classic-AFL profile; returns all children. *)
-val deterministic : string -> string list

@@ -101,13 +101,6 @@ let test_i2s_no_match () =
   let s = Fuzz.Mutator.i2s_apply rng { observed = 123456; wanted = 1 } "zz" in
   check Alcotest.string "unchanged" "zz" s
 
-let test_deterministic_stage () =
-  let children = Fuzz.Mutator.deterministic "ab" in
-  (* 8 bitflips + 9 interesting bytes per position *)
-  check Alcotest.int "children count" (2 * (8 + 9)) (List.length children);
-  check Alcotest.bool "all same length" true
-    (List.for_all (fun c -> String.length c = 2) children)
-
 (* --- corpus --- *)
 
 let mk_entry corpus data indices blocks =
@@ -478,7 +471,7 @@ let test_stats_venn () =
   check Alcotest.int "abc" 1 abc
 
 let prop_havoc_valid =
-  QCheck.Test.make ~count:300 ~name:"havoc outputs stay in bounds"
+  QCheck.Test.make ~count:300 ~long_factor:10 ~name:"havoc outputs stay in bounds"
     QCheck.(pair small_int (string_of_size Gen.(int_range 0 100)))
     (fun (seed, input) ->
       let rng = Fuzz.Rng.create seed in
@@ -488,6 +481,88 @@ let prop_havoc_valid =
           ~splice_with:"other input" rng input
       in
       String.length child >= 1 && String.length child <= Fuzz.Mutator.max_len)
+
+(* The production input-to-state search (through the [i2s_apply] seam)
+   against the string engine's, on inputs of 0–64 bytes with encodings
+   of [observed] planted at random offsets: at the last position each
+   fits, adjacent to or overlapping the previous plant, and (one case in
+   eight) behind a filler that brings the input within 20 bytes of
+   [max_len], so a lengthening decimal hits the cap. [observed] is drawn
+   around the width edges and negative. Equal children and one equal
+   draw after them pin the single candidate draw. *)
+let prop_i2s_matches_reference =
+  let open QCheck.Gen in
+  let edges = [ 0; 1; 9; 10; 255; 256; 65535; 65536; 0xffff_ffff; 0x1_0000_0000;
+                -1; -256; min_int; max_int ] in
+  let observed =
+    frequency
+      [ (3, oneofl edges); (2, int_range 0 70_000); (1, int_range (-70_000) (-1));
+        (1, map (fun x -> x land 0x1_ffff_ffff) int) ]
+  in
+  let wanted =
+    frequency
+      [ (2, oneofl [ 0; -1; -5; min_int; max_int; 1 lsl 40; 99_999_999_999 ]);
+        (2, int_range (-300) 70_000); (1, int) ]
+  in
+  let byte =
+    frequency [ (2, oneofl [ '\x00'; '\x01'; '\xff'; '0'; '1'; '5'; '6'; '9' ]); (1, char) ]
+  in
+  (* (encoding: 0..2 = LE width 1/2/4, 3 = decimal; where: 0 = last fit,
+     1 = adjacent to the previous plant, 2 = one byte into it, else a
+     random offset) *)
+  let plant =
+    pair (int_bound 3)
+      (frequency [ (2, return 0); (1, return 1); (1, return 2); (3, int_range 3 1000) ])
+  in
+  let case =
+    map
+      (fun ((seed, v, w), (base, plants, pad)) ->
+        let enc = function
+          | 3 -> string_of_int v
+          | k -> String.init (1 lsl k) (fun i -> Char.chr ((v asr (8 * i)) land 255))
+        in
+        let filler =
+          match pad with
+          | Some j -> String.make (max 0 (Fuzz.Mutator.max_len - j - String.length base)) 'z'
+          | None -> ""
+        in
+        let b = Bytes.of_string (filler ^ base) in
+        let n = Bytes.length b in
+        ignore
+          (List.fold_left
+            (fun prev (k, where) ->
+              let e = enc k in
+              let m = String.length e in
+              if m > n then prev
+              else
+                let pos =
+                  match where with
+                  | 0 -> n - m
+                  | 1 -> prev
+                  | 2 -> max 0 (prev - 1)
+                  | r -> (r * 7919 + prev) mod (n - m + 1)
+                in
+                let pos = min pos (n - m) in
+                Bytes.blit_string e 0 b pos m;
+                pos + m)
+            0 plants);
+        (seed, { Fuzz.Mutator.observed = v; wanted = w }, Bytes.to_string b))
+      (pair (triple small_int observed wanted)
+         (triple (string_size ~gen:byte (int_range 0 64)) (list_size (int_range 0 3) plant)
+            (opt ~ratio:0.125 (int_range 0 20))))
+  in
+  QCheck.Test.make ~count:1000 ~long_factor:20
+    ~name:"i2s equals the string engine"
+    (QCheck.make
+       ~print:(fun (seed, (p : Fuzz.Mutator.cmp_pair), s) ->
+         Printf.sprintf "seed %d, observed %d, wanted %d, %d bytes %S" seed p.observed
+           p.wanted (String.length s) s)
+       case)
+    (fun (seed, p, input) ->
+      let r_ref = Fuzz.Rng.create seed and r_new = Fuzz.Rng.create seed in
+      let expected = Mutator_ref.i2s_apply r_ref p input in
+      Fuzz.Mutator.i2s_apply r_new p input = expected
+      && Fuzz.Rng.int r_ref 1_000_003 = Fuzz.Rng.int r_new 1_000_003)
 
 let suite =
   [
@@ -507,7 +582,6 @@ let suite =
         Alcotest.test_case "i2s ascii" `Quick test_i2s_ascii_substitution;
         Alcotest.test_case "i2s negative wanted" `Quick test_i2s_negative_wanted;
         Alcotest.test_case "i2s no match" `Quick test_i2s_no_match;
-        Alcotest.test_case "deterministic stage" `Quick test_deterministic_stage;
       ] );
     ( "corpus",
       [
@@ -557,5 +631,6 @@ let suite =
         Alcotest.test_case "geomean" `Quick test_stats_geomean;
         Alcotest.test_case "venn" `Quick test_stats_venn;
       ] );
-    ("fuzz-properties", List.map QCheck_alcotest.to_alcotest [ prop_havoc_valid ]);
+    ( "fuzz-properties",
+      List.map QCheck_alcotest.to_alcotest [ prop_havoc_valid; prop_i2s_matches_reference ] );
   ]

@@ -1,8 +1,7 @@
 (* The retention path at touched-index cost (DESIGN.md §6, "Retention
    path"): the incremental flat top-rated table, claimed in any index
-   order, equals a from-scratch cull_queue rebuild, the radix-sorted
-   journal equals a comparison sort, and packed index sets round-trip at
-   both widths. *)
+   order, equals a from-scratch cull_queue rebuild, and packed index sets
+   round-trip at both widths. *)
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -270,38 +269,6 @@ let prop_claim_at_candidates =
       e_p.fav = fav && state part.c = state full.c)
 
 (* ------------------------------------------------------------------ *)
-(* Radix-sorted journal                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_radix_matches_sort () =
-  List.iter
-    (fun log2 ->
-      let m = Cm.create ~size_log2:log2 () in
-      let rng = Fuzz.Rng.create log2 in
-      let size = 1 lsl log2 in
-      List.iter
-        (fun want ->
-          Cm.clear m;
-          let hits = ref 0 in
-          while Cm.count_set m < min want size && !hits < 50 * (want + 1) do
-            Cm.hit m (Fuzz.Rng.int rng size);
-            incr hits
-          done;
-          let journal = ref [] in
-          Cm.iteri_set (fun i _ -> journal := i :: !journal) m;
-          let expected = Array.of_list !journal in
-          Array.sort compare expected;
-          let label = Printf.sprintf "log2 %d, %d indices" log2 (Cm.count_set m) in
-          check Alcotest.(array int) (label ^ ": sorted_indices") expected
-            (Cm.sorted_indices m);
-          (* the journal itself is left in discovery order *)
-          let after = ref [] in
-          Cm.iteri_set (fun i _ -> after := i :: !after) m;
-          check Alcotest.(list int) (label ^ ": journal untouched") !journal !after)
-        [ 0; 1; 2; 3; 17; 255; 256; 257; 1000; 2500; 5000 ])
-    [ 4; 8; 16; 17; 24 ]
-
-(* ------------------------------------------------------------------ *)
 (* Packed index sets                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -505,8 +472,6 @@ let suite =
           test_incremental_equals_oracle;
         Alcotest.test_case "restored top-rated equals rebuild" `Quick
           test_restore_equals_oracle;
-        Alcotest.test_case "radix sort equals Array.sort" `Quick
-          test_radix_matches_sort;
         Alcotest.test_case "packed index sets round trip" `Quick
           test_packed_roundtrip;
         QCheck_alcotest.to_alcotest prop_claim_at_candidates;
